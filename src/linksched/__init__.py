@@ -13,6 +13,7 @@ from .model import (
     discretize_channel,
     load_config,
     mean_arrival_rate,
+    step,
     validate_config,
 )
 from .occupancy_lp import (
@@ -42,7 +43,6 @@ from .construction import (
     ThresholdPolicy,
     compute_envelope,
     compute_thresholds,
-    construct_solution,
     density_from_measure,
     invert_envelope,
     power_ratio,
@@ -51,7 +51,7 @@ from .construction import (
     verify_feasibility,
 )
 from .simplex import LinearProgram, SimplexAnomaly, SimplexResult, solve_simplex
-from .simulator import SimReport, report_to_csv, report_to_text, run_sim, step
+from .simulator import SimReport, report_to_csv, report_to_text, run_sim
 from .sweep import (
     ConvergenceStudy,
     SweepError,

@@ -7,7 +7,8 @@ via the seed), so re-running a manifest reproduces them byte for byte;
 the manifest's own timestamp is the only thing that moves.
 
 Exit codes: 0 success, 1 usage or input error, 2 infeasible problem,
-3 internal solver anomaly, 4 verification failure.
+3 internal solver anomaly, 4 verification failure (construction
+certificate, envelope mass range, reducible policy chain).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from . import __version__
 from .construction import (
     ConstructionError,
+    MassRangeError,
     compute_thresholds,
     density_from_measure,
     power_ratio,
@@ -33,14 +35,7 @@ from .construction import (
     verify_deterministic,
     verify_feasibility,
 )
-from .model import (
-    ConfigError,
-    DiscretizationError,
-    discretize_channel,
-    load_config,
-    mean_arrival_rate,
-    validate_config,
-)
+from .model import discretize_channel, load_config, validate_config
 from .occupancy_lp import (
     ReducibleChainError,
     evaluate_measure,
@@ -54,7 +49,7 @@ from .occupancy_lp import (
     solve_lagrangian,
 )
 from .simplex import SimplexAnomaly
-from .simulator import report_to_csv, report_to_text, run_sim
+from .simulator import _fmt, report_to_csv, report_to_text, run_sim
 from .sweep import (
     SweepError,
     TradeoffCurve,
@@ -117,10 +112,6 @@ def _outdir(args) -> str:
     d = args.outdir or os.environ.get(OUTDIR_ENV) or "."
     os.makedirs(d, exist_ok=True)
     return d
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -486,8 +477,11 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, DiscretizationError, FileNotFoundError,
-            ValueError) as e:
+    except (ConstructionError, ReducibleChainError, MassRangeError) as e:
+        # the last two are ValueErrors, so they must be caught first
+        print(f"verification failure: {e}", file=sys.stderr)
+        return EXIT_VERIFY
+    except (FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except SimplexAnomaly as e:
@@ -499,9 +493,6 @@ def main(argv=None) -> int:
         if "infeasible" in msg:
             return EXIT_INFEASIBLE
         return EXIT_ANOMALY
-    except (ConstructionError, ReducibleChainError) as e:
-        print(f"verification failure: {e}", file=sys.stderr)
-        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

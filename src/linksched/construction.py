@@ -28,16 +28,18 @@ report-style density match against the channel law.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChannelDiscretization, SystemConfig, mean_arrival_rate
-from .occupancy_lp import OccupancyMeasure, admissible_pairs
+from .model import SystemConfig, mean_arrival_rate
+from .occupancy_lp import OccupancyMeasure, queue_residuals
 
 PARTITION_TOL = 1e-12
-RATE_TOL = 1e-10
 RATIO_TOL = 1e-10
+TRANSIENT_MASS_TOL = 1e-12  # queue states lighter than this are transient
+FEASIBILITY_SAMPLES = 10_000  # stratified gains for the channel residual
+DETERMINISM_SAMPLES = 4096  # stratified gains for the overlap scan
 
 
 class MassRangeError(ValueError):
@@ -304,13 +306,6 @@ def compute_thresholds(
     return ConstructedSolution(dr, edges, order, lo, hi)
 
 
-def construct_solution(
-    d: PiecewiseDensity, cells: int, order: str = "rate_descending"
-) -> ConstructedSolution:
-    """Alias of compute_thresholds; named for the result, not the steps."""
-    return compute_thresholds(d, cells, order)
-
-
 # --- certification --------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -344,18 +339,23 @@ class FeasibilityReport:
                    self.rate_residual, self.delay_residual)
 
 
-def verify_feasibility(y: ConstructedSolution, samples: int = 10_000) -> FeasibilityReport:
+def _stratified_gains(cfg: SystemConfig, n: int) -> np.ndarray:
+    """Midpoints of n equal slices of (h_min, h_max]."""
+    h_lo, h_hi = cfg.channel.h_min, cfg.channel.h_max
+    return h_lo + (np.arange(n) + 0.5) * ((h_hi - h_lo) / n)
+
+
+def verify_feasibility(y: ConstructedSolution) -> FeasibilityReport:
     """Report-only residual battery; never raises on a violation."""
     cfg = y.cfg
     d = y.source
     # channel marginal at stratified sample gains, via interval lookup
-    h_lo, h_hi = cfg.channel.h_min, cfg.channel.h_max
-    hs = h_lo + (np.arange(samples) + 0.5) * ((h_hi - h_lo) / samples)
+    hs = _stratified_gains(cfg, FEASIBILITY_SAMPLES)
     ch_edges, ch_values = cfg.channel.pieces()
     f_ref = np.asarray(ch_values)[np.clip(
         np.searchsorted(np.asarray(ch_edges), hs, side="left") - 1,
         0, len(ch_values) - 1)]
-    total = np.zeros(samples)
+    total = np.zeros(hs.size)
     piece_idx = np.clip(np.searchsorted(d.grid, hs, side="left") - 1,
                         0, len(d.grid) - 2)
     for q in range(cfg.Q + 1):
@@ -369,26 +369,13 @@ def verify_feasibility(y: ConstructedSolution, samples: int = 10_000) -> Feasibi
         # the interval it closes, matching the (lo, hi] convention
         pos = np.clip(np.searchsorted(los, hs, side="left") - 1, 0, len(iv) - 1)
         covered = (hs > los[pos]) & (hs <= his[pos])
-        covered |= np.isclose(hs, h_lo)  # left edge has measure zero
+        covered |= np.isclose(hs, cfg.channel.h_min)  # measure-zero edge
         total += np.where(covered, dens_q, 0.0)
     channel_residual = float(np.abs(total - f_ref).max())
 
     I = y.rate_integrals()
-    alphas = cfg.arrival.alphas
-    balance = 0.0
-    for qn in range(cfg.Q + 1):
-        inflow = 0.0
-        for (q, s) in admissible_pairs(cfg):
-            a = qn - (q - s)
-            if 0 <= a < len(alphas):
-                inflow += alphas[a] * I[q, s]
-        balance = max(balance, abs(inflow - I[qn].sum()))
-
+    balance, structural = queue_residuals(cfg, I)
     nonneg = max(0.0, -float(d.values.min()))
-    mask = np.ones(I.shape, dtype=bool)
-    for (q, s) in admissible_pairs(cfg):
-        mask[q, s] = False
-    structural = float(np.abs(I[mask]).max(initial=0.0))
     rate = float(np.abs(I - d.rate_integrals()).max())
     delay_d, _ = d.delay_power()
     delay_y, power_y = y.delay_power()
@@ -415,7 +402,7 @@ class DeterminismReport:
         return self.exact_ok and self.sampled_ok
 
 
-def verify_deterministic(y: ConstructedSolution, samples: int = 4096) -> DeterminismReport:
+def verify_deterministic(y: ConstructedSolution) -> DeterminismReport:
     """Exact pairwise interval arithmetic plus a stratified sample scan.
 
     Both routes must agree that no gain sees two positive rates for the
@@ -431,12 +418,10 @@ def verify_deterministic(y: ConstructedSolution, samples: int = 4096) -> Determi
                 if witness is None:
                     witness = (q, 0.5 * (a2 + min(b1, b2)), s1, s2)
     sampled_ok = True
-    cfg = y.cfg
-    h_lo, h_hi = cfg.channel.h_min, cfg.channel.h_max
-    hs = h_lo + (np.arange(samples) + 0.5) * ((h_hi - h_lo) / samples)
-    for q in range(cfg.Q + 1):
+    hs = _stratified_gains(y.cfg, DETERMINISM_SAMPLES)
+    for q in range(y.cfg.Q + 1):
         iv = y.intervals_for(q)
-        active = np.zeros(samples, dtype=int)
+        active = np.zeros(hs.size, dtype=int)
         for (a, b, s) in iv:
             inside = (hs > a + PARTITION_TOL) & (hs <= b - PARTITION_TOL)
             active += inside.astype(int)
@@ -509,7 +494,7 @@ class ThresholdPolicy:
         return self.rate_for(q, h)
 
 
-def to_threshold_policy(y: ConstructedSolution, mass_tol: float = 1e-12) -> ThresholdPolicy:
+def to_threshold_policy(y: ConstructedSolution) -> ThresholdPolicy:
     """Collapse a construction into lookup rules, merging neighbors that
     share a rate and dropping empty intervals."""
     cfg = y.cfg
@@ -518,7 +503,7 @@ def to_threshold_policy(y: ConstructedSolution, mass_tol: float = 1e-12) -> Thre
     transient = np.zeros(cfg.Q + 1, dtype=bool)
     lo, hi = cfg.channel.h_min, cfg.channel.h_max
     for q in range(cfg.Q + 1):
-        if masses[q] <= mass_tol:
+        if masses[q] <= TRANSIENT_MASS_TOL:
             transient[q] = True
             bounds_out.append(np.array([lo, hi]))
             rates_out.append(np.array([min(q, cfg.S_max)], dtype=int))

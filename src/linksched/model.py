@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 PROB_TOL_ARRIVAL = 1e-12
 PROB_TOL_CHANNEL = 1e-10
@@ -116,6 +118,14 @@ class ChannelDiscretization:
             else:
                 lo = mid
         return lo
+
+
+def step(cfg: SystemConfig, q, a, s):
+    """The queue law: serve s (floored at empty), then admit a (capped at Q).
+
+    Elementwise on integer arrays as well as on plain ints.
+    """
+    return np.minimum(np.maximum(q - s, 0) + a, cfg.Q)
 
 
 def mean_arrival_rate(arr: ArrivalModel) -> float:

@@ -27,16 +27,18 @@ State spaces are 0-based: q in {0..Q}, s in {0..S_max}.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import (
-    ChannelDiscretization,
-    SystemConfig,
-    mean_arrival_rate,
+from .model import ChannelDiscretization, SystemConfig, mean_arrival_rate, step
+from .simplex import (
+    FEAS_TOL,
+    LinearProgram,
+    SimplexAnomaly,
+    SimplexResult,
+    solve_simplex,
 )
-from .simplex import FEAS_TOL, LinearProgram, SimplexResult, solve_simplex
 
 ONE_HOT_TOL = 1e-9
 TRANSIENT_TOL = 1e-12
@@ -46,15 +48,50 @@ class ReducibleChainError(ValueError):
     """The policy-induced queue chain has several closed classes."""
 
 
+def transition_table(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The queue law as arrays: P[q, s, q'] and the admissible (q, s) mask.
+
+    P[q, s, q'] is the probability that backlog q, serving s, moves to
+    q' = step(q, a, s) under the arrival law.  A pair is admissible when
+    neither clip of the law binds for any arrival count a = 0..A, which
+    is 0 <= q - s <= Q - A.
+    """
+    alphas = np.asarray(cfg.arrival.alphas)
+    q, s, a = np.ogrid[: cfg.Q + 1, : cfg.S_max + 1, : alphas.size]
+    nxt = step(cfg, q, a, s)
+    P = np.zeros((cfg.Q + 1, cfg.S_max + 1, cfg.Q + 1))
+    np.add.at(P, (q, s, nxt), alphas[a])
+    mask = (nxt == q - s + a).all(axis=2)
+    return P, mask
+
+
 def admissible_pairs(cfg: SystemConfig) -> list[tuple[int, int]]:
     """(q, s) with 0 <= q - s <= Q - A, s <= S_max; q-major order."""
-    A = cfg.arrival.max_arrivals
-    out = []
-    for q in range(cfg.Q + 1):
-        for s in range(cfg.S_max + 1):
-            if 0 <= q - s <= cfg.Q - A:
-                out.append((q, s))
-    return out
+    _, mask = transition_table(cfg)
+    return [(int(q), int(s)) for q, s in np.argwhere(mask)]
+
+
+def _ordered_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the first axis strictly left to right.
+
+    np.sum may pair terms up; a fixed order keeps residuals and kernels
+    reproducible to the last bit.
+    """
+    return np.cumsum(terms, axis=0)[-1]
+
+
+def queue_residuals(cfg: SystemConfig, G: np.ndarray) -> tuple[float, float]:
+    """(balance, structural) residuals of rate masses G[q, s].
+
+    balance is the worst gap between the inflow the admissible pairs
+    push into a queue state and the mass sitting there; structural is
+    the largest mass on an inadmissible pair.
+    """
+    P, mask = transition_table(cfg)
+    inflow = _ordered_sum(G[mask][:, None] * P[mask])
+    balance = float(np.abs(inflow - G.sum(axis=1)).max())
+    structural = float(np.abs(G[~mask]).max(initial=0.0))
+    return balance, structural
 
 
 @dataclass(frozen=True)
@@ -81,23 +118,10 @@ class OccupancyMeasure:
 
     def balance_residual(self) -> float:
         """Worst violation of queue balance, aggregated over bins."""
-        G = self.rate_marginal()
-        alphas = self.cfg.arrival.alphas
-        worst = 0.0
-        for qn in range(self.cfg.Q + 1):
-            inflow = 0.0
-            for (q, s) in admissible_pairs(self.cfg):
-                a = qn - (q - s)
-                if 0 <= a < len(alphas):
-                    inflow += alphas[a] * G[q, s]
-            worst = max(worst, abs(inflow - G[qn].sum()))
-        return worst
+        return queue_residuals(self.cfg, self.rate_marginal())[0]
 
     def structural_zero_mass(self) -> float:
-        mask = np.ones(self.values.shape[:2], dtype=bool)
-        for (q, s) in admissible_pairs(self.cfg):
-            mask[q, s] = False
-        return float(np.abs(self.values[mask]).max(initial=0.0))
+        return queue_residuals(self.cfg, self.rate_marginal())[1]
 
 
 @dataclass(frozen=True)
@@ -151,13 +175,19 @@ class LpSolution:
 
 @dataclass(frozen=True)
 class OccupancyLp:
-    """Matrix form plus the (q, s, k) meaning of each column."""
+    """Matrix form plus the (q, s, k) meaning of each column.
+
+    lp minimizes power; power and delay are the per-column costs, so a
+    solve with another objective swaps lp.c and keeps the rows.
+    """
 
     cfg: SystemConfig
     disc: ChannelDiscretization
     lp: LinearProgram
     var_index: tuple[tuple[int, int, int], ...]
     d_th: float | None
+    power: np.ndarray
+    delay: np.ndarray
 
     @property
     def num_vars(self) -> int:
@@ -165,75 +195,51 @@ class OccupancyLp:
 
 
 def build_occupancy_lp(
-    cfg: SystemConfig,
-    disc: ChannelDiscretization,
-    d_th: float | None,
-    objective: str = "power",
+    cfg: SystemConfig, disc: ChannelDiscretization, d_th: float | None
 ) -> OccupancyLp:
-    """Assemble the LP; objective "power" or "delay".
+    """Assemble the power-minimizing LP.
 
     The delay row is included only for a finite d_th with a nonzero
     arrival rate.  Variable order is q-major, then s, then k.
     """
-    pairs = admissible_pairs(cfg)
-    M = disc.bins
+    P, mask = transition_table(cfg)
+    qs, ss = np.nonzero(mask)
+    M, n_q = disc.bins, cfg.Q + 1
+    nv = qs.size * M
     p = np.asarray(disc.masses)
-    r = np.asarray(disc.inv_means)
-    alphas = cfg.arrival.alphas
     abar = mean_arrival_rate(cfg.arrival)
-    nv = len(pairs) * M
-    var_index = []
-    col_of = {}
-    for (q, s) in pairs:
-        for k in range(M):
-            col_of[(q, s, k)] = len(var_index)
-            var_index.append((q, s, k))
+    power_c = (np.asarray(cfg.xi_table)[ss, None]
+               * np.asarray(disc.inv_means)).ravel()
+    # delay is mean queue over mean arrival rate; with no arrivals the
+    # mean queue itself
+    delay_c = np.repeat(qs / abar if abar > 0 else qs.astype(float), M)
 
-    power_c = np.zeros(nv)
-    delay_c = np.zeros(nv)
-    for (q, s, k), j in col_of.items():
-        power_c[j] = cfg.xi(s) * r[k]
-        delay_c[j] = q / abar if abar > 0 else float(q)
-    c = power_c if objective == "power" else delay_c
-
-    # inflow[qn, j]: probability weight pushed into queue qn by column j
-    inflow = np.zeros((cfg.Q + 1, nv))
-    for (q, s) in pairs:
-        base = col_of[(q, s, 0)]
-        for a, alpha in enumerate(alphas):
-            qn = q - s + a
-            inflow[qn, base : base + M] += alpha
-
-    n_rows = M + (cfg.Q + 1) * M
-    A_eq = np.zeros((n_rows, nv))
-    b_eq = np.zeros(n_rows)
-    for k in range(M):
-        cols = [col_of[(q, s, k)] for (q, s) in pairs]
-        A_eq[k, cols] = 1.0
-        b_eq[k] = p[k]
-    row = M
-    for qn in range(cfg.Q + 1):
-        for k in range(M):
-            A_eq[row] = -p[k] * inflow[qn]
-            for s in range(cfg.S_max + 1):
-                j = col_of.get((qn, s, k))
-                if j is not None:
-                    A_eq[row, j] += 1.0
-            row += 1
+    k = np.arange(M)
+    cols = np.arange(nv).reshape(qs.size, M)
+    A_eq = np.zeros((M + n_q * M, nv))
+    A_eq[k, cols] = 1.0  # bin-mass rows
+    # balance row (q', k): landing mass minus p_k times the inflow into q'
+    inflow = np.repeat(P[mask].T, M, axis=1)
+    balance = A_eq[M:].reshape(n_q, M, nv)
+    np.multiply(-p[None, :, None], inflow[:, None, :], out=balance)
+    balance[qs[:, None], k, cols] += 1.0
+    b_eq = np.concatenate([p, np.zeros(n_q * M)])
 
     A_ub = b_ub = None
     if d_th is not None and math.isfinite(d_th) and abar > 0:
         A_ub = delay_c.reshape(1, -1)
         b_ub = np.array([d_th])
 
-    lp = LinearProgram.build(c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub)
-    return OccupancyLp(cfg, disc, lp, tuple(var_index), d_th)
+    lp = LinearProgram.build(power_c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub)
+    var_index = tuple((q, s, kk) for q, s in zip(qs.tolist(), ss.tolist())
+                      for kk in range(M))
+    return OccupancyLp(cfg, disc, lp, var_index, d_th, power_c, delay_c)
 
 
 def _measure_from_x(olp: OccupancyLp, x: np.ndarray) -> OccupancyMeasure:
     g = np.zeros((olp.cfg.Q + 1, olp.cfg.S_max + 1, olp.disc.bins))
-    for (q, s, k), v in zip(olp.var_index, x):
-        g[q, s, k] = v if v > 0.0 else 0.0
+    q, s, k = np.array(olp.var_index).T
+    g[q, s, k] = np.where(x > 0.0, x, 0.0)
     return OccupancyMeasure(olp.cfg, olp.disc, g)
 
 
@@ -252,7 +258,7 @@ def solve_constrained(
     cfg: SystemConfig, disc: ChannelDiscretization, d_th: float | None
 ) -> LpSolution:
     """Minimum average power subject to average delay <= d_th."""
-    olp = build_occupancy_lp(cfg, disc, d_th, objective="power")
+    olp = build_occupancy_lp(cfg, disc, d_th)
     return _finish(olp, solve_simplex(olp.lp))
 
 
@@ -260,10 +266,10 @@ def min_delay(
     cfg: SystemConfig, disc: ChannelDiscretization
 ) -> tuple[float, OccupancyMeasure | None]:
     """Smallest achievable average delay (0 when there are no arrivals)."""
-    olp = build_occupancy_lp(cfg, disc, None, objective="delay")
-    res = solve_simplex(olp.lp)
+    olp = build_occupancy_lp(cfg, disc, None)
+    res = solve_simplex(replace(olp.lp, c=olp.delay))
     if res.status != "optimal":
-        raise RuntimeError(f"min-delay solve returned {res.status}")
+        raise SimplexAnomaly(f"min-delay solve returned {res.status}")
     if mean_arrival_rate(cfg.arrival) == 0:
         return 0.0, _measure_from_x(olp, res.x)
     return float(res.objective), _measure_from_x(olp, res.x)
@@ -275,17 +281,10 @@ def solve_lagrangian(
     """Minimize power + lam * delay; returns (solution, delay, power)."""
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    olp = build_occupancy_lp(cfg, disc, None, objective="power")
-    abar = mean_arrival_rate(cfg.arrival)
-    delay_c = np.array(
-        [q / abar if abar > 0 else 0.0 for (q, _s, _k) in olp.var_index]
-    )
-    weighted = LinearProgram.build(
-        olp.lp.c + lam * delay_c, A_eq=olp.lp.A_eq, b_eq=olp.lp.b_eq
-    )
-    res = solve_simplex(weighted)
+    olp = build_occupancy_lp(cfg, disc, None)
+    res = solve_simplex(replace(olp.lp, c=olp.power + lam * olp.delay))
     if res.status != "optimal":
-        raise RuntimeError(f"weighted solve returned {res.status}")
+        raise SimplexAnomaly(f"weighted solve returned {res.status}")
     measure = _measure_from_x(olp, res.x)
     delay, power = evaluate_measure(measure)
     sol = LpSolution("optimal", power, measure, lam, res.iterations)
@@ -345,20 +344,12 @@ def extract_policy(m: OccupancyMeasure) -> Policy:
 
 def _queue_kernel(cfg: SystemConfig, disc: ChannelDiscretization, pol: Policy):
     """Transition matrix of the queue chain under the policy (clipped)."""
-    Q = cfg.Q
-    alphas = cfg.arrival.alphas
-    p = disc.masses
-    T = np.zeros((Q + 1, Q + 1))
-    for q in range(Q + 1):
-        for k in range(disc.bins):
-            for s in range(cfg.S_max + 1):
-                f = pol.table[q, k, s]
-                if f <= 0.0:
-                    continue
-                left = max(q - s, 0)
-                for a, alpha in enumerate(alphas):
-                    T[q, min(left + a, Q)] += p[k] * f * alpha
-    return T
+    P, _ = transition_table(cfg)
+    n = cfg.Q + 1
+    # w[k, s, q]: chance of bin k and rate s at backlog q
+    w = np.asarray(disc.masses)[:, None, None] * pol.table.transpose(1, 2, 0)
+    terms = w[..., None] * P.transpose(1, 0, 2)[None]
+    return _ordered_sum(terms.reshape(-1, n, n))
 
 
 def _closed_classes(T: np.ndarray) -> list[list[int]]:

@@ -15,7 +15,7 @@ identity columns, so every kept row reports a multiplier.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +23,7 @@ OPT_TOL = 1e-9  # reduced cost threshold for optimality
 FEAS_TOL = 1e-9  # phase-1 objective / artificial value threshold
 PIV_TOL = 1e-11  # smallest pivot element admitted in the ratio test
 DRIVE_TOL = 1e-7  # smallest pivot used when driving artificials out
+MAX_PIVOTS = 200_000  # per phase; beyond this the solve is an anomaly
 
 
 class SimplexAnomaly(RuntimeError):
@@ -66,7 +67,7 @@ class SimplexResult:
     iterations: int = 0
 
 
-def _bland_iterate(T, basis, cost, allowed, max_iter=200_000):
+def _bland_iterate(T, basis, cost, allowed):
     """Run Bland pivots in place until optimal or a ray appears.
 
     Returns ("optimal", iters) or ("unbounded", iters).  T has shape
@@ -97,7 +98,7 @@ def _bland_iterate(T, basis, cost, allowed, max_iter=200_000):
         _pivot(T, r, j)
         basis[r] = j
         iters += 1
-        if iters > max_iter:
+        if iters > MAX_PIVOTS:
             raise SimplexAnomaly("pivot limit exceeded")
 
 

@@ -31,13 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SystemConfig, channel_cdf_inverse, mean_arrival_rate
+from .model import step  # noqa: F401  (re-exported)
 
 MIN_BATCHES = 30
-
-
-def step(cfg: SystemConfig, q: int, a: int, s: int) -> int:
-    """One queue update: serve s (floored at empty), admit a (capped at Q)."""
-    return min(max(q - s, 0) + a, cfg.Q)
 
 
 @dataclass(frozen=True)
@@ -153,7 +149,7 @@ def run_sim(
                 for _ in range(served):
                     fifo.popleft()
             fifo.extend([t] * (a - dropped))
-            q = left + a - dropped
+            q = left + a - dropped  # model.step, unrolled to count drops
     finally:
         if trace is not None:
             trace.close()

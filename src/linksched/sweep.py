@@ -36,6 +36,8 @@ from .occupancy_lp import (
 
 HULL_TOL = 1e-8
 VERTEX_TOL = 1e-10
+CLUSTER_TOL = 1e-7  # candidates this close in D and P are one corner
+COLLINEAR_TOL = 1e-9  # points this close to their neighbors' chord drop
 MAX_VERTEX_SOLVES = 5000
 
 
@@ -106,7 +108,6 @@ def enumerate_vertices(
     cfg: SystemConfig,
     disc: ChannelDiscretization,
     lambda_max: float | None = None,
-    tol: float = VERTEX_TOL,
 ) -> tuple[Vertex, ...]:
     """All corners of the tradeoff curve, sorted by increasing delay.
 
@@ -148,7 +149,7 @@ def enumerate_vertices(
         d1, p1, pol1 = solve(lam_hi)
         record(lam_lo, d0, p0, pol0)
         record(lam_hi, d1, p1, pol1)
-        if abs(d0 - d1) <= tol and abs(p0 - p1) <= tol:
+        if abs(d0 - d1) <= VERTEX_TOL and abs(p0 - p1) <= VERTEX_TOL:
             return
         if depth > 80:
             raise SweepError("vertex enumeration did not converge")
@@ -163,7 +164,7 @@ def enumerate_vertices(
         dm, pm, polm = solve(lam_star)
         chord = p0 + lam_star * d0
         value = pm + lam_star * dm
-        if value >= chord - tol * (1.0 + abs(chord)):
+        if value >= chord - VERTEX_TOL * (1.0 + abs(chord)):
             return  # segment certified, endpoints are adjacent corners
         record(lam_star, dm, pm, polm)
         split(lam_lo, lam_star, depth + 1)
@@ -176,9 +177,8 @@ def enumerate_vertices(
     return tuple(_prune_collinear(vertices))
 
 
-def _cluster_corners(cand: list[Vertex],
-                     tol: float = 1e-7) -> list[list[Vertex]]:
-    """Group candidates closer than tol in both coordinates.
+def _cluster_corners(cand: list[Vertex]) -> list[list[Vertex]]:
+    """Group candidates closer than CLUSTER_TOL in both coordinates.
 
     Weights that tie two bases within solver tolerance return a small
     cloud of near-identical points around one true corner; members of a
@@ -188,8 +188,8 @@ def _cluster_corners(cand: list[Vertex],
     for v in cand:
         if clusters:
             last = clusters[-1][-1]
-            if (abs(v.D - last.D) <= tol * (1.0 + abs(v.D))
-                    and abs(v.P - last.P) <= tol * (1.0 + abs(v.P))):
+            if (abs(v.D - last.D) <= CLUSTER_TOL * (1.0 + abs(v.D))
+                    and abs(v.P - last.P) <= CLUSTER_TOL * (1.0 + abs(v.P))):
                 clusters[-1].append(v)
                 continue
         clusters.append([v])
@@ -236,7 +236,7 @@ def _cluster_representative(cluster: list[Vertex]) -> Vertex:
     return Vertex(d, p, v.lam, rounded)
 
 
-def _prune_collinear(cand: list[Vertex], tol: float = 1e-9) -> list[Vertex]:
+def _prune_collinear(cand: list[Vertex]) -> list[Vertex]:
     """Drop points lying on the segment of their neighbors.
 
     A weight equal to a facet slope can expose any basic point of the
@@ -251,7 +251,7 @@ def _prune_collinear(cand: list[Vertex], tol: float = 1e-9) -> list[Vertex]:
                 break
             t = (b.D - a.D) / (v.D - a.D)
             chord_p = a.P + t * (v.P - a.P)
-            if abs(b.P - chord_p) <= tol * (1.0 + abs(b.P)):
+            if abs(b.P - chord_p) <= COLLINEAR_TOL * (1.0 + abs(b.P)):
                 out.pop()
             else:
                 break

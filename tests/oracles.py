@@ -84,6 +84,64 @@ def policy_delay_power(policy: dict, Q: int, alphas, masses, inv_means,
     return delay, power
 
 
+# --- loop forms of the vectorized queue-law code ---------------------------
+#
+# Same arithmetic in the same order as the package's array code, one
+# scalar at a time, so the results must agree bit for bit.
+
+def loop_admissible(Q: int, s_max: int, a_max: int) -> list[tuple[int, int]]:
+    return [(q, s) for q in range(Q + 1) for s in range(s_max + 1)
+            if 0 <= q - s <= Q - a_max]
+
+
+def loop_equality_rows(Q: int, s_max: int, alphas, masses):
+    """(A_eq, b_eq) of the occupancy LP: bin-mass rows, then one balance
+    row per (queue, bin); columns (q, s, k), q-major."""
+    pairs = loop_admissible(Q, s_max, len(alphas) - 1)
+    M = len(masses)
+    col = {(q, s, k): i * M + k for i, (q, s) in enumerate(pairs)
+           for k in range(M)}
+    A = np.zeros((M + (Q + 1) * M, len(col)))
+    b = np.zeros(A.shape[0])
+    for (q, s, k), j in col.items():
+        A[k, j] = 1.0
+        b[k] = masses[k]
+    for (q, s, k), j in col.items():
+        for qn in range(Q + 1):
+            for kn, pk in enumerate(masses):
+                a = qn - (q - s)
+                alpha = alphas[a] if 0 <= a < len(alphas) else 0.0
+                A[M + qn * M + kn, j] = -pk * alpha
+    for (q, s, k), j in col.items():
+        A[M + q * M + k, j] += 1.0
+    return A, b
+
+
+def loop_balance_residual(Q: int, s_max: int, alphas, G) -> float:
+    """Worst |inflow into q' - mass at q'| of rate masses G[q, s]."""
+    pairs = loop_admissible(Q, s_max, len(alphas) - 1)
+    worst = 0.0
+    for qn in range(Q + 1):
+        inflow = 0.0
+        for q, s in pairs:
+            a = qn - (q - s)
+            if 0 <= a < len(alphas):
+                inflow += alphas[a] * G[q, s]
+        worst = max(worst, abs(inflow - G[qn].sum()))
+    return worst
+
+
+def loop_queue_kernel(Q: int, alphas, masses, table) -> np.ndarray:
+    """Queue transition matrix under table[q, k, s] = P(rate s | q, bin k)."""
+    T = np.zeros((Q + 1, Q + 1))
+    for q in range(Q + 1):
+        for k, pk in enumerate(masses):
+            for s in range(table.shape[2]):
+                for a, alpha in enumerate(alphas):
+                    T[q, min(max(q - s, 0) + a, Q)] += pk * table[q, k, s] * alpha
+    return T
+
+
 def lower_hull(points):
     """Corners of the lower convex hull of (D, P) points, sorted by D.
 

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+from linksched import cli, occupancy_lp
 from linksched.cli import main
+from linksched.construction import MassRangeError
+from linksched.occupancy_lp import ReducibleChainError
+from linksched.simplex import SimplexResult
 
 
 @pytest.fixture()
@@ -46,6 +50,25 @@ class TestExitCodes:
 
     def test_unreachable_budget_is_infeasible(self, tmp_path):
         assert _solve(tmp_path, dth="0.01") == 2
+
+    def test_solver_anomaly_is_three(self, tmp_path, monkeypatch, capsys):
+        # the min-delay solve behind the default budget grid fails
+        monkeypatch.setattr(occupancy_lp, "solve_simplex",
+                            lambda lp: SimplexResult(status="unbounded"))
+        rc = main(["vertices", "--bins", "2", "--outdir", str(tmp_path)])
+        assert rc == 3
+        assert "min-delay solve returned unbounded" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("exc", [MassRangeError, ReducibleChainError])
+    def test_verification_failure_is_four(self, tmp_path, monkeypatch, exc):
+        # both subclass ValueError, which otherwise maps to usage (1)
+        def fail(*args, **kwargs):
+            raise exc("injected")
+
+        monkeypatch.setattr(cli, "compute_thresholds", fail)
+        rc = main(["construct", "--dth", "3.0", "--bins", "2", "--M", "4",
+                   "--outdir", str(tmp_path)])
+        assert rc == 4
 
     def test_version_exits_zero(self):
         assert main(["--version"]) == 0

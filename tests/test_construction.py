@@ -10,7 +10,6 @@ from linksched.construction import (
     PARTITION_TOL,
     compute_envelope,
     compute_thresholds,
-    construct_solution,
     density_from_measure,
     invert_envelope,
     power_ratio,
@@ -95,11 +94,6 @@ class TestThresholds:
         y = compute_thresholds(density16, 1)
         assert verify_deterministic(y).ok
         assert verify_feasibility(y).rate_residual <= 1e-10
-
-    def test_alias(self, density16):
-        y1 = construct_solution(density16, 8)
-        y2 = compute_thresholds(density16, 8)
-        assert np.array_equal(y1.lo, y2.lo) and np.array_equal(y1.hi, y2.hi)
 
 
 class TestPowerRatio:

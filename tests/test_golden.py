@@ -1,0 +1,135 @@
+"""Byte-identity of CLI outputs against recorded digests.
+
+Small-M runs of solve, vertices --full, construct and both simulate
+forms; every output file except manifest.json (which carries a
+timestamp) is hashed.  Any change in the bits of an LP row, a
+residual, a kernel or a report shows up here; record new digests only
+for a deliberate change of output.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from linksched.cli import main
+
+# (output subdirectory, argv); "{root}" is replaced by the run root
+RUNS = (
+    ("solve", ["solve", "--dth", "3", "--bins", "4"]),
+    ("vertices", ["vertices", "--bins", "4", "--full"]),
+    ("construct", ["construct", "--dth", "3", "--bins", "4", "--M", "50"]),
+    ("sim_bin", ["simulate", "--policy", "{root}/solve/policy.csv",
+                 "--bins", "4", "--slots", "20000", "--seed", "5",
+                 "--trace"]),
+    ("sim_threshold", ["simulate", "--policy",
+                       "{root}/construct/thresholds.csv",
+                       "--slots", "20000", "--seed", "3"]),
+)
+
+DIGESTS = {
+    "construct/report.txt":
+        "db010799c0e2a0df1733ac65cf8d057c898386868f3db7af6e53ce64c1e21877",
+    "construct/thresholds.csv":
+        "f7c637525df15180e2ba4139c6f4a35d4dd57cca00fae07a9b10e0a3bedc7957",
+    "sim_bin/report.csv":
+        "d2938695bc414c89142a55a33d66326b7fdf61762a603147253f6ca12911b434",
+    "sim_bin/report.txt":
+        "5a96f431650784e7af7901ded2e42ef5db5893e0ed2d969ee328a5e163013722",
+    "sim_bin/trace.csv":
+        "cd29018e9bb5fdac3b16d425129fb598bfd9081ba8288f0da473c2935da67c45",
+    "sim_threshold/report.csv":
+        "e6e73b033946e98f5b096f539ceacf5161043f87ac8e4918f1f9eef3f66b2071",
+    "sim_threshold/report.txt":
+        "f042f2f01a983eff20304152e2c7f541503d360eb2d497929895ebb084174688",
+    "solve/measure.csv":
+        "243ca2a727d9df2c83a45e782029334c596b3a110f301eb5c6d2aa569d5352c4",
+    "solve/metrics.txt":
+        "e1b61a2352ccfd8759c4f29a5f3dc158c7e9f0530bf652e7764e427a7a25af51",
+    "solve/policy.csv":
+        "d7d599c55bdeca3a286248de3e61552bef0b2207649d23736ec71f83d8037fa5",
+    "vertices/distances_m4.csv":
+        "9586fca53d42ce288e42da21b8f437eb4986a56d6801cc5bd997ffb059cfe732",
+    "vertices/m4_vertex000.txt":
+        "e2858b518cea0a302d2d1ae52ae10a8aa75b52ded1c97a0f895a2862abd47bf2",
+    "vertices/m4_vertex001.txt":
+        "7afbbc61a7255c39af1706aa00a78de895fb488a2d34563d1306de259da03e3e",
+    "vertices/m4_vertex002.txt":
+        "3bf56e276e076dd38fe01bc1812da007005ea4dc2bed12cd9b58b10be17420b6",
+    "vertices/m4_vertex003.txt":
+        "6dbe4e3a01e020df021adc91da06046beb85789666aa43c74bbb350d3e67d8f4",
+    "vertices/m4_vertex004.txt":
+        "f0082960666433f3fd4fa484d467a2d31f439c0eaaf0169612a6fcfe61d12174",
+    "vertices/m4_vertex005.txt":
+        "21fc9db3b6318cc7e9a999699e9f28a780e086605ca0e3ff1885cd6a993696b7",
+    "vertices/m4_vertex006.txt":
+        "f95d3d9086b85d4f55c6a5aa1a6bbbb2e2aa31ce835dcb66633a7f9b9c068f3b",
+    "vertices/m4_vertex007.txt":
+        "70ef7738ebb901c9211d16b7cd06bc95f5964bcb805ddf8afebf680e09ad2f3a",
+    "vertices/m4_vertex008.txt":
+        "e68440ed17c03fca556071f281fd07854f3d3245d39e6dda4bf26890e32e8691",
+    "vertices/m4_vertex009.txt":
+        "d9acd74987b29afe40969656b626cab35b48ad8ddcdfd553a96827d11f4a6997",
+    "vertices/m4_vertex010.txt":
+        "0d5aac36d97956591a87e4f991bf6d36cb0bdf9527d5568aeaef7ddb81d90046",
+    "vertices/m4_vertex011.txt":
+        "74e16755b4992062e6f9a24479cea169fc94dd0e4ae9a71310db8e5d6c34c263",
+    "vertices/m4_vertex012.txt":
+        "7d865dffa085b3383cde84607aed998bc94ccf1af0dcdba9af404fb1067bf083",
+    "vertices/m4_vertex013.txt":
+        "903dcb0269be3e53d4e807f5f0050939eab97bfbeeec61b8f9507ca76df76586",
+    "vertices/m4_vertex014.txt":
+        "6f442d3a96bda8a399398574a67f7147b75edb54925513f8a24157b888223d39",
+    "vertices/m4_vertex015.txt":
+        "e072eb8ee23c4d2130f5dda08770cc20479153ea47aace032a02e5af6f0838a1",
+    "vertices/m4_vertex016.txt":
+        "6e82ba7e940074fdf072dfca4f69b30a7ebf90765ea710bbfff16e0dc8b28fc6",
+    "vertices/m4_vertex017.txt":
+        "4c20a9eafa224495b98f0dd84a27d24690125b0c3ace96b525e9817608319d11",
+    "vertices/m4_vertex018.txt":
+        "8a1e348c4085fca841efa745e918a5225fe36ed563cb2c40bcc86870d81b04bc",
+    "vertices/m4_vertex019.txt":
+        "a0fa16d3815120ef06683e5bb8748e376e5b171e1b04752ff2f4f485293170af",
+    "vertices/m4_vertex020.txt":
+        "0f95b87c84e77e28afee384c8110be9444511b87a66c98694e5f429fa7164958",
+    "vertices/m4_vertex021.txt":
+        "e778ac59fe9dc0f54731e2a93ad5eb4f5996ea2b038addc783632d46fd38f35b",
+    "vertices/m4_vertex022.txt":
+        "dfb11501ac3bd87cf1e4b53599533c19951cad0acadf4982dcf3a056b005bbe2",
+    "vertices/m4_vertex023.txt":
+        "d2810c9e5620c0a56ff978cef8c26772694f8119db3ffe2145a9a43016a0d8d6",
+    "vertices/m4_vertex024.txt":
+        "e2bcd1d7d2d2e53a397bad1e1aa6a84a5e713f038bd01c7256088e83e20c6692",
+    "vertices/m4_vertex025.txt":
+        "4897ae33977185cbbdab05a8aae382974a8020986eabd8b133a7008015a93b64",
+    "vertices/m4_vertex026.txt":
+        "6eb034f55a3a79f104e7be152eaf521b7e852eca05f9e8c035f3d1958e2b4901",
+    "vertices/m4_vertex027.txt":
+        "a986d4e4474e233f7a46173af9a4e9a8bbfaf806854b010dea07d69318c7a794",
+    "vertices/m4_vertex028.txt":
+        "dd979e9431d2100631b4bde1e28218f7b0119a9c074f9673347e2f10e06044b7",
+    "vertices/m4_vertex029.txt":
+        "d8a47c3930a29a85368dee018d674f801222598ff2ef4dbef536d8ba87b65d97",
+    "vertices/m4_vertex030.txt":
+        "5b21c85782c26050294ce1b4ad0a08343af8a9076324e976d69688802c7a1304",
+    "vertices/vertices_m4.csv":
+        "fb4465ce88b997d717f5b86e364f3bc5ba987cfa365482d801834a9128bc1e1f",
+}
+
+
+def run_digests(root) -> dict[str, str]:
+    """Run every entry of RUNS under root; sha256 of each output file."""
+    for sub, argv in RUNS:
+        argv = [a.format(root=root) for a in argv]
+        assert main(argv + ["--outdir", str(root / sub)]) == 0, sub
+    return {
+        str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(root.rglob("*"))
+        if p.is_file() and p.name != "manifest.json"
+    }
+
+
+def test_outputs_match_recorded_digests(tmp_path):
+    got = run_digests(tmp_path)
+    assert sorted(got) == sorted(DIGESTS)
+    changed = [name for name in DIGESTS if got[name] != DIGESTS[name]]
+    assert not changed, f"outputs changed: {changed}"

@@ -2,8 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from linksched.model import config_from_dict, discretize_channel, load_config
+from linksched.model import (
+    config_from_dict,
+    discretize_channel,
+    load_config,
+    step,
+)
 from linksched.occupancy_lp import (
     Policy,
     ReducibleChainError,
@@ -18,11 +24,16 @@ from linksched.occupancy_lp import (
     measure_to_text,
     solve_constrained,
     solve_lagrangian,
+    transition_table,
+    _queue_kernel,
 )
 
 from oracles import (
     enumerate_policies,
     hull_value,
+    loop_balance_residual,
+    loop_equality_rows,
+    loop_queue_kernel,
     lower_hull,
     policy_delay_power,
     uniform_bin_stats,
@@ -51,6 +62,68 @@ class TestStructure:
         prob = build_occupancy_lp(paper_cfg, disc16, 3.0)
         qs = [q for q, _, _ in prob.var_index]
         assert qs == sorted(qs)
+
+
+@st.composite
+def queue_configs(draw):
+    """Random arrival law, buffer and rate grid on a fixed channel."""
+    weights = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4)
+                   .filter(any))
+    A = len(weights) - 1
+    return config_from_dict({
+        "arrival": {"alphas": [w / sum(weights) for w in weights]},
+        "channel": {"kind": "uniform", "h_min": 1.0, "h_max": 2.0},
+        "Q": draw(st.integers(A, A + 8)),
+        "S_max": draw(st.integers(A, A + 3)),
+        "xi_kind": "exp2minus1"})
+
+
+class TestTransitionTable:
+    @given(cfg=queue_configs())
+    @settings(max_examples=100, deadline=None)
+    def test_table_is_the_queue_law(self, cfg):
+        P, mask = transition_table(cfg)
+        Q, S, A = cfg.Q, cfg.S_max, cfg.arrival.max_arrivals
+        assert P.shape == (Q + 1, S + 1, Q + 1)
+        assert P.sum(axis=2) == pytest.approx(np.ones((Q + 1, S + 1)),
+                                              abs=1e-12)
+        for q in range(Q + 1):
+            for s in range(S + 1):
+                want = np.zeros(Q + 1)
+                for a, alpha in enumerate(cfg.arrival.alphas):
+                    want[step(cfg, q, a, s)] += alpha
+                assert P[q, s] == pytest.approx(want, abs=1e-15)
+        pairs = [(q, s) for q in range(Q + 1) for s in range(S + 1)
+                 if 0 <= q - s <= Q - A]
+        assert [tuple(qs) for qs in np.argwhere(mask)] == pairs
+        assert admissible_pairs(cfg) == pairs
+
+
+class TestLoopReference:
+    """The array code against its loop form: equal to the last bit."""
+
+    @pytest.mark.parametrize("name,bins", [("paper_iv", 1), ("paper_iv", 4),
+                                           ("tiny", 2)])
+    def test_equality_rows(self, name, bins):
+        cfg = load_config(name)
+        disc = discretize_channel(cfg.channel, bins)
+        lp = build_occupancy_lp(cfg, disc, 3.0).lp
+        A, b = loop_equality_rows(cfg.Q, cfg.S_max, cfg.arrival.alphas,
+                                  disc.masses)
+        assert np.array_equal(lp.A_eq, A) and np.array_equal(lp.b_eq, b)
+
+    def test_balance_residual(self, paper_cfg, solution16):
+        m = solution16.measure
+        assert m.balance_residual() == loop_balance_residual(
+            paper_cfg.Q, paper_cfg.S_max, paper_cfg.arrival.alphas,
+            m.rate_marginal())
+
+    def test_queue_kernel(self, paper_cfg, disc16, solution16):
+        pol = extract_policy(solution16.measure)
+        assert np.array_equal(
+            _queue_kernel(paper_cfg, disc16, pol),
+            loop_queue_kernel(paper_cfg.Q, paper_cfg.arrival.alphas,
+                              disc16.masses, pol.table))
 
 
 class TestSolve:
@@ -98,6 +171,19 @@ class TestSolve:
         disc = discretize_channel(cfg.channel, 2)
         d_min, _ = min_delay(cfg, disc)
         assert d_min == 0.0
+
+    def test_no_arrivals_lagrangian_empties_queue(self):
+        # with no arrivals the delay cost is the mean queue, so any
+        # positive weight drives all mass to the empty queue
+        cfg = config_from_dict({
+            "arrival": {"alphas": [1.0]},
+            "channel": {"kind": "uniform", "h_min": 0.5, "h_max": 10.0},
+            "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"})
+        disc = discretize_channel(cfg.channel, 2)
+        sol, delay, power = solve_lagrangian(cfg, disc, 1.0)
+        assert (delay, power) == (0.0, 0.0)
+        assert sol.measure.queue_marginal()[0] == pytest.approx(1.0,
+                                                                abs=1e-12)
 
     def test_delay_dual_sign_and_slack(self, solution16):
         assert solution16.delay_dual >= -1e-9
