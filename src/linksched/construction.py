@@ -29,11 +29,13 @@ report-style density match against the channel law.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .model import SystemConfig, mean_arrival_rate
-from .occupancy_lp import OccupancyMeasure, queue_residuals
+from .model import SystemConfig, mean_delay
+from .occupancy_lp import (OccupancyMeasure, _ordered_sum, parse_index,
+                           queue_residuals)
 
 PARTITION_TOL = 1e-12
 RATIO_TOL = 1e-10
@@ -84,9 +86,8 @@ class PiecewiseDensity:
     def delay_power(self) -> tuple[float, float]:
         """Exact (average delay, average power) of the density."""
         masses = self.rate_integrals()
-        abar = mean_arrival_rate(self.cfg.arrival)
         qs = np.arange(self.cfg.Q + 1, dtype=float)
-        delay = float(qs @ masses.sum(axis=1)) / abar if abar > 0 else 0.0
+        delay = mean_delay(self.cfg, float(qs @ masses.sum(axis=1)))
         inv_int = np.log(self.grid[1:] / self.grid[:-1])
         xi = np.asarray(self.cfg.xi_table)
         power = float(np.einsum("qsi,s,i->", self.values, xi, inv_int))
@@ -118,6 +119,7 @@ class CdfEnvelope:
     """Cumulative mass of one queue state's total density.
 
     Piecewise linear: us[i] is the mass below xs[i]; us[0] = 0.
+    value works elementwise on a scalar or an array of gains.
     """
 
     q: int
@@ -128,14 +130,14 @@ class CdfEnvelope:
         self.xs.setflags(write=False)
         self.us.setflags(write=False)
 
-    def value(self, x: float) -> float:
-        i = int(np.clip(np.searchsorted(self.xs, x, side="right") - 1,
-                        0, len(self.xs) - 2))
+    def value(self, x):
+        i = np.clip(np.searchsorted(self.xs, x, side="right") - 1,
+                    0, len(self.xs) - 2)
         span = self.xs[i + 1] - self.xs[i]
-        if span <= 0.0:
-            return float(self.us[i])
-        t = (x - self.xs[i]) / span
-        return float(self.us[i] + t * (self.us[i + 1] - self.us[i]))
+        t = (x - self.xs[i]) / np.where(span > 0.0, span, 1.0)
+        u = np.where(span > 0.0, self.us[i] + t * (self.us[i + 1] - self.us[i]),
+                     self.us[i])
+        return float(u) if u.ndim == 0 else u
 
 
 def compute_envelope(d: PiecewiseDensity, q: int) -> CdfEnvelope:
@@ -144,24 +146,27 @@ def compute_envelope(d: PiecewiseDensity, q: int) -> CdfEnvelope:
     return CdfEnvelope(q, d.grid.copy(), us)
 
 
-def invert_envelope(env: CdfEnvelope, v: float) -> float:
-    """Leftmost x with envelope(x) >= v - 1e-12.
+def invert_envelope(env: CdfEnvelope, v):
+    """Leftmost x with envelope(x) >= v - 1e-12, elementwise in v.
 
     Flat stretches resolve to their left endpoint.  Raises
-    MassRangeError for v outside [0, total mass] beyond tolerance.
+    MassRangeError if any v lies outside [0, total mass] beyond
+    tolerance.
     """
-    if v < -PARTITION_TOL or v > env.us[-1] + PARTITION_TOL:
+    v = np.asarray(v, dtype=float)
+    total = float(env.us[-1])
+    bad = (v < -PARTITION_TOL) | (v > total + PARTITION_TOL)
+    if bad.any():
         raise MassRangeError(
-            f"mass out of range: {v!r} not in [0, {env.us[-1]!r}]")
-    vv = min(max(v, 0.0), float(env.us[-1]))
-    i = int(np.searchsorted(env.us, vv, side="left"))
-    if i == 0:
-        return float(env.xs[0])
+            f"mass out of range: {float(v[bad][0])!r} not in [0, {total!r}]")
+    vv = np.clip(v, 0.0, total)
+    # for vv > 0 = us[0] this is the i with us[i-1] < vv <= us[i]
+    i = np.maximum(np.searchsorted(env.us, vv, side="left"), 1)
     rise = env.us[i] - env.us[i - 1]
-    if rise <= 0.0:
-        return float(env.xs[i])
-    t = (vv - env.us[i - 1]) / rise
-    return float(env.xs[i - 1] + t * (env.xs[i] - env.xs[i - 1]))
+    t = (vv - env.us[i - 1]) / np.where(rise > 0.0, rise, 1.0)
+    x = np.where(vv > 0.0, env.xs[i - 1] + t * (env.xs[i] - env.xs[i - 1]),
+                 env.xs[0])
+    return float(x) if x.ndim == 0 else x
 
 
 def _cell_edges(cfg: SystemConfig, cells: int) -> np.ndarray:
@@ -208,61 +213,52 @@ class ConstructedSolution:
     def envelope(self, q: int) -> CdfEnvelope:
         return compute_envelope(self.source, q)
 
+    @cached_property
+    def intervals(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per queue state, its nonempty intervals as arrays (lo, hi, s),
+        sorted by (lo, hi, s)."""
+        q, k, s = np.nonzero(self.hi > self.lo)
+        lo, hi = self.lo[q, k, s], self.hi[q, k, s]
+        order = np.lexsort((s, hi, lo, q))
+        cut = np.searchsorted(q[order], np.arange(1, self.cfg.Q + 1))
+        return tuple(zip(*(np.split(a[order], cut) for a in (lo, hi, s))))
+
     def rate_integrals(self) -> np.ndarray:
         """Realized mass per (q, s), from interval endpoints."""
-        Q, S = self.cfg.Q, self.cfg.S_max
-        out = np.zeros((Q + 1, S + 1))
-        for q in range(Q + 1):
+        live = self.hi > self.lo
+        out = []
+        for q in range(self.cfg.Q + 1):
             env = self.envelope(q)
-            for k in range(self.cells.size - 1):
-                for s in range(S + 1):
-                    a, b = self.lo[q, k, s], self.hi[q, k, s]
-                    if b > a:
-                        out[q, s] += env.value(b) - env.value(a)
-        return out
+            mass = env.value(self.hi[q]) - env.value(self.lo[q])
+            out.append(_ordered_sum(np.where(live[q], mass, 0.0)))
+        return np.array(out)
 
     def intervals_for(self, q: int) -> list[tuple[float, float, int]]:
         """Nonempty (lo, hi, s) for state q, sorted by lo."""
-        out = []
-        for k in range(self.cells.size - 1):
-            for s in range(self.cfg.S_max + 1):
-                a, b = self.lo[q, k, s], self.hi[q, k, s]
-                if b > a:
-                    out.append((float(a), float(b), s))
-        out.sort()
-        return out
-
-    def _inv_gain_integral(self, q: int, a: float, b: float) -> float:
-        """Integral of (total density)/h over (a, b], exact."""
-        grid, total = self.source.grid, self.total_density(q)
-        i0 = int(np.clip(np.searchsorted(grid, a, side="right") - 1, 0,
-                         len(grid) - 2))
-        acc = 0.0
-        for i in range(i0, len(grid) - 1):
-            left = max(float(grid[i]), a)
-            right = min(float(grid[i + 1]), b)
-            if right <= left:
-                if grid[i] >= b:
-                    break
-                continue
-            if total[i] > 0.0:
-                acc += total[i] * np.log(right / left)
-        return acc
+        return list(zip(*(a.tolist() for a in self.intervals[q])))
 
     def delay_power(self) -> tuple[float, float]:
-        """Exact (average delay, average power) of the threshold rule."""
+        """Exact (average delay, average power) of the threshold rule.
+
+        Power integrates xi(s) * (total density) / h over every interval,
+        grid piece by grid piece from the piece holding lo.
+        """
         masses = self.rate_integrals()
-        abar = mean_arrival_rate(self.cfg.arrival)
         qs = np.arange(self.cfg.Q + 1, dtype=float)
-        delay = float(qs @ masses.sum(axis=1)) / abar if abar > 0 else 0.0
-        power = 0.0
-        for q in range(self.cfg.Q + 1):
-            for k in range(self.cells.size - 1):
-                for s in range(self.cfg.S_max + 1):
-                    a, b = self.lo[q, k, s], self.hi[q, k, s]
-                    if b > a and self.cfg.xi(s) != 0.0:
-                        power += self.cfg.xi(s) * self._inv_gain_integral(q, a, b)
-        return delay, power
+        delay = mean_delay(self.cfg, float(qs @ masses.sum(axis=1)))
+        grid, total = self.source.grid, self.source.values.sum(axis=1)
+        a, b, n = self.lo, self.hi, grid.size - 2
+        first = np.clip(np.searchsorted(grid, a, side="right") - 1, 0, n)
+        last = np.clip(np.searchsorted(grid, b, side="left") - 1, 0, n)
+        q = np.arange(self.cfg.Q + 1)[:, None, None]
+        inv_int = np.zeros(a.shape)
+        for j in range(int((last - first).max()) + 1):
+            i = np.minimum(first + j, last)
+            left, right = np.maximum(grid[i], a), np.minimum(grid[i + 1], b)
+            use = (first + j <= last) & (right > left)
+            inv_int += np.where(use, total[q, i] * np.log(right / left), 0.0)
+        terms = np.where(b > a, np.asarray(self.cfg.xi_table) * inv_int, 0.0)
+        return delay, float(_ordered_sum(terms.ravel()))
 
 
 def compute_thresholds(
@@ -287,22 +283,21 @@ def compute_thresholds(
         [np.zeros((Q + 1, S + 1, 1)),
          np.cumsum(dr.values * dr.widths[None, None, :], axis=2)], axis=2)
     edge_idx = np.searchsorted(dr.grid, edges)
+    i0, i1 = edge_idx[:-1], edge_idx[1:]
+    cell_lo, cell_hi = edges[:-1], edges[1:]
     for q in range(Q + 1):
         env = compute_envelope(dr, q)
-        for k in range(K):
-            i0, i1 = edge_idx[k], edge_idx[k + 1]
-            cell_lo, cell_hi = float(edges[k]), float(edges[k + 1])
-            acc = float(env.us[i0])
-            bound = cell_lo
-            for pos, s in enumerate(seq):
-                lo[q, k, s] = bound
-                acc += float(cum[q, s, i1] - cum[q, s, i0])
-                if pos == len(seq) - 1:
-                    bound = cell_hi
-                else:
-                    t = invert_envelope(env, acc)
-                    bound = min(max(t, cell_lo), cell_hi)
-                hi[q, k, s] = bound
+        acc = env.us[i0]
+        bound = cell_lo
+        for pos, s in enumerate(seq):
+            lo[q, :, s] = bound
+            acc = acc + (cum[q, s, i1] - cum[q, s, i0])
+            if pos == len(seq) - 1:
+                bound = cell_hi
+            else:
+                t = invert_envelope(env, acc)
+                bound = np.clip(t, cell_lo, cell_hi)
+            hi[q, :, s] = bound
     return ConstructedSolution(dr, edges, order, lo, hi)
 
 
@@ -355,22 +350,19 @@ def verify_feasibility(y: ConstructedSolution) -> FeasibilityReport:
     f_ref = np.asarray(ch_values)[np.clip(
         np.searchsorted(np.asarray(ch_edges), hs, side="left") - 1,
         0, len(ch_values) - 1)]
-    total = np.zeros(hs.size)
     piece_idx = np.clip(np.searchsorted(d.grid, hs, side="left") - 1,
                         0, len(d.grid) - 2)
-    for q in range(cfg.Q + 1):
-        iv = y.intervals_for(q)
-        if not iv:
-            continue
-        los = np.array([a for a, _, _ in iv])
-        his = np.array([b for _, b, _ in iv])
-        dens_q = d.values[q].sum(axis=0)[piece_idx]
-        # side="left" so a gain equal to an interval boundary counts for
-        # the interval it closes, matching the (lo, hi] convention
-        pos = np.clip(np.searchsorted(los, hs, side="left") - 1, 0, len(iv) - 1)
-        covered = (hs > los[pos]) & (hs <= his[pos])
-        covered |= np.isclose(hs, cfg.channel.h_min)  # measure-zero edge
-        total += np.where(covered, dens_q, 0.0)
+    covered = np.zeros((cfg.Q + 1, hs.size), dtype=bool)
+    for q, (los, his, _) in enumerate(y.intervals):
+        if los.size:
+            # side="left" so a gain equal to an interval boundary counts
+            # for the interval it closes, matching the (lo, hi] convention
+            pos = np.clip(np.searchsorted(los, hs, side="left") - 1, 0,
+                          los.size - 1)
+            covered[q] = (hs > los[pos]) & (hs <= his[pos])
+            covered[q] |= np.isclose(hs, cfg.channel.h_min)  # measure-zero edge
+    dens = d.values.sum(axis=1)[:, piece_idx]
+    total = _ordered_sum(np.where(covered, dens, 0.0))
     channel_residual = float(np.abs(total - f_ref).max())
 
     I = y.rate_integrals()
@@ -408,29 +400,22 @@ def verify_deterministic(y: ConstructedSolution) -> DeterminismReport:
     Both routes must agree that no gain sees two positive rates for the
     same queue state; the first overlap found is returned as a witness.
     """
-    witness = None
-    exact_ok = True
-    for q in range(y.cfg.Q + 1):
-        iv = y.intervals_for(q)
-        for (a1, b1, s1), (a2, b2, s2) in zip(iv[:-1], iv[1:]):
-            if a2 < b1 - PARTITION_TOL:
-                exact_ok = False
-                if witness is None:
-                    witness = (q, 0.5 * (a2 + min(b1, b2)), s1, s2)
-    sampled_ok = True
     hs = _stratified_gains(y.cfg, DETERMINISM_SAMPLES)
-    for q in range(y.cfg.Q + 1):
-        iv = y.intervals_for(q)
-        active = np.zeros(hs.size, dtype=int)
-        for (a, b, s) in iv:
-            inside = (hs > a + PARTITION_TOL) & (hs <= b - PARTITION_TOL)
-            active += inside.astype(int)
-        if (active > 1).any():
-            sampled_ok = False
-            if witness is None:
-                i = int(np.nonzero(active > 1)[0][0])
-                witness = (q, float(hs[i]), -1, -1)
-    return DeterminismReport(exact_ok, sampled_ok, witness)
+    exact = sampled = None  # first witness of each route
+    for q, (lo, hi, s) in enumerate(y.intervals):
+        bad = np.flatnonzero(lo[1:] < hi[:-1] - PARTITION_TOL)
+        if bad.size and exact is None:
+            i = bad[0]
+            h = 0.5 * (lo[i + 1] + min(hi[i], hi[i + 1]))
+            exact = (q, float(h), int(s[i]), int(s[i + 1]))
+        # intervals holding h in (lo + tol, hi - tol]: those opened
+        # below h minus those closed below h, over the nonempty ones
+        a, b = lo + PARTITION_TOL, hi - PARTITION_TOL
+        a, b = np.sort(a[a < b]), np.sort(b[a < b])
+        active = np.searchsorted(a, hs) - np.searchsorted(b, hs)
+        if (active > 1).any() and sampled is None:
+            sampled = (q, float(hs[np.argmax(active > 1)]), -1, -1)
+    return DeterminismReport(exact is None, sampled is None, exact or sampled)
 
 
 @dataclass(frozen=True)
@@ -508,16 +493,12 @@ def to_threshold_policy(y: ConstructedSolution) -> ThresholdPolicy:
             bounds_out.append(np.array([lo, hi]))
             rates_out.append(np.array([min(q, cfg.S_max)], dtype=int))
             continue
-        bs, rs = [lo], []
-        for (a, b, s) in y.intervals_for(q):
-            if rs and s == rs[-1]:
-                bs[-1] = b  # merge with previous rule
-            else:
-                bs.append(b)
-                rs.append(s)
+        _, his, s = y.intervals[q]
+        closes = np.append(s[1:] != s[:-1], True)  # last interval of a rule
+        bs = np.concatenate([[lo], his[closes]])
         bs[-1] = hi
-        bounds_out.append(np.asarray(bs))
-        rates_out.append(np.asarray(rs, dtype=int))
+        bounds_out.append(bs)
+        rates_out.append(s[closes])
     return ThresholdPolicy(cfg, tuple(bounds_out), tuple(rates_out), transient)
 
 
@@ -539,8 +520,10 @@ def threshold_policy_from_text(text: str, cfg: SystemConfig) -> ThresholdPolicy:
     transient = np.zeros(cfg.Q + 1, dtype=bool)
     for ln in lines[1:]:
         qs, a, b, s, flag = ln.split(",")
-        per_q.setdefault(int(qs), []).append((float(a), float(b), int(s)))
-        transient[int(qs)] |= bool(int(flag))
+        q = parse_index(ln, "q", qs, cfg.Q)
+        per_q.setdefault(q, []).append(
+            (float(a), float(b), parse_index(ln, "s", s, cfg.S_max)))
+        transient[q] |= bool(int(flag))
     bounds_out, rates_out = [], []
     for q in range(cfg.Q + 1):
         rules = sorted(per_q.get(q, []))

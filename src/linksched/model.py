@@ -133,6 +133,13 @@ def mean_arrival_rate(arr: ArrivalModel) -> float:
     return sum(k * a for k, a in enumerate(arr.alphas))
 
 
+def mean_delay(cfg: SystemConfig, mean_queue):
+    """Mean queue over mean arrival rate (Little's law), elementwise; with
+    no arrivals the mean queue itself.  This is the delay the LP prices."""
+    abar = mean_arrival_rate(cfg.arrival)
+    return mean_queue / abar if abar > 0 else mean_queue
+
+
 def validate_config(cfg: SystemConfig) -> None:
     """Raise ConfigError naming the first violated invariant."""
     arr, ch = cfg.arrival, cfg.channel

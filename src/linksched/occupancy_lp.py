@@ -31,7 +31,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import ChannelDiscretization, SystemConfig, mean_arrival_rate, step
+from .model import (ChannelDiscretization, SystemConfig, mean_arrival_rate,
+                    mean_delay, step)
 from .simplex import (
     FEAS_TOL,
     LinearProgram,
@@ -210,9 +211,7 @@ def build_occupancy_lp(
     abar = mean_arrival_rate(cfg.arrival)
     power_c = (np.asarray(cfg.xi_table)[ss, None]
                * np.asarray(disc.inv_means)).ravel()
-    # delay is mean queue over mean arrival rate; with no arrivals the
-    # mean queue itself
-    delay_c = np.repeat(qs / abar if abar > 0 else qs.astype(float), M)
+    delay_c = np.repeat(mean_delay(cfg, qs.astype(float)), M)
 
     k = np.arange(M)
     cols = np.arange(nv).reshape(qs.size, M)
@@ -265,13 +264,11 @@ def solve_constrained(
 def min_delay(
     cfg: SystemConfig, disc: ChannelDiscretization
 ) -> tuple[float, OccupancyMeasure | None]:
-    """Smallest achievable average delay (0 when there are no arrivals)."""
+    """Smallest achievable average delay."""
     olp = build_occupancy_lp(cfg, disc, None)
     res = solve_simplex(replace(olp.lp, c=olp.delay))
     if res.status != "optimal":
         raise SimplexAnomaly(f"min-delay solve returned {res.status}")
-    if mean_arrival_rate(cfg.arrival) == 0:
-        return 0.0, _measure_from_x(olp, res.x)
     return float(res.objective), _measure_from_x(olp, res.x)
 
 
@@ -294,13 +291,11 @@ def solve_lagrangian(
 def evaluate_measure(m: OccupancyMeasure) -> tuple[float, float]:
     """(average delay, average power) of a measure.
 
-    Delay is mean queue length over mean arrival rate; power weights
+    Delay is model.mean_delay of the mean queue length; power weights
     each cell by xi(s) * E[1/h | bin].
     """
-    abar = mean_arrival_rate(m.cfg.arrival)
     qs = np.arange(m.cfg.Q + 1, dtype=float)
-    mean_q = float(qs @ m.values.sum(axis=(1, 2)))
-    delay = mean_q / abar if abar > 0 else 0.0
+    delay = mean_delay(m.cfg, float(qs @ m.values.sum(axis=(1, 2))))
     xi = np.asarray(m.cfg.xi_table)
     r = np.asarray(m.disc.inv_means)
     power = float(np.einsum("qsk,s,k->", m.values, xi, r))
@@ -432,6 +427,14 @@ def policy_to_text(pol: Policy) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_index(line: str, name: str, text: str, top: int) -> int:
+    """Field `name` of a policy-file line as an int in 0..top, else ValueError."""
+    v = int(text)
+    if not 0 <= v <= top:
+        raise ValueError(f"policy line {line!r}: {name}={v} outside 0..{top}")
+    return v
+
+
 def policy_from_text(
     text: str, cfg: SystemConfig, disc: ChannelDiscretization
 ) -> Policy:
@@ -443,9 +446,11 @@ def policy_from_text(
     transient = np.zeros((Q + 1, M), dtype=bool)
     for ln in lines[1:]:
         qs, ks, ss, fs, ts = ln.split(",")
-        table[int(qs), int(ks), int(ss)] = float(fs)
+        q = parse_index(ln, "q", qs, Q)
+        k = parse_index(ln, "k", ks, M - 1)
+        table[q, k, parse_index(ln, "s", ss, S)] = float(fs)
         if int(ts):
-            transient[int(qs), int(ks)] = True
+            transient[q, k] = True
     sigma = table.argmax(axis=2)
     deterministic = bool((table.max(axis=2) >= 1.0 - ONE_HOT_TOL).all())
     kind = "deterministic" if deterministic else "probabilistic"

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SystemConfig, channel_cdf_inverse, mean_arrival_rate
-from .model import step  # noqa: F401  (re-exported)
+from .model import mean_delay, step  # noqa: F401  (step is re-exported)
 
 MIN_BATCHES = 30
 
@@ -174,8 +174,8 @@ def run_sim(
         se_queue=se_queue,
         mean_power=mean_power,
         se_power=se_power,
-        delay=mean_queue / abar if abar > 0 else 0.0,
-        se_delay=se_queue / abar if abar > 0 else 0.0,
+        delay=mean_delay(cfg, mean_queue),
+        se_delay=mean_delay(cfg, se_queue),
         sojourn_mean=sojourn_sum / sojourn_count if sojourn_count else 0.0,
         sojourn_count=sojourn_count,
         throughput=served_total / measured,

@@ -142,6 +142,134 @@ def loop_queue_kernel(Q: int, alphas, masses, table) -> np.ndarray:
     return T
 
 
+# --- loop forms of the threshold construction -----------------------------
+#
+# Interval bookkeeping one (queue, cell, rate) triple at a time, in the
+# order the package's array code must reproduce bit for bit.  A density
+# is given by its breakpoint grid and values[q, s, i], the density on
+# (grid[i], grid[i+1]]; a construction by lo/hi of shape (Q+1, K, S+1).
+
+def _loop_envelope(grid, values, q):
+    """(xs, us): the piecewise-linear cumulative mass of state q."""
+    total = values[q].sum(axis=0)
+    return grid, np.concatenate([[0.0], np.cumsum(total * np.diff(grid))])
+
+
+def _loop_envelope_value(xs, us, x: float) -> float:
+    i = int(np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2))
+    span = xs[i + 1] - xs[i]
+    if span <= 0.0:
+        return float(us[i])
+    t = (x - xs[i]) / span
+    return float(us[i] + t * (us[i + 1] - us[i]))
+
+
+def _loop_invert_envelope(xs, us, v: float) -> float:
+    """Leftmost x with envelope(x) >= v; v already within [0, us[-1]]."""
+    vv = min(max(v, 0.0), float(us[-1]))
+    i = int(np.searchsorted(us, vv, side="left"))
+    if i == 0:
+        return float(xs[0])
+    rise = us[i] - us[i - 1]
+    if rise <= 0.0:
+        return float(xs[i])
+    t = (vv - us[i - 1]) / rise
+    return float(xs[i - 1] + t * (xs[i] - xs[i - 1]))
+
+
+def loop_thresholds(grid, values, edges, seq):
+    """(lo, hi): stack each cell's rate masses, rates in order seq.
+
+    grid must contain every cell edge.
+    """
+    n_q, n_s, _ = values.shape
+    K = len(edges) - 1
+    lo = np.zeros((n_q, K, n_s))
+    hi = np.zeros((n_q, K, n_s))
+    cum = np.concatenate(
+        [np.zeros((n_q, n_s, 1)),
+         np.cumsum(values * np.diff(grid)[None, None, :], axis=2)], axis=2)
+    edge_idx = np.searchsorted(grid, edges)
+    for q in range(n_q):
+        xs, us = _loop_envelope(grid, values, q)
+        for k in range(K):
+            i0, i1 = edge_idx[k], edge_idx[k + 1]
+            cell_lo, cell_hi = float(edges[k]), float(edges[k + 1])
+            acc = float(us[i0])
+            bound = cell_lo
+            for pos, s in enumerate(seq):
+                lo[q, k, s] = bound
+                acc += float(cum[q, s, i1] - cum[q, s, i0])
+                if pos == len(seq) - 1:
+                    bound = cell_hi
+                else:
+                    t = _loop_invert_envelope(xs, us, acc)
+                    bound = min(max(t, cell_lo), cell_hi)
+                hi[q, k, s] = bound
+    return lo, hi
+
+
+def loop_rate_integrals(grid, values, lo, hi) -> np.ndarray:
+    """Mass per (q, s) carried by the intervals (lo, hi]."""
+    n_q, K, n_s = lo.shape
+    out = np.zeros((n_q, n_s))
+    for q in range(n_q):
+        xs, us = _loop_envelope(grid, values, q)
+        for k in range(K):
+            for s in range(n_s):
+                a, b = lo[q, k, s], hi[q, k, s]
+                if b > a:
+                    out[q, s] += (_loop_envelope_value(xs, us, b)
+                                  - _loop_envelope_value(xs, us, a))
+    return out
+
+
+def _loop_inv_gain_integral(grid, total, a: float, b: float) -> float:
+    """Integral of total/h over (a, b], piece by piece."""
+    i0 = int(np.clip(np.searchsorted(grid, a, side="right") - 1, 0,
+                     len(grid) - 2))
+    acc = 0.0
+    for i in range(i0, len(grid) - 1):
+        left = max(float(grid[i]), a)
+        right = min(float(grid[i + 1]), b)
+        if right <= left:
+            if grid[i] >= b:
+                break
+            continue
+        if total[i] > 0.0:
+            acc += total[i] * np.log(right / left)
+    return acc
+
+
+def loop_delay_power(grid, values, lo, hi, alphas, xi) -> tuple[float, float]:
+    """(mean queue / mean arrival rate, power) of the threshold rule."""
+    n_q, K, n_s = lo.shape
+    masses = loop_rate_integrals(grid, values, lo, hi)
+    abar = sum(a * p for a, p in enumerate(alphas))
+    delay = float(np.arange(n_q, dtype=float) @ masses.sum(axis=1)) / abar
+    power = 0.0
+    for q in range(n_q):
+        total = values[q].sum(axis=0)
+        for k in range(K):
+            for s in range(n_s):
+                a, b = lo[q, k, s], hi[q, k, s]
+                if b > a and xi[s] != 0.0:
+                    power += xi[s] * _loop_inv_gain_integral(grid, total, a, b)
+    return delay, power
+
+
+def loop_intervals(lo, hi, q: int) -> list[tuple[float, float, int]]:
+    """Nonempty (lo, hi, s) of state q, sorted."""
+    out = []
+    for k in range(lo.shape[1]):
+        for s in range(lo.shape[2]):
+            a, b = lo[q, k, s], hi[q, k, s]
+            if b > a:
+                out.append((float(a), float(b), s))
+    out.sort()
+    return out
+
+
 def lower_hull(points):
     """Corners of the lower convex hull of (D, P) points, sorted by D.
 

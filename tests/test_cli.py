@@ -184,6 +184,30 @@ class TestConstructAndSimulate:
         assert "unrecognized policy header" in capsys.readouterr().err
 
 
+class TestPolicyFileRows:
+    """Out-of-range rows exit 1 naming the line, for both file kinds."""
+
+    @pytest.mark.parametrize("row", ["99,0,1,1,0", "-1,0,0,1,0",
+                                     "1,4,1,1,0", "2,0,3,1,0"])
+    def test_bin_policy(self, tmp_path, capsys, row):
+        p = tmp_path / "policy.csv"
+        p.write_text(f"q,k,s,prob,transient\n0,0,0,1,0\n{row}\n")
+        rc = main(["simulate", "--policy", str(p), "--bins", "4",
+                   "--slots", "5000", "--outdir", str(tmp_path / "s")])
+        assert rc == 1
+        assert row in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["-1,0.5,10,7,0", "11,0.5,10,0,0",
+                                     "0,0.5,10,3,0"])
+    def test_threshold_policy(self, tmp_path, capsys, row):
+        p = tmp_path / "thresholds.csv"
+        p.write_text(f"q,h_lo,h_hi,s,transient\n0,0.5,10,0,0\n{row}\n")
+        rc = main(["simulate", "--policy", str(p), "--slots", "5000",
+                   "--outdir", str(tmp_path / "s")])
+        assert rc == 1
+        assert row in capsys.readouterr().err
+
+
 class TestVerifyBattery:
     def test_all_pass_on_builtin_config(self, tmp_path):
         rc = main(["verify", "--outdir", str(tmp_path)])

@@ -19,8 +19,21 @@ from linksched.construction import (
     verify_deterministic,
     verify_feasibility,
 )
-from linksched.model import config_from_dict, discretize_channel
-from linksched.occupancy_lp import min_delay, solve_constrained
+from linksched.model import config_from_dict, discretize_channel, load_config
+from linksched.occupancy_lp import (
+    Policy,
+    min_delay,
+    policy_to_measure,
+    solve_constrained,
+    transition_table,
+)
+
+from oracles import (
+    loop_delay_power,
+    loop_intervals,
+    loop_rate_integrals,
+    loop_thresholds,
+)
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +71,16 @@ class TestEnvelope:
             invert_envelope(env, total + 1e-6)
         with pytest.raises(MassRangeError, match="mass out of range"):
             invert_envelope(env, -1e-6)
+        with pytest.raises(MassRangeError, match="mass out of range"):
+            invert_envelope(env, np.array([0.0, total + 1e-6]))
+
+    def test_array_calls_match_scalar_calls(self, density16):
+        env = compute_envelope(density16, 2)
+        xs = np.linspace(env.xs[0], env.xs[-1], 37)
+        vs = env.value(xs)
+        assert vs.tolist() == [env.value(float(x)) for x in xs]
+        assert (invert_envelope(env, vs).tolist()
+                == [invert_envelope(env, float(v)) for v in vs])
 
     def test_tolerance_clamps_tiny_overshoot(self, density16):
         env = compute_envelope(density16, 2)
@@ -117,8 +140,9 @@ class TestPowerRatio:
         _, p_src = density16.delay_power()
         _, p_y = y.delay_power()
         assert p_y < p_src
-        with pytest.raises(ConstructionError, match="power ratio"):
+        with pytest.raises(ConstructionError, match="power ratio") as err:
             power_ratio(y, density16)
+        assert "np.float64" not in str(err.value)
 
     def test_unknown_order_rejected(self, density16):
         with pytest.raises(ValueError, match="unknown order"):
@@ -226,3 +250,73 @@ class TestThresholdPolicy:
     def test_text_header_checked(self, built16):
         with pytest.raises(ValueError, match="unexpected policy header"):
             threshold_policy_from_text("a,b,c\n0,1,2\n", built16.cfg)
+
+
+# a channel with a zero-density stretch inside a bin, so envelopes have
+# flat pieces and cells cross piece edges
+PIECEWISE = {
+    "arrival": {"alphas": [0.4, 0.3, 0.3]},
+    "channel": {"kind": "piecewise", "h_min": 0.5, "h_max": 10.0,
+                "table": [[2.0, 0.3], [3.0, 0.0], [10.0, 0.55 / 7]]},
+    "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"}
+
+
+def _mixed_policy_density(cfg, bins):
+    """Density of a fixed randomized bin policy; no LP solve needed."""
+    disc = discretize_channel(cfg.channel, bins)
+    _, mask = transition_table(cfg)
+    rng = np.random.default_rng(11)
+    w = rng.random((cfg.Q + 1, bins, cfg.S_max + 1))
+    w[rng.random(w.shape) < 0.3] = 0.0
+    w = np.where(mask[:, None, :], w + 1e-3, 0.0)
+    table = w / w.sum(axis=2, keepdims=True)
+    pol = Policy(cfg, disc, "probabilistic", table,
+                 np.zeros((cfg.Q + 1, bins), dtype=bool), table.argmax(axis=2))
+    return density_from_measure(policy_to_measure(cfg, disc, pol))
+
+
+def _lp_density(cfg, bins):
+    sol = solve_constrained(cfg, discretize_channel(cfg.channel, bins), 3.0)
+    return density_from_measure(sol.measure)
+
+
+class TestLoopReference:
+    """The array construction against its loop form: equal to the last bit."""
+
+    @pytest.mark.parametrize("name,bins,cells,order", [
+        ("paper_iv", 16, 2000, "rate_descending"),
+        ("paper_iv", 16, 64, "rate_ascending"),
+        ("paper_iv", 16, 1, "rate_descending"),
+        ("paper_iv", 4, 380, "rate_descending"),
+        ("paper_iv", 64, 7, "rate_descending"),
+        ("piecewise", 5, 3, "rate_descending"),
+        ("piecewise", 5, 3, "rate_ascending"),
+        ("piecewise", 5, 37, "rate_descending"),
+        ("piecewise", 5, 37, "rate_ascending"),
+        ("piecewise", 8, 211, "rate_descending"),
+        ("piecewise", 8, 211, "rate_ascending"),
+    ])
+    def test_construction_matches_loops(self, density16, name, bins, cells,
+                                        order):
+        if name == "paper_iv":
+            cfg = load_config(name)
+            if bins == 16:
+                d = density16
+            elif bins == 64:  # an M=64 LP solve takes tens of seconds
+                d = _mixed_policy_density(cfg, bins)
+            else:
+                d = _lp_density(cfg, bins)
+        else:
+            d = _lp_density(config_from_dict(PIECEWISE), bins)
+        y = compute_thresholds(d, cells, order)
+        S = d.cfg.S_max
+        seq = range(S, -1, -1) if order == "rate_descending" else range(S + 1)
+        grid, values = y.source.grid, y.source.values
+        lo, hi = loop_thresholds(grid, values, y.cells, list(seq))
+        assert y.lo.tobytes() == lo.tobytes() and y.hi.tobytes() == hi.tobytes()
+        assert (y.rate_integrals().tobytes()
+                == loop_rate_integrals(grid, values, lo, hi).tobytes())
+        assert y.delay_power() == loop_delay_power(
+            grid, values, lo, hi, d.cfg.arrival.alphas, d.cfg.xi_table)
+        for q in range(d.cfg.Q + 1):
+            assert y.intervals_for(q) == loop_intervals(lo, hi, q)

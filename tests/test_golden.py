@@ -18,6 +18,9 @@ RUNS = (
     ("solve", ["solve", "--dth", "3", "--bins", "4"]),
     ("vertices", ["vertices", "--bins", "4", "--full"]),
     ("construct", ["construct", "--dth", "3", "--bins", "4", "--M", "50"]),
+    # 7 cells over 4 bins: cell edges miss the bin edges, so a cell
+    # straddles two bins and holds two grid pieces
+    ("construct_m7", ["construct", "--dth", "3", "--bins", "4", "--M", "7"]),
     ("sim_bin", ["simulate", "--policy", "{root}/solve/policy.csv",
                  "--bins", "4", "--slots", "20000", "--seed", "5",
                  "--trace"]),
@@ -31,6 +34,10 @@ DIGESTS = {
         "db010799c0e2a0df1733ac65cf8d057c898386868f3db7af6e53ce64c1e21877",
     "construct/thresholds.csv":
         "f7c637525df15180e2ba4139c6f4a35d4dd57cca00fae07a9b10e0a3bedc7957",
+    "construct_m7/report.txt":
+        "402f91e0dda7591d23f587c5aaed65c0ef6af257ac98008c10656f14967159ed",
+    "construct_m7/thresholds.csv":
+        "f6cb942b5d03bfd9c4686ce688b38c893da1464d241a2a9afd66a5e5ed1ecf5f",
     "sim_bin/report.csv":
         "d2938695bc414c89142a55a33d66326b7fdf61762a603147253f6ca12911b434",
     "sim_bin/report.txt":

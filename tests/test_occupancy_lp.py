@@ -11,6 +11,7 @@ from linksched.model import (
     step,
 )
 from linksched.occupancy_lp import (
+    OccupancyMeasure,
     Policy,
     ReducibleChainError,
     admissible_pairs,
@@ -171,6 +172,25 @@ class TestSolve:
         disc = discretize_channel(cfg.channel, 2)
         d_min, _ = min_delay(cfg, disc)
         assert d_min == 0.0
+
+    def test_no_arrivals_delay_is_the_priced_delay(self):
+        # with no arrivals the reported delay is the mean queue, the
+        # same quantity the LP's delay cost prices
+        cfg = config_from_dict({
+            "arrival": {"alphas": [1.0]},
+            "channel": {"kind": "uniform", "h_min": 0.5, "h_max": 10.0},
+            "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"})
+        disc = discretize_channel(cfg.channel, 2)
+        olp = build_occupancy_lp(cfg, disc, None)
+        x = np.array([1.0 if (q, s) in ((0, 0), (4, 0), (7, 1)) else 0.0
+                      for q, s, _ in olp.var_index])
+        x /= x.sum()
+        g = np.zeros((cfg.Q + 1, cfg.S_max + 1, disc.bins))
+        for j, (q, s, k) in enumerate(olp.var_index):
+            g[q, s, k] = x[j]
+        delay, _ = evaluate_measure(OccupancyMeasure(cfg, disc, g))
+        assert delay == pytest.approx(float(olp.delay @ x), abs=1e-12)
+        assert delay == pytest.approx(11.0 / 3.0, abs=1e-12)
 
     def test_no_arrivals_lagrangian_empties_queue(self):
         # with no arrivals the delay cost is the mean queue, so any
