@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .construction import (
+    THRESHOLD_HEADER,
     ConstructionError,
     MassRangeError,
     compute_thresholds,
@@ -37,6 +38,7 @@ from .construction import (
 )
 from .model import discretize_channel, load_config, validate_config
 from .occupancy_lp import (
+    POLICY_HEADER,
     ReducibleChainError,
     evaluate_measure,
     extract_policy,
@@ -49,7 +51,7 @@ from .occupancy_lp import (
     solve_lagrangian,
 )
 from .simplex import SimplexAnomaly
-from .simulator import _fmt, report_to_csv, report_to_text, run_sim
+from .simulator import report_to_csv, report_to_text, run_sim
 from .sweep import (
     SweepError,
     TradeoffCurve,
@@ -61,9 +63,9 @@ from .sweep import (
     enumerate_vertices,
     policy_id,
     sweep_curve,
-    vertex_distances,
     vertices_to_csv,
 )
+from .textio import csv_text, fmt, kv_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -137,18 +139,18 @@ def _cmd_solve(args) -> int:
     _write_atomic(os.path.join(outdir, "measure.csv"), measure_to_text(sol.measure))
     _write_atomic(os.path.join(outdir, "policy.csv"), policy_to_text(pol))
     metrics = [
-        f"status={sol.status}",
-        f"objective={_fmt(sol.objective)}",
-        f"delay={_fmt(delay)}",
-        f"power={_fmt(power)}",
-        f"delay_dual={_fmt(sol.delay_dual)}",
-        f"iterations={sol.iterations}",
-        f"policy_kind={pol.kind}",
+        ("status", sol.status),
+        ("objective", sol.objective),
+        ("delay", delay),
+        ("power", power),
+        ("delay_dual", sol.delay_dual),
+        ("iterations", sol.iterations),
+        ("policy_kind", pol.kind),
     ]
-    _write_atomic(os.path.join(outdir, "metrics.txt"), "\n".join(metrics) + "\n")
+    _write_atomic(os.path.join(outdir, "metrics.txt"), kv_text(metrics))
     _write_manifest(outdir, "solve", args.config, {
         "bins": args.bins, "dth": args.dth, "outdir": outdir})
-    print(f"status=optimal power={_fmt(power)} delay={_fmt(delay)} "
+    print(f"status=optimal power={fmt(power)} delay={fmt(delay)} "
           f"policy={pol.kind}")
     print(f"wrote measure.csv policy.csv metrics.txt in {outdir}")
     return EXIT_OK
@@ -163,11 +165,10 @@ def _cmd_sweep(args) -> int:
     for curve in study.curves:
         _write_atomic(os.path.join(outdir, f"curve_m{curve.M}.csv"),
                       curve_to_csv(curve))
-    gaps = ",".join(_fmt(g) for g in study.sup_gaps)
-    _write_atomic(os.path.join(outdir, "sup_gaps.txt"),
-                  "pair,sup_gap\n" + "\n".join(
-                      f"{a}-{b},{_fmt(g)}" for a, b, g in zip(
-                          bins_list[:-1], bins_list[1:], study.sup_gaps)) + "\n")
+    gaps = ",".join(fmt(g) for g in study.sup_gaps)
+    _write_atomic(os.path.join(outdir, "sup_gaps.txt"), csv_text(
+        "pair,sup_gap", ((f"{a}-{b}", g) for a, b, g in zip(
+            bins_list[:-1], bins_list[1:], study.sup_gaps))))
     _write_manifest(outdir, "sweep", args.config, {
         "bins_list": bins_list,
         "dgrid": budgets if budgets is None else [float(b) for b in budgets],
@@ -185,12 +186,11 @@ def _cmd_vertices(args) -> int:
     lam_max = args.lambda_max if args.lambda_max else default_lambda_max(cfg)
     if args.full:
         verts = enumerate_vertices(cfg, disc, lam_max)
-        de, dd = vertex_distances(verts)
         curve = TradeoffCurve(
             M=disc.bins,
             budgets=np.array([v.D for v in verts]),
             powers=np.array([v.P for v in verts]),
-            infeasible=(), vertices=verts, dist_euclid=de, dist_delay=dd)
+            infeasible=(), vertices=verts)
     else:
         grid = default_budget_grid(cfg, disc)
         curve = sweep_curve(cfg, disc, [grid[0], grid[-1]],
@@ -207,7 +207,7 @@ def _cmd_vertices(args) -> int:
         "outdir": outdir})
     eu, dd_max = curve.max_distance
     print(f"M={disc.bins}: {len(curve.vertices)} vertices, max adjacent "
-          f"distance euclidean={_fmt(eu)} delay_axis={_fmt(dd_max)}")
+          f"distance euclidean={fmt(eu)} delay_axis={fmt(dd_max)}")
     print(f"wrote vertex/distance CSVs and policies in {outdir}")
     return EXIT_OK
 
@@ -229,27 +229,27 @@ def _cmd_construct(args) -> int:
     _write_atomic(os.path.join(outdir, "thresholds.csv"),
                   threshold_policy_to_text(pol))
     report = [
-        f"cells={args.cells}",
-        f"order={args.order}",
-        f"delay={_fmt(rep.delay)}",
-        f"power={_fmt(rep.power)}",
-        f"source_power={_fmt(ratio.source_power)}",
-        f"power_ratio={_fmt(ratio.ratio)}",
-        f"ratio_bound={_fmt(ratio.bound)}",
-        f"channel_residual={_fmt(rep.channel_residual)}",
-        f"balance_residual={_fmt(rep.balance_residual)}",
-        f"nonneg_residual={_fmt(rep.nonneg_residual)}",
-        f"structural_residual={_fmt(rep.structural_residual)}",
-        f"rate_residual={_fmt(rep.rate_residual)}",
-        f"delay_residual={_fmt(rep.delay_residual)}",
-        f"deterministic={det.ok}",
+        ("cells", args.cells),
+        ("order", args.order),
+        ("delay", rep.delay),
+        ("power", rep.power),
+        ("source_power", ratio.source_power),
+        ("power_ratio", ratio.ratio),
+        ("ratio_bound", ratio.bound),
+        ("channel_residual", rep.channel_residual),
+        ("balance_residual", rep.balance_residual),
+        ("nonneg_residual", rep.nonneg_residual),
+        ("structural_residual", rep.structural_residual),
+        ("rate_residual", rep.rate_residual),
+        ("delay_residual", rep.delay_residual),
+        ("deterministic", det.ok),
     ]
-    _write_atomic(os.path.join(outdir, "report.txt"), "\n".join(report) + "\n")
+    _write_atomic(os.path.join(outdir, "report.txt"), kv_text(report))
     _write_manifest(outdir, "construct", args.config, {
         "bins": args.bins, "dth": args.dth, "cells": args.cells,
         "order": args.order, "outdir": outdir})
-    print(f"ratio={_fmt(ratio.ratio)} (bound {_fmt(ratio.bound)}) "
-          f"max_residual={_fmt(rep.max_residual)} deterministic={det.ok}")
+    print(f"ratio={fmt(ratio.ratio)} (bound {fmt(ratio.bound)}) "
+          f"max_residual={fmt(rep.max_residual)} deterministic={det.ok}")
     print(f"wrote thresholds.csv report.txt in {outdir}")
     return EXIT_OK
 
@@ -259,9 +259,9 @@ def _cmd_simulate(args) -> int:
     with open(args.policy) as f:
         text = f.read()
     header = text.splitlines()[0] if text else ""
-    if header == "q,h_lo,h_hi,s,transient":
+    if header == THRESHOLD_HEADER:
         pol = threshold_policy_from_text(text, cfg)
-    elif header == "q,k,s,prob,transient":
+    elif header == POLICY_HEADER:
         if not args.bins:
             print("error: --bins is required for bin-policy files",
                   file=sys.stderr)
@@ -280,8 +280,8 @@ def _cmd_simulate(args) -> int:
     _write_manifest(outdir, "simulate", args.config, {
         "policy": args.policy, "slots": args.slots, "warmup": rep.warmup,
         "seed": args.seed, "trace": bool(args.trace), "outdir": outdir})
-    print(f"delay={_fmt(rep.delay)}+-{_fmt(rep.se_delay)} "
-          f"power={_fmt(rep.mean_power)}+-{_fmt(rep.se_power)} "
+    print(f"delay={fmt(rep.delay)}+-{fmt(rep.se_delay)} "
+          f"power={fmt(rep.mean_power)}+-{fmt(rep.se_power)} "
           f"drops={rep.drops} overrides={rep.underflow_overrides}")
     print(f"wrote report.txt report.csv in {outdir}")
     return EXIT_OK
@@ -308,7 +308,7 @@ def _cmd_verify(args) -> int:
         r0 = np.log(mid / ch.h_min) / (mid - ch.h_min)
         ok = abs(disc.inv_means[0] - r0) <= 1e-12
         check("bin statistics closed form", ok,
-              f"|r0 - {_fmt(r0)}| = {_fmt(abs(disc.inv_means[0] - r0))}")
+              f"|r0 - {fmt(r0)}| = {fmt(abs(disc.inv_means[0] - r0))}")
     else:
         check("bin statistics closed form", True, "skipped: non-uniform law")
 
@@ -320,15 +320,15 @@ def _cmd_verify(args) -> int:
           f"status={sol.status}")
     m = sol.measure
     res = max(m.bin_residual(), m.balance_residual(), m.structural_zero_mass())
-    check("measure residuals <= 1e-8", res <= 1e-8, f"max={_fmt(res)}")
+    check("measure residuals <= 1e-8", res <= 1e-8, f"max={fmt(res)}")
     delay, power = evaluate_measure(m)
     slack = abs(sol.delay_dual * (delay - d_th))
-    check("dual complementarity <= 1e-6", slack <= 1e-6, f"|dual*slack|={_fmt(slack)}")
+    check("dual complementarity <= 1e-6", slack <= 1e-6, f"|dual*slack|={fmt(slack)}")
 
     lam_sol, lam_d, lam_p = solve_lagrangian(cfg, disc16, max(sol.delay_dual, 0.0))
     scal_gap = (lam_p + sol.delay_dual * lam_d) - (power + sol.delay_dual * delay)
     check("scalarized value consistent <= 1e-6", abs(scal_gap) <= 1e-6,
-          f"gap={_fmt(scal_gap)}")
+          f"gap={fmt(scal_gap)}")
 
     dens = density_from_measure(m)
     prev_ratio = None
@@ -348,20 +348,20 @@ def _cmd_verify(args) -> int:
     check("threshold determinism (exact intervals)", det_ok)
     check("power ratio within bound", ratios_ok)
     check("power ratio nonincreasing in cells", mono_ok,
-          f"last={_fmt(prev_ratio)}")
+          f"last={fmt(prev_ratio)}")
 
     pol = extract_policy(m)
     m2 = policy_to_measure(cfg, disc16, pol)
     d2, p2 = evaluate_measure(m2)
     ok = abs(d2 - delay) <= 1e-8 and abs(p2 - power) <= 1e-8
     check("policy round trip to measure", ok,
-          f"dD={_fmt(abs(d2 - delay))} dP={_fmt(abs(p2 - power))}")
+          f"dD={fmt(abs(d2 - delay))} dP={fmt(abs(p2 - power))}")
 
     disc4 = discretize_channel(cfg.channel, 4)
     grid = default_budget_grid(cfg, disc4, points=12)
     study = convergence_study(cfg, (2, 4), grid)
     check("curve refinement dominance", True,
-          f"sup_gap={_fmt(study.sup_gaps[0])}")
+          f"sup_gap={fmt(study.sup_gaps[0])}")
 
     verts = enumerate_vertices(cfg, disc4)
     kinds_ok = all(v.policy.kind == "deterministic" for v in verts)
@@ -372,7 +372,7 @@ def _cmd_verify(args) -> int:
     inside = (curve4.budgets >= vd[0]) & (curve4.budgets <= vd[-1])
     hull = np.interp(curve4.budgets[inside], vd, vp)
     gap = float(np.abs(hull - curve4.powers[inside]).max()) if inside.any() else 0.0
-    check("curve matches corner hull <= 1e-6", gap <= 1e-6, f"gap={_fmt(gap)}")
+    check("curve matches corner hull <= 1e-6", gap <= 1e-6, f"gap={fmt(gap)}")
 
     rep1 = run_sim(cfg, pol, 60_000, seed=args.seed)
     rep2 = run_sim(cfg, pol, 60_000, seed=args.seed)

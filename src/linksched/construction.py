@@ -33,9 +33,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import SystemConfig, mean_delay
+from .model import SystemConfig, cell_of, mean_delay
 from .occupancy_lp import (OccupancyMeasure, _ordered_sum, parse_index,
                            queue_residuals)
+from .textio import csv_text, read_rows
 
 PARTITION_TOL = 1e-12
 RATIO_TOL = 1e-10
@@ -206,9 +207,6 @@ class ConstructedSolution:
     @property
     def cfg(self) -> SystemConfig:
         return self.source.cfg
-
-    def total_density(self, q: int) -> np.ndarray:
-        return self.source.values[q].sum(axis=0)
 
     def envelope(self, q: int) -> CdfEnvelope:
         return compute_envelope(self.source, q)
@@ -469,10 +467,7 @@ class ThresholdPolicy:
             r.setflags(write=False)
 
     def rate_for(self, q: int, h: float) -> int:
-        b = self.bounds[q]
-        i = int(np.clip(np.searchsorted(b, h, side="left") - 1, 0,
-                        len(self.rates[q]) - 1))
-        return int(self.rates[q][i])
+        return int(self.rates[q][cell_of(self.bounds[q], h)])
 
     def sample_rate(self, q: int, h: float, u: float) -> int:
         """Threshold rules never randomize; u is accepted and ignored."""
@@ -502,37 +497,41 @@ def to_threshold_policy(y: ConstructedSolution) -> ThresholdPolicy:
     return ThresholdPolicy(cfg, tuple(bounds_out), tuple(rates_out), transient)
 
 
+THRESHOLD_HEADER = "q,h_lo,h_hi,s,transient"
+
+
 def threshold_policy_to_text(pol: ThresholdPolicy) -> str:
-    lines = ["q,h_lo,h_hi,s,transient"]
-    for q in range(pol.cfg.Q + 1):
-        b, r = pol.bounds[q], pol.rates[q]
-        flag = int(pol.transient[q])
-        for i in range(len(r)):
-            lines.append(f"{q},{b[i]:.17g},{b[i + 1]:.17g},{int(r[i])},{flag}")
-    return "\n".join(lines) + "\n"
+    return csv_text(THRESHOLD_HEADER, (
+        (q, b[i], b[i + 1], int(r[i]), int(pol.transient[q]))
+        for q, (b, r) in enumerate(zip(pol.bounds, pol.rates))
+        for i in range(len(r))))
 
 
 def threshold_policy_from_text(text: str, cfg: SystemConfig) -> ThresholdPolicy:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if lines[0] != "q,h_lo,h_hi,s,transient":
-        raise ValueError(f"unexpected policy header: {lines[0]!r}")
+    """Read a threshold file; the rules of each listed queue state must
+    tile (h_min, h_max] exactly, else ValueError naming the state."""
     per_q: dict[int, list[tuple[float, float, int]]] = {}
     transient = np.zeros(cfg.Q + 1, dtype=bool)
-    for ln in lines[1:]:
-        qs, a, b, s, flag = ln.split(",")
+    for ln, (qs, a, b, s, flag) in read_rows(text, THRESHOLD_HEADER):
         q = parse_index(ln, "q", qs, cfg.Q)
         per_q.setdefault(q, []).append(
             (float(a), float(b), parse_index(ln, "s", s, cfg.S_max)))
         transient[q] |= bool(int(flag))
+    h_min, h_max = cfg.channel.h_min, cfg.channel.h_max
     bounds_out, rates_out = [], []
     for q in range(cfg.Q + 1):
         rules = sorted(per_q.get(q, []))
         if not rules:
             transient[q] = True
-            bounds_out.append(np.array([cfg.channel.h_min, cfg.channel.h_max]))
+            bounds_out.append(np.array([h_min, h_max]))
             rates_out.append(np.array([min(q, cfg.S_max)], dtype=int))
             continue
-        bs = [rules[0][0]] + [b for _, b, _ in rules]
-        rates_out.append(np.asarray([s for _, _, s in rules], dtype=int))
-        bounds_out.append(np.asarray(bs))
+        los, his, rates = (np.array(c) for c in zip(*rules))
+        bounds = np.append(h_min, his)
+        if not (np.array_equal(los, bounds[:-1]) and his[-1] == h_max
+                and (his > los).all()):
+            raise ValueError(f"threshold rules for q={q} do not tile "
+                             f"({h_min!r}, {h_max!r}] with nonempty intervals")
+        rates_out.append(rates)
+        bounds_out.append(bounds)
     return ThresholdPolicy(cfg, tuple(bounds_out), tuple(rates_out), transient)

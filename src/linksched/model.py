@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,15 +110,13 @@ class ChannelDiscretization:
 
     def bin_of(self, h: float) -> int:
         """Index of the bin containing h; h_min itself maps to bin 0."""
-        lo = 0
-        hi = len(self.edges) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if h <= self.edges[mid]:
-                hi = mid
-            else:
-                lo = mid
-        return lo
+        return cell_of(self.edges, h)
+
+
+def cell_of(edges, h: float) -> int:
+    """The i with edges[i] < h <= edges[i+1] for ascending edges, clipped
+    to the first and last cell, so h_min itself falls in cell 0."""
+    return min(max(bisect_left(edges, h) - 1, 0), len(edges) - 2)
 
 
 def step(cfg: SystemConfig, q, a, s):

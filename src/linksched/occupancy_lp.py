@@ -27,7 +27,9 @@ State spaces are 0-based: q in {0..Q}, s in {0..S_max}.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +42,7 @@ from .simplex import (
     SimplexResult,
     solve_simplex,
 )
+from .textio import csv_text, read_rows
 
 ONE_HOT_TOL = 1e-9
 TRANSIENT_TOL = 1e-12
@@ -136,15 +139,29 @@ class Policy:
 
     cfg: SystemConfig
     disc: ChannelDiscretization
-    kind: str  # "probabilistic" | "deterministic"
     table: np.ndarray  # (Q+1, bins, S_max+1)
     transient: np.ndarray  # (Q+1, bins) bool
-    sigma: np.ndarray  # (Q+1, bins) int; argmax rate per row
 
     def __post_init__(self):
         self.table.setflags(write=False)
         self.transient.setflags(write=False)
-        self.sigma.setflags(write=False)
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """(Q+1, bins) argmax rate per row."""
+        sigma = self.table.argmax(axis=2)
+        sigma.setflags(write=False)
+        return sigma
+
+    @cached_property
+    def kind(self) -> str:
+        """'deterministic' iff every row is one-hot within ONE_HOT_TOL."""
+        one_hot = (self.table.max(axis=2) >= 1.0 - ONE_HOT_TOL).all()
+        return "deterministic" if one_hot else "probabilistic"
+
+    @cached_property
+    def _cumulative(self) -> np.ndarray:
+        return np.cumsum(self.table, axis=2)
 
     def rate_for(self, q: int, h: float) -> int:
         """Deterministic lookup; h routed to its bin, h_min to bin 0."""
@@ -153,16 +170,12 @@ class Policy:
     def sample_rate(self, q: int, h: float, u: float) -> int:
         """Rate drawn from the row's distribution; u is uniform [0, 1).
 
-        Deterministic rows ignore u, so the draw stream stays aligned
-        across policies under a shared seed.
+        The first rate whose cumulative probability exceeds u, the last
+        if rounding leaves none.  Deterministic rows ignore u, so the
+        draw stream stays aligned across policies under a shared seed.
         """
-        row = self.table[q, self.disc.bin_of(h)]
-        acc = 0.0
-        for s, p in enumerate(row):
-            acc += p
-            if u < acc:
-                return s
-        return int(len(row) - 1)
+        cum = self._cumulative[q, self.disc.bin_of(h)]
+        return min(bisect_right(cum, u), self.cfg.S_max)
 
 
 @dataclass(frozen=True)
@@ -311,30 +324,18 @@ def extract_policy(m: OccupancyMeasure) -> Policy:
     of randomization, and are dropped before normalizing.
     """
     cfg, disc = m.cfg, m.disc
-    Q, S, M = cfg.Q, cfg.S_max, disc.bins
-    table = np.zeros((Q + 1, M, S + 1))
-    transient = np.zeros((Q + 1, M), dtype=bool)
-    sigma = np.zeros((Q + 1, M), dtype=int)
-    deterministic = True
-    for q in range(Q + 1):
-        for k in range(M):
-            row = m.values[q, :, k].copy()
-            cleaned = np.where(row < FEAS_TOL, 0.0, row)
-            if cleaned.sum() > TRANSIENT_TOL:
-                row = cleaned
-            denom = float(row.sum())
-            if denom <= TRANSIENT_TOL:
-                transient[q, k] = True
-                sigma[q, k] = min(q, S)
-                table[q, k, sigma[q, k]] = 1.0
-                continue
-            f = row / denom
-            table[q, k] = f
-            sigma[q, k] = int(np.argmax(f))
-            if f[sigma[q, k]] < 1.0 - ONE_HOT_TOL:
-                deterministic = False
-    kind = "deterministic" if deterministic else "probabilistic"
-    return Policy(cfg, disc, kind, table, transient, sigma)
+    # rows contiguous, so each row sums in the order a lone row would
+    rows = np.ascontiguousarray(m.values.transpose(0, 2, 1))
+    cleaned = np.where(rows < FEAS_TOL, 0.0, rows)
+    clean_sum = cleaned.sum(axis=2)
+    use_clean = clean_sum > TRANSIENT_TOL
+    rows = np.where(use_clean[..., None], cleaned, rows)
+    denom = np.where(use_clean, clean_sum, rows.sum(axis=2))
+    transient = denom <= TRANSIENT_TOL
+    drain = np.eye(cfg.S_max + 1)[np.minimum(np.arange(cfg.Q + 1), cfg.S_max)]
+    f = rows / np.where(transient, 1.0, denom)[..., None]
+    table = np.where(transient[..., None], drain[:, None, :], f)
+    return Policy(cfg, disc, table, transient)
 
 
 def _queue_kernel(cfg: SystemConfig, disc: ChannelDiscretization, pol: Policy):
@@ -404,27 +405,22 @@ def policy_to_measure(
 
 # --- text dumps -----------------------------------------------------------
 
+POLICY_HEADER = "q,k,s,prob,transient"
+
+
 def measure_to_text(m: OccupancyMeasure) -> str:
-    lines = ["q,s,k,g"]
-    for q in range(m.cfg.Q + 1):
-        for s in range(m.cfg.S_max + 1):
-            for k in range(m.disc.bins):
-                v = m.values[q, s, k]
-                if v != 0.0:
-                    lines.append(f"{q},{s},{k},{v:.17g}")
-    return "\n".join(lines) + "\n"
+    """Nonzero cells, q-major, then s, then k."""
+    q, s, k = np.nonzero(m.values)
+    return csv_text("q,s,k,g", zip(q.tolist(), s.tolist(), k.tolist(),
+                                   m.values[q, s, k].tolist()))
 
 
 def policy_to_text(pol: Policy) -> str:
-    lines = ["q,k,s,prob,transient"]
-    for q in range(pol.cfg.Q + 1):
-        for k in range(pol.disc.bins):
-            flag = int(pol.transient[q, k])
-            for s in range(pol.cfg.S_max + 1):
-                f = pol.table[q, k, s]
-                if f != 0.0:
-                    lines.append(f"{q},{k},{s},{f:.17g},{flag}")
-    return "\n".join(lines) + "\n"
+    """Nonzero probabilities, q-major, then k, then s."""
+    q, k, s = np.nonzero(pol.table)
+    return csv_text(POLICY_HEADER, zip(
+        q.tolist(), k.tolist(), s.tolist(), pol.table[q, k, s].tolist(),
+        pol.transient[q, k].astype(int).tolist()))
 
 
 def parse_index(line: str, name: str, text: str, top: int) -> int:
@@ -438,20 +434,23 @@ def parse_index(line: str, name: str, text: str, top: int) -> int:
 def policy_from_text(
     text: str, cfg: SystemConfig, disc: ChannelDiscretization
 ) -> Policy:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if lines[0] != "q,k,s,prob,transient":
-        raise ValueError(f"unexpected policy header: {lines[0]!r}")
+    """Read a bin-policy file; every (q, k) row must be a distribution
+    (no negative entry, sum 1 within ONE_HOT_TOL), else ValueError
+    naming the first row that is not."""
     Q, S, M = cfg.Q, cfg.S_max, disc.bins
     table = np.zeros((Q + 1, M, S + 1))
     transient = np.zeros((Q + 1, M), dtype=bool)
-    for ln in lines[1:]:
-        qs, ks, ss, fs, ts = ln.split(",")
+    for ln, (qs, ks, ss, fs, ts) in read_rows(text, POLICY_HEADER):
         q = parse_index(ln, "q", qs, Q)
         k = parse_index(ln, "k", ks, M - 1)
         table[q, k, parse_index(ln, "s", ss, S)] = float(fs)
         if int(ts):
             transient[q, k] = True
-    sigma = table.argmax(axis=2)
-    deterministic = bool((table.max(axis=2) >= 1.0 - ONE_HOT_TOL).all())
-    kind = "deterministic" if deterministic else "probabilistic"
-    return Policy(cfg, disc, kind, table, sigma=sigma, transient=transient)
+    sums = table.sum(axis=2)
+    bad = np.argwhere(~(np.abs(sums - 1.0) <= ONE_HOT_TOL)
+                      | (table < 0.0).any(axis=2))
+    if bad.size:
+        q, k = bad[0]
+        raise ValueError(f"policy row q={q}, k={k} is not a distribution: "
+                         f"{table[q, k].tolist()}")
+    return Policy(cfg, disc, table, transient)

@@ -140,31 +140,21 @@ def solve_simplex(lp: LinearProgram) -> SimplexResult:
     A[flip] *= -1.0
     b[flip] *= -1.0
 
-    # one artificial per row, except ub rows whose +1 slack can start basic
-    needs_art = np.ones(m, dtype=bool)
-    for i in range(me, m):
-        if not flip[i]:
-            needs_art[i] = False
-    art_rows = np.nonzero(needs_art)[0]
-    na = art_rows.size
-    ncols = n + mu + na
+    # one identity column per row: an artificial, except for ub rows
+    # whose +1 slack can start basic
+    needs_art = (np.arange(m) < me) | flip
+    ncols = n + mu + int(needs_art.sum())
+    ident = np.where(needs_art, n + mu + np.cumsum(needs_art) - 1,
+                     n + np.arange(m) - me)
 
     T = np.zeros((m, ncols + 1))
     T[:, : n + mu] = A
     T[:, ncols] = b
-    basis = np.zeros(m, dtype=np.intp)
-    for a_idx, row in enumerate(art_rows):
-        T[row, n + mu + a_idx] = 1.0
-        basis[row] = n + mu + a_idx
-    for i in range(me, m):
-        if not needs_art[i]:
-            basis[i] = n + i - me  # its own slack
+    T[needs_art, ident[needs_art]] = 1.0
+    basis = ident.copy()
 
-    art_mask = np.zeros(ncols, dtype=bool)
-    art_mask[n + mu :] = True
-
-    phase1_cost = np.zeros(ncols)
-    phase1_cost[art_mask] = 1.0
+    art_mask = np.arange(ncols) >= n + mu
+    phase1_cost = art_mask.astype(float)
     allowed = np.ones(ncols, dtype=bool)
     status, it1 = _bland_iterate(T, basis, phase1_cost, allowed)
     if status == "unbounded":
@@ -197,10 +187,8 @@ def solve_simplex(lp: LinearProgram) -> SimplexResult:
     if status == "unbounded":
         return SimplexResult(status="unbounded", iterations=iterations)
 
-    x = np.zeros(n + mu + na)
-    rhs = T[:, ncols]
-    for i, bv in enumerate(basis):
-        x[bv] = rhs[i]
+    x = np.zeros(ncols)
+    x[basis] = T[:, ncols]
     xout = x[:n].copy()
     objective = float(lp.c @ xout)
 
@@ -208,20 +196,8 @@ def solve_simplex(lp: LinearProgram) -> SimplexResult:
     y_row = phase2_cost[basis] @ T[:, :ncols]
     reduced = phase2_cost[:ncols] - y_row
     duals = np.zeros(m)
-    known = np.zeros(m, dtype=bool)
-    row_alive = {}
-    alive = np.nonzero(keep)[0]
-    for new_i, old_i in enumerate(alive):
-        row_alive[int(old_i)] = new_i
-    for a_idx, row in enumerate(art_rows):
-        if int(row) in row_alive:
-            duals[row] = -reduced[n + mu + a_idx]
-            known[row] = True
-    for i in range(me, m):
-        if not needs_art[i] and int(i) in row_alive:
-            duals[i] = -reduced[n + i - me]
-            known[i] = True
-    duals[flip & known] *= -1.0
+    duals[keep] = -reduced[ident[keep]]
+    duals[flip & keep] *= -1.0
     return SimplexResult(
         status="optimal",
         x=xout,

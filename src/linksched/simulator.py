@@ -26,12 +26,13 @@ wait t' - t).  On a stationary run they agree within sampling error.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
 from .model import SystemConfig, channel_cdf_inverse, mean_arrival_rate
 from .model import mean_delay, step  # noqa: F401  (step is re-exported)
+from .textio import csv_text, kv_text
 
 MIN_BATCHES = 30
 
@@ -186,26 +187,10 @@ def run_sim(
     )
 
 
-_REPORT_FIELDS = (
-    "slots", "warmup", "seed", "batches", "mean_queue", "se_queue",
-    "mean_power", "se_power", "delay", "se_delay", "sojourn_mean",
-    "sojourn_count", "throughput", "arrival_rate", "drops", "drop_rate",
-    "underflow_overrides",
-)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
 def report_to_text(rep: SimReport) -> str:
-    """Stable key=value rendering, one field per line."""
-    return "\n".join(f"{k}={_fmt(getattr(rep, k))}" for k in _REPORT_FIELDS) + "\n"
+    """Stable key=value rendering, one field per line, in field order."""
+    return kv_text(asdict(rep).items())
 
 
 def report_to_csv(rep: SimReport) -> str:
-    header = ",".join(_REPORT_FIELDS)
-    row = ",".join(_fmt(getattr(rep, k)) for k in _REPORT_FIELDS)
-    return header + "\n" + row + "\n"
+    return csv_text(",".join(asdict(rep)), [astuple(rep)])

@@ -20,6 +20,7 @@ that by the sup-gap between successive curves on a common grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .occupancy_lp import (
     solve_constrained,
     solve_lagrangian,
 )
+from .textio import csv_text
 
 HULL_TOL = 1e-8
 VERTEX_TOL = 1e-10
@@ -62,21 +64,26 @@ class TradeoffCurve:
     powers: np.ndarray  # minimal power at each budget
     infeasible: tuple[float, ...]  # excluded grid points
     vertices: tuple[Vertex, ...]  # corners within the swept span
-    dist_euclid: np.ndarray  # adjacent-corner spacing, (D, P) plane
-    dist_delay: np.ndarray  # adjacent-corner spacing, delay axis
 
     def __post_init__(self):
         self.budgets.setflags(write=False)
         self.powers.setflags(write=False)
-        self.dist_euclid.setflags(write=False)
-        self.dist_delay.setflags(write=False)
+
+    @cached_property
+    def dist_euclid(self) -> np.ndarray:
+        """Adjacent-corner spacing in the (D, P) plane."""
+        return vertex_distances(self.vertices)[0]
+
+    @cached_property
+    def dist_delay(self) -> np.ndarray:
+        """Adjacent-corner spacing along the delay axis."""
+        return vertex_distances(self.vertices)[1]
 
     @property
     def max_distance(self) -> tuple[float, float]:
         """(Euclidean, delay-axis) maxima over adjacent corner pairs."""
-        if self.dist_euclid.size == 0:
-            return (0.0, 0.0)
-        return (float(self.dist_euclid.max()), float(self.dist_delay.max()))
+        return (float(self.dist_euclid.max(initial=0.0)),
+                float(self.dist_delay.max(initial=0.0)))
 
 
 def default_budget_grid(cfg: SystemConfig, disc: ChannelDiscretization,
@@ -94,8 +101,6 @@ def vertex_distances(vertices) -> tuple[np.ndarray, np.ndarray]:
     """
     pts = np.array([(v.D, v.P) if isinstance(v, Vertex) else tuple(v)
                     for v in vertices], dtype=float).reshape(-1, 2)
-    if len(pts) < 2:
-        return np.empty(0), np.empty(0)
     diff = np.diff(pts, axis=0)
     return np.hypot(diff[:, 0], diff[:, 1]), np.abs(diff[:, 0])
 
@@ -209,13 +214,8 @@ def _cluster_representative(cluster: list[Vertex]) -> Vertex:
         return min(det, key=lambda v: v.P)
     v = min(cluster, key=lambda v: v.P)
     pol = v.policy
-    table = np.zeros_like(pol.table)
-    idx = np.argmax(pol.table, axis=2)
-    for q in range(table.shape[0]):
-        for k in range(table.shape[1]):
-            table[q, k, idx[q, k]] = 1.0
-    rounded = Policy(pol.cfg, pol.disc, "deterministic", table,
-                     pol.transient.copy(), idx.astype(int))
+    rounded = Policy(pol.cfg, pol.disc, np.eye(pol.cfg.S_max + 1)[pol.sigma],
+                     pol.transient.copy())
     try:
         d, p = evaluate_measure(
             policy_to_measure(pol.cfg, pol.disc, rounded))
@@ -294,15 +294,12 @@ def sweep_curve(
         verts = tuple(v for v in enumerate_vertices(cfg, disc, lambda_max)
                       if lo <= v.D <= hi)
         _check_above_hull(np.asarray(kept), powers_arr, verts)
-    de, dd = vertex_distances(verts)
     return TradeoffCurve(
         M=disc.bins,
         budgets=np.asarray(kept),
         powers=powers_arr,
         infeasible=tuple(skipped),
         vertices=verts,
-        dist_euclid=de,
-        dist_delay=dd,
     )
 
 
@@ -370,24 +367,20 @@ def convergence_study(
 # --- CSV renderings --------------------------------------------------------
 
 def curve_to_csv(curve: TradeoffCurve) -> str:
-    lines = ["M,D_th,P"]
-    for d, p in zip(curve.budgets, curve.powers):
-        lines.append(f"{curve.M},{d:.17g},{p:.17g}")
-    return "\n".join(lines) + "\n"
+    return csv_text("M,D_th,P", ((curve.M, d, p) for d, p in
+                                 zip(curve.budgets, curve.powers)))
 
 
 def vertices_to_csv(curve: TradeoffCurve) -> str:
-    lines = ["M,D,P,policy_id"]
-    for i, v in enumerate(curve.vertices):
-        lines.append(f"{curve.M},{v.D:.17g},{v.P:.17g},{policy_id(curve.M, i)}")
-    return "\n".join(lines) + "\n"
+    return csv_text("M,D,P,policy_id", (
+        (curve.M, v.D, v.P, policy_id(curve.M, i))
+        for i, v in enumerate(curve.vertices)))
 
 
 def distances_to_csv(curve: TradeoffCurve) -> str:
-    lines = ["M,pair_index,euclidean,delay_axis"]
-    for i, (e, d) in enumerate(zip(curve.dist_euclid, curve.dist_delay)):
-        lines.append(f"{curve.M},{i},{e:.17g},{d:.17g}")
-    return "\n".join(lines) + "\n"
+    return csv_text("M,pair_index,euclidean,delay_axis", (
+        (curve.M, i, e, d)
+        for i, (e, d) in enumerate(zip(curve.dist_euclid, curve.dist_delay))))
 
 
 def policy_id(m: int, index: int) -> str:

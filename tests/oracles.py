@@ -142,6 +142,41 @@ def loop_queue_kernel(Q: int, alphas, masses, table) -> np.ndarray:
     return T
 
 
+def loop_extract_policy(values, feas_tol: float, transient_tol: float,
+                        one_hot_tol: float):
+    """(table, transient, sigma, kind) of the conditional rate law of a
+    measure values[q, s, k], one (queue, bin) row at a time.
+
+    Dust below feas_tol is dropped unless nothing else is left; a row
+    whose mass is at most transient_tol is transient and drains at
+    min(q, S_max).
+    """
+    Q, S, M = values.shape[0] - 1, values.shape[1] - 1, values.shape[2]
+    table = np.zeros((Q + 1, M, S + 1))
+    transient = np.zeros((Q + 1, M), dtype=bool)
+    sigma = np.zeros((Q + 1, M), dtype=int)
+    deterministic = True
+    for q in range(Q + 1):
+        for k in range(M):
+            row = values[q, :, k].copy()
+            cleaned = np.where(row < feas_tol, 0.0, row)
+            if cleaned.sum() > transient_tol:
+                row = cleaned
+            denom = float(row.sum())
+            if denom <= transient_tol:
+                transient[q, k] = True
+                sigma[q, k] = min(q, S)
+                table[q, k, sigma[q, k]] = 1.0
+                continue
+            f = row / denom
+            table[q, k] = f
+            sigma[q, k] = int(np.argmax(f))
+            if f[sigma[q, k]] < 1.0 - one_hot_tol:
+                deterministic = False
+    kind = "deterministic" if deterministic else "probabilistic"
+    return table, transient, sigma, kind
+
+
 # --- loop forms of the threshold construction -----------------------------
 #
 # Interval bookkeeping one (queue, cell, rate) triple at a time, in the

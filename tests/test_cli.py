@@ -208,6 +208,52 @@ class TestPolicyFileRows:
         assert row in capsys.readouterr().err
 
 
+class TestPolicyFileMeaning:
+    """Files whose rows parse but do not describe a policy exit 1,
+    naming the queue state (and bin) at fault."""
+
+    # drain at every (q, k) of paper_iv with 2 bins: a valid policy
+    DRAIN = "".join(f"{q},{k},{min(q, 2)},1,0\n"
+                    for q in range(11) for k in range(2))
+
+    @pytest.mark.parametrize("body,named", [
+        (DRAIN, None),
+        ("1,0,0,0.3,0\n", "q=0, k=0"),
+        (DRAIN.replace("1,0,1,1,0", "1,0,1,0.3,0"), "q=1, k=0"),
+        (DRAIN.replace("3,1,2,1,0\n", ""), "q=3, k=1"),
+        (DRAIN.replace("4,0,2,1,0", "4,0,2,0.5,0\n4,0,1,0.6,0"), "q=4, k=0"),
+        (DRAIN + "1,0,1\n", "'1,0,1'"),
+    ], ids=["valid", "only-row-0.3", "row-0.3", "row-missing", "row-1.1",
+            "three-fields"])
+    def test_bin_policy(self, tmp_path, capsys, body, named):
+        p = tmp_path / "policy.csv"
+        p.write_text("q,k,s,prob,transient\n" + body)
+        rc = main(["simulate", "--policy", str(p), "--bins", "2",
+                   "--slots", "5000", "--outdir", str(tmp_path / "s")])
+        assert rc == (0 if named is None else 1)
+        if named is not None:
+            assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body,named", [
+        ("0,0.5,10,0,0\n1,0.5,4,0,0\n1,4,10,1,0\n", None),
+        ("0,0.5,10,0,0\n1,4,6,1,0\n", "q=1"),
+        ("0,0.5,10,0,0\n1,0.5,3,0,0\n1,4,10,1,0\n", "q=1"),
+        ("0,0.5,10,0,0\n1,0.5,5,0,0\n1,4,10,1,0\n", "q=1"),
+        ("0,0.5,10,0,0\n1,0.5,4,0,0\n1,4,4,1,0\n1,4,10,1,0\n", "q=1"),
+        ("0,0.5,9,0,0\n", "q=0"),
+        ("0,0.5,10\n", "'0,0.5,10'"),
+    ], ids=["valid", "starts-late", "gap", "overlap", "empty-rule",
+            "ends-early", "three-fields"])
+    def test_threshold_policy(self, tmp_path, capsys, body, named):
+        p = tmp_path / "thresholds.csv"
+        p.write_text("q,h_lo,h_hi,s,transient\n" + body)
+        rc = main(["simulate", "--policy", str(p), "--slots", "5000",
+                   "--outdir", str(tmp_path / "s")])
+        assert rc == (0 if named is None else 1)
+        if named is not None:
+            assert named in capsys.readouterr().err
+
+
 class TestVerifyBattery:
     def test_all_pass_on_builtin_config(self, tmp_path):
         rc = main(["verify", "--outdir", str(tmp_path)])

@@ -270,8 +270,7 @@ def _mixed_policy_density(cfg, bins):
     w[rng.random(w.shape) < 0.3] = 0.0
     w = np.where(mask[:, None, :], w + 1e-3, 0.0)
     table = w / w.sum(axis=2, keepdims=True)
-    pol = Policy(cfg, disc, "probabilistic", table,
-                 np.zeros((cfg.Q + 1, bins), dtype=bool), table.argmax(axis=2))
+    pol = Policy(cfg, disc, table, np.zeros((cfg.Q + 1, bins), dtype=bool))
     return density_from_measure(policy_to_measure(cfg, disc, pol))
 
 

@@ -1,7 +1,7 @@
 """Byte-identity of CLI outputs against recorded digests.
 
-Small-M runs of solve, vertices --full, construct and both simulate
-forms; every output file except manifest.json (which carries a
+Small-M runs of solve, vertices --full, construct, both simulate
+forms and sweep; every output file except manifest.json (which carries a
 timestamp) is hashed.  Any change in the bits of an LP row, a
 residual, a kernel or a report shows up here; record new digests only
 for a deliberate change of output.
@@ -27,6 +27,7 @@ RUNS = (
     ("sim_threshold", ["simulate", "--policy",
                        "{root}/construct/thresholds.csv",
                        "--slots", "20000", "--seed", "3"]),
+    ("sweep", ["sweep", "--bins-list", "2,4", "--dgrid", "1,1.5,2,3"]),
 )
 
 DIGESTS = {
@@ -54,6 +55,12 @@ DIGESTS = {
         "e1b61a2352ccfd8759c4f29a5f3dc158c7e9f0530bf652e7764e427a7a25af51",
     "solve/policy.csv":
         "d7d599c55bdeca3a286248de3e61552bef0b2207649d23736ec71f83d8037fa5",
+    "sweep/curve_m2.csv":
+        "8a1a730416164ef5141630d4b88060adb7e87c815730ce6e1d4eff578e41238c",
+    "sweep/curve_m4.csv":
+        "c6fc32643f937f5a2fdd4172aafbf3eb76b0e1bfba2c2cc3ff43e4a44c374ed7",
+    "sweep/sup_gaps.txt":
+        "4977ead4209e5420473ccbe60c54fb8bd5280c8a0ce3e598a650b3502fe90d69",
     "vertices/distances_m4.csv":
         "9586fca53d42ce288e42da21b8f437eb4986a56d6801cc5bd997ffb059cfe732",
     "vertices/m4_vertex000.txt":

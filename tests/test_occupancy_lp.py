@@ -11,6 +11,8 @@ from linksched.model import (
     step,
 )
 from linksched.occupancy_lp import (
+    ONE_HOT_TOL,
+    TRANSIENT_TOL,
     OccupancyMeasure,
     Policy,
     ReducibleChainError,
@@ -28,12 +30,14 @@ from linksched.occupancy_lp import (
     transition_table,
     _queue_kernel,
 )
+from linksched.simplex import FEAS_TOL
 
 from oracles import (
     enumerate_policies,
     hull_value,
     loop_balance_residual,
     loop_equality_rows,
+    loop_extract_policy,
     loop_queue_kernel,
     lower_hull,
     policy_delay_power,
@@ -118,6 +122,38 @@ class TestLoopReference:
         assert m.balance_residual() == loop_balance_residual(
             paper_cfg.Q, paper_cfg.S_max, paper_cfg.arrival.alphas,
             m.rate_marginal())
+
+    @pytest.mark.parametrize("source", ["lp", "lagrangian", "random"])
+    def test_extract_policy(self, paper_cfg, disc16, solution16, source):
+        if source == "lp":
+            m = solution16.measure
+        elif source == "lagrangian":
+            m = solve_lagrangian(paper_cfg, disc16, 0.05)[0].measure
+        else:
+            # 10 rates, so each row sums pairwise; dust, all-dust and
+            # all-zero rows
+            cfg = config_from_dict({
+                "arrival": {"alphas": [0.5, 0.5]},
+                "channel": {"kind": "uniform", "h_min": 1.0, "h_max": 2.0},
+                "Q": 12, "S_max": 9, "xi_kind": "exp2minus1"})
+            disc = discretize_channel(cfg.channel, 5)
+            rng = np.random.default_rng(3)
+            g = rng.random((13, 10, 5))
+            g[rng.random(g.shape) < 0.4] = 0.0
+            g[rng.random(g.shape) < 0.2] = 1e-11
+            g[2, :, 1] = 3e-10
+            g[4, :, 3] = 0.0
+            g[5, 1:, 0] = 0.0
+            m = OccupancyMeasure(cfg, disc, g / g.sum())
+        pol = extract_policy(m)
+        table, transient, sigma, kind = loop_extract_policy(
+            m.values, FEAS_TOL, TRANSIENT_TOL, ONE_HOT_TOL)
+        assert pol.table.tobytes() == table.tobytes()
+        assert np.array_equal(pol.transient, transient)
+        assert np.array_equal(pol.sigma, sigma)
+        assert pol.kind == kind
+        if source == "random":
+            assert transient[4, 3] and not transient.all()
 
     def test_queue_kernel(self, paper_cfg, disc16, solution16):
         pol = extract_policy(solution16.measure)
@@ -273,9 +309,7 @@ class TestPolicies:
         table[0, 0, 0] = 1.0
         table[1, 0, 1] = 1.0
         table[2, 0, 0] = 1.0
-        sigma = np.array([[0], [1], [0]])
-        pol = Policy(tiny_cfg, disc, "deterministic", table,
-                     np.zeros((3, 1), dtype=bool), sigma)
+        pol = Policy(tiny_cfg, disc, table, np.zeros((3, 1), dtype=bool))
         with pytest.raises(ReducibleChainError, match="both closed"):
             policy_to_measure(tiny_cfg, disc, pol)
 
