@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import SystemConfig, cell_of, mean_delay
-from .occupancy_lp import (OccupancyMeasure, _ordered_sum, parse_index,
+from .occupancy_lp import (OccupancyMeasure, _ordered_sum, check_index,
                            queue_residuals)
 from .textio import csv_text, read_rows
 
@@ -512,11 +512,12 @@ def threshold_policy_from_text(text: str, cfg: SystemConfig) -> ThresholdPolicy:
     tile (h_min, h_max] exactly, else ValueError naming the state."""
     per_q: dict[int, list[tuple[float, float, int]]] = {}
     transient = np.zeros(cfg.Q + 1, dtype=bool)
-    for ln, (qs, a, b, s, flag) in read_rows(text, THRESHOLD_HEADER):
-        q = parse_index(ln, "q", qs, cfg.Q)
-        per_q.setdefault(q, []).append(
-            (float(a), float(b), parse_index(ln, "s", s, cfg.S_max)))
-        transient[q] |= bool(int(flag))
+    rows = read_rows(text, THRESHOLD_HEADER, (int, float, float, int, int))
+    for ln, (q, a, b, s, flag) in rows:
+        q = check_index(ln, "q", q, cfg.Q)
+        s = check_index(ln, "s", s, cfg.S_max)
+        per_q.setdefault(q, []).append((a, b, s))
+        transient[q] |= bool(flag)
     h_min, h_max = cfg.channel.h_min, cfg.channel.h_max
     bounds_out, rates_out = [], []
     for q in range(cfg.Q + 1):

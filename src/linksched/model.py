@@ -224,26 +224,31 @@ def discretize_channel(ch: ChannelModel, bins: int) -> ChannelDiscretization:
     return ChannelDiscretization(tuple(edges), tuple(masses), tuple(inv_means))
 
 
-def channel_cdf_inverse(ch: ChannelModel, u: float) -> float:
-    """Leftmost h with CDF(h) >= u, for u in [0, 1].
+def channel_cdf_inverse(ch: ChannelModel, u):
+    """Leftmost h with CDF(h) >= u, elementwise for u in [0, 1].
 
     Flat stretches of the CDF (zero-density pieces) resolve to their
-    left endpoint, matching the bin convention h in (lo, hi].
+    left endpoint, matching the bin convention h in (lo, hi].  A scalar
+    u gives a Python float, an array an array.
     """
-    if u < 0.0 or u > 1.0:
+    u = np.asarray(u, dtype=float)
+    if ((u < 0.0) | (u > 1.0)).any():
         raise ValueError("u outside [0, 1]")
     if ch.kind == "uniform":
-        return ch.h_min + u * (ch.h_max - ch.h_min)
-    edges, values = ch.pieces()
-    acc = 0.0
-    for a, b, v in zip(edges[:-1], edges[1:], values):
-        step = v * (b - a)
-        if acc + step >= u:
-            if step <= 0.0:
-                return a
-            return min(a + (u - acc) / v, b)
-        acc += step
-    return ch.h_max
+        h = ch.h_min + u * (ch.h_max - ch.h_min)
+    else:
+        edges, values = (np.array(x) for x in ch.pieces())
+        steps = values * np.diff(edges)
+        # acc[i] is the mass below piece i, summed in piece order
+        acc = np.concatenate(([0.0], np.cumsum(steps)))
+        i = np.searchsorted(acc[1:], u, side="left")  # first acc[i+1] >= u
+        j = np.minimum(i, len(values) - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = np.minimum(edges[j] + (u - acc[j]) / values[j],
+                               edges[j + 1])
+        h = np.where(i == len(values), ch.h_max,
+                     np.where(steps[j] <= 0.0, edges[j], inner))
+    return float(h) if h.ndim == 0 else h
 
 
 # --- configuration files -------------------------------------------------

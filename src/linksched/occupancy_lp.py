@@ -163,10 +163,6 @@ class Policy:
     def _cumulative(self) -> np.ndarray:
         return np.cumsum(self.table, axis=2)
 
-    def rate_for(self, q: int, h: float) -> int:
-        """Deterministic lookup; h routed to its bin, h_min to bin 0."""
-        return int(self.sigma[q, self.disc.bin_of(h)])
-
     def sample_rate(self, q: int, h: float, u: float) -> int:
         """Rate drawn from the row's distribution; u is uniform [0, 1).
 
@@ -423,9 +419,8 @@ def policy_to_text(pol: Policy) -> str:
         pol.transient[q, k].astype(int).tolist()))
 
 
-def parse_index(line: str, name: str, text: str, top: int) -> int:
-    """Field `name` of a policy-file line as an int in 0..top, else ValueError."""
-    v = int(text)
+def check_index(line: str, name: str, v: int, top: int) -> int:
+    """Field `name` of a policy-file line if it is in 0..top, else ValueError."""
     if not 0 <= v <= top:
         raise ValueError(f"policy line {line!r}: {name}={v} outside 0..{top}")
     return v
@@ -440,11 +435,12 @@ def policy_from_text(
     Q, S, M = cfg.Q, cfg.S_max, disc.bins
     table = np.zeros((Q + 1, M, S + 1))
     transient = np.zeros((Q + 1, M), dtype=bool)
-    for ln, (qs, ks, ss, fs, ts) in read_rows(text, POLICY_HEADER):
-        q = parse_index(ln, "q", qs, Q)
-        k = parse_index(ln, "k", ks, M - 1)
-        table[q, k, parse_index(ln, "s", ss, S)] = float(fs)
-        if int(ts):
+    rows = read_rows(text, POLICY_HEADER, (int, int, int, float, int))
+    for ln, (q, k, s, prob, flag) in rows:
+        q = check_index(ln, "q", q, Q)
+        k = check_index(ln, "k", k, M - 1)
+        table[q, k, check_index(ln, "s", s, S)] = prob
+        if flag:
             transient[q, k] = True
     sums = table.sum(axis=2)
     bad = np.argwhere(~(np.abs(sums - 1.0) <= ONE_HOT_TOL)

@@ -6,35 +6,38 @@ cannot go negative, the buffer tops out at Q) and admit arrivals.
 Arrivals join after transmission, so the queue read at decision time
 never contains packets that arrived in the same slot.
 
-A policy asking for more than the backlog is counted as an underflow
-override; the queue clip absorbs it, but energy is still charged for
-the requested rate.  Policies produced in this package keep that
-counter at zero; it exists to flag hand-written ones.
+The slot loop only records the queue and the rate of each slot; every
+statistic is computed from those two paths afterwards.  A policy asking
+for more than the backlog is counted as an underflow override; the
+queue clip absorbs it, but energy is still charged for the requested
+rate.  Policies produced in this package keep that counter at zero; it
+exists to flag hand-written ones.
 
 Determinism: a run is a pure function of (config, policy, slots,
-warmup, seed, batches).  The master seed splits into three streams
-(arrivals, channel, policy randomization), so swapping the policy,
-even between randomized and deterministic forms, never shifts the
-traffic or fading sample paths.
+warmup, seed).  The master seed splits into three streams (arrivals,
+channel, policy randomization), so swapping the policy, even between
+randomized and deterministic forms, never shifts the traffic or fading
+sample paths.
 
 Two delay estimates are reported: the backlog form mean-queue / mean
 arrival rate, which is what the optimizer minimizes, and the per-packet
 FIFO sojourn in slots (arrive at the end of slot t, depart in slot t',
-wait t' - t).  On a stationary run they agree within sampling error.
+wait t' - t).  Sojourns come from cumulative counts: the n-th admitted
+packet is the n-th served one.  On a stationary run the two agree
+within sampling error.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
 from .model import SystemConfig, channel_cdf_inverse, mean_arrival_rate
-from .model import mean_delay, step  # noqa: F401  (step is re-exported)
-from .textio import csv_text, kv_text
+from .model import mean_delay, step
+from .textio import csv_lines, csv_text, kv_text
 
-MIN_BATCHES = 30
+BATCHES = 32
 
 
 @dataclass(frozen=True)
@@ -42,8 +45,8 @@ class SimReport:
     """Point estimates with batch-means standard errors.
 
     Standard errors come from splitting the measured window into
-    `batches` contiguous batches; they are honest for runs long enough
-    that a batch spans many queue regeneration cycles.
+    `batches` (always 32) contiguous batches; they are honest for runs
+    long enough that a batch spans many queue regeneration cycles.
     """
 
     slots: int
@@ -68,14 +71,14 @@ class SimReport:
 def _sample_arrivals(cfg: SystemConfig, u: np.ndarray) -> np.ndarray:
     cum = np.cumsum(np.asarray(cfg.arrival.alphas))
     cum[-1] = 1.0
-    return np.searchsorted(cum, u, side="right").astype(np.int64)
+    return np.searchsorted(cum, u, side="right")
 
 
-def _sample_gains(cfg: SystemConfig, u: np.ndarray) -> np.ndarray:
-    ch = cfg.channel
-    if ch.kind == "uniform":
-        return ch.h_min + u * (ch.h_max - ch.h_min)
-    return np.array([channel_cdf_inverse(ch, float(v)) for v in u])
+def _batch_se(x: np.ndarray) -> float:
+    """Batch-means standard error of the mean of x over BATCHES batches."""
+    cut = (len(x) // BATCHES) * BATCHES
+    means = x[:cut].reshape(BATCHES, -1).mean(axis=1)
+    return float(means.std(ddof=1) / np.sqrt(BATCHES))
 
 
 def run_sim(
@@ -84,7 +87,6 @@ def run_sim(
     slots: int,
     warmup: int | None = None,
     seed: int = 0,
-    batches: int = 32,
     trace_path: str | None = None,
 ) -> SimReport:
     """Simulate `slots` slots and estimate delay and power.
@@ -101,76 +103,58 @@ def run_sim(
     measured = slots - warmup
     if measured <= 0:
         raise ValueError(f"slots ({slots}) must exceed warmup ({warmup})")
-    if batches < MIN_BATCHES:
-        raise ValueError(f"batches must be >= {MIN_BATCHES}, got {batches}")
-    if measured < batches:
+    if measured < BATCHES:
         raise ValueError(
-            f"measured window ({measured}) shorter than batches ({batches})")
+            f"measured window ({measured}) shorter than batches ({BATCHES})")
 
+    # signed, so q - s stays exact when a policy asks for more than q
+    small = np.min_scalar_type(-2 * max(cfg.Q, cfg.S_max))
     streams = [np.random.default_rng(s)
                for s in np.random.SeedSequence(seed).spawn(3)]
-    arrivals = _sample_arrivals(cfg, streams[0].random(slots))
-    gains = _sample_gains(cfg, streams[1].random(slots))
+    arrivals = _sample_arrivals(cfg, streams[0].random(slots)).astype(small)
+    gains = channel_cdf_inverse(cfg.channel, streams[1].random(slots))
     policy_u = streams[2].random(slots)
 
-    Q = cfg.Q
-    xi = [cfg.xi(s) for s in range(cfg.S_max + 1)]
-    q = 0
-    fifo: deque[int] = deque()
-    queue_trace = np.empty(measured)
-    power_trace = np.empty(measured)
-    served_total = 0
-    drops = 0
-    overrides = 0
-    sojourn_sum = 0
-    sojourn_count = 0
-    trace = open(trace_path, "w") if trace_path else None
-    try:
-        for t in range(slots):
-            h = float(gains[t])
-            a = int(arrivals[t])
-            s = int(policy.sample_rate(q, h, float(policy_u[t])))
-            energy = xi[s] / h
-            served = s if s <= q else q
-            left = q - served
-            dropped = left + a - Q
-            dropped = dropped if dropped > 0 else 0
-            if trace is not None:
-                trace.write(f"{t},{q},{a},{h:.17g},{s},{energy:.17g}\n")
-            if t >= warmup:
-                queue_trace[t - warmup] = q
-                power_trace[t - warmup] = energy
-                served_total += served
-                drops += dropped
-                overrides += int(s > q)
-                for _ in range(served):
-                    sojourn_sum += t - fifo.popleft()
-                    sojourn_count += 1
-            else:
-                for _ in range(served):
-                    fifo.popleft()
-            fifo.extend([t] * (a - dropped))
-            q = left + a - dropped  # model.step, unrolled to count drops
-    finally:
-        if trace is not None:
-            trace.close()
+    qs = np.empty(slots, dtype=small)
+    ss = np.empty(slots, dtype=small)
+    q, Q = 0, cfg.Q
+    for t in range(slots):
+        s = int(policy.sample_rate(q, float(gains[t]), float(policy_u[t])))
+        qs[t], ss[t] = q, s
+        q = min(max(q - s, 0) + int(arrivals[t]), Q)
+    del policy_u
 
-    abar = mean_arrival_rate(cfg.arrival)
-    mean_queue = float(queue_trace.mean())
-    mean_power = float(power_trace.mean())
+    # each full-length float array is freed once used: they dominate memory
+    energy = np.asarray(cfg.xi_table)[ss] / gains
+    if trace_path:
+        with open(trace_path, "w") as fh:
+            fh.writelines(csv_lines(zip(
+                range(slots), qs.tolist(), arrivals.tolist(), gains.tolist(),
+                ss.tolist(), energy.tolist())))
+    del gains
+    mean_power = float(energy[warmup:].mean())
+    se_power = _batch_se(energy[warmup:])
+    del energy
 
-    def batch_se(trace_arr: np.ndarray) -> float:
-        cut = (measured // batches) * batches
-        means = trace_arr[:cut].reshape(batches, -1).mean(axis=1)
-        return float(means.std(ddof=1) / np.sqrt(batches))
+    served = np.minimum(ss, qs)
+    admitted = step(cfg, qs, arrivals, ss) - (qs - served)
+    drops = int(arrivals[warmup:].sum()) - int(admitted[warmup:].sum())
+    # FIFO: the n-th served packet, which leaves in np.repeat(slot,
+    # served)[n], is the n-th admitted one; the departures of the measured
+    # window sum to slot @ served over it
+    slot = np.arange(slots)
+    first = int(served[:warmup].sum())
+    sojourn_count = int(served[warmup:].sum())
+    arrives = np.repeat(slot, admitted)[first:first + sojourn_count]
+    sojourn_sum = int(slot[warmup:] @ served[warmup:]) - int(arrives.sum())
 
-    se_queue = batch_se(queue_trace)
-    se_power = batch_se(power_trace)
+    mean_queue = float(qs[warmup:].mean())
+    se_queue = _batch_se(qs[warmup:])
     return SimReport(
         slots=slots,
         warmup=warmup,
         seed=seed,
-        batches=batches,
+        batches=BATCHES,
         mean_queue=mean_queue,
         se_queue=se_queue,
         mean_power=mean_power,
@@ -179,11 +163,11 @@ def run_sim(
         se_delay=mean_delay(cfg, se_queue),
         sojourn_mean=sojourn_sum / sojourn_count if sojourn_count else 0.0,
         sojourn_count=sojourn_count,
-        throughput=served_total / measured,
-        arrival_rate=abar,
+        throughput=sojourn_count / measured,
+        arrival_rate=mean_arrival_rate(cfg.arrival),
         drops=drops,
         drop_rate=drops / measured,
-        underflow_overrides=overrides,
+        underflow_overrides=int((ss[warmup:] > qs[warmup:]).sum()),
     )
 
 

@@ -327,7 +327,6 @@ def convergence_study(
     cfg: SystemConfig,
     m_list,
     budgets=None,
-    with_vertices: bool = False,
 ) -> ConvergenceStudy:
     """Curves for each bin count on one shared grid, finest last.
 
@@ -341,8 +340,7 @@ def convergence_study(
     discs = {m: discretize_channel(cfg.channel, m) for m in set(m_list)}
     if budgets is None:
         budgets = default_budget_grid(cfg, discs[m_list[0]])
-    curves = [sweep_curve(cfg, discs[m], budgets, with_vertices=with_vertices)
-              for m in m_list]
+    curves = [sweep_curve(cfg, discs[m], budgets) for m in m_list]
     for i, coarse in enumerate(curves):
         for fine in curves[i + 1:]:
             if fine.M % coarse.M != 0:

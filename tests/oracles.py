@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -303,6 +304,99 @@ def loop_intervals(lo, hi, q: int) -> list[tuple[float, float, int]]:
                 out.append((float(a), float(b), s))
     out.sort()
     return out
+
+
+# --- simulation, one slot at a time ---------------------------------------
+
+def loop_cdf_inverse(ch, u: float) -> float:
+    """Leftmost h with CDF(h) >= u, walking the pieces in order."""
+    if ch.kind == "uniform":
+        return ch.h_min + u * (ch.h_max - ch.h_min)
+    edges, values = ch.pieces()
+    acc = 0.0
+    for a, b, v in zip(edges[:-1], edges[1:], values):
+        step = v * (b - a)
+        if acc + step >= u:
+            if step <= 0.0:
+                return a
+            return min(a + (u - acc) / v, b)
+        acc += step
+    return ch.h_max
+
+
+def loop_run_sim(cfg, policy, slots: int, warmup: int, seed: int):
+    """The simulator with all bookkeeping inside the slot loop.
+
+    Returns the report fields in order, as a dict, and one
+    (slot, q, a, h, s, energy) row per slot.  Packets wait in a FIFO
+    deque of arrival slots; a sojourn counts when its departure slot is
+    measured.  Standard errors use 32 batch means.
+    """
+    batches = 32
+    streams = [np.random.default_rng(s)
+               for s in np.random.SeedSequence(seed).spawn(3)]
+    cum = np.cumsum(np.asarray(cfg.arrival.alphas))
+    cum[-1] = 1.0
+    arrivals = np.searchsorted(cum, streams[0].random(slots), side="right")
+    gains = [loop_cdf_inverse(cfg.channel, float(u))
+             for u in streams[1].random(slots)]
+    policy_u = streams[2].random(slots)
+
+    Q, xi = cfg.Q, cfg.xi_table
+    measured = slots - warmup
+    q = 0
+    fifo: deque[int] = deque()
+    queue_trace = np.empty(measured)
+    power_trace = np.empty(measured)
+    served_total = drops = overrides = sojourn_sum = sojourn_count = 0
+    rows = []
+    for t in range(slots):
+        h = gains[t]
+        a = int(arrivals[t])
+        s = int(policy.sample_rate(q, h, float(policy_u[t])))
+        energy = xi[s] / h
+        served = min(s, q)
+        dropped = max(q - served + a - Q, 0)
+        rows.append((t, q, a, h, s, energy))
+        if t >= warmup:
+            queue_trace[t - warmup] = q
+            power_trace[t - warmup] = energy
+            served_total += served
+            drops += dropped
+            overrides += int(s > q)
+            for _ in range(served):
+                sojourn_sum += t - fifo.popleft()
+                sojourn_count += 1
+        else:
+            for _ in range(served):
+                fifo.popleft()
+        fifo.extend([t] * (a - dropped))
+        q = q - served + a - dropped
+
+    def batch_se(x: np.ndarray) -> float:
+        cut = (measured // batches) * batches
+        means = x[:cut].reshape(batches, -1).mean(axis=1)
+        return float(means.std(ddof=1) / np.sqrt(batches))
+
+    abar = sum(k * p for k, p in enumerate(cfg.arrival.alphas))
+    mean_queue = float(queue_trace.mean())
+    se_queue = batch_se(queue_trace)
+    fields = {
+        "slots": slots, "warmup": warmup, "seed": seed, "batches": batches,
+        "mean_queue": mean_queue, "se_queue": se_queue,
+        "mean_power": float(power_trace.mean()),
+        "se_power": batch_se(power_trace),
+        "delay": mean_queue / abar if abar > 0 else mean_queue,
+        "se_delay": se_queue / abar if abar > 0 else se_queue,
+        "sojourn_mean": sojourn_sum / sojourn_count if sojourn_count else 0.0,
+        "sojourn_count": sojourn_count,
+        "throughput": served_total / measured,
+        "arrival_rate": abar,
+        "drops": drops,
+        "drop_rate": drops / measured,
+        "underflow_overrides": overrides,
+    }
+    return fields, rows
 
 
 def lower_hull(points):

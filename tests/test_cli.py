@@ -223,8 +223,10 @@ class TestPolicyFileMeaning:
         (DRAIN.replace("3,1,2,1,0\n", ""), "q=3, k=1"),
         (DRAIN.replace("4,0,2,1,0", "4,0,2,0.5,0\n4,0,1,0.6,0"), "q=4, k=0"),
         (DRAIN + "1,0,1\n", "'1,0,1'"),
+        (DRAIN.replace("0,0,0,1,0", "0,0,0,abc,0"), "'0,0,0,abc,0'"),
+        ("x,0,0,1,0\n", "'x,0,0,1,0'"),
     ], ids=["valid", "only-row-0.3", "row-0.3", "row-missing", "row-1.1",
-            "three-fields"])
+            "three-fields", "prob-not-a-number", "q-not-a-number"])
     def test_bin_policy(self, tmp_path, capsys, body, named):
         p = tmp_path / "policy.csv"
         p.write_text("q,k,s,prob,transient\n" + body)
@@ -242,8 +244,9 @@ class TestPolicyFileMeaning:
         ("0,0.5,10,0,0\n1,0.5,4,0,0\n1,4,4,1,0\n1,4,10,1,0\n", "q=1"),
         ("0,0.5,9,0,0\n", "q=0"),
         ("0,0.5,10\n", "'0,0.5,10'"),
+        ("0,0.5,ten,0,0\n", "'0,0.5,ten,0,0'"),
     ], ids=["valid", "starts-late", "gap", "overlap", "empty-rule",
-            "ends-early", "three-fields"])
+            "ends-early", "three-fields", "h-not-a-number"])
     def test_threshold_policy(self, tmp_path, capsys, body, named):
         p = tmp_path / "thresholds.csv"
         p.write_text("q,h_lo,h_hi,s,transient\n" + body)

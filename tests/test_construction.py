@@ -254,13 +254,6 @@ class TestThresholdPolicy:
 
 # a channel with a zero-density stretch inside a bin, so envelopes have
 # flat pieces and cells cross piece edges
-PIECEWISE = {
-    "arrival": {"alphas": [0.4, 0.3, 0.3]},
-    "channel": {"kind": "piecewise", "h_min": 0.5, "h_max": 10.0,
-                "table": [[2.0, 0.3], [3.0, 0.0], [10.0, 0.55 / 7]]},
-    "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"}
-
-
 def _mixed_policy_density(cfg, bins):
     """Density of a fixed randomized bin policy; no LP solve needed."""
     disc = discretize_channel(cfg.channel, bins)
@@ -295,8 +288,8 @@ class TestLoopReference:
         ("piecewise", 8, 211, "rate_descending"),
         ("piecewise", 8, 211, "rate_ascending"),
     ])
-    def test_construction_matches_loops(self, density16, name, bins, cells,
-                                        order):
+    def test_construction_matches_loops(self, density16, piecewise_cfg, name,
+                                        bins, cells, order):
         if name == "paper_iv":
             cfg = load_config(name)
             if bins == 16:
@@ -306,7 +299,7 @@ class TestLoopReference:
             else:
                 d = _lp_density(cfg, bins)
         else:
-            d = _lp_density(config_from_dict(PIECEWISE), bins)
+            d = _lp_density(piecewise_cfg, bins)
         y = compute_thresholds(d, cells, order)
         S = d.cfg.S_max
         seq = range(S, -1, -1) if order == "rate_descending" else range(S + 1)

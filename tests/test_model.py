@@ -21,7 +21,7 @@ from linksched.model import (
     validate_config,
 )
 
-from oracles import gauss_integral, uniform_bin_stats
+from oracles import gauss_integral, loop_cdf_inverse, uniform_bin_stats
 
 
 def _base_dict(**overrides):
@@ -177,6 +177,39 @@ class TestCdfInverse:
         ch = cfg.channel
         assert channel_cdf_inverse(ch, 1.0) == pytest.approx(2.0)
         assert channel_cdf_inverse(ch, 0.25) == pytest.approx(1.25)
+
+    @pytest.mark.parametrize("table", [
+        [[2.0, 0.3], [3.0, 0.0], [10.0, 0.55 / 7]],
+        [[1.0, 0.0], [2.0, 0.4], [10.0, 0.6 / 8]],
+        [[4.0, 2.0 / 7], [10.0, 0.0]],
+    ], ids=["middle", "first", "last"])
+    def test_array_matches_loop(self, table):
+        # a zero-density stretch, probed at u = 0, u = 1, at each
+        # cumulative boundary and one ulp either side of it
+        ch = config_from_dict(_base_dict(channel={
+            "kind": "piecewise", "h_min": 0.5, "h_max": 10.0,
+            "table": table})).channel
+        edges, values = ch.pieces()
+        acc, bounds = 0.0, []
+        for a, b, v in zip(edges[:-1], edges[1:], values):
+            acc += v * (b - a)
+            bounds.append(acc)
+        bounds = np.array(bounds)
+        us = np.concatenate([
+            [0.0, 1.0], bounds, np.nextafter(bounds, 0.0),
+            np.minimum(np.nextafter(bounds, 2.0), 1.0),
+            np.random.default_rng(0).random(200)])
+        want = np.array([loop_cdf_inverse(ch, float(u)) for u in us])
+        assert channel_cdf_inverse(ch, us).tobytes() == want.tobytes()
+        scalar = [channel_cdf_inverse(ch, float(u)) for u in us]
+        assert all(type(h) is float for h in scalar)
+        assert np.array(scalar).tobytes() == want.tobytes()
+
+    def test_uniform_array_formula(self, paper_cfg):
+        ch = paper_cfg.channel
+        u = np.random.default_rng(0).random(100)
+        want = ch.h_min + u * (ch.h_max - ch.h_min)
+        assert channel_cdf_inverse(ch, u).tobytes() == want.tobytes()
 
     @given(st.floats(min_value=0.0, max_value=1.0,
                      allow_nan=False, allow_infinity=False))

@@ -17,12 +17,19 @@ from linksched.construction import (
     to_threshold_policy,
 )
 from linksched.simulator import (
-    MIN_BATCHES,
     report_to_csv,
     report_to_text,
     run_sim,
     step,
 )
+from linksched.textio import csv_lines, kv_text
+
+from oracles import loop_run_sim
+
+NO_ARRIVALS = {
+    "arrival": {"alphas": [1.0]},
+    "channel": {"kind": "uniform", "h_min": 0.5, "h_max": 10.0},
+    "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"}
 
 
 class _Always:
@@ -58,10 +65,6 @@ class TestStep:
 
 
 class TestValidation:
-    def test_batches_floor(self, paper_cfg, drain_policy):
-        with pytest.raises(ValueError, match=f"batches must be >= {MIN_BATCHES}"):
-            run_sim(paper_cfg, drain_policy, 5000, batches=10)
-
     def test_warmup_must_leave_a_window(self, paper_cfg, drain_policy):
         with pytest.raises(ValueError, match="must exceed warmup"):
             run_sim(paper_cfg, drain_policy, 1000, warmup=1000)
@@ -72,7 +75,7 @@ class TestValidation:
 
     def test_window_shorter_than_batches(self, paper_cfg, drain_policy):
         with pytest.raises(ValueError, match="measured window"):
-            run_sim(paper_cfg, drain_policy, 1010, warmup=1000, batches=30)
+            run_sim(paper_cfg, drain_policy, 1010, warmup=1000)
 
     def test_default_warmup(self, paper_cfg, drain_policy):
         rep = run_sim(paper_cfg, drain_policy, 5000)
@@ -134,10 +137,7 @@ class TestAgainstExactValues:
         assert rep.throughput == pytest.approx(0.9, abs=0.02)
 
     def test_no_arrivals_is_silent(self):
-        cfg = config_from_dict({
-            "arrival": {"alphas": [1.0]},
-            "channel": {"kind": "uniform", "h_min": 0.5, "h_max": 10.0},
-            "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"})
+        cfg = config_from_dict(NO_ARRIVALS)
         rep = run_sim(cfg, _Always(0), 5000, seed=0)
         assert rep.mean_queue == 0.0
         assert rep.mean_power == 0.0
@@ -182,3 +182,39 @@ class TestReportFormats:
         header, row = (ln.split(",") for ln in lines)
         assert len(header) == len(row) == 17
         assert header[0] == "slots" and row[0] == "5000"
+
+
+class TestLoopReference:
+    """The path-based simulator against its slot-loop form: the same
+    report and trace, to the last byte."""
+
+    @pytest.fixture(scope="class")
+    def cases(self, paper_cfg, piecewise_cfg, solution16, density16):
+        _, m = min_delay(piecewise_cfg,
+                         discretize_channel(piecewise_cfg.channel, 5))
+        mixed = extract_policy(solution16.measure)
+        assert mixed.kind == "probabilistic"
+        return {
+            "bin": (paper_cfg, mixed, 6000, None),
+            "threshold": (paper_cfg, to_threshold_policy(
+                compute_thresholds(density16, 200)), 6000, None),
+            "never-send": (paper_cfg, _Always(0), 6000, None),
+            "over-send": (paper_cfg, _Always(2), 6000, None),
+            "warmup-0": (paper_cfg, mixed, 3000, 0),
+            "no-arrivals": (config_from_dict(NO_ARRIVALS), _Always(1), 3000,
+                            None),
+            "piecewise": (piecewise_cfg, extract_policy(m), 6000, 500),
+        }
+
+    @pytest.mark.parametrize("seed", [0, 17])
+    @pytest.mark.parametrize("name", ["bin", "threshold", "never-send",
+                                      "over-send", "warmup-0", "no-arrivals",
+                                      "piecewise"])
+    def test_matches_loop(self, cases, tmp_path, name, seed):
+        cfg, pol, slots, warmup = cases[name]
+        path = tmp_path / "trace.csv"
+        rep = run_sim(cfg, pol, slots, warmup=warmup, seed=seed,
+                      trace_path=str(path))
+        fields, rows = loop_run_sim(cfg, pol, slots, rep.warmup, seed)
+        assert report_to_text(rep) == kv_text(fields.items())
+        assert path.read_text() == "".join(csv_lines(rows))
