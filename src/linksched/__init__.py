@@ -22,7 +22,6 @@ from .occupancy_lp import (
     OccupancyMeasure,
     Policy,
     ReducibleChainError,
-    admissible_pairs,
     build_occupancy_lp,
     evaluate_measure,
     extract_policy,
@@ -54,6 +53,7 @@ from .simplex import LinearProgram, SimplexAnomaly, SimplexResult, solve_simplex
 from .simulator import SimReport, report_to_csv, report_to_text, run_sim
 from .sweep import (
     ConvergenceStudy,
+    InfeasibleCurveError,
     SweepError,
     TradeoffCurve,
     Vertex,

@@ -53,6 +53,7 @@ from .occupancy_lp import (
 from .simplex import SimplexAnomaly
 from .simulator import report_to_csv, report_to_text, run_sim
 from .sweep import (
+    InfeasibleCurveError,
     SweepError,
     TradeoffCurve,
     convergence_study,
@@ -278,8 +279,9 @@ def _cmd_simulate(args) -> int:
     _write_atomic(os.path.join(outdir, "report.txt"), report_to_text(rep))
     _write_atomic(os.path.join(outdir, "report.csv"), report_to_csv(rep))
     _write_manifest(outdir, "simulate", args.config, {
-        "policy": args.policy, "slots": args.slots, "warmup": rep.warmup,
-        "seed": args.seed, "trace": bool(args.trace), "outdir": outdir})
+        "policy": args.policy, "bins": args.bins, "slots": args.slots,
+        "warmup": rep.warmup, "seed": args.seed, "trace": bool(args.trace),
+        "outdir": outdir})
     print(f"delay={fmt(rep.delay)}+-{fmt(rep.se_delay)} "
           f"power={fmt(rep.mean_power)}+-{fmt(rep.se_power)} "
           f"drops={rep.drops} overrides={rep.underflow_overrides}")
@@ -325,7 +327,7 @@ def _cmd_verify(args) -> int:
     slack = abs(sol.delay_dual * (delay - d_th))
     check("dual complementarity <= 1e-6", slack <= 1e-6, f"|dual*slack|={fmt(slack)}")
 
-    lam_sol, lam_d, lam_p = solve_lagrangian(cfg, disc16, max(sol.delay_dual, 0.0))
+    _, lam_d, lam_p = solve_lagrangian(cfg, disc16, max(sol.delay_dual, 0.0))
     scal_gap = (lam_p + sol.delay_dual * lam_d) - (power + sol.delay_dual * delay)
     check("scalarized value consistent <= 1e-6", abs(scal_gap) <= 1e-6,
           f"gap={fmt(scal_gap)}")
@@ -488,9 +490,8 @@ def main(argv=None) -> int:
         print(f"solver anomaly: {e}", file=sys.stderr)
         return EXIT_ANOMALY
     except SweepError as e:
-        msg = str(e)
-        print(f"error: {msg}", file=sys.stderr)
-        if "infeasible" in msg:
+        print(f"error: {e}", file=sys.stderr)
+        if isinstance(e, InfeasibleCurveError):
             return EXIT_INFEASIBLE
         return EXIT_ANOMALY
 

@@ -358,7 +358,6 @@ def verify_feasibility(y: ConstructedSolution) -> FeasibilityReport:
             pos = np.clip(np.searchsorted(los, hs, side="left") - 1, 0,
                           los.size - 1)
             covered[q] = (hs > los[pos]) & (hs <= his[pos])
-            covered[q] |= np.isclose(hs, cfg.channel.h_min)  # measure-zero edge
     dens = d.values.sum(axis=1)[:, piece_idx]
     total = _ordered_sum(np.where(covered, dens, 0.0))
     channel_residual = float(np.abs(total - f_ref).max())

@@ -39,7 +39,6 @@ from .simplex import (
     FEAS_TOL,
     LinearProgram,
     SimplexAnomaly,
-    SimplexResult,
     solve_simplex,
 )
 from .textio import csv_text, read_rows
@@ -67,12 +66,6 @@ def transition_table(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     np.add.at(P, (q, s, nxt), alphas[a])
     mask = (nxt == q - s + a).all(axis=2)
     return P, mask
-
-
-def admissible_pairs(cfg: SystemConfig) -> list[tuple[int, int]]:
-    """(q, s) with 0 <= q - s <= Q - A, s <= S_max; q-major order."""
-    _, mask = transition_table(cfg)
-    return [(int(q), int(s)) for q, s in np.argwhere(mask)]
 
 
 def _ordered_sum(terms: np.ndarray) -> np.ndarray:
@@ -185,23 +178,21 @@ class LpSolution:
 
 @dataclass(frozen=True)
 class OccupancyLp:
-    """Matrix form plus the (q, s, k) meaning of each column.
+    """Matrix form; columns are the admissible mask times the bins.
 
-    lp minimizes power; power and delay are the per-column costs, so a
-    solve with another objective swaps lp.c and keeps the rows.
+    Column j is bin j % bins of the (j // bins)-th admissible (q, s)
+    pair of transition_table's mask (q-major, then s), so a solution
+    scatters as g[mask] = x.reshape(-1, bins).  lp minimizes power;
+    power and delay are the per-column costs, so a solve with another
+    objective swaps lp.c and keeps the rows.
     """
 
     cfg: SystemConfig
     disc: ChannelDiscretization
     lp: LinearProgram
-    var_index: tuple[tuple[int, int, int], ...]
-    d_th: float | None
+    mask: np.ndarray  # (Q+1, S_max+1) admissible (q, s) pairs
     power: np.ndarray
     delay: np.ndarray
-
-    @property
-    def num_vars(self) -> int:
-        return len(self.var_index)
 
 
 def build_occupancy_lp(
@@ -210,7 +201,7 @@ def build_occupancy_lp(
     """Assemble the power-minimizing LP.
 
     The delay row is included only for a finite d_th with a nonzero
-    arrival rate.  Variable order is q-major, then s, then k.
+    arrival rate.
     """
     P, mask = transition_table(cfg)
     qs, ss = np.nonzero(mask)
@@ -239,62 +230,57 @@ def build_occupancy_lp(
         b_ub = np.array([d_th])
 
     lp = LinearProgram.build(power_c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub)
-    var_index = tuple((q, s, kk) for q, s in zip(qs.tolist(), ss.tolist())
-                      for kk in range(M))
-    return OccupancyLp(cfg, disc, lp, var_index, d_th, power_c, delay_c)
+    return OccupancyLp(cfg, disc, lp, mask, power_c, delay_c)
 
 
-def _measure_from_x(olp: OccupancyLp, x: np.ndarray) -> OccupancyMeasure:
-    g = np.zeros((olp.cfg.Q + 1, olp.cfg.S_max + 1, olp.disc.bins))
-    q, s, k = np.array(olp.var_index).T
-    g[q, s, k] = np.where(x > 0.0, x, 0.0)
-    return OccupancyMeasure(olp.cfg, olp.disc, g)
+def _solve(cfg: SystemConfig, disc: ChannelDiscretization,
+           d_th: float | None, objective):
+    """Build, solve with lp.c = objective(olp), scatter x onto the mask.
 
-
-def _finish(olp: OccupancyLp, res: SimplexResult) -> LpSolution:
+    Returns the SimplexResult and its measure (None unless optimal).
+    """
+    olp = build_occupancy_lp(cfg, disc, d_th)
+    res = solve_simplex(replace(olp.lp, c=objective(olp)))
     if res.status != "optimal":
-        return LpSolution(res.status, None, None, 0.0, res.iterations)
-    dual = 0.0
-    if res.duals_ub is not None and res.duals_ub.size:
-        dual = -float(res.duals_ub[0])  # price of one unit of delay budget
-    return LpSolution(
-        "optimal", res.objective, _measure_from_x(olp, res.x), dual, res.iterations
-    )
+        return res, None
+    g = np.zeros((cfg.Q + 1, cfg.S_max + 1, disc.bins))
+    g[olp.mask] = np.where(res.x > 0.0, res.x, 0.0).reshape(-1, disc.bins)
+    return res, OccupancyMeasure(cfg, disc, g)
 
 
 def solve_constrained(
     cfg: SystemConfig, disc: ChannelDiscretization, d_th: float | None
 ) -> LpSolution:
     """Minimum average power subject to average delay <= d_th."""
-    olp = build_occupancy_lp(cfg, disc, d_th)
-    return _finish(olp, solve_simplex(olp.lp))
+    res, measure = _solve(cfg, disc, d_th, lambda olp: olp.power)
+    if measure is None:
+        return LpSolution(res.status, None, None, 0.0, res.iterations)
+    # price of one unit of delay budget
+    dual = -float(res.duals_ub[0]) if res.duals_ub.size else 0.0
+    return LpSolution("optimal", res.objective, measure, dual, res.iterations)
 
 
 def min_delay(
     cfg: SystemConfig, disc: ChannelDiscretization
-) -> tuple[float, OccupancyMeasure | None]:
+) -> tuple[float, OccupancyMeasure]:
     """Smallest achievable average delay."""
-    olp = build_occupancy_lp(cfg, disc, None)
-    res = solve_simplex(replace(olp.lp, c=olp.delay))
-    if res.status != "optimal":
+    res, measure = _solve(cfg, disc, None, lambda olp: olp.delay)
+    if measure is None:
         raise SimplexAnomaly(f"min-delay solve returned {res.status}")
-    return float(res.objective), _measure_from_x(olp, res.x)
+    return float(res.objective), measure
 
 
 def solve_lagrangian(
     cfg: SystemConfig, disc: ChannelDiscretization, lam: float
-) -> tuple[LpSolution, float, float]:
-    """Minimize power + lam * delay; returns (solution, delay, power)."""
+) -> tuple[OccupancyMeasure, float, float]:
+    """Minimize power + lam * delay; returns (measure, delay, power)."""
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    olp = build_occupancy_lp(cfg, disc, None)
-    res = solve_simplex(replace(olp.lp, c=olp.power + lam * olp.delay))
-    if res.status != "optimal":
+    res, measure = _solve(cfg, disc, None,
+                          lambda olp: olp.power + lam * olp.delay)
+    if measure is None:
         raise SimplexAnomaly(f"weighted solve returned {res.status}")
-    measure = _measure_from_x(olp, res.x)
-    delay, power = evaluate_measure(measure)
-    sol = LpSolution("optimal", power, measure, lam, res.iterations)
-    return sol, delay, power
+    return (measure, *evaluate_measure(measure))
 
 
 def evaluate_measure(m: OccupancyMeasure) -> tuple[float, float]:

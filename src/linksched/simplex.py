@@ -11,6 +11,11 @@ Equality rows that phase 1 proves redundant (their artificial stays
 basic at a value <= FEAS_TOL and cannot be pivoted out) are dropped
 before phase 2.  Duals are read off the final reduced costs of the
 identity columns, so every kept row reports a multiplier.
+
+A solve holds at most two tableau-sized arrays: the tableau, built
+straight from the LinearProgram, and one scratch array that takes the
+pivot's outer product in both phases and the drive-out, and receives
+the kept rows when redundant ones are dropped (the two then swap roles).
 """
 
 from __future__ import annotations
@@ -67,18 +72,17 @@ class SimplexResult:
     iterations: int = 0
 
 
-def _bland_iterate(T, basis, cost, allowed):
+def _bland_iterate(T, basis, cost, allowed, work):
     """Run Bland pivots in place until optimal or a ray appears.
 
     Returns ("optimal", iters) or ("unbounded", iters).  T has shape
     (m, ncols + 1) with the RHS in the last column; basis[i] is the
-    basic column of row i.
+    basic column of row i; work is scratch of T's shape.
     """
     m, w = T.shape
     ncols = w - 1
     iters = 0
     col_ids = np.arange(ncols)
-    work = np.empty_like(T)
     while True:
         y = cost[basis] @ T[:, :ncols]
         reduced = cost[:ncols] - y
@@ -127,18 +131,7 @@ def solve_simplex(lp: LinearProgram) -> SimplexResult:
     n = lp.c.shape[0]
     me, mu = lp.A_eq.shape[0], lp.A_ub.shape[0]
     m = me + mu
-
-    A = np.zeros((m, n + mu))
-    b = np.zeros(m)
-    A[:me, :n] = lp.A_eq
-    b[:me] = lp.b_eq
-    A[me:, :n] = lp.A_ub
-    A[me:, n : n + mu] = np.eye(mu)
-    b[me:] = lp.b_ub
-
-    flip = b < 0.0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
+    flip = np.concatenate([lp.b_eq, lp.b_ub]) < 0.0
 
     # one identity column per row: an artificial, except for ub rows
     # whose +1 slack can start basic
@@ -148,15 +141,23 @@ def solve_simplex(lp: LinearProgram) -> SimplexResult:
                      n + np.arange(m) - me)
 
     T = np.zeros((m, ncols + 1))
-    T[:, : n + mu] = A
-    T[:, ncols] = b
+    T[:me, :n] = lp.A_eq
+    T[me:, :n] = lp.A_ub
+    T[me + np.arange(mu), n + np.arange(mu)] = 1.0
+    T[:me, ncols] = lp.b_eq
+    T[me:, ncols] = lp.b_ub
+    # negate negative-RHS rows (slack block included) in place, row by row
+    for i in np.flatnonzero(flip):
+        T[i, : n + mu] *= -1.0
+    T[flip, ncols] *= -1.0
     T[needs_art, ident[needs_art]] = 1.0
     basis = ident.copy()
+    work = np.empty_like(T)
 
     art_mask = np.arange(ncols) >= n + mu
     phase1_cost = art_mask.astype(float)
-    allowed = np.ones(ncols, dtype=bool)
-    status, it1 = _bland_iterate(T, basis, phase1_cost, allowed)
+    status, it1 = _bland_iterate(T, basis, phase1_cost,
+                                 np.ones(ncols, dtype=bool), work)
     if status == "unbounded":
         raise SimplexAnomaly("descent ray in phase 1")
     phase1_obj = float(phase1_cost[basis] @ T[:, ncols])
@@ -165,7 +166,6 @@ def solve_simplex(lp: LinearProgram) -> SimplexResult:
 
     # pivot lingering artificials out, or drop their (redundant) rows
     keep = np.ones(m, dtype=bool)
-    work = np.empty_like(T)
     for i in np.nonzero(basis >= n + mu)[0]:
         drivable = np.nonzero(np.abs(T[i, : n + mu]) > DRIVE_TOL)[0]
         if drivable.size:
@@ -176,13 +176,13 @@ def solve_simplex(lp: LinearProgram) -> SimplexResult:
             keep[i] = False
     dropped = tuple(int(i) for i in np.nonzero(~keep)[0] if i < me)
     if not keep.all():
-        T = T[keep]
+        k = int(keep.sum())
+        np.take(T, np.nonzero(keep)[0], axis=0, out=work[:k], mode="clip")
+        T, work = work[:k], T[:k]
         basis = basis[keep]
 
-    phase2_cost = np.zeros(ncols)
-    phase2_cost[:n] = lp.c
-    allowed = ~art_mask
-    status, it2 = _bland_iterate(T, basis, phase2_cost, allowed)
+    phase2_cost = np.concatenate([lp.c, np.zeros(ncols - n)])
+    status, it2 = _bland_iterate(T, basis, phase2_cost, ~art_mask, work)
     iterations = it1 + it2
     if status == "unbounded":
         return SimplexResult(status="unbounded", iterations=iterations)
@@ -193,8 +193,7 @@ def solve_simplex(lp: LinearProgram) -> SimplexResult:
     objective = float(lp.c @ xout)
 
     # duals from identity-column reduced costs: r_j = 0 - y_i on e_i cols
-    y_row = phase2_cost[basis] @ T[:, :ncols]
-    reduced = phase2_cost[:ncols] - y_row
+    reduced = phase2_cost - phase2_cost[basis] @ T[:, :ncols]
     duals = np.zeros(m)
     duals[keep] = -reduced[ident[keep]]
     duals[flip & keep] *= -1.0

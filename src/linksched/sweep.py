@@ -47,6 +47,10 @@ class SweepError(RuntimeError):
     """A sweep-level contract failed (empty curve, bad enumeration)."""
 
 
+class InfeasibleCurveError(SweepError):
+    """Every budget of a sweep is infeasible."""
+
+
 @dataclass(frozen=True)
 class Vertex:
     """One corner of the piecewise-linear tradeoff curve."""
@@ -131,8 +135,8 @@ def enumerate_vertices(
             if solves >= MAX_VERTEX_SOLVES:
                 raise SweepError("vertex enumeration did not converge")
             solves += 1
-            sol, delay, power = solve_lagrangian(cfg, disc, lam)
-            cache[lam] = (delay, power, extract_policy(sol.measure))
+            measure, delay, power = solve_lagrangian(cfg, disc, lam)
+            cache[lam] = (delay, power, extract_policy(measure))
         return cache[lam]
 
     d_min, _ = min_delay(cfg, disc)
@@ -283,7 +287,8 @@ def sweep_curve(
         kept.append(float(d_th))
         powers.append(sol.objective)
     if not kept:
-        raise SweepError(f"empty curve: all {len(budgets)} budgets infeasible")
+        raise InfeasibleCurveError(
+            f"empty curve: all {len(budgets)} budgets infeasible")
     powers_arr = np.asarray(powers)
     if np.any(np.diff(powers_arr) > HULL_TOL):
         raise SweepError("curve is not nonincreasing in the budget")
@@ -336,7 +341,7 @@ def convergence_study(
     """
     m_list = list(m_list)
     if any(b > a for a, b in zip(m_list[1:], m_list[:-1])):
-        raise SweepError("bin counts must be nondecreasing")
+        raise ValueError("bin counts must be nondecreasing")
     discs = {m: discretize_channel(cfg.channel, m) for m in set(m_list)}
     if budgets is None:
         budgets = default_budget_grid(cfg, discs[m_list[0]])

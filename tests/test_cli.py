@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
@@ -72,6 +73,45 @@ class TestExitCodes:
 
     def test_version_exits_zero(self):
         assert main(["--version"]) == 0
+
+    def test_decreasing_bin_list_is_usage(self, tmp_path, capsys):
+        rc = main(["sweep", "--bins-list", "4,2", "--outdir", str(tmp_path)])
+        assert rc == 1
+        assert "nondecreasing" in capsys.readouterr().err
+
+    def test_all_budgets_infeasible_is_two(self, tmp_path, capsys):
+        rc = main(["sweep", "--bins-list", "2", "--dgrid", "0.01,0.02",
+                   "--outdir", str(tmp_path)])
+        assert rc == 2
+        assert "all 2 budgets infeasible" in capsys.readouterr().err
+
+
+class TestManifest:
+    # one cheap run per subcommand on the tiny config; simulate reads
+    # the policy that solve wrote
+    RUNS = {
+        "solve": ["--bins", "2", "--dth", "3"],
+        "sweep": ["--bins-list", "1,2", "--dgrid", "3"],
+        "vertices": ["--bins", "2"],
+        "construct": ["--bins", "2", "--dth", "3", "--M", "4"],
+        "simulate": ["--policy", "solve/policy.csv", "--bins", "2",
+                     "--slots", "2000"],
+        "verify": [],
+    }
+
+    def test_params_name_every_option(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        sub = next(a for a in cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(self.RUNS)
+        for name, sp in sub.choices.items():
+            main([name, "--config", "tiny", *self.RUNS[name],
+                  "--outdir", name])
+            manifest = json.loads((tmp_path / name / "manifest.json")
+                                  .read_text())
+            options = {a.dest for a in sp._actions if a.option_strings
+                       and a.dest not in ("help", "config")}
+            assert options - set(manifest["params"]) == set(), name
 
 
 class TestSolveOutputs:

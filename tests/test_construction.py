@@ -198,6 +198,23 @@ class TestNegativeControls:
         assert verify_feasibility(bad).rate_residual > 1e-8
 
 
+    def test_gap_next_to_h_min_breaks_channel_residual(self):
+        # on a narrow channel the lowest stratified samples lie within
+        # 1e-5 of h_min; a gap there must still leave them uncovered
+        cfg = config_from_dict({
+            "arrival": {"alphas": [0.4, 0.3, 0.3]},
+            "channel": {"kind": "uniform", "h_min": 1.0, "h_max": 1.01},
+            "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"})
+        sol = solve_constrained(cfg, discretize_channel(cfg.channel, 4), 3.0)
+        y = compute_thresholds(density_from_measure(sol.measure), 8)
+        lo = y.lo.copy()
+        k, s = np.argwhere((lo[0] == 1.0) & (y.hi[0] > lo[0]))[0]
+        lo[0, k, s] = 1.000005  # q=0 no longer covers (1, 1.000005]
+        bad = ConstructedSolution(y.source, y.cells, y.order, lo, y.hi)
+        assert verify_feasibility(y).channel_residual <= 1e-8
+        assert verify_feasibility(bad).channel_residual > 1.0
+
+
 class TestThresholdPolicy:
     def test_rules_match_intervals(self, built16):
         pol = to_threshold_policy(built16)

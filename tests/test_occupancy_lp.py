@@ -16,7 +16,6 @@ from linksched.occupancy_lp import (
     OccupancyMeasure,
     Policy,
     ReducibleChainError,
-    admissible_pairs,
     build_occupancy_lp,
     evaluate_measure,
     extract_policy,
@@ -45,28 +44,51 @@ from oracles import (
 )
 
 
+def column_triples(olp):
+    """(q, s, k) of each LP column, read off the admissible mask."""
+    return [(int(q), int(s), k) for q, s in np.argwhere(olp.mask)
+            for k in range(olp.disc.bins)]
+
+
 class TestStructure:
     def test_admissible_pairs_paper(self, paper_cfg):
-        pairs = set(admissible_pairs(paper_cfg))
-        assert (0, 0) in pairs
-        assert (0, 1) not in pairs  # cannot send from an empty queue
-        assert (10, 2) in pairs
+        _, mask = transition_table(paper_cfg)
+        assert mask[0, 0]
+        assert not mask[0, 1]  # cannot send from an empty queue
+        assert mask[10, 2]
         # a backlog near the buffer cap must transmit enough to absorb
         # the worst-case arrival burst without structural overflow
-        assert (10, 0) not in pairs and (10, 1) not in pairs
-        assert (9, 1) in pairs and (9, 0) not in pairs
+        assert not mask[10, 0] and not mask[10, 1]
+        assert mask[9, 1] and not mask[9, 0]
 
     def test_variable_count_m2(self, paper_cfg):
         disc = discretize_channel(paper_cfg.channel, 2)
         prob = build_occupancy_lp(paper_cfg, disc, 3.0)
-        assert prob.num_vars == len(prob.var_index)
-        assert prob.num_vars == 2 * len(list(admissible_pairs(paper_cfg)))
-        assert prob.num_vars == 54
+        assert np.array_equal(prob.mask, transition_table(paper_cfg)[1])
+        assert prob.lp.c.size == 2 * int(prob.mask.sum())
+        assert prob.lp.c.size == 54
 
-    def test_var_index_queue_major(self, paper_cfg, disc16):
+    def test_columns_queue_major(self, paper_cfg, disc16):
         prob = build_occupancy_lp(paper_cfg, disc16, 3.0)
-        qs = [q for q, _, _ in prob.var_index]
-        assert qs == sorted(qs)
+        triples = column_triples(prob)
+        assert len(triples) == prob.lp.c.size
+        assert triples == sorted(triples)
+
+    def test_column_cost_and_rows(self, paper_cfg):
+        # each column's costs and equality rows are those of its triple
+        disc = discretize_channel(paper_cfg.channel, 4)
+        prob = build_occupancy_lp(paper_cfg, disc, 3.0)
+        P, _ = transition_table(paper_cfg)
+        xi, r = np.asarray(paper_cfg.xi_table), np.asarray(disc.inv_means)
+        for j, (q, s, k) in enumerate(column_triples(prob)):
+            assert prob.power[j] == xi[s] * r[k]
+            # paper_iv's mean arrival rate is 0.9
+            assert prob.delay[j] == pytest.approx(q / 0.9, abs=1e-12)
+            col = prob.lp.A_eq[:, j]
+            assert col[:4].tolist() == [float(b == k) for b in range(4)]
+            want = -np.outer(P[q, s], disc.masses)
+            want[q, k] += 1.0
+            assert col[4:] == pytest.approx(want.ravel(), abs=1e-15)
 
 
 @st.composite
@@ -101,7 +123,6 @@ class TestTransitionTable:
         pairs = [(q, s) for q in range(Q + 1) for s in range(S + 1)
                  if 0 <= q - s <= Q - A]
         assert [tuple(qs) for qs in np.argwhere(mask)] == pairs
-        assert admissible_pairs(cfg) == pairs
 
 
 class TestLoopReference:
@@ -128,7 +149,7 @@ class TestLoopReference:
         if source == "lp":
             m = solution16.measure
         elif source == "lagrangian":
-            m = solve_lagrangian(paper_cfg, disc16, 0.05)[0].measure
+            m = solve_lagrangian(paper_cfg, disc16, 0.05)[0]
         else:
             # 10 rates, so each row sums pairwise; dust, all-dust and
             # all-zero rows
@@ -166,8 +187,7 @@ class TestLoopReference:
 class TestSolve:
     def test_measure_satisfies_all_rows(self, paper_cfg, disc16, solution16):
         prob = build_occupancy_lp(paper_cfg, disc16, 3.0)
-        x = np.array([solution16.measure.values[q, s, k]
-                      for q, s, k in prob.var_index])
+        x = solution16.measure.values[prob.mask].ravel()
         res_eq = np.abs(prob.lp.A_eq @ x - prob.lp.b_eq).max()
         assert res_eq <= 1e-8
         assert (prob.lp.A_ub @ x - prob.lp.b_ub).max() <= 1e-8
@@ -218,12 +238,10 @@ class TestSolve:
             "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"})
         disc = discretize_channel(cfg.channel, 2)
         olp = build_occupancy_lp(cfg, disc, None)
-        x = np.array([1.0 if (q, s) in ((0, 0), (4, 0), (7, 1)) else 0.0
-                      for q, s, _ in olp.var_index])
-        x /= x.sum()
         g = np.zeros((cfg.Q + 1, cfg.S_max + 1, disc.bins))
-        for j, (q, s, k) in enumerate(olp.var_index):
-            g[q, s, k] = x[j]
+        g[[0, 4, 7], [0, 0, 1], :] = 1.0 / 6.0
+        x = g[olp.mask].ravel()
+        assert x.sum() == pytest.approx(1.0, abs=1e-15)
         delay, _ = evaluate_measure(OccupancyMeasure(cfg, disc, g))
         assert delay == pytest.approx(float(olp.delay @ x), abs=1e-12)
         assert delay == pytest.approx(11.0 / 3.0, abs=1e-12)
@@ -236,9 +254,9 @@ class TestSolve:
             "channel": {"kind": "uniform", "h_min": 0.5, "h_max": 10.0},
             "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"})
         disc = discretize_channel(cfg.channel, 2)
-        sol, delay, power = solve_lagrangian(cfg, disc, 1.0)
+        measure, delay, power = solve_lagrangian(cfg, disc, 1.0)
         assert (delay, power) == (0.0, 0.0)
-        assert sol.measure.queue_marginal()[0] == pytest.approx(1.0,
+        assert measure.queue_marginal()[0] == pytest.approx(1.0,
                                                                 abs=1e-12)
 
     def test_delay_dual_sign_and_slack(self, solution16):

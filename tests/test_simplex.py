@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from linksched.occupancy_lp import build_occupancy_lp
 from linksched.simplex import LinearProgram, solve_simplex
 
 from oracles import best_basic_solution, random_bounded_lp
@@ -79,6 +82,24 @@ class TestRedundancy:
         res = _solve([1.0, 1.0],
                      A_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[2.0, 3.0])
         assert res.status == "infeasible"
+
+
+class TestMemory:
+    def test_peak_is_about_two_tableaus(self, paper_cfg, disc16):
+        # a solve holds the tableau and one scratch array, also across
+        # the row drop; staging or per-phase copies would push past 2.2x
+        lp = build_occupancy_lp(paper_cfg, disc16, 3.0).lp
+        me, mu = lp.A_eq.shape[0], lp.A_ub.shape[0]
+        arts = me + int((lp.b_ub < 0.0).sum())
+        tableau = (me + mu) * (lp.c.size + mu + arts + 1) * 8
+        tracemalloc.start()
+        try:
+            res = solve_simplex(lp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.status == "optimal" and res.dropped_eq_rows
+        assert peak <= 2.2 * tableau, peak / tableau
 
 
 class TestDuals:

@@ -143,7 +143,7 @@ class TestConvergence:
         assert study.sup_gaps[0] == 0.0
 
     def test_decreasing_bin_counts_rejected(self, paper_cfg):
-        with pytest.raises(SweepError, match="nondecreasing"):
+        with pytest.raises(ValueError, match="nondecreasing"):
             convergence_study(paper_cfg, (4, 2), budgets=[2.0])
 
 
