@@ -1,7 +1,11 @@
 """Command-line front end: reproducible runs with file outputs.
 
-Every subcommand resolves its parameters, writes its outputs plus a
-run manifest into one directory, and prints a short summary.  Outputs
+Every subcommand runs in one skeleton.  `main` loads the config and
+resolves the output directory; the command computes, prints a short
+summary and returns its exit code with its outputs as {file name:
+text}; `main` then writes those files atomically, plus a run manifest
+whose parameters are the parsed options, each default the command
+resolved (outdir, lambda_max, warmup) written back into them.  Outputs
 are pure functions of the manifest's parameters (simulation included,
 via the seed), so re-running a manifest reproduces them byte for byte;
 the manifest's own timestamp is the only thing that moves.
@@ -24,6 +28,7 @@ import numpy as np
 
 from . import __version__
 from .construction import (
+    RATIO_TOL,
     THRESHOLD_HEADER,
     ConstructionError,
     MassRangeError,
@@ -36,7 +41,7 @@ from .construction import (
     verify_deterministic,
     verify_feasibility,
 )
-from .model import discretize_channel, load_config, validate_config
+from .model import discretize_channel, load_config
 from .occupancy_lp import (
     POLICY_HEADER,
     ReducibleChainError,
@@ -62,6 +67,7 @@ from .sweep import (
     default_lambda_max,
     distances_to_csv,
     enumerate_vertices,
+    hull_gap,
     policy_id,
     sweep_curve,
     vertices_to_csv,
@@ -99,24 +105,6 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _write_manifest(outdir: str, command: str, config: str, params: dict) -> None:
-    manifest = {
-        "command": command,
-        "config": config,
-        "params": params,
-        "version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    _write_atomic(os.path.join(outdir, "manifest.json"),
-                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-
-
-def _outdir(args) -> str:
-    d = args.outdir or os.environ.get(OUTDIR_ENV) or "."
-    os.makedirs(d, exist_ok=True)
-    return d
-
-
 def _parse_floats(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
@@ -125,20 +113,25 @@ def _parse_ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
-# --- subcommands -----------------------------------------------------------
+def _construct(dens, cells: int, order: str = "rate_descending"):
+    """(thresholds, feasibility, determinism, power ratio), each step
+    called by its name in this module, where perfbench/spans.py wraps it."""
+    y = compute_thresholds(dens, cells, order=order)
+    return y, verify_feasibility(y), verify_deterministic(y), power_ratio(y, dens)
 
-def _cmd_solve(args) -> int:
-    cfg = load_config(args.config)
+
+# --- subcommands -----------------------------------------------------------
+# Each takes (args, cfg) and returns (exit code, {file name: text}, label
+# for the "wrote" line, None meaning the file names).  No files, no writes.
+
+def _cmd_solve(args, cfg):
     disc = discretize_channel(cfg.channel, args.bins)
-    outdir = _outdir(args)
     sol = solve_constrained(cfg, disc, args.dth)
     if sol.status != "optimal":
         print(f"status={sol.status}")
-        return EXIT_INFEASIBLE
+        return EXIT_INFEASIBLE, {}, None
     delay, power = evaluate_measure(sol.measure)
     pol = extract_policy(sol.measure)
-    _write_atomic(os.path.join(outdir, "measure.csv"), measure_to_text(sol.measure))
-    _write_atomic(os.path.join(outdir, "policy.csv"), policy_to_text(pol))
     metrics = [
         ("status", sol.status),
         ("objective", sol.objective),
@@ -148,45 +141,31 @@ def _cmd_solve(args) -> int:
         ("iterations", sol.iterations),
         ("policy_kind", pol.kind),
     ]
-    _write_atomic(os.path.join(outdir, "metrics.txt"), kv_text(metrics))
-    _write_manifest(outdir, "solve", args.config, {
-        "bins": args.bins, "dth": args.dth, "outdir": outdir})
     print(f"status=optimal power={fmt(power)} delay={fmt(delay)} "
           f"policy={pol.kind}")
-    print(f"wrote measure.csv policy.csv metrics.txt in {outdir}")
-    return EXIT_OK
+    return EXIT_OK, {"measure.csv": measure_to_text(sol.measure),
+                     "policy.csv": policy_to_text(pol),
+                     "metrics.txt": kv_text(metrics)}, None
 
 
-def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
-    bins_list = _parse_ints(args.bins_list)
-    budgets = _parse_floats(args.dgrid) if args.dgrid else None
-    outdir = _outdir(args)
-    study = convergence_study(cfg, bins_list, budgets)
-    for curve in study.curves:
-        _write_atomic(os.path.join(outdir, f"curve_m{curve.M}.csv"),
-                      curve_to_csv(curve))
+def _cmd_sweep(args, cfg):
+    bins_list = args.bins_list
+    study = convergence_study(cfg, bins_list, args.dgrid)
+    files = {f"curve_m{c.M}.csv": curve_to_csv(c) for c in study.curves}
+    files["sup_gaps.txt"] = csv_text("pair,sup_gap", (
+        (f"{a}-{b}", g)
+        for a, b, g in zip(bins_list[:-1], bins_list[1:], study.sup_gaps)))
     gaps = ",".join(fmt(g) for g in study.sup_gaps)
-    _write_atomic(os.path.join(outdir, "sup_gaps.txt"), csv_text(
-        "pair,sup_gap", ((f"{a}-{b}", g) for a, b, g in zip(
-            bins_list[:-1], bins_list[1:], study.sup_gaps))))
-    _write_manifest(outdir, "sweep", args.config, {
-        "bins_list": bins_list,
-        "dgrid": budgets if budgets is None else [float(b) for b in budgets],
-        "outdir": outdir})
     print(f"curves for M={bins_list} ({len(study.curves[0].budgets)} budgets);"
           f" sup gaps {gaps}")
-    print(f"wrote {len(study.curves)} curve CSVs in {outdir}")
-    return EXIT_OK
+    return EXIT_OK, files, f"{len(study.curves)} curve CSVs"
 
 
-def _cmd_vertices(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_vertices(args, cfg):
     disc = discretize_channel(cfg.channel, args.bins)
-    outdir = _outdir(args)
-    lam_max = args.lambda_max if args.lambda_max else default_lambda_max(cfg)
+    args.lambda_max = args.lambda_max or default_lambda_max(cfg)
     if args.full:
-        verts = enumerate_vertices(cfg, disc, lam_max)
+        verts = enumerate_vertices(cfg, disc, args.lambda_max)
         curve = TradeoffCurve(
             M=disc.bins,
             budgets=np.array([v.D for v in verts]),
@@ -195,40 +174,26 @@ def _cmd_vertices(args) -> int:
     else:
         grid = default_budget_grid(cfg, disc)
         curve = sweep_curve(cfg, disc, [grid[0], grid[-1]],
-                            with_vertices=True, lambda_max=lam_max)
-    _write_atomic(os.path.join(outdir, f"vertices_m{disc.bins}.csv"),
-                  vertices_to_csv(curve))
-    _write_atomic(os.path.join(outdir, f"distances_m{disc.bins}.csv"),
-                  distances_to_csv(curve))
+                            with_vertices=True, lambda_max=args.lambda_max)
+    files = {f"vertices_m{disc.bins}.csv": vertices_to_csv(curve),
+             f"distances_m{disc.bins}.csv": distances_to_csv(curve)}
     for i, v in enumerate(curve.vertices):
-        _write_atomic(os.path.join(outdir, f"{policy_id(disc.bins, i)}.txt"),
-                      policy_to_text(v.policy))
-    _write_manifest(outdir, "vertices", args.config, {
-        "bins": args.bins, "lambda_max": lam_max, "full": bool(args.full),
-        "outdir": outdir})
+        files[f"{policy_id(disc.bins, i)}.txt"] = policy_to_text(v.policy)
     eu, dd_max = curve.max_distance
     print(f"M={disc.bins}: {len(curve.vertices)} vertices, max adjacent "
           f"distance euclidean={fmt(eu)} delay_axis={fmt(dd_max)}")
-    print(f"wrote vertex/distance CSVs and policies in {outdir}")
-    return EXIT_OK
+    return EXIT_OK, files, "vertex/distance CSVs and policies"
 
 
-def _cmd_construct(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_construct(args, cfg):
     disc = discretize_channel(cfg.channel, args.bins)
-    outdir = _outdir(args)
     sol = solve_constrained(cfg, disc, args.dth)
     if sol.status != "optimal":
         print(f"status={sol.status}")
-        return EXIT_INFEASIBLE
+        return EXIT_INFEASIBLE, {}, None
     dens = density_from_measure(sol.measure)
-    y = compute_thresholds(dens, args.cells, order=args.order)
-    rep = verify_feasibility(y)
-    det = verify_deterministic(y)
-    ratio = power_ratio(y, dens)
+    y, rep, det, ratio = _construct(dens, args.cells, args.order)
     pol = to_threshold_policy(y)
-    _write_atomic(os.path.join(outdir, "thresholds.csv"),
-                  threshold_policy_to_text(pol))
     report = [
         ("cells", args.cells),
         ("order", args.order),
@@ -245,18 +210,13 @@ def _cmd_construct(args) -> int:
         ("delay_residual", rep.delay_residual),
         ("deterministic", det.ok),
     ]
-    _write_atomic(os.path.join(outdir, "report.txt"), kv_text(report))
-    _write_manifest(outdir, "construct", args.config, {
-        "bins": args.bins, "dth": args.dth, "cells": args.cells,
-        "order": args.order, "outdir": outdir})
     print(f"ratio={fmt(ratio.ratio)} (bound {fmt(ratio.bound)}) "
           f"max_residual={fmt(rep.max_residual)} deterministic={det.ok}")
-    print(f"wrote thresholds.csv report.txt in {outdir}")
-    return EXIT_OK
+    return EXIT_OK, {"thresholds.csv": threshold_policy_to_text(pol),
+                     "report.txt": kv_text(report)}, None
 
 
-def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_simulate(args, cfg):
     with open(args.policy) as f:
         text = f.read()
     header = text.splitlines()[0] if text else ""
@@ -264,33 +224,23 @@ def _cmd_simulate(args) -> int:
         pol = threshold_policy_from_text(text, cfg)
     elif header == POLICY_HEADER:
         if not args.bins:
-            print("error: --bins is required for bin-policy files",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        disc = discretize_channel(cfg.channel, args.bins)
-        pol = policy_from_text(text, cfg, disc)
+            raise ValueError("--bins is required for bin-policy files")
+        pol = policy_from_text(
+            text, cfg, discretize_channel(cfg.channel, args.bins))
     else:
-        print(f"error: unrecognized policy header {header!r}", file=sys.stderr)
-        return EXIT_USAGE
-    outdir = _outdir(args)
+        raise ValueError(f"unrecognized policy header {header!r}")
     rep = run_sim(cfg, pol, args.slots, warmup=args.warmup, seed=args.seed,
-                  trace_path=os.path.join(outdir, "trace.csv")
+                  trace_path=os.path.join(args.outdir, "trace.csv")
                   if args.trace else None)
-    _write_atomic(os.path.join(outdir, "report.txt"), report_to_text(rep))
-    _write_atomic(os.path.join(outdir, "report.csv"), report_to_csv(rep))
-    _write_manifest(outdir, "simulate", args.config, {
-        "policy": args.policy, "bins": args.bins, "slots": args.slots,
-        "warmup": rep.warmup, "seed": args.seed, "trace": bool(args.trace),
-        "outdir": outdir})
+    args.warmup = rep.warmup
     print(f"delay={fmt(rep.delay)}+-{fmt(rep.se_delay)} "
           f"power={fmt(rep.mean_power)}+-{fmt(rep.se_power)} "
           f"drops={rep.drops} overrides={rep.underflow_overrides}")
-    print(f"wrote report.txt report.csv in {outdir}")
-    return EXIT_OK
+    return EXIT_OK, {"report.txt": report_to_text(rep),
+                     "report.csv": report_to_csv(rep)}, None
 
 
-def _cmd_verify(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_verify(args, cfg):
     lines: list[str] = []
     failed = False
 
@@ -300,8 +250,7 @@ def _cmd_verify(args) -> int:
         status = "PASS" if ok else "FAIL"
         lines.append(f"{status}  {name}" + (f"  ({detail})" if detail else ""))
 
-    validate_config(cfg)
-    check("config validation", True)
+    check("config validation", True)  # load_config validated it
 
     disc = discretize_channel(cfg.channel, 2)
     ch = cfg.channel
@@ -335,14 +284,13 @@ def _cmd_verify(args) -> int:
     dens = density_from_measure(m)
     prev_ratio = None
     ratios_ok, mono_ok, resid_ok, det_ok = True, True, True, True
-    for cells in (1, 4, 64, 380):
-        y = compute_thresholds(dens, cells)
-        rep = verify_feasibility(y)
-        det = verify_deterministic(y)
-        ratio = power_ratio(y, dens)
+    # nested refinements: each cell count divides the next, and the
+    # larger ones are multiples of the 16 bins
+    for cells in (1, 4, 64, 256):
+        _, rep, det, ratio = _construct(dens, cells)
         resid_ok = resid_ok and rep.max_residual <= 1e-8 and rep.rate_residual <= 1e-10
         det_ok = det_ok and det.ok
-        ratios_ok = ratios_ok and ratio.ratio <= ratio.bound + 1e-10
+        ratios_ok = ratios_ok and ratio.ratio <= ratio.bound + RATIO_TOL
         if prev_ratio is not None:
             mono_ok = mono_ok and ratio.ratio <= prev_ratio + 1e-12
         prev_ratio = ratio.ratio
@@ -369,11 +317,8 @@ def _cmd_verify(args) -> int:
     kinds_ok = all(v.policy.kind == "deterministic" for v in verts)
     check("corner policies deterministic", kinds_ok, f"corners={len(verts)}")
     curve4 = study.curves[1]
-    vd = np.array([v.D for v in verts])
-    vp = np.array([v.P for v in verts])
-    inside = (curve4.budgets >= vd[0]) & (curve4.budgets <= vd[-1])
-    hull = np.interp(curve4.budgets[inside], vd, vp)
-    gap = float(np.abs(hull - curve4.powers[inside]).max()) if inside.any() else 0.0
+    gaps = np.abs(hull_gap(curve4.budgets, curve4.powers, verts))
+    gap = float(gaps.max()) if gaps.size else 0.0
     check("curve matches corner hull <= 1e-6", gap <= 1e-6, f"gap={fmt(gap)}")
 
     rep1 = run_sim(cfg, pol, 60_000, seed=args.seed)
@@ -391,14 +336,9 @@ def _cmd_verify(args) -> int:
     check("backlog and sojourn delays agree <= 4 sigma", z_w <= 4.0,
           f"z={z_w:.2f}")
 
-    outdir = _outdir(args)
     table = "\n".join(lines) + "\n"
-    _write_atomic(os.path.join(outdir, "verify.txt"), table)
-    _write_manifest(outdir, "verify", args.config, {
-        "seed": args.seed, "outdir": outdir})
     print(table, end="")
-    print(f"wrote verify.txt in {outdir}")
-    return EXIT_VERIFY if failed else EXIT_OK
+    return (EXIT_VERIFY if failed else EXIT_OK), {"verify.txt": table}, None
 
 
 # --- wiring ----------------------------------------------------------------
@@ -426,8 +366,8 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("sweep", help="tradeoff curves across bin counts")
     common(sp)
-    sp.add_argument("--bins-list", default="2,4,8,16")
-    sp.add_argument("--dgrid", default=None,
+    sp.add_argument("--bins-list", type=_parse_ints, default="2,4,8,16")
+    sp.add_argument("--dgrid", type=_parse_floats, default=None,
                     help="comma-separated budgets (default: 60 points, "
                          "min delay to 3x)")
     sp.set_defaults(func=_cmd_sweep)
@@ -478,7 +418,25 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        cfg = load_config(args.config)
+        args.outdir = args.outdir or os.environ.get(OUTDIR_ENV) or "."
+        os.makedirs(args.outdir, exist_ok=True)
+        code, files, label = args.func(args, cfg)
+        if files:
+            for name, text in files.items():
+                _write_atomic(os.path.join(args.outdir, name), text)
+            manifest = {
+                "command": args.command,
+                "config": args.config,
+                "params": {k: v for k, v in vars(args).items()
+                           if k not in ("command", "func", "config")},
+                "version": __version__,
+                "timestamp": datetime.now(timezone.utc).isoformat(),
+            }
+            _write_atomic(os.path.join(args.outdir, "manifest.json"),
+                          json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            print(f"wrote {label or ' '.join(files)} in {args.outdir}")
+        return code
     except (ConstructionError, ReducibleChainError, MassRangeError) as e:
         # the last two are ValueErrors, so they must be caught first
         print(f"verification failure: {e}", file=sys.stderr)

@@ -34,13 +34,12 @@ from functools import cached_property
 import numpy as np
 
 from .model import SystemConfig, cell_of, mean_delay
-from .occupancy_lp import (OccupancyMeasure, _ordered_sum, check_index,
-                           queue_residuals)
+from .occupancy_lp import (TRANSIENT_TOL, OccupancyMeasure, _ordered_sum,
+                           check_index, queue_residuals)
 from .textio import csv_text, read_rows
 
 PARTITION_TOL = 1e-12
 RATIO_TOL = 1e-10
-TRANSIENT_MASS_TOL = 1e-12  # queue states lighter than this are transient
 FEASIBILITY_SAMPLES = 10_000  # stratified gains for the channel residual
 DETERMINISM_SAMPLES = 4096  # stratified gains for the overlap scan
 
@@ -148,7 +147,7 @@ def compute_envelope(d: PiecewiseDensity, q: int) -> CdfEnvelope:
 
 
 def invert_envelope(env: CdfEnvelope, v):
-    """Leftmost x with envelope(x) >= v - 1e-12, elementwise in v.
+    """Leftmost x with envelope(x) >= v - PARTITION_TOL, elementwise in v.
 
     Flat stretches resolve to their left endpoint.  Raises
     MassRangeError if any v lies outside [0, total mass] beyond
@@ -270,6 +269,8 @@ def compute_thresholds(
     intervals tile (h_min, h_max] exactly even where the density
     vanishes (any choice there is measure-irrelevant).
     """
+    if cells < 1:
+        raise ValueError(f"cell count must be >= 1, got {cells!r}")
     cfg = d.cfg
     edges = _cell_edges(cfg, cells)
     dr = d.refine(edges)
@@ -482,7 +483,7 @@ def to_threshold_policy(y: ConstructedSolution) -> ThresholdPolicy:
     transient = np.zeros(cfg.Q + 1, dtype=bool)
     lo, hi = cfg.channel.h_min, cfg.channel.h_max
     for q in range(cfg.Q + 1):
-        if masses[q] <= TRANSIENT_MASS_TOL:
+        if masses[q] <= TRANSIENT_TOL:
             transient[q] = True
             bounds_out.append(np.array([lo, hi]))
             rates_out.append(np.array([min(q, cfg.S_max)], dtype=int))

@@ -44,7 +44,7 @@ from .simplex import (
 from .textio import csv_text, read_rows
 
 ONE_HOT_TOL = 1e-9
-TRANSIENT_TOL = 1e-12
+TRANSIENT_TOL = 1e-12  # a state with no more mass than this is never visited
 
 
 class ReducibleChainError(ValueError):
@@ -252,6 +252,8 @@ def solve_constrained(
     cfg: SystemConfig, disc: ChannelDiscretization, d_th: float | None
 ) -> LpSolution:
     """Minimum average power subject to average delay <= d_th."""
+    if d_th is not None and np.isnan(d_th):
+        raise ValueError(f"delay budget must be a number, got {d_th!r}")
     res, measure = _solve(cfg, disc, d_th, lambda olp: olp.power)
     if measure is None:
         return LpSolution(res.status, None, None, 0.0, res.iterations)

@@ -26,6 +26,7 @@ import numpy as np
 
 from .model import ChannelDiscretization, SystemConfig, discretize_channel
 from .occupancy_lp import (
+    ONE_HOT_TOL,
     Policy,
     evaluate_measure,
     extract_policy,
@@ -227,10 +228,10 @@ def _cluster_representative(cluster: list[Vertex]) -> Vertex:
         raise SweepError(
             f"corner at (D={v.D!r}, P={v.P!r}) has a randomized policy and "
             f"its rounding failed to evaluate: {exc}") from exc
-    if (abs(d - v.D) > 1e-7 * (1.0 + abs(v.D))
-            or abs(p - v.P) > 1e-7 * (1.0 + abs(v.P))):
+    if (abs(d - v.D) > CLUSTER_TOL * (1.0 + abs(v.D))
+            or abs(p - v.P) > CLUSTER_TOL * (1.0 + abs(v.P))):
         rows = np.argwhere(
-            (pol.table.max(axis=2) < 1.0 - 1e-9) & ~pol.transient)
+            (pol.table.max(axis=2) < 1.0 - ONE_HOT_TOL) & ~pol.transient)
         q, k = (int(rows[0][0]), int(rows[0][1])) if len(rows) else (-1, -1)
         raise SweepError(
             f"corner at (D={v.D!r}, P={v.P!r}) has a randomized policy "
@@ -308,15 +309,20 @@ def sweep_curve(
     )
 
 
+def hull_gap(budgets: np.ndarray, powers: np.ndarray, verts) -> np.ndarray:
+    """Signed gap (corner hull - curve power) at each budget inside the
+    corners' delay span; positive where the curve dips below the hull."""
+    vd = np.array([v.D for v in verts])
+    vp = np.array([v.P for v in verts])
+    inside = (budgets >= vd[0]) & (budgets <= vd[-1])
+    return np.interp(budgets[inside], vd, vp) - powers[inside]
+
+
 def _check_above_hull(budgets: np.ndarray, powers: np.ndarray,
                       verts: tuple[Vertex, ...]) -> None:
     if len(verts) < 2:
         return
-    vd = np.array([v.D for v in verts])
-    vp = np.array([v.P for v in verts])
-    inside = (budgets >= vd[0]) & (budgets <= vd[-1])
-    hull = np.interp(budgets[inside], vd, vp)
-    gap = hull - powers[inside]
+    gap = hull_gap(budgets, powers, verts)
     if gap.size and gap.max() > HULL_TOL:
         raise SweepError(
             f"curve dips {gap.max()!r} below its corner hull")
@@ -340,6 +346,10 @@ def convergence_study(
     successive curves measures how fast refinement stops paying.
     """
     m_list = list(m_list)
+    if not m_list:
+        raise ValueError("bin counts must be nonempty")
+    if budgets is not None and len(budgets) == 0:
+        raise ValueError("budget grid must be nonempty")
     if any(b > a for a, b in zip(m_list[1:], m_list[:-1])):
         raise ValueError("bin counts must be nondecreasing")
     discs = {m: discretize_channel(cfg.channel, m) for m in set(m_list)}

@@ -8,6 +8,7 @@ import pytest
 from linksched import cli, occupancy_lp
 from linksched.cli import main
 from linksched.construction import MassRangeError
+from linksched.model import builtin_config_names
 from linksched.occupancy_lp import ReducibleChainError
 from linksched.simplex import SimplexResult
 
@@ -85,6 +86,26 @@ class TestExitCodes:
         assert rc == 2
         assert "all 2 budgets infeasible" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,named", [
+        (["construct", "--bins", "2", "--dth", "3", "--M", "0"], "got 0"),
+        (["construct", "--bins", "2", "--dth", "3", "--M", "-2"], "got -2"),
+        (["sweep", "--bins-list", ","], "bin counts must be nonempty"),
+        (["sweep", "--bins-list", "2", "--dgrid", ","],
+         "budget grid must be nonempty"),
+        (["solve", "--bins", "2", "--dth", "nan"], "got nan"),
+        (["sweep", "--bins-list", "2", "--dgrid", "nan"], "got nan"),
+    ], ids=["cells-0", "cells-negative", "empty-bin-list", "empty-grid",
+            "nan-budget", "nan-grid"])
+    def test_bad_value_is_usage(self, tmp_path, capsys, argv, named):
+        rc = main([*argv, "--config", "tiny", "--outdir", str(tmp_path)])
+        assert rc == 1
+        assert named in capsys.readouterr().err
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in cli._build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
 
 class TestManifest:
     # one cheap run per subcommand on the tiny config; simulate reads
@@ -101,10 +122,9 @@ class TestManifest:
 
     def test_params_name_every_option(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        sub = next(a for a in cli._build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        assert list(sub.choices) == list(self.RUNS)
-        for name, sp in sub.choices.items():
+        sub = _subcommands()
+        assert list(sub) == list(self.RUNS)
+        for name, sp in sub.items():
             main([name, "--config", "tiny", *self.RUNS[name],
                   "--outdir", name])
             manifest = json.loads((tmp_path / name / "manifest.json")
@@ -112,6 +132,34 @@ class TestManifest:
             options = {a.dest for a in sp._actions if a.option_strings
                        and a.dest not in ("help", "config")}
             assert options - set(manifest["params"]) == set(), name
+
+    def test_rerunning_params_reproduces_outputs(self, tmp_path, monkeypatch):
+        """argv rebuilt from a manifest's params writes the same bytes."""
+        monkeypatch.chdir(tmp_path)
+        for name, sp in _subcommands().items():
+            assert main([name, "--config", "tiny", *self.RUNS[name],
+                         "--outdir", name]) == 0, name
+            man = json.loads((tmp_path / name / "manifest.json").read_text())
+            flags = {a.dest: a.option_strings[0] for a in sp._actions
+                     if a.option_strings}
+            argv = [man["command"], "--config", man["config"]]
+            params = {**man["params"], "outdir": f"{name}_again"}
+            for dest, value in params.items():
+                if value is None or value is False:
+                    continue
+                argv.append(flags[dest])
+                if isinstance(value, list):
+                    argv.append(",".join(map(str, value)))
+                elif value is not True:
+                    argv.append(str(value))
+            assert main(argv) == 0, argv
+            first = sorted(p.name for p in (tmp_path / name).iterdir())
+            again = sorted(p.name for p in (tmp_path / f"{name}_again").iterdir())
+            assert first == again, name
+            for f in first:
+                if f != "manifest.json":
+                    assert ((tmp_path / name / f).read_bytes()
+                            == (tmp_path / f"{name}_again" / f).read_bytes()), f
 
 
 class TestSolveOutputs:
@@ -298,8 +346,9 @@ class TestPolicyFileMeaning:
 
 
 class TestVerifyBattery:
-    def test_all_pass_on_builtin_config(self, tmp_path):
-        rc = main(["verify", "--outdir", str(tmp_path)])
+    @pytest.mark.parametrize("config", builtin_config_names())
+    def test_all_pass_on_builtin_config(self, tmp_path, config):
+        rc = main(["verify", "--config", config, "--outdir", str(tmp_path)])
         assert rc == 0
         lines = (tmp_path / "verify.txt").read_text().splitlines()
         assert len(lines) >= 15
