@@ -58,6 +58,7 @@ from .sweep import (
     TradeoffCurve,
     Vertex,
     convergence_study,
+    corners_in_span,
     default_budget_grid,
     default_lambda_max,
     enumerate_vertices,

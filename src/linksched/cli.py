@@ -60,8 +60,8 @@ from .simulator import report_to_csv, report_to_text, run_sim
 from .sweep import (
     InfeasibleCurveError,
     SweepError,
-    TradeoffCurve,
     convergence_study,
+    corners_in_span,
     curve_to_csv,
     default_budget_grid,
     default_lambda_max,
@@ -70,6 +70,7 @@ from .sweep import (
     hull_gap,
     policy_id,
     sweep_curve,
+    vertex_distances,
     vertices_to_csv,
 )
 from .textio import csv_text, fmt, kv_text
@@ -163,25 +164,23 @@ def _cmd_sweep(args, cfg):
 
 def _cmd_vertices(args, cfg):
     disc = discretize_channel(cfg.channel, args.bins)
-    args.lambda_max = args.lambda_max or default_lambda_max(cfg)
+    m = disc.bins
+    if args.lambda_max is None:
+        args.lambda_max = default_lambda_max(cfg)
     if args.full:
         verts = enumerate_vertices(cfg, disc, args.lambda_max)
-        curve = TradeoffCurve(
-            M=disc.bins,
-            budgets=np.array([v.D for v in verts]),
-            powers=np.array([v.P for v in verts]),
-            infeasible=(), vertices=verts)
     else:
         grid = default_budget_grid(cfg, disc)
-        curve = sweep_curve(cfg, disc, [grid[0], grid[-1]],
-                            with_vertices=True, lambda_max=args.lambda_max)
-    files = {f"vertices_m{disc.bins}.csv": vertices_to_csv(curve),
-             f"distances_m{disc.bins}.csv": distances_to_csv(curve)}
-    for i, v in enumerate(curve.vertices):
-        files[f"{policy_id(disc.bins, i)}.txt"] = policy_to_text(v.policy)
-    eu, dd_max = curve.max_distance
-    print(f"M={disc.bins}: {len(curve.vertices)} vertices, max adjacent "
-          f"distance euclidean={fmt(eu)} delay_axis={fmt(dd_max)}")
+        curve = sweep_curve(cfg, disc, [grid[0], grid[-1]])
+        verts = corners_in_span(cfg, disc, curve, args.lambda_max)
+    files = {f"vertices_m{m}.csv": vertices_to_csv(m, verts),
+             f"distances_m{m}.csv": distances_to_csv(m, verts)}
+    for i, v in enumerate(verts):
+        files[f"{policy_id(m, i)}.txt"] = policy_to_text(v.policy)
+    eu, dd = vertex_distances(verts)
+    print(f"M={m}: {len(verts)} vertices, max adjacent distance "
+          f"euclidean={fmt(eu.max(initial=0.0))} "
+          f"delay_axis={fmt(dd.max(initial=0.0))}")
     return EXIT_OK, files, "vertex/distance CSVs and policies"
 
 

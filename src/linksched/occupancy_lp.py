@@ -252,8 +252,8 @@ def solve_constrained(
     cfg: SystemConfig, disc: ChannelDiscretization, d_th: float | None
 ) -> LpSolution:
     """Minimum average power subject to average delay <= d_th."""
-    if d_th is not None and np.isnan(d_th):
-        raise ValueError(f"delay budget must be a number, got {d_th!r}")
+    if d_th is not None and not np.isfinite(d_th):
+        raise ValueError(f"delay budget must be finite, got {d_th!r}")
     res, measure = _solve(cfg, disc, d_th, lambda olp: olp.power)
     if measure is None:
         return LpSolution(res.status, None, None, 0.0, res.iterations)

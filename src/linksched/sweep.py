@@ -10,17 +10,19 @@ segment (no deeper support exists) or discovers a new corner.  Each
 corner's optimal policy is deterministic; the enumeration rejects
 anything else as a solver fault.
 
-A TradeoffCurve bundles one discretization's grid sweep with the
-corners falling inside the swept delay span and their adjacent-pair
-spacings, in both the (delay, power) plane and along the delay axis.
-Spacing shrinks as bins are added; the convergence study quantifies
-that by the sup-gap between successive curves on a common grid.
+A TradeoffCurve is one discretization's budget sweep: the feasible
+budgets and the minimal power at each.  Corners are a separate tuple
+of Vertex, either the whole curve's or just those inside a curve's
+budget span, and their adjacent-pair spacings are measured both in the
+(delay, power) plane and along the delay axis.  Spacing shrinks as
+bins are added; the convergence study quantifies that by the sup-gap
+between successive curves on a common grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -68,27 +70,10 @@ class TradeoffCurve:
     budgets: np.ndarray  # feasible D_th grid points, ascending
     powers: np.ndarray  # minimal power at each budget
     infeasible: tuple[float, ...]  # excluded grid points
-    vertices: tuple[Vertex, ...]  # corners within the swept span
 
     def __post_init__(self):
         self.budgets.setflags(write=False)
         self.powers.setflags(write=False)
-
-    @cached_property
-    def dist_euclid(self) -> np.ndarray:
-        """Adjacent-corner spacing in the (D, P) plane."""
-        return vertex_distances(self.vertices)[0]
-
-    @cached_property
-    def dist_delay(self) -> np.ndarray:
-        """Adjacent-corner spacing along the delay axis."""
-        return vertex_distances(self.vertices)[1]
-
-    @property
-    def max_distance(self) -> tuple[float, float]:
-        """(Euclidean, delay-axis) maxima over adjacent corner pairs."""
-        return (float(self.dist_euclid.max(initial=0.0)),
-                float(self.dist_delay.max(initial=0.0)))
 
 
 def default_budget_grid(cfg: SystemConfig, disc: ChannelDiscretization,
@@ -99,13 +84,12 @@ def default_budget_grid(cfg: SystemConfig, disc: ChannelDiscretization,
 
 
 def vertex_distances(vertices) -> tuple[np.ndarray, np.ndarray]:
-    """Adjacent-pair spacings of a D-sorted vertex list, both metrics.
+    """Adjacent-pair spacings of D-sorted Vertex objects, both metrics.
 
-    Accepts Vertex objects or bare (D, P) pairs; returns (euclidean,
-    delay-axis) arrays, empty for fewer than two vertices.
+    Returns (euclidean, delay-axis) arrays, empty for fewer than two
+    vertices.
     """
-    pts = np.array([(v.D, v.P) if isinstance(v, Vertex) else tuple(v)
-                    for v in vertices], dtype=float).reshape(-1, 2)
+    pts = np.array([(v.D, v.P) for v in vertices], dtype=float).reshape(-1, 2)
     diff = np.diff(pts, axis=0)
     return np.hypot(diff[:, 0], diff[:, 1]), np.abs(diff[:, 0])
 
@@ -121,66 +105,63 @@ def enumerate_vertices(
 ) -> tuple[Vertex, ...]:
     """All corners of the tradeoff curve, sorted by increasing delay.
 
-    lambda_max must push the weighted solve all the way to the minimum
-    delay, otherwise the left end of the curve is unreachable and the
-    call fails with advice to raise it.
+    lambda_max must be finite and positive, and it must push the
+    weighted solve all the way to the minimum delay, otherwise the left
+    end of the curve is unreachable and the call fails with advice to
+    raise it.
     """
     if lambda_max is None:
         lambda_max = default_lambda_max(cfg)
-    cache: dict[float, tuple[float, float, Policy]] = {}
+    if not (math.isfinite(lambda_max) and lambda_max > 0):
+        raise ValueError(
+            f"lambda_max must be finite and > 0, got {lambda_max!r}")
     solves = 0
 
-    def solve(lam: float) -> tuple[float, float, Policy]:
+    def solve(lam: float) -> Vertex:
+        # split passes solved endpoints down, so each weight is solved once
         nonlocal solves
-        if lam not in cache:
-            if solves >= MAX_VERTEX_SOLVES:
-                raise SweepError("vertex enumeration did not converge")
-            solves += 1
-            measure, delay, power = solve_lagrangian(cfg, disc, lam)
-            cache[lam] = (delay, power, extract_policy(measure))
-        return cache[lam]
+        if solves >= MAX_VERTEX_SOLVES:
+            raise SweepError("vertex enumeration did not converge")
+        solves += 1
+        measure, delay, power = solve_lagrangian(cfg, disc, lam)
+        return Vertex(delay, power, lam, extract_policy(measure))
 
     d_min, _ = min_delay(cfg, disc)
-    d_at_max, _, _ = solve(lambda_max)
-    if d_at_max > d_min + 1e-6 * (1.0 + d_min):
+    top = solve(lambda_max)
+    if top.D > d_min + 1e-6 * (1.0 + d_min):
         raise SweepError(
-            f"lambda_max={lambda_max!r} only reaches delay {d_at_max!r} "
+            f"lambda_max={lambda_max!r} only reaches delay {top.D!r} "
             f"but the minimum is {d_min!r}; raise lambda_max")
 
     found: dict[tuple[float, float], Vertex] = {}
 
-    def record(lam: float, d: float, p: float, pol: Policy) -> None:
-        key = (round(d, 9), round(p, 9))
-        if key not in found:
-            found[key] = Vertex(d, p, lam, pol)
+    def record(v: Vertex) -> None:
+        found.setdefault((round(v.D, 9), round(v.P, 9)), v)
 
-    def split(lam_lo: float, lam_hi: float, depth: int) -> None:
-        d0, p0, pol0 = solve(lam_lo)
-        d1, p1, pol1 = solve(lam_hi)
-        record(lam_lo, d0, p0, pol0)
-        record(lam_hi, d1, p1, pol1)
-        if abs(d0 - d1) <= VERTEX_TOL and abs(p0 - p1) <= VERTEX_TOL:
+    def split(lo: Vertex, hi: Vertex, depth: int) -> None:
+        record(lo)
+        record(hi)
+        if abs(lo.D - hi.D) <= VERTEX_TOL and abs(lo.P - hi.P) <= VERTEX_TOL:
             return
         if depth > 80:
             raise SweepError("vertex enumeration did not converge")
         # endpoint supporting lines P + lam*D cross at the only weight
         # that could expose a corner hiding between these two
-        if d0 > d1:
-            lam_star = (p1 - p0) / (d0 - d1)
+        if lo.D > hi.D:
+            lam_star = (hi.P - lo.P) / (lo.D - hi.D)
         else:
-            lam_star = 0.5 * (lam_lo + lam_hi)
-        if not (lam_lo < lam_star < lam_hi):
-            lam_star = 0.5 * (lam_lo + lam_hi)
-        dm, pm, polm = solve(lam_star)
-        chord = p0 + lam_star * d0
-        value = pm + lam_star * dm
-        if value >= chord - VERTEX_TOL * (1.0 + abs(chord)):
+            lam_star = 0.5 * (lo.lam + hi.lam)
+        if not (lo.lam < lam_star < hi.lam):
+            lam_star = 0.5 * (lo.lam + hi.lam)
+        mid = solve(lam_star)
+        chord = lo.P + lam_star * lo.D
+        if mid.P + lam_star * mid.D >= chord - VERTEX_TOL * (1.0 + abs(chord)):
             return  # segment certified, endpoints are adjacent corners
-        record(lam_star, dm, pm, polm)
-        split(lam_lo, lam_star, depth + 1)
-        split(lam_star, lam_hi, depth + 1)
+        record(mid)
+        split(lo, mid, depth + 1)
+        split(mid, hi, depth + 1)
 
-    split(0.0, lambda_max, 0)
+    split(solve(0.0), top, 0)
     cand = sorted(found.values(), key=lambda v: v.D)
     clusters = _cluster_corners(cand)
     vertices = [_cluster_representative(v) for v in clusters]
@@ -268,15 +249,12 @@ def sweep_curve(
     cfg: SystemConfig,
     disc: ChannelDiscretization,
     budgets,
-    with_vertices: bool = False,
-    lambda_max: float | None = None,
 ) -> TradeoffCurve:
-    """One constrained solve per budget; corners attached on request.
+    """One constrained solve per budget.
 
     Infeasible budgets are dropped and listed on the curve; an entirely
     infeasible grid is an error.  The curve is checked to be
-    nonincreasing and, when corners are present, to stay on or above
-    their hull.
+    nonincreasing.
     """
     budgets = np.sort(np.asarray(budgets, dtype=float))
     kept, powers, skipped = [], [], []
@@ -293,20 +271,34 @@ def sweep_curve(
     powers_arr = np.asarray(powers)
     if np.any(np.diff(powers_arr) > HULL_TOL):
         raise SweepError("curve is not nonincreasing in the budget")
-
-    verts: tuple[Vertex, ...] = ()
-    if with_vertices:
-        lo, hi = kept[0] - 1e-9, kept[-1] + 1e-9
-        verts = tuple(v for v in enumerate_vertices(cfg, disc, lambda_max)
-                      if lo <= v.D <= hi)
-        _check_above_hull(np.asarray(kept), powers_arr, verts)
     return TradeoffCurve(
         M=disc.bins,
         budgets=np.asarray(kept),
         powers=powers_arr,
         infeasible=tuple(skipped),
-        vertices=verts,
     )
+
+
+def corners_in_span(
+    cfg: SystemConfig,
+    disc: ChannelDiscretization,
+    curve: TradeoffCurve,
+    lambda_max: float | None = None,
+) -> tuple[Vertex, ...]:
+    """The corners whose delay lies within the curve's budget span.
+
+    The curve must stay on or above their hull: a dip below it means
+    the budget sweep and the corner search disagree.
+    """
+    lo, hi = curve.budgets[0] - 1e-9, curve.budgets[-1] + 1e-9
+    verts = tuple(v for v in enumerate_vertices(cfg, disc, lambda_max)
+                  if lo <= v.D <= hi)
+    if len(verts) >= 2:
+        gap = hull_gap(curve.budgets, curve.powers, verts)
+        if gap.size and gap.max() > HULL_TOL:
+            raise SweepError(
+                f"curve dips {gap.max()!r} below its corner hull")
+    return verts
 
 
 def hull_gap(budgets: np.ndarray, powers: np.ndarray, verts) -> np.ndarray:
@@ -316,16 +308,6 @@ def hull_gap(budgets: np.ndarray, powers: np.ndarray, verts) -> np.ndarray:
     vp = np.array([v.P for v in verts])
     inside = (budgets >= vd[0]) & (budgets <= vd[-1])
     return np.interp(budgets[inside], vd, vp) - powers[inside]
-
-
-def _check_above_hull(budgets: np.ndarray, powers: np.ndarray,
-                      verts: tuple[Vertex, ...]) -> None:
-    if len(verts) < 2:
-        return
-    gap = hull_gap(budgets, powers, verts)
-    if gap.size and gap.max() > HULL_TOL:
-        raise SweepError(
-            f"curve dips {gap.max()!r} below its corner hull")
 
 
 @dataclass(frozen=True)
@@ -360,21 +342,21 @@ def convergence_study(
         for fine in curves[i + 1:]:
             if fine.M % coarse.M != 0:
                 continue
-            common = np.intersect1d(coarse.budgets, fine.budgets)
-            pc = np.interp(common, coarse.budgets, coarse.powers)
-            pf = np.interp(common, fine.budgets, fine.powers)
-            worst = float((pf - pc).max()) if common.size else 0.0
+            worst = float(_power_change(coarse, fine).max(initial=0.0))
             if worst > HULL_TOL:
                 raise SweepError(
                     f"refinement M={coarse.M} -> M={fine.M} raised power "
                     f"by {worst!r}")
-    gaps = []
-    for a, b in zip(curves[:-1], curves[1:]):
-        common = np.intersect1d(a.budgets, b.budgets)
-        pa = np.interp(common, a.budgets, a.powers)
-        pb = np.interp(common, b.budgets, b.powers)
-        gaps.append(float(np.abs(pa - pb).max()) if common.size else 0.0)
-    return ConvergenceStudy(tuple(curves), tuple(gaps))
+    gaps = tuple(float(np.abs(_power_change(a, b)).max(initial=0.0))
+                 for a, b in zip(curves[:-1], curves[1:]))
+    return ConvergenceStudy(tuple(curves), gaps)
+
+
+def _power_change(a: TradeoffCurve, b: TradeoffCurve) -> np.ndarray:
+    """b's power minus a's, both interpolated on the budgets they share."""
+    common = np.intersect1d(a.budgets, b.budgets)
+    return (np.interp(common, b.budgets, b.powers)
+            - np.interp(common, a.budgets, a.powers))
 
 
 # --- CSV renderings --------------------------------------------------------
@@ -384,16 +366,15 @@ def curve_to_csv(curve: TradeoffCurve) -> str:
                                  zip(curve.budgets, curve.powers)))
 
 
-def vertices_to_csv(curve: TradeoffCurve) -> str:
+def vertices_to_csv(m: int, verts) -> str:
     return csv_text("M,D,P,policy_id", (
-        (curve.M, v.D, v.P, policy_id(curve.M, i))
-        for i, v in enumerate(curve.vertices)))
+        (m, v.D, v.P, policy_id(m, i)) for i, v in enumerate(verts)))
 
 
-def distances_to_csv(curve: TradeoffCurve) -> str:
+def distances_to_csv(m: int, verts) -> str:
+    eu, dd = vertex_distances(verts)
     return csv_text("M,pair_index,euclidean,delay_axis", (
-        (curve.M, i, e, d)
-        for i, (e, d) in enumerate(zip(curve.dist_euclid, curve.dist_delay))))
+        (m, i, e, d) for i, (e, d) in enumerate(zip(eu, dd))))
 
 
 def policy_id(m: int, index: int) -> str:

@@ -33,8 +33,10 @@ from linksched.simplex import LinearProgram, solve_simplex
 from linksched.simulator import run_sim
 from linksched.sweep import (
     convergence_study,
+    corners_in_span,
     enumerate_vertices,
     sweep_curve,
+    vertex_distances,
 )
 
 from oracles import (
@@ -79,8 +81,9 @@ def test_2_corner_spacing(paper_cfg, capsys):
     eu, dd = {}, {}
     for m in (2, 4, 8, 16):
         disc = discretize_channel(paper_cfg.channel, m)
-        curve = sweep_curve(paper_cfg, disc, [1.0, 3.0], with_vertices=True)
-        eu[m], dd[m] = curve.max_distance
+        curve = sweep_curve(paper_cfg, disc, [1.0, 3.0])
+        e, d = vertex_distances(corners_in_span(paper_cfg, disc, curve))
+        eu[m], dd[m] = float(e.max(initial=0.0)), float(d.max(initial=0.0))
     refs = {2: 0.4944, 16: 0.0753}  # reference spacings, this configuration
     hits = {m: any(abs(x - r) <= 0.15 * r for x in (eu[m], dd[m]))
             for m, r in refs.items()}

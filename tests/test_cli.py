@@ -94,8 +94,15 @@ class TestExitCodes:
          "budget grid must be nonempty"),
         (["solve", "--bins", "2", "--dth", "nan"], "got nan"),
         (["sweep", "--bins-list", "2", "--dgrid", "nan"], "got nan"),
+        (["solve", "--bins", "2", "--dth", "inf"], "got inf"),
+        (["solve", "--bins", "2", "--dth=-inf"], "got -inf"),
+        (["sweep", "--bins-list", "2", "--dgrid", "1,inf"], "got inf"),
+        (["vertices", "--bins", "2", "--lambda-max", "0"], "got 0.0"),
+        (["vertices", "--bins", "2", "--lambda-max", "nan"], "got nan"),
+        (["vertices", "--bins", "2", "--lambda-max", "inf"], "got inf"),
     ], ids=["cells-0", "cells-negative", "empty-bin-list", "empty-grid",
-            "nan-budget", "nan-grid"])
+            "nan-budget", "nan-grid", "inf-budget", "minus-inf-budget",
+            "inf-grid", "lambda-max-0", "lambda-max-nan", "lambda-max-inf"])
     def test_bad_value_is_usage(self, tmp_path, capsys, argv, named):
         rc = main([*argv, "--config", "tiny", "--outdir", str(tmp_path)])
         assert rc == 1

@@ -1,10 +1,10 @@
 """Byte-identity of CLI outputs against recorded digests.
 
-Small-M runs of solve, vertices --full, construct, both simulate
-forms and sweep; every output file except manifest.json (which carries a
-timestamp) is hashed.  Any change in the bits of an LP row, a
-residual, a kernel or a report shows up here; record new digests only
-for a deliberate change of output.
+Small-M runs of solve, vertices (the default span and --full),
+construct, both simulate forms and sweep; every output file except
+manifest.json (which carries a timestamp) is hashed.  Any change in
+the bits of an LP row, a residual, a kernel or a report shows up here;
+record new digests only for a deliberate change of output.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from linksched.cli import main
 RUNS = (
     ("solve", ["solve", "--dth", "3", "--bins", "4"]),
     ("vertices", ["vertices", "--bins", "4", "--full"]),
+    ("vertices_span", ["vertices", "--bins", "2"]),
     ("construct", ["construct", "--dth", "3", "--bins", "4", "--M", "50"]),
     # 7 cells over 4 bins: cell edges miss the bin edges, so a cell
     # straddles two bins and holds two grid pieces
@@ -127,6 +128,34 @@ DIGESTS = {
         "5b21c85782c26050294ce1b4ad0a08343af8a9076324e976d69688802c7a1304",
     "vertices/vertices_m4.csv":
         "fb4465ce88b997d717f5b86e364f3bc5ba987cfa365482d801834a9128bc1e1f",
+    "vertices_span/distances_m2.csv":
+        "6d83203c0da0d508a4092e8aa120c37debd813b4b1dca1974ee672919ee6b4bd",
+    "vertices_span/m2_vertex000.txt":
+        "82472d7a1dba82efa0578291240e798d25f2c6b1ccb8a599a53f51b4d7fd5566",
+    "vertices_span/m2_vertex001.txt":
+        "869494b25c1299ef4218bfbb370c2a52dc00e95043e9bedc7c721ac12151cacc",
+    "vertices_span/m2_vertex002.txt":
+        "abec97580581005e6c39625b7ef33852019749a52a4554b35e22c1244e33d1af",
+    "vertices_span/m2_vertex003.txt":
+        "2f821fae7895775c9387f61a3085720c39bf8ce09d30fd33b519918846e70093",
+    "vertices_span/m2_vertex004.txt":
+        "8f4c1e728c1ea8a8407874a59281e38d6455ddb39b4e83962b411dde7fe283a4",
+    "vertices_span/m2_vertex005.txt":
+        "603721c0572bc6bcc9285f878f72fbc5294e1cff483ed81f3448f4448aa3b40c",
+    "vertices_span/m2_vertex006.txt":
+        "6937e05d5a22ebc6fce3b860415c96ed19b840c2ea9e1ff31c723600c2569c87",
+    "vertices_span/m2_vertex007.txt":
+        "11ef6f32480030ce609a0e0a7e2522e6293c756d4e7de0cb5af9182493ecfb05",
+    "vertices_span/m2_vertex008.txt":
+        "ef570ef681901ac4ba3fb0b74e251124c3d814ae4051364b55e09a7d33fdf548",
+    "vertices_span/m2_vertex009.txt":
+        "51fbc10c4147ca5fc53259c0f4e11586cb024dd809a112c7d4c6a59590d75d84",
+    "vertices_span/m2_vertex010.txt":
+        "76f4b0fded6d6a2c158a038be6664255edfdf392098589e6fb2dc1164d79e83c",
+    "vertices_span/m2_vertex011.txt":
+        "ec32d1783910bf2833e9dda11e52f7a569f166c4700c38b5ab7308fb5228d85d",
+    "vertices_span/vertices_m2.csv":
+        "80b3c5716c4d4e40f3bf1bd3c02ae6794442528a481aa2b24b95acccea836d0a",
 }
 
 

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from linksched import sweep
 from linksched.model import discretize_channel
 from linksched.occupancy_lp import solve_constrained
 from linksched.sweep import (
     SweepError,
+    TradeoffCurve,
     Vertex,
     convergence_study,
+    corners_in_span,
     curve_to_csv,
     default_budget_grid,
     default_lambda_max,
@@ -26,19 +29,23 @@ from oracles import enumerate_policies, lower_hull, policy_delay_power, \
     uniform_bin_stats
 
 
+def _verts(*pts):
+    return [Vertex(d, p, 0.0, None) for d, p in pts]
+
+
 class TestDistances:
     def test_worked_example(self):
-        e, d = vertex_distances([(1.0, 5.0), (2.0, 4.0)])
+        e, d = vertex_distances(_verts((1.0, 5.0), (2.0, 4.0)))
         assert e.tolist() == [pytest.approx(math.sqrt(2.0))]
         assert d.tolist() == [1.0]
 
     def test_three_points(self):
-        e, d = vertex_distances([(0.0, 0.0), (3.0, 4.0), (6.0, 4.0)])
+        e, d = vertex_distances(_verts((0.0, 0.0), (3.0, 4.0), (6.0, 4.0)))
         assert e.tolist() == [5.0, 3.0]
         assert d.tolist() == [3.0, 3.0]
 
     def test_single_point_has_no_pairs(self):
-        e, d = vertex_distances([(1.0, 1.0)])
+        e, d = vertex_distances(_verts((1.0, 1.0)))
         assert e.size == 0 and d.size == 0
 
     def test_accepts_vertex_objects(self):
@@ -84,9 +91,10 @@ class TestSweep:
     def test_curve_interpolates_its_own_corners(self, paper_cfg):
         disc = discretize_channel(paper_cfg.channel, 2)
         budgets = np.linspace(1.0, 3.0, 9)
-        curve = sweep_curve(paper_cfg, disc, budgets, with_vertices=True)
-        ds = np.array([v.D for v in curve.vertices])
-        ps = np.array([v.P for v in curve.vertices])
+        curve = sweep_curve(paper_cfg, disc, budgets)
+        verts = corners_in_span(paper_cfg, disc, curve)
+        ds = np.array([v.D for v in verts])
+        ps = np.array([v.P for v in verts])
         # corners outside the swept span are withheld, so the piecewise
         # interpolation is only exact between the first and last corner
         inside = (curve.budgets >= ds[0]) & (curve.budgets <= ds[-1])
@@ -96,12 +104,21 @@ class TestSweep:
 
     def test_vertices_confined_to_swept_span(self, paper_cfg):
         disc = discretize_channel(paper_cfg.channel, 2)
-        curve = sweep_curve(paper_cfg, disc, [1.2, 1.7, 2.2],
-                            with_vertices=True)
-        for v in curve.vertices:
-            assert 1.2 - 1e-9 <= v.D <= 2.2 + 1e-9
-        assert curve.max_distance == (max(curve.dist_euclid),
-                                      max(curve.dist_delay))
+        curve = sweep_curve(paper_cfg, disc, [1.2, 1.7, 2.2])
+        verts = corners_in_span(paper_cfg, disc, curve)
+        full = enumerate_vertices(paper_cfg, disc)
+        want = [v for v in full if 1.2 - 1e-9 <= v.D <= 2.2 + 1e-9]
+        assert [(v.D, v.P, v.lam) for v in verts] == \
+            [(v.D, v.P, v.lam) for v in want]
+        assert 2 <= len(verts) < len(full)
+
+    def test_curve_below_corner_hull_is_an_error(self, paper_cfg):
+        disc = discretize_channel(paper_cfg.channel, 2)
+        curve = sweep_curve(paper_cfg, disc, [1.2, 1.7, 2.2])
+        dipped = TradeoffCurve(curve.M, curve.budgets,
+                               curve.powers - 1e-6, ())
+        with pytest.raises(SweepError, match="below its corner hull"):
+            corners_in_span(paper_cfg, disc, dipped)
 
 
 class TestEnumerationAgainstExhaustive:
@@ -124,6 +141,27 @@ class TestEnumerationAgainstExhaustive:
         disc = discretize_channel(tiny_cfg.channel, 2)
         with pytest.raises(SweepError, match="lambda_max"):
             enumerate_vertices(tiny_cfg, disc, lambda_max=1e-6)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    def test_lambda_cap_must_be_finite_and_positive(self, tiny_cfg, lam):
+        disc = discretize_channel(tiny_cfg.channel, 2)
+        with pytest.raises(ValueError, match=f"got {lam!r}"):
+            enumerate_vertices(tiny_cfg, disc, lambda_max=lam)
+
+    def test_each_weight_is_solved_once(self, paper_cfg, monkeypatch):
+        lams = []
+        real = sweep.solve_lagrangian
+
+        def recorder(cfg, disc, lam):
+            lams.append(lam)
+            return real(cfg, disc, lam)
+
+        monkeypatch.setattr(sweep, "solve_lagrangian", recorder)
+        disc = discretize_channel(paper_cfg.channel, 4)
+        verts = enumerate_vertices(paper_cfg, disc)
+        assert len(lams) == 61
+        assert len(set(lams)) == 61
+        assert len(verts) == 31
 
 
 class TestConvergence:
@@ -150,13 +188,13 @@ class TestConvergence:
 class TestCsv:
     def test_headers_and_ids(self, paper_cfg):
         disc = discretize_channel(paper_cfg.channel, 2)
-        curve = sweep_curve(paper_cfg, disc, [1.0, 2.0, 3.0],
-                            with_vertices=True)
+        curve = sweep_curve(paper_cfg, disc, [1.0, 2.0, 3.0])
+        verts = corners_in_span(paper_cfg, disc, curve)
         assert curve_to_csv(curve).splitlines()[0] == "M,D_th,P"
-        vlines = vertices_to_csv(curve).splitlines()
+        vlines = vertices_to_csv(curve.M, verts).splitlines()
         assert vlines[0] == "M,D,P,policy_id"
         assert vlines[1].endswith(policy_id(2, 0))
-        dlines = distances_to_csv(curve).splitlines()
+        dlines = distances_to_csv(curve.M, verts).splitlines()
         assert dlines[0] == "M,pair_index,euclidean,delay_axis"
         assert len(dlines) == len(vlines) - 1
         assert len({ln.split(",")[-1] for ln in vlines[1:]}) == len(vlines) - 1
