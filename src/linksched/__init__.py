@@ -49,7 +49,14 @@ from .construction import (
     verify_deterministic,
     verify_feasibility,
 )
-from .simplex import LinearProgram, SimplexAnomaly, SimplexResult, solve_simplex
+from .simplex import (
+    FeasibleStart,
+    LinearProgram,
+    SimplexAnomaly,
+    SimplexResult,
+    feasible_start,
+    solve_simplex,
+)
 from .simulator import SimReport, report_to_csv, report_to_text, run_sim
 from .sweep import (
     ConvergenceStudy,
@@ -62,6 +69,7 @@ from .sweep import (
     default_budget_grid,
     default_lambda_max,
     enumerate_vertices,
+    resolve_lambda_max,
     sweep_curve,
     vertex_distances,
 )

@@ -64,11 +64,11 @@ from .sweep import (
     corners_in_span,
     curve_to_csv,
     default_budget_grid,
-    default_lambda_max,
     distances_to_csv,
     enumerate_vertices,
     hull_gap,
     policy_id,
+    resolve_lambda_max,
     sweep_curve,
     vertex_distances,
     vertices_to_csv,
@@ -163,10 +163,9 @@ def _cmd_sweep(args, cfg):
 
 
 def _cmd_vertices(args, cfg):
+    args.lambda_max = resolve_lambda_max(cfg, args.lambda_max)
     disc = discretize_channel(cfg.channel, args.bins)
     m = disc.bins
-    if args.lambda_max is None:
-        args.lambda_max = default_lambda_max(cfg)
     if args.full:
         verts = enumerate_vertices(cfg, disc, args.lambda_max)
     else:

@@ -21,6 +21,14 @@ for an overflow), two families of equalities:
     admits measures that correlate queue and channel, which no causal
     schedule can realize, and prices them too cheaply.
 
+Every solve without a delay row (min_delay, solve_lagrangian and
+solve_constrained with no budget) has the same rows for one (cfg, disc)
+and differs only in its objective, so those solves share one simplex
+phase 1: the last discretization's LP and its FeasibleStart stay cached,
+and each solve runs phase 2 alone, with results bit for bit those of a
+cold solve.  A finite budget adds a delay row whose right-hand side
+steers phase 1, so constrained solves stay cold.
+
 State spaces are 0-based: q in {0..Q}, s in {0..S_max}.
 """
 
@@ -29,7 +37,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,6 +47,8 @@ from .simplex import (
     FEAS_TOL,
     LinearProgram,
     SimplexAnomaly,
+    SimplexResult,
+    feasible_start,
     solve_simplex,
 )
 from .textio import csv_text, read_rows
@@ -195,6 +205,11 @@ class OccupancyLp:
     delay: np.ndarray
 
 
+def _has_delay_row(cfg: SystemConfig, d_th: float | None) -> bool:
+    return (d_th is not None and math.isfinite(d_th)
+            and mean_arrival_rate(cfg.arrival) > 0)
+
+
 def build_occupancy_lp(
     cfg: SystemConfig, disc: ChannelDiscretization, d_th: float | None
 ) -> OccupancyLp:
@@ -208,7 +223,6 @@ def build_occupancy_lp(
     M, n_q = disc.bins, cfg.Q + 1
     nv = qs.size * M
     p = np.asarray(disc.masses)
-    abar = mean_arrival_rate(cfg.arrival)
     power_c = (np.asarray(cfg.xi_table)[ss, None]
                * np.asarray(disc.inv_means)).ravel()
     delay_c = np.repeat(mean_delay(cfg, qs.astype(float)), M)
@@ -225,7 +239,7 @@ def build_occupancy_lp(
     b_eq = np.concatenate([p, np.zeros(n_q * M)])
 
     A_ub = b_ub = None
-    if d_th is not None and math.isfinite(d_th) and abar > 0:
+    if _has_delay_row(cfg, d_th):
         A_ub = delay_c.reshape(1, -1)
         b_ub = np.array([d_th])
 
@@ -233,14 +247,28 @@ def build_occupancy_lp(
     return OccupancyLp(cfg, disc, lp, mask, power_c, delay_c)
 
 
+@lru_cache(maxsize=1)
+def _delay_free(cfg: SystemConfig, disc: ChannelDiscretization):
+    """The LP without a delay row and the start its solves share (None
+    when phase 1 finds the rows infeasible: each solve then says so)."""
+    olp = build_occupancy_lp(cfg, disc, None)
+    start = feasible_start(olp.lp)
+    return olp, (None if isinstance(start, SimplexResult) else start)
+
+
 def _solve(cfg: SystemConfig, disc: ChannelDiscretization,
            d_th: float | None, objective):
     """Build, solve with lp.c = objective(olp), scatter x onto the mask.
 
-    Returns the SimplexResult and its measure (None unless optimal).
+    Without a delay row the LP and its feasible start come from the
+    one-entry cache.  Returns the SimplexResult and its measure (None
+    unless optimal).
     """
-    olp = build_occupancy_lp(cfg, disc, d_th)
-    res = solve_simplex(replace(olp.lp, c=objective(olp)))
+    if _has_delay_row(cfg, d_th):
+        olp, start = build_occupancy_lp(cfg, disc, d_th), None
+    else:
+        olp, start = _delay_free(cfg, disc)
+    res = solve_simplex(replace(olp.lp, c=objective(olp)), start)
     if res.status != "optimal":
         return res, None
     g = np.zeros((cfg.Q + 1, cfg.S_max + 1, disc.bins))
@@ -281,7 +309,8 @@ def solve_lagrangian(
     res, measure = _solve(cfg, disc, None,
                           lambda olp: olp.power + lam * olp.delay)
     if measure is None:
-        raise SimplexAnomaly(f"weighted solve returned {res.status}")
+        raise SimplexAnomaly(
+            f"weighted solve at lam={lam!r} returned {res.status}")
     return (measure, *evaluate_measure(measure))
 
 

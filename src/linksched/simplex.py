@@ -12,10 +12,17 @@ basic at a value <= FEAS_TOL and cannot be pivoted out) are dropped
 before phase 2.  Duals are read off the final reduced costs of the
 identity columns, so every kept row reports a multiplier.
 
-A solve holds at most two tableau-sized arrays: the tableau, built
+Phase 1, the drive-out and the row drop read only the rows, never the
+objective, so their outcome is a FeasibleStart that any objective over
+the same rows can share: solve_simplex(lp, start) runs phase 2 alone
+and returns exactly what the cold solve_simplex(lp) returns.
+
+A cold solve holds at most two tableau-sized arrays: the tableau, built
 straight from the LinearProgram, and one scratch array that takes the
 pivot's outer product in both phases and the drive-out, and receives
 the kept rows when redundant ones are dropped (the two then swap roles).
+A solve from a shared start holds those two (a copy of the start's
+tableau and the scratch) plus the read-only start itself.
 """
 
 from __future__ import annotations
@@ -63,6 +70,14 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class SimplexResult:
+    """Outcome of one solve.
+
+    iterations counts the pivots on the path from the artificial basis
+    to the returned basis: phase-1 pivots plus phase-2 pivots, whether
+    phase 1 ran in this solve or in a shared FeasibleStart.  Drive-out
+    pivots are in neither count.  phase1_iterations is the phase-1 part.
+    """
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None = None
     objective: float | None = None
@@ -70,6 +85,7 @@ class SimplexResult:
     duals_ub: np.ndarray | None = None
     dropped_eq_rows: tuple[int, ...] = ()
     iterations: int = 0
+    phase1_iterations: int = 0
 
 
 def _bland_iterate(T, basis, cost, allowed, work):
@@ -126,8 +142,39 @@ def _pivot(T, r, j, work):
     np.clip(rhs, 0.0, None, out=rhs)
 
 
-def solve_simplex(lp: LinearProgram) -> SimplexResult:
-    """Two-phase solve; statuses "optimal", "infeasible", "unbounded"."""
+@dataclass(frozen=True)
+class FeasibleStart:
+    """The cost-free start of phase 2: phase 1, drive-out and row drop done.
+
+    Every field depends on the LP's rows alone (A_eq, b_eq, A_ub, b_ub),
+    never on c, so one start serves any objective over the same rows.
+    T holds the kept rows of the tableau (RHS last) and basis their basic
+    columns; keep marks the kept rows among all me + mu, flip the rows
+    negated for a negative RHS, and ident the identity column of each
+    row.  The arrays are read-only: a solve copies T before pivoting.
+    """
+
+    T: np.ndarray
+    basis: np.ndarray
+    keep: np.ndarray
+    flip: np.ndarray
+    ident: np.ndarray
+    dropped_eq_rows: tuple[int, ...]
+    phase1_iterations: int
+
+    def __post_init__(self):
+        for a in (self.T, self.basis, self.keep, self.flip, self.ident):
+            a.setflags(write=False)
+
+
+def _phase1(lp: LinearProgram):
+    """Phase 1, the artificial drive-out and the redundant-row drop.
+
+    Returns (start, T, work): start.T is a read-only view of the
+    writable tableau T and work is the scratch array, so a cold solve
+    can run phase 2 in place.  An infeasible LP returns its
+    SimplexResult in place of the start.
+    """
     n = lp.c.shape[0]
     me, mu = lp.A_eq.shape[0], lp.A_ub.shape[0]
     m = me + mu
@@ -154,15 +201,15 @@ def solve_simplex(lp: LinearProgram) -> SimplexResult:
     basis = ident.copy()
     work = np.empty_like(T)
 
-    art_mask = np.arange(ncols) >= n + mu
-    phase1_cost = art_mask.astype(float)
+    phase1_cost = (np.arange(ncols) >= n + mu).astype(float)
     status, it1 = _bland_iterate(T, basis, phase1_cost,
                                  np.ones(ncols, dtype=bool), work)
     if status == "unbounded":
         raise SimplexAnomaly("descent ray in phase 1")
     phase1_obj = float(phase1_cost[basis] @ T[:, ncols])
     if phase1_obj > FEAS_TOL:
-        return SimplexResult(status="infeasible", iterations=it1)
+        return SimplexResult(status="infeasible", iterations=it1,
+                             phase1_iterations=it1), None, None
 
     # pivot lingering artificials out, or drop their (redundant) rows
     keep = np.ones(m, dtype=bool)
@@ -180,12 +227,45 @@ def solve_simplex(lp: LinearProgram) -> SimplexResult:
         np.take(T, np.nonzero(keep)[0], axis=0, out=work[:k], mode="clip")
         T, work = work[:k], T[:k]
         basis = basis[keep]
+    start = FeasibleStart(T.view(), basis, keep, flip, ident, dropped, it1)
+    return start, T, work
+
+
+def feasible_start(lp: LinearProgram) -> FeasibleStart | SimplexResult:
+    """The start every objective over lp's rows shares, or the
+    "infeasible" result when phase 1 proves the rows infeasible."""
+    return _phase1(lp)[0]
+
+
+def solve_simplex(lp: LinearProgram,
+                  start: FeasibleStart | None = None) -> SimplexResult:
+    """Two-phase solve; statuses "optimal", "infeasible", "unbounded".
+
+    start, from feasible_start on an LP with the same rows, skips phase
+    1: phase 2 then runs on a copy of start.T, and the result is bit for
+    bit the one a cold solve returns.  Without it, phase 1 runs first and
+    phase 2 pivots its tableau in place.
+    """
+    if start is None:
+        start, T, work = _phase1(lp)
+        if isinstance(start, SimplexResult):
+            return start
+    else:
+        T = start.T.copy()
+        work = np.empty_like(T)
+    basis = start.basis.copy()
+    keep, flip, ident = start.keep, start.flip, start.ident
+    n = lp.c.shape[0]
+    me, mu = lp.A_eq.shape[0], lp.A_ub.shape[0]
+    ncols = T.shape[1] - 1
 
     phase2_cost = np.concatenate([lp.c, np.zeros(ncols - n)])
-    status, it2 = _bland_iterate(T, basis, phase2_cost, ~art_mask, work)
-    iterations = it1 + it2
+    allowed = np.arange(ncols) < n + mu
+    status, it2 = _bland_iterate(T, basis, phase2_cost, allowed, work)
+    it1 = start.phase1_iterations
     if status == "unbounded":
-        return SimplexResult(status="unbounded", iterations=iterations)
+        return SimplexResult(status="unbounded", iterations=it1 + it2,
+                             phase1_iterations=it1)
 
     x = np.zeros(ncols)
     x[basis] = T[:, ncols]
@@ -194,7 +274,7 @@ def solve_simplex(lp: LinearProgram) -> SimplexResult:
 
     # duals from identity-column reduced costs: r_j = 0 - y_i on e_i cols
     reduced = phase2_cost - phase2_cost[basis] @ T[:, :ncols]
-    duals = np.zeros(m)
+    duals = np.zeros(me + mu)
     duals[keep] = -reduced[ident[keep]]
     duals[flip & keep] *= -1.0
     return SimplexResult(
@@ -203,6 +283,7 @@ def solve_simplex(lp: LinearProgram) -> SimplexResult:
         objective=objective,
         duals_eq=duals[:me].copy(),
         duals_ub=duals[me:].copy(),
-        dropped_eq_rows=dropped,
-        iterations=iterations,
+        dropped_eq_rows=start.dropped_eq_rows,
+        iterations=it1 + it2,
+        phase1_iterations=it1,
     )

@@ -98,6 +98,17 @@ def default_lambda_max(cfg: SystemConfig) -> float:
     return 1e4 * cfg.xi(cfg.S_max) / cfg.channel.h_min
 
 
+def resolve_lambda_max(cfg: SystemConfig, lambda_max: float | None) -> float:
+    """The default for None; otherwise lambda_max itself, which must be
+    finite and positive (ValueError if not)."""
+    if lambda_max is None:
+        return default_lambda_max(cfg)
+    if not (math.isfinite(lambda_max) and lambda_max > 0):
+        raise ValueError(
+            f"lambda_max must be finite and > 0, got {lambda_max!r}")
+    return lambda_max
+
+
 def enumerate_vertices(
     cfg: SystemConfig,
     disc: ChannelDiscretization,
@@ -110,11 +121,7 @@ def enumerate_vertices(
     end of the curve is unreachable and the call fails with advice to
     raise it.
     """
-    if lambda_max is None:
-        lambda_max = default_lambda_max(cfg)
-    if not (math.isfinite(lambda_max) and lambda_max > 0):
-        raise ValueError(
-            f"lambda_max must be finite and > 0, got {lambda_max!r}")
+    lambda_max = resolve_lambda_max(cfg, lambda_max)
     solves = 0
 
     def solve(lam: float) -> Vertex:

@@ -8,9 +8,10 @@ import pytest
 from linksched import cli, occupancy_lp
 from linksched.cli import main
 from linksched.construction import MassRangeError
-from linksched.model import builtin_config_names
+from linksched.model import builtin_config_names, load_config
 from linksched.occupancy_lp import ReducibleChainError
 from linksched.simplex import SimplexResult
+from linksched.sweep import default_lambda_max
 
 
 @pytest.fixture()
@@ -56,10 +57,51 @@ class TestExitCodes:
     def test_solver_anomaly_is_three(self, tmp_path, monkeypatch, capsys):
         # the min-delay solve behind the default budget grid fails
         monkeypatch.setattr(occupancy_lp, "solve_simplex",
-                            lambda lp: SimplexResult(status="unbounded"))
+                            lambda lp, *_: SimplexResult(status="unbounded"))
         rc = main(["vertices", "--bins", "2", "--outdir", str(tmp_path)])
         assert rc == 3
         assert "min-delay solve returned unbounded" in capsys.readouterr().err
+
+    def test_failed_weighted_solve_names_lambda(self, tmp_path, monkeypatch,
+                                                capsys):
+        # the min-delay solve goes through, the first weighted one fails
+        real = occupancy_lp.solve_simplex
+        calls = []
+
+        def fail_after_first(lp, start=None):
+            calls.append(lp)
+            if len(calls) == 1:
+                return real(lp, start)
+            return SimplexResult(status="unbounded")
+
+        monkeypatch.setattr(occupancy_lp, "solve_simplex", fail_after_first)
+        rc = main(["vertices", "--bins", "2", "--full", "--config", "tiny",
+                   "--outdir", str(tmp_path)])
+        assert rc == 3
+        lam = default_lambda_max(load_config("tiny"))
+        assert (f"weighted solve at lam={lam!r} returned unbounded"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("full", [[], ["--full"]], ids=["span", "full"])
+    def test_bad_lambda_max_solves_nothing(self, tmp_path, monkeypatch,
+                                           capsys, full):
+        calls = []
+
+        def recorder(name, real):
+            def record(*args):
+                calls.append(name)
+                return real(*args)
+            return record
+
+        occupancy_lp._delay_free.cache_clear()
+        for name in ("solve_simplex", "feasible_start"):
+            monkeypatch.setattr(occupancy_lp, name,
+                                recorder(name, getattr(occupancy_lp, name)))
+        rc = main(["vertices", "--bins", "16", "--lambda-max", "0", *full,
+                   "--outdir", str(tmp_path)])
+        assert rc == 1
+        assert calls == []
+        assert "got 0.0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("exc", [MassRangeError, ReducibleChainError])
     def test_verification_failure_is_four(self, tmp_path, monkeypatch, exc):

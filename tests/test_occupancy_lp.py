@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from linksched import occupancy_lp, sweep
 from linksched.model import (
     config_from_dict,
     discretize_channel,
@@ -29,7 +32,7 @@ from linksched.occupancy_lp import (
     transition_table,
     _queue_kernel,
 )
-from linksched.simplex import FEAS_TOL
+from linksched.simplex import FEAS_TOL, solve_simplex
 
 from oracles import (
     enumerate_policies,
@@ -373,3 +376,69 @@ class TestTextFormats:
             assert val == solution16.measure.values[int(q), int(s), int(k)]
             total += val
         assert total == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.fixture(scope="module")
+def corner_lams(paper_cfg):
+    """Every weight enumerate_vertices solves at paper_iv, M=4."""
+    lams = []
+    real = sweep.solve_lagrangian
+
+    def recorder(cfg, disc, lam):
+        lams.append(lam)
+        return real(cfg, disc, lam)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep, "solve_lagrangian", recorder)
+        sweep.enumerate_vertices(paper_cfg,
+                                 discretize_channel(paper_cfg.channel, 4))
+    assert len(lams) == 61
+    return lams
+
+
+def _result_bytes(res):
+    """Everything a solve reports, floats as their bytes."""
+    return (res.status, res.x.tobytes(), np.float64(res.objective).tobytes(),
+            res.duals_eq.tobytes(), res.duals_ub.tobytes(),
+            res.dropped_eq_rows, res.iterations, res.phase1_iterations)
+
+
+def _cold(cfg, disc, c_of):
+    olp = build_occupancy_lp(cfg, disc, None)
+    return solve_simplex(replace(olp.lp, c=c_of(olp)))
+
+
+class TestSharedStart:
+    """Delay-free solves from the cached start equal cold solves bit for bit."""
+
+    @pytest.mark.parametrize("name,bins", [("paper_iv", 4), ("paper_iv", 8),
+                                           ("tiny", 2)])
+    def test_bitwise_equal_to_cold(self, name, bins, corner_lams):
+        cfg = load_config(name)
+        disc = discretize_channel(cfg.channel, bins)
+        olp, start = occupancy_lp._delay_free(cfg, disc)
+        objectives = [lambda o: o.delay] + [
+            lambda o, lam=lam: o.power + lam * o.delay for lam in corner_lams]
+        for c_of in objectives:
+            shared = solve_simplex(replace(olp.lp, c=c_of(olp)), start)
+            cold = _cold(cfg, disc, c_of)
+            assert _result_bytes(shared) == _result_bytes(cold)
+            assert shared.phase1_iterations == start.phase1_iterations
+
+    def test_switching_discretizations(self, paper_cfg):
+        a, b = (discretize_channel(paper_cfg.channel, m) for m in (4, 2))
+        def weighted(olp):
+            return olp.power + 0.5 * olp.delay
+
+        cold = {d.bins: _cold(paper_cfg, d, weighted) for d in (a, b)}
+        occupancy_lp._delay_free.cache_clear()
+        for disc in (a, b, a):
+            res, _ = occupancy_lp._solve(paper_cfg, disc, None, weighted)
+            assert _result_bytes(res) == _result_bytes(cold[disc.bins])
+        assert occupancy_lp._delay_free.cache_info().misses == 3
+
+    def test_constrained_solves_stay_cold(self, paper_cfg):
+        disc = discretize_channel(paper_cfg.channel, 2)
+        occupancy_lp._delay_free.cache_clear()
+        assert solve_constrained(paper_cfg, disc, 3.0).status == "optimal"
+        assert occupancy_lp._delay_free.cache_info().currsize == 0

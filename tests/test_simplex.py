@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from linksched.occupancy_lp import build_occupancy_lp
-from linksched.simplex import LinearProgram, solve_simplex
+from linksched import occupancy_lp
+from linksched.model import discretize_channel
+from linksched.occupancy_lp import build_occupancy_lp, solve_lagrangian
+from linksched.simplex import (LinearProgram, SimplexResult, feasible_start,
+                               solve_simplex)
 
 from oracles import best_basic_solution, random_bounded_lp
 
@@ -100,6 +105,55 @@ class TestMemory:
             tracemalloc.stop()
         assert res.status == "optimal" and res.dropped_eq_rows
         assert peak <= 2.2 * tableau, peak / tableau
+
+    def test_shared_start_peak_is_about_two_tableaus(self, paper_cfg, disc16):
+        # with the start cached, a solve holds a copy of the start's
+        # tableau and one scratch array, nothing more
+        solve_lagrangian(paper_cfg, disc16, 1.0)
+        lp = build_occupancy_lp(paper_cfg, disc16, None).lp
+        me = lp.A_eq.shape[0]
+        tableau = me * (lp.c.size + me + 1) * 8
+        tracemalloc.start()
+        try:
+            solve_lagrangian(paper_cfg, disc16, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert occupancy_lp._delay_free.cache_info().hits >= 1
+        assert peak <= 2.2 * tableau, peak / tableau
+
+
+class TestPhaseCounts:
+    def test_equality_rows_need_phase_one(self):
+        res = _solve([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[3.0])
+        assert (res.phase1_iterations, res.iterations) == (1, 1)
+
+    def test_slack_basis_needs_no_phase_one(self):
+        res = _solve([-3.0, -5.0],
+                     A_ub=[[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]],
+                     b_ub=[4.0, 12.0, 18.0])
+        assert (res.phase1_iterations, res.iterations) == (0, 3)
+
+
+class TestSharedStart:
+    def test_infeasible_rows_have_no_start(self):
+        lp = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[-1.0])
+        start = feasible_start(lp)
+        assert isinstance(start, SimplexResult)
+        assert start == solve_simplex(lp)
+
+    def test_start_is_never_written(self, paper_cfg):
+        disc = discretize_channel(paper_cfg.channel, 4)
+        lp = build_occupancy_lp(paper_cfg, disc, None).lp
+        start = feasible_start(lp)
+        arrays = (start.T, start.basis, start.keep, start.flip, start.ident)
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            start.T[0, 0] = 1.0
+        digest = hashlib.sha256(start.T.tobytes()).hexdigest()
+        for c in (lp.c, -lp.c, np.arange(lp.c.size, dtype=float)):
+            solve_simplex(replace(lp, c=c), start)
+        assert hashlib.sha256(start.T.tobytes()).hexdigest() == digest
 
 
 class TestDuals:
