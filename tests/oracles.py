@@ -306,13 +306,75 @@ def loop_intervals(lo, hi, q: int) -> list[tuple[float, float, int]]:
     return out
 
 
+# --- the channel law, one piece at a time ---------------------------------
+
+def loop_pieces(ch):
+    """(breakpoints, densities) read straight off the channel's fields."""
+    if ch.kind == "uniform":
+        return [ch.h_min, ch.h_max], [1.0 / (ch.h_max - ch.h_min)]
+    return [ch.h_min] + [e for e, _ in ch.table], [v for _, v in ch.table]
+
+
+def loop_integrals(ch, lo: float, hi: float) -> tuple[float, float]:
+    """(integral of f, integral of f/h) over (lo, hi], one walk each."""
+    edges, values = loop_pieces(ch)
+    mass = 0.0
+    for a, b, v in zip(edges[:-1], edges[1:], values):
+        left, right = max(a, lo), min(b, hi)
+        if right > left:
+            mass += v * (right - left)
+    inv = 0.0
+    for a, b, v in zip(edges[:-1], edges[1:], values):
+        left, right = max(a, lo), min(b, hi)
+        if right > left and v > 0:
+            inv += v * math.log(right / left)
+    return mass, inv
+
+
+def loop_discretize(ch, bins: int):
+    """(edges, masses, E[1/h | bin]) of equal-width bins, one bin at a
+    time; None when some bin carries no mass."""
+    width = (ch.h_max - ch.h_min) / bins
+    edges = [ch.h_min + k * width for k in range(bins + 1)]
+    edges[0], edges[-1] = ch.h_min, ch.h_max
+    masses, inv_means = [], []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        p, inv = loop_integrals(ch, lo, hi)
+        if p <= 0.0:
+            return None
+        masses.append(p)
+        inv_means.append(inv / p)
+    return edges, masses, inv_means
+
+
+def loop_cdf(ch, h: float) -> float:
+    """Mass below h, adding whole pieces until the one holding h."""
+    edges, values = loop_pieces(ch)
+    acc = 0.0
+    for lo, hi, v in zip(edges[:-1], edges[1:], values):
+        if h <= lo:
+            break
+        acc += v * (min(h, hi) - lo)
+    return acc
+
+
+def loop_density(ch, h: float) -> float:
+    """Density of the piece (a, b] holding h; h_min and below fall in
+    the first piece, beyond h_max in the last."""
+    edges, values = loop_pieces(ch)
+    for b, v in zip(edges[1:], values):
+        if h <= b:
+            return v
+    return values[-1]
+
+
 # --- simulation, one slot at a time ---------------------------------------
 
 def loop_cdf_inverse(ch, u: float) -> float:
     """Leftmost h with CDF(h) >= u, walking the pieces in order."""
     if ch.kind == "uniform":
         return ch.h_min + u * (ch.h_max - ch.h_min)
-    edges, values = ch.pieces()
+    edges, values = loop_pieces(ch)
     acc = 0.0
     for a, b, v in zip(edges[:-1], edges[1:], values):
         step = v * (b - a)

@@ -1,8 +1,10 @@
 """Byte-identity of CLI outputs against recorded digests.
 
 Small-M runs of solve, vertices (the default span and --full),
-construct, both simulate forms and sweep; every output file except
-manifest.json (which carries a timestamp) is hashed.  Any change in
+construct, both simulate forms and sweep, on paper_iv and (solve,
+construct, both simulate forms) on a piecewise channel with a
+zero-density gap; every output file except the JSON ones (the config
+and manifest.json, which carries a timestamp) is hashed.  Any change in
 the bits of an LP row, a residual, a kernel or a report shows up here;
 record new digests only for a deliberate change of output.
 """
@@ -10,8 +12,17 @@ record new digests only for a deliberate change of output.
 from __future__ import annotations
 
 import hashlib
+import json
 
 from linksched.cli import main
+
+# paper_iv's traffic over a 3-piece channel whose middle piece has no mass
+PIECEWISE = {
+    "arrival": {"alphas": [0.4, 0.3, 0.3]},
+    "channel": {"kind": "piecewise", "h_min": 0.5, "h_max": 10.0,
+                "table": [[2.0, 0.3], [3.0, 0.0], [10.0, 0.55 / 7]]},
+    "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"}
+PW = ["--config", "{root}/piecewise.json"]
 
 # (output subdirectory, argv); "{root}" is replaced by the run root
 RUNS = (
@@ -29,6 +40,16 @@ RUNS = (
                        "{root}/construct/thresholds.csv",
                        "--slots", "20000", "--seed", "3"]),
     ("sweep", ["sweep", "--bins-list", "2,4", "--dgrid", "1,1.5,2,3"]),
+    ("pw_solve", ["solve", *PW, "--dth", "3", "--bins", "4"]),
+    # 7 cells over 4 bins and 3 channel pieces: the gap (2, 3] lies in
+    # one cell, which also holds a bin edge
+    ("pw_construct", ["construct", *PW, "--dth", "3", "--bins", "4",
+                      "--M", "7"]),
+    ("pw_sim_bin", ["simulate", *PW, "--policy", "{root}/pw_solve/policy.csv",
+                    "--bins", "4", "--slots", "20000", "--seed", "5"]),
+    ("pw_sim_threshold", ["simulate", *PW, "--policy",
+                          "{root}/pw_construct/thresholds.csv",
+                          "--slots", "20000", "--seed", "3"]),
 )
 
 DIGESTS = {
@@ -40,6 +61,24 @@ DIGESTS = {
         "402f91e0dda7591d23f587c5aaed65c0ef6af257ac98008c10656f14967159ed",
     "construct_m7/thresholds.csv":
         "f6cb942b5d03bfd9c4686ce688b38c893da1464d241a2a9afd66a5e5ed1ecf5f",
+    "pw_construct/report.txt":
+        "1f7695b001b6e8c8e85b834550e589c1ec96d853adea2f76afbca3f1bcc4f495",
+    "pw_construct/thresholds.csv":
+        "5b8af6e2319265a04ec8dcf51ee2a02b1be33e737743c7659bccd74cdd762a24",
+    "pw_sim_bin/report.csv":
+        "43da3a0529e0a10ee9a63a48e678fd217312adddb5b449187f247e6f6fded0ae",
+    "pw_sim_bin/report.txt":
+        "2195db3ff874bacfd4bec6b964db5127c3cb3cdb851c0ffa5c37ce705683aefb",
+    "pw_sim_threshold/report.csv":
+        "5c0d506de5a2d6a93abb01b2ac88e5e2f7ab05513676b5b436ac094bd8c623cc",
+    "pw_sim_threshold/report.txt":
+        "2d5676c6c7a145e2cd19c0dc8fa08f4d0ba2db1a3deeb63da82672949275b61b",
+    "pw_solve/measure.csv":
+        "36dabc0f0f911096253340a10ec8d6272b9eaafc648d88e69ba61e24414acba8",
+    "pw_solve/metrics.txt":
+        "75b383d8ec988355c26d3c064cf5891d1357f820bf1d2077a863bc0366fac8a3",
+    "pw_solve/policy.csv":
+        "94c14070a0f718a67813f04657006c44d50f5b2c3e05528ec7fb86c9353c8fcc",
     "sim_bin/report.csv":
         "d2938695bc414c89142a55a33d66326b7fdf61762a603147253f6ca12911b434",
     "sim_bin/report.txt":
@@ -161,13 +200,14 @@ DIGESTS = {
 
 def run_digests(root) -> dict[str, str]:
     """Run every entry of RUNS under root; sha256 of each output file."""
+    (root / "piecewise.json").write_text(json.dumps(PIECEWISE))
     for sub, argv in RUNS:
         argv = [a.format(root=root) for a in argv]
         assert main(argv + ["--outdir", str(root / sub)]) == 0, sub
     return {
         str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(root.rglob("*"))
-        if p.is_file() and p.name != "manifest.json"
+        if p.is_file() and p.suffix != ".json"
     }
 
 

@@ -21,7 +21,36 @@ from linksched.model import (
     validate_config,
 )
 
-from oracles import gauss_integral, loop_cdf_inverse, uniform_bin_stats
+from oracles import (gauss_integral, loop_cdf, loop_cdf_inverse,
+                     loop_discretize, uniform_bin_stats)
+
+
+@st.composite
+def piecewise_channels(draw):
+    """A valid piecewise channel of 1-5 pieces, some with zero density."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    h_min = draw(st.floats(min_value=0.05, max_value=3.0))
+    edges = [h_min]
+    for w in draw(st.lists(st.floats(min_value=0.01, max_value=4.0),
+                           min_size=n, max_size=n)):
+        edges.append(edges[-1] + w)
+    raw = draw(st.lists(st.just(0.0) | st.floats(min_value=0.01,
+                                                   max_value=5.0),
+                        min_size=n, max_size=n).filter(any))
+    total = sum(r * (b - a) for r, a, b in zip(raw, edges[:-1], edges[1:]))
+    return config_from_dict(_base_dict(channel={
+        "kind": "piecewise", "h_min": h_min, "h_max": edges[-1],
+        "table": [[e, r / total] for e, r in zip(edges[1:], raw)]})).channel
+
+
+def _probe_gains(ch, disc_edges, u) -> list[float]:
+    """Every breakpoint and bin edge, one ulp either side of each, and
+    points spread from below h_min to beyond h_max."""
+    marks = np.array(sorted({*ch.pieces()[0], *disc_edges}))
+    lo, hi = ch.h_min - 1.0, ch.h_max + 1.0
+    return np.concatenate([marks, np.nextafter(marks, -np.inf),
+                           np.nextafter(marks, np.inf),
+                           lo + np.asarray(u) * (hi - lo)]).tolist()
 
 
 def _base_dict(**overrides):
@@ -155,6 +184,28 @@ class TestDiscretization:
         if h > disc.edges[0]:
             assert disc.edges[k] < h <= disc.edges[k + 1] or h == pytest.approx(
                 disc.edges[k + 1])
+
+
+class TestLoopForms:
+    """The vectorised channel law equals the piece-by-piece loops bit
+    for bit on random piecewise channels."""
+
+    @given(piecewise_channels(), st.integers(min_value=1, max_value=12),
+           st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_loops_bitwise(self, ch, bins, u):
+        want = loop_discretize(ch, bins)
+        if want is None:
+            with pytest.raises(DiscretizationError):
+                discretize_channel(ch, bins)
+            return
+        disc = discretize_channel(ch, bins)
+        for got, ref in zip((disc.edges, disc.masses, disc.inv_means), want):
+            assert all(type(x) is float for x in got)
+            assert np.array(got).tobytes() == np.array(ref).tobytes()
+        hs = _probe_gains(ch, disc.edges, u)
+        assert (np.array([ch.cdf(h) for h in hs]).tobytes()
+                == np.array([loop_cdf(ch, h) for h in hs]).tobytes())
 
 
 class TestCdfInverse:
