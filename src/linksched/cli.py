@@ -307,17 +307,29 @@ def _cmd_verify(args, cfg):
 
     disc4 = discretize_channel(cfg.channel, 4)
     grid = default_budget_grid(cfg, disc4, points=12)
-    study = convergence_study(cfg, (2, 4), grid)
-    check("curve refinement dominance", True,
-          f"sup_gap={fmt(study.sup_gaps[0])}")
-
-    verts = enumerate_vertices(cfg, disc4)
-    kinds_ok = all(v.policy.kind == "deterministic" for v in verts)
-    check("corner policies deterministic", kinds_ok, f"corners={len(verts)}")
-    curve4 = study.curves[1]
-    gaps = np.abs(hull_gap(curve4.budgets, curve4.powers, verts))
-    gap = float(gaps.max()) if gaps.size else 0.0
-    check("curve matches corner hull <= 1e-6", gap <= 1e-6, f"gap={fmt(gap)}")
+    # a SweepError from either call is the failure of its check
+    study = verts = None
+    try:
+        study = convergence_study(cfg, (2, 4), grid)
+    except SweepError as e:
+        check("curve refinement dominance", False, str(e))
+    else:
+        check("curve refinement dominance", True,
+              f"sup_gap={fmt(study.sup_gaps[0])}")
+    try:
+        verts = enumerate_vertices(cfg, disc4)
+    except SweepError as e:
+        check("corner policies deterministic", False, str(e))
+    else:
+        kinds_ok = all(v.policy.kind == "deterministic" for v in verts)
+        check("corner policies deterministic", kinds_ok,
+              f"corners={len(verts)}")
+    if study is not None and verts is not None:
+        curve4 = study.curves[1]
+        gaps = np.abs(hull_gap(curve4.budgets, curve4.powers, verts))
+        gap = float(gaps.max()) if gaps.size else 0.0
+        check("curve matches corner hull <= 1e-6", gap <= 1e-6,
+              f"gap={fmt(gap)}")
 
     rep1 = run_sim(cfg, pol, 60_000, seed=args.seed)
     rep2 = run_sim(cfg, pol, 60_000, seed=args.seed)

@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import SystemConfig, cell_of, mean_delay
+from .model import SystemConfig, cell_of, drain_rate, mean_delay
 from .occupancy_lp import (TRANSIENT_TOL, OccupancyMeasure, _ordered_sum,
                            check_index, queue_residuals)
 from .textio import csv_text, read_rows
@@ -98,18 +98,11 @@ def density_from_measure(m: OccupancyMeasure) -> PiecewiseDensity:
     """Spread each bin's mass over the bin, proportional to the channel
     density (uniform spreading when the channel is uniform)."""
     cfg, disc = m.cfg, m.disc
-    ch_edges, ch_values = cfg.channel.pieces()
-    grid = np.unique(np.concatenate([np.asarray(disc.edges), np.asarray(ch_edges)]))
+    grid = np.unique(np.concatenate([disc.edges, cfg.channel.breaks]))
     mids = 0.5 * (grid[:-1] + grid[1:])
-    piece_of = np.clip(
-        np.searchsorted(np.asarray(ch_edges), mids, side="left") - 1,
-        0, len(ch_values) - 1)
-    f_vals = np.asarray(ch_values)[piece_of]
-    bin_of = np.clip(
-        np.searchsorted(np.asarray(disc.edges), mids, side="left") - 1,
-        0, disc.bins - 1)
-    p = np.asarray(disc.masses)
-    scale = f_vals / p[bin_of]  # density per unit of bin mass
+    bin_of = cell_of(disc.edges, mids)
+    # density per unit of bin mass
+    scale = cfg.channel.density(mids) / np.asarray(disc.masses)[bin_of]
     values = m.values[:, :, bin_of] * scale[None, None, :]
     return PiecewiseDensity(cfg, grid, values)
 
@@ -167,13 +160,6 @@ def invert_envelope(env: CdfEnvelope, v):
     x = np.where(vv > 0.0, env.xs[i - 1] + t * (env.xs[i] - env.xs[i - 1]),
                  env.xs[0])
     return float(x) if x.ndim == 0 else x
-
-
-def _cell_edges(cfg: SystemConfig, cells: int) -> np.ndarray:
-    lo, hi = cfg.channel.h_min, cfg.channel.h_max
-    edges = lo + np.arange(cells + 1) * ((hi - lo) / cells)
-    edges[0], edges[-1] = lo, hi
-    return edges
 
 
 def _rate_sequence(s_max: int, order: str) -> list[int]:
@@ -246,7 +232,7 @@ class ConstructedSolution:
         grid, total = self.source.grid, self.source.values.sum(axis=1)
         a, b, n = self.lo, self.hi, grid.size - 2
         first = np.clip(np.searchsorted(grid, a, side="right") - 1, 0, n)
-        last = np.clip(np.searchsorted(grid, b, side="left") - 1, 0, n)
+        last = cell_of(grid, b)
         q = np.arange(self.cfg.Q + 1)[:, None, None]
         inv_int = np.zeros(a.shape)
         for j in range(int((last - first).max()) + 1):
@@ -272,7 +258,7 @@ def compute_thresholds(
     if cells < 1:
         raise ValueError(f"cell count must be >= 1, got {cells!r}")
     cfg = d.cfg
-    edges = _cell_edges(cfg, cells)
+    edges = cfg.channel.edges(cells)
     dr = d.refine(edges)
     Q, S, K = cfg.Q, cfg.S_max, cells
     seq = _rate_sequence(S, order)
@@ -345,23 +331,16 @@ def verify_feasibility(y: ConstructedSolution) -> FeasibilityReport:
     d = y.source
     # channel marginal at stratified sample gains, via interval lookup
     hs = _stratified_gains(cfg, FEASIBILITY_SAMPLES)
-    ch_edges, ch_values = cfg.channel.pieces()
-    f_ref = np.asarray(ch_values)[np.clip(
-        np.searchsorted(np.asarray(ch_edges), hs, side="left") - 1,
-        0, len(ch_values) - 1)]
-    piece_idx = np.clip(np.searchsorted(d.grid, hs, side="left") - 1,
-                        0, len(d.grid) - 2)
     covered = np.zeros((cfg.Q + 1, hs.size), dtype=bool)
     for q, (los, his, _) in enumerate(y.intervals):
         if los.size:
-            # side="left" so a gain equal to an interval boundary counts
-            # for the interval it closes, matching the (lo, hi] convention
-            pos = np.clip(np.searchsorted(los, hs, side="left") - 1, 0,
-                          los.size - 1)
+            # cells of the lower ends, the last closed by its upper end:
+            # a gain on a boundary counts for the interval it closes
+            pos = cell_of(np.append(los, his[-1]), hs)
             covered[q] = (hs > los[pos]) & (hs <= his[pos])
-    dens = d.values.sum(axis=1)[:, piece_idx]
+    dens = d.values.sum(axis=1)[:, cell_of(d.grid, hs)]
     total = _ordered_sum(np.where(covered, dens, 0.0))
-    channel_residual = float(np.abs(total - f_ref).max())
+    channel_residual = float(np.abs(total - cfg.channel.density(hs)).max())
 
     I = y.rate_integrals()
     balance, structural = queue_residuals(cfg, I)
@@ -451,8 +430,8 @@ class ThresholdPolicy:
 
     bounds[q] has one more entry than rates[q]; rule i sends rates[q][i]
     on (bounds[q][i], bounds[q][i+1]].  Queue states the source measure
-    never visits fall back to draining, rate min(q, S_max), and are
-    flagged transient.
+    never visits are flagged transient and send model.drain_rate on
+    every gain.
     """
 
     cfg: SystemConfig
@@ -483,12 +462,10 @@ def to_threshold_policy(y: ConstructedSolution) -> ThresholdPolicy:
     transient = np.zeros(cfg.Q + 1, dtype=bool)
     lo, hi = cfg.channel.h_min, cfg.channel.h_max
     for q in range(cfg.Q + 1):
-        if masses[q] <= TRANSIENT_TOL:
-            transient[q] = True
-            bounds_out.append(np.array([lo, hi]))
-            rates_out.append(np.array([min(q, cfg.S_max)], dtype=int))
-            continue
-        _, his, s = y.intervals[q]
+        transient[q] = masses[q] <= TRANSIENT_TOL
+        # an unvisited state gets one interval, draining on every gain
+        his, s = ((np.array([hi]), np.array([drain_rate(cfg, q)]))
+                  if transient[q] else y.intervals[q][1:])
         closes = np.append(s[1:] != s[:-1], True)  # last interval of a rule
         bs = np.concatenate([[lo], his[closes]])
         bs[-1] = hi
@@ -521,12 +498,9 @@ def threshold_policy_from_text(text: str, cfg: SystemConfig) -> ThresholdPolicy:
     h_min, h_max = cfg.channel.h_min, cfg.channel.h_max
     bounds_out, rates_out = [], []
     for q in range(cfg.Q + 1):
-        rules = sorted(per_q.get(q, []))
-        if not rules:
-            transient[q] = True
-            bounds_out.append(np.array([h_min, h_max]))
-            rates_out.append(np.array([min(q, cfg.S_max)], dtype=int))
-            continue
+        # an unlisted state is transient and drains on every gain
+        transient[q] |= q not in per_q
+        rules = sorted(per_q.get(q, [(h_min, h_max, drain_rate(cfg, q))]))
         los, his, rates = (np.array(c) for c in zip(*rules))
         bounds = np.append(h_min, his)
         if not (np.array_equal(los, bounds[:-1]) and his[-1] == h_max

@@ -55,22 +55,47 @@ class ChannelModel:
     kind: str = "uniform"
     table: tuple[tuple[float, float], ...] = ()
 
+    @property
+    def breaks(self) -> tuple[float, ...]:
+        """h_min, then each constant piece's right edge; the last is h_max."""
+        if self.kind == "uniform":
+            return (self.h_min, self.h_max)
+        return (self.h_min,) + tuple(e for e, _ in self.table)
+
     def pieces(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Breakpoints and per-piece density values."""
         if self.kind == "uniform":
-            return (self.h_min, self.h_max), (1.0 / (self.h_max - self.h_min),)
-        edges = (self.h_min,) + tuple(e for e, _ in self.table)
-        values = tuple(v for _, v in self.table)
-        return edges, values
+            return self.breaks, (1.0 / (self.h_max - self.h_min),)
+        return self.breaks, tuple(v for _, v in self.table)
+
+    def edges(self, n: int) -> np.ndarray:
+        """The n + 1 edges of n equal-width cells, both endpoints exact."""
+        e = self.h_min + np.arange(n + 1) * ((self.h_max - self.h_min) / n)
+        e[0], e[-1] = self.h_min, self.h_max
+        return e
+
+    def density(self, h):
+        """The density at each gain, elementwise; h_min and below count
+        for the first piece, beyond h_max for the last."""
+        edges, values = self.pieces()
+        return np.asarray(values)[cell_of(edges, h)]
+
+    def integral(self, lo: float, hi: float) -> tuple[float, float]:
+        """(integral of f, integral of f/h) over (lo, hi], exact per
+        constant piece.  math.log, not np.log: the two disagree in the
+        last bit on some inputs, and E[1/h | bin] is pinned bit for bit."""
+        edges, values = self.pieces()
+        mass = inv = 0.0
+        for a, b, v in zip(edges[:-1], edges[1:], values):
+            left, right = max(a, lo), min(b, hi)
+            if right > left:
+                mass += v * (right - left)
+                if v > 0:
+                    inv += v * math.log(right / left)
+        return mass, inv
 
     def cdf(self, h: float) -> float:
-        edges, values = self.pieces()
-        acc = 0.0
-        for lo, hi, v in zip(edges[:-1], edges[1:], values):
-            if h <= lo:
-                break
-            acc += v * (min(h, hi) - lo)
-        return acc
+        return self.integral(self.h_min, h)[0]
 
 
 @dataclass(frozen=True)
@@ -113,10 +138,15 @@ class ChannelDiscretization:
         return cell_of(self.edges, h)
 
 
-def cell_of(edges, h: float) -> int:
+def cell_of(edges, h):
     """The i with edges[i] < h <= edges[i+1] for ascending edges, clipped
-    to the first and last cell, so h_min itself falls in cell 0."""
-    return min(max(bisect_left(edges, h) - 1, 0), len(edges) - 2)
+    to the first and last cell, so h_min itself falls in cell 0.  A float
+    h gets an int by bisect (the simulator asks once per slot), an array
+    of gains an array of cells."""
+    if isinstance(h, float):
+        return min(max(bisect_left(edges, h) - 1, 0), len(edges) - 2)
+    return np.clip(np.searchsorted(edges, h, side="left") - 1, 0,
+                   len(edges) - 2)
 
 
 def step(cfg: SystemConfig, q, a, s):
@@ -125,6 +155,12 @@ def step(cfg: SystemConfig, q, a, s):
     Elementwise on integer arrays as well as on plain ints.
     """
     return np.minimum(np.maximum(q - s, 0) + a, cfg.Q)
+
+
+def drain_rate(cfg: SystemConfig, q):
+    """The rate of a queue state a policy never visits: drain as fast
+    as allowed, min(q, S_max).  Elementwise in q."""
+    return np.minimum(q, cfg.S_max)
 
 
 def mean_arrival_rate(arr: ArrivalModel) -> float:
@@ -165,7 +201,7 @@ def validate_config(cfg: SystemConfig) -> None:
             raise ConfigError("channel table does not end at h_max")
         if any(v < 0 for v in values):
             raise ConfigError("negative channel density")
-    total = _integrate_density(ch, ch.h_min, ch.h_max)
+    total, _ = ch.integral(ch.h_min, ch.h_max)
     if abs(total - 1.0) > PROB_TOL_CHANNEL:
         raise ConfigError("channel density does not integrate to 1")
     A = arr.max_arrivals
@@ -181,27 +217,6 @@ def validate_config(cfg: SystemConfig) -> None:
         raise ConfigError("xi not strictly increasing")
 
 
-def _integrate_density(ch: ChannelModel, lo: float, hi: float) -> float:
-    edges, values = ch.pieces()
-    acc = 0.0
-    for a, b, v in zip(edges[:-1], edges[1:], values):
-        left, right = max(a, lo), min(b, hi)
-        if right > left:
-            acc += v * (right - left)
-    return acc
-
-
-def _integrate_inv_density(ch: ChannelModel, lo: float, hi: float) -> float:
-    """Integral of f(h)/h, exact per constant piece."""
-    edges, values = ch.pieces()
-    acc = 0.0
-    for a, b, v in zip(edges[:-1], edges[1:], values):
-        left, right = max(a, lo), min(b, hi)
-        if right > left and v > 0:
-            acc += v * math.log(right / left)
-    return acc
-
-
 def discretize_channel(ch: ChannelModel, bins: int) -> ChannelDiscretization:
     """Split (h_min, h_max] into `bins` equal-width bins.
 
@@ -210,18 +225,12 @@ def discretize_channel(ch: ChannelModel, bins: int) -> ChannelDiscretization:
     """
     if bins < 1:
         raise DiscretizationError("bins must be >= 1")
-    width = (ch.h_max - ch.h_min) / bins
-    edges = [ch.h_min + k * width for k in range(bins + 1)]
-    edges[0], edges[-1] = ch.h_min, ch.h_max
-    masses = []
-    inv_means = []
-    for k in range(bins):
-        p = _integrate_density(ch, edges[k], edges[k + 1])
-        if p <= 0.0:
-            raise DiscretizationError("empty channel bin")
-        masses.append(p)
-        inv_means.append(_integrate_inv_density(ch, edges[k], edges[k + 1]) / p)
-    return ChannelDiscretization(tuple(edges), tuple(masses), tuple(inv_means))
+    edges = tuple(ch.edges(bins).tolist())
+    stats = [ch.integral(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    if any(p <= 0.0 for p, _ in stats):
+        raise DiscretizationError("empty channel bin")
+    return ChannelDiscretization(edges, tuple(p for p, _ in stats),
+                                 tuple(inv / p for p, inv in stats))
 
 
 def channel_cdf_inverse(ch: ChannelModel, u):
@@ -280,47 +289,52 @@ def builtin_config_names() -> tuple[str, ...]:
 def config_from_dict(raw: dict) -> SystemConfig:
     """Build and validate a SystemConfig from parsed JSON.
 
-    Errors name the offending field.
+    Errors name the offending field.  Booleans are not numbers here,
+    although JSON true and false load as Python's 1 and 0.
     """
 
-    def need(d: dict, key: str, where: str):
-        if key not in d:
-            raise ConfigError(f"missing field '{where}{key}'")
-        return d[key]
+    def get(path: str):
+        d, at = raw, ""
+        for key in path.split("."):
+            at += key
+            if not isinstance(d, dict) or key not in d:
+                raise ConfigError(f"missing field '{at}'")
+            d, at = d[key], at + "."
+        return d
 
-    arr_raw = need(raw, "arrival", "")
-    alphas = need(arr_raw, "alphas", "arrival.")
-    if not isinstance(alphas, list) or not all(
-        isinstance(a, (int, float)) for a in alphas
-    ):
-        raise ConfigError("field 'arrival.alphas' must be a list of numbers")
-    ch_raw = need(raw, "channel", "")
-    kind = need(ch_raw, "kind", "channel.")
-    h_min = need(ch_raw, "h_min", "channel.")
-    h_max = need(ch_raw, "h_max", "channel.")
-    table: tuple[tuple[float, float], ...] = ()
+    def typed(path: str, value, types, what: str):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"field '{path}' must be {what}, got {value!r}")
+        return value
+
+    def numbers(path: str, value) -> tuple[float, ...]:
+        what = "a list of numbers"
+        return tuple(float(typed(path, x, (int, float), what))
+                     for x in typed(path, value, list, what))
+
+    alphas = numbers("arrival.alphas", get("arrival.alphas"))
+    kind = get("channel.kind")
+    h_min, h_max = (float(typed(p, get(p), (int, float), "a number"))
+                    for p in ("channel.h_min", "channel.h_max"))
+    table: tuple[tuple[float, ...], ...] = ()
     if kind == "piecewise":
-        t = need(ch_raw, "table", "channel.")
-        try:
-            table = tuple((float(e), float(v)) for e, v in t)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("field 'channel.table' must be (edge, value) pairs") from exc
-    Q = need(raw, "Q", "")
-    S_max = need(raw, "S_max", "")
-    if not isinstance(Q, int) or not isinstance(S_max, int):
-        raise ConfigError("fields 'Q' and 'S_max' must be integers")
+        pairs = "a list of (edge, value) pairs"
+        table = tuple(numbers("channel.table", row) for row in
+                      typed("channel.table", get("channel.table"), list, pairs))
+        if any(len(row) != 2 for row in table):
+            raise ConfigError(f"field 'channel.table' must be {pairs}")
+    Q, S_max = (typed(p, get(p), int, "an integer") for p in ("Q", "S_max"))
     if "xi" in raw:
-        xi_raw = raw["xi"]
-        if not isinstance(xi_raw, list) or len(xi_raw) != S_max + 1:
+        xi = numbers("xi", raw["xi"])
+        if len(xi) != S_max + 1:
             raise ConfigError("field 'xi' must be a list of length S_max + 1")
-        xi = tuple(float(x) for x in xi_raw)
     elif raw.get("xi_kind") == "exp2minus1":
         xi = tuple(float(2**s - 1) for s in range(S_max + 1))
     else:
         raise ConfigError("missing field 'xi' (or xi_kind 'exp2minus1')")
     cfg = SystemConfig(
-        arrival=ArrivalModel(tuple(float(a) for a in alphas)),
-        channel=ChannelModel(float(h_min), float(h_max), str(kind), table),
+        arrival=ArrivalModel(alphas),
+        channel=ChannelModel(h_min, h_max, str(kind), table),
         Q=Q,
         S_max=S_max,
         xi_table=xi,

@@ -41,8 +41,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .model import (ChannelDiscretization, SystemConfig, mean_arrival_rate,
-                    mean_delay, step)
+from .model import (ChannelDiscretization, SystemConfig, drain_rate,
+                    mean_arrival_rate, mean_delay, step)
 from .simplex import (
     FEAS_TOL,
     LinearProgram,
@@ -136,8 +136,8 @@ class Policy:
     """Per-(q, bin) rate choice, probabilistic or deterministic.
 
     table[q][k][s] is the probability of rate s.  Rows with no support
-    in the source measure are transient: by convention they drain the
-    queue as fast as allowed (rate min(q, S_max)) and are flagged.
+    in the source measure are transient: flagged, and by convention at
+    model.drain_rate.
     """
 
     cfg: SystemConfig
@@ -331,8 +331,8 @@ def evaluate_measure(m: OccupancyMeasure) -> tuple[float, float]:
 def extract_policy(m: OccupancyMeasure) -> Policy:
     """Conditional rate law f(s | q, bin) = g / sum_s g.
 
-    Zero-mass rows are transient: flagged, with the drain-fast
-    convention sigma = min(q, S_max).  Row entries whose absolute mass
+    Zero-mass rows are transient: flagged, with sigma at
+    model.drain_rate.  Row entries whose absolute mass
     sits below the solver feasibility tolerance are dust, not evidence
     of randomization, and are dropped before normalizing.
     """
@@ -345,7 +345,7 @@ def extract_policy(m: OccupancyMeasure) -> Policy:
     rows = np.where(use_clean[..., None], cleaned, rows)
     denom = np.where(use_clean, clean_sum, rows.sum(axis=2))
     transient = denom <= TRANSIENT_TOL
-    drain = np.eye(cfg.S_max + 1)[np.minimum(np.arange(cfg.Q + 1), cfg.S_max)]
+    drain = np.eye(cfg.S_max + 1)[drain_rate(cfg, np.arange(cfg.Q + 1))]
     f = rows / np.where(transient, 1.0, denom)[..., None]
     table = np.where(transient[..., None], drain[:, None, :], f)
     return Policy(cfg, disc, table, transient)

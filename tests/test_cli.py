@@ -11,16 +11,21 @@ from linksched.construction import MassRangeError
 from linksched.model import builtin_config_names, load_config
 from linksched.occupancy_lp import ReducibleChainError
 from linksched.simplex import SimplexResult
-from linksched.sweep import default_lambda_max
+from linksched.sweep import SweepError, default_lambda_max
 
 
 @pytest.fixture()
-def bad_cfg(tmp_path):
+def bad_cfg(tmp_path, request):
+    """A config file with one bad field, given as (section or None, key,
+    value); by default alphas that sum to 1.1."""
+    raw = {"arrival": {"alphas": [0.4, 0.3, 0.3]},
+           "channel": {"kind": "uniform", "h_min": 0.5, "h_max": 10.0},
+           "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"}
+    section, key, value = getattr(request, "param",
+                                  ("arrival", "alphas", [0.5, 0.6]))
+    (raw[section] if section else raw)[key] = value
     p = tmp_path / "bad.json"
-    p.write_text(json.dumps({
-        "arrival": {"alphas": [0.5, 0.6]},
-        "channel": {"kind": "uniform", "h_min": 0.5, "h_max": 10.0},
-        "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"}))
+    p.write_text(json.dumps(raw))
     return str(p)
 
 
@@ -50,6 +55,21 @@ class TestExitCodes:
                    "--outdir", str(tmp_path)])
         assert rc == 1
         assert "alphas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_cfg,named", [
+        (("channel", "h_min", None), "'channel.h_min'"),
+        (("channel", "h_min", "abc"), "'channel.h_min'"),
+        ((None, "xi", [0, "x", 3]), "'xi'"),
+        ((None, "Q", True), "'Q'"),
+        (("arrival", "alphas", [True, False]), "'arrival.alphas'"),
+    ], indirect=["bad_cfg"],
+        ids=["h_min-null", "h_min-text", "xi-text", "Q-bool", "alphas-bool"])
+    def test_non_number_field_is_named(self, tmp_path, bad_cfg, named,
+                                       capsys):
+        rc = main(["solve", "--dth", "3.0", "--config", bad_cfg,
+                   "--outdir", str(tmp_path)])
+        assert rc == 1
+        assert named in capsys.readouterr().err
 
     def test_unreachable_budget_is_infeasible(self, tmp_path):
         assert _solve(tmp_path, dth="0.01") == 2
@@ -402,3 +422,19 @@ class TestVerifyBattery:
         lines = (tmp_path / "verify.txt").read_text().splitlines()
         assert len(lines) >= 15
         assert all(ln.startswith("PASS") for ln in lines)
+
+    @pytest.mark.parametrize("name,line", [
+        ("convergence_study", "curve refinement dominance"),
+        ("enumerate_vertices", "corner policies deterministic"),
+    ])
+    def test_sweep_check_failure_is_four(self, tmp_path, monkeypatch, name,
+                                         line):
+        def fail(*args, **kwargs):
+            raise SweepError("injected")
+
+        monkeypatch.setattr(cli, name, fail)
+        rc = main(["verify", "--config", "tiny", "--outdir", str(tmp_path)])
+        assert rc == 4
+        lines = (tmp_path / "verify.txt").read_text().splitlines()
+        assert f"FAIL  {line}  (injected)" in lines
+        assert sum(ln.startswith("FAIL") for ln in lines) == 1

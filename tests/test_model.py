@@ -13,6 +13,7 @@ from linksched.model import (
     ConfigError,
     DiscretizationError,
     builtin_config_names,
+    cell_of,
     channel_cdf_inverse,
     config_from_dict,
     discretize_channel,
@@ -22,7 +23,7 @@ from linksched.model import (
 )
 
 from oracles import (gauss_integral, loop_cdf, loop_cdf_inverse,
-                     loop_discretize, uniform_bin_stats)
+                     loop_density, loop_discretize, uniform_bin_stats)
 
 
 @st.composite
@@ -46,7 +47,7 @@ def piecewise_channels(draw):
 def _probe_gains(ch, disc_edges, u) -> list[float]:
     """Every breakpoint and bin edge, one ulp either side of each, and
     points spread from below h_min to beyond h_max."""
-    marks = np.array(sorted({*ch.pieces()[0], *disc_edges}))
+    marks = np.array(sorted({*ch.breaks, *disc_edges}))
     lo, hi = ch.h_min - 1.0, ch.h_max + 1.0
     return np.concatenate([marks, np.nextafter(marks, -np.inf),
                            np.nextafter(marks, np.inf),
@@ -187,8 +188,8 @@ class TestDiscretization:
 
 
 class TestLoopForms:
-    """The vectorised channel law equals the piece-by-piece loops bit
-    for bit on random piecewise channels."""
+    """The channel law equals the piece-by-piece loops of the oracles
+    bit for bit on random piecewise channels."""
 
     @given(piecewise_channels(), st.integers(min_value=1, max_value=12),
            st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20))
@@ -203,9 +204,23 @@ class TestLoopForms:
         for got, ref in zip((disc.edges, disc.masses, disc.inv_means), want):
             assert all(type(x) is float for x in got)
             assert np.array(got).tobytes() == np.array(ref).tobytes()
+        assert ch.edges(bins).tobytes() == np.array(disc.edges).tobytes()
         hs = _probe_gains(ch, disc.edges, u)
         assert (np.array([ch.cdf(h) for h in hs]).tobytes()
                 == np.array([loop_cdf(ch, h) for h in hs]).tobytes())
+        want = np.array([loop_density(ch, h) for h in hs])
+        assert ch.density(np.array(hs)).tobytes() == want.tobytes()
+        assert np.array([ch.density(h) for h in hs]).tobytes() == want.tobytes()
+
+    @given(piecewise_channels(), st.integers(min_value=1, max_value=12),
+           st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_cell_of_array_matches_scalar(self, ch, bins, u):
+        edges = ch.edges(bins)
+        hs = _probe_gains(ch, edges, u)
+        cells = cell_of(edges, np.array(hs))
+        assert cells.tolist() == [cell_of(edges, h) for h in hs]
+        assert all(type(cell_of(edges, h)) is int for h in hs)
 
 
 class TestCdfInverse:
