@@ -247,16 +247,14 @@ def channel_cdf_inverse(ch: ChannelModel, u):
         h = ch.h_min + u * (ch.h_max - ch.h_min)
     else:
         edges, values = (np.array(x) for x in ch.pieces())
-        steps = values * np.diff(edges)
-        # acc[i] is the mass below piece i, summed in piece order
-        acc = np.concatenate(([0.0], np.cumsum(steps)))
+        acc = np.array([ch.cdf(e) for e in edges])  # mass below piece i
         i = np.searchsorted(acc[1:], u, side="left")  # first acc[i+1] >= u
         j = np.minimum(i, len(values) - 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             inner = np.minimum(edges[j] + (u - acc[j]) / values[j],
                                edges[j + 1])
         h = np.where(i == len(values), ch.h_max,
-                     np.where(steps[j] <= 0.0, edges[j], inner))
+                     np.where(values[j] <= 0.0, edges[j], inner))
     return float(h) if h.ndim == 0 else h
 
 

@@ -211,6 +211,10 @@ class TestLoopForms:
         want = np.array([loop_density(ch, h) for h in hs])
         assert ch.density(np.array(hs)).tobytes() == want.tobytes()
         assert np.array([ch.density(h) for h in hs]).tobytes() == want.tobytes()
+        us = np.concatenate([[0.0, 1.0], u, [loop_cdf(ch, e)
+                                            for e in ch.breaks]]).clip(0, 1)
+        want = np.array([loop_cdf_inverse(ch, float(x)) for x in us])
+        assert channel_cdf_inverse(ch, us).tobytes() == want.tobytes()
 
     @given(piecewise_channels(), st.integers(min_value=1, max_value=12),
            st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=20))
