@@ -247,7 +247,7 @@ def channel_cdf_inverse(ch: ChannelModel, u):
         h = ch.h_min + u * (ch.h_max - ch.h_min)
     else:
         edges, values = (np.array(x) for x in ch.pieces())
-        acc = np.array([ch.cdf(e) for e in edges])  # mass below piece i
+        acc = np.array([ch.cdf(e) for e in ch.breaks])  # mass below piece i
         i = np.searchsorted(acc[1:], u, side="left")  # first acc[i+1] >= u
         j = np.minimum(i, len(values) - 1)
         with np.errstate(divide="ignore", invalid="ignore"):
