@@ -445,12 +445,11 @@ class ThresholdPolicy:
             b.setflags(write=False)
             r.setflags(write=False)
 
-    def rate_for(self, q: int, h: float) -> int:
-        return int(self.rates[q][cell_of(self.bounds[q], h)])
-
-    def sample_rate(self, q: int, h: float, u: float) -> int:
-        """Threshold rules never randomize; u is accepted and ignored."""
-        return self.rate_for(q, h)
+    def decisions(self, gains: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """(n, Q+1) rates: entry [t, q] is the rule of state q at gain
+        gains[t].  Threshold rules never randomize; u is ignored."""
+        return np.stack([r[cell_of(b, gains)]
+                         for b, r in zip(self.bounds, self.rates)], axis=1)
 
 
 def to_threshold_policy(y: ConstructedSolution) -> ThresholdPolicy:

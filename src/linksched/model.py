@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,16 +134,13 @@ class ChannelDiscretization:
 
     def bin_of(self, h: float) -> int:
         """Index of the bin containing h; h_min itself maps to bin 0."""
-        return cell_of(self.edges, h)
+        return int(cell_of(self.edges, h))
 
 
 def cell_of(edges, h):
-    """The i with edges[i] < h <= edges[i+1] for ascending edges, clipped
-    to the first and last cell, so h_min itself falls in cell 0.  A float
-    h gets an int by bisect (the simulator asks once per slot), an array
-    of gains an array of cells."""
-    if isinstance(h, float):
-        return min(max(bisect_left(edges, h) - 1, 0), len(edges) - 2)
+    """The i with edges[i] < h <= edges[i+1] for ascending edges,
+    elementwise, clipped to the first and last cell, so h_min itself
+    falls in cell 0."""
     return np.clip(np.searchsorted(edges, h, side="left") - 1, 0,
                    len(edges) - 2)
 

@@ -35,14 +35,13 @@ State spaces are 0-based: q in {0..Q}, s in {0..S_max}.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .model import (ChannelDiscretization, SystemConfig, drain_rate,
-                    mean_arrival_rate, mean_delay, step)
+from .model import (ChannelDiscretization, SystemConfig, cell_of,
+                    drain_rate, mean_arrival_rate, mean_delay, step)
 from .simplex import (
     FEAS_TOL,
     LinearProgram,
@@ -162,19 +161,17 @@ class Policy:
         one_hot = (self.table.max(axis=2) >= 1.0 - ONE_HOT_TOL).all()
         return "deterministic" if one_hot else "probabilistic"
 
-    @cached_property
-    def _cumulative(self) -> np.ndarray:
-        return np.cumsum(self.table, axis=2)
+    def decisions(self, gains: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """(n, Q+1) rates: entry [t, q] is what state q sends at gain
+        gains[t] with uniform [0, 1) draw u[t].
 
-    def sample_rate(self, q: int, h: float, u: float) -> int:
-        """Rate drawn from the row's distribution; u is uniform [0, 1).
-
-        The first rate whose cumulative probability exceeds u, the last
-        if rounding leaves none.  Deterministic rows ignore u, so the
-        draw stream stays aligned across policies under a shared seed.
+        The first rate whose cumulative probability exceeds the draw,
+        the last if rounding leaves none.  Deterministic rows ignore u,
+        so the draw stream stays aligned across policies under a shared
+        seed.
         """
-        cum = self._cumulative[q, self.disc.bin_of(h)]
-        return min(bisect_right(cum, u), self.cfg.S_max)
+        cum = np.cumsum(self.table, axis=2)[:, cell_of(self.disc.edges, gains)]
+        return np.minimum((u[:, None] >= cum).sum(axis=2).T, self.cfg.S_max)
 
 
 @dataclass(frozen=True)
@@ -362,26 +359,14 @@ def _queue_kernel(cfg: SystemConfig, disc: ChannelDiscretization, pol: Policy):
 
 
 def _closed_classes(T: np.ndarray) -> list[list[int]]:
-    n = T.shape[0]
-    adj = T > 1e-15
-    reach = (adj | np.eye(n, dtype=bool)).astype(float)
-    for _ in range(n):
-        new = ((reach @ reach) > 0).astype(float)
-        if (new == reach).all():
-            break
-        reach = new
-    reach = reach > 0
-    classes = []
-    seen = set()
-    for i in range(n):
-        if i in seen:
-            continue
-        cls = [j for j in range(n) if reach[i, j] and reach[j, i]]
-        seen.update(cls)
-        closed = all(not adj[a, b] or b in cls for a in cls for b in range(n))
-        if closed:
-            classes.append(cls)
-    return classes
+    """Closed classes of the chain T, each once, by its smallest member."""
+    reach = (T > 1e-15) | np.eye(len(T), dtype=bool)
+    for _ in range(len(T).bit_length()):  # 2**k steps after k squarings
+        reach = reach @ reach
+    # i lies in a closed class iff every state it reaches reaches it
+    # back, and that class is then reach[i]
+    return [np.flatnonzero(reach[i]).tolist() for i in range(len(T))
+            if (reach[i] <= reach[:, i]).all() and reach[i].argmax() == i]
 
 
 def policy_to_measure(

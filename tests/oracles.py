@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 
 import numpy as np
@@ -386,6 +387,34 @@ def loop_cdf_inverse(ch, u: float) -> float:
     return ch.h_max
 
 
+def loop_cell_of(edges, h: float) -> int:
+    """The i with edges[i] < h <= edges[i+1], by bisection, clipped to
+    the first and last cell."""
+    return min(max(bisect_left(list(edges), h) - 1, 0), len(edges) - 2)
+
+
+def loop_decision(policy, q: int, h: float, u: float) -> int:
+    """The rate state q sends at gain h with uniform draw u.
+
+    A bin policy (one with a `table`) finds h's bin by bisection and
+    takes the first rate whose running row total exceeds u; a threshold
+    policy (one with `bounds`) scans its rules for the first that
+    closes at or above h.  Anything else, a test double, answers for
+    itself.
+    """
+    if hasattr(policy, "table"):
+        row = policy.table[q, loop_cell_of(policy.disc.edges, h)]
+        return min(bisect_right(np.cumsum(row).tolist(), u),
+                   policy.cfg.S_max)
+    if hasattr(policy, "bounds"):
+        bounds, rates = policy.bounds[q], policy.rates[q]
+        for i in range(len(rates)):
+            if h <= bounds[i + 1]:
+                return int(rates[i])
+        return int(rates[-1])
+    return int(policy.decisions(np.array([h]), np.array([u]))[0, q])
+
+
 def loop_run_sim(cfg, policy, slots: int, warmup: int, seed: int):
     """The simulator with all bookkeeping inside the slot loop.
 
@@ -415,7 +444,7 @@ def loop_run_sim(cfg, policy, slots: int, warmup: int, seed: int):
     for t in range(slots):
         h = gains[t]
         a = int(arrivals[t])
-        s = int(policy.sample_rate(q, h, float(policy_u[t])))
+        s = loop_decision(policy, q, h, float(policy_u[t]))
         energy = xi[s] / h
         served = min(s, q)
         dropped = max(q - served + a - Q, 0)

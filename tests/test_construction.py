@@ -223,17 +223,16 @@ class TestThresholdPolicy:
             if pol.transient[q]:
                 continue
             iv = built16.intervals_for(q)
-            for _ in range(50):
-                h = rng.uniform(0.5 + 1e-9, 10.0)
-                want = next(s for a, b, s in iv if a < h <= b)
-                assert pol.rate_for(q, h) == want
+            hs = np.array([rng.uniform(0.5 + 1e-9, 10.0) for _ in range(50)])
+            want = [next(s for a, b, s in iv if a < h <= b) for h in hs]
+            assert pol.decisions(hs, np.zeros(50))[:, q].tolist() == want
 
     def test_boundary_belongs_to_closing_rule(self, built16):
         pol = to_threshold_policy(built16)
         for q in range(built16.cfg.Q + 1):
             b, r = pol.bounds[q], pol.rates[q]
-            for i in range(len(r) - 1):
-                assert pol.rate_for(q, float(b[i + 1])) == int(r[i])
+            got = pol.decisions(b[1:-1], np.zeros(len(r) - 1))[:, q]
+            assert got.tolist() == r[:-1].tolist()
 
     def test_adjacent_rules_never_share_a_rate(self, built16):
         pol = to_threshold_policy(built16)
@@ -251,8 +250,8 @@ class TestThresholdPolicy:
 
     def test_sample_rate_ignores_draw(self, built16):
         pol = to_threshold_policy(built16)
-        assert pol.sample_rate(2, 3.7, 0.0) == pol.sample_rate(2, 3.7, 0.99)
-        assert pol.sample_rate(2, 3.7, 0.5) == pol.rate_for(2, 3.7)
+        rows = pol.decisions(np.full(3, 3.7), np.array([0.0, 0.99, 0.5]))
+        assert (rows == rows[0]).all()
 
     def test_text_round_trip(self, built16):
         pol = to_threshold_policy(built16)

@@ -23,7 +23,8 @@ from linksched.model import (
 )
 
 from oracles import (gauss_integral, loop_cdf, loop_cdf_inverse,
-                     loop_density, loop_discretize, uniform_bin_stats)
+                     loop_cell_of, loop_density, loop_discretize,
+                     uniform_bin_stats)
 
 
 @st.composite
@@ -222,9 +223,9 @@ class TestLoopForms:
     def test_cell_of_array_matches_scalar(self, ch, bins, u):
         edges = ch.edges(bins)
         hs = _probe_gains(ch, edges, u)
-        cells = cell_of(edges, np.array(hs))
-        assert cells.tolist() == [cell_of(edges, h) for h in hs]
-        assert all(type(cell_of(edges, h)) is int for h in hs)
+        want = [loop_cell_of(edges, h) for h in hs]
+        assert cell_of(edges, np.array(hs)).tolist() == want
+        assert [int(cell_of(edges, h)) for h in hs] == want
 
 
 class TestCdfInverse:

@@ -336,8 +336,8 @@ class TestPolicies:
 
     def test_sample_rate_deterministic_rows_ignore_draw(self, solution16):
         pol = extract_policy(solution16.measure)
-        q, h = 2, 7.3
-        rates = {pol.sample_rate(q, h, u) for u in (0.0, 0.31, 0.77, 0.999)}
+        q, us = 2, np.array([0.0, 0.31, 0.77, 0.999])
+        rates = set(pol.decisions(np.full(4, 7.3), us)[:, q].tolist())
         if pol.kind == "deterministic":
             assert len(rates) == 1
 
@@ -351,7 +351,7 @@ class TestPolicies:
         h = 0.5 * (disc16.edges[k] + disc16.edges[k + 1])
         row = pol.table[q, k]
         lo_rate = int(np.flatnonzero(row > 1e-9)[0])
-        assert pol.sample_rate(int(q), h, 0.0) == lo_rate
+        assert pol.decisions(np.array([h]), np.zeros(1))[0, q] == lo_rate
 
 
 class TestTextFormats:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from linksched.occupancy_lp import (
     extract_policy,
     min_delay,
     policy_to_measure,
+    solve_constrained,
 )
 from linksched.construction import (
     compute_thresholds,
@@ -24,7 +27,7 @@ from linksched.simulator import (
 )
 from linksched.textio import csv_lines, kv_text
 
-from oracles import loop_run_sim
+from oracles import loop_cell_of, loop_decision, loop_run_sim
 
 NO_ARRIVALS = {
     "arrival": {"alphas": [1.0]},
@@ -35,11 +38,11 @@ NO_ARRIVALS = {
 class _Always:
     """Sends a fixed rate regardless of state; for counter checks."""
 
-    def __init__(self, s: int):
-        self.s = s
+    def __init__(self, s: int, Q: int = 10):  # paper_iv and NO_ARRIVALS
+        self.s, self.Q = s, Q
 
-    def sample_rate(self, q, h, u):
-        return self.s
+    def decisions(self, gains, u):
+        return np.full((len(gains), self.Q + 1), self.s)
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +167,25 @@ class TestCounters:
         assert rep.mean_power > 0.5
 
 
+class TestMemory:
+    @pytest.mark.parametrize("kind", ["bin", "threshold"])
+    def test_peak_grows_at_most_29_bytes_per_slot(
+            self, paper_cfg, solution16, density16, kind):
+        # the run's own per-slot arrays peak at about 28 bytes a slot; a
+        # decision table for the whole run, not a block, adds hundreds
+        pol = (extract_policy(solution16.measure) if kind == "bin" else
+               to_threshold_policy(compute_thresholds(density16, 2000)))
+        peaks = []
+        for slots in (250_000, 500_000):
+            tracemalloc.start()
+            try:
+                run_sim(paper_cfg, pol, slots, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 250_000 <= 29
+
+
 class TestReportFormats:
     def test_text_round_trips_floats(self, paper_cfg, drain_policy):
         rep = run_sim(paper_cfg, drain_policy, 5000, seed=7)
@@ -182,6 +204,65 @@ class TestReportFormats:
         header, row = (ln.split(",") for ln in lines)
         assert len(header) == len(row) == 17
         assert header[0] == "slots" and row[0] == "5000"
+
+
+def _beside(x) -> np.ndarray:
+    """Each value, and one ulp below and above it."""
+    x = np.asarray(x, dtype=float)
+    return np.concatenate([x, np.nextafter(x, -np.inf),
+                           np.nextafter(x, np.inf)])
+
+
+class TestDecisions:
+    """decisions() against the slot-by-slot oracle, rate for rate, at
+    gains on and one ulp beside every bin edge and rule bound, and, for
+    bin policies, draws on and beside every cumulative mass of the
+    gain's bin."""
+
+    @pytest.fixture(scope="class", params=[
+        "mixed-m16", "piecewise", "threshold-k200", "threshold-k2000"])
+    def pol(self, request, piecewise_cfg, solution16, density16):
+        if request.param == "mixed-m16":
+            return extract_policy(solution16.measure)
+        if request.param == "piecewise":
+            disc5 = discretize_channel(piecewise_cfg.channel, 5)
+            return extract_policy(
+                solve_constrained(piecewise_cfg, disc5, 3.0).measure)
+        cells = int(request.param.removeprefix("threshold-k"))
+        return to_threshold_policy(compute_thresholds(density16, cells))
+
+    def test_matches_loop_decision(self, pol):
+        ch, Q = pol.cfg.channel, pol.cfg.Q
+        bin_policy = hasattr(pol, "table")
+        marks = pol.disc.edges if bin_policy else np.concatenate(pol.bounds)
+        gains = _beside(np.unique(np.append(marks, [ch.h_min, ch.h_max])))
+
+        def draw(h: float, j: int) -> float:
+            """The j-th uniform draw, wrapping around; for a bin policy
+            the draws are 0 and each cumulative mass of h's bin."""
+            us = np.linspace(0.0, 1.0, 256)
+            if bin_policy:
+                row = pol.table[:, loop_cell_of(pol.disc.edges, h)]
+                cum = np.append(0.0, np.cumsum(row, axis=1))
+                us = np.unique(_beside(cum).clip(0.0, 1.0))
+            return float(us[j % len(us)])
+
+        # the policy stays out of the drawn arguments: a falsifying
+        # example prints only the (gain, draw index) pairs
+        @given(st.lists(st.tuples(st.sampled_from(gains.tolist()),
+                                  st.integers(0, 255)),
+                        min_size=1, max_size=32))
+        @settings(max_examples=200, deadline=None)
+        def check(pairs):
+            hs = [h for h, _ in pairs]
+            us = [draw(h, j) for h, j in pairs]
+            got = pol.decisions(np.array(hs), np.array(us))
+            assert got.shape == (len(hs), Q + 1)
+            assert got.tolist() == [
+                [loop_decision(pol, q, h, u) for q in range(Q + 1)]
+                for h, u in zip(hs, us)]
+
+        check()
 
 
 class TestLoopReference:
