@@ -239,7 +239,8 @@ class TestDecisions:
 
         def draw(h: float, j: int) -> float:
             """The j-th uniform draw, wrapping around; for a bin policy
-            the draws are 0 and each cumulative mass of h's bin."""
+            the draws are 0 and each cumulative mass of h's bin, and one
+            ulp either side of them, clipped to [0, 1]."""
             us = np.linspace(0.0, 1.0, 256)
             if bin_policy:
                 row = pol.table[:, loop_cell_of(pol.disc.edges, h)]
@@ -247,8 +248,9 @@ class TestDecisions:
                 us = np.unique(_beside(cum).clip(0.0, 1.0))
             return float(us[j % len(us)])
 
-        # the policy stays out of the drawn arguments: a falsifying
-        # example prints only the (gain, draw index) pairs
+        # an inner test, so the falsifying example prints only the
+        # pairs: a K=2000 policy as an argument reprs to over 50 kB, and
+        # hypothesis's warning about that is an error in this suite
         @given(st.lists(st.tuples(st.sampled_from(gains.tolist()),
                                   st.integers(0, 255)),
                         min_size=1, max_size=32))
