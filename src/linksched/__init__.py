@@ -69,7 +69,6 @@ from .sweep import (
     default_budget_grid,
     default_lambda_max,
     enumerate_vertices,
-    resolve_lambda_max,
     sweep_curve,
     vertex_distances,
 )

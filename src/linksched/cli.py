@@ -5,7 +5,7 @@ resolves the output directory; the command computes, prints a short
 summary and returns its exit code with its outputs as {file name:
 text}; `main` then writes those files atomically, plus a run manifest
 whose parameters are the parsed options, each default the command
-resolved (outdir, lambda_max, warmup) written back into them.  Outputs
+resolved (outdir, warmup) written back into them.  Outputs
 are pure functions of the manifest's parameters (simulation included,
 via the seed), so re-running a manifest reproduces them byte for byte;
 the manifest's own timestamp is the only thing that moves.
@@ -68,7 +68,6 @@ from .sweep import (
     enumerate_vertices,
     hull_gap,
     policy_id,
-    resolve_lambda_max,
     sweep_curve,
     vertex_distances,
     vertices_to_csv,
@@ -163,15 +162,14 @@ def _cmd_sweep(args, cfg):
 
 
 def _cmd_vertices(args, cfg):
-    args.lambda_max = resolve_lambda_max(cfg, args.lambda_max)
     disc = discretize_channel(cfg.channel, args.bins)
     m = disc.bins
     if args.full:
-        verts = enumerate_vertices(cfg, disc, args.lambda_max)
+        verts = enumerate_vertices(cfg, disc)
     else:
         grid = default_budget_grid(cfg, disc)
         curve = sweep_curve(cfg, disc, [grid[0], grid[-1]])
-        verts = corners_in_span(cfg, disc, curve, args.lambda_max)
+        verts = corners_in_span(cfg, disc, curve)
     files = {f"vertices_m{m}.csv": vertices_to_csv(m, verts),
              f"distances_m{m}.csv": distances_to_csv(m, verts)}
     for i, v in enumerate(verts):
@@ -385,7 +383,6 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("vertices", help="corners of the tradeoff curve")
     common(sp)
     sp.add_argument("--bins", type=int, default=16)
-    sp.add_argument("--lambda-max", type=float, default=None)
     sp.add_argument("--full", action="store_true",
                     help="report all corners, not just the default "
                          "swept delay span")

@@ -287,10 +287,15 @@ def solve_constrained(
     return LpSolution("optimal", res.objective, measure, dual, res.iterations)
 
 
+@lru_cache(maxsize=1)
 def min_delay(
     cfg: SystemConfig, disc: ChannelDiscretization
 ) -> tuple[float, OccupancyMeasure]:
-    """Smallest achievable average delay."""
+    """Smallest achievable average delay.
+
+    The last discretization's answer stays cached, so a budget grid and
+    a corner search on one discretization share one solve.
+    """
     res, measure = _solve(cfg, disc, None, lambda olp: olp.delay)
     if measure is None:
         raise SimplexAnomaly(f"min-delay solve returned {res.status}")

@@ -10,7 +10,9 @@ pivoting.
 Equality rows that phase 1 proves redundant (their artificial stays
 basic at a value <= FEAS_TOL and cannot be pivoted out) are dropped
 before phase 2.  Duals are read off the final reduced costs of the
-identity columns, so every kept row reports a multiplier.
+identity columns, so every kept row reports a multiplier.  An
+"optimal" point is checked against every row of the LP, dropped ones
+included; a miss beyond ROW_TOL is a SimplexAnomaly, not an answer.
 
 Phase 1, the drive-out and the row drop read only the rows, never the
 objective, so their outcome is a FeasibleStart that any objective over
@@ -35,6 +37,7 @@ OPT_TOL = 1e-9  # reduced cost threshold for optimality
 FEAS_TOL = 1e-9  # phase-1 objective / artificial value threshold
 PIV_TOL = 1e-11  # smallest pivot element admitted in the ratio test
 DRIVE_TOL = 1e-7  # smallest pivot used when driving artificials out
+ROW_TOL = 1e-8  # largest row miss an "optimal" point may have
 MAX_PIVOTS = 200_000  # per phase; beyond this the solve is an anomaly
 
 
@@ -237,6 +240,18 @@ def feasible_start(lp: LinearProgram) -> FeasibleStart | SimplexResult:
     return _phase1(lp)[0]
 
 
+def _check_rows(lp: LinearProgram, x: np.ndarray) -> None:
+    """SimplexAnomaly unless x meets every row of lp, dropped equality
+    rows included, within ROW_TOL: pivoting drift can leave a tableau
+    whose basic point no longer meets the LP's own rows."""
+    for kind, gaps in (("equality", np.abs(lp.A_eq @ x - lp.b_eq)),
+                       ("inequality", lp.A_ub @ x - lp.b_ub)):
+        if not gaps.max(initial=0.0) <= ROW_TOL:
+            i = int(np.argmax(gaps))
+            raise SimplexAnomaly(f"optimal point breaks {kind} row {i} "
+                                 f"by {float(gaps[i])!r}")
+
+
 def solve_simplex(lp: LinearProgram,
                   start: FeasibleStart | None = None) -> SimplexResult:
     """Two-phase solve; statuses "optimal", "infeasible", "unbounded".
@@ -270,6 +285,7 @@ def solve_simplex(lp: LinearProgram,
     x = np.zeros(ncols)
     x[basis] = T[:, ncols]
     xout = x[:n].copy()
+    _check_rows(lp, xout)
     objective = float(lp.c @ xout)
 
     # duals from identity-column reduced costs: r_j = 0 - y_i on e_i cols

@@ -21,7 +21,6 @@ between successive curves on a common grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,30 +97,16 @@ def default_lambda_max(cfg: SystemConfig) -> float:
     return 1e4 * cfg.xi(cfg.S_max) / cfg.channel.h_min
 
 
-def resolve_lambda_max(cfg: SystemConfig, lambda_max: float | None) -> float:
-    """The default for None; otherwise lambda_max itself, which must be
-    finite and positive (ValueError if not)."""
-    if lambda_max is None:
-        return default_lambda_max(cfg)
-    if not (math.isfinite(lambda_max) and lambda_max > 0):
-        raise ValueError(
-            f"lambda_max must be finite and > 0, got {lambda_max!r}")
-    return lambda_max
-
-
 def enumerate_vertices(
     cfg: SystemConfig,
     disc: ChannelDiscretization,
-    lambda_max: float | None = None,
 ) -> tuple[Vertex, ...]:
     """All corners of the tradeoff curve, sorted by increasing delay.
 
-    lambda_max must be finite and positive, and it must push the
-    weighted solve all the way to the minimum delay, otherwise the left
-    end of the curve is unreachable and the call fails with advice to
-    raise it.
+    Weights run from 0 to default_lambda_max(cfg), whose weighted solve
+    must reach the minimum delay; otherwise the left end of the curve is
+    unreachable and the call fails.
     """
-    lambda_max = resolve_lambda_max(cfg, lambda_max)
     solves = 0
 
     def solve(lam: float) -> Vertex:
@@ -134,11 +119,11 @@ def enumerate_vertices(
         return Vertex(delay, power, lam, extract_policy(measure))
 
     d_min, _ = min_delay(cfg, disc)
-    top = solve(lambda_max)
+    top = solve(default_lambda_max(cfg))
     if top.D > d_min + 1e-6 * (1.0 + d_min):
         raise SweepError(
-            f"lambda_max={lambda_max!r} only reaches delay {top.D!r} "
-            f"but the minimum is {d_min!r}; raise lambda_max")
+            f"weight lam={top.lam!r} only reaches delay {top.D!r} "
+            f"but the minimum is {d_min!r}")
 
     found: dict[tuple[float, float], Vertex] = {}
 
@@ -290,7 +275,6 @@ def corners_in_span(
     cfg: SystemConfig,
     disc: ChannelDiscretization,
     curve: TradeoffCurve,
-    lambda_max: float | None = None,
 ) -> tuple[Vertex, ...]:
     """The corners whose delay lies within the curve's budget span.
 
@@ -298,8 +282,7 @@ def corners_in_span(
     the budget sweep and the corner search disagree.
     """
     lo, hi = curve.budgets[0] - 1e-9, curve.budgets[-1] + 1e-9
-    verts = tuple(v for v in enumerate_vertices(cfg, disc, lambda_max)
-                  if lo <= v.D <= hi)
+    verts = tuple(v for v in enumerate_vertices(cfg, disc) if lo <= v.D <= hi)
     if len(verts) >= 2:
         gap = hull_gap(curve.budgets, curve.powers, verts)
         if gap.size and gap.max() > HULL_TOL:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 
 import pytest
 
@@ -76,6 +77,7 @@ class TestExitCodes:
 
     def test_solver_anomaly_is_three(self, tmp_path, monkeypatch, capsys):
         # the min-delay solve behind the default budget grid fails
+        occupancy_lp.min_delay.cache_clear()
         monkeypatch.setattr(occupancy_lp, "solve_simplex",
                             lambda lp, *_: SimplexResult(status="unbounded"))
         rc = main(["vertices", "--bins", "2", "--outdir", str(tmp_path)])
@@ -94,6 +96,7 @@ class TestExitCodes:
                 return real(lp, start)
             return SimplexResult(status="unbounded")
 
+        occupancy_lp.min_delay.cache_clear()
         monkeypatch.setattr(occupancy_lp, "solve_simplex", fail_after_first)
         rc = main(["vertices", "--bins", "2", "--full", "--config", "tiny",
                    "--outdir", str(tmp_path)])
@@ -102,26 +105,25 @@ class TestExitCodes:
         assert (f"weighted solve at lam={lam!r} returned unbounded"
                 in capsys.readouterr().err)
 
-    @pytest.mark.parametrize("full", [[], ["--full"]], ids=["span", "full"])
-    def test_bad_lambda_max_solves_nothing(self, tmp_path, monkeypatch,
-                                           capsys, full):
-        calls = []
-
-        def recorder(name, real):
-            def record(*args):
-                calls.append(name)
-                return real(*args)
-            return record
-
-        occupancy_lp._delay_free.cache_clear()
-        for name in ("solve_simplex", "feasible_start"):
-            monkeypatch.setattr(occupancy_lp, name,
-                                recorder(name, getattr(occupancy_lp, name)))
-        rc = main(["vertices", "--bins", "16", "--lambda-max", "0", *full,
-                   "--outdir", str(tmp_path)])
-        assert rc == 1
-        assert calls == []
-        assert "got 0.0" in capsys.readouterr().err
+    @pytest.mark.parametrize("alphas,h_min,q,s_max,argv", [
+        # HiGHS: power 0.106431; the simplex's point missed bin row 0 by 0.73
+        ([0.589, 0.266, 0.145], 0.1, 10, 4,
+         ["solve", "--bins", "2", "--dth", "3"]),
+        # HiGHS and the drain-fast policy: minimum delay 1.0, not 134.957
+        ([0.99, 0.009, 0.001], 0.5, 8, 2, ["vertices", "--bins", "4"]),
+    ], ids=["solve", "min-delay"])
+    def test_point_off_its_rows_is_three(self, tmp_path, capsys, alphas,
+                                         h_min, q, s_max, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "arrival": {"alphas": alphas},
+            "channel": {"kind": "uniform", "h_min": h_min, "h_max": 10.0},
+            "Q": q, "S_max": s_max, "xi_kind": "exp2minus1"}))
+        rc = main([*argv, "--config", str(cfg), "--outdir", str(tmp_path)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert re.search(r"optimal point breaks equality row \d+ by ", err)
+        assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("exc", [MassRangeError, ReducibleChainError])
     def test_verification_failure_is_four(self, tmp_path, monkeypatch, exc):
@@ -159,12 +161,9 @@ class TestExitCodes:
         (["solve", "--bins", "2", "--dth", "inf"], "got inf"),
         (["solve", "--bins", "2", "--dth=-inf"], "got -inf"),
         (["sweep", "--bins-list", "2", "--dgrid", "1,inf"], "got inf"),
-        (["vertices", "--bins", "2", "--lambda-max", "0"], "got 0.0"),
-        (["vertices", "--bins", "2", "--lambda-max", "nan"], "got nan"),
-        (["vertices", "--bins", "2", "--lambda-max", "inf"], "got inf"),
     ], ids=["cells-0", "cells-negative", "empty-bin-list", "empty-grid",
             "nan-budget", "nan-grid", "inf-budget", "minus-inf-budget",
-            "inf-grid", "lambda-max-0", "lambda-max-nan", "lambda-max-inf"])
+            "inf-grid"])
     def test_bad_value_is_usage(self, tmp_path, capsys, argv, named):
         rc = main([*argv, "--config", "tiny", "--outdir", str(tmp_path)])
         assert rc == 1
@@ -174,6 +173,28 @@ class TestExitCodes:
 def _subcommands() -> dict[str, argparse.ArgumentParser]:
     return next(a for a in cli._build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction)).choices
+
+
+class TestSolveCounts:
+    """A budget grid and a corner search on one discretization share
+    one min-delay solve."""
+
+    @pytest.mark.parametrize("argv,solves", [
+        (["vertices", "--bins", "4"], 64), (["verify"], 89)],
+        ids=["vertices", "verify"])
+    def test_min_delay_solved_once(self, tmp_path, monkeypatch, argv,
+                                   solves):
+        real = occupancy_lp.solve_simplex
+        calls = []
+
+        def record(lp, start=None):
+            calls.append(lp)
+            return real(lp, start)
+
+        occupancy_lp.min_delay.cache_clear()
+        monkeypatch.setattr(occupancy_lp, "solve_simplex", record)
+        assert main([*argv, "--outdir", str(tmp_path)]) == 0
+        assert len(calls) == solves
 
 
 class TestManifest:

@@ -10,8 +10,8 @@ import pytest
 from linksched import occupancy_lp
 from linksched.model import discretize_channel
 from linksched.occupancy_lp import build_occupancy_lp, solve_lagrangian
-from linksched.simplex import (LinearProgram, SimplexResult, feasible_start,
-                               solve_simplex)
+from linksched.simplex import (LinearProgram, SimplexAnomaly, SimplexResult,
+                               _check_rows, feasible_start, solve_simplex)
 
 from oracles import best_basic_solution, random_bounded_lp
 
@@ -87,6 +87,23 @@ class TestRedundancy:
         res = _solve([1.0, 1.0],
                      A_eq=[[1.0, 1.0], [1.0, 1.0]], b_eq=[2.0, 3.0])
         assert res.status == "infeasible"
+
+
+class TestRowCheck:
+    """An "optimal" point that misses a row of its LP is an anomaly."""
+
+    def test_names_the_row_and_gap(self):
+        lp = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[2.0],
+                                 A_ub=np.eye(2), b_ub=[1.5, 0.5])
+        _check_rows(lp, np.array([1.5, 0.5]))
+        with pytest.raises(SimplexAnomaly,
+                           match=r"^optimal point breaks inequality row 1 "
+                                 r"by 0\.5$"):
+            _check_rows(lp, np.array([1.0, 1.0]))
+        with pytest.raises(SimplexAnomaly,
+                           match=r"^optimal point breaks equality row 0 "
+                                 r"by 1\.0$"):
+            _check_rows(lp, np.array([0.5, 0.5]))
 
 
 class TestMemory:

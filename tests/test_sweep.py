@@ -7,7 +7,8 @@ import pytest
 
 from linksched import sweep
 from linksched.model import discretize_channel
-from linksched.occupancy_lp import solve_constrained
+from linksched.occupancy_lp import (min_delay, solve_constrained,
+                                    solve_lagrangian)
 from linksched.sweep import (
     SweepError,
     TradeoffCurve,
@@ -137,16 +138,17 @@ class TestEnumerationAgainstExhaustive:
             assert v.P == pytest.approx(p, abs=1e-8)
             assert v.policy.kind == "deterministic"
 
-    def test_lambda_cap_too_small(self, tiny_cfg):
+    def test_lambda_cap_too_small(self, tiny_cfg, monkeypatch):
+        # a cap this small cannot reach the minimum delay; the error names
+        # the weight and both delays
         disc = discretize_channel(tiny_cfg.channel, 2)
-        with pytest.raises(SweepError, match="lambda_max"):
-            enumerate_vertices(tiny_cfg, disc, lambda_max=1e-6)
-
-    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
-    def test_lambda_cap_must_be_finite_and_positive(self, tiny_cfg, lam):
-        disc = discretize_channel(tiny_cfg.channel, 2)
-        with pytest.raises(ValueError, match=f"got {lam!r}"):
-            enumerate_vertices(tiny_cfg, disc, lambda_max=lam)
+        monkeypatch.setattr(sweep, "default_lambda_max", lambda cfg: 1e-6)
+        _, top_d, _ = solve_lagrangian(tiny_cfg, disc, 1e-6)
+        d_min, _ = min_delay(tiny_cfg, disc)
+        with pytest.raises(SweepError) as err:
+            enumerate_vertices(tiny_cfg, disc)
+        assert str(err.value) == (f"weight lam={1e-6!r} only reaches delay "
+                                  f"{top_d!r} but the minimum is {d_min!r}")
 
     def test_each_weight_is_solved_once(self, paper_cfg, monkeypatch):
         lams = []
