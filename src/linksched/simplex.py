@@ -1,35 +1,68 @@
-"""Dense two-phase primal simplex with Bland's anti-cycling rule.
+"""Two-phase primal simplex on a condensed tableau, with Bland's rule.
 
 The LPs solved here are small and heavily degenerate, so Bland's rule
-is used unconditionally: entering variable is the lowest-index column
-with reduced cost below -OPT_TOL, leaving row breaks ratio ties by the
-lowest basis index.  Reduced costs are recomputed from the basis every
-iteration rather than carried, trading a little speed for drift-free
-pivoting.
+is used unconditionally: the entering variable is the lowest-index
+column with reduced cost below -OPT_TOL, and the leaving row breaks
+ratio ties by the lowest basis index.  Reduced costs are recomputed
+from the basis every iteration rather than carried, trading a little
+speed for drift-free pivoting.
+
+Columns carry labels, their index in the full tableau: the n
+structural columns, then one slack per A_ub row, then one artificial
+per row that needs one (every equality row and every A_ub row negated
+for a negative right-hand side).  Only the nonbasic columns are
+stored, since the basic ones are unit vectors that a pivot never
+changes.  The condensed tableau N has one row per constraint and
+holds the nonbasic columns, zero-padded to a multiple of 4, then the
+RHS; nb[p] labels column p and basis[i] the basic variable of row i.
+Phase 1 starts with the structural columns and the slacks of negated
+rows nonbasic; the slacks of the other rows and the artificials start
+basic and are never stored.
+
+A pivot on (r, p) is an exchange: column p is copied out, the leaving
+variable's unit column e_r takes its slot, row r is divided by the
+pivot and col (x) row r is subtracted from every row (col[r] = 0).
+Every stored entry thus gets, bit for bit, the arithmetic a full
+tableau would give it.  The reduced costs come from one gemv over the
+padded width: OpenBLAS computes each group of 4 output columns the
+same way wherever it sits in the matrix, but not the last width % 4,
+so without the padding a column's reduced cost would depend on where
+the exchanges have put it.  (A multithreaded gemv splits its output at
+thread-dependent columns, so the bits hold single-threaded.)
 
 Equality rows that phase 1 proves redundant (their artificial stays
 basic at a value <= FEAS_TOL and cannot be pivoted out) are dropped
-before phase 2.  Duals are read off the final reduced costs of the
-identity columns, so every kept row reports a multiplier.  An
-"optimal" point is checked against every row of the LP, dropped ones
-included; a miss beyond ROW_TOL is a SimplexAnomaly, not an answer.
+before phase 2, and so are the nonbasic artificial columns, which can
+never enter again.  Phase 1, the drive-out and the drop read only the
+rows, never the objective, so their outcome is a FeasibleStart that
+any objective over the same rows can share: solve_simplex(lp, start)
+runs phase 2 alone and returns exactly what the cold
+solve_simplex(lp) returns.
 
-Phase 1, the drive-out and the row drop read only the rows, never the
-objective, so their outcome is a FeasibleStart that any objective over
-the same rows can share: solve_simplex(lp, start) runs phase 2 alone
-and returns exactly what the cold solve_simplex(lp) returns.
+x, the objective, the pivot counts, the dropped rows and the dual of
+every row whose identity column is a slack (read off the final
+reduced costs, e.g. the delay row's) are those of the full-tableau
+method bit for bit.  Duals of the other kept rows (equality rows and
+negated A_ub rows), whose identity column is an artificial and no
+longer stored, solve B^T y = c_B on the basis columns of the LP's
+kept rows, once and only when first read.  An "optimal" point is
+checked against every row of the LP, dropped ones included; a miss
+beyond ROW_TOL is a SimplexAnomaly, not an answer.
 
-A cold solve holds at most two tableau-sized arrays: the tableau, built
-straight from the LinearProgram, and one scratch array that takes the
-pivot's outer product in both phases and the drive-out, and receives
-the kept rows when redundant ones are dropped (the two then swap roles).
-A solve from a shared start holds those two (a copy of the start's
-tableau and the scratch) plus the read-only start itself.
+Memory, in doubles: a cold solve holds two arrays of rows x
+(n + negated A_ub rows, padded, + 1), the tableau and one scratch
+array that takes the pivot's outer product and receives the kept rows
+and columns at the drop (the two then swap roles).  A solve from a
+shared start holds two arrays of kept rows x (n + mu - kept rows,
+padded, + 1), a copy of start.T and the scratch, plus the read-only
+start.  The square basis matrix for the duals is built only when an
+artificial row's dual is read, after the solve has freed both arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +104,60 @@ class LinearProgram:
         return LinearProgram(c, A_eq, b_eq, A_ub, b_ub)
 
 
+class _RowDuals:
+    """The row multipliers of an optimal basis, worked out when read.
+
+    A kept row whose identity column is a slack reads minus the slack's
+    final reduced cost (0 when it is basic), bit for bit the full
+    tableau's dual.  The other kept rows (equality rows and negated A_ub
+    rows) take theirs from one solve of B^T y = c_B, B the basis columns
+    on the LP's kept rows; that solve runs only when one of them is
+    read, since a LAPACK solve also grows the process's resident BLAS
+    buffers.  Dropped rows read 0.
+    """
+
+    def __init__(self, lp, start, nb, basis, cost, reduced):
+        n, mu = lp.c.shape[0], lp.A_ub.shape[0]
+        self.lp, self.basis, self.cost_B = lp, basis, cost[basis]
+        self.me, self.m = lp.A_eq.shape[0], lp.A_eq.shape[0] + mu
+        self.rows = np.flatnonzero(start.keep)
+        ident = start.ident[self.rows]
+        self.arts = ident >= n + mu
+        reduced_all = np.zeros(n + mu)
+        reduced_all[nb] = reduced
+        self.slack = np.zeros(self.rows.size)
+        self.slack[~self.arts] = -reduced_all[ident[~self.arts]]
+
+    @cached_property
+    def solved(self) -> np.ndarray:
+        lp, rows, basis = self.lp, self.rows, self.basis
+        n, me = lp.c.shape[0], lp.A_eq.shape[0]
+        B = np.zeros((rows.size, basis.size))
+        eq = rows < me
+        struct = np.flatnonzero(basis < n)
+        B[np.ix_(eq, struct)] = lp.A_eq[np.ix_(rows[eq], basis[struct])]
+        B[np.ix_(~eq, struct)] = lp.A_ub[np.ix_(rows[~eq] - me,
+                                                basis[struct])]
+        slack = np.flatnonzero(basis >= n)
+        B[:, slack] = rows[:, None] == me + basis[slack] - n
+        try:
+            return np.linalg.solve(B.T, self.cost_B)
+        except np.linalg.LinAlgError as e:
+            raise SimplexAnomaly(
+                f"basis is singular when reading duals: {e}") from None
+
+    def of_rows(self, lo: int, hi: int) -> np.ndarray:
+        """The duals of LP rows lo .. hi-1."""
+        duals = np.zeros(hi - lo)
+        inside = (self.rows >= lo) & (self.rows < hi)
+        slack = inside & ~self.arts
+        duals[self.rows[slack] - lo] = self.slack[slack]
+        arts = inside & self.arts
+        if arts.any():
+            duals[self.rows[arts] - lo] = self.solved[arts]
+        return duals
+
+
 @dataclass(frozen=True)
 class SimplexResult:
     """Outcome of one solve.
@@ -78,71 +165,94 @@ class SimplexResult:
     iterations counts the pivots on the path from the artificial basis
     to the returned basis: phase-1 pivots plus phase-2 pivots, whether
     phase 1 ran in this solve or in a shared FeasibleStart.  Drive-out
-    pivots are in neither count.  phase1_iterations is the phase-1 part.
+    pivots are in neither count.  phase1_iterations is the phase-1 part
+    and degenerate_pivots the part whose step was zero.  row_gap is the
+    largest miss of x on any row of the LP (0 unless optimal).
+    duals_eq and duals_ub (None unless optimal) hold one multiplier per
+    row, computed when read (see _RowDuals).
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None = None
     objective: float | None = None
-    duals_eq: np.ndarray | None = None
-    duals_ub: np.ndarray | None = None
     dropped_eq_rows: tuple[int, ...] = ()
     iterations: int = 0
     phase1_iterations: int = 0
+    degenerate_pivots: int = 0
+    row_gap: float = 0.0
+    _duals: _RowDuals | None = field(default=None, repr=False,
+                                     compare=False)
+
+    @property
+    def duals_eq(self) -> np.ndarray | None:
+        d = self._duals
+        return None if d is None else d.of_rows(0, d.me)
+
+    @property
+    def duals_ub(self) -> np.ndarray | None:
+        d = self._duals
+        return None if d is None else d.of_rows(d.me, d.m)
 
 
-def _bland_iterate(T, basis, cost, allowed, work):
+def _padded(width: int) -> int:
+    return -(-width // 4) * 4
+
+
+def _bland_iterate(N, nb, basis, cost, work):
     """Run Bland pivots in place until optimal or a ray appears.
 
-    Returns ("optimal", iters) or ("unbounded", iters).  T has shape
-    (m, ncols + 1) with the RHS in the last column; basis[i] is the
-    basic column of row i; work is scratch of T's shape.
+    N is the condensed tableau (RHS last), nb labels its first nb.size
+    columns, basis[i] is the basic label of row i, cost is indexed by
+    label and work is scratch of N's shape.  Returns (status, pivots,
+    degenerate pivots, reduced costs of the columns at the last basis).
     """
-    m, w = T.shape
-    ncols = w - 1
-    iters = 0
-    col_ids = np.arange(ncols)
+    m = N.shape[0]
+    width = N.shape[1] - 1
+    real = nb.size
+    rhs = N[:, -1]
+    iters = degenerate = 0
     while True:
-        y = cost[basis] @ T[:, :ncols]
-        reduced = cost[:ncols] - y
-        candidates = col_ids[allowed & (reduced < -OPT_TOL)]
+        y = cost[basis] @ N[:, :width]
+        reduced = cost[nb] - y[:real]
+        candidates = np.flatnonzero(reduced < -OPT_TOL)
         if candidates.size == 0:
-            return "optimal", iters
-        j = int(candidates[0])  # Bland: lowest index enters
-        col = T[:, j]
+            return "optimal", iters, degenerate, reduced
+        p = int(candidates[np.argmin(nb[candidates])])  # Bland: lowest label
+        col = N[:, p]
         pos = col > PIV_TOL
         if not pos.any():
-            return "unbounded", iters
-        rhs = T[:, ncols]
+            return "unbounded", iters, degenerate, reduced
         ratios = np.full(m, np.inf)
         ratios[pos] = rhs[pos] / col[pos]
         rmin = ratios.min()
         ties = np.nonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))[0]
         r = int(ties[np.argmin(basis[ties])])  # Bland tie-break
-        _pivot(T, r, j, work)
-        basis[r] = j
+        degenerate += bool(rhs[r] == 0.0)
+        _exchange(N, nb, basis, r, p, work)
         iters += 1
         if iters > MAX_PIVOTS:
             raise SimplexAnomaly("pivot limit exceeded")
 
 
-def _pivot(T, r, j, work):
-    """Pivot T on (r, j) in place; work is scratch of T's shape."""
-    T[r] /= T[r, j]
-    col = T[:, j].copy()
+def _exchange(N, nb, basis, r, p, work):
+    """Pivot on (r, p) in place: column p's variable enters row r's
+    basis, and the leaving variable's column takes slot p."""
+    col = N[:, p].copy()
+    N[:, p] = 0.0
+    N[r, p] = 1.0
+    N[r] /= col[r]
     col[r] = 0.0
     # The outer product into preallocated scratch; einsum runs about twice
     # as fast as the broadcast multiply.  It may turn a -0.0 product into
     # +0.0, which no comparison and no nonzero entry can see, and the RHS
     # clip below maps both zeros to +0.0, so every solve result is
-    # bit-identical to the plain T -= np.outer(col, T[r]).
-    np.einsum("i,j->ij", col, T[r], out=work)
-    T -= work
-    T[:, j] = 0.0
-    T[r, j] = 1.0
+    # bit-identical to the plain N -= np.outer(col, N[r]).
+    np.einsum("i,j->ij", col, N[r], out=work)
+    N -= work
     # keep the RHS nonnegative against floating drift
-    rhs = T[:, -1]
+    rhs = N[:, -1]
     np.clip(rhs, 0.0, None, out=rhs)
+    nb[p], basis[r] = basis[r], nb[p]
 
 
 @dataclass(frozen=True)
@@ -151,22 +261,28 @@ class FeasibleStart:
 
     Every field depends on the LP's rows alone (A_eq, b_eq, A_ub, b_ub),
     never on c, so one start serves any objective over the same rows.
-    T holds the kept rows of the tableau (RHS last) and basis their basic
-    columns; keep marks the kept rows among all me + mu, flip the rows
-    negated for a negative RHS, and ident the identity column of each
-    row.  The arrays are read-only: a solve copies T before pivoting.
+    T is the condensed tableau of the kept rows (RHS last) over the
+    nonbasic structural and slack columns, which nb labels, and basis
+    holds the rows' basic labels; keep marks the kept rows among all
+    me + mu, flip the rows negated for a negative RHS, and ident the
+    identity column of each row.  phase1_iterations counts the phase-1
+    pivots and phase1_degenerate their zero steps.  The arrays are
+    read-only: a solve copies T before pivoting.
     """
 
     T: np.ndarray
+    nb: np.ndarray
     basis: np.ndarray
     keep: np.ndarray
     flip: np.ndarray
     ident: np.ndarray
     dropped_eq_rows: tuple[int, ...]
     phase1_iterations: int
+    phase1_degenerate: int
 
     def __post_init__(self):
-        for a in (self.T, self.basis, self.keep, self.flip, self.ident):
+        for a in (self.T, self.nb, self.basis, self.keep, self.flip,
+                  self.ident):
             a.setflags(write=False)
 
 
@@ -174,8 +290,8 @@ def _phase1(lp: LinearProgram):
     """Phase 1, the artificial drive-out and the redundant-row drop.
 
     Returns (start, T, work): start.T is a read-only view of the
-    writable tableau T and work is the scratch array, so a cold solve
-    can run phase 2 in place.  An infeasible LP returns its
+    writable condensed tableau T and work is the scratch array, so a
+    cold solve can run phase 2 in place.  An infeasible LP returns its
     SimplexResult in place of the start.
     """
     n = lp.c.shape[0]
@@ -190,47 +306,56 @@ def _phase1(lp: LinearProgram):
     ident = np.where(needs_art, n + mu + np.cumsum(needs_art) - 1,
                      n + np.arange(m) - me)
 
-    T = np.zeros((m, ncols + 1))
+    flipped_ub = np.flatnonzero(flip[me:])
+    nb = np.concatenate([np.arange(n), n + flipped_ub])
+    T = np.zeros((m, _padded(nb.size) + 1))
     T[:me, :n] = lp.A_eq
     T[me:, :n] = lp.A_ub
-    T[me + np.arange(mu), n + np.arange(mu)] = 1.0
-    T[:me, ncols] = lp.b_eq
-    T[me:, ncols] = lp.b_ub
-    # negate negative-RHS rows (slack block included) in place, row by row
+    T[me + flipped_ub, n + np.arange(flipped_ub.size)] = 1.0
+    T[:me, -1] = lp.b_eq
+    T[me:, -1] = lp.b_ub
+    # negate negative-RHS rows (their slack included) in place, row by row
     for i in np.flatnonzero(flip):
-        T[i, : n + mu] *= -1.0
-    T[flip, ncols] *= -1.0
-    T[needs_art, ident[needs_art]] = 1.0
+        T[i, : nb.size] *= -1.0
+    T[flip, -1] *= -1.0
     basis = ident.copy()
     work = np.empty_like(T)
 
     phase1_cost = (np.arange(ncols) >= n + mu).astype(float)
-    status, it1 = _bland_iterate(T, basis, phase1_cost,
-                                 np.ones(ncols, dtype=bool), work)
+    status, it1, deg1, _ = _bland_iterate(T, nb, basis, phase1_cost, work)
     if status == "unbounded":
         raise SimplexAnomaly("descent ray in phase 1")
-    phase1_obj = float(phase1_cost[basis] @ T[:, ncols])
+    phase1_obj = float(phase1_cost[basis] @ T[:, -1])
     if phase1_obj > FEAS_TOL:
         return SimplexResult(status="infeasible", iterations=it1,
-                             phase1_iterations=it1), None, None
+                             phase1_iterations=it1,
+                             degenerate_pivots=deg1), None, None
 
     # pivot lingering artificials out, or drop their (redundant) rows
     keep = np.ones(m, dtype=bool)
     for i in np.nonzero(basis >= n + mu)[0]:
-        drivable = np.nonzero(np.abs(T[i, : n + mu]) > DRIVE_TOL)[0]
+        drivable = np.flatnonzero((nb < n + mu)
+                                  & (np.abs(T[i, : nb.size]) > DRIVE_TOL))
         if drivable.size:
-            piv = int(drivable[0])
-            _pivot(T, i, piv, work)
-            basis[i] = piv
+            piv = int(drivable[np.argmin(nb[drivable])])
+            _exchange(T, nb, basis, i, piv, work)
         else:
             keep[i] = False
     dropped = tuple(int(i) for i in np.nonzero(~keep)[0] if i < me)
-    if not keep.all():
-        k = int(keep.sum())
-        np.take(T, np.nonzero(keep)[0], axis=0, out=work[:k], mode="clip")
-        T, work = work[:k], T[:k]
-        basis = basis[keep]
-    start = FeasibleStart(T.view(), basis, keep, flip, ident, dropped, it1)
+
+    # the kept rows over the non-artificial columns go into the scratch
+    # array's memory, which the tableau's then serves as scratch
+    cols = np.flatnonzero(nb < n + mu)
+    nb, basis = nb[cols], basis[keep]
+    shape = (basis.size, _padded(cols.size) + 1)
+    kept = work.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
+    for t, i in enumerate(np.flatnonzero(keep)):
+        kept[t, : cols.size] = T[i, cols]
+        kept[t, cols.size:] = 0.0
+        kept[t, -1] = T[i, -1]
+    T, work = kept, T.reshape(-1)[: kept.size].reshape(shape)
+    start = FeasibleStart(T.view(), nb, basis, keep, flip, ident, dropped,
+                          it1, deg1)
     return start, T, work
 
 
@@ -240,16 +365,20 @@ def feasible_start(lp: LinearProgram) -> FeasibleStart | SimplexResult:
     return _phase1(lp)[0]
 
 
-def _check_rows(lp: LinearProgram, x: np.ndarray) -> None:
-    """SimplexAnomaly unless x meets every row of lp, dropped equality
-    rows included, within ROW_TOL: pivoting drift can leave a tableau
-    whose basic point no longer meets the LP's own rows."""
+def _check_rows(lp: LinearProgram, x: np.ndarray) -> float:
+    """The largest miss of x on any row of lp, dropped equality rows
+    included; SimplexAnomaly beyond ROW_TOL: pivoting drift can leave a
+    tableau whose basic point no longer meets the LP's own rows."""
+    worst = 0.0
     for kind, gaps in (("equality", np.abs(lp.A_eq @ x - lp.b_eq)),
                        ("inequality", lp.A_ub @ x - lp.b_ub)):
-        if not gaps.max(initial=0.0) <= ROW_TOL:
+        gap = gaps.max(initial=0.0)
+        if not gap <= ROW_TOL:
             i = int(np.argmax(gaps))
             raise SimplexAnomaly(f"optimal point breaks {kind} row {i} "
                                  f"by {float(gaps[i])!r}")
+        worst = max(worst, float(gap))
+    return worst
 
 
 def solve_simplex(lp: LinearProgram,
@@ -268,38 +397,26 @@ def solve_simplex(lp: LinearProgram,
     else:
         T = start.T.copy()
         work = np.empty_like(T)
-    basis = start.basis.copy()
-    keep, flip, ident = start.keep, start.flip, start.ident
-    n = lp.c.shape[0]
-    me, mu = lp.A_eq.shape[0], lp.A_ub.shape[0]
-    ncols = T.shape[1] - 1
+    nb, basis = start.nb.copy(), start.basis.copy()
+    n, mu = lp.c.shape[0], lp.A_ub.shape[0]
 
-    phase2_cost = np.concatenate([lp.c, np.zeros(ncols - n)])
-    allowed = np.arange(ncols) < n + mu
-    status, it2 = _bland_iterate(T, basis, phase2_cost, allowed, work)
+    cost = np.concatenate([lp.c, np.zeros(mu)])
+    status, it2, deg2, reduced = _bland_iterate(T, nb, basis, cost, work)
     it1 = start.phase1_iterations
+    counts = dict(iterations=it1 + it2, phase1_iterations=it1,
+                  degenerate_pivots=start.phase1_degenerate + deg2)
     if status == "unbounded":
-        return SimplexResult(status="unbounded", iterations=it1 + it2,
-                             phase1_iterations=it1)
+        return SimplexResult(status="unbounded", **counts)
 
-    x = np.zeros(ncols)
-    x[basis] = T[:, ncols]
+    x = np.zeros(n + mu)
+    x[basis] = T[:, -1]
     xout = x[:n].copy()
-    _check_rows(lp, xout)
-    objective = float(lp.c @ xout)
-
-    # duals from identity-column reduced costs: r_j = 0 - y_i on e_i cols
-    reduced = phase2_cost - phase2_cost[basis] @ T[:, :ncols]
-    duals = np.zeros(me + mu)
-    duals[keep] = -reduced[ident[keep]]
-    duals[flip & keep] *= -1.0
     return SimplexResult(
         status="optimal",
         x=xout,
-        objective=objective,
-        duals_eq=duals[:me].copy(),
-        duals_ub=duals[me:].copy(),
+        objective=float(lp.c @ xout),
         dropped_eq_rows=start.dropped_eq_rows,
-        iterations=it1 + it2,
-        phase1_iterations=it1,
+        row_gap=_check_rows(lp, xout),
+        _duals=_RowDuals(lp, start, nb, basis, cost, reduced),
+        **counts,
     )

@@ -11,6 +11,7 @@ import itertools
 import math
 from bisect import bisect_left, bisect_right
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -616,3 +617,152 @@ def best_basic_solution(c, A_eq, b_eq, A_ub, b_ub, tol: float = 1e-9):
         if best is None or val < best:
             best = val
     return best
+
+
+# --- the full-tableau simplex -----------------------------------------------
+#
+# The dense two-phase method the package's condensed tableau replaced,
+# kept verbatim but for the result type and the shared start: the
+# tableau holds every column (basic ones and artificials too) in
+# phase 2, and duals are read off the identity columns' reduced costs.
+# The condensed solver must reproduce its status, x, objective, pivot
+# counts and dropped rows bit for bit.
+
+DENSE_OPT_TOL = 1e-9
+DENSE_FEAS_TOL = 1e-9
+DENSE_PIV_TOL = 1e-11
+DENSE_DRIVE_TOL = 1e-7
+DENSE_MAX_PIVOTS = 200_000
+
+
+@dataclass(frozen=True)
+class DenseResult:
+    status: str
+    x: np.ndarray | None = None
+    objective: float | None = None
+    duals_eq: np.ndarray | None = None
+    duals_ub: np.ndarray | None = None
+    dropped_eq_rows: tuple[int, ...] = ()
+    iterations: int = 0
+    phase1_iterations: int = 0
+
+
+def _dense_bland_iterate(T, basis, cost, allowed, work):
+    m, w = T.shape
+    ncols = w - 1
+    iters = 0
+    col_ids = np.arange(ncols)
+    while True:
+        y = cost[basis] @ T[:, :ncols]
+        reduced = cost[:ncols] - y
+        candidates = col_ids[allowed & (reduced < -DENSE_OPT_TOL)]
+        if candidates.size == 0:
+            return "optimal", iters
+        j = int(candidates[0])  # Bland: lowest index enters
+        col = T[:, j]
+        pos = col > DENSE_PIV_TOL
+        if not pos.any():
+            return "unbounded", iters
+        rhs = T[:, ncols]
+        ratios = np.full(m, np.inf)
+        ratios[pos] = rhs[pos] / col[pos]
+        rmin = ratios.min()
+        ties = np.nonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))[0]
+        r = int(ties[np.argmin(basis[ties])])  # Bland tie-break
+        _dense_pivot(T, r, j, work)
+        basis[r] = j
+        iters += 1
+        if iters > DENSE_MAX_PIVOTS:
+            raise RuntimeError("pivot limit exceeded")
+
+
+def _dense_pivot(T, r, j, work):
+    T[r] /= T[r, j]
+    col = T[:, j].copy()
+    col[r] = 0.0
+    np.einsum("i,j->ij", col, T[r], out=work)
+    T -= work
+    T[:, j] = 0.0
+    T[r, j] = 1.0
+    rhs = T[:, -1]
+    np.clip(rhs, 0.0, None, out=rhs)
+
+
+def dense_solve_simplex(lp) -> DenseResult:
+    """Cold two-phase solve of lp (fields c, A_eq, b_eq, A_ub, b_ub)
+    on the full tableau."""
+    n = lp.c.shape[0]
+    me, mu = lp.A_eq.shape[0], lp.A_ub.shape[0]
+    m = me + mu
+    flip = np.concatenate([lp.b_eq, lp.b_ub]) < 0.0
+
+    needs_art = (np.arange(m) < me) | flip
+    ncols = n + mu + int(needs_art.sum())
+    ident = np.where(needs_art, n + mu + np.cumsum(needs_art) - 1,
+                     n + np.arange(m) - me)
+
+    T = np.zeros((m, ncols + 1))
+    T[:me, :n] = lp.A_eq
+    T[me:, :n] = lp.A_ub
+    T[me + np.arange(mu), n + np.arange(mu)] = 1.0
+    T[:me, ncols] = lp.b_eq
+    T[me:, ncols] = lp.b_ub
+    for i in np.flatnonzero(flip):
+        T[i, : n + mu] *= -1.0
+    T[flip, ncols] *= -1.0
+    T[needs_art, ident[needs_art]] = 1.0
+    basis = ident.copy()
+    work = np.empty_like(T)
+
+    phase1_cost = (np.arange(ncols) >= n + mu).astype(float)
+    status, it1 = _dense_bland_iterate(T, basis, phase1_cost,
+                                       np.ones(ncols, dtype=bool), work)
+    if status == "unbounded":
+        raise RuntimeError("descent ray in phase 1")
+    phase1_obj = float(phase1_cost[basis] @ T[:, ncols])
+    if phase1_obj > DENSE_FEAS_TOL:
+        return DenseResult(status="infeasible", iterations=it1,
+                           phase1_iterations=it1)
+
+    keep = np.ones(m, dtype=bool)
+    for i in np.nonzero(basis >= n + mu)[0]:
+        drivable = np.nonzero(np.abs(T[i, : n + mu]) > DENSE_DRIVE_TOL)[0]
+        if drivable.size:
+            piv = int(drivable[0])
+            _dense_pivot(T, i, piv, work)
+            basis[i] = piv
+        else:
+            keep[i] = False
+    dropped = tuple(int(i) for i in np.nonzero(~keep)[0] if i < me)
+    if not keep.all():
+        k = int(keep.sum())
+        np.take(T, np.nonzero(keep)[0], axis=0, out=work[:k], mode="clip")
+        T, work = work[:k], T[:k]
+        basis = basis[keep]
+
+    phase2_cost = np.concatenate([lp.c, np.zeros(ncols - n)])
+    allowed = np.arange(ncols) < n + mu
+    status, it2 = _dense_bland_iterate(T, basis, phase2_cost, allowed, work)
+    if status == "unbounded":
+        return DenseResult(status="unbounded", iterations=it1 + it2,
+                           phase1_iterations=it1)
+
+    x = np.zeros(ncols)
+    x[basis] = T[:, ncols]
+    xout = x[:n].copy()
+    objective = float(lp.c @ xout)
+
+    reduced = phase2_cost - phase2_cost[basis] @ T[:, :ncols]
+    duals = np.zeros(me + mu)
+    duals[keep] = -reduced[ident[keep]]
+    duals[flip & keep] *= -1.0
+    return DenseResult(
+        status="optimal",
+        x=xout,
+        objective=objective,
+        duals_eq=duals[:me].copy(),
+        duals_ub=duals[me:].copy(),
+        dropped_eq_rows=dropped,
+        iterations=it1 + it2,
+        phase1_iterations=it1,
+    )

@@ -7,13 +7,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from linksched import occupancy_lp
+from linksched import occupancy_lp, simplex
 from linksched.model import discretize_channel
 from linksched.occupancy_lp import build_occupancy_lp, solve_lagrangian
 from linksched.simplex import (LinearProgram, SimplexAnomaly, SimplexResult,
                                _check_rows, feasible_start, solve_simplex)
 
-from oracles import best_basic_solution, random_bounded_lp
+from oracles import (best_basic_solution, dense_solve_simplex,
+                     random_bounded_lp)
 
 
 def _solve(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None):
@@ -139,6 +140,39 @@ class TestMemory:
         assert occupancy_lp._delay_free.cache_info().hits >= 1
         assert peak <= 2.2 * tableau, peak / tableau
 
+    def test_cold_peak_in_condensed_widths(self, paper_cfg, disc16):
+        # the tableau and the scratch hold only the nonbasic columns:
+        # the structural ones and the slacks of negated rows
+        lp = build_occupancy_lp(paper_cfg, disc16, 3.0).lp
+        rows = lp.A_eq.shape[0] + lp.A_ub.shape[0]
+        flipped = int((lp.b_ub < 0.0).sum())
+        tableau = rows * (lp.c.size + flipped + 5) * 8
+        tracemalloc.start()
+        try:
+            res = solve_simplex(lp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.status == "optimal" and res.dropped_eq_rows
+        assert peak <= 2.2 * tableau, peak / tableau
+
+    def test_shared_start_peak_in_condensed_widths(self, paper_cfg, disc16):
+        # from a start, the kept rows hold the nonbasic structural and
+        # slack columns; the artificial columns are gone
+        solve_lagrangian(paper_cfg, disc16, 1.0)
+        olp, start = occupancy_lp._delay_free(paper_cfg, disc16)
+        kept = start.basis.size
+        width = olp.lp.c.size + olp.lp.A_ub.shape[0] - kept
+        tableau = kept * (width + 5) * 8
+        tracemalloc.start()
+        try:
+            solve_lagrangian(paper_cfg, disc16, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert occupancy_lp._delay_free.cache_info().hits >= 1
+        assert peak <= 2.2 * tableau, peak / tableau
+
 
 class TestPhaseCounts:
     def test_equality_rows_need_phase_one(self):
@@ -150,6 +184,65 @@ class TestPhaseCounts:
                      A_ub=[[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]],
                      b_ub=[4.0, 12.0, 18.0])
         assert (res.phase1_iterations, res.iterations) == (0, 3)
+
+
+class TestCounters:
+    """degenerate_pivots counts the zero steps on the path; row_gap is
+    the largest row miss of the returned point."""
+
+    def test_degenerate_start(self):
+        # from the slack basis, y enters at row 2, whose slack is 0
+        res = _solve([1.0, -1.0],
+                     A_ub=[[1.0, 1.0], [-1.0, 1.0]], b_ub=[2.0, 0.0])
+        assert (res.iterations, res.degenerate_pivots) == (1, 1)
+        assert res.row_gap == 0.0
+
+    def test_nondegenerate_path(self):
+        res = _solve([-3.0, -5.0],
+                     A_ub=[[1.0, 0.0], [0.0, 2.0], [3.0, 2.0]],
+                     b_ub=[4.0, 12.0, 18.0])
+        assert (res.iterations, res.degenerate_pivots) == (3, 0)
+
+    def test_beale_cycles_through_zero_steps(self):
+        res = _solve([-0.75, 150.0, -0.02, 6.0],
+                     A_ub=[[0.25, -60.0, -0.04, 9.0],
+                           [0.5, -90.0, -0.02, 3.0],
+                           [0.0, 0.0, 1.0, 0.0]],
+                     b_ub=[0.0, 0.0, 1.0])
+        assert 0 < res.degenerate_pivots < res.iterations
+
+    def test_paper_m16(self, paper_cfg, disc16, monkeypatch):
+        # replay the definition: record whether each exchange starts
+        # from a zero RHS, then leave out the drive-out exchanges, which
+        # sit between phase 1 and phase 2
+        lp = build_occupancy_lp(paper_cfg, disc16, 3.0).lp
+        zero_steps = []
+        exchange = simplex._exchange
+
+        def recording(N, nb, basis, r, p, work):
+            zero_steps.append(bool(N[r, -1] == 0.0))
+            exchange(N, nb, basis, r, p, work)
+
+        monkeypatch.setattr(simplex, "_exchange", recording)
+        res = solve_simplex(lp)
+        drive_outs = len(zero_steps) - res.iterations
+        it1 = res.phase1_iterations
+        path = zero_steps[:it1] + zero_steps[it1 + drive_outs:]
+        assert res.degenerate_pivots == sum(path)
+        assert 0 < res.degenerate_pivots < res.iterations
+        gaps = np.concatenate([np.abs(lp.A_eq @ res.x - lp.b_eq),
+                               lp.A_ub @ res.x - lp.b_ub, [0.0]])
+        assert res.row_gap == gaps.max()
+        assert 0.0 < res.row_gap <= simplex.ROW_TOL
+
+    def test_shared_start_counts_phase_one(self, paper_cfg, disc16):
+        lp = build_occupancy_lp(paper_cfg, disc16, None).lp
+        start = feasible_start(lp)
+        cold = solve_simplex(lp)
+        warm = solve_simplex(lp, start)
+        assert start.phase1_degenerate > 0
+        assert (warm.degenerate_pivots, warm.row_gap) == (
+            cold.degenerate_pivots, cold.row_gap)
 
 
 class TestSharedStart:
@@ -188,6 +281,36 @@ class TestDuals:
         res = _solve([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[3.0])
         # objective rises one-for-one with the right-hand side
         assert res.duals_eq == pytest.approx([1.0], abs=1e-10)
+
+    def test_singular_basis_is_an_anomaly(self, monkeypatch):
+        # an equality row's dual comes from solving on the basis
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        res = _solve([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[3.0])
+        with pytest.raises(SimplexAnomaly,
+                           match="^basis is singular when reading duals"):
+            res.duals_eq
+
+    def test_only_artificial_rows_solve_on_the_basis(self, paper_cfg,
+                                                      monkeypatch):
+        # the delay row's dual is read off its slack's reduced cost; the
+        # equality rows' duals take one solve, when first read
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            calls.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        disc = discretize_channel(paper_cfg.channel, 4)
+        res = solve_simplex(build_occupancy_lp(paper_cfg, disc, 3.0).lp)
+        assert res.duals_ub[0] < 0.0 and calls == []
+        assert res.duals_eq.shape == (disc.bins * (paper_cfg.Q + 2),)
+        res.duals_eq
+        assert len(calls) == 1
 
     def test_mixed_duality(self):
         res = _solve([2.0, 1.0, -1.0],
@@ -235,3 +358,83 @@ class TestRandomizedOracle:
             if len(A_eq):
                 assert np.abs(A_eq @ x - b_eq).max() < 1e-7
             assert (A_ub @ x - b_ub).max() < 1e-7
+
+
+def _assert_as_dense(res, ref, slack_rows_exact=False):
+    """Status, x, objective, counts and dropped rows bit for bit; duals
+    within 1e-10 relative, or bit for bit on the unflipped A_ub rows,
+    whose dual both read off their slack's reduced cost."""
+    assert res.status == ref.status
+    assert (res.iterations, res.phase1_iterations, res.dropped_eq_rows) == (
+        ref.iterations, ref.phase1_iterations, ref.dropped_eq_rows)
+    if ref.status != "optimal":
+        return
+    assert res.x.tobytes() == ref.x.tobytes()
+    assert np.float64(res.objective).tobytes() == np.float64(
+        ref.objective).tobytes()
+    for got, want in ((res.duals_eq, ref.duals_eq),
+                      (res.duals_ub, ref.duals_ub)):
+        np.testing.assert_array_less(
+            np.abs(got - want), 1e-10 * np.maximum(1.0, np.abs(want)) + 1e-300)
+    if slack_rows_exact:
+        assert res.duals_ub.tobytes() == ref.duals_ub.tobytes()
+
+
+class TestDenseReference:
+    """The condensed tableau against the full one in tests/oracles.py."""
+
+    def test_random_lps(self):
+        rng = np.random.default_rng(20261018)
+        statuses = set()
+        for _ in range(300):
+            c, A_eq, b_eq, A_ub, b_ub = random_bounded_lp(rng)
+            for A, b, shift in ((A_ub, b_ub, 0.0), (A_ub[:-1], b_ub[:-1], 0.0),
+                                (A_ub, b_ub, -5.0)):
+                lp = LinearProgram.build(c, A_eq, b_eq + shift, A, b + shift)
+                ref = dense_solve_simplex(lp)
+                _assert_as_dense(solve_simplex(lp), ref)
+                statuses.add(ref.status)
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+
+    @pytest.mark.parametrize("bins", [1, 2, 4, 8])
+    @pytest.mark.parametrize("name", ["paper_cfg", "tiny_cfg",
+                                      "piecewise_cfg"])
+    def test_occupancy_lps(self, request, name, bins):
+        cfg = request.getfixturevalue(name)
+        disc = discretize_channel(cfg.channel, bins)
+        for d_th in (0.8, 1.2, 1.5, 3.0, -1.0):
+            olp = build_occupancy_lp(cfg, disc, d_th)
+            assert olp.lp.A_ub.shape[0] == 1
+            _assert_as_dense(solve_simplex(olp.lp),
+                             dense_solve_simplex(olp.lp),
+                             slack_rows_exact=d_th > 0)
+        olp = build_occupancy_lp(cfg, disc, None)
+        start = feasible_start(olp.lp)
+        for c in (olp.delay, olp.power, olp.power + 0.05 * olp.delay,
+                  olp.power + 0.7 * olp.delay, olp.power + 20.0 * olp.delay):
+            lp = replace(olp.lp, c=c)
+            ref = dense_solve_simplex(lp)
+            _assert_as_dense(solve_simplex(lp), ref)
+            _assert_as_dense(solve_simplex(lp, start), ref)
+
+    @pytest.mark.parametrize("rows, width", [(13, 31), (49, 147), (97, 299),
+                                             (193, 626)])
+    def test_padded_gemv_matches_wide_gemv(self, rows, width):
+        # The premise behind the padding: single-threaded OpenBLAS gives
+        # each column of v @ X the same bits wherever the column sits,
+        # except the last width % 4 columns.  So a column copied into a
+        # matrix padded to a multiple of 4 keeps the reduced cost it has
+        # in the full tableau.  (Above these sizes a multithreaded gemv
+        # splits its output at thread-dependent columns.)
+        rng = np.random.default_rng(rows)
+        X = rng.standard_normal((rows, width + 1))
+        X[rng.random(X.shape) < 0.7] = 0.0
+        v = rng.standard_normal(rows)
+        wide = v @ X[:, :width]
+        main = width - width % 4
+        order = rng.permutation(main)[: main - 5]
+        padded = -(-order.size // 4) * 4
+        Y = np.zeros((rows, padded + 1))
+        Y[:, : order.size] = X[:, order]
+        assert (v @ Y[:, :padded])[: order.size].tobytes() == wide[
+            order].tobytes()
