@@ -23,12 +23,20 @@ A pivot on (r, p) is an exchange: column p is copied out, the leaving
 variable's unit column e_r takes its slot, row r is divided by the
 pivot and col (x) row r is subtracted from every row (col[r] = 0).
 Every stored entry thus gets, bit for bit, the arithmetic a full
-tableau would give it.  The reduced costs come from one gemv over the
-padded width: OpenBLAS computes each group of 4 output columns the
-same way wherever it sits in the matrix, but not the last width % 4,
-so without the padding a column's reduced cost would depend on where
-the exchanges have put it.  (A multithreaded gemv splits its output at
-thread-dependent columns, so the bits hold single-threaded.)
+tableau would give it.  The subtraction is one in-place BLAS rank-1
+update, N <- N - col row, a K = 1 dgemm from the OpenBLAS that numpy
+bundles (through ctypes, resolved on the first pivot; numpy's einsum
+where numpy links another BLAS).  With K = 1 every entry is
+round(N - round(col_i * row_j)), the two roundings of an outer product
+followed by a subtraction, so both kernels give the same bits.  dger
+and daxpy would not: they contract the multiply and the subtraction
+into one fused multiply-add, which rounds once.  The reduced costs
+come from one gemv over the padded width: OpenBLAS computes each group
+of 4 output columns the same way wherever it sits in the matrix, but
+not the last width % 4, so without the padding a column's reduced cost
+would depend on where the exchanges have put it.  (A multithreaded
+gemv splits its output at thread-dependent columns, so the bits hold
+single-threaded.)
 
 Equality rows that phase 1 proves redundant (their artificial stays
 basic at a value <= FEAS_TOL and cannot be pivoted out) are dropped
@@ -49,20 +57,21 @@ kept rows, once and only when first read.  An "optimal" point is
 checked against every row of the LP, dropped ones included; a miss
 beyond ROW_TOL is a SimplexAnomaly, not an answer.
 
-Memory, in doubles: a cold solve holds two arrays of rows x
-(n + negated A_ub rows, padded, + 1), the tableau and one scratch
-array that takes the pivot's outer product and receives the kept rows
-and columns at the drop (the two then swap roles).  A solve from a
-shared start holds two arrays of kept rows x (n + mu - kept rows,
-padded, + 1), a copy of start.T and the scratch, plus the read-only
-start.  The square basis matrix for the duals is built only when an
-artificial row's dual is read, after the solve has freed both arrays.
+Memory, in doubles: a cold solve holds one tableau array of rows x
+(n + negated A_ub rows, padded, + 1), which phase 1 pivots in place,
+and, at the drop, a fresh array that the kept rows and columns are
+copied into and that phase 2 pivots in place.  A solve from a shared
+start holds one copy of start.T, kept rows x (n + mu - kept rows,
+padded, + 1), plus the read-only start.  A pivot allocates only two
+vectors, the entering column and a copy of row r.  The square basis
+matrix for the duals is built only when an artificial row's dual is
+read, after the solve has freed the tableau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -198,13 +207,13 @@ def _padded(width: int) -> int:
     return -(-width // 4) * 4
 
 
-def _bland_iterate(N, nb, basis, cost, work):
+def _bland_iterate(N, nb, basis, cost):
     """Run Bland pivots in place until optimal or a ray appears.
 
     N is the condensed tableau (RHS last), nb labels its first nb.size
-    columns, basis[i] is the basic label of row i, cost is indexed by
-    label and work is scratch of N's shape.  Returns (status, pivots,
-    degenerate pivots, reduced costs of the columns at the last basis).
+    columns, basis[i] is the basic label of row i and cost is indexed
+    by label.  Returns (status, pivots, degenerate pivots, reduced
+    costs of the columns at the last basis).
     """
     m = N.shape[0]
     width = N.shape[1] - 1
@@ -228,13 +237,13 @@ def _bland_iterate(N, nb, basis, cost, work):
         ties = np.nonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))[0]
         r = int(ties[np.argmin(basis[ties])])  # Bland tie-break
         degenerate += bool(rhs[r] == 0.0)
-        _exchange(N, nb, basis, r, p, work)
+        _exchange(N, nb, basis, r, p)
         iters += 1
         if iters > MAX_PIVOTS:
             raise SimplexAnomaly("pivot limit exceeded")
 
 
-def _exchange(N, nb, basis, r, p, work):
+def _exchange(N, nb, basis, r, p):
     """Pivot on (r, p) in place: column p's variable enters row r's
     basis, and the leaving variable's column takes slot p."""
     col = N[:, p].copy()
@@ -242,17 +251,60 @@ def _exchange(N, nb, basis, r, p, work):
     N[r, p] = 1.0
     N[r] /= col[r]
     col[r] = 0.0
-    # The outer product into preallocated scratch; einsum runs about twice
-    # as fast as the broadcast multiply.  It may turn a -0.0 product into
-    # +0.0, which no comparison and no nonzero entry can see, and the RHS
-    # clip below maps both zeros to +0.0, so every solve result is
-    # bit-identical to the plain N -= np.outer(col, N[r]).
-    np.einsum("i,j->ij", col, N[r], out=work)
-    N -= work
+    _rank1_subtract(N, col, N[r].copy())
     # keep the RHS nonnegative against floating drift
     rhs = N[:, -1]
     np.clip(rhs, 0.0, None, out=rhs)
     nb[p], basis[r] = basis[r], nb[p]
+
+
+@cache
+def _blas_dgemm():
+    """cblas_dgemm of the ILP64 OpenBLAS that numpy bundles, or None.
+
+    dlsym on numpy's core extension also searches the libraries it
+    links, where numpy's wheels export the bundled OpenBLAS under a
+    scipy_ prefix and 64_ suffix.  ctypes is imported here, on the
+    first pivot, not when the module is.
+    """
+    import ctypes
+
+    try:
+        from numpy._core import _multiarray_umath
+        dgemm = ctypes.CDLL(_multiarray_umath.__file__).scipy_cblas_dgemm64_
+    except (ImportError, OSError, AttributeError):
+        return None
+    enum, i64, dbl, ptr = (ctypes.c_int, ctypes.c_int64, ctypes.c_double,
+                           ctypes.c_void_p)
+    dgemm.argtypes = [enum, enum, enum, i64, i64, i64,
+                      dbl, ptr, i64, ptr, i64, dbl, ptr, i64]
+    dgemm.restype = None
+    return dgemm
+
+
+_ROW_MAJOR, _NO_TRANS = 101, 111  # CBLAS_ORDER, CBLAS_TRANSPOSE
+
+
+def _rank1_subtract(N, col, row):
+    """N -= outer(col, row) in place, bit for bit the einsum form.
+
+    N is a C-contiguous float64 matrix, col and row float64 vectors of
+    its height and width that share no memory with it.  The BLAS call
+    is C = A B + C with alpha = -1, A = col as a rows x 1 matrix and
+    B = row as a 1 x width one.
+    """
+    dgemm = _blas_dgemm()
+    if dgemm is None:
+        N -= np.einsum("i,j->ij", col, row)
+        return
+    m, w = N.shape
+    if not (N.flags.c_contiguous and N.dtype == col.dtype == row.dtype
+            == np.float64 and col.shape == (m,) and row.shape == (w,)
+            and col.flags.c_contiguous and row.flags.c_contiguous):
+        raise ValueError("rank-1 update needs a C-contiguous float64 "
+                         "matrix and vectors of its height and width")
+    dgemm(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, m, w, 1, -1.0, col.ctypes.data,
+          1, row.ctypes.data, w, 1.0, N.ctypes.data, w)
 
 
 @dataclass(frozen=True)
@@ -289,10 +341,9 @@ class FeasibleStart:
 def _phase1(lp: LinearProgram):
     """Phase 1, the artificial drive-out and the redundant-row drop.
 
-    Returns (start, T, work): start.T is a read-only view of the
-    writable condensed tableau T and work is the scratch array, so a
-    cold solve can run phase 2 in place.  An infeasible LP returns its
-    SimplexResult in place of the start.
+    Returns (start, T): start.T is a read-only view of the writable
+    condensed tableau T, so a cold solve can run phase 2 in place.  An
+    infeasible LP returns its SimplexResult in place of the start.
     """
     n = lp.c.shape[0]
     me, mu = lp.A_eq.shape[0], lp.A_ub.shape[0]
@@ -319,17 +370,16 @@ def _phase1(lp: LinearProgram):
         T[i, : nb.size] *= -1.0
     T[flip, -1] *= -1.0
     basis = ident.copy()
-    work = np.empty_like(T)
 
     phase1_cost = (np.arange(ncols) >= n + mu).astype(float)
-    status, it1, deg1, _ = _bland_iterate(T, nb, basis, phase1_cost, work)
+    status, it1, deg1, _ = _bland_iterate(T, nb, basis, phase1_cost)
     if status == "unbounded":
         raise SimplexAnomaly("descent ray in phase 1")
     phase1_obj = float(phase1_cost[basis] @ T[:, -1])
     if phase1_obj > FEAS_TOL:
         return SimplexResult(status="infeasible", iterations=it1,
                              phase1_iterations=it1,
-                             degenerate_pivots=deg1), None, None
+                             degenerate_pivots=deg1), None
 
     # pivot lingering artificials out, or drop their (redundant) rows
     keep = np.ones(m, dtype=bool)
@@ -338,25 +388,22 @@ def _phase1(lp: LinearProgram):
                                   & (np.abs(T[i, : nb.size]) > DRIVE_TOL))
         if drivable.size:
             piv = int(drivable[np.argmin(nb[drivable])])
-            _exchange(T, nb, basis, i, piv, work)
+            _exchange(T, nb, basis, i, piv)
         else:
             keep[i] = False
     dropped = tuple(int(i) for i in np.nonzero(~keep)[0] if i < me)
 
-    # the kept rows over the non-artificial columns go into the scratch
-    # array's memory, which the tableau's then serves as scratch
+    # copy the kept rows over the non-artificial columns into a fresh
+    # array, row by row so that nothing else tableau-sized is allocated
     cols = np.flatnonzero(nb < n + mu)
     nb, basis = nb[cols], basis[keep]
-    shape = (basis.size, _padded(cols.size) + 1)
-    kept = work.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
+    kept = np.zeros((basis.size, _padded(cols.size) + 1))
     for t, i in enumerate(np.flatnonzero(keep)):
         kept[t, : cols.size] = T[i, cols]
-        kept[t, cols.size:] = 0.0
-        kept[t, -1] = T[i, -1]
-    T, work = kept, T.reshape(-1)[: kept.size].reshape(shape)
-    start = FeasibleStart(T.view(), nb, basis, keep, flip, ident, dropped,
+    kept[:, -1] = T[keep, -1]
+    start = FeasibleStart(kept.view(), nb, basis, keep, flip, ident, dropped,
                           it1, deg1)
-    return start, T, work
+    return start, kept
 
 
 def feasible_start(lp: LinearProgram) -> FeasibleStart | SimplexResult:
@@ -391,17 +438,16 @@ def solve_simplex(lp: LinearProgram,
     phase 2 pivots its tableau in place.
     """
     if start is None:
-        start, T, work = _phase1(lp)
+        start, T = _phase1(lp)
         if isinstance(start, SimplexResult):
             return start
     else:
         T = start.T.copy()
-        work = np.empty_like(T)
     nb, basis = start.nb.copy(), start.basis.copy()
     n, mu = lp.c.shape[0], lp.A_ub.shape[0]
 
     cost = np.concatenate([lp.c, np.zeros(mu)])
-    status, it2, deg2, reduced = _bland_iterate(T, nb, basis, cost, work)
+    status, it2, deg2, reduced = _bland_iterate(T, nb, basis, cost)
     it1 = start.phase1_iterations
     counts = dict(iterations=it1 + it2, phase1_iterations=it1,
                   degenerate_pivots=start.phase1_degenerate + deg2)

@@ -275,6 +275,21 @@ class TestSolve:
         assert lam_p + lam * lam_d == pytest.approx(
             power + lam * delay, abs=1e-6)
 
+    @pytest.mark.xfail(strict=True, reason="Bland pivoting stops at a "
+                       "vertex that meets every row but is not optimal "
+                       "(ROADMAP item 8)")
+    def test_power_only_optimum_on_a_sparse_arrival_config(self):
+        # scipy.optimize.linprog(method="highs") on the same LP gives
+        # 0.0008850080862668819; the simplex returns 0.002325843520234786
+        cfg = config_from_dict({
+            "arrival": {"alphas": [0.997, 0.002, 0.001]},
+            "channel": {"kind": "uniform", "h_min": 0.1, "h_max": 10.0},
+            "Q": 3, "S_max": 3, "xi_kind": "exp2minus1"})
+        sol = solve_constrained(cfg, discretize_channel(cfg.channel, 2), None)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(0.0008850080862668819,
+                                              rel=1e-6)
+
     def test_lagrangian_extremes(self, paper_cfg, disc16):
         _, d_hi, p_lo = solve_lagrangian(paper_cfg, disc16, 0.0)
         _, d_lo, _ = solve_lagrangian(paper_cfg, disc16, 1e6)
