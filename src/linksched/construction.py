@@ -22,8 +22,9 @@ Within a cell the rate intervals can be laid out two ways:
     cell it can undercut the source power; the ratio may then dip
     below 1 and power_ratio will reject it.
 
-All interval bookkeeping is exact; sampling is used only for the
-report-style density match against the channel law.
+All interval bookkeeping is exact, the certificates included: they
+evaluate the construction once per piece on which it is constant, and
+sample no gains.
 """
 
 from __future__ import annotations
@@ -40,8 +41,6 @@ from .textio import csv_text, read_rows
 
 PARTITION_TOL = 1e-12
 RATIO_TOL = 1e-10
-FEASIBILITY_SAMPLES = 10_000  # stratified gains for the channel residual
-DETERMINISM_SAMPLES = 4096  # stratified gains for the overlap scan
 
 
 class MassRangeError(ValueError):
@@ -292,8 +291,8 @@ def compute_thresholds(
 class FeasibilityReport:
     """Residuals of the constructed solution, all in absolute terms.
 
-    channel_residual     gap between summed state densities and the
-                         channel law at stratified sample gains
+    channel_residual     largest gap between the summed state densities
+                         and the channel law, over every gain
     balance_residual     queue balance violation (aggregated over gain)
     nonneg_residual      most negative density value, as a positive gap
     structural_residual  mass sitting on inadmissible (q, s) pairs
@@ -319,18 +318,19 @@ class FeasibilityReport:
                    self.rate_residual, self.delay_residual)
 
 
-def _stratified_gains(cfg: SystemConfig, n: int) -> np.ndarray:
-    """Midpoints of n equal slices of (h_min, h_max]."""
-    h_lo, h_hi = cfg.channel.h_min, cfg.channel.h_max
-    return h_lo + (np.arange(n) + 0.5) * ((h_hi - h_lo) / n)
-
-
 def verify_feasibility(y: ConstructedSolution) -> FeasibilityReport:
-    """Report-only residual battery; never raises on a violation."""
+    """Report-only residual battery; never raises on a violation.
+
+    The channel residual is exact: the source grid, the channel's breaks
+    and the interval ends cut the gain range into pieces on which every
+    covered set and density is constant, and each piece is evaluated at
+    its right end, which every (lo, hi] lookup places in that piece.
+    """
     cfg = y.cfg
     d = y.source
-    # channel marginal at stratified sample gains, via interval lookup
-    hs = _stratified_gains(cfg, FEASIBILITY_SAMPLES)
+    live = y.hi > y.lo
+    cuts = [d.grid, cfg.channel.breaks, y.lo[live], y.hi[live]]
+    hs = np.unique(np.concatenate(cuts))[1:]  # right ends of the pieces
     covered = np.zeros((cfg.Q + 1, hs.size), dtype=bool)
     for q, (los, his, _) in enumerate(y.intervals):
         if los.size:
@@ -362,37 +362,27 @@ def verify_feasibility(y: ConstructedSolution) -> FeasibilityReport:
 
 @dataclass(frozen=True)
 class DeterminismReport:
-    exact_ok: bool
-    sampled_ok: bool
+    ok: bool
     witness: tuple | None  # (q, h, s_a, s_b) on overlap
-
-    @property
-    def ok(self) -> bool:
-        return self.exact_ok and self.sampled_ok
 
 
 def verify_deterministic(y: ConstructedSolution) -> DeterminismReport:
-    """Exact pairwise interval arithmetic plus a stratified sample scan.
+    """Exact pairwise interval arithmetic: no gain may see two positive
+    rates for the same queue state.
 
-    Both routes must agree that no gain sees two positive rates for the
-    same queue state; the first overlap found is returned as a witness.
+    Each state's intervals are sorted by their lower ends, so an
+    interval that overlaps any later one overlaps its next neighbour,
+    and comparing neighbours finds every overlap.  The first one found
+    is returned as a witness.
     """
-    hs = _stratified_gains(y.cfg, DETERMINISM_SAMPLES)
-    exact = sampled = None  # first witness of each route
     for q, (lo, hi, s) in enumerate(y.intervals):
         bad = np.flatnonzero(lo[1:] < hi[:-1] - PARTITION_TOL)
-        if bad.size and exact is None:
+        if bad.size:
             i = bad[0]
             h = 0.5 * (lo[i + 1] + min(hi[i], hi[i + 1]))
-            exact = (q, float(h), int(s[i]), int(s[i + 1]))
-        # intervals holding h in (lo + tol, hi - tol]: those opened
-        # below h minus those closed below h, over the nonempty ones
-        a, b = lo + PARTITION_TOL, hi - PARTITION_TOL
-        a, b = np.sort(a[a < b]), np.sort(b[a < b])
-        active = np.searchsorted(a, hs) - np.searchsorted(b, hs)
-        if (active > 1).any() and sampled is None:
-            sampled = (q, float(hs[np.argmax(active > 1)]), -1, -1)
-    return DeterminismReport(exact is None, sampled is None, exact or sampled)
+            return DeterminismReport(
+                False, (q, float(h), int(s[i]), int(s[i + 1])))
+    return DeterminismReport(True, None)
 
 
 @dataclass(frozen=True)

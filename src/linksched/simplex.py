@@ -295,7 +295,9 @@ def _rank1_subtract(N, col, row):
     """
     dgemm = _blas_dgemm()
     if dgemm is None:
-        N -= np.einsum("i,j->ij", col, row)
+        # a few rows at a time, so no tableau-sized temporary is made
+        for i in range(0, N.shape[0], 8):
+            N[i:i + 8] -= np.einsum("i,j->ij", col[i:i + 8], row)
         return
     m, w = N.shape
     if not (N.flags.c_contiguous and N.dtype == col.dtype == row.dtype

@@ -308,6 +308,44 @@ def loop_intervals(lo, hi, q: int) -> list[tuple[float, float, int]]:
     return out
 
 
+def loop_channel_residual(grid, values, lo, hi, ch, gains=None) -> float:
+    """Largest |summed density of the states covering h - channel density
+    at h| over ascending gains h.
+
+    By default the gains are the right ends of the pieces that the
+    grid, the channel's breaks and every nonempty interval end cut
+    (h_min, h_max] into; on each piece both densities are constant.
+    One walk over the gains advances, per state, to the first interval
+    not closed below h, and in the grid to the piece holding h.
+    """
+    n_q, _, n_s = lo.shape
+    ivs = [loop_intervals(lo, hi, q) for q in range(n_q)]
+    if gains is None:
+        points = {float(g) for g in grid} | set(loop_pieces(ch)[0])
+        for iv in ivs:
+            for a, b, _ in iv:
+                points.update((a, b))
+        gains = sorted(points)[1:]
+    worst = 0.0
+    i = 0
+    at = [0] * n_q
+    for h in gains:
+        while grid[i + 1] < h:
+            i += 1
+        total = 0.0
+        for q in range(n_q):
+            iv = ivs[q]
+            while at[q] < len(iv) and iv[at[q]][1] < h:
+                at[q] += 1
+            if at[q] < len(iv) and iv[at[q]][0] < h:
+                dens = 0.0
+                for s in range(n_s):
+                    dens += values[q, s, i]
+                total += dens
+        worst = max(worst, abs(total - loop_density(ch, h)))
+    return worst
+
+
 # --- the channel law, one piece at a time ---------------------------------
 
 def loop_pieces(ch):

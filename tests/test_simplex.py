@@ -178,6 +178,15 @@ class TestMemory:
         assert peak <= 1.2 * tableau, peak / tableau
 
 
+class TestMemoryEinsumFallback(TestMemory):
+    """The same bounds where numpy bundles no OpenBLAS: the einsum form
+    subtracts a few rows at a time and makes no tableau-sized temporary."""
+
+    @pytest.fixture(autouse=True)
+    def no_blas(self, monkeypatch):
+        monkeypatch.setattr(simplex, "_blas_dgemm", lambda: None)
+
+
 class TestPhaseCounts:
     def test_equality_rows_need_phase_one(self):
         res = _solve([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[3.0])
@@ -489,6 +498,8 @@ class TestRank1Update:
             assert (got != N).any()
             assert (np.signbit(want) & (want == 0.0)).any()
             assert (got.view(np.int64) == want.view(np.int64)).all()
+            whole = N - np.einsum("i,j->ij", col, row)
+            assert (want.view(np.int64) == whole.view(np.int64)).all()
 
     def test_rejects_strided_operands(self, blas):
         N = np.zeros((3, 8))[:, ::2]
