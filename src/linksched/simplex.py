@@ -4,8 +4,10 @@ The LPs solved here are small and heavily degenerate, so Bland's rule
 is used unconditionally: the entering variable is the lowest-index
 column with reduced cost below -OPT_TOL, and the leaving row breaks
 ratio ties by the lowest basis index.  Reduced costs are recomputed
-from the basis every iteration rather than carried, trading a little
-speed for drift-free pivoting.
+every iteration, one gemv of the basic costs over the tableau, rather
+than updated by the pivots, trading a little speed for drift-free
+pivoting; the basic and nonbasic cost vectors, cost[basis] and
+cost[nb], are carried and swapped by each exchange with the labels.
 
 Columns carry labels, their index in the full tableau: the n
 structural columns, then one slack per A_ub row, then one artificial
@@ -25,18 +27,18 @@ pivot and col (x) row r is subtracted from every row (col[r] = 0).
 Every stored entry thus gets, bit for bit, the arithmetic a full
 tableau would give it.  The subtraction is one in-place BLAS rank-1
 update, N <- N - col row, a K = 1 dgemm from the OpenBLAS that numpy
-bundles (through ctypes, resolved on the first pivot; numpy's einsum
-where numpy links another BLAS).  With K = 1 every entry is
-round(N - round(col_i * row_j)), the two roundings of an outer product
-followed by a subtraction, so both kernels give the same bits.  dger
-and daxpy would not: they contract the multiply and the subtraction
-into one fused multiply-add, which rounds once.  The reduced costs
-come from one gemv over the padded width: OpenBLAS computes each group
-of 4 output columns the same way wherever it sits in the matrix, but
-not the last width % 4, so without the padding a column's reduced cost
-would depend on where the exchanges have put it.  (A multithreaded
-gemv splits its output at thread-dependent columns, so the bits hold
-single-threaded.)
+bundles (through ctypes, resolved on the first solve and bound once per
+tableau; numpy's einsum where numpy links another BLAS).  With K = 1
+every entry is round(N - round(col_i * row_j)), the two roundings of an
+outer product followed by a subtraction, so both kernels give the same
+bits.  dger and daxpy would not: they contract the multiply and the
+subtraction into one fused multiply-add, which rounds once.  The
+reduced costs come from one gemv over the padded width: OpenBLAS
+computes each group of 4 output columns the same way wherever it sits
+in the matrix, but not the last width % 4, so without the padding a
+column's reduced cost would depend on where the exchanges have put it.
+(A multithreaded gemv splits its output at thread-dependent columns,
+so the bits hold single-threaded.)
 
 Equality rows that phase 1 proves redundant (their artificial stays
 basic at a value <= FEAS_TOL and cannot be pivoted out) are dropped
@@ -62,16 +64,19 @@ Memory, in doubles: a cold solve holds one tableau array of rows x
 and, at the drop, a fresh array that the kept rows and columns are
 copied into and that phase 2 pivots in place.  A solve from a shared
 start holds one copy of start.T, kept rows x (n + mu - kept rows,
-padded, + 1), plus the read-only start.  A pivot allocates only two
-vectors, the entering column and a copy of row r.  The square basis
-matrix for the duals is built only when an artificial row's dual is
-read, after the solve has freed the tableau.
+padded, + 1), plus the read-only start.  Each tableau comes with three
+small buffers, allocated once: the entering column, the pivot row and
+the ratio test's ratios.  The exchange writes only into them and the
+tableau and allocates no array data; pricing and the ratio test make
+only numpy's temporaries of the tableau's width or height.  The square
+basis matrix for the duals is built only when an artificial row's dual
+is read, after the solve has freed the tableau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -207,55 +212,86 @@ def _padded(width: int) -> int:
     return -(-width // 4) * 4
 
 
-def _bland_iterate(N, nb, basis, cost):
-    """Run Bland pivots in place until optimal or a ray appears.
+_NO_LABEL = np.iinfo(np.intp).max  # masks a column or row out of an argmin
 
-    N is the condensed tableau (RHS last), nb labels its first nb.size
-    columns, basis[i] is the basic label of row i and cost is indexed
-    by label.  Returns (status, pivots, degenerate pivots, reduced
-    costs of the columns at the last basis).
+
+class _Tableau:
+    """A condensed tableau in the middle of a solve, with what its
+    pivots reuse.
+
+    N (RHS last) is pivoted in place and never reallocated, so the
+    rank-1 kernel is bound once to N and the col and row buffers, which
+    every exchange refills.  nb labels the first nb.size columns of N
+    and basis[i] is the basic label of row i; cost_nb and cost_B are
+    cost[nb] and cost[basis], swapped by every exchange along with the
+    labels.  ratios is the ratio test's buffer.
     """
-    m = N.shape[0]
-    width = N.shape[1] - 1
+
+    __slots__ = ("N", "rhs", "nb", "basis", "cost_nb", "cost_B", "col",
+                 "row", "ratios", "subtract")
+
+    def __init__(self, N, nb, basis, cost):
+        self.N, self.rhs, self.nb, self.basis = N, N[:, -1], nb, basis
+        self.cost_nb, self.cost_B = cost[nb], cost[basis]
+        self.col, self.row = np.empty(N.shape[0]), np.empty(N.shape[1])
+        self.ratios = np.empty(N.shape[0])
+        self.subtract = _rank1_kernel(N, self.col, self.row)
+
+
+def _bland_iterate(t):
+    """Run Bland pivots on the _Tableau t until optimal or a ray appears.
+
+    Returns (status, pivots, degenerate pivots, reduced costs of the
+    columns at the last basis).
+    """
+    nb, basis, rhs, ratios = t.nb, t.basis, t.rhs, t.ratios
+    cost_nb, cost_B = t.cost_nb, t.cost_B
     real = nb.size
-    rhs = N[:, -1]
+    head = t.N[:, :-1]
     iters = degenerate = 0
+    if not real:  # no column to enter, and no label for argmin to scan
+        return "optimal", iters, degenerate, np.zeros(0)
     while True:
-        y = cost[basis] @ N[:, :width]
-        reduced = cost[nb] - y[:real]
-        candidates = np.flatnonzero(reduced < -OPT_TOL)
-        if candidates.size == 0:
+        reduced = cost_nb - (cost_B @ head)[:real]
+        labels = np.where(reduced < -OPT_TOL, nb, _NO_LABEL)
+        p = labels.argmin()  # Bland: the lowest label enters
+        if labels[p] == _NO_LABEL:
             return "optimal", iters, degenerate, reduced
-        p = int(candidates[np.argmin(nb[candidates])])  # Bland: lowest label
-        col = N[:, p]
+        col = t.N[:, p]
         pos = col > PIV_TOL
         if not pos.any():
             return "unbounded", iters, degenerate, reduced
-        ratios = np.full(m, np.inf)
-        ratios[pos] = rhs[pos] / col[pos]
-        rmin = ratios.min()
-        ties = np.nonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))[0]
-        r = int(ties[np.argmin(basis[ties])])  # Bland tie-break
-        degenerate += bool(rhs[r] == 0.0)
-        _exchange(N, nb, basis, r, p)
+        ratios.fill(np.inf)
+        np.divide(rhs, col, out=ratios, where=pos)
+        rmin = float(ratios[ratios.argmin()])  # min() has a Python wrapper
+        ties = ratios <= rmin + 1e-12 * (1.0 + abs(rmin))
+        r = np.where(ties, basis, _NO_LABEL).argmin()  # Bland tie-break
+        if rhs[r] == 0.0:
+            degenerate += 1
+        _exchange(t, r, p)
         iters += 1
         if iters > MAX_PIVOTS:
             raise SimplexAnomaly("pivot limit exceeded")
 
 
-def _exchange(N, nb, basis, r, p):
-    """Pivot on (r, p) in place: column p's variable enters row r's
-    basis, and the leaving variable's column takes slot p."""
-    col = N[:, p].copy()
+def _exchange(t, r, p):
+    """Pivot the _Tableau t on (r, p) in place: column p's variable
+    enters row r's basis, and the leaving variable's column takes slot
+    p."""
+    N, col, row = t.N, t.col, t.row
+    col[:] = N[:, p]
     N[:, p] = 0.0
     N[r, p] = 1.0
-    N[r] /= col[r]
+    pivot_row = N[r]
+    pivot_row /= col[r]
+    row[:] = pivot_row
     col[r] = 0.0
-    _rank1_subtract(N, col, N[r].copy())
+    t.subtract()
     # keep the RHS nonnegative against floating drift
-    rhs = N[:, -1]
-    np.clip(rhs, 0.0, None, out=rhs)
+    np.maximum(t.rhs, 0.0, out=t.rhs)
+    nb, basis, cost_nb, cost_B = t.nb, t.basis, t.cost_nb, t.cost_B
     nb[p], basis[r] = basis[r], nb[p]
+    cost_nb[p], cost_B[r] = cost_B[r], cost_nb[p]
 
 
 @cache
@@ -265,7 +301,7 @@ def _blas_dgemm():
     dlsym on numpy's core extension also searches the libraries it
     links, where numpy's wheels export the bundled OpenBLAS under a
     scipy_ prefix and 64_ suffix.  ctypes is imported here, on the
-    first pivot, not when the module is.
+    first solve, not when the module is.
     """
     import ctypes
 
@@ -285,28 +321,36 @@ def _blas_dgemm():
 _ROW_MAJOR, _NO_TRANS = 101, 111  # CBLAS_ORDER, CBLAS_TRANSPOSE
 
 
-def _rank1_subtract(N, col, row):
-    """N -= outer(col, row) in place, bit for bit the einsum form.
+def _rank1_kernel(N, col, row):
+    """A call that does N -= outer(col, row) in place, bit for bit the
+    einsum form, on whatever N, col and row hold when it is called.
 
     N is a C-contiguous float64 matrix, col and row float64 vectors of
-    its height and width that share no memory with it.  The BLAS call
-    is C = A B + C with alpha = -1, A = col as a rows x 1 matrix and
-    B = row as a 1 x width one.
+    its height and width that share no memory with it; they are checked
+    here, once.  The BLAS call is C = A B + C with alpha = -1, A = col
+    as a rows x 1 matrix and B = row as a 1 x width one, its arguments
+    converted to ctypes once.  The kernel holds the three arrays'
+    addresses and the arrays too, so they live as long as it does.
     """
     dgemm = _blas_dgemm()
     if dgemm is None:
-        # a few rows at a time, so no tableau-sized temporary is made
-        for i in range(0, N.shape[0], 8):
-            N[i:i + 8] -= np.einsum("i,j->ij", col[i:i + 8], row)
-        return
+        def subtract():
+            # a few rows at a time, so no tableau-sized temporary is made
+            for i in range(0, N.shape[0], 8):
+                N[i:i + 8] -= np.einsum("i,j->ij", col[i:i + 8], row)
+        return subtract
     m, w = N.shape
     if not (N.flags.c_contiguous and N.dtype == col.dtype == row.dtype
             == np.float64 and col.shape == (m,) and row.shape == (w,)
             and col.flags.c_contiguous and row.flags.c_contiguous):
         raise ValueError("rank-1 update needs a C-contiguous float64 "
                          "matrix and vectors of its height and width")
-    dgemm(_ROW_MAJOR, _NO_TRANS, _NO_TRANS, m, w, 1, -1.0, col.ctypes.data,
-          1, row.ctypes.data, w, 1.0, N.ctypes.data, w)
+    subtract = partial(dgemm, *[
+        kind(v) for kind, v in zip(dgemm.argtypes, (
+            _ROW_MAJOR, _NO_TRANS, _NO_TRANS, m, w, 1, -1.0, col.ctypes.data,
+            1, row.ctypes.data, w, 1.0, N.ctypes.data, w))])
+    subtract.operands = N, col, row
+    return subtract
 
 
 @dataclass(frozen=True)
@@ -374,7 +418,8 @@ def _phase1(lp: LinearProgram):
     basis = ident.copy()
 
     phase1_cost = (np.arange(ncols) >= n + mu).astype(float)
-    status, it1, deg1, _ = _bland_iterate(T, nb, basis, phase1_cost)
+    t = _Tableau(T, nb, basis, phase1_cost)
+    status, it1, deg1, _ = _bland_iterate(t)
     if status == "unbounded":
         raise SimplexAnomaly("descent ray in phase 1")
     phase1_obj = float(phase1_cost[basis] @ T[:, -1])
@@ -390,7 +435,7 @@ def _phase1(lp: LinearProgram):
                                   & (np.abs(T[i, : nb.size]) > DRIVE_TOL))
         if drivable.size:
             piv = int(drivable[np.argmin(nb[drivable])])
-            _exchange(T, nb, basis, i, piv)
+            _exchange(t, i, piv)
         else:
             keep[i] = False
     dropped = tuple(int(i) for i in np.nonzero(~keep)[0] if i < me)
@@ -445,17 +490,18 @@ def solve_simplex(lp: LinearProgram,
             return start
     else:
         T = start.T.copy()
-    nb, basis = start.nb.copy(), start.basis.copy()
     n, mu = lp.c.shape[0], lp.A_ub.shape[0]
 
     cost = np.concatenate([lp.c, np.zeros(mu)])
-    status, it2, deg2, reduced = _bland_iterate(T, nb, basis, cost)
+    t = _Tableau(T, start.nb.copy(), start.basis.copy(), cost)
+    status, it2, deg2, reduced = _bland_iterate(t)
     it1 = start.phase1_iterations
     counts = dict(iterations=it1 + it2, phase1_iterations=it1,
                   degenerate_pivots=start.phase1_degenerate + deg2)
     if status == "unbounded":
         return SimplexResult(status="unbounded", **counts)
 
+    nb, basis = t.nb, t.basis
     x = np.zeros(n + mu)
     x[basis] = T[:, -1]
     xout = x[:n].copy()

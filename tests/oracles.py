@@ -664,7 +664,8 @@ def best_basic_solution(c, A_eq, b_eq, A_ub, b_ub, tol: float = 1e-9):
 # tableau holds every column (basic ones and artificials too) in
 # phase 2, and duals are read off the identity columns' reduced costs.
 # The condensed solver must reproduce its status, x, objective, pivot
-# counts and dropped rows bit for bit.
+# counts and dropped rows bit for bit.  degenerate_pivots counts the
+# path pivots (drive-outs excluded) made from a zero RHS entry.
 
 DENSE_OPT_TOL = 1e-9
 DENSE_FEAS_TOL = 1e-9
@@ -683,30 +684,32 @@ class DenseResult:
     dropped_eq_rows: tuple[int, ...] = ()
     iterations: int = 0
     phase1_iterations: int = 0
+    degenerate_pivots: int = 0
 
 
 def _dense_bland_iterate(T, basis, cost, allowed, work):
     m, w = T.shape
     ncols = w - 1
-    iters = 0
+    iters = degenerate = 0
     col_ids = np.arange(ncols)
     while True:
         y = cost[basis] @ T[:, :ncols]
         reduced = cost[:ncols] - y
         candidates = col_ids[allowed & (reduced < -DENSE_OPT_TOL)]
         if candidates.size == 0:
-            return "optimal", iters
+            return "optimal", iters, degenerate
         j = int(candidates[0])  # Bland: lowest index enters
         col = T[:, j]
         pos = col > DENSE_PIV_TOL
         if not pos.any():
-            return "unbounded", iters
+            return "unbounded", iters, degenerate
         rhs = T[:, ncols]
         ratios = np.full(m, np.inf)
         ratios[pos] = rhs[pos] / col[pos]
         rmin = ratios.min()
         ties = np.nonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))[0]
         r = int(ties[np.argmin(basis[ties])])  # Bland tie-break
+        degenerate += bool(rhs[r] == 0.0)
         _dense_pivot(T, r, j, work)
         basis[r] = j
         iters += 1
@@ -753,14 +756,14 @@ def dense_solve_simplex(lp) -> DenseResult:
     work = np.empty_like(T)
 
     phase1_cost = (np.arange(ncols) >= n + mu).astype(float)
-    status, it1 = _dense_bland_iterate(T, basis, phase1_cost,
-                                       np.ones(ncols, dtype=bool), work)
+    status, it1, deg1 = _dense_bland_iterate(T, basis, phase1_cost,
+                                             np.ones(ncols, dtype=bool), work)
     if status == "unbounded":
         raise RuntimeError("descent ray in phase 1")
     phase1_obj = float(phase1_cost[basis] @ T[:, ncols])
     if phase1_obj > DENSE_FEAS_TOL:
         return DenseResult(status="infeasible", iterations=it1,
-                           phase1_iterations=it1)
+                           phase1_iterations=it1, degenerate_pivots=deg1)
 
     keep = np.ones(m, dtype=bool)
     for i in np.nonzero(basis >= n + mu)[0]:
@@ -780,10 +783,12 @@ def dense_solve_simplex(lp) -> DenseResult:
 
     phase2_cost = np.concatenate([lp.c, np.zeros(ncols - n)])
     allowed = np.arange(ncols) < n + mu
-    status, it2 = _dense_bland_iterate(T, basis, phase2_cost, allowed, work)
+    status, it2, deg2 = _dense_bland_iterate(T, basis, phase2_cost, allowed,
+                                             work)
     if status == "unbounded":
         return DenseResult(status="unbounded", iterations=it1 + it2,
-                           phase1_iterations=it1)
+                           phase1_iterations=it1,
+                           degenerate_pivots=deg1 + deg2)
 
     x = np.zeros(ncols)
     x[basis] = T[:, ncols]
@@ -803,4 +808,5 @@ def dense_solve_simplex(lp) -> DenseResult:
         dropped_eq_rows=dropped,
         iterations=it1 + it2,
         phase1_iterations=it1,
+        degenerate_pivots=deg1 + deg2,
     )

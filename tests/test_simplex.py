@@ -232,9 +232,9 @@ class TestCounters:
         zero_steps = []
         exchange = simplex._exchange
 
-        def recording(N, nb, basis, r, p):
-            zero_steps.append(bool(N[r, -1] == 0.0))
-            exchange(N, nb, basis, r, p)
+        def recording(t, r, p):
+            zero_steps.append(bool(t.N[r, -1] == 0.0))
+            exchange(t, r, p)
 
         monkeypatch.setattr(simplex, "_exchange", recording)
         res = solve_simplex(lp)
@@ -374,12 +374,15 @@ class TestRandomizedOracle:
 
 
 def _assert_as_dense(res, ref, slack_rows_exact=False):
-    """Status, x, objective, counts and dropped rows bit for bit; duals
-    within 1e-10 relative, or bit for bit on the unflipped A_ub rows,
-    whose dual both read off their slack's reduced cost."""
+    """Status, x, objective, counts (degenerate pivots included) and
+    dropped rows bit for bit; duals within 1e-10 relative, or bit for
+    bit on the unflipped A_ub rows, whose dual both read off their
+    slack's reduced cost."""
     assert res.status == ref.status
-    assert (res.iterations, res.phase1_iterations, res.dropped_eq_rows) == (
-        ref.iterations, ref.phase1_iterations, ref.dropped_eq_rows)
+    assert (res.iterations, res.phase1_iterations, res.degenerate_pivots,
+            res.dropped_eq_rows) == (ref.iterations, ref.phase1_iterations,
+                                     ref.degenerate_pivots,
+                                     ref.dropped_eq_rows)
     if ref.status != "optimal":
         return
     assert res.x.tobytes() == ref.x.tobytes()
@@ -408,6 +411,69 @@ class TestDenseReference:
                 _assert_as_dense(solve_simplex(lp), ref)
                 statuses.add(ref.status)
         assert statuses == {"optimal", "infeasible", "unbounded"}
+
+    def test_ties_on_small_integers(self, monkeypatch):
+        # integer rows, right-hand sides and costs: ratio ties (many at
+        # a zero RHS) and equal reduced costs are exact, so only the
+        # labels pick the leaving row and the entering column
+        seen = {"ratio_ties": 0, "cost_ties": 0}
+        exchange = simplex._exchange
+
+        def recording(t, r, p):
+            col, rhs = t.N[:, p], t.N[:, -1]
+            pos = col > simplex.PIV_TOL
+            if pos.any():
+                ratios = rhs[pos] / col[pos]
+                seen["ratio_ties"] += int(
+                    np.count_nonzero(ratios == ratios.min()) > 1)
+            reduced = t.cost_nb - t.cost_B @ t.N[:, : t.nb.size]
+            entering = reduced[reduced < -simplex.OPT_TOL]
+            seen["cost_ties"] += int(entering.size > np.unique(entering).size)
+            exchange(t, r, p)
+
+        monkeypatch.setattr(simplex, "_exchange", recording)
+        rng = np.random.default_rng(5381)
+        statuses = set()
+        for _ in range(200):
+            n = int(rng.integers(2, 7))
+            me, mu = int(rng.integers(0, 3)), int(rng.integers(1, 4))
+            x0 = rng.integers(0, 3, n).astype(float)
+            A_eq = rng.integers(-2, 3, (me, n)).astype(float)
+            A_ub = rng.integers(-2, 3, (mu, n)).astype(float)
+            b_ub = A_ub @ x0 + rng.integers(0, 2, mu)
+            c = rng.integers(-1, 2, n).astype(float)
+            box = np.ones((1, n)), [x0.sum() + rng.integers(0, 3)]
+            for A, b in ((A_ub, b_ub), (np.vstack([A_ub, box[0]]),
+                                        np.concatenate([b_ub, box[1]]))):
+                lp = LinearProgram.build(c, A_eq, A_eq @ x0, A, b)
+                ref = dense_solve_simplex(lp)
+                _assert_as_dense(solve_simplex(lp), ref)
+                statuses.add(ref.status)
+        assert statuses == {"optimal", "unbounded"}
+        assert seen["ratio_ties"] > 0 and seen["cost_ties"] > 0, seen
+
+    def test_no_nonbasic_column_after_phase_one(self):
+        # a square nonsingular A_eq with x > 0: phase 1 makes every
+        # structural column basic, the artificials are dropped, and
+        # phase 2 starts with nothing that could enter
+        lp = LinearProgram.build([1.0, -2.0], A_eq=[[2.0, 1.0], [1.0, 3.0]],
+                                 b_eq=[3.0, 4.0])
+        start = feasible_start(lp)
+        assert start.nb.size == 0
+        ref = dense_solve_simplex(lp)
+        assert ref.status == "optimal"
+        for res in (solve_simplex(lp), solve_simplex(lp, start)):
+            _assert_as_dense(res, ref)
+            assert res.iterations == res.phase1_iterations > 0
+
+    def test_unbounded_in_phase_two(self):
+        # x1 - x2 = 1 needs phase 1, which makes x1 basic; then x2
+        # enters phase 2 with no positive entry in its column
+        lp = LinearProgram.build([-1.0, 0.0], A_eq=[[1.0, -1.0]], b_eq=[1.0])
+        ref = dense_solve_simplex(lp)
+        assert ref.status == "unbounded" and ref.phase1_iterations == 1
+        _assert_as_dense(solve_simplex(lp), ref)
+        _assert_as_dense(solve_simplex(lp, feasible_start(lp)), ref)
 
     @pytest.mark.parametrize("bins", [1, 2, 4, 8])
     @pytest.mark.parametrize("name", ["paper_cfg", "tiny_cfg",
@@ -490,11 +556,11 @@ class TestRank1Update:
         for _ in range(4):
             N, col, row = _pivot_operands(rng, rows, width)
             got = N.copy()
-            simplex._rank1_subtract(got, col, row)
+            simplex._rank1_kernel(got, col, row)()
             with monkeypatch.context() as m:
                 m.setattr(simplex, "_blas_dgemm", lambda: None)
                 want = N.copy()
-                simplex._rank1_subtract(want, col, row)
+                simplex._rank1_kernel(want, col, row)()
             assert (got != N).any()
             assert (np.signbit(want) & (want == 0.0)).any()
             assert (got.view(np.int64) == want.view(np.int64)).all()
@@ -504,9 +570,25 @@ class TestRank1Update:
     def test_rejects_strided_operands(self, blas):
         N = np.zeros((3, 8))[:, ::2]
         with pytest.raises(ValueError, match="C-contiguous"):
-            simplex._rank1_subtract(N, np.ones(3), np.ones(4))
+            simplex._rank1_kernel(N, np.ones(3), np.ones(4))
         with pytest.raises(ValueError, match="C-contiguous"):
-            simplex._rank1_subtract(np.zeros((3, 4)), np.ones(3), np.ones(3))
+            simplex._rank1_kernel(np.zeros((3, 4)), np.ones(3), np.ones(3))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            simplex._rank1_kernel(np.zeros((3, 4)), np.ones(6)[::2],
+                                  np.ones(4))
+
+    def test_binding_a_tableau_checks_it(self, blas):
+        # the kernel is bound when a solve sets up its tableau, so a
+        # tableau the BLAS call cannot address fails there, before any
+        # pivot writes through its pointers
+        cost = np.array([1.0, 0.0, 1.0])
+        T = np.asfortranarray(np.ones((2, 5)))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            simplex._Tableau(T, np.array([0]), np.array([1, 2]), cost)
+        tableau = simplex._Tableau(np.ones((2, 5)), np.array([0]),
+                                   np.array([1, 2]), cost)
+        assert tableau.cost_nb.tolist() == [1.0]
+        assert tableau.cost_B.tolist() == [0.0, 1.0]
 
     def test_solves_equal_the_fallback(self, blas, paper_cfg, piecewise_cfg,
                                        monkeypatch):
