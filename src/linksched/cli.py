@@ -9,6 +9,9 @@ resolved (outdir, warmup) written back into them.  Outputs
 are pure functions of the manifest's parameters (simulation included,
 via the seed), so re-running a manifest reproduces them byte for byte;
 the manifest's own timestamp is the only thing that moves.
+`simulate --trace` streams its per-slot trace, too large to return as
+text, into a temporary file that replaces trace.csv only once the
+simulation has returned.
 
 Exit codes: 0 success, 1 usage or input error, 2 infeasible problem,
 3 internal solver anomaly, 4 verification failure (construction
@@ -22,6 +25,7 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager, nullcontext
 from datetime import datetime, timezone
 
 import numpy as np
@@ -92,17 +96,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _write_atomic(path: str, text: str) -> None:
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp_")
+@contextmanager
+def _replacing(path: str):
+    """A temporary file beside path, moved onto path when the block ends
+    and removed if it raises, so path is never left half written."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
+                               prefix=".tmp_")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_atomic(path: str, text: str) -> None:
+    with _replacing(path) as tmp, open(tmp, "w") as f:
+        f.write(text)
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -225,9 +237,10 @@ def _cmd_simulate(args, cfg):
             text, cfg, discretize_channel(cfg.channel, args.bins))
     else:
         raise ValueError(f"unrecognized policy header {header!r}")
-    rep = run_sim(cfg, pol, args.slots, warmup=args.warmup, seed=args.seed,
-                  trace_path=os.path.join(args.outdir, "trace.csv")
-                  if args.trace else None)
+    trace = os.path.join(args.outdir, "trace.csv")
+    with _replacing(trace) if args.trace else nullcontext() as trace_path:
+        rep = run_sim(cfg, pol, args.slots, warmup=args.warmup,
+                      seed=args.seed, trace_path=trace_path)
     args.warmup = rep.warmup
     print(f"delay={fmt(rep.delay)}+-{fmt(rep.se_delay)} "
           f"power={fmt(rep.mean_power)}+-{fmt(rep.se_power)} "

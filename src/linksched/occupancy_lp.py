@@ -21,13 +21,16 @@ for an overflow), two families of equalities:
     admits measures that correlate queue and channel, which no causal
     schedule can realize, and prices them too cheaply.
 
-Every solve without a delay row (min_delay, solve_lagrangian and
-solve_constrained with no budget) has the same rows for one (cfg, disc)
-and differs only in its objective, so those solves share one simplex
-phase 1: the last discretization's LP and its FeasibleStart stay cached,
-and each solve runs phase 2 alone, with results bit for bit those of a
-cold solve.  A finite budget adds a delay row whose right-hand side
-steers phase 1, so constrained solves stay cold.
+A simplex solve is phase 1 on the LP's rows, whose outcome is a
+FeasibleStart, then phase 2 on a copy of that start.  Every solve
+without a delay row (min_delay, solve_lagrangian and solve_constrained
+with no budget) has the same rows for one (cfg, disc) and differs only
+in its objective, so those solves share one start: the last
+discretization's LP and its start (or the "infeasible" result phase 1
+proved) stay cached, and each solve runs phase 2 alone, with results
+bit for bit those of a solve from its own start.  A finite budget adds
+a delay row whose right-hand side steers phase 1, so each constrained
+solve runs its own.
 
 State spaces are 0-based: q in {0..Q}, s in {0..S_max}.
 """
@@ -46,7 +49,6 @@ from .simplex import (
     FEAS_TOL,
     LinearProgram,
     SimplexAnomaly,
-    SimplexResult,
     feasible_start,
     solve_simplex,
 )
@@ -246,11 +248,11 @@ def build_occupancy_lp(
 
 @lru_cache(maxsize=1)
 def _delay_free(cfg: SystemConfig, disc: ChannelDiscretization):
-    """The LP without a delay row and the start its solves share (None
-    when phase 1 finds the rows infeasible: each solve then says so)."""
+    """The LP without a delay row and the start its solves share (the
+    "infeasible" result when phase 1 finds the rows infeasible, which
+    every solve then returns)."""
     olp = build_occupancy_lp(cfg, disc, None)
-    start = feasible_start(olp.lp)
-    return olp, (None if isinstance(start, SimplexResult) else start)
+    return olp, feasible_start(olp.lp)
 
 
 def _solve(cfg: SystemConfig, disc: ChannelDiscretization,

@@ -43,11 +43,12 @@ so the bits hold single-threaded.)
 Equality rows that phase 1 proves redundant (their artificial stays
 basic at a value <= FEAS_TOL and cannot be pivoted out) are dropped
 before phase 2, and so are the nonbasic artificial columns, which can
-never enter again.  Phase 1, the drive-out and the drop read only the
-rows, never the objective, so their outcome is a FeasibleStart that
-any objective over the same rows can share: solve_simplex(lp, start)
-runs phase 2 alone and returns exactly what the cold
-solve_simplex(lp) returns.
+never enter again.  Phase 1, the drive-out and the drop are
+feasible_start.  They read only the rows, never the objective, so
+their outcome, a FeasibleStart, serves any objective over the same
+rows.  Phase 2 always pivots a copy of a start: solve_simplex(lp)
+makes lp's own, and solve_simplex(lp, start) shares one made before,
+with the same result bit for bit.
 
 x, the objective, the pivot counts, the dropped rows and the dual of
 every row whose identity column is a slack (read off the final
@@ -59,18 +60,19 @@ kept rows, once and only when first read.  An "optimal" point is
 checked against every row of the LP, dropped ones included; a miss
 beyond ROW_TOL is a SimplexAnomaly, not an answer.
 
-Memory, in doubles: a cold solve holds one tableau array of rows x
-(n + negated A_ub rows, padded, + 1), which phase 1 pivots in place,
-and, at the drop, a fresh array that the kept rows and columns are
-copied into and that phase 2 pivots in place.  A solve from a shared
-start holds one copy of start.T, kept rows x (n + mu - kept rows,
-padded, + 1), plus the read-only start.  Each tableau comes with three
-small buffers, allocated once: the entering column, the pivot row and
-the ratio test's ratios.  The exchange writes only into them and the
-tableau and allocates no array data; pricing and the ratio test make
-only numpy's temporaries of the tableau's width or height.  The square
-basis matrix for the duals is built only when an artificial row's dual
-is read, after the solve has freed the tableau.
+Memory, in doubles: phase 1 pivots one tableau array of rows x
+(n + negated A_ub rows, padded, + 1) in place and, at the drop, copies
+the kept rows and columns into the start's fresh array, kept rows x
+(n + mu - kept rows, padded, + 1).  Phase 1's array is freed when
+feasible_start returns, before phase 2 copies start.T, so a solve's
+peak is those two arrays, and from a shared start the start and its
+copy.  Each tableau comes with three small buffers, allocated once:
+the entering column, the pivot row and the ratio test's ratios.  The
+exchange writes only into them and the tableau and allocates no array
+data; pricing and the ratio test make only numpy's temporaries of the
+tableau's width or height.  The square basis matrix for the duals is
+built only when an artificial row's dual is read, after the solve has
+freed the tableau.
 """
 
 from __future__ import annotations
@@ -130,17 +132,16 @@ class _RowDuals:
     buffers.  Dropped rows read 0.
     """
 
-    def __init__(self, lp, start, nb, basis, cost, reduced):
+    def __init__(self, lp, start, t, reduced):
         n, mu = lp.c.shape[0], lp.A_ub.shape[0]
-        self.lp, self.basis, self.cost_B = lp, basis, cost[basis]
+        self.lp, self.rows, self.basis, self.cost_B = (lp, start.rows,
+                                                       t.basis, t.cost_B)
         self.me, self.m = lp.A_eq.shape[0], lp.A_eq.shape[0] + mu
-        self.rows = np.flatnonzero(start.keep)
-        ident = start.ident[self.rows]
-        self.arts = ident >= n + mu
+        self.arts = start.ident >= n + mu
         reduced_all = np.zeros(n + mu)
-        reduced_all[nb] = reduced
+        reduced_all[t.nb] = reduced
         self.slack = np.zeros(self.rows.size)
-        self.slack[~self.arts] = -reduced_all[ident[~self.arts]]
+        self.slack[~self.arts] = -reduced_all[start.ident[~self.arts]]
 
     @cached_property
     def solved(self) -> np.ndarray:
@@ -178,7 +179,7 @@ class SimplexResult:
 
     iterations counts the pivots on the path from the artificial basis
     to the returned basis: phase-1 pivots plus phase-2 pivots, whether
-    phase 1 ran in this solve or in a shared FeasibleStart.  Drive-out
+    the FeasibleStart was made for this solve or shared.  Drive-out
     pivots are in neither count.  phase1_iterations is the phase-1 part
     and degenerate_pivots the part whose step was zero.  row_gap is the
     largest miss of x on any row of the LP (0 unless optimal).
@@ -360,36 +361,32 @@ class FeasibleStart:
     Every field depends on the LP's rows alone (A_eq, b_eq, A_ub, b_ub),
     never on c, so one start serves any objective over the same rows.
     T is the condensed tableau of the kept rows (RHS last) over the
-    nonbasic structural and slack columns, which nb labels, and basis
-    holds the rows' basic labels; keep marks the kept rows among all
-    me + mu, flip the rows negated for a negative RHS, and ident the
-    identity column of each row.  phase1_iterations counts the phase-1
-    pivots and phase1_degenerate their zero steps.  The arrays are
-    read-only: a solve copies T before pivoting.
+    nonbasic structural and slack columns, which nb labels; basis holds
+    the kept rows' basic labels, rows their indices among all me + mu
+    and ident their identity columns.  phase1_iterations counts the
+    phase-1 pivots and phase1_degenerate their zero steps.  The arrays
+    are read-only: every solve pivots a copy of T.
     """
 
     T: np.ndarray
     nb: np.ndarray
     basis: np.ndarray
-    keep: np.ndarray
-    flip: np.ndarray
+    rows: np.ndarray
     ident: np.ndarray
     dropped_eq_rows: tuple[int, ...]
     phase1_iterations: int
     phase1_degenerate: int
 
     def __post_init__(self):
-        for a in (self.T, self.nb, self.basis, self.keep, self.flip,
-                  self.ident):
+        for a in (self.T, self.nb, self.basis, self.rows, self.ident):
             a.setflags(write=False)
 
 
-def _phase1(lp: LinearProgram):
+def feasible_start(lp: LinearProgram) -> FeasibleStart | SimplexResult:
     """Phase 1, the artificial drive-out and the redundant-row drop.
 
-    Returns (start, T): start.T is a read-only view of the writable
-    condensed tableau T, so a cold solve can run phase 2 in place.  An
-    infeasible LP returns its SimplexResult in place of the start.
+    Returns the start every objective over lp's rows shares, or the
+    "infeasible" result when phase 1 proves the rows infeasible.
     """
     n = lp.c.shape[0]
     me, mu = lp.A_eq.shape[0], lp.A_ub.shape[0]
@@ -426,7 +423,7 @@ def _phase1(lp: LinearProgram):
     if phase1_obj > FEAS_TOL:
         return SimplexResult(status="infeasible", iterations=it1,
                              phase1_iterations=it1,
-                             degenerate_pivots=deg1), None
+                             degenerate_pivots=deg1)
 
     # pivot lingering artificials out, or drop their (redundant) rows
     keep = np.ones(m, dtype=bool)
@@ -442,21 +439,14 @@ def _phase1(lp: LinearProgram):
 
     # copy the kept rows over the non-artificial columns into a fresh
     # array, row by row so that nothing else tableau-sized is allocated
+    rows = np.flatnonzero(keep)
     cols = np.flatnonzero(nb < n + mu)
-    nb, basis = nb[cols], basis[keep]
-    kept = np.zeros((basis.size, _padded(cols.size) + 1))
-    for t, i in enumerate(np.flatnonzero(keep)):
-        kept[t, : cols.size] = T[i, cols]
-    kept[:, -1] = T[keep, -1]
-    start = FeasibleStart(kept.view(), nb, basis, keep, flip, ident, dropped,
-                          it1, deg1)
-    return start, kept
-
-
-def feasible_start(lp: LinearProgram) -> FeasibleStart | SimplexResult:
-    """The start every objective over lp's rows shares, or the
-    "infeasible" result when phase 1 proves the rows infeasible."""
-    return _phase1(lp)[0]
+    kept = np.zeros((rows.size, _padded(cols.size) + 1))
+    for k, i in enumerate(rows):
+        kept[k, : cols.size] = T[i, cols]
+    kept[:, -1] = T[rows, -1]
+    return FeasibleStart(kept, nb[cols], basis[rows], rows, ident[rows],
+                         dropped, it1, deg1)
 
 
 def _check_rows(lp: LinearProgram, x: np.ndarray) -> float:
@@ -476,24 +466,24 @@ def _check_rows(lp: LinearProgram, x: np.ndarray) -> float:
 
 
 def solve_simplex(lp: LinearProgram,
-                  start: FeasibleStart | None = None) -> SimplexResult:
+                  start: FeasibleStart | SimplexResult | None = None
+                  ) -> SimplexResult:
     """Two-phase solve; statuses "optimal", "infeasible", "unbounded".
 
-    start, from feasible_start on an LP with the same rows, skips phase
-    1: phase 2 then runs on a copy of start.T, and the result is bit for
-    bit the one a cold solve returns.  Without it, phase 1 runs first and
-    phase 2 pivots its tableau in place.
+    start is feasible_start's outcome on an LP with the same rows, lp's
+    own when None: an "infeasible" result is returned as it is, and
+    otherwise phase 2 pivots a copy of start.T.  Phase 1 reads no
+    objective, so a start shared by several objectives gives each of
+    them bit for bit the result of its own solve.
     """
     if start is None:
-        start, T = _phase1(lp)
-        if isinstance(start, SimplexResult):
-            return start
-    else:
-        T = start.T.copy()
+        start = feasible_start(lp)
+    if isinstance(start, SimplexResult):
+        return start
     n, mu = lp.c.shape[0], lp.A_ub.shape[0]
 
     cost = np.concatenate([lp.c, np.zeros(mu)])
-    t = _Tableau(T, start.nb.copy(), start.basis.copy(), cost)
+    t = _Tableau(start.T.copy(), start.nb.copy(), start.basis.copy(), cost)
     status, it2, deg2, reduced = _bland_iterate(t)
     it1 = start.phase1_iterations
     counts = dict(iterations=it1 + it2, phase1_iterations=it1,
@@ -501,9 +491,8 @@ def solve_simplex(lp: LinearProgram,
     if status == "unbounded":
         return SimplexResult(status="unbounded", **counts)
 
-    nb, basis = t.nb, t.basis
     x = np.zeros(n + mu)
-    x[basis] = T[:, -1]
+    x[t.basis] = t.rhs
     xout = x[:n].copy()
     return SimplexResult(
         status="optimal",
@@ -511,6 +500,6 @@ def solve_simplex(lp: LinearProgram,
         objective=float(lp.c @ xout),
         dropped_eq_rows=start.dropped_eq_rows,
         row_gap=_check_rows(lp, xout),
-        _duals=_RowDuals(lp, start, nb, basis, cost, reduced),
+        _duals=_RowDuals(lp, start, t, reduced),
         **counts,
     )

@@ -353,6 +353,28 @@ class TestConstructAndSimulate:
         assert (s1 / "report.csv").read_bytes() == (s2 / "report.csv").read_bytes()
         assert (s1 / "trace.csv").read_bytes() == (s2 / "trace.csv").read_bytes()
 
+    @pytest.mark.parametrize("exc", [ValueError, KeyboardInterrupt])
+    def test_failed_simulation_leaves_no_trace(self, tmp_path, monkeypatch,
+                                               exc):
+        assert _solve(tmp_path) == 0
+
+        def failing(*args, trace_path=None, **kwargs):
+            with open(trace_path, "w") as f:
+                f.write("slot,q,a,h,s,energy\n0,0,1,0.5,0,0\n")
+            raise exc("simulation failed")
+
+        monkeypatch.setattr(cli, "run_sim", failing)
+        out = tmp_path / "s"
+        argv = ["simulate", "--policy", str(tmp_path / "policy.csv"),
+                "--bins", "4", "--slots", "5000", "--trace",
+                "--outdir", str(out)]
+        if exc is ValueError:
+            assert main(argv) == 1
+        else:
+            with pytest.raises(exc):
+                main(argv)
+        assert list(out.iterdir()) == []
+
     def test_simulate_rejects_unknown_header(self, tmp_path, capsys):
         p = tmp_path / "weird.csv"
         p.write_text("a,b,c\n1,2,3\n")

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from linksched.simplex import (LinearProgram, SimplexAnomaly, SimplexResult,
 
 from oracles import (best_basic_solution, dense_solve_simplex,
                      random_bounded_lp)
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def _solve(c, A_eq=None, b_eq=None, A_ub=None, b_ub=None):
@@ -258,18 +262,69 @@ class TestCounters:
             cold.degenerate_pivots, cold.row_gap)
 
 
+class TestPinnedCounts:
+    """Two M=16 solves on paper_iv give the per-solve counts that the
+    benchmark's traced pass pins, so a change that moves them fails here
+    too.  corners_m16 solves 232 LPs on the min-delay LP's rows, the
+    first of them the min-delay LP itself; deploy_m16 solves the D_th=3
+    LP twice."""
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        return json.loads(REFERENCE.read_text())["counts"]
+
+    @staticmethod
+    def _assert_counts(lp, res, solves, want):
+        assert res.status == "optimal"
+        assert want["simplex.solves"] == solves
+        assert (lp.c.size, lp.A_eq.shape[0] + lp.A_ub.shape[0],
+                int((lp.A_eq != 0.0).sum())) == (
+            want["occupancy_lp.lp_vars"], want["occupancy_lp.lp_rows"],
+            want["occupancy_lp.lp_nnz"])
+        assert (len(res.dropped_eq_rows) * solves
+                == want["simplex.dropped_rows"])
+
+    def test_min_delay_lp(self, paper_cfg, disc16, pinned):
+        want = pinned["corners_m16"]
+        olp = build_occupancy_lp(paper_cfg, disc16, None)
+        res = solve_simplex(replace(olp.lp, c=olp.delay))
+        self._assert_counts(olp.lp, res, 232, want)
+        assert res.iterations == want["simplex.first_solve_pivots"] == 113
+        assert len(res.dropped_eq_rows) == 16
+
+    def test_constrained_lp(self, paper_cfg, disc16, pinned):
+        want = pinned["deploy_m16"]
+        lp = build_occupancy_lp(paper_cfg, disc16, 3.0).lp
+        res = solve_simplex(lp)
+        self._assert_counts(lp, res, 2, want)
+        assert 2 * res.iterations == want["simplex.pivots"]
+        assert (res.iterations, len(res.dropped_eq_rows)) == (635, 16)
+        assert lp.A_ub.shape[0] == 1
+
+
 class TestSharedStart:
-    def test_infeasible_rows_have_no_start(self):
+    def test_infeasible_rows_have_no_start(self, monkeypatch):
         lp = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[-1.0])
         start = feasible_start(lp)
         assert isinstance(start, SimplexResult)
         assert start == solve_simplex(lp)
+        # a solve from an infeasible start returns it and pivots nothing
+        runs = []
+        bland_iterate = simplex._bland_iterate
+
+        def recording(t):
+            runs.append(t)
+            return bland_iterate(t)
+
+        monkeypatch.setattr(simplex, "_bland_iterate", recording)
+        assert solve_simplex(replace(lp, c=-lp.c), start) is start
+        assert runs == []
 
     def test_start_is_never_written(self, paper_cfg):
         disc = discretize_channel(paper_cfg.channel, 4)
         lp = build_occupancy_lp(paper_cfg, disc, None).lp
         start = feasible_start(lp)
-        arrays = (start.T, start.basis, start.keep, start.flip, start.ident)
+        arrays = (start.T, start.nb, start.basis, start.rows, start.ident)
         assert not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError):
             start.T[0, 0] = 1.0
