@@ -96,6 +96,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _umask() -> int:
+    """The process umask, which can only be read by setting it."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 @contextmanager
 def _replacing(path: str):
     """A temporary file beside path, moved onto path when the block ends
@@ -104,6 +111,8 @@ def _replacing(path: str):
                                prefix=".tmp_")
     os.close(fd)
     try:
+        # mkstemp makes the file 0600; give it what a plain open would
+        os.chmod(tmp, 0o666 & ~_umask())
         yield tmp
         os.replace(tmp, path)
     except BaseException:

@@ -438,8 +438,20 @@ class ThresholdPolicy:
     def decisions(self, gains: np.ndarray, u: np.ndarray) -> np.ndarray:
         """(n, Q+1) rates: entry [t, q] is the rule of state q at gain
         gains[t].  Threshold rules never randomize; u is ignored."""
-        return np.stack([r[cell_of(b, gains)]
-                         for b, r in zip(self.bounds, self.rates)], axis=1)
+        points, rates = self._merged
+        return rates[cell_of(points, gains)]
+
+    @cached_property
+    def _merged(self) -> tuple[np.ndarray, np.ndarray]:
+        """The union of every state's bounds, and the (cells, Q+1) rates
+        on each cell between neighbouring points.  Each state's bounds
+        are among the points, so its rule is constant on a cell and is
+        read at the cell's right end."""
+        points = np.unique(np.concatenate(self.bounds))
+        rates = np.stack([r[cell_of(b, points[1:])]
+                          for b, r in zip(self.bounds, self.rates)], axis=1)
+        rates.setflags(write=False)
+        return points, rates
 
 
 def to_threshold_policy(y: ConstructedSolution) -> ThresholdPolicy:

@@ -172,8 +172,21 @@ class Policy:
         so the draw stream stays aligned across policies under a shared
         seed.
         """
-        cum = np.cumsum(self.table, axis=2)[:, cell_of(self.disc.edges, gains)]
-        return np.minimum((u[:, None] >= cum).sum(axis=2).T, self.cfg.S_max)
+        cells = cell_of(self.disc.edges, gains)
+        rates = np.zeros((len(cells), self.cfg.Q + 1), dtype=np.intp)
+        for cum in self._cumulative:
+            rates += u[:, None] >= cum[cells]
+        return rates
+
+    @cached_property
+    def _cumulative(self) -> np.ndarray:
+        """(S_max, bins, Q+1): [s, k, q] is row (q, k)'s probability of a
+        rate <= s.  The total is left out: a draw past every other entry
+        sends S_max either way."""
+        cum = np.cumsum(self.table, axis=2)[:, :, :-1].transpose(2, 1, 0)
+        cum = np.ascontiguousarray(cum)
+        cum.setflags(write=False)
+        return cum
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,17 @@ Arrivals join after transmission, so the queue read at decision time
 never contains packets that arrived in the same slot.
 
 A policy decides BLOCK slots at a time, giving the rate each queue
-state would send in each slot, so the slot loop only follows the queue;
-every statistic comes from the queue and rate paths afterwards.  One
-table for the whole run would hold Q+1 rates per slot: on paper_iv it
-raised a run's traced peak from 28 to 275-459 bytes per slot.
+state would send in each slot; both policy kinds read those rates from
+a table built once.  With every state's rate known, a slot's queue law
+is a map from states to states, and maps compose, so the queue is
+followed a block at a time by a two-level scan (Blelloch 1990, prefix
+sums over an associative operator): one gather per slot carries every
+start state through each CHUNK of slots, the chunk starts are walked
+one chunk at a time, and one gather per slot fills every chunk's path.
+Every statistic comes from the queue and rate paths afterwards.  One
+decision table for the whole run would hold Q+1 rates per slot: on
+paper_iv it raised a run's traced peak from 28 to 275-459 bytes per
+slot.
 
 A policy asking for more than the backlog is counted as an underflow
 override; the queue clip absorbs it, but energy is still charged for
@@ -43,6 +50,7 @@ from .textio import csv_lines, csv_text, kv_text
 
 BATCHES = 32
 BLOCK = 4096  # slots per decisions() call
+CHUNK = 32  # slots per composed queue map in _queue_path
 
 
 @dataclass(frozen=True)
@@ -86,6 +94,44 @@ def _batch_se(x: np.ndarray) -> float:
     return float(means.std(ddof=1) / np.sqrt(BATCHES))
 
 
+def _queue_path(cfg: SystemConfig, rates: np.ndarray, arrivals: np.ndarray,
+                q: int) -> tuple[np.ndarray, int]:
+    """The queue state at each slot of a block entered in state q, and
+    the state after it.
+
+    Slot t maps every state to its next, step(state, arrivals[t],
+    rates[t, state]), and maps compose: within each CHUNK of slots, one
+    gather per slot carries every start state through the chunk, the
+    chunk starts are walked one chunk at a time, and one gather per slot
+    fills every chunk's path at once.  A short last chunk is padded with
+    identity maps.  rates and arrivals share the small signed dtype of
+    the path, in which step is exact.
+    """
+    n, states = rates.shape
+    chunks = -(-n // CHUNK)
+    grid = np.arange(states, dtype=rates.dtype)
+    maps = np.empty((chunks * CHUNK, states), dtype=rates.dtype)
+    maps[:n] = step(cfg, grid, arrivals[:, None], rates)
+    maps[n:] = grid
+    maps = maps.ravel()
+    # offsets[j, c]: where the map of slot j of chunk c starts in maps
+    offsets = (np.arange(0, CHUNK * states, states)[:, None]
+               + np.arange(0, maps.size, CHUNK * states))
+    # through[c, p]: the state that p, entering chunk c, has reached
+    through = np.broadcast_to(grid, (chunks, states))
+    for at in offsets:
+        through = maps.take(at[:, None] + through)
+    starts = []
+    for row in through.tolist():
+        starts.append(q)
+        q = row[q]
+    path = np.empty((CHUNK, chunks), dtype=rates.dtype)
+    path[0] = starts
+    for j in range(1, CHUNK):
+        path[j] = maps.take(offsets[j - 1] + path[j - 1])
+    return path.T.ravel()[:n], q
+
+
 def run_sim(
     cfg: SystemConfig,
     policy,
@@ -123,17 +169,11 @@ def run_sim(
 
     qs = np.empty(slots, dtype=small)
     ss = np.empty(slots, dtype=small)
-    q, Q = 0, cfg.Q
+    q = 0
     for start in range(0, slots, BLOCK):
         block = slice(start, start + BLOCK)
-        rates = policy.decisions(gains[block], policy_u[block])
-        path = []
-        for row, a in zip(rates.tolist(), arrivals[block].tolist()):
-            path.append(q)
-            # step(), inlined: min()/max() calls doubled this loop's time
-            q = (q - row[q] if q > row[q] else 0) + a
-            if q > Q:
-                q = Q
+        rates = policy.decisions(gains[block], policy_u[block]).astype(small)
+        path, q = _queue_path(cfg, rates, arrivals[block], q)
         qs[block] = path
         ss[block] = rates[np.arange(len(path)), path]
     del policy_u

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import stat
 
 import pytest
 
@@ -279,6 +281,17 @@ class TestSolveOutputs:
         ma.pop("timestamp"), mb.pop("timestamp")
         ma["params"].pop("outdir"), mb["params"].pop("outdir")
         assert ma == mb
+
+    def test_files_get_the_mode_open_gives(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            assert main(["solve", "--config", "tiny", "--bins", "2",
+                         "--dth", "3.0", "--outdir", str(tmp_path)]) == 0
+        finally:
+            os.umask(old)
+        for name in ("measure.csv", "policy.csv", "metrics.txt",
+                     "manifest.json"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644
 
     def test_outdir_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LINKSCHED_OUTDIR", str(tmp_path / "env"))

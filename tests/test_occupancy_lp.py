@@ -277,7 +277,7 @@ class TestSolve:
 
     @pytest.mark.xfail(strict=True, reason="Bland pivoting stops at a "
                        "vertex that meets every row but is not optimal "
-                       "(ROADMAP item 8)")
+                       "(ROADMAP item 1)")
     def test_power_only_optimum_on_a_sparse_arrival_config(self):
         # scipy.optimize.linprog(method="highs") on the same LP gives
         # 0.0008850080862668819; the simplex returns 0.002325843520234786

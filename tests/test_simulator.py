@@ -15,11 +15,13 @@ from linksched.occupancy_lp import (
     solve_constrained,
 )
 from linksched.construction import (
+    ThresholdPolicy,
     compute_thresholds,
     density_from_measure,
     to_threshold_policy,
 )
 from linksched.simulator import (
+    BLOCK,
     report_to_csv,
     report_to_text,
     run_sim,
@@ -33,6 +35,8 @@ NO_ARRIVALS = {
     "arrival": {"alphas": [1.0]},
     "channel": {"kind": "uniform", "h_min": 0.5, "h_max": 10.0},
     "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"}
+# no arrivals allow no service at all: S_max may be 0
+NO_SERVICE = {**NO_ARRIVALS, "S_max": 0}
 
 
 class _Always:
@@ -220,10 +224,22 @@ class TestDecisions:
     gain's bin."""
 
     @pytest.fixture(scope="class", params=[
-        "mixed-m16", "piecewise", "threshold-k200", "threshold-k2000"])
-    def pol(self, request, piecewise_cfg, solution16, density16):
+        "mixed-m16", "piecewise", "threshold-k200", "threshold-k2000",
+        "threshold-disjoint"])
+    def pol(self, request, paper_cfg, piecewise_cfg, solution16, density16):
         if request.param == "mixed-m16":
             return extract_policy(solution16.measure)
+        if request.param == "threshold-disjoint":
+            # no two states share an inner bound, so each state's rules
+            # are split at every other state's bounds in the merged grid
+            ch, Q, S = paper_cfg.channel, paper_cfg.Q, paper_cfg.S_max
+            inner = np.linspace(0.7, 9.8, 2 * (Q + 1)).reshape(Q + 1, 2)
+            bounds = tuple(np.array([ch.h_min, *b[:1 + q % 2], ch.h_max])
+                           for q, b in enumerate(inner))
+            rates = tuple((q + np.arange(len(b) - 1)) % (S + 1)
+                          for q, b in enumerate(bounds))
+            return ThresholdPolicy(paper_cfg, bounds, rates,
+                                   np.zeros(Q + 1, dtype=bool))
         if request.param == "piecewise":
             disc5 = discretize_channel(piecewise_cfg.channel, 5)
             return extract_policy(
@@ -272,12 +288,23 @@ class TestLoopReference:
     report and trace, to the last byte."""
 
     @pytest.fixture(scope="class")
-    def cases(self, paper_cfg, piecewise_cfg, solution16, density16):
+    def cases(self, paper_cfg, piecewise_cfg, tiny_cfg, solution16,
+              density16):
         _, m = min_delay(piecewise_cfg,
                          discretize_channel(piecewise_cfg.channel, 5))
         mixed = extract_policy(solution16.measure)
         assert mixed.kind == "probabilistic"
+        tiny_mixed = extract_policy(solve_constrained(
+            tiny_cfg, discretize_channel(tiny_cfg.channel, 3), 1.2).measure)
+        assert tiny_mixed.kind == "probabilistic"
+        no_service = config_from_dict(NO_SERVICE)
+        _, m0 = min_delay(no_service,
+                          discretize_channel(no_service.channel, 3))
         return {
+            # the carry across blocks, and a last block of one slot
+            "two-blocks-and-one": (paper_cfg, mixed, 2 * BLOCK + 1, None),
+            "s-max-1": (tiny_cfg, tiny_mixed, 6000, None),
+            "s-max-0": (no_service, extract_policy(m0), 3000, None),
             "bin": (paper_cfg, mixed, 6000, None),
             "threshold": (paper_cfg, to_threshold_policy(
                 compute_thresholds(density16, 200)), 6000, None),
@@ -292,7 +319,8 @@ class TestLoopReference:
     @pytest.mark.parametrize("seed", [0, 17])
     @pytest.mark.parametrize("name", ["bin", "threshold", "never-send",
                                       "over-send", "warmup-0", "no-arrivals",
-                                      "piecewise"])
+                                      "piecewise", "two-blocks-and-one",
+                                      "s-max-1", "s-max-0"])
     def test_matches_loop(self, cases, tmp_path, name, seed):
         cfg, pol, slots, warmup = cases[name]
         path = tmp_path / "trace.csv"
