@@ -29,8 +29,12 @@ in its objective, so those solves share one start: the last
 discretization's LP and its start (or the "infeasible" result phase 1
 proved) stay cached, and each solve runs phase 2 alone, with results
 bit for bit those of a solve from its own start.  A finite budget adds
-a delay row whose right-hand side steers phase 1, so each constrained
-solve runs its own.
+a delay row whose right-hand side can steer phase 1.  A single
+constrained solve runs its own phase 1; the budgets of one sweep share
+one LP (budget_lp) and one phase 1 run with the delay row's right-hand
+side left open, which every budget that cannot change its path starts
+from (simplex.OpenRowStart) and every other budget reruns for itself,
+with results bit for bit those of the cold solve either way.
 
 State spaces are 0-based: q in {0..Q}, s in {0..S_max}.
 """
@@ -48,8 +52,10 @@ from .model import (ChannelDiscretization, SystemConfig, cell_of,
 from .simplex import (
     FEAS_TOL,
     LinearProgram,
+    OpenRowStart,
     SimplexAnomaly,
     feasible_start,
+    open_row_start,
     solve_simplex,
 )
 from .textio import csv_text, read_rows
@@ -259,6 +265,36 @@ def build_occupancy_lp(
     return OccupancyLp(cfg, disc, lp, mask, power_c, delay_c)
 
 
+@dataclass(frozen=True)
+class BudgetLp:
+    """One discretization's delay-row LP, for solves at many budgets.
+
+    olp's delay row has its right-hand side left open (0.0 as built);
+    phase1 is the phase 1 the budgets share, None when it could not be
+    shared.  It lives as long as the caller keeps it: a sweep_curve
+    call, on one discretization.
+    """
+
+    olp: OccupancyLp
+    phase1: OpenRowStart | None
+
+    def at(self, d_th: float):
+        """(the LP at budget d_th, its shared start or None)."""
+        olp = replace(self.olp, lp=replace(self.olp.lp,
+                                           b_ub=np.array([d_th])))
+        return olp, self.phase1 and self.phase1.start(olp.lp)
+
+
+def budget_lp(cfg: SystemConfig,
+              disc: ChannelDiscretization) -> BudgetLp | None:
+    """The delay-row LP and its shared phase 1; None when the LP has no
+    delay row (no arrivals)."""
+    if not _has_delay_row(cfg, 0.0):
+        return None
+    olp = build_occupancy_lp(cfg, disc, 0.0)
+    return BudgetLp(olp, open_row_start(olp.lp, 0))
+
+
 @lru_cache(maxsize=1)
 def _delay_free(cfg: SystemConfig, disc: ChannelDiscretization):
     """The LP without a delay row and the start its solves share (the
@@ -269,17 +305,21 @@ def _delay_free(cfg: SystemConfig, disc: ChannelDiscretization):
 
 
 def _solve(cfg: SystemConfig, disc: ChannelDiscretization,
-           d_th: float | None, objective):
+           d_th: float | None, objective, budgets: BudgetLp | None = None):
     """Build, solve with lp.c = objective(olp), scatter x onto the mask.
 
     Without a delay row the LP and its feasible start come from the
-    one-entry cache.  Returns the SimplexResult and its measure (None
-    unless optimal).
+    one-entry cache; with one, from budgets when given.  Returns the
+    SimplexResult and its measure (None unless optimal).
     """
-    if _has_delay_row(cfg, d_th):
-        olp, start = build_occupancy_lp(cfg, disc, d_th), None
-    else:
+    if not _has_delay_row(cfg, d_th):
         olp, start = _delay_free(cfg, disc)
+    elif budgets is not None:
+        if (budgets.olp.cfg, budgets.olp.disc) != (cfg, disc):
+            raise ValueError("budget LP of another config or discretization")
+        olp, start = budgets.at(d_th)
+    else:
+        olp, start = build_occupancy_lp(cfg, disc, d_th), None
     res = solve_simplex(replace(olp.lp, c=objective(olp)), start)
     if res.status != "optimal":
         return res, None
@@ -289,12 +329,17 @@ def _solve(cfg: SystemConfig, disc: ChannelDiscretization,
 
 
 def solve_constrained(
-    cfg: SystemConfig, disc: ChannelDiscretization, d_th: float | None
+    cfg: SystemConfig, disc: ChannelDiscretization, d_th: float | None,
+    budgets: BudgetLp | None = None,
 ) -> LpSolution:
-    """Minimum average power subject to average delay <= d_th."""
+    """Minimum average power subject to average delay <= d_th.
+
+    budgets, budget_lp(cfg, disc), lets the solves of a sweep share its
+    LP and phase 1; the solution is bit for bit the one without it.
+    """
     if d_th is not None and not np.isfinite(d_th):
         raise ValueError(f"delay budget must be finite, got {d_th!r}")
-    res, measure = _solve(cfg, disc, d_th, lambda olp: olp.power)
+    res, measure = _solve(cfg, disc, d_th, lambda olp: olp.power, budgets)
     if measure is None:
         return LpSolution(res.status, None, None, 0.0, res.iterations)
     # price of one unit of delay budget

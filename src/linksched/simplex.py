@@ -50,6 +50,16 @@ rows.  Phase 2 always pivots a copy of a start: solve_simplex(lp)
 makes lp's own, and solve_simplex(lp, start) shares one made before,
 with the same result bit for bit.
 
+LPs whose rows differ only in one A_ub row's right-hand side (a delay
+budget) can share phase 1 too.  open_row_start runs it once with that
+RHS at OPEN_RHS, which no ratio test picks, and logs every exchange.
+Under Bland's rule the path depends on the row's RHS only through the
+row's own ratio, so an RHS that, replayed through the log with the
+exchanges' own arithmetic, clears every tie threshold takes the same
+path; its start is the shared one with that one RHS entry replaced,
+written into the copy phase 2 makes (FeasibleStart.open_rhs).  Any
+other RHS runs its own phase 1.
+
 x, the objective, the pivot counts, the dropped rows and the dual of
 every row whose identity column is a slack (read off the final
 reduced costs, e.g. the delay row's) are those of the full-tableau
@@ -66,7 +76,8 @@ the kept rows and columns into the start's fresh array, kept rows x
 (n + mu - kept rows, padded, + 1).  Phase 1's array is freed when
 feasible_start returns, before phase 2 copies start.T, so a solve's
 peak is those two arrays, and from a shared start the start and its
-copy.  Each tableau comes with three small buffers, allocated once:
+copy; an OpenRowStart's log adds at most 48 bytes per exchange.  Each tableau
+comes with three small buffers, allocated once:
 the entering column, the pivot row and the ratio test's ratios.  The
 exchange writes only into them and the tableau and allocates no array
 data; pricing and the ratio test make only numpy's temporaries of the
@@ -77,7 +88,7 @@ freed the tableau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, partial
 
 import numpy as np
@@ -88,6 +99,7 @@ PIV_TOL = 1e-11  # smallest pivot element admitted in the ratio test
 DRIVE_TOL = 1e-7  # smallest pivot used when driving artificials out
 ROW_TOL = 1e-8  # largest row miss an "optimal" point may have
 MAX_PIVOTS = 200_000  # per phase; beyond this the solve is an anomaly
+OPEN_RHS = 1e200  # an open row's RHS in its shared phase 1 (OpenRowStart)
 
 
 class SimplexAnomaly(RuntimeError):
@@ -239,11 +251,12 @@ class _Tableau:
         self.subtract = _rank1_kernel(N, self.col, self.row)
 
 
-def _bland_iterate(t):
+def _bland_iterate(t, log=None):
     """Run Bland pivots on the _Tableau t until optimal or a ray appears.
 
     Returns (status, pivots, degenerate pivots, reduced costs of the
-    columns at the last basis).
+    columns at the last basis).  An _ExchangeLog log records every
+    exchange with its ratio test's tie threshold.
     """
     nb, basis, rhs, ratios = t.nb, t.basis, t.rhs, t.ratios
     cost_nb, cost_B = t.cost_nb, t.cost_B
@@ -265,11 +278,14 @@ def _bland_iterate(t):
         ratios.fill(np.inf)
         np.divide(rhs, col, out=ratios, where=pos)
         rmin = float(ratios[ratios.argmin()])  # min() has a Python wrapper
-        ties = ratios <= rmin + 1e-12 * (1.0 + abs(rmin))
+        tie = rmin + 1e-12 * (1.0 + abs(rmin))
+        ties = ratios <= tie
         r = np.where(ties, basis, _NO_LABEL).argmin()  # Bland tie-break
         if rhs[r] == 0.0:
             degenerate += 1
         _exchange(t, r, p)
+        if log is not None:
+            log.record(t, r, tie)
         iters += 1
         if iters > MAX_PIVOTS:
             raise SimplexAnomaly("pivot limit exceeded")
@@ -365,7 +381,10 @@ class FeasibleStart:
     the kept rows' basic labels, rows their indices among all me + mu
     and ident their identity columns.  phase1_iterations counts the
     phase-1 pivots and phase1_degenerate their zero steps.  The arrays
-    are read-only: every solve pivots a copy of T.
+    are read-only: every solve pivots a copy of T.  open_rhs, (k, v),
+    is set on a start that shares T with LPs whose rows differ in one
+    right-hand side (see OpenRowStart): the solve writes v into kept
+    row k's RHS of its copy.
     """
 
     T: np.ndarray
@@ -376,17 +395,21 @@ class FeasibleStart:
     dropped_eq_rows: tuple[int, ...]
     phase1_iterations: int
     phase1_degenerate: int
+    open_rhs: tuple[int, float] | None = None
 
     def __post_init__(self):
         for a in (self.T, self.nb, self.basis, self.rows, self.ident):
             a.setflags(write=False)
 
 
-def feasible_start(lp: LinearProgram) -> FeasibleStart | SimplexResult:
+def feasible_start(lp: LinearProgram,
+                   log: _ExchangeLog | None = None
+                   ) -> FeasibleStart | SimplexResult:
     """Phase 1, the artificial drive-out and the redundant-row drop.
 
     Returns the start every objective over lp's rows shares, or the
-    "infeasible" result when phase 1 proves the rows infeasible.
+    "infeasible" result when phase 1 proves the rows infeasible.  log
+    records every exchange of phase 1 and the drive-out.
     """
     n = lp.c.shape[0]
     me, mu = lp.A_eq.shape[0], lp.A_ub.shape[0]
@@ -416,7 +439,7 @@ def feasible_start(lp: LinearProgram) -> FeasibleStart | SimplexResult:
 
     phase1_cost = (np.arange(ncols) >= n + mu).astype(float)
     t = _Tableau(T, nb, basis, phase1_cost)
-    status, it1, deg1, _ = _bland_iterate(t)
+    status, it1, deg1, _ = _bland_iterate(t, log)
     if status == "unbounded":
         raise SimplexAnomaly("descent ray in phase 1")
     phase1_obj = float(phase1_cost[basis] @ T[:, -1])
@@ -433,6 +456,8 @@ def feasible_start(lp: LinearProgram) -> FeasibleStart | SimplexResult:
         if drivable.size:
             piv = int(drivable[np.argmin(nb[drivable])])
             _exchange(t, i, piv)
+            if log is not None:
+                log.record(t, i, -np.inf)  # no ratio test to clear
         else:
             keep[i] = False
     dropped = tuple(int(i) for i in np.nonzero(~keep)[0] if i < me)
@@ -483,7 +508,11 @@ def solve_simplex(lp: LinearProgram,
     n, mu = lp.c.shape[0], lp.A_ub.shape[0]
 
     cost = np.concatenate([lp.c, np.zeros(mu)])
-    t = _Tableau(start.T.copy(), start.nb.copy(), start.basis.copy(), cost)
+    T = start.T.copy()
+    if start.open_rhs is not None:
+        k, v = start.open_rhs
+        T[k, -1] = v
+    t = _Tableau(T, start.nb.copy(), start.basis.copy(), cost)
     status, it2, deg2, reduced = _bland_iterate(t)
     it1 = start.phase1_iterations
     counts = dict(iterations=it1 + it2, phase1_iterations=it1,
@@ -503,3 +532,94 @@ def solve_simplex(lp: LinearProgram,
         _duals=_RowDuals(lp, start, t, reduced),
         **counts,
     )
+
+
+class _ExchangeLog:
+    """What each exchange of phase 1 and the drive-out does to tableau
+    row `row`'s right-hand side.
+
+    Per exchange: the ratio test's tie threshold (-inf for a drive-out
+    exchange, which has no ratio test), the row's entry in the entering
+    column and the pivot row's RHS after the division, read off the
+    buffers the rank-1 update used.  An exchange on the row itself logs
+    an infinite entry, whose ratio 0 no threshold of phase 1 clears.
+    The first size rows of steps hold them; steps doubles when full.
+    """
+
+    def __init__(self, row: int):
+        self.row, self.size = row, 0
+        self.steps = np.empty((64, 3))
+
+    def record(self, t, r: int, tie: float) -> None:
+        if self.size == len(self.steps):
+            self.steps = np.concatenate([self.steps, self.steps])
+        entry = np.inf if r == self.row else t.col[self.row]
+        self.steps[self.size] = tie, entry, t.row[-1]
+        self.size += 1
+
+    def replay(self, d: float) -> float | None:
+        """The row's RHS at the end of phase 1 and the drive-out when it
+        starts at d, by each exchange's own arithmetic; None unless its
+        ratio cleared every tie threshold (or its entry was <= PIV_TOL),
+        so that no exchange took or could have taken the row.  A
+        negative d is None: phase 1 negates such a row."""
+        if not d >= 0.0:
+            return None
+        for tie, c, v in zip(*self.steps[: self.size].T.tolist()):
+            if c > PIV_TOL and d / c <= tie:  # the ratio test's own tie rule
+                return None
+            d = d - c * v
+            d = 0.0 if d <= 0.0 else d  # np.maximum(d, 0.0), -0.0 included
+        return d
+
+
+class OpenRowStart:
+    """One phase 1 for LPs whose rows differ only in A_ub row i's RHS.
+
+    Phase 1 and the drive-out ran once with that RHS at OPEN_RHS, and
+    logged each exchange.  Bland's rule makes phase 1's path a function
+    of the tableau alone, and the row's RHS enters it only through the
+    row's own ratio, so an LP whose RHS b clears the logged thresholds
+    at every exchange takes the same path: its FeasibleStart is the
+    shared one with the row's RHS replaced by b's replay, and its
+    pivots, dropped rows and bits are those of its own phase 1.
+
+    The replay is monotone in b, so when one b fails every smaller one
+    fails too; the first failure releases the shared start, and a
+    caller that asks from the largest b down never holds it beside a
+    phase 1 of its own.
+    """
+
+    def __init__(self, start: FeasibleStart, i: int, k: int,
+                 log: _ExchangeLog):
+        self._start, self.i, self._k, self._log = start, i, k, log
+
+    def start(self, lp: LinearProgram) -> FeasibleStart | None:
+        """lp's FeasibleStart from the shared phase 1, or None when lp
+        needs its own."""
+        if self._start is not None:
+            d = self._log.replay(float(lp.b_ub[self.i]))
+            if d is not None:
+                return replace(self._start, open_rhs=(self._k, d))
+            self._start = None
+        return None
+
+
+def open_row_start(lp: LinearProgram, i: int) -> OpenRowStart | None:
+    """Phase 1 on lp's rows with A_ub row i's RHS left open.
+
+    None when that phase 1 raises SimplexAnomaly, ends infeasible or
+    lets the row near a ratio test: every LP then runs its own.
+    """
+    me = lp.A_eq.shape[0]
+    log = _ExchangeLog(me + i)
+    b_ub = lp.b_ub.copy()
+    b_ub[i] = OPEN_RHS
+    try:
+        start = feasible_start(replace(lp, b_ub=b_ub), log)
+    except SimplexAnomaly:
+        return None
+    if isinstance(start, SimplexResult) or log.replay(OPEN_RHS) is None:
+        return None
+    return OpenRowStart(start, i, int(np.searchsorted(start.rows, me + i)),
+                        log)

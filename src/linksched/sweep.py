@@ -29,6 +29,7 @@ from .model import ChannelDiscretization, SystemConfig, discretize_channel
 from .occupancy_lp import (
     ONE_HOT_TOL,
     Policy,
+    budget_lp,
     evaluate_measure,
     extract_policy,
     min_delay,
@@ -244,29 +245,35 @@ def sweep_curve(
 ) -> TradeoffCurve:
     """One constrained solve per budget.
 
-    Infeasible budgets are dropped and listed on the curve; an entirely
-    infeasible grid is an error.  The curve is checked to be
-    nonincreasing.
+    The solves share one LP and, for every budget whose phase 1 would
+    take the path of the LP with the delay row left open, that phase 1
+    (occupancy_lp.budget_lp); each result is bit for bit its own cold
+    solve's.  They run from the loosest budget down, since once the
+    shared phase 1 fails a budget it fails every tighter one and is
+    released.  Infeasible budgets are dropped and listed on the curve;
+    an entirely infeasible grid is an error.  The curve is checked to
+    be nonincreasing.
     """
     budgets = np.sort(np.asarray(budgets, dtype=float))
-    kept, powers, skipped = [], [], []
-    for d_th in budgets:
-        sol = solve_constrained(cfg, disc, float(d_th))
-        if sol.status != "optimal":
-            skipped.append(float(d_th))
-            continue
-        kept.append(float(d_th))
-        powers.append(sol.objective)
-    if not kept:
+    shared = budget_lp(cfg, disc)
+
+    def power(d_th):  # nan if infeasible; no solution outlives its call
+        sol = solve_constrained(cfg, disc, float(d_th), shared)
+        return sol.objective if sol.status == "optimal" else np.nan
+
+    powers = np.array([power(d_th) for d_th in budgets[::-1]])[::-1]
+    feasible = ~np.isnan(powers)
+    kept, powers = budgets[feasible], powers[feasible]
+    skipped = budgets[~feasible].tolist()
+    if not kept.size:
         raise InfeasibleCurveError(
             f"empty curve: all {len(budgets)} budgets infeasible")
-    powers_arr = np.asarray(powers)
-    if np.any(np.diff(powers_arr) > HULL_TOL):
+    if np.any(np.diff(powers) > HULL_TOL):
         raise SweepError("curve is not nonincreasing in the budget")
     return TradeoffCurve(
         M=disc.bins,
-        budgets=np.asarray(kept),
-        powers=powers_arr,
+        budgets=kept,
+        powers=powers,
         infeasible=tuple(skipped),
     )
 

@@ -810,3 +810,21 @@ def dense_solve_simplex(lp) -> DenseResult:
         phase1_iterations=it1,
         degenerate_pivots=deg1 + deg2,
     )
+
+
+def random_config_dict(rng: np.random.Generator) -> dict:
+    """A small random config as parsed JSON, drawn like the LP probe's:
+    Dirichlet arrival probabilities over 2-4 counts, Q in 2..10, S_max
+    in 1..4 (never below the largest arrival count), a uniform channel
+    from h_min 0.1, 0.5 or 1 to h_max 10, and xi(s) = 2^s - 1."""
+    counts = int(rng.integers(2, 5))
+    a_max = counts - 1
+    return {
+        "arrival": {"alphas": rng.dirichlet(np.ones(counts)).tolist()},
+        "channel": {"kind": "uniform",
+                    "h_min": float(rng.choice([0.1, 0.5, 1.0])),
+                    "h_max": 10.0},
+        "Q": int(rng.integers(max(2, a_max), 11)),
+        "S_max": int(rng.integers(max(1, a_max), 5)),
+        "xi_kind": "exp2minus1",
+    }

@@ -19,6 +19,7 @@ from linksched.occupancy_lp import (
     OccupancyMeasure,
     Policy,
     ReducibleChainError,
+    budget_lp,
     build_occupancy_lp,
     evaluate_measure,
     extract_policy,
@@ -261,6 +262,21 @@ class TestSolve:
         assert (delay, power) == (0.0, 0.0)
         assert measure.queue_marginal()[0] == pytest.approx(1.0,
                                                                 abs=1e-12)
+
+    def test_no_arrivals_sweep_has_no_delay_row(self):
+        cfg = config_from_dict({
+            "arrival": {"alphas": [1.0]},
+            "channel": {"kind": "uniform", "h_min": 0.5, "h_max": 10.0},
+            "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"})
+        disc = discretize_channel(cfg.channel, 2)
+        assert budget_lp(cfg, disc) is None
+        curve = sweep.sweep_curve(cfg, disc, [0.5, 2.0])
+        assert curve.powers.tolist() == [0.0, 0.0]
+
+    def test_budget_lp_of_another_discretization(self, paper_cfg, disc16):
+        shared = budget_lp(paper_cfg, discretize_channel(paper_cfg.channel, 4))
+        with pytest.raises(ValueError, match="another config"):
+            solve_constrained(paper_cfg, disc16, 3.0, shared)
 
     def test_delay_dual_sign_and_slack(self, solution16):
         assert solution16.delay_dual >= -1e-9

@@ -10,13 +10,16 @@ import numpy as np
 import pytest
 
 from linksched import occupancy_lp, simplex
-from linksched.model import discretize_channel
-from linksched.occupancy_lp import build_occupancy_lp, solve_lagrangian
+from linksched.model import config_from_dict, discretize_channel
+from linksched.occupancy_lp import (budget_lp, build_occupancy_lp,
+                                    solve_constrained, solve_lagrangian)
 from linksched.simplex import (LinearProgram, SimplexAnomaly, SimplexResult,
-                               _check_rows, feasible_start, solve_simplex)
+                               _check_rows, feasible_start, open_row_start,
+                               solve_simplex)
+from linksched.sweep import default_budget_grid, sweep_curve
 
 from oracles import (best_basic_solution, dense_solve_simplex,
-                     random_bounded_lp)
+                     random_bounded_lp, random_config_dict)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
@@ -182,6 +185,27 @@ class TestMemory:
         assert peak <= 1.2 * tableau, peak / tableau
 
 
+    def test_sweep_peak_is_one_cold_solve(self, paper_cfg, disc16):
+        # the budgets share one LP and one phase 1, and the start goes
+        # at the first budget that takes its own phase 1 (d_min, the
+        # grid's first), so the sweep's peak is a cold solve's plus the
+        # exchange log and a few KB of Python objects (1.008x here); a
+        # second dense A_eq alive beside them takes it to 1.39x
+        grid = default_budget_grid(paper_cfg, disc16, points=12)
+        solve_constrained(paper_cfg, disc16, 3.0)  # load the BLAS binding
+        peaks = []
+        for run in (lambda: solve_constrained(paper_cfg, disc16, 3.0),
+                    lambda: sweep_curve(paper_cfg, disc16, grid)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        cold, swept = peaks
+        assert swept <= 1.02 * cold, swept / cold
+
+
 class TestMemoryEinsumFallback(TestMemory):
     """The same bounds where numpy bundles no OpenBLAS: the einsum form
     subtracts a few rows at a time and makes no tableau-sized temporary."""
@@ -332,6 +356,174 @@ class TestSharedStart:
         for c in (lp.c, -lp.c, np.arange(lp.c.size, dtype=float)):
             solve_simplex(replace(lp, c=c), start)
         assert hashlib.sha256(start.T.tobytes()).hexdigest() == digest
+
+
+def _assert_same(res, ref):
+    """Two solves agree on every field, bit for bit, duals included."""
+    assert res.status == ref.status
+    assert (res.iterations, res.phase1_iterations, res.degenerate_pivots,
+            res.dropped_eq_rows, res.row_gap) == (
+        ref.iterations, ref.phase1_iterations, ref.degenerate_pivots,
+        ref.dropped_eq_rows, ref.row_gap)
+    if ref.status != "optimal":
+        return
+    assert res.x.tobytes() == ref.x.tobytes()
+    assert np.float64(res.objective).tobytes() == np.float64(
+        ref.objective).tobytes()
+    assert res.duals_eq.tobytes() == ref.duals_eq.tobytes()
+    assert res.duals_ub.tobytes() == ref.duals_ub.tobytes()
+
+
+def _assert_same_start(start, ref):
+    """A start with an open RHS is ref's once the RHS is written in."""
+    T = start.T.copy()
+    k, v = start.open_rhs
+    T[k, -1] = v
+    assert T.tobytes() == ref.T.tobytes()
+    for name in ("nb", "basis", "rows", "ident"):
+        assert np.array_equal(getattr(start, name), getattr(ref, name))
+    assert (start.dropped_eq_rows, start.phase1_iterations,
+            start.phase1_degenerate) == (ref.dropped_eq_rows,
+                                         ref.phase1_iterations,
+                                         ref.phase1_degenerate)
+
+
+def _solve_or_anomaly(lp, start=None):
+    try:
+        return solve_simplex(lp, start)
+    except SimplexAnomaly as e:
+        return f"SimplexAnomaly: {e}"
+
+
+def _against_cold(lp, start):
+    """The solve from a shared start (None: its own phase 1) against the
+    cold solve_simplex(lp), and the start against lp's own phase 1."""
+    got, want = _solve_or_anomaly(lp, start), _solve_or_anomaly(lp)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        _assert_same(got, want)
+    if start is not None:
+        _assert_same_start(start, feasible_start(lp))
+
+
+def _budgets_against_cold(cfg, disc, budgets) -> list[bool]:
+    """Each budget from budget_lp's shared phase 1, loosest first as a
+    sweep asks, against the cold solve of a freshly built LP, the same
+    bits; returns whether each was certified, loosest first."""
+    shared = budget_lp(cfg, disc)
+    certified = []
+    for d_th in sorted(budgets, reverse=True):
+        olp, start = shared.at(float(d_th))
+        lp = build_occupancy_lp(cfg, disc, float(d_th)).lp
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(
+            (olp.lp.c, olp.lp.A_eq, olp.lp.b_eq, olp.lp.A_ub, olp.lp.b_ub),
+            (lp.c, lp.A_eq, lp.b_eq, lp.A_ub, lp.b_ub)))
+        _against_cold(lp, start)
+        certified.append(start is not None)
+    return certified
+
+
+class TestOpenRowStart:
+    """Budgets share one phase 1 with the delay row's RHS left open; a
+    certified budget's solve is its cold solve bit for bit, and every
+    other budget runs the cold solve."""
+
+    @pytest.mark.parametrize("bins", [2, 4, 8, 16])
+    def test_paper_budgets_match_cold_solves(self, paper_cfg, bins):
+        disc = discretize_channel(paper_cfg.channel, bins)
+        grid = default_budget_grid(paper_cfg, disc)
+        below = grid[0] * np.array([0.5, 0.9, 1.0 - 1e-9])
+        certified = _budgets_against_cold(paper_cfg, disc, [*grid, *below])
+        # d_min, the grid's first budget, ties the delay row's ratio and
+        # takes its own phase 1, as does every budget below it
+        assert certified == [True] * 59 + [False] * 4
+
+    @pytest.mark.parametrize("bins", [1, 2, 4])
+    def test_tiny_budgets_match_cold_solves(self, tiny_cfg, bins):
+        disc = discretize_channel(tiny_cfg.channel, bins)
+        grid = default_budget_grid(tiny_cfg, disc, points=20)
+        certified = _budgets_against_cold(tiny_cfg, disc,
+                                          [*grid, 0.5 * grid[0], 0.0])
+        assert certified == [True] * 19 + [False] * 3
+
+    @pytest.mark.parametrize("bins", [5, 8])
+    def test_piecewise_budgets_match_cold_solves(self, piecewise_cfg, bins):
+        disc = discretize_channel(piecewise_cfg.channel, bins)
+        grid = default_budget_grid(piecewise_cfg, disc, points=20)
+        certified = _budgets_against_cold(piecewise_cfg, disc,
+                                          [*grid, 0.9 * grid[0]])
+        assert certified[0] and not certified[-1]
+
+    def test_random_configs_match_cold_solves(self):
+        rng = np.random.default_rng(20261019)
+        certified = []
+        for _ in range(40):
+            cfg = config_from_dict(random_config_dict(rng))
+            disc = discretize_channel(cfg.channel, int(rng.integers(1, 5)))
+            delay = build_occupancy_lp(cfg, disc, 1.0).delay
+            budgets = np.linspace(delay.min(), delay.max(), 8)
+            certified += _budgets_against_cold(cfg, disc,
+                                               [0.5 * budgets[0], *budgets])
+        assert 0 < sum(certified) < len(certified)
+
+    def test_ratio_at_the_threshold_takes_its_own_phase_1(self):
+        # x1 enters; row 0's ratio is 0, so the tie threshold is 1e-12
+        # exactly, and the open row's ratio 1e-12 / 1 ties: its slack,
+        # the lowest basic label, leaves (a nonzero step), where the
+        # shared phase 1, the open row in no tie, took row 0 (a zero one)
+        lp = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, -1.0]], b_eq=[0.0],
+                                 A_ub=[[1.0, 0.0]], b_ub=[1e-12])
+        shared = open_row_start(lp, 0)
+        assert shared.start(replace(lp, b_ub=np.array([2e-12]))) is not None
+        assert shared.start(lp) is None
+        _against_cold(lp, None)
+
+    def test_replay_clips_at_zero_as_phase_1_does(self):
+        # the open row's entry 1e-12 is below PIV_TOL, so it passes, and
+        # the exchange takes its RHS from 0 to -1e-12, which the clip
+        # after every exchange sets back to 0
+        lp = LinearProgram.build([0.0, 0.0, -1.0],
+                                 A_eq=[[1.0, 1.0, 0.0]], b_eq=[1.0],
+                                 A_ub=[[1e-12, 0.0, 1.0]], b_ub=[0.0])
+        start = open_row_start(lp, 0).start(lp)
+        assert start.open_rhs[1] == 0.0
+        _against_cold(lp, start)
+        assert solve_simplex(lp, start).degenerate_pivots == 1
+
+    def test_negative_rhs_takes_its_own_phase_1(self):
+        # phase 1 negates the row and gives it an artificial
+        lp = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, -1.0]], b_eq=[0.0],
+                                 A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
+        assert open_row_start(lp, 0).start(lp) is None
+        _against_cold(lp, None)
+
+    def test_a_failed_budget_releases_the_start(self, tiny_cfg):
+        disc = discretize_channel(tiny_cfg.channel, 2)
+        grid = default_budget_grid(tiny_cfg, disc, points=5)
+        shared = budget_lp(tiny_cfg, disc)
+        assert shared.at(grid[-1])[1] is not None
+        assert shared.at(grid[0])[1] is None
+        # the replay is monotone in the budget, so a looser one asked
+        # after a failure would only have gone cold later
+        assert shared.at(grid[-1])[1] is None
+
+    def test_rows_with_no_open_phase_1(self, monkeypatch):
+        infeasible = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, 1.0]],
+                                         b_eq=[-1.0], A_ub=[[1.0, 0.0]],
+                                         b_ub=[1.0])
+        assert open_row_start(infeasible, 0) is None
+        # the open row's slack is the lowest basic label; at OPEN_RHS 0
+        # its ratio ties row 0's and the exchange takes it
+        lp = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[1.0],
+                                 A_ub=[[1.0, 0.0]], b_ub=[1.0])
+        assert open_row_start(lp, 0) is not None
+        monkeypatch.setattr(simplex, "OPEN_RHS", 0.0)
+        assert open_row_start(lp, 0) is None
+        monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)
+        with pytest.raises(SimplexAnomaly, match="pivot limit"):
+            feasible_start(lp)
+        assert open_row_start(lp, 0) is None
 
 
 class TestDuals:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from linksched import sweep
+from linksched import simplex, sweep
 from linksched.model import discretize_channel
 from linksched.occupancy_lp import (min_delay, solve_constrained,
                                     solve_lagrangian)
@@ -83,6 +83,27 @@ class TestSweep:
         curve = sweep_curve(paper_cfg, disc, [0.5, 0.8, 1.5, 2.5])
         assert curve.infeasible == (0.5, 0.8)
         assert list(curve.budgets) == [1.5, 2.5]
+
+    def test_budgets_share_one_phase_one(self, paper_cfg, monkeypatch):
+        disc = discretize_channel(paper_cfg.channel, 4)
+        grid = default_budget_grid(paper_cfg, disc)
+        runs = []
+        feasible_start = simplex.feasible_start
+
+        def counted(lp, log=None):
+            runs.append("shared" if log is not None else "own")
+            return feasible_start(lp, log)
+
+        monkeypatch.setattr(simplex, "feasible_start", counted)
+        curve = sweep_curve(paper_cfg, disc, grid)
+        # the shared phase 1, then d_min's own: the grid's first budget
+        # ties the delay row's ratio; the loosest budget is solved first
+        assert runs == ["shared", "own"]
+        monkeypatch.undo()
+        cold = [solve_constrained(paper_cfg, disc, float(d_th)).objective
+                for d_th in grid]
+        assert curve.budgets.tobytes() == grid.tobytes()
+        assert curve.powers.tobytes() == np.array(cold).tobytes()
 
     def test_all_infeasible_is_an_error(self, paper_cfg):
         disc = discretize_channel(paper_cfg.channel, 2)
