@@ -30,11 +30,13 @@ discretization's LP and its start (or the "infeasible" result phase 1
 proved) stay cached, and each solve runs phase 2 alone, with results
 bit for bit those of a solve from its own start.  A finite budget adds
 a delay row whose right-hand side can steer phase 1.  A single
-constrained solve runs its own phase 1; the budgets of one sweep share
-one LP (budget_lp) and one phase 1 run with the delay row's right-hand
-side left open, which every budget that cannot change its path starts
-from (simplex.OpenRowStart) and every other budget reruns for itself,
-with results bit for bit those of the cold solve either way.
+constrained solve runs its own phase 1.  The budgets of one sweep
+share one LP (budget_lp) and one phase 1 run with the delay row's
+right-hand side left open (simplex.open_row_trunk); the budgets whose
+path it cannot change go on into phase 2 together on one trunk
+(simplex.Trunk), each leaving it where its own ratio test first parts
+from the loosest budget's, and every other budget reruns phase 1 for
+itself, with results bit for bit those of the cold solve either way.
 
 State spaces are 0-based: q in {0..Q}, s in {0..S_max}.
 """
@@ -52,10 +54,10 @@ from .model import (ChannelDiscretization, SystemConfig, cell_of,
 from .simplex import (
     FEAS_TOL,
     LinearProgram,
-    OpenRowStart,
     SimplexAnomaly,
+    Trunk,
     feasible_start,
-    open_row_start,
+    open_row_trunk,
     solve_simplex,
 )
 from .textio import csv_text, read_rows
@@ -270,29 +272,32 @@ class BudgetLp:
     """One discretization's delay-row LP, for solves at many budgets.
 
     olp's delay row has its right-hand side left open (0.0 as built);
-    phase1 is the phase 1 the budgets share, None when it could not be
-    shared.  It lives as long as the caller keeps it: a sweep_curve
+    trunk is the phase 2 of minimum power that the budgets certified
+    against the shared phase 1 walk together, None when none could
+    share it.  It lives as long as the caller keeps it: a sweep_curve
     call, on one discretization.
     """
 
     olp: OccupancyLp
-    phase1: OpenRowStart | None
+    trunk: Trunk | None
 
     def at(self, d_th: float):
-        """(the LP at budget d_th, its shared start or None)."""
+        """(the LP at budget d_th, the start its solve takes: the trunk,
+        which runs the LP's own phase 1 unless d_th is pending on it)."""
         olp = replace(self.olp, lp=replace(self.olp.lp,
                                            b_ub=np.array([d_th])))
-        return olp, self.phase1 and self.phase1.start(olp.lp)
+        return olp, self.trunk
 
 
-def budget_lp(cfg: SystemConfig,
-              disc: ChannelDiscretization) -> BudgetLp | None:
-    """The delay-row LP and its shared phase 1; None when the LP has no
-    delay row (no arrivals)."""
+def budget_lp(cfg: SystemConfig, disc: ChannelDiscretization,
+              budgets) -> BudgetLp | None:
+    """The delay-row LP, with one phase 1 run for it and the trunk of
+    the budgets that phase 1 certifies; None when the LP has no delay
+    row (no arrivals)."""
     if not _has_delay_row(cfg, 0.0):
         return None
     olp = build_occupancy_lp(cfg, disc, 0.0)
-    return BudgetLp(olp, open_row_start(olp.lp, 0))
+    return BudgetLp(olp, open_row_trunk(olp.lp, 0, budgets))
 
 
 @lru_cache(maxsize=1)
@@ -334,8 +339,9 @@ def solve_constrained(
 ) -> LpSolution:
     """Minimum average power subject to average delay <= d_th.
 
-    budgets, budget_lp(cfg, disc), lets the solves of a sweep share its
-    LP and phase 1; the solution is bit for bit the one without it.
+    budgets, budget_lp(cfg, disc, grid), lets the solves of a sweep
+    share its LP, phase 1 and trunk; the solution is bit for bit the one
+    without it.
     """
     if d_th is not None and not np.isfinite(d_th):
         raise ValueError(f"delay budget must be finite, got {d_th!r}")

@@ -51,14 +51,21 @@ makes lp's own, and solve_simplex(lp, start) shares one made before,
 with the same result bit for bit.
 
 LPs whose rows differ only in one A_ub row's right-hand side (a delay
-budget) can share phase 1 too.  open_row_start runs it once with that
+budget) can share phase 1 too.  open_row_trunk runs it once with that
 RHS at OPEN_RHS, which no ratio test picks, and logs every exchange.
 Under Bland's rule the path depends on the row's RHS only through the
 row's own ratio, so an RHS that, replayed through the log with the
 exchanges' own arithmetic, clears every tie threshold takes the same
-path; its start is the shared one with that one RHS entry replaced,
-written into the copy phase 2 makes (FeasibleStart.open_rhs).  Any
-other RHS runs its own phase 1.
+path; its start is the shared one with that one RHS entry replaced.
+Any other RHS runs its own phase 1.  The certified LPs of one
+objective then share phase 2 as far as their paths agree: their
+tableaus differ only in the RHS, so every step enters the same column
+for all of them, and only the ratio test can part them.  A Trunk
+holds the nonbasic block once and one RHS column per LP, and walks
+the path of the loosest LP still on it; an LP leaves just before the
+first exchange where its own ratio test picks another row, and its
+solve_simplex pivots only the rest of its path, from the trunk's
+state at that point.
 
 x, the objective, the pivot counts, the dropped rows and the dual of
 every row whose identity column is a slack (read off the final
@@ -76,8 +83,13 @@ the kept rows and columns into the start's fresh array, kept rows x
 (n + mu - kept rows, padded, + 1).  Phase 1's array is freed when
 feasible_start returns, before phase 2 copies start.T, so a solve's
 peak is those two arrays, and from a shared start the start and its
-copy; an OpenRowStart's log adds at most 48 bytes per exchange.  Each tableau
-comes with three small buffers, allocated once:
+copy; open_row_trunk's log adds at most 48 bytes per exchange.  A
+Trunk's array is the start's with one RHS column per LP in place of
+one, and the shared start is released once it is made; the start an
+LP leaves with is a view of the trunk's leading columns, its RHS
+swapped in beside the nonbasic block, so phase 2's copy is the only
+new tableau.  Each tableau comes with three small buffers, allocated
+once:
 the entering column, the pivot row and the ratio test's ratios.  The
 exchange writes only into them and the tableau and allocates no array
 data; pricing and the ratio test make only numpy's temporaries of the
@@ -99,7 +111,7 @@ PIV_TOL = 1e-11  # smallest pivot element admitted in the ratio test
 DRIVE_TOL = 1e-7  # smallest pivot used when driving artificials out
 ROW_TOL = 1e-8  # largest row miss an "optimal" point may have
 MAX_PIVOTS = 200_000  # per phase; beyond this the solve is an anomaly
-OPEN_RHS = 1e200  # an open row's RHS in its shared phase 1 (OpenRowStart)
+OPEN_RHS = 1e200  # an open row's RHS in its shared phase 1 (open_row_trunk)
 
 
 class SimplexAnomaly(RuntimeError):
@@ -234,34 +246,43 @@ class _Tableau:
 
     N (RHS last) is pivoted in place and never reallocated, so the
     rank-1 kernel is bound once to N and the col and row buffers, which
-    every exchange refills.  nb labels the first nb.size columns of N
-    and basis[i] is the basic label of row i; cost_nb and cost_B are
+    every exchange refills.  nb labels the first nb.size columns of N,
+    head is the nonbasic block padded to a multiple of 4 and rhs_cols
+    every column after it: rhs alone for a solve, one per budget on a
+    Trunk.  basis[i] is the basic label of row i; cost_nb and cost_B are
     cost[nb] and cost[basis], swapped by every exchange along with the
     labels.  ratios is the ratio test's buffer.
     """
 
-    __slots__ = ("N", "rhs", "nb", "basis", "cost_nb", "cost_B", "col",
-                 "row", "ratios", "subtract")
+    __slots__ = ("N", "head", "rhs", "rhs_cols", "nb", "basis", "cost_nb",
+                 "cost_B", "col", "row", "ratios", "subtract")
 
     def __init__(self, N, nb, basis, cost):
-        self.N, self.rhs, self.nb, self.basis = N, N[:, -1], nb, basis
+        width = _padded(nb.size)
+        self.N, self.nb, self.basis = N, nb, basis
+        self.head, self.rhs = N[:, :width], N[:, width]
+        # a lone RHS column stays a 1-D view, which numpy clips in about
+        # half the time of a (rows, 1) one
+        self.rhs_cols = N[:, width:] if N.shape[1] > width + 1 else self.rhs
         self.cost_nb, self.cost_B = cost[nb], cost[basis]
         self.col, self.row = np.empty(N.shape[0]), np.empty(N.shape[1])
         self.ratios = np.empty(N.shape[0])
         self.subtract = _rank1_kernel(N, self.col, self.row)
 
 
-def _bland_iterate(t, log=None):
+def _bland_iterate(t, log=None, taken=0):
     """Run Bland pivots on the _Tableau t until optimal or a ray appears.
 
     Returns (status, pivots, degenerate pivots, reduced costs of the
     columns at the last basis).  An _ExchangeLog log records every
-    exchange with its ratio test's tie threshold.
+    exchange with its ratio test's tie threshold.  taken counts the
+    pivots of the phase taken before t (on a Trunk), which the pivot
+    limit counts too.
     """
     nb, basis, rhs, ratios = t.nb, t.basis, t.rhs, t.ratios
-    cost_nb, cost_B = t.cost_nb, t.cost_B
+    cost_nb, cost_B, head = t.cost_nb, t.cost_B, t.head
     real = nb.size
-    head = t.N[:, :-1]
+    limit = MAX_PIVOTS - taken
     iters = degenerate = 0
     if not real:  # no column to enter, and no label for argmin to scan
         return "optimal", iters, degenerate, np.zeros(0)
@@ -287,7 +308,7 @@ def _bland_iterate(t, log=None):
         if log is not None:
             log.record(t, r, tie)
         iters += 1
-        if iters > MAX_PIVOTS:
+        if iters > limit:
             raise SimplexAnomaly("pivot limit exceeded")
 
 
@@ -304,8 +325,8 @@ def _exchange(t, r, p):
     row[:] = pivot_row
     col[r] = 0.0
     t.subtract()
-    # keep the RHS nonnegative against floating drift
-    np.maximum(t.rhs, 0.0, out=t.rhs)
+    # keep every RHS nonnegative against floating drift
+    np.maximum(t.rhs_cols, 0.0, out=t.rhs_cols)
     nb, basis, cost_nb, cost_B = t.nb, t.basis, t.cost_nb, t.cost_B
     nb[p], basis[r] = basis[r], nb[p]
     cost_nb[p], cost_B[r] = cost_B[r], cost_nb[p]
@@ -381,10 +402,11 @@ class FeasibleStart:
     the kept rows' basic labels, rows their indices among all me + mu
     and ident their identity columns.  phase1_iterations counts the
     phase-1 pivots and phase1_degenerate their zero steps.  The arrays
-    are read-only: every solve pivots a copy of T.  open_rhs, (k, v),
-    is set on a start that shares T with LPs whose rows differ in one
-    right-hand side (see OpenRowStart): the solve writes v into kept
-    row k's RHS of its copy.
+    are read-only: every solve pivots a copy of T.  A start where an LP
+    leaves a Trunk is partway into phase 2: phase2_iterations counts
+    the pivots it took there and phase2_degenerate their zero steps, and
+    its arrays are views of the trunk's, valid only until the trunk's
+    next request.
     """
 
     T: np.ndarray
@@ -395,7 +417,8 @@ class FeasibleStart:
     dropped_eq_rows: tuple[int, ...]
     phase1_iterations: int
     phase1_degenerate: int
-    open_rhs: tuple[int, float] | None = None
+    phase2_iterations: int = 0
+    phase2_degenerate: int = 0
 
     def __post_init__(self):
         for a in (self.T, self.nb, self.basis, self.rows, self.ident):
@@ -491,7 +514,7 @@ def _check_rows(lp: LinearProgram, x: np.ndarray) -> float:
 
 
 def solve_simplex(lp: LinearProgram,
-                  start: FeasibleStart | SimplexResult | None = None
+                  start: FeasibleStart | SimplexResult | Trunk | None = None
                   ) -> SimplexResult:
     """Two-phase solve; statuses "optimal", "infeasible", "unbounded".
 
@@ -499,8 +522,12 @@ def solve_simplex(lp: LinearProgram,
     own when None: an "infeasible" result is returned as it is, and
     otherwise phase 2 pivots a copy of start.T.  Phase 1 reads no
     objective, so a start shared by several objectives gives each of
-    them bit for bit the result of its own solve.
+    them bit for bit the result of its own solve.  A Trunk is advanced
+    to where lp leaves it, and phase 2 goes on from there; an lp that
+    is not one of its pending budgets runs its own phase 1.
     """
+    if isinstance(start, Trunk):
+        start = start.depart(lp)
     if start is None:
         start = feasible_start(lp)
     if isinstance(start, SimplexResult):
@@ -508,15 +535,13 @@ def solve_simplex(lp: LinearProgram,
     n, mu = lp.c.shape[0], lp.A_ub.shape[0]
 
     cost = np.concatenate([lp.c, np.zeros(mu)])
-    T = start.T.copy()
-    if start.open_rhs is not None:
-        k, v = start.open_rhs
-        T[k, -1] = v
-    t = _Tableau(T, start.nb.copy(), start.basis.copy(), cost)
-    status, it2, deg2, reduced = _bland_iterate(t)
+    t = _Tableau(start.T.copy(), start.nb.copy(), start.basis.copy(), cost)
+    taken = start.phase2_iterations
+    status, it2, deg2, reduced = _bland_iterate(t, taken=taken)
     it1 = start.phase1_iterations
-    counts = dict(iterations=it1 + it2, phase1_iterations=it1,
-                  degenerate_pivots=start.phase1_degenerate + deg2)
+    counts = dict(iterations=it1 + taken + it2, phase1_iterations=it1,
+                  degenerate_pivots=(start.phase1_degenerate
+                                     + start.phase2_degenerate + deg2))
     if status == "unbounded":
         return SimplexResult(status="unbounded", **counts)
 
@@ -573,43 +598,118 @@ class _ExchangeLog:
         return d
 
 
-class OpenRowStart:
-    """One phase 1 for LPs whose rows differ only in A_ub row i's RHS.
+class Trunk:
+    """Phase 2 of the LPs that share a phase 1 (open_row_trunk), walked
+    once as far as their paths agree.
 
-    Phase 1 and the drive-out ran once with that RHS at OPEN_RHS, and
-    logged each exchange.  Bland's rule makes phase 1's path a function
-    of the tableau alone, and the row's RHS enters it only through the
-    row's own ratio, so an LP whose RHS b clears the logged thresholds
-    at every exchange takes the same path: its FeasibleStart is the
-    shared one with the row's RHS replaced by b's replay, and its
-    pivots, dropped rows and bits are those of its own phase 1.
-
-    The replay is monotone in b, so when one b fails every smaller one
-    fails too; the first failure releases the shared start, and a
-    caller that asks from the largest b down never holds it beside a
-    phase 1 of its own.
+    The LPs differ only in A_ub row i's RHS, their budget, so their
+    tableaus differ only in the RHS: they price alike and enter the same
+    column at every step, and only the ratio test can split them.  The
+    trunk's tableau holds the nonbasic block once and then one RHS
+    column per budget, and each step prices once, runs every pending
+    budget's own ratio test (elementwise, with _bland_iterate's tie
+    rule, so the same bits) and exchanges on the row of the loosest
+    pending budget, the leader: one rank-1 update and one clip cover
+    every RHS column, and each budget counts its own zero steps.  A
+    budget whose row differs from the leader's leaves before that
+    exchange, with the trunk's state then as its start, and its solve
+    pivots the rest of its own path; tighter budgets leave earlier, so
+    a caller asks tightest first.  Steps run only as requests need
+    them, and a budget that left without being asked is no longer
+    pending: asked later, it runs its own phase 1.  So every budget's
+    pivots, zero steps and bits are its own solve's.
     """
 
-    def __init__(self, start: FeasibleStart, i: int, k: int,
-                 log: _ExchangeLog):
-        self._start, self.i, self._k, self._log = start, i, k, log
+    def __init__(self, lp: LinearProgram, start: FeasibleStart, i: int,
+                 k: int, budgets: np.ndarray, rhs: np.ndarray):
+        width = start.T.shape[1] - 1
+        N = np.empty((start.T.shape[0], width + budgets.size))
+        N[:, :width] = start.T[:, :width]
+        N[:, width:] = start.T[:, -1:]
+        N[k, width:] = rhs
+        cost = np.concatenate([lp.c, np.zeros(lp.A_ub.shape[0])])
+        self._t = _Tableau(N, start.nb.copy(), start.basis.copy(), cost)
+        self._rhs = N[:, width:]  # budget j's RHS is column _column[j]
+        self._c, self._i, self.budgets = lp.c, i, budgets
+        # the start's row labels and phase-1 counts, without its tableau
+        self._start = replace(start, T=np.empty((0, 0)))
+        self._column = np.arange(budgets.size)
+        self._pending = np.ones(budgets.size, dtype=bool)
+        self._degenerate = np.zeros(budgets.size, dtype=int)
+        self._pivots = 0
 
-    def start(self, lp: LinearProgram) -> FeasibleStart | None:
-        """lp's FeasibleStart from the shared phase 1, or None when lp
-        needs its own."""
-        if self._start is not None:
-            d = self._log.replay(float(lp.b_ub[self.i]))
-            if d is not None:
-                return replace(self._start, open_rhs=(self._k, d))
-            self._start = None
-        return None
+    def depart(self, lp: LinearProgram) -> FeasibleStart | None:
+        """lp's start where it leaves the trunk, the trunk advanced to
+        there; None unless lp (of the trunk's rows) has the trunk's
+        objective and a pending budget.  The start is valid until the
+        next request."""
+        at = np.flatnonzero(self._pending
+                            & (self.budgets == lp.b_ub[self._i]))
+        if not at.size or not np.array_equal(lp.c, self._c):
+            return None
+        j = int(at[0])
+        self._advance(j)
+        t, column = self._t, self._column
+        width = t.head.shape[1]
+        if column[j]:  # swap j's RHS in beside the nonbasic block
+            first = np.flatnonzero(column == 0)
+            self._rhs[:, [0, column[j]]] = self._rhs[:, [column[j], 0]]
+            column[first], column[j] = column[j], 0
+        self._pending[j] = False
+        return replace(self._start, T=t.N[:, :width + 1], nb=t.nb[:],
+                       basis=t.basis[:], phase2_iterations=self._pivots,
+                       phase2_degenerate=int(self._degenerate[j]))
+
+    def _advance(self, j: int) -> None:
+        """Pivot until no column enters or budget j's ratio test picks
+        another row than the leader's."""
+        t = self._t
+        nb, basis, N = t.nb, t.basis, t.N
+        while nb.size:  # else no column to enter, and no label to scan
+            reduced = t.cost_nb - (t.cost_B @ t.head)[:nb.size]
+            labels = np.where(reduced < -OPT_TOL, nb, _NO_LABEL)
+            p = labels.argmin()  # Bland: the lowest label enters
+            if labels[p] == _NO_LABEL:
+                return
+            col = N[:, p]
+            pos = np.flatnonzero(col > PIV_TOL)
+            if not pos.size:
+                return
+            pending = np.flatnonzero(self._pending)
+            rhs = self._rhs[np.ix_(pos, self._column[pending])]
+            ratios = rhs / col[pos, None]
+            rmin = ratios.min(axis=0)
+            ties = ratios <= rmin + 1e-12 * (1.0 + np.abs(rmin))
+            rows = pos[np.where(ties, basis[pos, None],
+                                _NO_LABEL).argmin(axis=0)]  # Bland tie-break
+            r = rows[-1]  # the leader's: budgets ascend
+            stay = rows == r
+            if not stay[pending == j].all():
+                return
+            self._pending[pending[~stay]] = False
+            zero = rhs[np.searchsorted(pos, r)] == 0.0
+            self._degenerate[pending[stay]] += zero[stay]
+            _exchange(t, r, p)
+            self._pivots += 1
+            if self._pivots > MAX_PIVOTS:
+                raise SimplexAnomaly("pivot limit exceeded")
 
 
-def open_row_start(lp: LinearProgram, i: int) -> OpenRowStart | None:
-    """Phase 1 on lp's rows with A_ub row i's RHS left open.
+def open_row_trunk(lp: LinearProgram, i: int, budgets) -> Trunk | None:
+    """Phase 1 on lp's rows with A_ub row i's RHS left open, and the
+    Trunk of lp's objective over the budgets (values of that RHS) whose
+    replay through it certifies them.
 
-    None when that phase 1 raises SimplexAnomaly, ends infeasible or
-    lets the row near a ratio test: every LP then runs its own.
+    Phase 1 and the drive-out run once with the RHS at OPEN_RHS and log
+    each exchange.  Bland's rule makes phase 1's path a function of the
+    tableau alone, and the row's RHS enters it only through the row's
+    own ratio, so a budget that clears the logged thresholds at every
+    exchange takes the same path: its FeasibleStart is the shared one
+    with the row's RHS replaced by the budget's replay, and its pivots,
+    dropped rows and bits are those of its own phase 1.  None when that
+    phase 1 raises SimplexAnomaly, ends infeasible or lets the row near
+    a ratio test, or when no budget certifies: every LP then runs its
+    own.  The shared start is freed on return; the trunk holds a copy.
     """
     me = lp.A_eq.shape[0]
     log = _ExchangeLog(me + i)
@@ -621,5 +721,11 @@ def open_row_start(lp: LinearProgram, i: int) -> OpenRowStart | None:
         return None
     if isinstance(start, SimplexResult) or log.replay(OPEN_RHS) is None:
         return None
-    return OpenRowStart(start, i, int(np.searchsorted(start.rows, me + i)),
-                        log)
+    budgets = np.sort(np.asarray(budgets, dtype=float))
+    rhs = [log.replay(b) for b in budgets.tolist()]
+    certified = np.array([d is not None for d in rhs], dtype=bool)
+    if not certified.any():
+        return None
+    k = int(np.searchsorted(start.rows, me + i))
+    return Trunk(lp, start, i, k, budgets[certified],
+                 np.array([d for d in rhs if d is not None]))

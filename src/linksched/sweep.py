@@ -21,7 +21,7 @@ between successive curves on a common grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -245,23 +245,37 @@ def sweep_curve(
 ) -> TradeoffCurve:
     """One constrained solve per budget.
 
-    The solves share one LP and, for every budget whose phase 1 would
-    take the path of the LP with the delay row left open, that phase 1
+    The solves share one LP, one phase 1 run with the delay row's
+    right-hand side left open, and the phase 2 that the budgets it
+    certifies walk together until each leaves for its own path
     (occupancy_lp.budget_lp); each result is bit for bit its own cold
-    solve's.  They run from the loosest budget down, since once the
-    shared phase 1 fails a budget it fails every tighter one and is
-    released.  Infeasible budgets are dropped and listed on the curve;
-    an entirely infeasible grid is an error.  The curve is checked to
-    be nonincreasing.
+    solve's.  The certified budgets run tightest first, the order in
+    which they leave the trunk; the trunk is then released and the
+    others (d_min and below) run cold.  Infeasible budgets are dropped
+    and listed on the curve; an empty grid is a ValueError and an
+    entirely infeasible one an InfeasibleCurveError.  The curve is
+    checked to be nonincreasing.
     """
     budgets = np.sort(np.asarray(budgets, dtype=float))
-    shared = budget_lp(cfg, disc)
+    if not budgets.size:
+        raise ValueError("budget grid must be nonempty")
+    shared = budget_lp(cfg, disc, budgets)
+    certified = set() if shared is None or shared.trunk is None else set(
+        shared.trunk.budgets.tolist())
+    on_trunk = np.array([d_th in certified for d_th in budgets.tolist()],
+                        dtype=bool)
 
-    def power(d_th):  # nan if infeasible; no solution outlives its call
+    def power(d_th, shared):  # nan if infeasible; no solution outlives it
         sol = solve_constrained(cfg, disc, float(d_th), shared)
         return sol.objective if sol.status == "optimal" else np.nan
 
-    powers = np.array([power(d_th) for d_th in budgets[::-1]])[::-1]
+    powers = np.empty(budgets.size)
+    for i in np.flatnonzero(on_trunk):  # tightest first
+        powers[i] = power(budgets[i], shared)
+    if shared is not None:  # release the trunk; the rest run cold on its LP
+        shared = replace(shared, trunk=None)
+    for i in np.flatnonzero(~on_trunk):
+        powers[i] = power(budgets[i], shared)
     feasible = ~np.isnan(powers)
     kept, powers = budgets[feasible], powers[feasible]
     skipped = budgets[~feasible].tolist()

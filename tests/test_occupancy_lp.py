@@ -269,12 +269,13 @@ class TestSolve:
             "channel": {"kind": "uniform", "h_min": 0.5, "h_max": 10.0},
             "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"})
         disc = discretize_channel(cfg.channel, 2)
-        assert budget_lp(cfg, disc) is None
+        assert budget_lp(cfg, disc, [0.5, 2.0]) is None
         curve = sweep.sweep_curve(cfg, disc, [0.5, 2.0])
         assert curve.powers.tolist() == [0.0, 0.0]
 
     def test_budget_lp_of_another_discretization(self, paper_cfg, disc16):
-        shared = budget_lp(paper_cfg, discretize_channel(paper_cfg.channel, 4))
+        disc4 = discretize_channel(paper_cfg.channel, 4)
+        shared = budget_lp(paper_cfg, disc4, [3.0])
         with pytest.raises(ValueError, match="another config"):
             solve_constrained(paper_cfg, disc16, 3.0, shared)
 

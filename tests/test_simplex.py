@@ -14,7 +14,7 @@ from linksched.model import config_from_dict, discretize_channel
 from linksched.occupancy_lp import (budget_lp, build_occupancy_lp,
                                     solve_constrained, solve_lagrangian)
 from linksched.simplex import (LinearProgram, SimplexAnomaly, SimplexResult,
-                               _check_rows, feasible_start, open_row_start,
+                               _check_rows, feasible_start, open_row_trunk,
                                solve_simplex)
 from linksched.sweep import default_budget_grid, sweep_curve
 
@@ -186,11 +186,14 @@ class TestMemory:
 
 
     def test_sweep_peak_is_one_cold_solve(self, paper_cfg, disc16):
-        # the budgets share one LP and one phase 1, and the start goes
-        # at the first budget that takes its own phase 1 (d_min, the
-        # grid's first), so the sweep's peak is a cold solve's plus the
-        # exchange log and a few KB of Python objects (1.008x here); a
-        # second dense A_eq alive beside them takes it to 1.39x
+        # the budgets share one LP and one phase 1, whose start goes
+        # once the trunk is made; the trunk (the start's width plus one
+        # RHS column per budget) and one budget's copy of its leading
+        # columns stay below phase 1's array, and the trunk goes before
+        # d_min, the grid's first budget, takes its own phase 1, so the
+        # sweep's peak is a cold solve's plus the exchange log and a few
+        # KB of Python objects (1.005x here); a second dense A_eq alive
+        # beside them takes it to 1.39x
         grid = default_budget_grid(paper_cfg, disc16, points=12)
         solve_constrained(paper_cfg, disc16, 3.0)  # load the BLAS binding
         peaks = []
@@ -374,20 +377,6 @@ def _assert_same(res, ref):
     assert res.duals_ub.tobytes() == ref.duals_ub.tobytes()
 
 
-def _assert_same_start(start, ref):
-    """A start with an open RHS is ref's once the RHS is written in."""
-    T = start.T.copy()
-    k, v = start.open_rhs
-    T[k, -1] = v
-    assert T.tobytes() == ref.T.tobytes()
-    for name in ("nb", "basis", "rows", "ident"):
-        assert np.array_equal(getattr(start, name), getattr(ref, name))
-    assert (start.dropped_eq_rows, start.phase1_iterations,
-            start.phase1_degenerate) == (ref.dropped_eq_rows,
-                                         ref.phase1_iterations,
-                                         ref.phase1_degenerate)
-
-
 def _solve_or_anomaly(lp, start=None):
     try:
         return solve_simplex(lp, start)
@@ -397,75 +386,159 @@ def _solve_or_anomaly(lp, start=None):
 
 def _against_cold(lp, start):
     """The solve from a shared start (None: its own phase 1) against the
-    cold solve_simplex(lp), and the start against lp's own phase 1."""
+    cold solve_simplex(lp)."""
     got, want = _solve_or_anomaly(lp, start), _solve_or_anomaly(lp)
     if isinstance(want, str) or isinstance(got, str):
         assert got == want
     else:
         _assert_same(got, want)
-    if start is not None:
-        _assert_same_start(start, feasible_start(lp))
 
 
-def _budgets_against_cold(cfg, disc, budgets) -> list[bool]:
-    """Each budget from budget_lp's shared phase 1, loosest first as a
-    sweep asks, against the cold solve of a freshly built LP, the same
-    bits; returns whether each was certified, loosest first."""
-    shared = budget_lp(cfg, disc)
-    certified = []
-    for d_th in sorted(budgets, reverse=True):
+def _assert_trunk_starts(trunk, cfg, disc):
+    """Before its first step, the trunk holds each budget's own phase-1
+    start bit for bit: the nonbasic block once, and the budget's RHS."""
+    t, start = trunk._t, trunk._start
+    width = t.head.shape[1]
+    for j, d_th in enumerate(trunk.budgets.tolist()):
+        ref = feasible_start(build_occupancy_lp(cfg, disc, d_th).lp)
+        assert t.N[:, :width].tobytes() == ref.T[:, :-1].tobytes()
+        assert (trunk._rhs[:, trunk._column[j]].tobytes()
+                == ref.T[:, -1].tobytes())
+        for a, b in ((t.nb, ref.nb), (t.basis, ref.basis),
+                     (start.rows, ref.rows), (start.ident, ref.ident)):
+            assert np.array_equal(a, b)
+        assert (start.dropped_eq_rows, start.phase1_iterations,
+                start.phase1_degenerate) == (ref.dropped_eq_rows,
+                                             ref.phase1_iterations,
+                                             ref.phase1_degenerate)
+
+
+def _budgets_against_cold(cfg, disc, budgets, monkeypatch,
+                          loosest_first=False) -> list[bool]:
+    """Each budget through budget_lp's trunk against the cold solve of a
+    freshly built LP, the same bits.  In sweep order, the trunk's
+    budgets run tightest first and then, the trunk released, the
+    others; loosest_first asks every budget from the loosest down
+    instead.  Each budget on the trunk starts from its own phase 1's
+    bits.  Returns, in the order solved, whether each left the trunk
+    with a start (else it ran its own phase 1)."""
+    shared = budget_lp(cfg, disc, budgets)
+    on_trunk = []
+    if shared.trunk is not None:
+        _assert_trunk_starts(shared.trunk, cfg, disc)
+        on_trunk = shared.trunk.budgets.tolist()
+    left = []
+    depart = simplex.Trunk.depart
+
+    def recording(trunk, lp):
+        start = depart(trunk, lp)
+        left.append(start is not None)
+        return start
+
+    monkeypatch.setattr(simplex.Trunk, "depart", recording)
+    if loosest_first:
+        order = sorted(budgets, reverse=True)
+    else:
+        rest = sorted(budgets)
+        for d_th in on_trunk:
+            rest.remove(d_th)
+        order = [*on_trunk, None, *rest]
+    for d_th in order:
+        if d_th is None:
+            shared = replace(shared, trunk=None)
+            continue
         olp, start = shared.at(float(d_th))
         lp = build_occupancy_lp(cfg, disc, float(d_th)).lp
         assert all(a.tobytes() == b.tobytes() for a, b in zip(
             (olp.lp.c, olp.lp.A_eq, olp.lp.b_eq, olp.lp.A_ub, olp.lp.b_ub),
             (lp.c, lp.A_eq, lp.b_eq, lp.A_ub, lp.b_ub)))
+        if start is None:
+            left.append(False)
         _against_cold(lp, start)
-        certified.append(start is not None)
-    return certified
+    monkeypatch.undo()
+    return left
 
 
 class TestOpenRowStart:
-    """Budgets share one phase 1 with the delay row's RHS left open; a
-    certified budget's solve is its cold solve bit for bit, and every
-    other budget runs the cold solve."""
+    """Budgets share one phase 1 with the delay row's RHS left open and
+    walk phase 2 together on a trunk until each leaves it; a budget
+    solved through the trunk is its cold solve bit for bit, and every
+    budget the phase 1 does not certify runs the cold solve."""
 
     @pytest.mark.parametrize("bins", [2, 4, 8, 16])
-    def test_paper_budgets_match_cold_solves(self, paper_cfg, bins):
+    def test_paper_budgets_match_cold_solves(self, paper_cfg, bins,
+                                             monkeypatch):
         disc = discretize_channel(paper_cfg.channel, bins)
         grid = default_budget_grid(paper_cfg, disc)
         below = grid[0] * np.array([0.5, 0.9, 1.0 - 1e-9])
-        certified = _budgets_against_cold(paper_cfg, disc, [*grid, *below])
+        left = _budgets_against_cold(paper_cfg, disc, [*grid, *below],
+                                     monkeypatch)
         # d_min, the grid's first budget, ties the delay row's ratio and
-        # takes its own phase 1, as does every budget below it
-        assert certified == [True] * 59 + [False] * 4
+        # takes its own phase 1, as does every budget below it; the
+        # others leave the trunk tightest first, each with its start
+        assert left == [True] * 59 + [False] * 4
 
     @pytest.mark.parametrize("bins", [1, 2, 4])
-    def test_tiny_budgets_match_cold_solves(self, tiny_cfg, bins):
+    def test_tiny_budgets_match_cold_solves(self, tiny_cfg, bins,
+                                            monkeypatch):
         disc = discretize_channel(tiny_cfg.channel, bins)
         grid = default_budget_grid(tiny_cfg, disc, points=20)
-        certified = _budgets_against_cold(tiny_cfg, disc,
-                                          [*grid, 0.5 * grid[0], 0.0])
-        assert certified == [True] * 19 + [False] * 3
+        left = _budgets_against_cold(tiny_cfg, disc,
+                                     [*grid, 0.5 * grid[0], 0.0],
+                                     monkeypatch)
+        assert left == [True] * 19 + [False] * 3
 
     @pytest.mark.parametrize("bins", [5, 8])
-    def test_piecewise_budgets_match_cold_solves(self, piecewise_cfg, bins):
+    def test_piecewise_budgets_match_cold_solves(self, piecewise_cfg, bins,
+                                                 monkeypatch):
         disc = discretize_channel(piecewise_cfg.channel, bins)
         grid = default_budget_grid(piecewise_cfg, disc, points=20)
-        certified = _budgets_against_cold(piecewise_cfg, disc,
-                                          [*grid, 0.9 * grid[0]])
-        assert certified[0] and not certified[-1]
+        left = _budgets_against_cold(piecewise_cfg, disc,
+                                     [*grid, 0.9 * grid[0]], monkeypatch)
+        assert left[0] and not left[-1]
 
-    def test_random_configs_match_cold_solves(self):
+    def test_random_configs_match_cold_solves(self, monkeypatch):
         rng = np.random.default_rng(20261019)
-        certified = []
+        left = []
         for _ in range(40):
             cfg = config_from_dict(random_config_dict(rng))
             disc = discretize_channel(cfg.channel, int(rng.integers(1, 5)))
             delay = build_occupancy_lp(cfg, disc, 1.0).delay
             budgets = np.linspace(delay.min(), delay.max(), 8)
-            certified += _budgets_against_cold(cfg, disc,
-                                               [0.5 * budgets[0], *budgets])
-        assert 0 < sum(certified) < len(certified)
+            left += _budgets_against_cold(cfg, disc,
+                                          [0.5 * budgets[0], *budgets],
+                                          monkeypatch)
+        assert 0 < sum(left) < len(left)
+
+    def test_duplicated_budget_leaves_with_its_twin(self, paper_cfg,
+                                                    monkeypatch):
+        disc = discretize_channel(paper_cfg.channel, 4)
+        grid = default_budget_grid(paper_cfg, disc, points=12)
+        budgets = [*grid, grid[5], grid[5]]
+        left = _budgets_against_cold(paper_cfg, disc, budgets, monkeypatch)
+        assert left == [True] * 13 + [False]
+
+    def test_loosest_first_falls_back_cold(self, paper_cfg, monkeypatch):
+        # the loosest budget leads the trunk to its end, and every budget
+        # that left on the way is asked after its departure: it runs its
+        # own phase 1
+        disc = discretize_channel(paper_cfg.channel, 4)
+        grid = default_budget_grid(paper_cfg, disc, points=12)
+        left = _budgets_against_cold(paper_cfg, disc, grid, monkeypatch,
+                                     loosest_first=True)
+        assert left == [True] + [False] * 11
+
+    def test_zero_steps_are_each_budgets_own(self):
+        # no phase 1; x1 enters and both budgets leave by the open row's
+        # slack, budget 0 at a zero step and the leader, 2, at a step of
+        # 2, so the two stay on the trunk together to its end
+        lps = [LinearProgram.build([-1.0], A_ub=[[1.0], [1.0]],
+                                   b_ub=[b, 5.0]) for b in (0.0, 2.0)]
+        trunk = open_row_trunk(lps[0], 0, [2.0, 0.0])
+        assert trunk.budgets.tolist() == [0.0, 2.0]
+        for lp in lps:
+            _against_cold(lp, trunk)
+        assert [solve_simplex(lp).degenerate_pivots for lp in lps] == [1, 0]
 
     def test_ratio_at_the_threshold_takes_its_own_phase_1(self):
         # x1 enters; row 0's ratio is 0, so the tie threshold is 1e-12
@@ -474,10 +547,10 @@ class TestOpenRowStart:
         # shared phase 1, the open row in no tie, took row 0 (a zero one)
         lp = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, -1.0]], b_eq=[0.0],
                                  A_ub=[[1.0, 0.0]], b_ub=[1e-12])
-        shared = open_row_start(lp, 0)
-        assert shared.start(replace(lp, b_ub=np.array([2e-12]))) is not None
-        assert shared.start(lp) is None
-        _against_cold(lp, None)
+        trunk = open_row_trunk(lp, 0, [1e-12, 2e-12])
+        assert trunk.budgets.tolist() == [2e-12]
+        assert trunk.depart(lp) is None
+        _against_cold(lp, trunk)
 
     def test_replay_clips_at_zero_as_phase_1_does(self):
         # the open row's entry 1e-12 is below PIV_TOL, so it passes, and
@@ -486,44 +559,53 @@ class TestOpenRowStart:
         lp = LinearProgram.build([0.0, 0.0, -1.0],
                                  A_eq=[[1.0, 1.0, 0.0]], b_eq=[1.0],
                                  A_ub=[[1e-12, 0.0, 1.0]], b_ub=[0.0])
-        start = open_row_start(lp, 0).start(lp)
-        assert start.open_rhs[1] == 0.0
-        _against_cold(lp, start)
-        assert solve_simplex(lp, start).degenerate_pivots == 1
+        trunk = open_row_trunk(lp, 0, [0.0])
+        assert trunk.budgets.tolist() == [0.0]
+        _against_cold(lp, trunk)
+        assert solve_simplex(lp).degenerate_pivots == 1
 
     def test_negative_rhs_takes_its_own_phase_1(self):
         # phase 1 negates the row and gives it an artificial
         lp = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, -1.0]], b_eq=[0.0],
                                  A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
-        assert open_row_start(lp, 0).start(lp) is None
+        assert open_row_trunk(lp, 0, [-1.0]) is None
         _against_cold(lp, None)
 
-    def test_a_failed_budget_releases_the_start(self, tiny_cfg):
+    def test_trunk_serves_only_pending_budgets(self, tiny_cfg):
         disc = discretize_channel(tiny_cfg.channel, 2)
         grid = default_budget_grid(tiny_cfg, disc, points=5)
-        shared = budget_lp(tiny_cfg, disc)
-        assert shared.at(grid[-1])[1] is not None
-        assert shared.at(grid[0])[1] is None
-        # the replay is monotone in the budget, so a looser one asked
-        # after a failure would only have gone cold later
-        assert shared.at(grid[-1])[1] is None
+        lp = build_occupancy_lp(tiny_cfg, disc, 0.0).lp
+        trunk = open_row_trunk(lp, 0, grid[::-1])
+        assert trunk.budgets.tolist() == grid[1:].tolist()
+        at = [replace(lp, b_ub=np.array([d_th])) for d_th in grid]
+        # d_min is not on the trunk, a budget is served once, and one
+        # of another objective is not the trunk's
+        assert trunk.depart(at[0]) is None
+        assert trunk.depart(replace(at[1], c=-lp.c)) is None
+        assert trunk.depart(at[1]) is not None
+        assert trunk.depart(at[1]) is None
+        assert trunk.depart(at[2]).phase2_iterations > 0
+
+    def test_zero_budgets_make_no_trunk(self, tiny_cfg):
+        disc = discretize_channel(tiny_cfg.channel, 2)
+        assert budget_lp(tiny_cfg, disc, []).trunk is None
 
     def test_rows_with_no_open_phase_1(self, monkeypatch):
         infeasible = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, 1.0]],
                                          b_eq=[-1.0], A_ub=[[1.0, 0.0]],
                                          b_ub=[1.0])
-        assert open_row_start(infeasible, 0) is None
+        assert open_row_trunk(infeasible, 0, [1.0]) is None
         # the open row's slack is the lowest basic label; at OPEN_RHS 0
         # its ratio ties row 0's and the exchange takes it
         lp = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[1.0],
-                                 A_ub=[[1.0, 0.0]], b_ub=[1.0])
-        assert open_row_start(lp, 0) is not None
+                                 A_ub=[[1.0, 0.0]], b_ub=[2.0])
+        assert open_row_trunk(lp, 0, [2.0]) is not None
         monkeypatch.setattr(simplex, "OPEN_RHS", 0.0)
-        assert open_row_start(lp, 0) is None
+        assert open_row_trunk(lp, 0, [2.0]) is None
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)
         with pytest.raises(SimplexAnomaly, match="pivot limit"):
             feasible_start(lp)
-        assert open_row_start(lp, 0) is None
+        assert open_row_trunk(lp, 0, [2.0]) is None
 
 
 class TestDuals:

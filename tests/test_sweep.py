@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from linksched import simplex, sweep
+from linksched import occupancy_lp, simplex, sweep
 from linksched.model import discretize_channel
 from linksched.occupancy_lp import (min_delay, solve_constrained,
                                     solve_lagrangian)
@@ -97,13 +97,55 @@ class TestSweep:
         monkeypatch.setattr(simplex, "feasible_start", counted)
         curve = sweep_curve(paper_cfg, disc, grid)
         # the shared phase 1, then d_min's own: the grid's first budget
-        # ties the delay row's ratio; the loosest budget is solved first
+        # ties the delay row's ratio, and runs after the trunk's budgets
         assert runs == ["shared", "own"]
         monkeypatch.undo()
         cold = [solve_constrained(paper_cfg, disc, float(d_th)).objective
                 for d_th in grid]
         assert curve.budgets.tobytes() == grid.tobytes()
         assert curve.powers.tobytes() == np.array(cold).tobytes()
+
+    def test_trunk_pivots_each_shared_step_once(self, paper_cfg, disc16,
+                                                monkeypatch):
+        # the 59 budgets after d_min walk one trunk: 12708 phase-2
+        # exchanges, where a phase 2 per budget makes 27590 along the
+        # same paths; d_min's own phase 2 adds its 87
+        grid = default_budget_grid(paper_cfg, disc16)
+        exchanges, in_phase_1, results = [0], [False], []
+        exchange = simplex._exchange
+        feasible_start = simplex.feasible_start
+        solve_simplex = occupancy_lp.solve_simplex
+
+        def counted(t, r, p):
+            exchanges[0] += not in_phase_1[0]
+            exchange(t, r, p)
+
+        def phase_1(lp, log=None):
+            in_phase_1[0] = True
+            try:
+                return feasible_start(lp, log)
+            finally:
+                in_phase_1[0] = False
+
+        def solved(lp, start=None):
+            results.append(solve_simplex(lp, start))
+            return results[-1]
+
+        monkeypatch.setattr(simplex, "_exchange", counted)
+        monkeypatch.setattr(simplex, "feasible_start", phase_1)
+        monkeypatch.setattr(occupancy_lp, "solve_simplex", solved)
+        sweep_curve(paper_cfg, disc16, grid)
+        d_min = results[-1]
+        assert d_min.iterations - d_min.phase1_iterations == 87
+        assert exchanges[0] == 12708 + 87
+        # every budget still reports the pivots of its whole path
+        assert sum(res.iterations for res in results) == 34340
+
+    def test_empty_grid_is_a_value_error(self, paper_cfg, monkeypatch):
+        disc = discretize_channel(paper_cfg.channel, 2)
+        monkeypatch.setattr(sweep, "budget_lp", None)  # no LP is built
+        with pytest.raises(ValueError, match="budget grid must be nonempty"):
+            sweep_curve(paper_cfg, disc, [])
 
     def test_all_infeasible_is_an_error(self, paper_cfg):
         disc = discretize_channel(paper_cfg.channel, 2)
