@@ -31,12 +31,13 @@ proved) stay cached, and each solve runs phase 2 alone, with results
 bit for bit those of a solve from its own start.  A finite budget adds
 a delay row whose right-hand side can steer phase 1.  A single
 constrained solve runs its own phase 1.  The budgets of one sweep
-share one LP (budget_lp) and one phase 1 run with the delay row's
-right-hand side left open (simplex.open_row_trunk); the budgets whose
-path it cannot change go on into phase 2 together on one trunk
-(simplex.Trunk), each leaving it where its own ratio test first parts
-from the loosest budget's, and every other budget reruns phase 1 for
-itself, with results bit for bit those of the cold solve either way.
+share one LP (budget_lp) and one trunk (simplex.open_row_trunk): the
+path of that LP with the delay row's right-hand side left open,
+through phase 1 and phase 2, which each budget rides as one number,
+its own right-hand side, until its ratio test could part from the
+path.  A budget that parts in phase 1 reruns phase 1 for itself, and
+one that parts in phase 2 pivots only the rest of its path, with
+results bit for bit those of the cold solve either way.
 
 State spaces are 0-based: q in {0..Q}, s in {0..S_max}.
 """
@@ -272,10 +273,10 @@ class BudgetLp:
     """One discretization's delay-row LP, for solves at many budgets.
 
     olp's delay row has its right-hand side left open (0.0 as built);
-    trunk is the phase 2 of minimum power that the budgets certified
-    against the shared phase 1 walk together, None when none could
-    share it.  It lives as long as the caller keeps it: a sweep_curve
-    call, on one discretization.
+    trunk is the path of minimum power that the budgets still on it
+    after phase 1 share, None when none could share it.  It lives as
+    long as the caller keeps it: a sweep_curve call, on one
+    discretization.
     """
 
     olp: OccupancyLp
@@ -291,9 +292,8 @@ class BudgetLp:
 
 def budget_lp(cfg: SystemConfig, disc: ChannelDiscretization,
               budgets) -> BudgetLp | None:
-    """The delay-row LP, with one phase 1 run for it and the trunk of
-    the budgets that phase 1 certifies; None when the LP has no delay
-    row (no arrivals)."""
+    """The delay-row LP and the trunk of the budgets, its phase 1 run;
+    None when the LP has no delay row (no arrivals)."""
     if not _has_delay_row(cfg, 0.0):
         return None
     olp = build_occupancy_lp(cfg, disc, 0.0)

@@ -51,21 +51,18 @@ makes lp's own, and solve_simplex(lp, start) shares one made before,
 with the same result bit for bit.
 
 LPs whose rows differ only in one A_ub row's right-hand side (a delay
-budget) can share phase 1 too.  open_row_trunk runs it once with that
-RHS at OPEN_RHS, which no ratio test picks, and logs every exchange.
-Under Bland's rule the path depends on the row's RHS only through the
-row's own ratio, so an RHS that, replayed through the log with the
-exchanges' own arithmetic, clears every tie threshold takes the same
-path; its start is the shared one with that one RHS entry replaced.
-Any other RHS runs its own phase 1.  The certified LPs of one
-objective then share phase 2 as far as their paths agree: their
-tableaus differ only in the RHS, so every step enters the same column
-for all of them, and only the ratio test can part them.  A Trunk
-holds the nonbasic block once and one RHS column per LP, and walks
-the path of the loosest LP still on it; an LP leaves just before the
-first exchange where its own ratio test picks another row, and its
-solve_simplex pivots only the rest of its path, from the trunk's
-state at that point.
+budget) can share both phases as far as their paths agree.  A Trunk
+walks one path, that of the open LP with the row's RHS at OPEN_RHS,
+which no ratio test picks, on its own tableau, and carries each other
+RHS as one number, the row's RHS in that LP's tableau.  Pricing never
+reads the RHS, so those LPs enter the column the open LP enters, and
+until their own ratio could tie the ratio test they leave its row
+too; before every exchange of phase 1, the drive-out and phase 2 one
+rule drops the LPs whose ratio could and moves every other number by
+the exchange's own arithmetic.  An LP dropped in phase 1 runs its own
+phase 1; one that leaves in phase 2 starts from the trunk's state at
+that point with its number in place, and its solve_simplex pivots
+only the rest of its path.
 
 x, the objective, the pivot counts, the dropped rows and the dual of
 every row whose identity column is a slack (read off the final
@@ -83,13 +80,10 @@ the kept rows and columns into the start's fresh array, kept rows x
 (n + mu - kept rows, padded, + 1).  Phase 1's array is freed when
 feasible_start returns, before phase 2 copies start.T, so a solve's
 peak is those two arrays, and from a shared start the start and its
-copy; open_row_trunk's log adds at most 48 bytes per exchange.  A
-Trunk's array is the start's with one RHS column per LP in place of
-one, and the shared start is released once it is made; the start an
-LP leaves with is a view of the trunk's leading columns, its RHS
-swapped in beside the nonbasic block, so phase 2's copy is the only
-new tableau.  Each tableau comes with three small buffers, allocated
-once:
+copy.  A Trunk's array is a copy of the shared start, which is freed
+once it is made; the start an LP leaves with is a view of it, with
+the LP's RHS written into its row, so phase 2's copy is the only new
+tableau.  Each tableau comes with three small buffers, allocated once:
 the entering column, the pivot row and the ratio test's ratios.  The
 exchange writes only into them and the tableau and allocates no array
 data; pricing and the ratio test make only numpy's temporaries of the
@@ -247,37 +241,33 @@ class _Tableau:
     N (RHS last) is pivoted in place and never reallocated, so the
     rank-1 kernel is bound once to N and the col and row buffers, which
     every exchange refills.  nb labels the first nb.size columns of N,
-    head is the nonbasic block padded to a multiple of 4 and rhs_cols
-    every column after it: rhs alone for a solve, one per budget on a
-    Trunk.  basis[i] is the basic label of row i; cost_nb and cost_B are
-    cost[nb] and cost[basis], swapped by every exchange along with the
-    labels.  ratios is the ratio test's buffer.
+    head is the nonbasic block padded to a multiple of 4 and rhs the
+    last column.  basis[i] is the basic label of row i; cost_nb and
+    cost_B are cost[nb] and cost[basis], swapped by every exchange along
+    with the labels.  ratios is the ratio test's buffer.
     """
 
-    __slots__ = ("N", "head", "rhs", "rhs_cols", "nb", "basis", "cost_nb",
-                 "cost_B", "col", "row", "ratios", "subtract")
+    __slots__ = ("N", "head", "rhs", "nb", "basis", "cost_nb", "cost_B",
+                 "col", "row", "ratios", "subtract")
 
     def __init__(self, N, nb, basis, cost):
-        width = _padded(nb.size)
         self.N, self.nb, self.basis = N, nb, basis
-        self.head, self.rhs = N[:, :width], N[:, width]
-        # a lone RHS column stays a 1-D view, which numpy clips in about
-        # half the time of a (rows, 1) one
-        self.rhs_cols = N[:, width:] if N.shape[1] > width + 1 else self.rhs
+        self.head, self.rhs = N[:, :-1], N[:, -1]
         self.cost_nb, self.cost_B = cost[nb], cost[basis]
         self.col, self.row = np.empty(N.shape[0]), np.empty(N.shape[1])
         self.ratios = np.empty(N.shape[0])
         self.subtract = _rank1_kernel(N, self.col, self.row)
 
 
-def _bland_iterate(t, log=None, taken=0):
+def _bland_iterate(t, check=None, taken=0):
     """Run Bland pivots on the _Tableau t until optimal or a ray appears.
 
     Returns (status, pivots, degenerate pivots, reduced costs of the
-    columns at the last basis).  An _ExchangeLog log records every
-    exchange with its ratio test's tie threshold.  taken counts the
-    pivots of the phase taken before t (on a Trunk), which the pivot
-    limit counts too.
+    columns at the last basis).  check(t, r, p, tie), when given, sees
+    every exchange (r, p) before it is made, with its ratio test's tie
+    threshold, and a true return stops the walk there, status
+    "stopped".  taken counts the pivots of the phase taken before t (on
+    a Trunk), which the pivot limit counts too.
     """
     nb, basis, rhs, ratios = t.nb, t.basis, t.rhs, t.ratios
     cost_nb, cost_B, head = t.cost_nb, t.cost_B, t.head
@@ -302,11 +292,11 @@ def _bland_iterate(t, log=None, taken=0):
         tie = rmin + 1e-12 * (1.0 + abs(rmin))
         ties = ratios <= tie
         r = np.where(ties, basis, _NO_LABEL).argmin()  # Bland tie-break
+        if check is not None and check(t, r, p, tie):
+            return "stopped", iters, degenerate, reduced
         if rhs[r] == 0.0:
             degenerate += 1
         _exchange(t, r, p)
-        if log is not None:
-            log.record(t, r, tie)
         iters += 1
         if iters > limit:
             raise SimplexAnomaly("pivot limit exceeded")
@@ -325,8 +315,8 @@ def _exchange(t, r, p):
     row[:] = pivot_row
     col[r] = 0.0
     t.subtract()
-    # keep every RHS nonnegative against floating drift
-    np.maximum(t.rhs_cols, 0.0, out=t.rhs_cols)
+    # keep the RHS nonnegative against floating drift
+    np.maximum(t.rhs, 0.0, out=t.rhs)
     nb, basis, cost_nb, cost_B = t.nb, t.basis, t.cost_nb, t.cost_B
     nb[p], basis[r] = basis[r], nb[p]
     cost_nb[p], cost_B[r] = cost_B[r], cost_nb[p]
@@ -425,14 +415,15 @@ class FeasibleStart:
             a.setflags(write=False)
 
 
-def feasible_start(lp: LinearProgram,
-                   log: _ExchangeLog | None = None
+def feasible_start(lp: LinearProgram, check=None
                    ) -> FeasibleStart | SimplexResult:
     """Phase 1, the artificial drive-out and the redundant-row drop.
 
     Returns the start every objective over lp's rows shares, or the
-    "infeasible" result when phase 1 proves the rows infeasible.  log
-    records every exchange of phase 1 and the drive-out.
+    "infeasible" result when phase 1 proves the rows infeasible.  check
+    sees every exchange of phase 1 before it is made, as in
+    _bland_iterate, and every drive-out exchange with tie -inf (it has
+    no ratio test); its return is not read.
     """
     n = lp.c.shape[0]
     me, mu = lp.A_eq.shape[0], lp.A_ub.shape[0]
@@ -462,7 +453,7 @@ def feasible_start(lp: LinearProgram,
 
     phase1_cost = (np.arange(ncols) >= n + mu).astype(float)
     t = _Tableau(T, nb, basis, phase1_cost)
-    status, it1, deg1, _ = _bland_iterate(t, log)
+    status, it1, deg1, _ = _bland_iterate(t, check)
     if status == "unbounded":
         raise SimplexAnomaly("descent ray in phase 1")
     phase1_obj = float(phase1_cost[basis] @ T[:, -1])
@@ -478,9 +469,9 @@ def feasible_start(lp: LinearProgram,
                                   & (np.abs(T[i, : nb.size]) > DRIVE_TOL))
         if drivable.size:
             piv = int(drivable[np.argmin(nb[drivable])])
+            if check is not None:
+                check(t, i, piv, -np.inf)
             _exchange(t, i, piv)
-            if log is not None:
-                log.record(t, i, -np.inf)  # no ratio test to clear
         else:
             keep[i] = False
     dropped = tuple(int(i) for i in np.nonzero(~keep)[0] if i < me)
@@ -559,84 +550,73 @@ def solve_simplex(lp: LinearProgram,
     )
 
 
-class _ExchangeLog:
-    """What each exchange of phase 1 and the drive-out does to tableau
-    row `row`'s right-hand side.
-
-    Per exchange: the ratio test's tie threshold (-inf for a drive-out
-    exchange, which has no ratio test), the row's entry in the entering
-    column and the pivot row's RHS after the division, read off the
-    buffers the rank-1 update used.  An exchange on the row itself logs
-    an infinite entry, whose ratio 0 no threshold of phase 1 clears.
-    The first size rows of steps hold them; steps doubles when full.
-    """
-
-    def __init__(self, row: int):
-        self.row, self.size = row, 0
-        self.steps = np.empty((64, 3))
-
-    def record(self, t, r: int, tie: float) -> None:
-        if self.size == len(self.steps):
-            self.steps = np.concatenate([self.steps, self.steps])
-        entry = np.inf if r == self.row else t.col[self.row]
-        self.steps[self.size] = tie, entry, t.row[-1]
-        self.size += 1
-
-    def replay(self, d: float) -> float | None:
-        """The row's RHS at the end of phase 1 and the drive-out when it
-        starts at d, by each exchange's own arithmetic; None unless its
-        ratio cleared every tie threshold (or its entry was <= PIV_TOL),
-        so that no exchange took or could have taken the row.  A
-        negative d is None: phase 1 negates such a row."""
-        if not d >= 0.0:
-            return None
-        for tie, c, v in zip(*self.steps[: self.size].T.tolist()):
-            if c > PIV_TOL and d / c <= tie:  # the ratio test's own tie rule
-                return None
-            d = d - c * v
-            d = 0.0 if d <= 0.0 else d  # np.maximum(d, 0.0), -0.0 included
-        return d
-
-
 class Trunk:
-    """Phase 2 of the LPs that share a phase 1 (open_row_trunk), walked
-    once as far as their paths agree.
+    """Phase 1 and phase 2 of the LPs whose rows differ only in A_ub row
+    i's RHS, their budget, walked once along the path of the open LP,
+    row i at OPEN_RHS, on its own tableau (open_row_trunk).
 
-    The LPs differ only in A_ub row i's RHS, their budget, so their
-    tableaus differ only in the RHS: they price alike and enter the same
-    column at every step, and only the ratio test can split them.  The
-    trunk's tableau holds the nonbasic block once and then one RHS
-    column per budget, and each step prices once, runs every pending
-    budget's own ratio test (elementwise, with _bland_iterate's tie
-    rule, so the same bits) and exchanges on the row of the loosest
-    pending budget, the leader: one rank-1 update and one clip cover
-    every RHS column, and each budget counts its own zero steps.  A
-    budget whose row differs from the leader's leaves before that
-    exchange, with the trunk's state then as its start, and its solve
-    pivots the rest of its own path; tighter budgets leave earlier, so
-    a caller asks tightest first.  Steps run only as requests need
+    Let k be row i's row in the tableau.  While no exchange is on row k,
+    a budget's tableau differs from the open one only in row k's RHS,
+    and pricing never reads the RHS: the budget enters the same column
+    at every step, and its ratio test picks the same row as long as its
+    own ratio on row k stays out of the tie.  So each pending budget is
+    one number d, its RHS on row k, and one rule, _before, runs before
+    every exchange (r, p) of phase 1, the drive-out and phase 2: a
+    budget leaves if c = N[k, p] > PIV_TOL and d / c <= tie (the ratio
+    test's own tie rule; tie is -inf in the drive-out), and every other
+    one takes the exchange's own arithmetic, d <- max(d - c v, 0) with
+    v = N[r, -1] / N[r, p].  An exchange on row k needs no case of its
+    own: no budget is above the open RHS, and that arithmetic keeps it
+    so, so when the open ratio ties every budget's does.  A budget that
+    leaves in phase 1 is dropped and runs its own phase 1.  One that
+    leaves in phase 2 takes the trunk's state as its start, its d
+    written into row k's RHS, and its solve pivots only the rest of its
+    path; the trunk restores the open RHS before its next step.  d and
+    its ratio are monotone in the budget, so tighter budgets leave first
+    and a caller asks tightest first.  Steps run only as requests need
     them, and a budget that left without being asked is no longer
-    pending: asked later, it runs its own phase 1.  So every budget's
-    pivots, zero steps and bits are its own solve's.
+    pending: asked later, it runs its own phase 1.  The trunk's
+    exchanges are off row k, so its zero steps are every pending
+    budget's, and every budget's pivots, zero steps and bits are its own
+    solve's.
     """
 
-    def __init__(self, lp: LinearProgram, start: FeasibleStart, i: int,
-                 k: int, budgets: np.ndarray, rhs: np.ndarray):
-        width = start.T.shape[1] - 1
-        N = np.empty((start.T.shape[0], width + budgets.size))
-        N[:, :width] = start.T[:, :width]
-        N[:, width:] = start.T[:, -1:]
-        N[k, width:] = rhs
-        cost = np.concatenate([lp.c, np.zeros(lp.A_ub.shape[0])])
-        self._t = _Tableau(N, start.nb.copy(), start.basis.copy(), cost)
-        self._rhs = N[:, width:]  # budget j's RHS is column _column[j]
-        self._c, self._i, self.budgets = lp.c, i, budgets
+    def __init__(self, lp: LinearProgram, i: int, budgets):
+        budgets = np.sort(np.asarray(budgets, dtype=float))
+        # phase 1 negates a row with a negative RHS, and a budget above
+        # the open RHS could stay where the open path takes row k
+        self.budgets = budgets[(budgets >= 0.0) & (budgets <= OPEN_RHS)]
+        self._d = self.budgets.copy()  # each budget's RHS on row k
+        self._pending = np.ones(self.budgets.size, dtype=bool)
+        self._asked = None  # the budget whose leaving stops the walk
+        self._c, self._i, self._k = lp.c, i, lp.A_eq.shape[0] + i
+        self._cost = np.concatenate([lp.c, np.zeros(lp.A_ub.shape[0])])
+        self._pivots = self._degenerate = 0
+
+    def _before(self, t, r: int, p: int, tie: float) -> bool:
+        """The rule before exchange (r, p) of the open path; True when
+        the asked budget leaves, which stops the walk before it."""
+        c = float(t.N[self._k, p])
+        leave = self._pending & (c > PIV_TOL and self._d / c <= tie)
+        if self._asked is not None and leave[self._asked]:
+            return True
+        self._pending &= ~leave
+        v = t.rhs[r] / t.N[r, p]  # the pivot row's RHS after the division
+        np.maximum(self._d - c * v, 0.0, out=self._d)
+        return False
+
+    def _enter_phase_2(self, start: FeasibleStart) -> None:
+        """Keep the budgets still pending after phase 1, and the start's
+        tableau to walk phase 2 on."""
+        kept = self._pending
+        self.budgets, self._d, self._pending = (self.budgets[kept],
+                                                self._d[kept], kept[kept])
+        self._k = int(np.searchsorted(start.rows, self._k))
+        self._t = _Tableau(start.T.copy(), start.nb.copy(),
+                           start.basis.copy(), self._cost)
+        self._open = self._t.rhs[self._k]
         # the start's row labels and phase-1 counts, without its tableau
         self._start = replace(start, T=np.empty((0, 0)))
-        self._column = np.arange(budgets.size)
-        self._pending = np.ones(budgets.size, dtype=bool)
-        self._degenerate = np.zeros(budgets.size, dtype=int)
-        self._pivots = 0
 
     def depart(self, lp: LinearProgram) -> FeasibleStart | None:
         """lp's start where it leaves the trunk, the trunk advanced to
@@ -647,85 +627,34 @@ class Trunk:
                             & (self.budgets == lp.b_ub[self._i]))
         if not at.size or not np.array_equal(lp.c, self._c):
             return None
-        j = int(at[0])
-        self._advance(j)
-        t, column = self._t, self._column
-        width = t.head.shape[1]
-        if column[j]:  # swap j's RHS in beside the nonbasic block
-            first = np.flatnonzero(column == 0)
-            self._rhs[:, [0, column[j]]] = self._rhs[:, [column[j], 0]]
-            column[first], column[j] = column[j], 0
-        self._pending[j] = False
-        return replace(self._start, T=t.N[:, :width + 1], nb=t.nb[:],
-                       basis=t.basis[:], phase2_iterations=self._pivots,
-                       phase2_degenerate=int(self._degenerate[j]))
-
-    def _advance(self, j: int) -> None:
-        """Pivot until no column enters or budget j's ratio test picks
-        another row than the leader's."""
-        t = self._t
-        nb, basis, N = t.nb, t.basis, t.N
-        while nb.size:  # else no column to enter, and no label to scan
-            reduced = t.cost_nb - (t.cost_B @ t.head)[:nb.size]
-            labels = np.where(reduced < -OPT_TOL, nb, _NO_LABEL)
-            p = labels.argmin()  # Bland: the lowest label enters
-            if labels[p] == _NO_LABEL:
-                return
-            col = N[:, p]
-            pos = np.flatnonzero(col > PIV_TOL)
-            if not pos.size:
-                return
-            pending = np.flatnonzero(self._pending)
-            rhs = self._rhs[np.ix_(pos, self._column[pending])]
-            ratios = rhs / col[pos, None]
-            rmin = ratios.min(axis=0)
-            ties = ratios <= rmin + 1e-12 * (1.0 + np.abs(rmin))
-            rows = pos[np.where(ties, basis[pos, None],
-                                _NO_LABEL).argmin(axis=0)]  # Bland tie-break
-            r = rows[-1]  # the leader's: budgets ascend
-            stay = rows == r
-            if not stay[pending == j].all():
-                return
-            self._pending[pending[~stay]] = False
-            zero = rhs[np.searchsorted(pos, r)] == 0.0
-            self._degenerate[pending[stay]] += zero[stay]
-            _exchange(t, r, p)
-            self._pivots += 1
-            if self._pivots > MAX_PIVOTS:
-                raise SimplexAnomaly("pivot limit exceeded")
+        t, k, self._asked = self._t, self._k, int(at[0])
+        t.rhs[k] = self._open
+        _, pivots, degenerate, _ = _bland_iterate(t, self._before,
+                                                  self._pivots)
+        self._pivots += pivots
+        self._degenerate += degenerate
+        self._pending[self._asked] = False
+        self._open, t.rhs[k] = t.rhs[k], self._d[self._asked]
+        return replace(self._start, T=t.N[:], nb=t.nb[:], basis=t.basis[:],
+                       phase2_iterations=self._pivots,
+                       phase2_degenerate=self._degenerate)
 
 
 def open_row_trunk(lp: LinearProgram, i: int, budgets) -> Trunk | None:
-    """Phase 1 on lp's rows with A_ub row i's RHS left open, and the
-    Trunk of lp's objective over the budgets (values of that RHS) whose
-    replay through it certifies them.
-
-    Phase 1 and the drive-out run once with the RHS at OPEN_RHS and log
-    each exchange.  Bland's rule makes phase 1's path a function of the
-    tableau alone, and the row's RHS enters it only through the row's
-    own ratio, so a budget that clears the logged thresholds at every
-    exchange takes the same path: its FeasibleStart is the shared one
-    with the row's RHS replaced by the budget's replay, and its pivots,
-    dropped rows and bits are those of its own phase 1.  None when that
-    phase 1 raises SimplexAnomaly, ends infeasible or lets the row near
-    a ratio test, or when no budget certifies: every LP then runs its
-    own.  The shared start is freed on return; the trunk holds a copy.
+    """The Trunk of lp's objective over the budgets (values of A_ub row
+    i's RHS), its phase 1 done; None when that phase 1 raises
+    SimplexAnomaly or ends infeasible, or when every budget left it:
+    every LP then runs its own.  The shared start is freed on return;
+    the trunk holds a copy.
     """
-    me = lp.A_eq.shape[0]
-    log = _ExchangeLog(me + i)
+    trunk = Trunk(lp, i, budgets)
     b_ub = lp.b_ub.copy()
     b_ub[i] = OPEN_RHS
     try:
-        start = feasible_start(replace(lp, b_ub=b_ub), log)
+        start = feasible_start(replace(lp, b_ub=b_ub), trunk._before)
     except SimplexAnomaly:
         return None
-    if isinstance(start, SimplexResult) or log.replay(OPEN_RHS) is None:
+    if isinstance(start, SimplexResult) or not trunk._pending.any():
         return None
-    budgets = np.sort(np.asarray(budgets, dtype=float))
-    rhs = [log.replay(b) for b in budgets.tolist()]
-    certified = np.array([d is not None for d in rhs], dtype=bool)
-    if not certified.any():
-        return None
-    k = int(np.searchsorted(start.rows, me + i))
-    return Trunk(lp, start, i, k, budgets[certified],
-                 np.array([d for d in rhs if d is not None]))
+    trunk._enter_phase_2(start)
+    return trunk

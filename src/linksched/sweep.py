@@ -245,15 +245,15 @@ def sweep_curve(
 ) -> TradeoffCurve:
     """One constrained solve per budget.
 
-    The solves share one LP, one phase 1 run with the delay row's
-    right-hand side left open, and the phase 2 that the budgets it
-    certifies walk together until each leaves for its own path
+    The solves share one LP and one trunk, the path through both phases
+    of that LP with the delay row's right-hand side left open, which
+    each budget rides until it leaves for its own path
     (occupancy_lp.budget_lp); each result is bit for bit its own cold
-    solve's.  The certified budgets run tightest first, the order in
-    which they leave the trunk; the trunk is then released and the
-    others (d_min and below) run cold.  Infeasible budgets are dropped
-    and listed on the curve; an empty grid is a ValueError and an
-    entirely infeasible one an InfeasibleCurveError.  The curve is
+    solve's.  The budgets still on the trunk after phase 1 run tightest
+    first, the order in which they leave it; the trunk is then released
+    and the others (d_min and below) run cold.  Infeasible budgets are
+    dropped and listed on the curve; an empty grid is a ValueError and
+    an entirely infeasible one an InfeasibleCurveError.  The curve is
     checked to be nonincreasing.
     """
     budgets = np.sort(np.asarray(budgets, dtype=float))

@@ -187,13 +187,12 @@ class TestMemory:
 
     def test_sweep_peak_is_one_cold_solve(self, paper_cfg, disc16):
         # the budgets share one LP and one phase 1, whose start goes
-        # once the trunk is made; the trunk (the start's width plus one
-        # RHS column per budget) and one budget's copy of its leading
-        # columns stay below phase 1's array, and the trunk goes before
-        # d_min, the grid's first budget, takes its own phase 1, so the
-        # sweep's peak is a cold solve's plus the exchange log and a few
-        # KB of Python objects (1.005x here); a second dense A_eq alive
-        # beside them takes it to 1.39x
+        # once the trunk has copied it; the trunk (one start-sized
+        # array) and one budget's copy of it stay below phase 1's array,
+        # and the trunk goes before d_min, the grid's first budget, takes
+        # its own phase 1, so the sweep's peak is a cold solve's plus one
+        # number per budget and a few KB of Python objects (1.003x
+        # here); a second dense A_eq alive beside them takes it to 1.39x
         grid = default_budget_grid(paper_cfg, disc16, points=12)
         solve_constrained(paper_cfg, disc16, 3.0)  # load the BLAS binding
         peaks = []
@@ -394,16 +393,16 @@ def _against_cold(lp, start):
         _assert_same(got, want)
 
 
-def _assert_trunk_starts(trunk, cfg, disc):
-    """Before its first step, the trunk holds each budget's own phase-1
-    start bit for bit: the nonbasic block once, and the budget's RHS."""
-    t, start = trunk._t, trunk._start
-    width = t.head.shape[1]
-    for j, d_th in enumerate(trunk.budgets.tolist()):
-        ref = feasible_start(build_occupancy_lp(cfg, disc, d_th).lp)
-        assert t.N[:, :width].tobytes() == ref.T[:, :-1].tobytes()
-        assert (trunk._rhs[:, trunk._column[j]].tobytes()
-                == ref.T[:, -1].tobytes())
+def _assert_trunk_starts(trunk, lp_at):
+    """Before its first step, the trunk's tableau with row k's RHS set to
+    a budget's number is that budget's own phase-1 start bit for bit;
+    lp_at(d_th) is the LP at budget d_th."""
+    t, start, k = trunk._t, trunk._start, trunk._k
+    for d_th, d in zip(trunk.budgets.tolist(), trunk._d):
+        ref = feasible_start(lp_at(d_th))
+        T = t.N.copy()
+        T[k, -1] = d
+        assert T.tobytes() == ref.T.tobytes()
         for a, b in ((t.nb, ref.nb), (t.basis, ref.basis),
                      (start.rows, ref.rows), (start.ident, ref.ident)):
             assert np.array_equal(a, b)
@@ -425,7 +424,8 @@ def _budgets_against_cold(cfg, disc, budgets, monkeypatch,
     shared = budget_lp(cfg, disc, budgets)
     on_trunk = []
     if shared.trunk is not None:
-        _assert_trunk_starts(shared.trunk, cfg, disc)
+        _assert_trunk_starts(shared.trunk, lambda d_th: build_occupancy_lp(
+            cfg, disc, d_th).lp)
         on_trunk = shared.trunk.budgets.tolist()
     left = []
     depart = simplex.Trunk.depart
@@ -460,10 +460,10 @@ def _budgets_against_cold(cfg, disc, budgets, monkeypatch,
 
 
 class TestOpenRowStart:
-    """Budgets share one phase 1 with the delay row's RHS left open and
-    walk phase 2 together on a trunk until each leaves it; a budget
-    solved through the trunk is its cold solve bit for bit, and every
-    budget the phase 1 does not certify runs the cold solve."""
+    """Budgets ride the open LP's path, the delay row's RHS left open,
+    through phase 1 and phase 2 on one trunk until each leaves it; a
+    budget solved through the trunk is its cold solve bit for bit, and
+    every budget that leaves in phase 1 runs the cold solve."""
 
     @pytest.mark.parametrize("bins", [2, 4, 8, 16])
     def test_paper_budgets_match_cold_solves(self, paper_cfg, bins,
@@ -519,9 +519,9 @@ class TestOpenRowStart:
         assert left == [True] * 13 + [False]
 
     def test_loosest_first_falls_back_cold(self, paper_cfg, monkeypatch):
-        # the loosest budget leads the trunk to its end, and every budget
-        # that left on the way is asked after its departure: it runs its
-        # own phase 1
+        # the trunk walks on to where the loosest budget leaves, and
+        # every budget that left on the way is asked after its
+        # departure: it runs its own phase 1
         disc = discretize_channel(paper_cfg.channel, 4)
         grid = default_budget_grid(paper_cfg, disc, points=12)
         left = _budgets_against_cold(paper_cfg, disc, grid, monkeypatch,
@@ -529,9 +529,10 @@ class TestOpenRowStart:
         assert left == [True] + [False] * 11
 
     def test_zero_steps_are_each_budgets_own(self):
-        # no phase 1; x1 enters and both budgets leave by the open row's
-        # slack, budget 0 at a zero step and the leader, 2, at a step of
-        # 2, so the two stay on the trunk together to its end
+        # no phase 1; x1 enters and the open path takes row 1, a step of
+        # 5, where both budgets' ratios tie or win: both leave before
+        # that exchange, and their solves take the open row's slack,
+        # budget 0 at a zero step and 2 at a step of 2
         lps = [LinearProgram.build([-1.0], A_ub=[[1.0], [1.0]],
                                    b_ub=[b, 5.0]) for b in (0.0, 2.0)]
         trunk = open_row_trunk(lps[0], 0, [2.0, 0.0])
@@ -539,6 +540,54 @@ class TestOpenRowStart:
         for lp in lps:
             _against_cold(lp, trunk)
         assert [solve_simplex(lp).degenerate_pivots for lp in lps] == [1, 0]
+
+    def test_budget_leaving_at_a_zero_step_counts_it_once(self):
+        # x1 enters and the open path takes row 1 at a zero step; budget
+        # 0's ratio ties it, so budget 0 leaves before that exchange and
+        # its own solve takes its zero step on row 0, while budget 2
+        # stays and shares the trunk's zero step: each counts one
+        lps = [LinearProgram.build([-1.0], A_ub=[[1.0], [1.0]],
+                                   b_ub=[b, 0.0]) for b in (0.0, 2.0)]
+        trunk = open_row_trunk(lps[0], 0, [0.0, 2.0])
+        steps = []
+        for lp in lps:
+            start = trunk.depart(lp)
+            steps.append((start.phase2_iterations, start.phase2_degenerate))
+            res = solve_simplex(lp, start)
+            _assert_same(res, solve_simplex(lp))
+            assert (res.iterations, res.degenerate_pivots) == (1, 1)
+        assert steps == [(0, 0), (1, 1)]
+
+    def test_ratio_at_the_threshold_leaves_in_phase_2(self):
+        # the phase-2 twin of the test below: x1 enters, row 1's ratio 5
+        # sets the tie threshold, and a budget at it ties: the open row's
+        # slack, the lower label, leaves in its own solve, so it leaves
+        # the trunk before the exchange; the next float up stays
+        tie = 5.0 + 1e-12 * (1.0 + 5.0)
+        budgets = [tie, np.nextafter(tie, np.inf)]
+        lps = [LinearProgram.build([-1.0], A_ub=[[1.0], [1.0]],
+                                   b_ub=[b, 5.0]) for b in budgets]
+        trunk = open_row_trunk(lps[0], 0, budgets)
+        assert trunk.budgets.tolist() == budgets
+        steps = []
+        for lp in lps:
+            start = trunk.depart(lp)
+            steps.append(start.phase2_iterations)
+            _against_cold(lp, start)
+        assert steps == [0, 1]
+
+    def test_drive_out_moves_the_open_row(self):
+        # phase 1 ends with row 1's artificial basic at 1e-10, and the
+        # drive-out pivots x2 into row 1 on -1: the budget's RHS takes
+        # that exchange's arithmetic, 1 + 1e-10
+        lp = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, 0.0], [1.0, -1.0]],
+                                 b_eq=[0.0, 1e-10], A_ub=[[0.0, 1.0]],
+                                 b_ub=[1.0])
+        trunk = open_row_trunk(lp, 0, [1.0])
+        assert trunk._d.tolist() == [1.0 + 1e-10]
+        _assert_trunk_starts(trunk, lambda d_th: replace(
+            lp, b_ub=np.array([d_th])))
+        _against_cold(lp, trunk)
 
     def test_ratio_at_the_threshold_takes_its_own_phase_1(self):
         # x1 enters; row 0's ratio is 0, so the tie threshold is 1e-12
@@ -553,9 +602,9 @@ class TestOpenRowStart:
         _against_cold(lp, trunk)
 
     def test_replay_clips_at_zero_as_phase_1_does(self):
-        # the open row's entry 1e-12 is below PIV_TOL, so it passes, and
-        # the exchange takes its RHS from 0 to -1e-12, which the clip
-        # after every exchange sets back to 0
+        # the open row's entry 1e-12 is below PIV_TOL, so the budget
+        # stays, and the exchange takes its RHS from 0 to -1e-12, which
+        # the clip after every exchange sets back to 0
         lp = LinearProgram.build([0.0, 0.0, -1.0],
                                  A_eq=[[1.0, 1.0, 0.0]], b_eq=[1.0],
                                  A_ub=[[1e-12, 0.0, 1.0]], b_ub=[0.0])
@@ -596,7 +645,8 @@ class TestOpenRowStart:
                                          b_ub=[1.0])
         assert open_row_trunk(infeasible, 0, [1.0]) is None
         # the open row's slack is the lowest basic label; at OPEN_RHS 0
-        # its ratio ties row 0's and the exchange takes it
+        # its ratio wins and the exchange takes it, and a budget above
+        # the open RHS, whose own ratio is 2, is not carried
         lp = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[1.0],
                                  A_ub=[[1.0, 0.0]], b_ub=[2.0])
         assert open_row_trunk(lp, 0, [2.0]) is not None

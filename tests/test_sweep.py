@@ -90,9 +90,9 @@ class TestSweep:
         runs = []
         feasible_start = simplex.feasible_start
 
-        def counted(lp, log=None):
-            runs.append("shared" if log is not None else "own")
-            return feasible_start(lp, log)
+        def counted(lp, check=None):
+            runs.append("shared" if check is not None else "own")
+            return feasible_start(lp, check)
 
         monkeypatch.setattr(simplex, "feasible_start", counted)
         curve = sweep_curve(paper_cfg, disc, grid)
@@ -107,9 +107,10 @@ class TestSweep:
 
     def test_trunk_pivots_each_shared_step_once(self, paper_cfg, disc16,
                                                 monkeypatch):
-        # the 59 budgets after d_min walk one trunk: 12708 phase-2
-        # exchanges, where a phase 2 per budget makes 27590 along the
-        # same paths; d_min's own phase 2 adds its 87
+        # the 59 budgets after d_min leave one trunk, the open LP's
+        # path: 12710 phase-2 exchanges, where a phase 2 per budget
+        # makes 27590 along the same paths; d_min's own phase 2 adds
+        # its 87
         grid = default_budget_grid(paper_cfg, disc16)
         exchanges, in_phase_1, results = [0], [False], []
         exchange = simplex._exchange
@@ -120,10 +121,10 @@ class TestSweep:
             exchanges[0] += not in_phase_1[0]
             exchange(t, r, p)
 
-        def phase_1(lp, log=None):
+        def phase_1(lp, check=None):
             in_phase_1[0] = True
             try:
-                return feasible_start(lp, log)
+                return feasible_start(lp, check)
             finally:
                 in_phase_1[0] = False
 
@@ -137,7 +138,7 @@ class TestSweep:
         sweep_curve(paper_cfg, disc16, grid)
         d_min = results[-1]
         assert d_min.iterations - d_min.phase1_iterations == 87
-        assert exchanges[0] == 12708 + 87
+        assert exchanges[0] == 12710 + 87
         # every budget still reports the pivots of its whole path
         assert sum(res.iterations for res in results) == 34340
 
