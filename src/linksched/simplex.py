@@ -64,15 +64,17 @@ phase 1; one that leaves in phase 2 starts from the trunk's state at
 that point with its number in place, and its solve_simplex pivots
 only the rest of its path.
 
-x, the objective, the pivot counts, the dropped rows and the dual of
-every row whose identity column is a slack (read off the final
-reduced costs, e.g. the delay row's) are those of the full-tableau
-method bit for bit.  Duals of the other kept rows (equality rows and
-negated A_ub rows), whose identity column is an artificial and no
-longer stored, solve B^T y = c_B on the basis columns of the LP's
-kept rows, once and only when first read.  An "optimal" point is
-checked against every row of the LP, dropped ones included; a miss
-beyond ROW_TOL is a SimplexAnomaly, not an answer.
+x, the objective, the pivot counts and the dropped rows are those of
+the full-tableau method bit for bit.  The dual of each A_ub row is
+minus the final reduced cost of its slack, 0 when the slack is basic
+or the row was dropped.  The tableau keeps every A_ub row's slack, a
+negated row's too: there the slack's column is -e_i, so the same rule
+gives the dual of the row as the LP states it.  The full tableau reads
+a negated row's dual off its artificial instead, and prices over its
+unpadded width, so its duals can differ from these in the last bit.
+An "optimal" point is checked against every row of the LP, dropped
+ones included; a miss beyond ROW_TOL is a SimplexAnomaly, not an
+answer.
 
 Memory, in doubles: phase 1 pivots one tableau array of rows x
 (n + negated A_ub rows, padded, + 1) in place and, at the drop, copies
@@ -87,15 +89,13 @@ tableau.  Each tableau comes with three small buffers, allocated once:
 the entering column, the pivot row and the ratio test's ratios.  The
 exchange writes only into them and the tableau and allocates no array
 data; pricing and the ratio test make only numpy's temporaries of the
-tableau's width or height.  The square basis matrix for the duals is
-built only when an artificial row's dual is read, after the solve has
-freed the tableau.
+tableau's width or height.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cache, cached_property, partial
+from dataclasses import dataclass, replace
+from functools import cache, partial
 
 import numpy as np
 
@@ -138,59 +138,6 @@ class LinearProgram:
         return LinearProgram(c, A_eq, b_eq, A_ub, b_ub)
 
 
-class _RowDuals:
-    """The row multipliers of an optimal basis, worked out when read.
-
-    A kept row whose identity column is a slack reads minus the slack's
-    final reduced cost (0 when it is basic), bit for bit the full
-    tableau's dual.  The other kept rows (equality rows and negated A_ub
-    rows) take theirs from one solve of B^T y = c_B, B the basis columns
-    on the LP's kept rows; that solve runs only when one of them is
-    read, since a LAPACK solve also grows the process's resident BLAS
-    buffers.  Dropped rows read 0.
-    """
-
-    def __init__(self, lp, start, t, reduced):
-        n, mu = lp.c.shape[0], lp.A_ub.shape[0]
-        self.lp, self.rows, self.basis, self.cost_B = (lp, start.rows,
-                                                       t.basis, t.cost_B)
-        self.me, self.m = lp.A_eq.shape[0], lp.A_eq.shape[0] + mu
-        self.arts = start.ident >= n + mu
-        reduced_all = np.zeros(n + mu)
-        reduced_all[t.nb] = reduced
-        self.slack = np.zeros(self.rows.size)
-        self.slack[~self.arts] = -reduced_all[start.ident[~self.arts]]
-
-    @cached_property
-    def solved(self) -> np.ndarray:
-        lp, rows, basis = self.lp, self.rows, self.basis
-        n, me = lp.c.shape[0], lp.A_eq.shape[0]
-        B = np.zeros((rows.size, basis.size))
-        eq = rows < me
-        struct = np.flatnonzero(basis < n)
-        B[np.ix_(eq, struct)] = lp.A_eq[np.ix_(rows[eq], basis[struct])]
-        B[np.ix_(~eq, struct)] = lp.A_ub[np.ix_(rows[~eq] - me,
-                                                basis[struct])]
-        slack = np.flatnonzero(basis >= n)
-        B[:, slack] = rows[:, None] == me + basis[slack] - n
-        try:
-            return np.linalg.solve(B.T, self.cost_B)
-        except np.linalg.LinAlgError as e:
-            raise SimplexAnomaly(
-                f"basis is singular when reading duals: {e}") from None
-
-    def of_rows(self, lo: int, hi: int) -> np.ndarray:
-        """The duals of LP rows lo .. hi-1."""
-        duals = np.zeros(hi - lo)
-        inside = (self.rows >= lo) & (self.rows < hi)
-        slack = inside & ~self.arts
-        duals[self.rows[slack] - lo] = self.slack[slack]
-        arts = inside & self.arts
-        if arts.any():
-            duals[self.rows[arts] - lo] = self.solved[arts]
-        return duals
-
-
 @dataclass(frozen=True)
 class SimplexResult:
     """Outcome of one solve.
@@ -201,8 +148,9 @@ class SimplexResult:
     pivots are in neither count.  phase1_iterations is the phase-1 part
     and degenerate_pivots the part whose step was zero.  row_gap is the
     largest miss of x on any row of the LP (0 unless optimal).
-    duals_eq and duals_ub (None unless optimal) hold one multiplier per
-    row, computed when read (see _RowDuals).
+    duals_ub (None unless optimal) holds one multiplier per A_ub row,
+    minus its slack's final reduced cost: 0 when the slack is basic or
+    the row was dropped, and <= 0 at an optimum.
     """
 
     status: str  # "optimal" | "infeasible" | "unbounded"
@@ -213,18 +161,7 @@ class SimplexResult:
     phase1_iterations: int = 0
     degenerate_pivots: int = 0
     row_gap: float = 0.0
-    _duals: _RowDuals | None = field(default=None, repr=False,
-                                     compare=False)
-
-    @property
-    def duals_eq(self) -> np.ndarray | None:
-        d = self._duals
-        return None if d is None else d.of_rows(0, d.me)
-
-    @property
-    def duals_ub(self) -> np.ndarray | None:
-        d = self._duals
-        return None if d is None else d.of_rows(d.me, d.m)
+    duals_ub: np.ndarray | None = None
 
 
 def _padded(width: int) -> int:
@@ -389,9 +326,9 @@ class FeasibleStart:
     never on c, so one start serves any objective over the same rows.
     T is the condensed tableau of the kept rows (RHS last) over the
     nonbasic structural and slack columns, which nb labels; basis holds
-    the kept rows' basic labels, rows their indices among all me + mu
-    and ident their identity columns.  phase1_iterations counts the
-    phase-1 pivots and phase1_degenerate their zero steps.  The arrays
+    the kept rows' basic labels and rows their indices among all
+    me + mu.  phase1_iterations counts the phase-1 pivots and
+    phase1_degenerate their zero steps.  The arrays
     are read-only: every solve pivots a copy of T.  A start where an LP
     leaves a Trunk is partway into phase 2: phase2_iterations counts
     the pivots it took there and phase2_degenerate their zero steps, and
@@ -403,7 +340,6 @@ class FeasibleStart:
     nb: np.ndarray
     basis: np.ndarray
     rows: np.ndarray
-    ident: np.ndarray
     dropped_eq_rows: tuple[int, ...]
     phase1_iterations: int
     phase1_degenerate: int
@@ -411,7 +347,7 @@ class FeasibleStart:
     phase2_degenerate: int = 0
 
     def __post_init__(self):
-        for a in (self.T, self.nb, self.basis, self.rows, self.ident):
+        for a in (self.T, self.nb, self.basis, self.rows):
             a.setflags(write=False)
 
 
@@ -430,11 +366,11 @@ def feasible_start(lp: LinearProgram, check=None
     m = me + mu
     flip = np.concatenate([lp.b_eq, lp.b_ub]) < 0.0
 
-    # one identity column per row: an artificial, except for ub rows
-    # whose +1 slack can start basic
+    # the starting basis, one identity column per row: an artificial,
+    # except for ub rows whose +1 slack can start basic
     needs_art = (np.arange(m) < me) | flip
     ncols = n + mu + int(needs_art.sum())
-    ident = np.where(needs_art, n + mu + np.cumsum(needs_art) - 1,
+    basis = np.where(needs_art, n + mu + np.cumsum(needs_art) - 1,
                      n + np.arange(m) - me)
 
     flipped_ub = np.flatnonzero(flip[me:])
@@ -449,7 +385,6 @@ def feasible_start(lp: LinearProgram, check=None
     for i in np.flatnonzero(flip):
         T[i, : nb.size] *= -1.0
     T[flip, -1] *= -1.0
-    basis = ident.copy()
 
     phase1_cost = (np.arange(ncols) >= n + mu).astype(float)
     t = _Tableau(T, nb, basis, phase1_cost)
@@ -484,8 +419,8 @@ def feasible_start(lp: LinearProgram, check=None
     for k, i in enumerate(rows):
         kept[k, : cols.size] = T[i, cols]
     kept[:, -1] = T[rows, -1]
-    return FeasibleStart(kept, nb[cols], basis[rows], rows, ident[rows],
-                         dropped, it1, deg1)
+    return FeasibleStart(kept, nb[cols], basis[rows], rows, dropped, it1,
+                         deg1)
 
 
 def _check_rows(lp: LinearProgram, x: np.ndarray) -> float:
@@ -523,7 +458,7 @@ def solve_simplex(lp: LinearProgram,
         start = feasible_start(lp)
     if isinstance(start, SimplexResult):
         return start
-    n, mu = lp.c.shape[0], lp.A_ub.shape[0]
+    n, me, mu = lp.c.shape[0], lp.A_eq.shape[0], lp.A_ub.shape[0]
 
     cost = np.concatenate([lp.c, np.zeros(mu)])
     t = _Tableau(start.T.copy(), start.nb.copy(), start.basis.copy(), cost)
@@ -539,13 +474,19 @@ def solve_simplex(lp: LinearProgram,
     x = np.zeros(n + mu)
     x[t.basis] = t.rhs
     xout = x[:n].copy()
+    # an A_ub row's dual is minus its slack's reduced cost (0 when basic)
+    reduced_all = np.zeros(n + mu)
+    reduced_all[t.nb] = reduced
+    kept_ub = start.rows[start.rows >= me] - me
+    duals_ub = np.zeros(mu)
+    duals_ub[kept_ub] = -reduced_all[n + kept_ub]
     return SimplexResult(
         status="optimal",
         x=xout,
         objective=float(lp.c @ xout),
         dropped_eq_rows=start.dropped_eq_rows,
         row_gap=_check_rows(lp, xout),
-        _duals=_RowDuals(lp, start, t, reduced),
+        duals_ub=duals_ub,
         **counts,
     )
 

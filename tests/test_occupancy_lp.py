@@ -431,7 +431,7 @@ def corner_lams(paper_cfg):
 def _result_bytes(res):
     """Everything a solve reports, floats as their bytes."""
     return (res.status, res.x.tobytes(), np.float64(res.objective).tobytes(),
-            res.duals_eq.tobytes(), res.duals_ub.tobytes(),
+            res.duals_ub.tobytes(),
             res.dropped_eq_rows, res.iterations, res.phase1_iterations)
 
 
