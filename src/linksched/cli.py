@@ -134,10 +134,10 @@ def _parse_ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
-def _construct(dens, cells: int, order: str = "rate_descending"):
+def _construct(dens, cells: int):
     """(thresholds, feasibility, determinism, power ratio), each step
     called by its name in this module, where perfbench/spans.py wraps it."""
-    y = compute_thresholds(dens, cells, order=order)
+    y = compute_thresholds(dens, cells)
     return y, verify_feasibility(y), verify_deterministic(y), power_ratio(y, dens)
 
 
@@ -209,11 +209,11 @@ def _cmd_construct(args, cfg):
         print(f"status={sol.status}")
         return EXIT_INFEASIBLE, {}, None
     dens = density_from_measure(sol.measure)
-    y, rep, det, ratio = _construct(dens, args.cells, args.order)
+    y, rep, det, ratio = _construct(dens, args.cells)
     pol = to_threshold_policy(y)
     report = [
         ("cells", args.cells),
-        ("order", args.order),
+        ("order", "rate_descending"),  # compute_thresholds' one layout
         ("delay", rep.delay),
         ("power", rep.power),
         ("source_power", ratio.source_power),
@@ -416,8 +416,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--dth", type=float, required=True)
     sp.add_argument("--M", "--cells", dest="cells", type=int, required=True,
                     help="number of equal channel cells for the thresholds")
-    sp.add_argument("--order", default="rate_descending",
-                    choices=("rate_descending", "rate_ascending"))
     sp.set_defaults(func=_cmd_construct)
 
     sp = sub.add_parser("simulate", help="Monte Carlo run of a policy file")
@@ -470,7 +468,7 @@ def main(argv=None) -> int:
         # the last two are ValueErrors, so they must be caught first
         print(f"verification failure: {e}", file=sys.stderr)
         return EXIT_VERIFY
-    except (FileNotFoundError, ValueError) as e:
+    except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except SimplexAnomaly as e:

@@ -11,16 +11,13 @@ in (lo, hi]") that preserves the channel marginal, the queue balance,
 and the average delay of its source, while its average power stays
 within a factor 1 + (h_max - h_min) / (K * h_min) of the source power.
 
-Within a cell the rate intervals can be laid out two ways:
-
-  * "rate_descending" (default): the highest rate takes the low-gain
-    end of the cell.  This is the conservative layout: it can only
-    cost more than the source arrangement, so the power ratio reported
-    by power_ratio is a true upper bound, >= 1 for any source.
-  * "rate_ascending": the highest rate takes the high-gain end.  This
-    layout is cheaper, and when the source itself randomizes inside a
-    cell it can undercut the source power; the ratio may then dip
-    below 1 and power_ratio will reject it.
+Within a cell the rates are stacked from the highest down, so the
+highest rate takes the low-gain end of the cell.  This is the
+conservative layout: it can only cost more than the source
+arrangement, so the power ratio reported by power_ratio is a true
+upper bound, >= 1 for any source.  (Stacked the other way, from the
+lowest rate, the layout can undercut a source that randomizes inside
+a cell, and power_ratio rejects it.)
 
 All interval bookkeeping is exact, the certificates included: they
 evaluate the construction once per piece on which it is constant, and
@@ -161,14 +158,6 @@ def invert_envelope(env: CdfEnvelope, v):
     return float(x) if x.ndim == 0 else x
 
 
-def _rate_sequence(s_max: int, order: str) -> list[int]:
-    if order == "rate_descending":
-        return list(range(s_max, -1, -1))
-    if order == "rate_ascending":
-        return list(range(s_max + 1))
-    raise ValueError(f"unknown order {order!r}")
-
-
 @dataclass(frozen=True)
 class ConstructedSolution:
     """Threshold form of a density: per (q, cell, s) a gain interval.
@@ -180,7 +169,6 @@ class ConstructedSolution:
 
     source: PiecewiseDensity  # refined so cell edges are grid points
     cells: np.ndarray  # (K+1,) cell edges
-    order: str
     lo: np.ndarray  # (Q+1, K, S_max+1)
     hi: np.ndarray  # (Q+1, K, S_max+1)
 
@@ -243,11 +231,10 @@ class ConstructedSolution:
         return delay, float(_ordered_sum(terms.ravel()))
 
 
-def compute_thresholds(
-    d: PiecewiseDensity, cells: int, order: str = "rate_descending"
-) -> ConstructedSolution:
+def compute_thresholds(d: PiecewiseDensity, cells: int) -> ConstructedSolution:
     """Cut (h_min, h_max] into equal cells and stack each cell's rate
-    masses into adjacent intervals via the envelope pseudo-inverse.
+    masses, highest rate first, into adjacent intervals via the
+    envelope pseudo-inverse.
 
     Interior thresholds are clamped into their cell and the last
     interval is anchored at the cell's right edge, so for every q the
@@ -260,7 +247,6 @@ def compute_thresholds(
     edges = cfg.channel.edges(cells)
     dr = d.refine(edges)
     Q, S, K = cfg.Q, cfg.S_max, cells
-    seq = _rate_sequence(S, order)
     lo = np.zeros((Q + 1, K, S + 1))
     hi = np.zeros((Q + 1, K, S + 1))
     cum = np.concatenate(
@@ -273,16 +259,16 @@ def compute_thresholds(
         env = compute_envelope(dr, q)
         acc = env.us[i0]
         bound = cell_lo
-        for pos, s in enumerate(seq):
+        for s in range(S, -1, -1):  # the last, rate 0, ends at the cell edge
             lo[q, :, s] = bound
             acc = acc + (cum[q, s, i1] - cum[q, s, i0])
-            if pos == len(seq) - 1:
+            if s == 0:
                 bound = cell_hi
             else:
                 t = invert_envelope(env, acc)
                 bound = np.clip(t, cell_lo, cell_hi)
             hi[q, :, s] = bound
-    return ConstructedSolution(dr, edges, order, lo, hi)
+    return ConstructedSolution(dr, edges, lo, hi)
 
 
 # --- certification --------------------------------------------------------

@@ -21,30 +21,31 @@ for an overflow), two families of equalities:
     admits measures that correlate queue and channel, which no causal
     schedule can realize, and prices them too cheaply.
 
-A simplex solve is phase 1 on the LP's rows, whose outcome is a
-FeasibleStart, then phase 2 on a copy of that start.  Every solve
-without a delay row (min_delay, solve_lagrangian and solve_constrained
-with no budget) has the same rows for one (cfg, disc) and differs only
-in its objective, so those solves share one start: the last
-discretization's LP and its start (or the "infeasible" result phase 1
-proved) stay cached, and each solve runs phase 2 alone, with results
-bit for bit those of a solve from its own start.  A finite budget adds
-a delay row whose right-hand side can steer phase 1.  A single
-constrained solve runs its own phase 1.  The budgets of one sweep
-share one LP (budget_lp) and one trunk (simplex.open_row_trunk): the
-path of that LP with the delay row's right-hand side left open,
-through phase 1 and phase 2, which each budget rides as one number,
-its own right-hand side, until its ratio test could part from the
-path.  A budget that parts in phase 1 reruns phase 1 for itself, and
-one that parts in phase 2 pivots only the rest of its path, with
-results bit for bit those of the cold solve either way.
+One discretization has one LP: build_occupancy_lp assembles its
+equality rows once, and a delay budget is one row on them
+(OccupancyLp.at), an LP sharing their arrays.  A simplex solve is
+phase 1 on the LP's rows, whose outcome is a FeasibleStart, then
+phase 2 on a copy of that start.  Solves without a delay row
+(min_delay, solve_lagrangian and solve_constrained with no budget)
+differ only in their objective, so they share one start
+(OccupancyLp.start) and run phase 2 alone, bit for bit as from their
+own start.  The last discretization's LP stays cached, with its start
+once a delay-free solve has made it (or the "infeasible" result phase
+1 proved).  A budget's row can steer phase 1, so a single constrained
+solve runs its own.  The budgets of one sweep share one trunk
+(budget_trunk, simplex.open_row_trunk): the path of the LP with the
+delay row's right-hand side left open, through phase 1 and phase 2,
+which each budget rides as one number, its own right-hand side, until
+its ratio test could part from the path.  A budget that parts in
+phase 1 reruns phase 1 for itself, and one that parts in phase 2
+pivots only the rest of its path, with results bit for bit those of
+the cold solve either way.
 
 State spaces are 0-based: q in {0..Q}, s in {0..S_max}.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
@@ -209,13 +210,14 @@ class LpSolution:
 
 @dataclass(frozen=True)
 class OccupancyLp:
-    """Matrix form; columns are the admissible mask times the bins.
+    """One discretization's LP in matrix form, and its delay row.
 
     Column j is bin j % bins of the (j // bins)-th admissible (q, s)
     pair of transition_table's mask (q-major, then s), so a solution
-    scatters as g[mask] = x.reshape(-1, bins).  lp minimizes power;
-    power and delay are the per-column costs, so a solve with another
-    objective swaps lp.c and keeps the rows.
+    scatters as g[mask] = x.reshape(-1, bins).  lp minimizes power
+    over the equality rows alone; power and delay are the per-column
+    costs, so a solve with another objective swaps lp.c and keeps the
+    rows, and a delay budget adds delay as lp's one A_ub row (at).
     """
 
     cfg: SystemConfig
@@ -225,20 +227,27 @@ class OccupancyLp:
     power: np.ndarray
     delay: np.ndarray
 
+    def at(self, d_th: float | None) -> LinearProgram:
+        """The LP under delay budget d_th: lp itself when there is no
+        delay row (no budget, or no arrivals), else lp with the delay
+        row, sharing lp's A_eq and b_eq."""
+        if d_th is None or not mean_arrival_rate(self.cfg.arrival) > 0:
+            return self.lp
+        return replace(self.lp, A_ub=self.delay[None],
+                       b_ub=np.array([d_th], dtype=float))
 
-def _has_delay_row(cfg: SystemConfig, d_th: float | None) -> bool:
-    return (d_th is not None and math.isfinite(d_th)
-            and mean_arrival_rate(cfg.arrival) > 0)
+    @cached_property
+    def start(self):
+        """The start every solve without a delay row shares (the
+        "infeasible" result when phase 1 finds the rows infeasible,
+        which every such solve then returns)."""
+        return feasible_start(self.lp)
 
 
 def build_occupancy_lp(
-    cfg: SystemConfig, disc: ChannelDiscretization, d_th: float | None
+    cfg: SystemConfig, disc: ChannelDiscretization
 ) -> OccupancyLp:
-    """Assemble the power-minimizing LP.
-
-    The delay row is included only for a finite d_th with a nonzero
-    arrival rate.
-    """
+    """Assemble the power-minimizing LP over the equality rows."""
     P, mask = transition_table(cfg)
     qs, ss = np.nonzero(mask)
     M, n_q = disc.bins, cfg.Q + 1
@@ -259,73 +268,35 @@ def build_occupancy_lp(
     balance[qs[:, None], k, cols] += 1.0
     b_eq = np.concatenate([p, np.zeros(n_q * M)])
 
-    A_ub = b_ub = None
-    if _has_delay_row(cfg, d_th):
-        A_ub = delay_c.reshape(1, -1)
-        b_ub = np.array([d_th])
-
-    lp = LinearProgram.build(power_c, A_eq=A_eq, b_eq=b_eq, A_ub=A_ub, b_ub=b_ub)
+    lp = LinearProgram.build(power_c, A_eq=A_eq, b_eq=b_eq)
     return OccupancyLp(cfg, disc, lp, mask, power_c, delay_c)
 
 
-@dataclass(frozen=True)
-class BudgetLp:
-    """One discretization's delay-row LP, for solves at many budgets.
-
-    olp's delay row has its right-hand side left open (0.0 as built);
-    trunk is the path of minimum power that the budgets still on it
-    after phase 1 share, None when none could share it.  It lives as
-    long as the caller keeps it: a sweep_curve call, on one
-    discretization.
-    """
-
-    olp: OccupancyLp
-    trunk: Trunk | None
-
-    def at(self, d_th: float):
-        """(the LP at budget d_th, the start its solve takes: the trunk,
-        which runs the LP's own phase 1 unless d_th is pending on it)."""
-        olp = replace(self.olp, lp=replace(self.olp.lp,
-                                           b_ub=np.array([d_th])))
-        return olp, self.trunk
-
-
-def budget_lp(cfg: SystemConfig, disc: ChannelDiscretization,
-              budgets) -> BudgetLp | None:
-    """The delay-row LP and the trunk of the budgets, its phase 1 run;
-    None when the LP has no delay row (no arrivals)."""
-    if not _has_delay_row(cfg, 0.0):
-        return None
-    olp = build_occupancy_lp(cfg, disc, 0.0)
-    return BudgetLp(olp, open_row_trunk(olp.lp, 0, budgets))
-
-
 @lru_cache(maxsize=1)
-def _delay_free(cfg: SystemConfig, disc: ChannelDiscretization):
-    """The LP without a delay row and the start its solves share (the
-    "infeasible" result when phase 1 finds the rows infeasible, which
-    every solve then returns)."""
-    olp = build_occupancy_lp(cfg, disc, None)
-    return olp, feasible_start(olp.lp)
+def _lp(cfg: SystemConfig, disc: ChannelDiscretization) -> OccupancyLp:
+    """The last discretization's LP, which every solve on it shares."""
+    return build_occupancy_lp(cfg, disc)
+
+
+def budget_trunk(cfg: SystemConfig, disc: ChannelDiscretization,
+                 budgets) -> Trunk | None:
+    """The trunk the budgets' solves share, its phase 1 run; None when
+    the LP has no delay row (no arrivals) or open_row_trunk makes none."""
+    olp = _lp(cfg, disc)
+    lp = olp.at(0.0)
+    return None if lp is olp.lp else open_row_trunk(lp, 0, budgets)
 
 
 def _solve(cfg: SystemConfig, disc: ChannelDiscretization,
-           d_th: float | None, objective, budgets: BudgetLp | None = None):
-    """Build, solve with lp.c = objective(olp), scatter x onto the mask.
-
-    Without a delay row the LP and its feasible start come from the
-    one-entry cache; with one, from budgets when given.  Returns the
-    SimplexResult and its measure (None unless optimal).
-    """
-    if not _has_delay_row(cfg, d_th):
-        olp, start = _delay_free(cfg, disc)
-    elif budgets is not None:
-        if (budgets.olp.cfg, budgets.olp.disc) != (cfg, disc):
-            raise ValueError("budget LP of another config or discretization")
-        olp, start = budgets.at(d_th)
-    else:
-        olp, start = build_occupancy_lp(cfg, disc, d_th), None
-    res = solve_simplex(replace(olp.lp, c=objective(olp)), start)
+           d_th: float | None, objective, trunk: Trunk | None = None):
+    """Solve the LP at budget d_th with lp.c = objective(olp), from the
+    shared start without a delay row and from trunk with one (its own
+    phase 1 unless the trunk serves it); returns the SimplexResult and
+    its measure, x scattered onto the mask (None unless optimal)."""
+    olp = _lp(cfg, disc)
+    lp = olp.at(d_th)
+    start = olp.start if lp is olp.lp else trunk
+    res = solve_simplex(replace(lp, c=objective(olp)), start)
     if res.status != "optimal":
         return res, None
     g = np.zeros((cfg.Q + 1, cfg.S_max + 1, disc.bins))
@@ -335,17 +306,17 @@ def _solve(cfg: SystemConfig, disc: ChannelDiscretization,
 
 def solve_constrained(
     cfg: SystemConfig, disc: ChannelDiscretization, d_th: float | None,
-    budgets: BudgetLp | None = None,
+    trunk: Trunk | None = None,
 ) -> LpSolution:
     """Minimum average power subject to average delay <= d_th.
 
-    budgets, budget_lp(cfg, disc, grid), lets the solves of a sweep
-    share its LP, phase 1 and trunk; the solution is bit for bit the one
-    without it.
+    trunk, budget_trunk(cfg, disc, grid), lets the solves of a sweep
+    share phase 1 and a phase-2 trunk; the solution is bit for bit the
+    one without it.
     """
     if d_th is not None and not np.isfinite(d_th):
         raise ValueError(f"delay budget must be finite, got {d_th!r}")
-    res, measure = _solve(cfg, disc, d_th, lambda olp: olp.power, budgets)
+    res, measure = _solve(cfg, disc, d_th, lambda olp: olp.power, trunk)
     if measure is None:
         return LpSolution(res.status, None, None, 0.0, res.iterations)
     # price of one unit of delay budget

@@ -62,7 +62,9 @@ rule drops the LPs whose ratio could and moves every other number by
 the exchange's own arithmetic.  An LP dropped in phase 1 runs its own
 phase 1; one that leaves in phase 2 starts from the trunk's state at
 that point with its number in place, and its solve_simplex pivots
-only the rest of its path.
+only the rest of its path.  A Trunk serves only LPs with its objective
+on the very A_eq and b_eq arrays it was opened on; any other LP runs
+its own phase 1.
 
 x, the objective, the pivot counts and the dropped rows are those of
 the full-tableau method bit for bit.  The dual of each A_ub row is
@@ -450,7 +452,7 @@ def solve_simplex(lp: LinearProgram,
     objective, so a start shared by several objectives gives each of
     them bit for bit the result of its own solve.  A Trunk is advanced
     to where lp leaves it, and phase 2 goes on from there; an lp that
-    is not one of its pending budgets runs its own phase 1.
+    it does not serve (Trunk.depart) runs its own phase 1.
     """
     if isinstance(start, Trunk):
         start = start.depart(lp)
@@ -530,7 +532,7 @@ class Trunk:
         self._d = self.budgets.copy()  # each budget's RHS on row k
         self._pending = np.ones(self.budgets.size, dtype=bool)
         self._asked = None  # the budget whose leaving stops the walk
-        self._c, self._i, self._k = lp.c, i, lp.A_eq.shape[0] + i
+        self._lp, self._i, self._k = lp, i, lp.A_eq.shape[0] + i
         self._cost = np.concatenate([lp.c, np.zeros(lp.A_ub.shape[0])])
         self._pivots = self._degenerate = 0
 
@@ -561,12 +563,14 @@ class Trunk:
 
     def depart(self, lp: LinearProgram) -> FeasibleStart | None:
         """lp's start where it leaves the trunk, the trunk advanced to
-        there; None unless lp (of the trunk's rows) has the trunk's
-        objective and a pending budget.  The start is valid until the
-        next request."""
+        there; None unless lp has the very A_eq and b_eq arrays the
+        trunk was opened on, its objective and a pending budget.  The
+        start is valid until the next request."""
         at = np.flatnonzero(self._pending
                             & (self.budgets == lp.b_ub[self._i]))
-        if not at.size or not np.array_equal(lp.c, self._c):
+        own = self._lp
+        if (not at.size or lp.A_eq is not own.A_eq or lp.b_eq is not own.b_eq
+                or not np.array_equal(lp.c, own.c)):
             return None
         t, k, self._asked = self._t, self._k, int(at[0])
         t.rhs[k] = self._open

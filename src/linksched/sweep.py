@@ -21,7 +21,7 @@ between successive curves on a common grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .model import ChannelDiscretization, SystemConfig, discretize_channel
 from .occupancy_lp import (
     ONE_HOT_TOL,
     Policy,
-    budget_lp,
+    budget_trunk,
     evaluate_measure,
     extract_policy,
     min_delay,
@@ -248,34 +248,30 @@ def sweep_curve(
     The solves share one LP and one trunk, the path through both phases
     of that LP with the delay row's right-hand side left open, which
     each budget rides until it leaves for its own path
-    (occupancy_lp.budget_lp); each result is bit for bit its own cold
-    solve's.  The budgets still on the trunk after phase 1 run tightest
-    first, the order in which they leave it; the trunk is then released
-    and the others (d_min and below) run cold.  Infeasible budgets are
-    dropped and listed on the curve; an empty grid is a ValueError and
-    an entirely infeasible one an InfeasibleCurveError.  The curve is
-    checked to be nonincreasing.
+    (occupancy_lp.budget_trunk); each result is bit for bit its own
+    cold solve's.  The budgets still on the trunk after phase 1 run
+    tightest first, the order in which they leave it; the trunk is then
+    released and the others (d_min and below) run cold.  Infeasible
+    budgets are dropped and listed on the curve; an empty grid is a
+    ValueError and an entirely infeasible one an InfeasibleCurveError.
+    The curve is checked to be nonincreasing.
     """
     budgets = np.sort(np.asarray(budgets, dtype=float))
     if not budgets.size:
         raise ValueError("budget grid must be nonempty")
-    shared = budget_lp(cfg, disc, budgets)
-    certified = set() if shared is None or shared.trunk is None else set(
-        shared.trunk.budgets.tolist())
-    on_trunk = np.array([d_th in certified for d_th in budgets.tolist()],
-                        dtype=bool)
+    trunk = budget_trunk(cfg, disc, budgets)
+    on_trunk = np.isin(budgets, [] if trunk is None else trunk.budgets)
 
-    def power(d_th, shared):  # nan if infeasible; no solution outlives it
-        sol = solve_constrained(cfg, disc, float(d_th), shared)
+    def power(d_th, trunk):  # nan if infeasible; no solution outlives it
+        sol = solve_constrained(cfg, disc, float(d_th), trunk)
         return sol.objective if sol.status == "optimal" else np.nan
 
     powers = np.empty(budgets.size)
     for i in np.flatnonzero(on_trunk):  # tightest first
-        powers[i] = power(budgets[i], shared)
-    if shared is not None:  # release the trunk; the rest run cold on its LP
-        shared = replace(shared, trunk=None)
+        powers[i] = power(budgets[i], trunk)
+    trunk = None  # release the trunk; the rest run cold
     for i in np.flatnonzero(~on_trunk):
-        powers[i] = power(budgets[i], shared)
+        powers[i] = power(budgets[i], None)
     feasible = ~np.isnan(powers)
     kept, powers = budgets[feasible], powers[feasible]
     skipped = budgets[~feasible].tolist()

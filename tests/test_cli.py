@@ -52,6 +52,22 @@ class TestExitCodes:
                    str(tmp_path / "nope.json"), "--outdir", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--config", "{tmp}", "--outdir", "{tmp}/out"],
+        ["solve", "--config", "tiny", "--bins", "2", "--dth", "3",
+         "--outdir", "{tmp}/file"],
+        ["simulate", "--config", "tiny", "--bins", "2", "--policy", "{tmp}",
+         "--outdir", "{tmp}/out"],
+    ], ids=["config-is-a-directory", "outdir-is-a-file",
+            "policy-is-a-directory"])
+    def test_path_of_the_wrong_kind_is_usage(self, tmp_path, capsys, argv):
+        (tmp_path / "file").write_text("")
+        rc = main([a.format(tmp=tmp_path) for a in argv])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
     def test_config_error_names_offending_field(self, tmp_path, bad_cfg,
                                                 capsys):
         rc = main(["solve", "--dth", "3.0", "--config", bad_cfg,

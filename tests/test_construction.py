@@ -133,21 +133,21 @@ class TestPowerRatio:
         assert all(r2 <= r1 + 1e-12 for r1, r2 in zip(ratios, ratios[1:]))
         assert ratios[-1] == pytest.approx(1.0000233082761816, rel=1e-9)
 
-    def test_ascending_order_can_undercut_the_source(self, density16):
+    def test_ascending_order_can_undercut_the_source(self, built16,
+                                                     density16):
         # filling cells from the lowest rate puts the high rates at the
         # high-gain end, which is cheaper than the source arrangement;
         # the certificate refuses to call that a faithful construction
-        y = compute_thresholds(density16, 16, order="rate_ascending")
+        y = built16
+        lo, hi = loop_thresholds(y.source.grid, y.source.values, y.cells,
+                                 list(range(y.cfg.S_max + 1)))
+        ascending = ConstructedSolution(y.source, y.cells, lo, hi)
         _, p_src = density16.delay_power()
-        _, p_y = y.delay_power()
-        assert p_y < p_src
+        _, p_up = ascending.delay_power()
+        assert p_up < p_src
         with pytest.raises(ConstructionError, match="power ratio") as err:
-            power_ratio(y, density16)
+            power_ratio(ascending, density16)
         assert "np.float64" not in str(err.value)
-
-    def test_unknown_order_rejected(self, density16):
-        with pytest.raises(ValueError, match="unknown order"):
-            compute_thresholds(density16, 4, order="sideways")
 
     def test_zero_power_source(self):
         cfg = config_from_dict({
@@ -169,8 +169,7 @@ class TestNegativeControls:
         widths = hi2[q, k] - lo2[q, k]
         s = int(np.argmax(widths))
         hi2[q, k, s] = min(hi2[q, k, s] + 0.2, built16.cfg.channel.h_max)
-        bad = ConstructedSolution(built16.source, built16.cells,
-                                  built16.order, lo2, hi2)
+        bad = ConstructedSolution(built16.source, built16.cells, lo2, hi2)
         rep = verify_deterministic(bad)
         assert not rep.ok
         assert rep.witness is not None
@@ -193,8 +192,7 @@ class TestNegativeControls:
             if moved:
                 break
         assert moved
-        bad = ConstructedSolution(built16.source, built16.cells,
-                                  built16.order, lo2, hi2)
+        bad = ConstructedSolution(built16.source, built16.cells, lo2, hi2)
         assert verify_deterministic(bad).ok  # still a partition
         assert verify_feasibility(bad).rate_residual > 1e-8
 
@@ -211,7 +209,7 @@ class TestNegativeControls:
         lo = y.lo.copy()
         k, s = np.argwhere((lo[0] == 1.0) & (y.hi[0] > lo[0]))[0]
         lo[0, k, s] = 1.000005  # q=0 no longer covers (1, 1.000005]
-        bad = ConstructedSolution(y.source, y.cells, y.order, lo, y.hi)
+        bad = ConstructedSolution(y.source, y.cells, lo, y.hi)
         assert verify_feasibility(y).channel_residual <= 1e-8
         assert verify_feasibility(bad).channel_residual > 1.0
 
@@ -224,7 +222,7 @@ class TestNegativeControls:
         lo = built16.lo.copy()
         lo[3, k, s] += 1e-4
         bad = ConstructedSolution(built16.source, built16.cells,
-                                  built16.order, lo, built16.hi)
+                                  lo, built16.hi)
         assert verify_feasibility(bad).channel_residual > 1e-3
         assert verify_deterministic(bad).ok
 
@@ -302,24 +300,26 @@ def _lp_density(cfg, bins):
     return density_from_measure(sol.measure)
 
 
+CONSTRUCTION_CASES = [
+    ("paper_iv", 16, 2000),
+    ("paper_iv", 16, 1),
+    ("paper_iv", 4, 380),
+    ("paper_iv", 64, 7),
+    ("piecewise", 5, 3),
+    ("piecewise", 5, 37),
+    ("piecewise", 8, 211),
+]
+
+
 class TestLoopReference:
     """The array construction against its loop form: equal to the last bit."""
 
-    @pytest.mark.parametrize("name,bins,cells,order", [
-        ("paper_iv", 16, 2000, "rate_descending"),
-        ("paper_iv", 16, 64, "rate_ascending"),
-        ("paper_iv", 16, 1, "rate_descending"),
-        ("paper_iv", 4, 380, "rate_descending"),
-        ("paper_iv", 64, 7, "rate_descending"),
-        ("piecewise", 5, 3, "rate_descending"),
-        ("piecewise", 5, 3, "rate_ascending"),
-        ("piecewise", 5, 37, "rate_descending"),
-        ("piecewise", 5, 37, "rate_ascending"),
-        ("piecewise", 8, 211, "rate_descending"),
-        ("piecewise", 8, 211, "rate_ascending"),
-    ])
+    # each id names the layout too: rates stacked from the highest down
+    @pytest.mark.parametrize("name,bins,cells", CONSTRUCTION_CASES, ids=[
+        f"{name}-{bins}-{cells}-rate_descending"
+        for name, bins, cells in CONSTRUCTION_CASES])
     def test_construction_matches_loops(self, density16, piecewise_cfg, name,
-                                        bins, cells, order):
+                                        bins, cells):
         if name == "paper_iv":
             cfg = load_config(name)
             if bins == 16:
@@ -330,11 +330,10 @@ class TestLoopReference:
                 d = _lp_density(cfg, bins)
         else:
             d = _lp_density(piecewise_cfg, bins)
-        y = compute_thresholds(d, cells, order)
-        S = d.cfg.S_max
-        seq = range(S, -1, -1) if order == "rate_descending" else range(S + 1)
+        y = compute_thresholds(d, cells)
         grid, values = y.source.grid, y.source.values
-        lo, hi = loop_thresholds(grid, values, y.cells, list(seq))
+        lo, hi = loop_thresholds(grid, values, y.cells,
+                                 list(range(d.cfg.S_max, -1, -1)))
         assert y.lo.tobytes() == lo.tobytes() and y.hi.tobytes() == hi.tobytes()
         assert (y.rate_integrals().tobytes()
                 == loop_rate_integrals(grid, values, lo, hi).tobytes())

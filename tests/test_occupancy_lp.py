@@ -19,7 +19,7 @@ from linksched.occupancy_lp import (
     OccupancyMeasure,
     Policy,
     ReducibleChainError,
-    budget_lp,
+    budget_trunk,
     build_occupancy_lp,
     evaluate_measure,
     extract_policy,
@@ -67,13 +67,13 @@ class TestStructure:
 
     def test_variable_count_m2(self, paper_cfg):
         disc = discretize_channel(paper_cfg.channel, 2)
-        prob = build_occupancy_lp(paper_cfg, disc, 3.0)
+        prob = build_occupancy_lp(paper_cfg, disc)
         assert np.array_equal(prob.mask, transition_table(paper_cfg)[1])
         assert prob.lp.c.size == 2 * int(prob.mask.sum())
         assert prob.lp.c.size == 54
 
     def test_columns_queue_major(self, paper_cfg, disc16):
-        prob = build_occupancy_lp(paper_cfg, disc16, 3.0)
+        prob = build_occupancy_lp(paper_cfg, disc16)
         triples = column_triples(prob)
         assert len(triples) == prob.lp.c.size
         assert triples == sorted(triples)
@@ -81,7 +81,7 @@ class TestStructure:
     def test_column_cost_and_rows(self, paper_cfg):
         # each column's costs and equality rows are those of its triple
         disc = discretize_channel(paper_cfg.channel, 4)
-        prob = build_occupancy_lp(paper_cfg, disc, 3.0)
+        prob = build_occupancy_lp(paper_cfg, disc)
         P, _ = transition_table(paper_cfg)
         xi, r = np.asarray(paper_cfg.xi_table), np.asarray(disc.inv_means)
         for j, (q, s, k) in enumerate(column_triples(prob)):
@@ -137,7 +137,7 @@ class TestLoopReference:
     def test_equality_rows(self, name, bins):
         cfg = load_config(name)
         disc = discretize_channel(cfg.channel, bins)
-        lp = build_occupancy_lp(cfg, disc, 3.0).lp
+        lp = build_occupancy_lp(cfg, disc).lp
         A, b = loop_equality_rows(cfg.Q, cfg.S_max, cfg.arrival.alphas,
                                   disc.masses)
         assert np.array_equal(lp.A_eq, A) and np.array_equal(lp.b_eq, b)
@@ -190,11 +190,12 @@ class TestLoopReference:
 
 class TestSolve:
     def test_measure_satisfies_all_rows(self, paper_cfg, disc16, solution16):
-        prob = build_occupancy_lp(paper_cfg, disc16, 3.0)
+        prob = build_occupancy_lp(paper_cfg, disc16)
+        lp = prob.at(3.0)
         x = solution16.measure.values[prob.mask].ravel()
-        res_eq = np.abs(prob.lp.A_eq @ x - prob.lp.b_eq).max()
+        res_eq = np.abs(lp.A_eq @ x - lp.b_eq).max()
         assert res_eq <= 1e-8
-        assert (prob.lp.A_ub @ x - prob.lp.b_ub).max() <= 1e-8
+        assert (lp.A_ub @ x - lp.b_ub).max() <= 1e-8
 
     def test_measure_residual_methods(self, solution16):
         m = solution16.measure
@@ -241,7 +242,7 @@ class TestSolve:
             "channel": {"kind": "uniform", "h_min": 0.5, "h_max": 10.0},
             "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"})
         disc = discretize_channel(cfg.channel, 2)
-        olp = build_occupancy_lp(cfg, disc, None)
+        olp = build_occupancy_lp(cfg, disc)
         g = np.zeros((cfg.Q + 1, cfg.S_max + 1, disc.bins))
         g[[0, 4, 7], [0, 0, 1], :] = 1.0 / 6.0
         x = g[olp.mask].ravel()
@@ -269,15 +270,27 @@ class TestSolve:
             "channel": {"kind": "uniform", "h_min": 0.5, "h_max": 10.0},
             "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"})
         disc = discretize_channel(cfg.channel, 2)
-        assert budget_lp(cfg, disc, [0.5, 2.0]) is None
+        assert budget_trunk(cfg, disc, [0.5, 2.0]) is None
         curve = sweep.sweep_curve(cfg, disc, [0.5, 2.0])
         assert curve.powers.tolist() == [0.0, 0.0]
 
-    def test_budget_lp_of_another_discretization(self, paper_cfg, disc16):
+    def test_trunk_of_another_discretization_runs_cold(self, paper_cfg,
+                                                       disc16):
+        # the trunk serves only LPs on the equality rows it was opened
+        # on: an M=16 solve handed an M=4 trunk takes its own path, and
+        # so does one of another arrival law, whose LP has the trunk's
+        # columns and costs
         disc4 = discretize_channel(paper_cfg.channel, 4)
-        shared = budget_lp(paper_cfg, disc4, [3.0])
-        with pytest.raises(ValueError, match="another config"):
-            solve_constrained(paper_cfg, disc16, 3.0, shared)
+        other = config_from_dict({
+            "arrival": {"alphas": [0.5, 0.2, 0.3]},
+            "channel": {"kind": "uniform", "h_min": 0.5, "h_max": 10.0},
+            "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"})
+        for cfg, trunk in ((paper_cfg, budget_trunk(paper_cfg, disc4, [3.0])),
+                           (other, budget_trunk(paper_cfg, disc16, [3.0]))):
+            got = solve_constrained(cfg, disc16, 3.0, trunk)
+            want = solve_constrained(cfg, disc16, 3.0)
+            assert _solution_bytes(got) == _solution_bytes(want)
+            assert trunk._pending.all()
 
     def test_delay_dual_sign_and_slack(self, solution16):
         assert solution16.delay_dual >= -1e-9
@@ -428,6 +441,13 @@ def corner_lams(paper_cfg):
     return lams
 
 
+def _solution_bytes(sol):
+    """Everything an LpSolution reports, floats as their bytes."""
+    return (sol.status, np.float64(sol.objective).tobytes(),
+            sol.measure.values.tobytes(),
+            np.float64(sol.delay_dual).tobytes(), sol.iterations)
+
+
 def _result_bytes(res):
     """Everything a solve reports, floats as their bytes."""
     return (res.status, res.x.tobytes(), np.float64(res.objective).tobytes(),
@@ -436,7 +456,7 @@ def _result_bytes(res):
 
 
 def _cold(cfg, disc, c_of):
-    olp = build_occupancy_lp(cfg, disc, None)
+    olp = build_occupancy_lp(cfg, disc)
     return solve_simplex(replace(olp.lp, c=c_of(olp)))
 
 
@@ -448,7 +468,8 @@ class TestSharedStart:
     def test_bitwise_equal_to_cold(self, name, bins, corner_lams):
         cfg = load_config(name)
         disc = discretize_channel(cfg.channel, bins)
-        olp, start = occupancy_lp._delay_free(cfg, disc)
+        olp = occupancy_lp._lp(cfg, disc)
+        start = olp.start
         objectives = [lambda o: o.delay] + [
             lambda o, lam=lam: o.power + lam * o.delay for lam in corner_lams]
         for c_of in objectives:
@@ -463,14 +484,36 @@ class TestSharedStart:
             return olp.power + 0.5 * olp.delay
 
         cold = {d.bins: _cold(paper_cfg, d, weighted) for d in (a, b)}
-        occupancy_lp._delay_free.cache_clear()
+        occupancy_lp._lp.cache_clear()
         for disc in (a, b, a):
             res, _ = occupancy_lp._solve(paper_cfg, disc, None, weighted)
             assert _result_bytes(res) == _result_bytes(cold[disc.bins])
-        assert occupancy_lp._delay_free.cache_info().misses == 3
+        assert occupancy_lp._lp.cache_info().misses == 3
 
     def test_constrained_solves_stay_cold(self, paper_cfg):
+        # a budget's solve runs its own phase 1 on the shared LP and
+        # makes no shared start
         disc = discretize_channel(paper_cfg.channel, 2)
-        occupancy_lp._delay_free.cache_clear()
+        occupancy_lp._lp.cache_clear()
         assert solve_constrained(paper_cfg, disc, 3.0).status == "optimal"
-        assert occupancy_lp._delay_free.cache_info().currsize == 0
+        assert "start" not in vars(occupancy_lp._lp(paper_cfg, disc))
+        assert occupancy_lp._lp.cache_info().misses == 1
+
+    def test_one_lp_build_per_discretization(self, paper_cfg, monkeypatch):
+        # a budget grid, a sweep and a corner search on one
+        # discretization solve on one LP, delay row or not
+        disc = discretize_channel(paper_cfg.channel, 4)
+        builds = []
+        build = occupancy_lp.build_occupancy_lp
+
+        def counted(cfg, disc):
+            builds.append(disc.bins)
+            return build(cfg, disc)
+
+        monkeypatch.setattr(occupancy_lp, "build_occupancy_lp", counted)
+        occupancy_lp._lp.cache_clear()
+        occupancy_lp.min_delay.cache_clear()
+        grid = sweep.default_budget_grid(paper_cfg, disc)
+        sweep.sweep_curve(paper_cfg, disc, [grid[0], grid[-1]])
+        sweep.enumerate_vertices(paper_cfg, disc)
+        assert builds == [4]

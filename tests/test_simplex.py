@@ -11,7 +11,7 @@ import pytest
 
 from linksched import occupancy_lp, simplex
 from linksched.model import config_from_dict, discretize_channel
-from linksched.occupancy_lp import (budget_lp, build_occupancy_lp,
+from linksched.occupancy_lp import (budget_trunk, build_occupancy_lp,
                                     solve_constrained, solve_lagrangian)
 from linksched.simplex import (LinearProgram, SimplexAnomaly, SimplexResult,
                                _check_rows, feasible_start, open_row_trunk,
@@ -119,7 +119,7 @@ class TestMemory:
         # a solve holds one tableau, and at the row drop also the fresh
         # array of the kept rows (1.10x here); a tableau-sized scratch
         # array (1.42x), staging or per-phase copies push past 1.2x
-        lp = build_occupancy_lp(paper_cfg, disc16, 3.0).lp
+        lp = build_occupancy_lp(paper_cfg, disc16).at(3.0)
         me, mu = lp.A_eq.shape[0], lp.A_ub.shape[0]
         arts = me + int((lp.b_ub < 0.0).sum())
         tableau = (me + mu) * (lp.c.size + mu + arts + 1) * 8
@@ -137,7 +137,7 @@ class TestMemory:
         # condensed tableau, 0.41 of this full-width one; a scratch array
         # of the same shape would take it to 0.79
         solve_lagrangian(paper_cfg, disc16, 1.0)
-        lp = build_occupancy_lp(paper_cfg, disc16, None).lp
+        lp = build_occupancy_lp(paper_cfg, disc16).lp
         me = lp.A_eq.shape[0]
         tableau = me * (lp.c.size + me + 1) * 8
         tracemalloc.start()
@@ -146,14 +146,14 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert occupancy_lp._delay_free.cache_info().hits >= 1
+        assert occupancy_lp._lp.cache_info().hits >= 1
         assert peak <= 0.5 * tableau, peak / tableau
 
     def test_cold_peak_in_condensed_widths(self, paper_cfg, disc16):
         # the phase-1 tableau and the kept rows' copy hold only the
         # nonbasic columns: the structural ones and the slacks of
         # negated rows (1.57x here, 2.03x with a scratch array)
-        lp = build_occupancy_lp(paper_cfg, disc16, 3.0).lp
+        lp = build_occupancy_lp(paper_cfg, disc16).at(3.0)
         rows = lp.A_eq.shape[0] + lp.A_ub.shape[0]
         flipped = int((lp.b_ub < 0.0).sum())
         tableau = rows * (lp.c.size + flipped + 5) * 8
@@ -171,7 +171,8 @@ class TestMemory:
         # slack columns; the artificial columns are gone (1.07x here,
         # 2.06x with a scratch array)
         solve_lagrangian(paper_cfg, disc16, 1.0)
-        olp, start = occupancy_lp._delay_free(paper_cfg, disc16)
+        olp = occupancy_lp._lp(paper_cfg, disc16)
+        start = olp.start
         kept = start.basis.size
         width = olp.lp.c.size + olp.lp.A_ub.shape[0] - kept
         tableau = kept * (width + 5) * 8
@@ -181,23 +182,25 @@ class TestMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert occupancy_lp._delay_free.cache_info().hits >= 1
+        assert occupancy_lp._lp.cache_info().hits >= 1
         assert peak <= 1.2 * tableau, peak / tableau
 
 
     def test_sweep_peak_is_one_cold_solve(self, paper_cfg, disc16):
-        # the budgets share one LP and one phase 1, whose start goes
-        # once the trunk has copied it; the trunk (one start-sized
-        # array) and one budget's copy of it stay below phase 1's array,
-        # and the trunk goes before d_min, the grid's first budget, takes
-        # its own phase 1, so the sweep's peak is a cold solve's plus one
-        # number per budget and a few KB of Python objects (1.003x
-        # here); a second dense A_eq alive beside them takes it to 1.39x
+        # each run builds its LP; the budgets share it and one phase 1,
+        # whose start goes once the trunk has copied it; the trunk (one
+        # start-sized array) and one budget's copy of it stay below
+        # phase 1's array, and the trunk goes before d_min, the grid's
+        # first budget, takes its own phase 1, so the sweep's peak is a
+        # cold solve's plus one number per budget and a few KB of Python
+        # objects (1.003x here); a second dense A_eq alive beside them
+        # takes it to 1.39x
         grid = default_budget_grid(paper_cfg, disc16, points=12)
         solve_constrained(paper_cfg, disc16, 3.0)  # load the BLAS binding
         peaks = []
         for run in (lambda: solve_constrained(paper_cfg, disc16, 3.0),
                     lambda: sweep_curve(paper_cfg, disc16, grid)):
+            occupancy_lp._lp.cache_clear()
             tracemalloc.start()
             try:
                 run()
@@ -258,7 +261,7 @@ class TestCounters:
         # replay the definition: record whether each exchange starts
         # from a zero RHS, then leave out the drive-out exchanges, which
         # sit between phase 1 and phase 2
-        lp = build_occupancy_lp(paper_cfg, disc16, 3.0).lp
+        lp = build_occupancy_lp(paper_cfg, disc16).at(3.0)
         zero_steps = []
         exchange = simplex._exchange
 
@@ -279,7 +282,7 @@ class TestCounters:
         assert 0.0 < res.row_gap <= simplex.ROW_TOL
 
     def test_shared_start_counts_phase_one(self, paper_cfg, disc16):
-        lp = build_occupancy_lp(paper_cfg, disc16, None).lp
+        lp = build_occupancy_lp(paper_cfg, disc16).lp
         start = feasible_start(lp)
         cold = solve_simplex(lp)
         warm = solve_simplex(lp, start)
@@ -312,7 +315,7 @@ class TestPinnedCounts:
 
     def test_min_delay_lp(self, paper_cfg, disc16, pinned):
         want = pinned["corners_m16"]
-        olp = build_occupancy_lp(paper_cfg, disc16, None)
+        olp = build_occupancy_lp(paper_cfg, disc16)
         res = solve_simplex(replace(olp.lp, c=olp.delay))
         self._assert_counts(olp.lp, res, 232, want)
         assert res.iterations == want["simplex.first_solve_pivots"] == 113
@@ -320,7 +323,7 @@ class TestPinnedCounts:
 
     def test_constrained_lp(self, paper_cfg, disc16, pinned):
         want = pinned["deploy_m16"]
-        lp = build_occupancy_lp(paper_cfg, disc16, 3.0).lp
+        lp = build_occupancy_lp(paper_cfg, disc16).at(3.0)
         res = solve_simplex(lp)
         self._assert_counts(lp, res, 2, want)
         assert 2 * res.iterations == want["simplex.pivots"]
@@ -348,7 +351,7 @@ class TestSharedStart:
 
     def test_start_is_never_written(self, paper_cfg):
         disc = discretize_channel(paper_cfg.channel, 4)
-        lp = build_occupancy_lp(paper_cfg, disc, None).lp
+        lp = build_occupancy_lp(paper_cfg, disc).lp
         start = feasible_start(lp)
         arrays = (start.T, start.nb, start.basis, start.rows)
         assert not any(a.flags.writeable for a in arrays)
@@ -413,19 +416,19 @@ def _assert_trunk_starts(trunk, lp_at):
 
 def _budgets_against_cold(cfg, disc, budgets, monkeypatch,
                           loosest_first=False) -> list[bool]:
-    """Each budget through budget_lp's trunk against the cold solve of a
-    freshly built LP, the same bits.  In sweep order, the trunk's
+    """Each budget through budget_trunk's trunk against the cold solve
+    of a freshly built LP, the same bits.  In sweep order, the trunk's
     budgets run tightest first and then, the trunk released, the
     others; loosest_first asks every budget from the loosest down
     instead.  Each budget on the trunk starts from its own phase 1's
     bits.  Returns, in the order solved, whether each left the trunk
     with a start (else it ran its own phase 1)."""
-    shared = budget_lp(cfg, disc, budgets)
+    trunk = budget_trunk(cfg, disc, budgets)
+    olp = occupancy_lp._lp(cfg, disc)
     on_trunk = []
-    if shared.trunk is not None:
-        _assert_trunk_starts(shared.trunk, lambda d_th: build_occupancy_lp(
-            cfg, disc, d_th).lp)
-        on_trunk = shared.trunk.budgets.tolist()
+    if trunk is not None:
+        _assert_trunk_starts(trunk, olp.at)
+        on_trunk = trunk.budgets.tolist()
     left = []
     depart = simplex.Trunk.depart
 
@@ -444,18 +447,32 @@ def _budgets_against_cold(cfg, disc, budgets, monkeypatch,
         order = [*on_trunk, None, *rest]
     for d_th in order:
         if d_th is None:
-            shared = replace(shared, trunk=None)
+            trunk = None
             continue
-        olp, start = shared.at(float(d_th))
-        lp = build_occupancy_lp(cfg, disc, float(d_th)).lp
+        lp = olp.at(float(d_th))
+        fresh = build_occupancy_lp(cfg, disc).at(float(d_th))
         assert all(a.tobytes() == b.tobytes() for a, b in zip(
-            (olp.lp.c, olp.lp.A_eq, olp.lp.b_eq, olp.lp.A_ub, olp.lp.b_ub),
-            (lp.c, lp.A_eq, lp.b_eq, lp.A_ub, lp.b_ub)))
-        if start is None:
+            (lp.c, lp.A_eq, lp.b_eq, lp.A_ub, lp.b_ub),
+            (fresh.c, fresh.A_eq, fresh.b_eq, fresh.A_ub, fresh.b_ub)))
+        if trunk is None:
             left.append(False)
-        _against_cold(lp, start)
+        _against_cold(lp, trunk)
     monkeypatch.undo()
     return left
+
+
+def _budget_lps(lp, budgets):
+    """lp at each budget, A_ub row 0's RHS: one LP per budget on lp's
+    own arrays, as a trunk opened on lp serves them."""
+    return [replace(lp, b_ub=np.array([d_th, *lp.b_ub[1:]]))
+            for d_th in budgets]
+
+
+def _departure(trunk, lp):
+    """lp's start off the trunk, which must serve it."""
+    start = trunk.depart(lp)
+    assert start is not None
+    return start
 
 
 class TestOpenRowStart:
@@ -502,7 +519,7 @@ class TestOpenRowStart:
         for _ in range(40):
             cfg = config_from_dict(random_config_dict(rng))
             disc = discretize_channel(cfg.channel, int(rng.integers(1, 5)))
-            delay = build_occupancy_lp(cfg, disc, 1.0).delay
+            delay = build_occupancy_lp(cfg, disc).delay
             budgets = np.linspace(delay.min(), delay.max(), 8)
             left += _budgets_against_cold(cfg, disc,
                                           [0.5 * budgets[0], *budgets],
@@ -532,12 +549,12 @@ class TestOpenRowStart:
         # 5, where both budgets' ratios tie or win: both leave before
         # that exchange, and their solves take the open row's slack,
         # budget 0 at a zero step and 2 at a step of 2
-        lps = [LinearProgram.build([-1.0], A_ub=[[1.0], [1.0]],
-                                   b_ub=[b, 5.0]) for b in (0.0, 2.0)]
+        lps = _budget_lps(LinearProgram.build([-1.0], A_ub=[[1.0], [1.0]],
+                                              b_ub=[0.0, 5.0]), [0.0, 2.0])
         trunk = open_row_trunk(lps[0], 0, [2.0, 0.0])
         assert trunk.budgets.tolist() == [0.0, 2.0]
         for lp in lps:
-            _against_cold(lp, trunk)
+            _against_cold(lp, _departure(trunk, lp))
         assert [solve_simplex(lp).degenerate_pivots for lp in lps] == [1, 0]
 
     def test_budget_leaving_at_a_zero_step_counts_it_once(self):
@@ -545,12 +562,12 @@ class TestOpenRowStart:
         # 0's ratio ties it, so budget 0 leaves before that exchange and
         # its own solve takes its zero step on row 0, while budget 2
         # stays and shares the trunk's zero step: each counts one
-        lps = [LinearProgram.build([-1.0], A_ub=[[1.0], [1.0]],
-                                   b_ub=[b, 0.0]) for b in (0.0, 2.0)]
+        lps = _budget_lps(LinearProgram.build([-1.0], A_ub=[[1.0], [1.0]],
+                                              b_ub=[0.0, 0.0]), [0.0, 2.0])
         trunk = open_row_trunk(lps[0], 0, [0.0, 2.0])
         steps = []
         for lp in lps:
-            start = trunk.depart(lp)
+            start = _departure(trunk, lp)
             steps.append((start.phase2_iterations, start.phase2_degenerate))
             res = solve_simplex(lp, start)
             _assert_same(res, solve_simplex(lp))
@@ -564,13 +581,13 @@ class TestOpenRowStart:
         # the trunk before the exchange; the next float up stays
         tie = 5.0 + 1e-12 * (1.0 + 5.0)
         budgets = [tie, np.nextafter(tie, np.inf)]
-        lps = [LinearProgram.build([-1.0], A_ub=[[1.0], [1.0]],
-                                   b_ub=[b, 5.0]) for b in budgets]
+        lps = _budget_lps(LinearProgram.build([-1.0], A_ub=[[1.0], [1.0]],
+                                              b_ub=[tie, 5.0]), budgets)
         trunk = open_row_trunk(lps[0], 0, budgets)
         assert trunk.budgets.tolist() == budgets
         steps = []
         for lp in lps:
-            start = trunk.depart(lp)
+            start = _departure(trunk, lp)
             steps.append(start.phase2_iterations)
             _against_cold(lp, start)
         assert steps == [0, 1]
@@ -586,7 +603,7 @@ class TestOpenRowStart:
         assert trunk._d.tolist() == [1.0 + 1e-10]
         _assert_trunk_starts(trunk, lambda d_th: replace(
             lp, b_ub=np.array([d_th])))
-        _against_cold(lp, trunk)
+        _against_cold(lp, _departure(trunk, lp))
 
     def test_ratio_at_the_threshold_takes_its_own_phase_1(self):
         # x1 enters; row 0's ratio is 0, so the tie threshold is 1e-12
@@ -609,7 +626,7 @@ class TestOpenRowStart:
                                  A_ub=[[1e-12, 0.0, 1.0]], b_ub=[0.0])
         trunk = open_row_trunk(lp, 0, [0.0])
         assert trunk.budgets.tolist() == [0.0]
-        _against_cold(lp, trunk)
+        _against_cold(lp, _departure(trunk, lp))
         assert solve_simplex(lp).degenerate_pivots == 1
 
     def test_negative_rhs_takes_its_own_phase_1(self):
@@ -622,21 +639,24 @@ class TestOpenRowStart:
     def test_trunk_serves_only_pending_budgets(self, tiny_cfg):
         disc = discretize_channel(tiny_cfg.channel, 2)
         grid = default_budget_grid(tiny_cfg, disc, points=5)
-        lp = build_occupancy_lp(tiny_cfg, disc, 0.0).lp
+        lp = build_occupancy_lp(tiny_cfg, disc).at(0.0)
         trunk = open_row_trunk(lp, 0, grid[::-1])
         assert trunk.budgets.tolist() == grid[1:].tolist()
         at = [replace(lp, b_ub=np.array([d_th])) for d_th in grid]
         # d_min is not on the trunk, a budget is served once, and one
-        # of another objective is not the trunk's
+        # of another objective, or on equal rows in other arrays, is
+        # not the trunk's
         assert trunk.depart(at[0]) is None
         assert trunk.depart(replace(at[1], c=-lp.c)) is None
+        assert trunk.depart(replace(at[1], A_eq=lp.A_eq.copy())) is None
+        assert trunk.depart(replace(at[1], b_eq=lp.b_eq.copy())) is None
         assert trunk.depart(at[1]) is not None
         assert trunk.depart(at[1]) is None
         assert trunk.depart(at[2]).phase2_iterations > 0
 
     def test_zero_budgets_make_no_trunk(self, tiny_cfg):
         disc = discretize_channel(tiny_cfg.channel, 2)
-        assert budget_lp(tiny_cfg, disc, []).trunk is None
+        assert budget_trunk(tiny_cfg, disc, []) is None
 
     def test_rows_with_no_open_phase_1(self, monkeypatch):
         infeasible = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, 1.0]],
@@ -683,7 +703,7 @@ class TestDuals:
 
         monkeypatch.setattr(np.linalg, "solve", refuse)
         disc = discretize_channel(paper_cfg.channel, 4)
-        res = solve_simplex(build_occupancy_lp(paper_cfg, disc, 3.0).lp)
+        res = solve_simplex(build_occupancy_lp(paper_cfg, disc).at(3.0))
         assert res.duals_ub[0] < 0.0
         dual = solve_constrained(paper_cfg, disc, 3.0).delay_dual
         assert dual.hex() == "0x1.019a23b2375cbp-7"
@@ -839,13 +859,12 @@ class TestDenseReference:
     def test_occupancy_lps(self, request, name, bins):
         cfg = request.getfixturevalue(name)
         disc = discretize_channel(cfg.channel, bins)
+        olp = build_occupancy_lp(cfg, disc)
         for d_th in (0.8, 1.2, 1.5, 3.0, -1.0):
-            olp = build_occupancy_lp(cfg, disc, d_th)
-            assert olp.lp.A_ub.shape[0] == 1
-            _assert_as_dense(solve_simplex(olp.lp),
-                             dense_solve_simplex(olp.lp),
+            lp = olp.at(d_th)
+            assert lp.A_ub.shape[0] == 1
+            _assert_as_dense(solve_simplex(lp), dense_solve_simplex(lp),
                              slack_rows_exact=d_th > 0)
-        olp = build_occupancy_lp(cfg, disc, None)
         start = feasible_start(olp.lp)
         for c in (olp.delay, olp.power, olp.power + 0.05 * olp.delay,
                   olp.power + 0.7 * olp.delay, olp.power + 20.0 * olp.delay):
@@ -955,17 +974,16 @@ class TestRank1Update:
         disc = {name: discretize_channel(cfg.channel, 4)
                 for name, cfg in (("paper", paper_cfg),
                                   ("piecewise", piecewise_cfg))}
-        free = build_occupancy_lp(paper_cfg, disc["paper"], None)
+        free = build_occupancy_lp(paper_cfg, disc["paper"])
         weighted = replace(free.lp, c=free.power + 0.7 * free.delay)
 
         def run():
             start = feasible_start(weighted)
             results = [
-                solve_simplex(build_occupancy_lp(paper_cfg, disc["paper"],
-                                                 3.0).lp),
+                solve_simplex(free.at(3.0)),
                 solve_simplex(weighted, start),
                 solve_simplex(build_occupancy_lp(
-                    piecewise_cfg, disc["piecewise"], 1.5).lp)]
+                    piecewise_cfg, disc["piecewise"]).at(1.5))]
             assert all(res.status == "optimal" for res in results)
             return start.T.tobytes(), [
                 (res.x.tobytes(), np.float64(res.objective).tobytes(),

@@ -144,7 +144,7 @@ class TestSweep:
 
     def test_empty_grid_is_a_value_error(self, paper_cfg, monkeypatch):
         disc = discretize_channel(paper_cfg.channel, 2)
-        monkeypatch.setattr(sweep, "budget_lp", None)  # no LP is built
+        monkeypatch.setattr(sweep, "budget_trunk", None)  # no LP is built
         with pytest.raises(ValueError, match="budget grid must be nonempty"):
             sweep_curve(paper_cfg, disc, [])
 
