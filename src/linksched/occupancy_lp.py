@@ -33,13 +33,13 @@ own start.  The last discretization's LP stays cached, with its start
 once a delay-free solve has made it (or the "infeasible" result phase
 1 proved).  A budget's row can steer phase 1, so a single constrained
 solve runs its own.  The budgets of one sweep share one trunk
-(budget_trunk, simplex.open_row_trunk): the path of the LP with the
-delay row's right-hand side left open, through phase 1 and phase 2,
-which each budget rides as one number, its own right-hand side, until
-its ratio test could part from the path.  A budget that parts in
-phase 1 reruns phase 1 for itself, and one that parts in phase 2
-pivots only the rest of its path, with results bit for bit those of
-the cold solve either way.
+(budget_trunk, simplex.Trunk): the path of the LP with the delay
+row's right-hand side left open, through phase 1 and phase 2, which
+each budget rides as one number, its own right-hand side, until its
+ratio test could part from the path.  A budget that parts in phase 1
+reruns phase 1 for itself, and one that parts in phase 2 finishes on
+a copy of the trunk's tableau, pivoting only the rest of its path,
+with results bit for bit those of the cold solve either way.
 
 State spaces are 0-based: q in {0..Q}, s in {0..S_max}.
 """
@@ -59,7 +59,6 @@ from .simplex import (
     SimplexAnomaly,
     Trunk,
     feasible_start,
-    open_row_trunk,
     solve_simplex,
 )
 from .textio import csv_text, read_rows
@@ -280,11 +279,12 @@ def _lp(cfg: SystemConfig, disc: ChannelDiscretization) -> OccupancyLp:
 
 def budget_trunk(cfg: SystemConfig, disc: ChannelDiscretization,
                  budgets) -> Trunk | None:
-    """The trunk the budgets' solves share, its phase 1 run; None when
-    the LP has no delay row (no arrivals) or open_row_trunk makes none."""
+    """The trunk the budgets' solves share, its phase 1 run (one that
+    serves no budget when that phase 1 fails); None when the LP has no
+    delay row (no arrivals)."""
     olp = _lp(cfg, disc)
     lp = olp.at(0.0)
-    return None if lp is olp.lp else open_row_trunk(lp, 0, budgets)
+    return None if lp is olp.lp else Trunk(lp, budgets)
 
 
 def _solve(cfg: SystemConfig, disc: ChannelDiscretization,

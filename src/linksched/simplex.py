@@ -50,7 +50,7 @@ rows.  Phase 2 always pivots a copy of a start: solve_simplex(lp)
 makes lp's own, and solve_simplex(lp, start) shares one made before,
 with the same result bit for bit.
 
-LPs whose rows differ only in one A_ub row's right-hand side (a delay
+LPs whose rows differ only in A_ub row 0's right-hand side (a delay
 budget) can share both phases as far as their paths agree.  A Trunk
 walks one path, that of the open LP with the row's RHS at OPEN_RHS,
 which no ratio test picks, on its own tableau, and carries each other
@@ -60,11 +60,11 @@ until their own ratio could tie the ratio test they leave its row
 too; before every exchange of phase 1, the drive-out and phase 2 one
 rule drops the LPs whose ratio could and moves every other number by
 the exchange's own arithmetic.  An LP dropped in phase 1 runs its own
-phase 1; one that leaves in phase 2 starts from the trunk's state at
-that point with its number in place, and its solve_simplex pivots
-only the rest of its path.  A Trunk serves only LPs with its objective
-on the very A_eq and b_eq arrays it was opened on; any other LP runs
-its own phase 1.
+phase 1; one that leaves in phase 2 finishes phase 2 on a copy of the
+trunk's tableau at that point, its number written into the copy, so
+it pivots only the rest of its path.  A Trunk serves only LPs with
+its objective on the very A_eq and b_eq arrays it was opened on; any
+other LP runs its own phase 1.
 
 x, the objective, the pivot counts and the dropped rows are those of
 the full-tableau method bit for bit.  The dual of each A_ub row is
@@ -85,13 +85,13 @@ the kept rows and columns into the start's fresh array, kept rows x
 feasible_start returns, before phase 2 copies start.T, so a solve's
 peak is those two arrays, and from a shared start the start and its
 copy.  A Trunk's array is a copy of the shared start, which is freed
-once it is made; the start an LP leaves with is a view of it, with
-the LP's RHS written into its row, so phase 2's copy is the only new
-tableau.  Each tableau comes with three small buffers, allocated once:
-the entering column, the pivot row and the ratio test's ratios.  The
-exchange writes only into them and the tableau and allocates no array
-data; pricing and the ratio test make only numpy's temporaries of the
-tableau's width or height.
+once it is made, and an LP that leaves the trunk finishes phase 2 on
+a copy of the trunk's array, its only new tableau.  Each tableau
+comes with three small buffers, allocated once: the entering column,
+the pivot row and the ratio test's ratios.  The exchange writes only
+into them and the tableau and allocates no array data; pricing and
+the ratio test make only numpy's temporaries of the tableau's width
+or height.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ PIV_TOL = 1e-11  # smallest pivot element admitted in the ratio test
 DRIVE_TOL = 1e-7  # smallest pivot used when driving artificials out
 ROW_TOL = 1e-8  # largest row miss an "optimal" point may have
 MAX_PIVOTS = 200_000  # per phase; beyond this the solve is an anomaly
-OPEN_RHS = 1e200  # an open row's RHS in its shared phase 1 (open_row_trunk)
+OPEN_RHS = 1e200  # the open row's RHS on a Trunk's path
 
 
 class SimplexAnomaly(RuntimeError):
@@ -146,7 +146,8 @@ class SimplexResult:
 
     iterations counts the pivots on the path from the artificial basis
     to the returned basis: phase-1 pivots plus phase-2 pivots, whether
-    the FeasibleStart was made for this solve or shared.  Drive-out
+    the FeasibleStart was made for this solve or shared, and whether
+    phase 2's first pivots were taken on a Trunk or not.  Drive-out
     pivots are in neither count.  phase1_iterations is the phase-1 part
     and degenerate_pivots the part whose step was zero.  row_gap is the
     largest miss of x on any row of the LP (0 unless optimal).
@@ -330,12 +331,8 @@ class FeasibleStart:
     nonbasic structural and slack columns, which nb labels; basis holds
     the kept rows' basic labels and rows their indices among all
     me + mu.  phase1_iterations counts the phase-1 pivots and
-    phase1_degenerate their zero steps.  The arrays
-    are read-only: every solve pivots a copy of T.  A start where an LP
-    leaves a Trunk is partway into phase 2: phase2_iterations counts
-    the pivots it took there and phase2_degenerate their zero steps, and
-    its arrays are views of the trunk's, valid only until the trunk's
-    next request.
+    phase1_degenerate their zero steps.  The arrays are read-only:
+    every solve pivots a copy of T.
     """
 
     T: np.ndarray
@@ -345,8 +342,6 @@ class FeasibleStart:
     dropped_eq_rows: tuple[int, ...]
     phase1_iterations: int
     phase1_degenerate: int
-    phase2_iterations: int = 0
-    phase2_degenerate: int = 0
 
     def __post_init__(self):
         for a in (self.T, self.nb, self.basis, self.rows):
@@ -450,26 +445,32 @@ def solve_simplex(lp: LinearProgram,
     own when None: an "infeasible" result is returned as it is, and
     otherwise phase 2 pivots a copy of start.T.  Phase 1 reads no
     objective, so a start shared by several objectives gives each of
-    them bit for bit the result of its own solve.  A Trunk is advanced
-    to where lp leaves it, and phase 2 goes on from there; an lp that
-    it does not serve (Trunk.depart) runs its own phase 1.
+    them bit for bit the result of its own solve.  A Trunk that serves
+    lp solves it (Trunk.solve); an lp that it does not serve runs its
+    own phase 1.
     """
     if isinstance(start, Trunk):
-        start = start.depart(lp)
+        start = start.solve(lp)  # lp's result, or None if not served
     if start is None:
         start = feasible_start(lp)
     if isinstance(start, SimplexResult):
         return start
-    n, me, mu = lp.c.shape[0], lp.A_eq.shape[0], lp.A_ub.shape[0]
-
-    cost = np.concatenate([lp.c, np.zeros(mu)])
+    cost = np.concatenate([lp.c, np.zeros(lp.A_ub.shape[0])])
     t = _Tableau(start.T.copy(), start.nb.copy(), start.basis.copy(), cost)
-    taken = start.phase2_iterations
+    return _phase_2(lp, start, t)
+
+
+def _phase_2(lp: LinearProgram, start: FeasibleStart, t: _Tableau,
+             taken: int = 0, taken_degenerate: int = 0) -> SimplexResult:
+    """Phase 2 of lp on t, a tableau over start's rows with lp's costs,
+    and lp's result read off its end.  taken counts the phase-2 pivots
+    made before t (on a Trunk) and taken_degenerate their zero steps."""
+    n, me, mu = lp.c.shape[0], lp.A_eq.shape[0], lp.A_ub.shape[0]
     status, it2, deg2, reduced = _bland_iterate(t, taken=taken)
     it1 = start.phase1_iterations
     counts = dict(iterations=it1 + taken + it2, phase1_iterations=it1,
                   degenerate_pivots=(start.phase1_degenerate
-                                     + start.phase2_degenerate + deg2))
+                                     + taken_degenerate + deg2))
     if status == "unbounded":
         return SimplexResult(status="unbounded", **counts)
 
@@ -494,11 +495,11 @@ def solve_simplex(lp: LinearProgram,
 
 
 class Trunk:
-    """Phase 1 and phase 2 of the LPs whose rows differ only in A_ub row
-    i's RHS, their budget, walked once along the path of the open LP,
-    row i at OPEN_RHS, on its own tableau (open_row_trunk).
+    """Phase 1 and phase 2 of the LPs whose rows differ only in A_ub
+    row 0's RHS, their budget, walked once along the path of the open
+    LP, row 0 at OPEN_RHS, on the trunk's own tableau.
 
-    Let k be row i's row in the tableau.  While no exchange is on row k,
+    Let k be row 0's row in the tableau.  While no exchange is on row k,
     a budget's tableau differs from the open one only in row k's RHS,
     and pricing never reads the RHS: the budget enters the same column
     at every step, and its ratio test picks the same row as long as its
@@ -511,20 +512,20 @@ class Trunk:
     v = N[r, -1] / N[r, p].  An exchange on row k needs no case of its
     own: no budget is above the open RHS, and that arithmetic keeps it
     so, so when the open ratio ties every budget's does.  A budget that
-    leaves in phase 1 is dropped and runs its own phase 1.  One that
-    leaves in phase 2 takes the trunk's state as its start, its d
-    written into row k's RHS, and its solve pivots only the rest of its
-    path; the trunk restores the open RHS before its next step.  d and
-    its ratio are monotone in the budget, so tighter budgets leave first
-    and a caller asks tightest first.  Steps run only as requests need
-    them, and a budget that left without being asked is no longer
-    pending: asked later, it runs its own phase 1.  The trunk's
-    exchanges are off row k, so its zero steps are every pending
-    budget's, and every budget's pivots, zero steps and bits are its own
-    solve's.
+    leaves in phase 1 is dropped and runs its own phase 1, and so is
+    every budget when the open phase 1 raises SimplexAnomaly or proves
+    the rows infeasible.  One that leaves in phase 2 finishes phase 2 on
+    a copy of the trunk's tableau with its d written into row k's RHS;
+    the trunk's own row k keeps the open RHS.  d and its ratio are
+    monotone in the budget, so tighter budgets leave first and a caller
+    asks tightest first.  Steps run only as requests need them, and a
+    budget that left without being asked is no longer pending: asked
+    later, it runs its own phase 1.  The trunk's exchanges are off row
+    k, so its zero steps are every pending budget's, and every budget's
+    pivots, zero steps and bits are its own solve's.
     """
 
-    def __init__(self, lp: LinearProgram, i: int, budgets):
+    def __init__(self, lp: LinearProgram, budgets):
         budgets = np.sort(np.asarray(budgets, dtype=float))
         # phase 1 negates a row with a negative RHS, and a budget above
         # the open RHS could stay where the open path takes row k
@@ -532,9 +533,24 @@ class Trunk:
         self._d = self.budgets.copy()  # each budget's RHS on row k
         self._pending = np.ones(self.budgets.size, dtype=bool)
         self._asked = None  # the budget whose leaving stops the walk
-        self._lp, self._i, self._k = lp, i, lp.A_eq.shape[0] + i
+        self._lp, self._k = lp, lp.A_eq.shape[0]
         self._cost = np.concatenate([lp.c, np.zeros(lp.A_ub.shape[0])])
         self._pivots = self._degenerate = 0
+        b_ub = lp.b_ub.copy()
+        b_ub[0] = OPEN_RHS
+        try:
+            start = feasible_start(replace(lp, b_ub=b_ub), self._before)
+        except SimplexAnomaly:
+            start = None
+        kept = self._pending & isinstance(start, FeasibleStart)
+        self.budgets, self._d, self._pending = (self.budgets[kept],
+                                                self._d[kept], kept[kept])
+        if self.budgets.size:
+            self._k = int(np.searchsorted(start.rows, self._k))
+            self._t = _Tableau(start.T.copy(), start.nb.copy(),
+                               start.basis.copy(), self._cost)
+            # the start's row labels and phase-1 counts, without its tableau
+            self._start = replace(start, T=np.empty((0, 0)))
 
     def _before(self, t, r: int, p: int, tie: float) -> bool:
         """The rule before exchange (r, p) of the open path; True when
@@ -548,58 +564,23 @@ class Trunk:
         np.maximum(self._d - c * v, 0.0, out=self._d)
         return False
 
-    def _enter_phase_2(self, start: FeasibleStart) -> None:
-        """Keep the budgets still pending after phase 1, and the start's
-        tableau to walk phase 2 on."""
-        kept = self._pending
-        self.budgets, self._d, self._pending = (self.budgets[kept],
-                                                self._d[kept], kept[kept])
-        self._k = int(np.searchsorted(start.rows, self._k))
-        self._t = _Tableau(start.T.copy(), start.nb.copy(),
-                           start.basis.copy(), self._cost)
-        self._open = self._t.rhs[self._k]
-        # the start's row labels and phase-1 counts, without its tableau
-        self._start = replace(start, T=np.empty((0, 0)))
-
-    def depart(self, lp: LinearProgram) -> FeasibleStart | None:
-        """lp's start where it leaves the trunk, the trunk advanced to
-        there; None unless lp has the very A_eq and b_eq arrays the
-        trunk was opened on, its objective and a pending budget.  The
-        start is valid until the next request."""
-        at = np.flatnonzero(self._pending
-                            & (self.budgets == lp.b_ub[self._i]))
+    def solve(self, lp: LinearProgram) -> SimplexResult | None:
+        """lp's solve, the trunk advanced to where lp leaves it and
+        phase 2 finished from there; None unless lp has the very A_eq
+        and b_eq arrays the trunk was opened on, its objective and a
+        pending budget."""
+        at = np.flatnonzero(self._pending & (self.budgets == lp.b_ub[0]))
         own = self._lp
         if (not at.size or lp.A_eq is not own.A_eq or lp.b_eq is not own.b_eq
                 or not np.array_equal(lp.c, own.c)):
             return None
-        t, k, self._asked = self._t, self._k, int(at[0])
-        t.rhs[k] = self._open
+        t, self._asked = self._t, int(at[0])
         _, pivots, degenerate, _ = _bland_iterate(t, self._before,
                                                   self._pivots)
         self._pivots += pivots
         self._degenerate += degenerate
         self._pending[self._asked] = False
-        self._open, t.rhs[k] = t.rhs[k], self._d[self._asked]
-        return replace(self._start, T=t.N[:], nb=t.nb[:], basis=t.basis[:],
-                       phase2_iterations=self._pivots,
-                       phase2_degenerate=self._degenerate)
-
-
-def open_row_trunk(lp: LinearProgram, i: int, budgets) -> Trunk | None:
-    """The Trunk of lp's objective over the budgets (values of A_ub row
-    i's RHS), its phase 1 done; None when that phase 1 raises
-    SimplexAnomaly or ends infeasible, or when every budget left it:
-    every LP then runs its own.  The shared start is freed on return;
-    the trunk holds a copy.
-    """
-    trunk = Trunk(lp, i, budgets)
-    b_ub = lp.b_ub.copy()
-    b_ub[i] = OPEN_RHS
-    try:
-        start = feasible_start(replace(lp, b_ub=b_ub), trunk._before)
-    except SimplexAnomaly:
-        return None
-    if isinstance(start, SimplexResult) or not trunk._pending.any():
-        return None
-    trunk._enter_phase_2(start)
-    return trunk
+        tail = _Tableau(t.N.copy(), t.nb.copy(), t.basis.copy(), self._cost)
+        tail.rhs[self._k] = self._d[self._asked]
+        return _phase_2(lp, self._start, tail, self._pivots,
+                        self._degenerate)

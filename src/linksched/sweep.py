@@ -247,11 +247,13 @@ def sweep_curve(
 
     The solves share one LP and one trunk, the path through both phases
     of that LP with the delay row's right-hand side left open, which
-    each budget rides until it leaves for its own path
-    (occupancy_lp.budget_trunk); each result is bit for bit its own
-    cold solve's.  The budgets still on the trunk after phase 1 run
-    tightest first, the order in which they leave it; the trunk is then
-    released and the others (d_min and below) run cold.  Infeasible
+    each budget rides until it leaves to finish its phase 2 on a copy
+    of the trunk's tableau (occupancy_lp.budget_trunk); each result is
+    bit for bit its own cold solve's.  The budgets still on the trunk
+    after phase 1 run tightest first, the order in which they leave it;
+    the trunk is then released, so that it and a cold solve's phase 1
+    are never alive together, and the others (d_min and below) run
+    cold.  Infeasible
     budgets are dropped and listed on the curve; an empty grid is a
     ValueError and an entirely infeasible one an InfeasibleCurveError.
     The curve is checked to be nonincreasing.

@@ -14,7 +14,7 @@ from linksched.model import config_from_dict, discretize_channel
 from linksched.occupancy_lp import (budget_trunk, build_occupancy_lp,
                                     solve_constrained, solve_lagrangian)
 from linksched.simplex import (LinearProgram, SimplexAnomaly, SimplexResult,
-                               _check_rows, feasible_start, open_row_trunk,
+                               Trunk, _check_rows, feasible_start,
                                solve_simplex)
 from linksched.sweep import default_budget_grid, sweep_curve
 
@@ -421,8 +421,8 @@ def _budgets_against_cold(cfg, disc, budgets, monkeypatch,
     budgets run tightest first and then, the trunk released, the
     others; loosest_first asks every budget from the loosest down
     instead.  Each budget on the trunk starts from its own phase 1's
-    bits.  Returns, in the order solved, whether each left the trunk
-    with a start (else it ran its own phase 1)."""
+    bits.  Returns, in the order solved, whether the trunk solved each
+    (else it ran its own phase 1)."""
     trunk = budget_trunk(cfg, disc, budgets)
     olp = occupancy_lp._lp(cfg, disc)
     on_trunk = []
@@ -430,14 +430,14 @@ def _budgets_against_cold(cfg, disc, budgets, monkeypatch,
         _assert_trunk_starts(trunk, olp.at)
         on_trunk = trunk.budgets.tolist()
     left = []
-    depart = simplex.Trunk.depart
+    solve = simplex.Trunk.solve
 
     def recording(trunk, lp):
-        start = depart(trunk, lp)
-        left.append(start is not None)
-        return start
+        res = solve(trunk, lp)
+        left.append(res is not None)
+        return res
 
-    monkeypatch.setattr(simplex.Trunk, "depart", recording)
+    monkeypatch.setattr(simplex.Trunk, "solve", recording)
     if loosest_first:
         order = sorted(budgets, reverse=True)
     else:
@@ -469,15 +469,15 @@ def _budget_lps(lp, budgets):
 
 
 def _departure(trunk, lp):
-    """lp's start off the trunk, which must serve it."""
-    start = trunk.depart(lp)
-    assert start is not None
-    return start
+    """lp's solve on the trunk, which must serve it."""
+    res = trunk.solve(lp)
+    assert res is not None
+    return res
 
 
 class TestOpenRowStart:
-    """Budgets ride the open LP's path, the delay row's RHS left open,
-    through phase 1 and phase 2 on one trunk until each leaves it; a
+    """Budgets ride a Trunk, the open LP's path with the delay row's RHS
+    left open, through phase 1 and phase 2 until each leaves it; a
     budget solved through the trunk is its cold solve bit for bit, and
     every budget that leaves in phase 1 runs the cold solve."""
 
@@ -491,7 +491,7 @@ class TestOpenRowStart:
                                      monkeypatch)
         # d_min, the grid's first budget, ties the delay row's ratio and
         # takes its own phase 1, as does every budget below it; the
-        # others leave the trunk tightest first, each with its start
+        # others leave the trunk tightest first, each solved off it
         assert left == [True] * 59 + [False] * 4
 
     @pytest.mark.parametrize("bins", [1, 2, 4])
@@ -544,6 +544,18 @@ class TestOpenRowStart:
                                      loosest_first=True)
         assert left == [True] + [False] * 11
 
+    def test_serving_never_writes_the_trunks_tableau(self, paper_cfg):
+        # each budget finishes on a copy of the trunk's tableau, so the
+        # trunk's own delay row keeps the open path's RHS
+        disc = discretize_channel(paper_cfg.channel, 4)
+        trunk = budget_trunk(paper_cfg, disc,
+                             default_budget_grid(paper_cfg, disc, points=12))
+        olp = occupancy_lp._lp(paper_cfg, disc)
+        for d_th in trunk.budgets[:3].tolist():
+            assert solve_simplex(olp.at(d_th), trunk).status == "optimal"
+            assert trunk._t.rhs[trunk._k] == simplex.OPEN_RHS
+        assert not trunk._pending[:3].any()
+
     def test_zero_steps_are_each_budgets_own(self):
         # no phase 1; x1 enters and the open path takes row 1, a step of
         # 5, where both budgets' ratios tie or win: both leave before
@@ -551,10 +563,10 @@ class TestOpenRowStart:
         # budget 0 at a zero step and 2 at a step of 2
         lps = _budget_lps(LinearProgram.build([-1.0], A_ub=[[1.0], [1.0]],
                                               b_ub=[0.0, 5.0]), [0.0, 2.0])
-        trunk = open_row_trunk(lps[0], 0, [2.0, 0.0])
+        trunk = Trunk(lps[0], [2.0, 0.0])
         assert trunk.budgets.tolist() == [0.0, 2.0]
         for lp in lps:
-            _against_cold(lp, _departure(trunk, lp))
+            _assert_same(_departure(trunk, lp), solve_simplex(lp))
         assert [solve_simplex(lp).degenerate_pivots for lp in lps] == [1, 0]
 
     def test_budget_leaving_at_a_zero_step_counts_it_once(self):
@@ -564,12 +576,11 @@ class TestOpenRowStart:
         # stays and shares the trunk's zero step: each counts one
         lps = _budget_lps(LinearProgram.build([-1.0], A_ub=[[1.0], [1.0]],
                                               b_ub=[0.0, 0.0]), [0.0, 2.0])
-        trunk = open_row_trunk(lps[0], 0, [0.0, 2.0])
+        trunk = Trunk(lps[0], [0.0, 2.0])
         steps = []
         for lp in lps:
-            start = _departure(trunk, lp)
-            steps.append((start.phase2_iterations, start.phase2_degenerate))
-            res = solve_simplex(lp, start)
+            res = _departure(trunk, lp)
+            steps.append((trunk._pivots, trunk._degenerate))
             _assert_same(res, solve_simplex(lp))
             assert (res.iterations, res.degenerate_pivots) == (1, 1)
         assert steps == [(0, 0), (1, 1)]
@@ -583,13 +594,13 @@ class TestOpenRowStart:
         budgets = [tie, np.nextafter(tie, np.inf)]
         lps = _budget_lps(LinearProgram.build([-1.0], A_ub=[[1.0], [1.0]],
                                               b_ub=[tie, 5.0]), budgets)
-        trunk = open_row_trunk(lps[0], 0, budgets)
+        trunk = Trunk(lps[0], budgets)
         assert trunk.budgets.tolist() == budgets
         steps = []
         for lp in lps:
-            start = _departure(trunk, lp)
-            steps.append(start.phase2_iterations)
-            _against_cold(lp, start)
+            res = _departure(trunk, lp)
+            steps.append(trunk._pivots)
+            _assert_same(res, solve_simplex(lp))
         assert steps == [0, 1]
 
     def test_drive_out_moves_the_open_row(self):
@@ -599,11 +610,11 @@ class TestOpenRowStart:
         lp = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, 0.0], [1.0, -1.0]],
                                  b_eq=[0.0, 1e-10], A_ub=[[0.0, 1.0]],
                                  b_ub=[1.0])
-        trunk = open_row_trunk(lp, 0, [1.0])
+        trunk = Trunk(lp, [1.0])
         assert trunk._d.tolist() == [1.0 + 1e-10]
         _assert_trunk_starts(trunk, lambda d_th: replace(
             lp, b_ub=np.array([d_th])))
-        _against_cold(lp, _departure(trunk, lp))
+        _assert_same(_departure(trunk, lp), solve_simplex(lp))
 
     def test_ratio_at_the_threshold_takes_its_own_phase_1(self):
         # x1 enters; row 0's ratio is 0, so the tie threshold is 1e-12
@@ -612,9 +623,9 @@ class TestOpenRowStart:
         # shared phase 1, the open row in no tie, took row 0 (a zero one)
         lp = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, -1.0]], b_eq=[0.0],
                                  A_ub=[[1.0, 0.0]], b_ub=[1e-12])
-        trunk = open_row_trunk(lp, 0, [1e-12, 2e-12])
+        trunk = Trunk(lp, [1e-12, 2e-12])
         assert trunk.budgets.tolist() == [2e-12]
-        assert trunk.depart(lp) is None
+        assert trunk.solve(lp) is None
         _against_cold(lp, trunk)
 
     def test_replay_clips_at_zero_as_phase_1_does(self):
@@ -624,57 +635,57 @@ class TestOpenRowStart:
         lp = LinearProgram.build([0.0, 0.0, -1.0],
                                  A_eq=[[1.0, 1.0, 0.0]], b_eq=[1.0],
                                  A_ub=[[1e-12, 0.0, 1.0]], b_ub=[0.0])
-        trunk = open_row_trunk(lp, 0, [0.0])
+        trunk = Trunk(lp, [0.0])
         assert trunk.budgets.tolist() == [0.0]
-        _against_cold(lp, _departure(trunk, lp))
+        _assert_same(_departure(trunk, lp), solve_simplex(lp))
         assert solve_simplex(lp).degenerate_pivots == 1
 
     def test_negative_rhs_takes_its_own_phase_1(self):
         # phase 1 negates the row and gives it an artificial
         lp = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, -1.0]], b_eq=[0.0],
                                  A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
-        assert open_row_trunk(lp, 0, [-1.0]) is None
+        assert Trunk(lp, [-1.0]).budgets.size == 0
         _against_cold(lp, None)
 
     def test_trunk_serves_only_pending_budgets(self, tiny_cfg):
         disc = discretize_channel(tiny_cfg.channel, 2)
         grid = default_budget_grid(tiny_cfg, disc, points=5)
         lp = build_occupancy_lp(tiny_cfg, disc).at(0.0)
-        trunk = open_row_trunk(lp, 0, grid[::-1])
+        trunk = Trunk(lp, grid[::-1])
         assert trunk.budgets.tolist() == grid[1:].tolist()
         at = [replace(lp, b_ub=np.array([d_th])) for d_th in grid]
         # d_min is not on the trunk, a budget is served once, and one
         # of another objective, or on equal rows in other arrays, is
         # not the trunk's
-        assert trunk.depart(at[0]) is None
-        assert trunk.depart(replace(at[1], c=-lp.c)) is None
-        assert trunk.depart(replace(at[1], A_eq=lp.A_eq.copy())) is None
-        assert trunk.depart(replace(at[1], b_eq=lp.b_eq.copy())) is None
-        assert trunk.depart(at[1]) is not None
-        assert trunk.depart(at[1]) is None
-        assert trunk.depart(at[2]).phase2_iterations > 0
+        assert trunk.solve(at[0]) is None
+        assert trunk.solve(replace(at[1], c=-lp.c)) is None
+        assert trunk.solve(replace(at[1], A_eq=lp.A_eq.copy())) is None
+        assert trunk.solve(replace(at[1], b_eq=lp.b_eq.copy())) is None
+        assert trunk.solve(at[1]) is not None
+        assert trunk.solve(at[1]) is None
+        assert trunk.solve(at[2]) is not None and trunk._pivots > 0
 
     def test_zero_budgets_make_no_trunk(self, tiny_cfg):
         disc = discretize_channel(tiny_cfg.channel, 2)
-        assert budget_trunk(tiny_cfg, disc, []) is None
+        assert budget_trunk(tiny_cfg, disc, []).budgets.size == 0
 
     def test_rows_with_no_open_phase_1(self, monkeypatch):
         infeasible = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, 1.0]],
                                          b_eq=[-1.0], A_ub=[[1.0, 0.0]],
                                          b_ub=[1.0])
-        assert open_row_trunk(infeasible, 0, [1.0]) is None
+        assert Trunk(infeasible, [1.0]).budgets.size == 0
         # the open row's slack is the lowest basic label; at OPEN_RHS 0
         # its ratio wins and the exchange takes it, and a budget above
         # the open RHS, whose own ratio is 2, is not carried
         lp = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[1.0],
                                  A_ub=[[1.0, 0.0]], b_ub=[2.0])
-        assert open_row_trunk(lp, 0, [2.0]) is not None
+        assert Trunk(lp, [2.0]).budgets.tolist() == [2.0]
         monkeypatch.setattr(simplex, "OPEN_RHS", 0.0)
-        assert open_row_trunk(lp, 0, [2.0]) is None
+        assert Trunk(lp, [2.0]).budgets.size == 0
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)
         with pytest.raises(SimplexAnomaly, match="pivot limit"):
             feasible_start(lp)
-        assert open_row_trunk(lp, 0, [2.0]) is None
+        assert Trunk(lp, [2.0]).budgets.size == 0
 
 
 class TestDuals:
@@ -970,12 +981,15 @@ class TestRank1Update:
     def test_solves_equal_the_fallback(self, blas, paper_cfg, piecewise_cfg,
                                        monkeypatch):
         # paper_iv M=4 cold, a delay-free LP from its shared start, and
-        # the piecewise fixture cold: every reported bit and count
+        # the piecewise fixture cold: every reported bit and count; and
+        # paper_iv's M=4 sweep, whose budgets pivot the trunk's tableau
+        # and their tails' copies of it: every power's bits
         disc = {name: discretize_channel(cfg.channel, 4)
                 for name, cfg in (("paper", paper_cfg),
                                   ("piecewise", piecewise_cfg))}
         free = build_occupancy_lp(paper_cfg, disc["paper"])
         weighted = replace(free.lp, c=free.power + 0.7 * free.delay)
+        grid = default_budget_grid(paper_cfg, disc["paper"])
 
         def run():
             start = feasible_start(weighted)
@@ -985,7 +999,10 @@ class TestRank1Update:
                 solve_simplex(build_occupancy_lp(
                     piecewise_cfg, disc["piecewise"]).at(1.5))]
             assert all(res.status == "optimal" for res in results)
-            return start.T.tobytes(), [
+            occupancy_lp._lp.cache_clear()
+            powers = sweep_curve(paper_cfg, disc["paper"], grid).powers
+            assert powers.size == 60
+            return start.T.tobytes(), powers.tobytes(), [
                 (res.x.tobytes(), np.float64(res.objective).tobytes(),
                  res.iterations, res.phase1_iterations, res.degenerate_pivots,
                  res.row_gap, res.dropped_eq_rows, res.duals_ub.tobytes())

@@ -142,6 +142,28 @@ class TestSweep:
         # every budget still reports the pivots of its whole path
         assert sum(res.iterations for res in results) == 34340
 
+    @pytest.mark.parametrize("name, bins", [("paper", 2), ("paper", 4),
+                                            ("paper", 8), ("tiny", 4)])
+    def test_budgets_match_highs(self, request, name, bins):
+        # an independent solver on each budget's LP (worst 8.3e-12 at
+        # paper M=8); HiGHS's own default tolerances leave its answer
+        # 2.1e-6 off there, so they are tightened
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        cfg = request.getfixturevalue(f"{name}_cfg")
+        disc = discretize_channel(cfg.channel, bins)
+        grid = default_budget_grid(cfg, disc)
+        curve = sweep_curve(cfg, disc, grid)
+        assert curve.budgets.tobytes() == grid.tobytes()
+        olp = occupancy_lp._lp(cfg, disc)
+        for d_th, power in zip(grid.tolist(), curve.powers.tolist()):
+            lp = olp.at(d_th)
+            ref = linprog(lp.c, A_ub=lp.A_ub, b_ub=lp.b_ub, A_eq=lp.A_eq,
+                          b_eq=lp.b_eq, method="highs-ds",
+                          options={"primal_feasibility_tolerance": 1e-10,
+                                   "dual_feasibility_tolerance": 1e-10})
+            assert ref.status == 0, (d_th, ref.message)
+            assert power == pytest.approx(ref.fun, rel=1e-9), d_th
+
     def test_empty_grid_is_a_value_error(self, paper_cfg, monkeypatch):
         disc = discretize_channel(paper_cfg.channel, 2)
         monkeypatch.setattr(sweep, "budget_trunk", None)  # no LP is built
