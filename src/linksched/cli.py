@@ -5,7 +5,8 @@ resolves the output directory; the command computes, prints a short
 summary and returns its exit code with its outputs as {file name:
 text}; `main` then writes those files atomically, plus a run manifest
 whose parameters are the parsed options, each default the command
-resolved (outdir, warmup) written back into them.  Outputs
+resolved (outdir, warmup) written back into them, beside what the run
+found that its files do not show (sweep's infeasible budgets).  Outputs
 are pure functions of the manifest's parameters (simulation included,
 via the seed), so re-running a manifest reproduces them byte for byte;
 the manifest's own timestamp is the only thing that moves.
@@ -49,6 +50,7 @@ from .model import discretize_channel, load_config
 from .occupancy_lp import (
     POLICY_HEADER,
     ReducibleChainError,
+    clear_caches,
     evaluate_measure,
     extract_policy,
     measure_to_text,
@@ -143,14 +145,15 @@ def _construct(dens, cells: int):
 
 # --- subcommands -----------------------------------------------------------
 # Each takes (args, cfg) and returns (exit code, {file name: text}, label
-# for the "wrote" line, None meaning the file names).  No files, no writes.
+# for the "wrote" line, None meaning the file names, {manifest key: value}
+# for what the run found that its files do not show).  No files, no writes.
 
 def _cmd_solve(args, cfg):
     disc = discretize_channel(cfg.channel, args.bins)
     sol = solve_constrained(cfg, disc, args.dth)
     if sol.status != "optimal":
         print(f"status={sol.status}")
-        return EXIT_INFEASIBLE, {}, None
+        return EXIT_INFEASIBLE, {}, None, {}
     delay, power = evaluate_measure(sol.measure)
     pol = extract_policy(sol.measure)
     metrics = [
@@ -166,7 +169,7 @@ def _cmd_solve(args, cfg):
           f"policy={pol.kind}")
     return EXIT_OK, {"measure.csv": measure_to_text(sol.measure),
                      "policy.csv": policy_to_text(pol),
-                     "metrics.txt": kv_text(metrics)}, None
+                     "metrics.txt": kv_text(metrics)}, None, {}
 
 
 def _cmd_sweep(args, cfg):
@@ -177,9 +180,12 @@ def _cmd_sweep(args, cfg):
         (f"{a}-{b}", g)
         for a, b, g in zip(bins_list[:-1], bins_list[1:], study.sup_gaps)))
     gaps = ",".join(fmt(g) for g in study.sup_gaps)
-    print(f"curves for M={bins_list} ({len(study.curves[0].budgets)} budgets);"
-          f" sup gaps {gaps}")
-    return EXIT_OK, files, f"{len(study.curves)} curve CSVs"
+    counts = [len(c.budgets) for c in study.curves]
+    print(f"curves for M={bins_list} ({counts} budgets); sup gaps {gaps}")
+    # the curve CSVs hold the feasible budgets only
+    infeasible = {str(c.M): list(c.infeasible) for c in study.curves}
+    return (EXIT_OK, files, f"{len(study.curves)} curve CSVs",
+            {"infeasible_budgets": infeasible})
 
 
 def _cmd_vertices(args, cfg):
@@ -199,7 +205,7 @@ def _cmd_vertices(args, cfg):
     print(f"M={m}: {len(verts)} vertices, max adjacent distance "
           f"euclidean={fmt(eu.max(initial=0.0))} "
           f"delay_axis={fmt(dd.max(initial=0.0))}")
-    return EXIT_OK, files, "vertex/distance CSVs and policies"
+    return EXIT_OK, files, "vertex/distance CSVs and policies", {}
 
 
 def _cmd_construct(args, cfg):
@@ -207,7 +213,7 @@ def _cmd_construct(args, cfg):
     sol = solve_constrained(cfg, disc, args.dth)
     if sol.status != "optimal":
         print(f"status={sol.status}")
-        return EXIT_INFEASIBLE, {}, None
+        return EXIT_INFEASIBLE, {}, None, {}
     dens = density_from_measure(sol.measure)
     y, rep, det, ratio = _construct(dens, args.cells)
     pol = to_threshold_policy(y)
@@ -230,7 +236,7 @@ def _cmd_construct(args, cfg):
     print(f"ratio={fmt(ratio.ratio)} (bound {fmt(ratio.bound)}) "
           f"max_residual={fmt(rep.max_residual)} deterministic={det.ok}")
     return EXIT_OK, {"thresholds.csv": threshold_policy_to_text(pol),
-                     "report.txt": kv_text(report)}, None
+                     "report.txt": kv_text(report)}, None, {}
 
 
 def _cmd_simulate(args, cfg):
@@ -255,7 +261,7 @@ def _cmd_simulate(args, cfg):
           f"power={fmt(rep.mean_power)}+-{fmt(rep.se_power)} "
           f"drops={rep.drops} overrides={rep.underflow_overrides}")
     return EXIT_OK, {"report.txt": report_to_text(rep),
-                     "report.csv": report_to_csv(rep)}, None
+                     "report.csv": report_to_csv(rep)}, None, {}
 
 
 def _cmd_verify(args, cfg):
@@ -368,7 +374,8 @@ def _cmd_verify(args, cfg):
 
     table = "\n".join(lines) + "\n"
     print(table, end="")
-    return (EXIT_VERIFY if failed else EXIT_OK), {"verify.txt": table}, None
+    return ((EXIT_VERIFY if failed else EXIT_OK), {"verify.txt": table}, None,
+            {})
 
 
 # --- wiring ----------------------------------------------------------------
@@ -448,7 +455,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         args.outdir = args.outdir or os.environ.get(OUTDIR_ENV) or "."
         os.makedirs(args.outdir, exist_ok=True)
-        code, files, label = args.func(args, cfg)
+        code, files, label, found = args.func(args, cfg)
         if files:
             for name, text in files.items():
                 _write_atomic(os.path.join(args.outdir, name), text)
@@ -459,6 +466,7 @@ def main(argv=None) -> int:
                            if k not in ("command", "func", "config")},
                 "version": __version__,
                 "timestamp": datetime.now(timezone.utc).isoformat(),
+                **found,
             }
             _write_atomic(os.path.join(args.outdir, "manifest.json"),
                           json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -479,6 +487,8 @@ def main(argv=None) -> int:
         if isinstance(e, InfeasibleCurveError):
             return EXIT_INFEASIBLE
         return EXIT_ANOMALY
+    finally:
+        clear_caches()  # a later command in this process starts afresh
 
 
 if __name__ == "__main__":

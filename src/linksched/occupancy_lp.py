@@ -25,13 +25,14 @@ One discretization has one LP: build_occupancy_lp assembles its
 equality rows once, and a delay budget is one row on them
 (OccupancyLp.at), an LP sharing their arrays.  A simplex solve is
 phase 1 on the LP's rows, whose outcome is a FeasibleStart, then
-phase 2 on a copy of that start.  Solves without a delay row
-(min_delay, solve_lagrangian and solve_constrained with no budget)
-differ only in their objective, so they share one start
-(OccupancyLp.start) and run phase 2 alone, bit for bit as from their
-own start.  The last discretization's LP stays cached, with its start
-once a delay-free solve has made it (or the "infeasible" result phase
-1 proved).  A budget's row can steer phase 1, so a single constrained
+phase 2 on that start.  Solves without a delay row (min_delay,
+solve_lagrangian and solve_constrained with no budget) differ only in
+their objective, so they share one start (OccupancyLp.start) and run
+phase 2 alone, each on a copy, bit for bit as from their own start.
+The last discretization's LP stays cached, with its start once a
+delay-free solve has made it (or the "infeasible" result phase 1
+proved), until clear_caches frees it, as the CLI does when a command
+ends.  A budget's row can steer phase 1, so a single constrained
 solve runs its own.  The budgets of one sweep share one trunk
 (budget_trunk, simplex.Trunk): the path of the LP with the delay
 row's right-hand side left open, through phase 1 and phase 2, which
@@ -275,6 +276,13 @@ def build_occupancy_lp(
 def _lp(cfg: SystemConfig, disc: ChannelDiscretization) -> OccupancyLp:
     """The last discretization's LP, which every solve on it shares."""
     return build_occupancy_lp(cfg, disc)
+
+
+def clear_caches() -> None:
+    """Free the cached LP, its start and the min-delay answer, which
+    hold the dense A_eq and the start's tableau."""
+    _lp.cache_clear()
+    min_delay.cache_clear()
 
 
 def budget_trunk(cfg: SystemConfig, disc: ChannelDiscretization,

@@ -46,25 +46,25 @@ before phase 2, and so are the nonbasic artificial columns, which can
 never enter again.  Phase 1, the drive-out and the drop are
 feasible_start.  They read only the rows, never the objective, so
 their outcome, a FeasibleStart, serves any objective over the same
-rows.  Phase 2 always pivots a copy of a start: solve_simplex(lp)
-makes lp's own, and solve_simplex(lp, start) shares one made before,
+rows.  solve_simplex(lp) makes lp's own start and pivots it in place;
+solve_simplex(lp, start) shares one made before and pivots a copy,
 with the same result bit for bit.
 
 LPs whose rows differ only in A_ub row 0's right-hand side (a delay
 budget) can share both phases as far as their paths agree.  A Trunk
 walks one path, that of the open LP with the row's RHS at OPEN_RHS,
-which no ratio test picks, on its own tableau, and carries each other
-RHS as one number, the row's RHS in that LP's tableau.  Pricing never
-reads the RHS, so those LPs enter the column the open LP enters, and
-until their own ratio could tie the ratio test they leave its row
-too; before every exchange of phase 1, the drive-out and phase 2 one
-rule drops the LPs whose ratio could and moves every other number by
-the exchange's own arithmetic.  An LP dropped in phase 1 runs its own
-phase 1; one that leaves in phase 2 finishes phase 2 on a copy of the
-trunk's tableau at that point, its number written into the copy, so
-it pivots only the rest of its path.  A Trunk serves only LPs with
-its objective on the very A_eq and b_eq arrays it was opened on; any
-other LP runs its own phase 1.
+which no ratio test picks, on its own start's tableau, and carries
+each other RHS as one number, the row's RHS in that LP's tableau.
+Pricing never reads the RHS, so those LPs enter the column the open
+LP enters, and until their own ratio could tie the ratio test they
+leave its row too; before every exchange of phase 1, the drive-out
+and phase 2 one rule drops the LPs whose ratio could and moves every
+other number by the exchange's own arithmetic.  An LP dropped in
+phase 1 runs its own phase 1; one that leaves in phase 2 finishes
+phase 2 on a copy of the trunk's tableau at that point, its number
+written into the copy, so it pivots only the rest of its path.  A
+Trunk serves only LPs with its objective on the very A_eq and b_eq
+arrays it was opened on; any other LP runs its own phase 1.
 
 x, the objective, the pivot counts and the dropped rows are those of
 the full-tableau method bit for bit.  The dual of each A_ub row is
@@ -79,19 +79,21 @@ ones included; a miss beyond ROW_TOL is a SimplexAnomaly, not an
 answer.
 
 Memory, in doubles: phase 1 pivots one tableau array of rows x
-(n + negated A_ub rows, padded, + 1) in place and, at the drop, copies
-the kept rows and columns into the start's fresh array, kept rows x
-(n + mu - kept rows, padded, + 1).  Phase 1's array is freed when
-feasible_start returns, before phase 2 copies start.T, so a solve's
-peak is those two arrays, and from a shared start the start and its
-copy.  A Trunk's array is a copy of the shared start, which is freed
-once it is made, and an LP that leaves the trunk finishes phase 2 on
-a copy of the trunk's array, its only new tableau.  Each tableau
-comes with three small buffers, allocated once: the entering column,
-the pivot row and the ratio test's ratios.  The exchange writes only
-into them and the tableau and allocates no array data; pricing and
-the ratio test make only numpy's temporaries of the tableau's width
-or height.
+(n + negated A_ub rows, padded, + 1) in place.  At the drop it
+writes the kept rows and columns, an array of kept rows x
+(n + mu - kept rows, padded, + 1), into the front of that same array,
+row by row through a one-row buffer, and shrinks it in place to them
+(ndarray.resize; a copy only when something else, such as a
+debugger's frame locals, still refers to it).  That array is the start's T, and phase 2 of
+solve_simplex(lp) pivots it in place, so a cold solve's peak is phase
+1's one array.  From a shared start a solve holds the start and its
+copy.  A Trunk pivots its own start in place, and an LP that leaves
+the trunk finishes phase 2 on a copy of the trunk's array, its only
+new tableau.  Each tableau comes with three small buffers, allocated
+once: the entering column, the pivot row and the ratio test's ratios.
+The exchange writes only into them and the tableau and allocates no
+array data; pricing and the ratio test make only numpy's temporaries
+of the tableau's width or height.
 """
 
 from __future__ import annotations
@@ -331,8 +333,10 @@ class FeasibleStart:
     nonbasic structural and slack columns, which nb labels; basis holds
     the kept rows' basic labels and rows their indices among all
     me + mu.  phase1_iterations counts the phase-1 pivots and
-    phase1_degenerate their zero steps.  The arrays are read-only:
-    every solve pivots a copy of T.
+    phase1_degenerate their zero steps.  The arrays are read-only, and
+    a solve given a start pivots a copy of T; the start that
+    solve_simplex(lp) or a Trunk makes for itself, which nothing else
+    reads, is pivoted in place, its T, nb and basis made writable.
     """
 
     T: np.ndarray
@@ -408,16 +412,26 @@ def feasible_start(lp: LinearProgram, check=None
             keep[i] = False
     dropped = tuple(int(i) for i in np.nonzero(~keep)[0] if i < me)
 
-    # copy the kept rows over the non-artificial columns into a fresh
-    # array, row by row so that nothing else tableau-sized is allocated
+    # write the kept rows over the non-artificial columns into the front
+    # of T, as a narrower C-order array, row by row through one buffer:
+    # kept row k, taken from row i >= k, can overlap row i, never a
+    # later one
     rows = np.flatnonzero(keep)
     cols = np.flatnonzero(nb < n + mu)
-    kept = np.zeros((rows.size, _padded(cols.size) + 1))
+    width = _padded(cols.size) + 1
+    row, flat = np.zeros(width), T.reshape(-1)
     for k, i in enumerate(rows):
-        kept[k, : cols.size] = T[i, cols]
-    kept[:, -1] = T[rows, -1]
-    return FeasibleStart(kept, nb[cols], basis[rows], rows, dropped, it1,
-                         deg1)
+        row[: cols.size] = T[i, cols]
+        row[-1] = T[i, -1]
+        flat[k * width:(k + 1) * width] = row
+    # the tableau's views and the rank-1 kernel's pointers go first:
+    # resize shrinks T in place only when nothing else refers to it
+    del t, flat
+    try:
+        T.resize((rows.size, width))
+    except ValueError:  # a tracer that reads frame locals (a debugger)
+        T = T.reshape(-1)[: rows.size * width].reshape(-1, width).copy()
+    return FeasibleStart(T, nb[cols], basis[rows], rows, dropped, it1, deg1)
 
 
 def _check_rows(lp: LinearProgram, x: np.ndarray) -> float:
@@ -443,7 +457,8 @@ def solve_simplex(lp: LinearProgram,
 
     start is feasible_start's outcome on an LP with the same rows, lp's
     own when None: an "infeasible" result is returned as it is, and
-    otherwise phase 2 pivots a copy of start.T.  Phase 1 reads no
+    otherwise phase 2 pivots a copy of start.T, or lp's own start in
+    place.  Phase 1 reads no
     objective, so a start shared by several objectives gives each of
     them bit for bit the result of its own solve.  A Trunk that serves
     lp solves it (Trunk.solve); an lp that it does not serve runs its
@@ -451,13 +466,26 @@ def solve_simplex(lp: LinearProgram,
     """
     if isinstance(start, Trunk):
         start = start.solve(lp)  # lp's result, or None if not served
-    if start is None:
+    shared = start is not None
+    if not shared:
         start = feasible_start(lp)
     if isinstance(start, SimplexResult):
         return start
     cost = np.concatenate([lp.c, np.zeros(lp.A_ub.shape[0])])
-    t = _Tableau(start.T.copy(), start.nb.copy(), start.basis.copy(), cost)
-    return _phase_2(lp, start, t)
+    return _phase_2(lp, start, _start_tableau(start, cost, shared))
+
+
+def _start_tableau(start: FeasibleStart, cost: np.ndarray,
+                   shared: bool) -> _Tableau:
+    """A _Tableau at start with the costs cost: on copies of start's
+    arrays when others may read start, else on its own T, nb and basis,
+    made writable again, which the tableau's pivots then overwrite."""
+    T, nb, basis = start.T, start.nb, start.basis
+    if shared:
+        return _Tableau(T.copy(), nb.copy(), basis.copy(), cost)
+    for a in (T, nb, basis):
+        a.setflags(write=True)
+    return _Tableau(T, nb, basis, cost)
 
 
 def _phase_2(lp: LinearProgram, start: FeasibleStart, t: _Tableau,
@@ -497,7 +525,8 @@ def _phase_2(lp: LinearProgram, start: FeasibleStart, t: _Tableau,
 class Trunk:
     """Phase 1 and phase 2 of the LPs whose rows differ only in A_ub
     row 0's RHS, their budget, walked once along the path of the open
-    LP, row 0 at OPEN_RHS, on the trunk's own tableau.
+    LP, row 0 at OPEN_RHS, on the trunk's own tableau: the open LP's
+    start, which no one else reads, pivoted in place.
 
     Let k be row 0's row in the tableau.  While no exchange is on row k,
     a budget's tableau differs from the open one only in row k's RHS,
@@ -547,10 +576,11 @@ class Trunk:
                                                 self._d[kept], kept[kept])
         if self.budgets.size:
             self._k = int(np.searchsorted(start.rows, self._k))
-            self._t = _Tableau(start.T.copy(), start.nb.copy(),
-                               start.basis.copy(), self._cost)
-            # the start's row labels and phase-1 counts, without its tableau
-            self._start = replace(start, T=np.empty((0, 0)))
+            # the trunk's own start, which no one else reads: its arrays
+            # are the trunk's tableau, and its row labels and phase-1
+            # counts those of every budget's start
+            self._t = _start_tableau(start, self._cost, shared=False)
+            self._start = start
 
     def _before(self, t, r: int, p: int, tie: float) -> bool:
         """The rule before exchange (r, p) of the open path; True when

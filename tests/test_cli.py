@@ -316,10 +316,11 @@ class TestSolveOutputs:
 
 
 class TestSweepOutputs:
-    def test_curves_and_gaps(self, tmp_path):
+    def test_curves_and_gaps(self, tmp_path, capsys):
         rc = main(["sweep", "--bins-list", "1,2", "--dgrid", "1.0,2.0,3.0",
                    "--outdir", str(tmp_path)])
         assert rc == 0
+        assert "curves for M=[1, 2] ([3, 3] budgets)" in capsys.readouterr().out
         for m in (1, 2):
             lines = (tmp_path / f"curve_m{m}.csv").read_text().splitlines()
             assert lines[0] == "M,D_th,P"
@@ -328,6 +329,37 @@ class TestSweepOutputs:
         gaps = (tmp_path / "sup_gaps.txt").read_text().splitlines()
         assert gaps[0] == "pair,sup_gap"
         assert gaps[1].startswith("1-2,")
+
+    def test_infeasible_budgets_are_named(self, tmp_path, capsys):
+        # 0.5 is below d_min: the curve holds the other three budgets,
+        # and the manifest names the one it dropped
+        rc = main(["sweep", "--config", "paper_iv", "--bins-list", "4",
+                   "--dgrid", "0.5,1.2,1.2,3", "--outdir", str(tmp_path)])
+        assert rc == 0
+        assert "M=[4] ([3] budgets)" in capsys.readouterr().out
+        rows = (tmp_path / "curve_m4.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows] == ["1.2", "1.2", "3"]
+        man = json.loads((tmp_path / "manifest.json").read_text())
+        assert man["infeasible_budgets"] == {"4": [0.5]}
+        assert man["params"]["dgrid"] == [0.5, 1.2, 1.2, 3.0]
+
+
+class TestCaches:
+    def test_a_command_frees_the_cached_lp(self, tmp_path):
+        # the LP and the min-delay answer do not outlive the command
+        assert main(["vertices", "--bins", "2", "--outdir",
+                     str(tmp_path)]) == 0
+        assert occupancy_lp._lp.cache_info().currsize == 0
+        assert occupancy_lp.min_delay.cache_info().currsize == 0
+
+    def test_construct_after_solve_writes_the_same_bytes(self, tmp_path):
+        construct = ["construct", "--bins", "4", "--dth", "3.0", "--M", "50"]
+        assert main([*construct, "--outdir", str(tmp_path / "alone")]) == 0
+        assert _solve(tmp_path / "solve") == 0
+        assert main([*construct, "--outdir", str(tmp_path / "after")]) == 0
+        for name in ("thresholds.csv", "report.txt"):
+            assert ((tmp_path / "alone" / name).read_bytes()
+                    == (tmp_path / "after" / name).read_bytes()), name
 
 
 class TestVerticesOutputs:
