@@ -33,14 +33,12 @@ The last discretization's LP stays cached, with its start once a
 delay-free solve has made it (or the "infeasible" result phase 1
 proved), until clear_caches frees it, as the CLI does when a command
 ends.  A budget's row can steer phase 1, so a single constrained
-solve runs its own.  The budgets of one sweep share one trunk
-(budget_trunk, simplex.Trunk): the path of the LP with the delay
-row's right-hand side left open, through phase 1 and phase 2, which
-each budget rides as one number, its own right-hand side, until its
-ratio test could part from the path.  A budget that parts in phase 1
-reruns phase 1 for itself, and one that parts in phase 2 finishes on
-a copy of the trunk's tableau, pivoting only the rest of its path,
-with results bit for bit those of the cold solve either way.
+solve runs its own.  The budgets of one sweep are solved on one walk
+along the path of the LP with the delay row's right-hand side left
+open (presolve_budgets, simplex.trunk_solves); the results stay on the
+cached LP (OccupancyLp.solved), where solve_constrained finds each
+budget's own, bit for bit that of the cold solve, and a budget the
+walk leaves out (d_min and below) runs its own phase 1.
 
 State spaces are 0-based: q in {0..Q}, s in {0..S_max}.
 """
@@ -58,9 +56,10 @@ from .simplex import (
     FEAS_TOL,
     LinearProgram,
     SimplexAnomaly,
-    Trunk,
+    SimplexResult,
     feasible_start,
     solve_simplex,
+    trunk_solves,
 )
 from .textio import csv_text, read_rows
 
@@ -243,6 +242,11 @@ class OccupancyLp:
         which every such solve then returns)."""
         return feasible_start(self.lp)
 
+    @cached_property
+    def solved(self) -> dict[float, SimplexResult]:
+        """The power solves presolve_budgets made, by budget."""
+        return {}
+
 
 def build_occupancy_lp(
     cfg: SystemConfig, disc: ChannelDiscretization
@@ -279,31 +283,32 @@ def _lp(cfg: SystemConfig, disc: ChannelDiscretization) -> OccupancyLp:
 
 
 def clear_caches() -> None:
-    """Free the cached LP, its start and the min-delay answer, which
-    hold the dense A_eq and the start's tableau."""
+    """Free the cached LP, with its start and presolved budgets, and
+    the min-delay answer, which hold the dense A_eq and a tableau."""
     _lp.cache_clear()
     min_delay.cache_clear()
 
 
-def budget_trunk(cfg: SystemConfig, disc: ChannelDiscretization,
-                 budgets) -> Trunk | None:
-    """The trunk the budgets' solves share, its phase 1 run (one that
-    serves no budget when that phase 1 fails); None when the LP has no
-    delay row (no arrivals)."""
+def presolve_budgets(cfg: SystemConfig, disc: ChannelDiscretization,
+                     budgets) -> None:
+    """Solve the budgets' power LPs on one walk (simplex.trunk_solves)
+    and keep the results on the cached LP, which frees them with
+    itself; none when the LP has no delay row (no arrivals)."""
     olp = _lp(cfg, disc)
     lp = olp.at(0.0)
-    return None if lp is olp.lp else Trunk(lp, budgets)
+    if lp is not olp.lp:
+        olp.solved.update(trunk_solves(lp, budgets))
 
 
 def _solve(cfg: SystemConfig, disc: ChannelDiscretization,
-           d_th: float | None, objective, trunk: Trunk | None = None):
+           d_th: float | None, objective):
     """Solve the LP at budget d_th with lp.c = objective(olp), from the
-    shared start without a delay row and from trunk with one (its own
-    phase 1 unless the trunk serves it); returns the SimplexResult and
-    its measure, x scattered onto the mask (None unless optimal)."""
+    shared start without a delay row and from the presolved result with
+    one (its own phase 1 if none); returns the SimplexResult and its
+    measure, x scattered onto the mask (None unless optimal)."""
     olp = _lp(cfg, disc)
     lp = olp.at(d_th)
-    start = olp.start if lp is olp.lp else trunk
+    start = olp.start if lp is olp.lp else olp.solved.get(d_th)
     res = solve_simplex(replace(lp, c=objective(olp)), start)
     if res.status != "optimal":
         return res, None
@@ -314,17 +319,16 @@ def _solve(cfg: SystemConfig, disc: ChannelDiscretization,
 
 def solve_constrained(
     cfg: SystemConfig, disc: ChannelDiscretization, d_th: float | None,
-    trunk: Trunk | None = None,
 ) -> LpSolution:
     """Minimum average power subject to average delay <= d_th.
 
-    trunk, budget_trunk(cfg, disc, grid), lets the solves of a sweep
-    share phase 1 and a phase-2 trunk; the solution is bit for bit the
-    one without it.
+    After presolve_budgets(cfg, disc, grid), a budget of the grid reads
+    its result off the cached LP; the solution is bit for bit the one
+    without it.
     """
     if d_th is not None and not np.isfinite(d_th):
         raise ValueError(f"delay budget must be finite, got {d_th!r}")
-    res, measure = _solve(cfg, disc, d_th, lambda olp: olp.power, trunk)
+    res, measure = _solve(cfg, disc, d_th, lambda olp: olp.power)
     if measure is None:
         return LpSolution(res.status, None, None, 0.0, res.iterations)
     # price of one unit of delay budget

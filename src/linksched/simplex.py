@@ -51,20 +51,18 @@ solve_simplex(lp, start) shares one made before and pivots a copy,
 with the same result bit for bit.
 
 LPs whose rows differ only in A_ub row 0's right-hand side (a delay
-budget) can share both phases as far as their paths agree.  A Trunk
-walks one path, that of the open LP with the row's RHS at OPEN_RHS,
-which no ratio test picks, on its own start's tableau, and carries
-each other RHS as one number, the row's RHS in that LP's tableau.
-Pricing never reads the RHS, so those LPs enter the column the open
-LP enters, and until their own ratio could tie the ratio test they
-leave its row too; before every exchange of phase 1, the drive-out
-and phase 2 one rule drops the LPs whose ratio could and moves every
-other number by the exchange's own arithmetic.  An LP dropped in
-phase 1 runs its own phase 1; one that leaves in phase 2 finishes
-phase 2 on a copy of the trunk's tableau at that point, its number
-written into the copy, so it pivots only the rest of its path.  A
-Trunk serves only LPs with its objective on the very A_eq and b_eq
-arrays it was opened on; any other LP runs its own phase 1.
+budget) can share both phases as far as their paths agree.
+trunk_solves walks one path, that of the open LP with the row's RHS
+at OPEN_RHS, which no ratio test picks, and carries each budget as
+one number, the row's RHS in that budget's tableau.  Pricing never
+reads the RHS, so those LPs enter the column the open LP enters, and
+until their own ratio could tie the ratio test they leave its row
+too; before every exchange of phase 1, the drive-out and phase 2 one
+rule lets the budgets whose ratio could leave and moves every other
+number by the exchange's own arithmetic.  A budget that leaves in
+phase 1 is left to its own phase 1; one that leaves in phase 2
+finishes phase 2 on a copy of the walk's tableau there, its number
+written into the copy, so it pivots only the rest of its path.
 
 x, the objective, the pivot counts and the dropped rows are those of
 the full-tableau method bit for bit.  The dual of each A_ub row is
@@ -84,13 +82,15 @@ writes the kept rows and columns, an array of kept rows x
 (n + mu - kept rows, padded, + 1), into the front of that same array,
 row by row through a one-row buffer, and shrinks it in place to them
 (ndarray.resize; a copy only when something else, such as a
-debugger's frame locals, still refers to it).  That array is the start's T, and phase 2 of
-solve_simplex(lp) pivots it in place, so a cold solve's peak is phase
-1's one array.  From a shared start a solve holds the start and its
-copy.  A Trunk pivots its own start in place, and an LP that leaves
-the trunk finishes phase 2 on a copy of the trunk's array, its only
-new tableau.  Each tableau comes with three small buffers, allocated
-once: the entering column, the pivot row and the ratio test's ratios.
+debugger's frame locals, still refers to it).  That array is the
+start's T, and phase 2 of solve_simplex(lp) pivots it in place, so a
+cold solve's peak is phase 1's one array.  From a shared start a
+solve holds the start and its copy.  trunk_solves pivots the open
+LP's start in place, and finishes each budget that leaves the walk on
+a copy of it, one at a time: its peak is two start-sized arrays, and
+neither outlives the call.  Each tableau comes with three small
+buffers, allocated once: the entering column, the pivot row and the
+ratio test's ratios.
 The exchange writes only into them and the tableau and allocates no
 array data; pricing and the ratio test make only numpy's temporaries
 of the tableau's width or height.
@@ -109,7 +109,7 @@ PIV_TOL = 1e-11  # smallest pivot element admitted in the ratio test
 DRIVE_TOL = 1e-7  # smallest pivot used when driving artificials out
 ROW_TOL = 1e-8  # largest row miss an "optimal" point may have
 MAX_PIVOTS = 200_000  # per phase; beyond this the solve is an anomaly
-OPEN_RHS = 1e200  # the open row's RHS on a Trunk's path
+OPEN_RHS = 1e200  # the open row's RHS on trunk_solves' path
 
 
 class SimplexAnomaly(RuntimeError):
@@ -149,10 +149,11 @@ class SimplexResult:
     iterations counts the pivots on the path from the artificial basis
     to the returned basis: phase-1 pivots plus phase-2 pivots, whether
     the FeasibleStart was made for this solve or shared, and whether
-    phase 2's first pivots were taken on a Trunk or not.  Drive-out
-    pivots are in neither count.  phase1_iterations is the phase-1 part
-    and degenerate_pivots the part whose step was zero.  row_gap is the
-    largest miss of x on any row of the LP (0 unless optimal).
+    phase 2's first pivots were taken on trunk_solves' walk or not.
+    Drive-out pivots are in neither count.  phase1_iterations is the
+    phase-1 part and degenerate_pivots the part whose step was zero.
+    row_gap is the largest miss of x on any row of the LP (0 unless
+    optimal).
     duals_ub (None unless optimal) holds one multiplier per A_ub row,
     minus its slack's final reduced cost: 0 when the slack is basic or
     the row was dropped, and <= 0 at an optimum.
@@ -209,7 +210,7 @@ def _bland_iterate(t, check=None, taken=0):
     every exchange (r, p) before it is made, with its ratio test's tie
     threshold, and a true return stops the walk there, status
     "stopped".  taken counts the pivots of the phase taken before t (on
-    a Trunk), which the pivot limit counts too.
+    trunk_solves' walk), which the pivot limit counts too.
     """
     nb, basis, rhs, ratios = t.nb, t.basis, t.rhs, t.ratios
     cost_nb, cost_B, head = t.cost_nb, t.cost_B, t.head
@@ -335,8 +336,8 @@ class FeasibleStart:
     me + mu.  phase1_iterations counts the phase-1 pivots and
     phase1_degenerate their zero steps.  The arrays are read-only, and
     a solve given a start pivots a copy of T; the start that
-    solve_simplex(lp) or a Trunk makes for itself, which nothing else
-    reads, is pivoted in place, its T, nb and basis made writable.
+    solve_simplex(lp) or trunk_solves makes for itself, which nothing
+    else reads, is pivoted in place, its T, nb and basis made writable.
     """
 
     T: np.ndarray
@@ -451,21 +452,17 @@ def _check_rows(lp: LinearProgram, x: np.ndarray) -> float:
 
 
 def solve_simplex(lp: LinearProgram,
-                  start: FeasibleStart | SimplexResult | Trunk | None = None
+                  start: FeasibleStart | SimplexResult | None = None
                   ) -> SimplexResult:
     """Two-phase solve; statuses "optimal", "infeasible", "unbounded".
 
     start is feasible_start's outcome on an LP with the same rows, lp's
-    own when None: an "infeasible" result is returned as it is, and
-    otherwise phase 2 pivots a copy of start.T, or lp's own start in
-    place.  Phase 1 reads no
-    objective, so a start shared by several objectives gives each of
-    them bit for bit the result of its own solve.  A Trunk that serves
-    lp solves it (Trunk.solve); an lp that it does not serve runs its
-    own phase 1.
+    own when None, or lp's result from trunk_solves: a result is
+    returned as it is, and otherwise phase 2 pivots a copy of start.T,
+    or lp's own start in place.  Phase 1 reads no objective, so a start
+    shared by several objectives gives each of them bit for bit the
+    result of its own solve.
     """
-    if isinstance(start, Trunk):
-        start = start.solve(lp)  # lp's result, or None if not served
     shared = start is not None
     if not shared:
         start = feasible_start(lp)
@@ -492,7 +489,8 @@ def _phase_2(lp: LinearProgram, start: FeasibleStart, t: _Tableau,
              taken: int = 0, taken_degenerate: int = 0) -> SimplexResult:
     """Phase 2 of lp on t, a tableau over start's rows with lp's costs,
     and lp's result read off its end.  taken counts the phase-2 pivots
-    made before t (on a Trunk) and taken_degenerate their zero steps."""
+    made before t (on trunk_solves' walk) and taken_degenerate their
+    zero steps."""
     n, me, mu = lp.c.shape[0], lp.A_eq.shape[0], lp.A_ub.shape[0]
     status, it2, deg2, reduced = _bland_iterate(t, taken=taken)
     it1 = start.phase1_iterations
@@ -522,18 +520,20 @@ def _phase_2(lp: LinearProgram, start: FeasibleStart, t: _Tableau,
     )
 
 
-class Trunk:
-    """Phase 1 and phase 2 of the LPs whose rows differ only in A_ub
+def trunk_solves(lp: LinearProgram, budgets) -> dict[float, SimplexResult]:
+    """The solves of the LPs whose rows differ from lp's only in A_ub
     row 0's RHS, their budget, walked once along the path of the open
-    LP, row 0 at OPEN_RHS, on the trunk's own tableau: the open LP's
-    start, which no one else reads, pivoted in place.
+    LP, row 0 at OPEN_RHS: its phase 1, drive-out and phase 2, on the
+    open LP's own start, pivoted in place.  Returns each budget the
+    walk solves with its result, bit for bit its cold solve_simplex;
+    the budgets it leaves out run their own phase 1.
 
     Let k be row 0's row in the tableau.  While no exchange is on row k,
     a budget's tableau differs from the open one only in row k's RHS,
     and pricing never reads the RHS: the budget enters the same column
     at every step, and its ratio test picks the same row as long as its
     own ratio on row k stays out of the tie.  So each pending budget is
-    one number d, its RHS on row k, and one rule, _before, runs before
+    one number d, its RHS on row k, and one rule, check, runs before
     every exchange (r, p) of phase 1, the drive-out and phase 2: a
     budget leaves if c = N[k, p] > PIV_TOL and d / c <= tie (the ratio
     test's own tie rule; tie is -inf in the drive-out), and every other
@@ -541,76 +541,70 @@ class Trunk:
     v = N[r, -1] / N[r, p].  An exchange on row k needs no case of its
     own: no budget is above the open RHS, and that arithmetic keeps it
     so, so when the open ratio ties every budget's does.  A budget that
-    leaves in phase 1 is dropped and runs its own phase 1, and so is
-    every budget when the open phase 1 raises SimplexAnomaly or proves
-    the rows infeasible.  One that leaves in phase 2 finishes phase 2 on
-    a copy of the trunk's tableau with its d written into row k's RHS;
-    the trunk's own row k keeps the open RHS.  d and its ratio are
-    monotone in the budget, so tighter budgets leave first and a caller
-    asks tightest first.  Steps run only as requests need them, and a
-    budget that left without being asked is no longer pending: asked
-    later, it runs its own phase 1.  The trunk's exchanges are off row
-    k, so its zero steps are every pending budget's, and every budget's
-    pivots, zero steps and bits are its own solve's.
+    leaves in phase 1 is left out, and so is every budget when the open
+    phase 1 raises SimplexAnomaly or proves the rows infeasible.  One
+    that leaves in phase 2 finishes phase 2 on a copy of the walk's
+    tableau with its d written into row k's RHS, and is left out if
+    that raises SimplexAnomaly; the walk's own row k keeps the open
+    RHS.  Budgets still pending at the path's end finish there, and the
+    walk stops before the exchange where the last one leaves.  The
+    walk's exchanges are off row k, so its zero steps are every pending
+    budget's, and every budget's pivots, zero steps and bits are its
+    own solve's.
     """
+    # each budget once; phase 1 negates a row with a negative RHS, and a
+    # budget above the open RHS could stay where the open path takes row k
+    budgets = np.array(sorted({b for b in np.ravel(budgets).astype(float)
+                               if 0.0 <= b <= OPEN_RHS}), dtype=float)
+    d = budgets.copy()  # each budget's RHS on row k
+    pending = np.ones(budgets.size, dtype=bool)
+    cost = np.concatenate([lp.c, np.zeros(lp.A_ub.shape[0])])
+    k, solved = lp.A_eq.shape[0], {}
+    start = None  # the open LP's start, None while phase 1 runs
+    walked = zero = 0  # phase-2 exchanges so far, and their zero steps
 
-    def __init__(self, lp: LinearProgram, budgets):
-        budgets = np.sort(np.asarray(budgets, dtype=float))
-        # phase 1 negates a row with a negative RHS, and a budget above
-        # the open RHS could stay where the open path takes row k
-        self.budgets = budgets[(budgets >= 0.0) & (budgets <= OPEN_RHS)]
-        self._d = self.budgets.copy()  # each budget's RHS on row k
-        self._pending = np.ones(self.budgets.size, dtype=bool)
-        self._asked = None  # the budget whose leaving stops the walk
-        self._lp, self._k = lp, lp.A_eq.shape[0]
-        self._cost = np.concatenate([lp.c, np.zeros(lp.A_ub.shape[0])])
-        self._pivots = self._degenerate = 0
+    def finish(t, i):
+        tail = _Tableau(t.N.copy(), t.nb.copy(), t.basis.copy(), cost)
+        tail.rhs[k] = d[i]
         b_ub = lp.b_ub.copy()
-        b_ub[0] = OPEN_RHS
+        b_ub[0] = budgets[i]
         try:
-            start = feasible_start(replace(lp, b_ub=b_ub), self._before)
-        except SimplexAnomaly:
-            start = None
-        kept = self._pending & isinstance(start, FeasibleStart)
-        self.budgets, self._d, self._pending = (self.budgets[kept],
-                                                self._d[kept], kept[kept])
-        if self.budgets.size:
-            self._k = int(np.searchsorted(start.rows, self._k))
-            # the trunk's own start, which no one else reads: its arrays
-            # are the trunk's tableau, and its row labels and phase-1
-            # counts those of every budget's start
-            self._t = _start_tableau(start, self._cost, shared=False)
-            self._start = start
+            solved[float(budgets[i])] = _phase_2(replace(lp, b_ub=b_ub),
+                                                 start, tail, walked, zero)
+        except SimplexAnomaly:  # left out: its own solve raises it again
+            pass
 
-    def _before(self, t, r: int, p: int, tie: float) -> bool:
-        """The rule before exchange (r, p) of the open path; True when
-        the asked budget leaves, which stops the walk before it."""
-        c = float(t.N[self._k, p])
-        leave = self._pending & (c > PIV_TOL and self._d / c <= tie)
-        if self._asked is not None and leave[self._asked]:
-            return True
-        self._pending &= ~leave
+    def check(t, r, p, tie):
+        nonlocal walked, zero
+        c = float(t.N[k, p])
+        leave = np.flatnonzero(pending & (c > PIV_TOL and d / c <= tie))
+        pending[leave] = False
+        if start is not None:  # phase 2: finish each budget that leaves
+            for i in leave:
+                finish(t, i)
+            if not pending.any():
+                return True
+            walked += 1
+            if t.rhs[r] == 0.0:
+                zero += 1
         v = t.rhs[r] / t.N[r, p]  # the pivot row's RHS after the division
-        np.maximum(self._d - c * v, 0.0, out=self._d)
+        np.maximum(d - c * v, 0.0, out=d)
         return False
 
-    def solve(self, lp: LinearProgram) -> SimplexResult | None:
-        """lp's solve, the trunk advanced to where lp leaves it and
-        phase 2 finished from there; None unless lp has the very A_eq
-        and b_eq arrays the trunk was opened on, its objective and a
-        pending budget."""
-        at = np.flatnonzero(self._pending & (self.budgets == lp.b_ub[0]))
-        own = self._lp
-        if (not at.size or lp.A_eq is not own.A_eq or lp.b_eq is not own.b_eq
-                or not np.array_equal(lp.c, own.c)):
-            return None
-        t, self._asked = self._t, int(at[0])
-        _, pivots, degenerate, _ = _bland_iterate(t, self._before,
-                                                  self._pivots)
-        self._pivots += pivots
-        self._degenerate += degenerate
-        self._pending[self._asked] = False
-        tail = _Tableau(t.N.copy(), t.nb.copy(), t.basis.copy(), self._cost)
-        tail.rhs[self._k] = self._d[self._asked]
-        return _phase_2(lp, self._start, tail, self._pivots,
-                        self._degenerate)
+    b_ub = lp.b_ub.copy()
+    b_ub[0] = OPEN_RHS
+    try:
+        start = feasible_start(replace(lp, b_ub=b_ub), check)
+    except SimplexAnomaly:
+        return solved
+    if not isinstance(start, FeasibleStart) or not pending.any():
+        return solved
+    k = int(np.searchsorted(start.rows, k))
+    # the open LP's own start, which no one else reads: its arrays are
+    # the walk's tableau, and its row labels and phase-1 counts those
+    # of every budget's start
+    t = _start_tableau(start, cost, shared=False)
+    _bland_iterate(t, check)
+    for i in np.flatnonzero(pending):  # still on the path at its end
+        finish(t, i)
+    return solved

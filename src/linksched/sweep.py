@@ -29,11 +29,11 @@ from .model import ChannelDiscretization, SystemConfig, discretize_channel
 from .occupancy_lp import (
     ONE_HOT_TOL,
     Policy,
-    budget_trunk,
     evaluate_measure,
     extract_policy,
     min_delay,
     policy_to_measure,
+    presolve_budgets,
     solve_constrained,
     solve_lagrangian,
 )
@@ -245,35 +245,25 @@ def sweep_curve(
 ) -> TradeoffCurve:
     """One constrained solve per budget.
 
-    The solves share one LP and one trunk, the path through both phases
-    of that LP with the delay row's right-hand side left open, which
-    each budget rides until it leaves to finish its phase 2 on a copy
-    of the trunk's tableau (occupancy_lp.budget_trunk); each result is
-    bit for bit its own cold solve's.  The budgets still on the trunk
-    after phase 1 run tightest first, the order in which they leave it;
-    the trunk is then released, so that it and a cold solve's phase 1
-    are never alive together, and the others (d_min and below) run
-    cold.  Infeasible
-    budgets are dropped and listed on the curve; an empty grid is a
-    ValueError and an entirely infeasible one an InfeasibleCurveError.
-    The curve is checked to be nonincreasing.
+    The solves share one LP, and one walk solves the budgets first
+    (occupancy_lp.presolve_budgets): the path through both phases of
+    that LP with the delay row's right-hand side left open, which each
+    budget rides until it leaves to finish its phase 2 on a copy of the
+    walk's tableau; each result is bit for bit its own cold solve's.
+    The walk's tableaus are gone when it returns, and the budgets it
+    leaves out (d_min and below) then run cold.  Infeasible budgets
+    are dropped and listed on the curve; an empty grid is a ValueError
+    and an entirely infeasible one an InfeasibleCurveError.  The curve
+    is checked to be nonincreasing.
     """
     budgets = np.sort(np.asarray(budgets, dtype=float))
     if not budgets.size:
         raise ValueError("budget grid must be nonempty")
-    trunk = budget_trunk(cfg, disc, budgets)
-    on_trunk = np.isin(budgets, [] if trunk is None else trunk.budgets)
-
-    def power(d_th, trunk):  # nan if infeasible; no solution outlives it
-        sol = solve_constrained(cfg, disc, float(d_th), trunk)
-        return sol.objective if sol.status == "optimal" else np.nan
-
+    presolve_budgets(cfg, disc, budgets)
     powers = np.empty(budgets.size)
-    for i in np.flatnonzero(on_trunk):  # tightest first
-        powers[i] = power(budgets[i], trunk)
-    trunk = None  # release the trunk; the rest run cold
-    for i in np.flatnonzero(~on_trunk):
-        powers[i] = power(budgets[i], None)
+    for i, d_th in enumerate(budgets.tolist()):  # nan if infeasible
+        sol = solve_constrained(cfg, disc, d_th)
+        powers[i] = sol.objective if sol.status == "optimal" else np.nan
     feasible = ~np.isnan(powers)
     kept, powers = budgets[feasible], powers[feasible]
     skipped = budgets[~feasible].tolist()
@@ -341,12 +331,12 @@ def convergence_study(
         raise ValueError("bin counts must be nonempty")
     if budgets is not None and len(budgets) == 0:
         raise ValueError("budget grid must be nonempty")
-    if any(b > a for a, b in zip(m_list[1:], m_list[:-1])):
-        raise ValueError("bin counts must be nondecreasing")
-    discs = {m: discretize_channel(cfg.channel, m) for m in set(m_list)}
+    if any(b >= a for a, b in zip(m_list[1:], m_list[:-1])):
+        raise ValueError("bin counts must be increasing")
+    discs = [discretize_channel(cfg.channel, m) for m in m_list]
     if budgets is None:
-        budgets = default_budget_grid(cfg, discs[m_list[0]])
-    curves = [sweep_curve(cfg, discs[m], budgets) for m in m_list]
+        budgets = default_budget_grid(cfg, discs[0])
+    curves = [sweep_curve(cfg, disc, budgets) for disc in discs]
     for i, coarse in enumerate(curves):
         for fine in curves[i + 1:]:
             if fine.M % coarse.M != 0:

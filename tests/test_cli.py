@@ -160,7 +160,14 @@ class TestExitCodes:
     def test_decreasing_bin_list_is_usage(self, tmp_path, capsys):
         rc = main(["sweep", "--bins-list", "4,2", "--outdir", str(tmp_path)])
         assert rc == 1
-        assert "nondecreasing" in capsys.readouterr().err
+        assert "increasing" in capsys.readouterr().err
+
+    def test_repeated_bin_count_is_usage(self, tmp_path, capsys):
+        # one curve_m2.csv cannot hold two curves
+        rc = main(["sweep", "--bins-list", "2,2", "--outdir", str(tmp_path)])
+        assert rc == 1
+        assert "increasing" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_all_budgets_infeasible_is_two(self, tmp_path, capsys):
         rc = main(["sweep", "--bins-list", "2", "--dgrid", "0.01,0.02",

@@ -19,13 +19,13 @@ from linksched.occupancy_lp import (
     OccupancyMeasure,
     Policy,
     ReducibleChainError,
-    budget_trunk,
     build_occupancy_lp,
     evaluate_measure,
     extract_policy,
     min_delay,
     policy_from_text,
     policy_to_measure,
+    presolve_budgets,
     policy_to_text,
     measure_to_text,
     solve_constrained,
@@ -270,27 +270,28 @@ class TestSolve:
             "channel": {"kind": "uniform", "h_min": 0.5, "h_max": 10.0},
             "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"})
         disc = discretize_channel(cfg.channel, 2)
-        assert budget_trunk(cfg, disc, [0.5, 2.0]) is None
+        presolve_budgets(cfg, disc, [0.5, 2.0])
+        assert occupancy_lp._lp(cfg, disc).solved == {}
         curve = sweep.sweep_curve(cfg, disc, [0.5, 2.0])
         assert curve.powers.tolist() == [0.0, 0.0]
 
-    def test_trunk_of_another_discretization_runs_cold(self, paper_cfg,
-                                                       disc16):
-        # the trunk serves only LPs on the equality rows it was opened
-        # on: an M=16 solve handed an M=4 trunk takes its own path, and
-        # so does one of another arrival law, whose LP has the trunk's
-        # columns and costs
+    def test_presolved_budgets_go_with_their_lp(self, paper_cfg, disc16):
+        # a walk's results live on the LP they were solved on: a solve
+        # on another discretization, or of another arrival law with the
+        # same columns and costs, has its own LP and runs cold, and
+        # switching back finds a new LP with nothing presolved
         disc4 = discretize_channel(paper_cfg.channel, 4)
         other = config_from_dict({
             "arrival": {"alphas": [0.5, 0.2, 0.3]},
             "channel": {"kind": "uniform", "h_min": 0.5, "h_max": 10.0},
             "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"})
-        for cfg, trunk in ((paper_cfg, budget_trunk(paper_cfg, disc4, [3.0])),
-                           (other, budget_trunk(paper_cfg, disc16, [3.0]))):
-            got = solve_constrained(cfg, disc16, 3.0, trunk)
+        for cfg, disc in ((paper_cfg, disc4), (other, disc16)):
             want = solve_constrained(cfg, disc16, 3.0)
+            presolve_budgets(paper_cfg, disc, [3.0])
+            assert list(occupancy_lp._lp(paper_cfg, disc).solved) == [3.0]
+            got = solve_constrained(cfg, disc16, 3.0)
             assert _solution_bytes(got) == _solution_bytes(want)
-            assert trunk._pending.all()
+            assert occupancy_lp._lp(paper_cfg, disc).solved == {}
 
     def test_delay_dual_sign_and_slack(self, solution16):
         assert solution16.delay_dual >= -1e-9

@@ -12,11 +12,11 @@ import pytest
 
 from linksched import occupancy_lp, simplex
 from linksched.model import config_from_dict, discretize_channel
-from linksched.occupancy_lp import (budget_trunk, build_occupancy_lp,
+from linksched.occupancy_lp import (build_occupancy_lp, presolve_budgets,
                                     solve_constrained, solve_lagrangian)
 from linksched.simplex import (LinearProgram, SimplexAnomaly, SimplexResult,
-                               Trunk, _check_rows, feasible_start,
-                               solve_simplex)
+                               _check_rows, feasible_start, solve_simplex,
+                               trunk_solves)
 from linksched.sweep import default_budget_grid, sweep_curve
 
 from oracles import (best_basic_solution, dense_solve_simplex,
@@ -192,7 +192,7 @@ class TestMemory:
 
     def test_own_start_is_pivoted_in_place(self, paper_cfg, disc16,
                                            monkeypatch):
-        # the start a solve or a trunk makes for itself is the tableau
+        # the start a solve or a walk makes for itself is the tableau
         # it pivots; a start passed in is copied and never written
         olp = build_occupancy_lp(paper_cfg, disc16)
         lp = olp.at(3.0)
@@ -217,20 +217,31 @@ class TestMemory:
         assert not np.shares_memory(pivoted.pop(), shared.T)
         assert not shared.T.flags.writeable
         assert hashlib.sha256(shared.T.tobytes()).hexdigest() == digest
-        trunk = Trunk(lp, [3.0])
-        assert trunk._t.N is made.pop().T
+        walks = []
+        start_tableau = simplex._start_tableau
+
+        def recording_tableau(start, cost, shared):
+            walks.append(start_tableau(start, cost, shared))
+            return walks[-1]
+
+        monkeypatch.setattr(simplex, "_start_tableau", recording_tableau)
+        assert list(trunk_solves(lp, [3.0])) == [3.0]
+        walk, = walks
+        assert walk.N is made.pop().T
+        assert not np.shares_memory(pivoted.pop(), walk.N)
 
     def test_sweep_peak_is_one_cold_solve(self, paper_cfg, disc16):
-        # each run builds its LP; the budgets share it and one phase 1,
-        # whose start the trunk pivots in place; beside it a budget's
-        # copy, and the trunk goes before d_min, the grid's first budget,
-        # takes its own phase 1, so the sweep's peak is the LP and two
-        # start-sized arrays, a cold solve's LP and phase-1 array plus at
-        # most one start-sized array (0.84x of that here, 0.83x with
-        # einsum); a third start-sized array takes it to 1.04x, a second
-        # dense A_eq alive beside them to 1.21x
+        # each run builds its LP; the budgets share it and one walk,
+        # which pivots the open LP's start in place and finishes each
+        # budget on a copy of it; both are gone before d_min, the grid's
+        # first budget, takes its own phase 1, so the sweep's peak is
+        # the LP and two start-sized arrays, a cold solve's LP and
+        # phase-1 array plus at most one start-sized array (0.86x of
+        # that here, 0.85x with einsum); a third start-sized array takes
+        # it to 1.04x, a second dense A_eq alive beside them to 1.21x
         grid = default_budget_grid(paper_cfg, disc16, points=12)
-        kept = budget_trunk(paper_cfg, disc16, grid)._t.N.nbytes
+        kept = feasible_start(build_occupancy_lp(paper_cfg, disc16).at(
+            simplex.OPEN_RHS)).T.nbytes
         solve_constrained(paper_cfg, disc16, 3.0)  # load the BLAS binding
         peaks = []
         for run in (lambda: solve_constrained(paper_cfg, disc16, 3.0),
@@ -455,17 +466,37 @@ def _against_cold(lp, start):
         _assert_same(got, want)
 
 
-def _assert_trunk_starts(trunk, lp_at):
-    """Before its first step, the trunk's tableau with row k's RHS set to
-    a budget's number is that budget's own phase-1 start bit for bit;
-    lp_at(d_th) is the LP at budget d_th."""
-    t, start, k = trunk._t, trunk._start, trunk._k
-    for d_th, d in zip(trunk.budgets.tolist(), trunk._d):
+def _opened(run, monkeypatch):
+    """run()'s value and the start of the walk it makes (None if none),
+    with the walk's tableau arrays as they were before its first step,
+    captured through a wrapped _start_tableau."""
+    opened = []
+    start_tableau = simplex._start_tableau
+
+    def recording(start, cost, shared):
+        t = start_tableau(start, cost, shared)
+        opened.append((start, t.N.copy(), t.nb.copy(), t.basis.copy()))
+        return t
+
+    with monkeypatch.context() as m:
+        m.setattr(simplex, "_start_tableau", recording)
+        value = run()
+    return value, (opened.pop() if opened else None)
+
+
+def _assert_trunk_starts(opened, solved, lp_at):
+    """Before its first step, the walk's tableau is the own phase-1
+    start of each budget it solved bit for bit, but for the RHS of the
+    budget's row, which the walk carries as one number; lp_at(d_th) is
+    the LP at budget d_th."""
+    start, T, nb, basis = opened
+    k = int(np.searchsorted(start.rows, lp_at(0.0).A_eq.shape[0]))
+    for d_th in solved:
         ref = feasible_start(lp_at(d_th))
-        T = t.N.copy()
-        T[k, -1] = d
-        assert T.tobytes() == ref.T.tobytes()
-        for a, b in ((t.nb, ref.nb), (t.basis, ref.basis),
+        own = ref.T.copy()
+        own[k, -1] = T[k, -1]
+        assert own.tobytes() == T.tobytes()
+        for a, b in ((nb, ref.nb), (basis, ref.basis),
                      (start.rows, ref.rows)):
             assert np.array_equal(a, b)
         assert (start.dropped_eq_rows, start.phase1_iterations,
@@ -474,72 +505,60 @@ def _assert_trunk_starts(trunk, lp_at):
                                              ref.phase1_degenerate)
 
 
-def _budgets_against_cold(cfg, disc, budgets, monkeypatch,
-                          loosest_first=False) -> list[bool]:
-    """Each budget through budget_trunk's trunk against the cold solve
-    of a freshly built LP, the same bits.  In sweep order, the trunk's
-    budgets run tightest first and then, the trunk released, the
-    others; loosest_first asks every budget from the loosest down
-    instead.  Each budget on the trunk starts from its own phase 1's
-    bits.  Returns, in the order solved, whether the trunk solved each
-    (else it ran its own phase 1)."""
-    trunk = budget_trunk(cfg, disc, budgets)
+def _budgets_against_cold(cfg, disc, budgets, monkeypatch) -> list[bool]:
+    """Each budget of a sweep's walk (presolve_budgets) against the cold
+    solve of a freshly built LP, the same bits: the result the walk
+    kept on the LP, or its own phase 1 when the walk left it out.  The
+    walk starts from each solved budget's own phase-1 bits.  Returns,
+    for the budgets in ascending order, whether the walk solved each."""
+    occupancy_lp.clear_caches()
+    _, opened = _opened(lambda: presolve_budgets(cfg, disc, budgets),
+                        monkeypatch)
     olp = occupancy_lp._lp(cfg, disc)
-    on_trunk = []
-    if trunk is not None:
-        _assert_trunk_starts(trunk, olp.at)
-        on_trunk = trunk.budgets.tolist()
-    left = []
-    solve = simplex.Trunk.solve
-
-    def recording(trunk, lp):
-        res = solve(trunk, lp)
-        left.append(res is not None)
-        return res
-
-    monkeypatch.setattr(simplex.Trunk, "solve", recording)
-    if loosest_first:
-        order = sorted(budgets, reverse=True)
-    else:
-        rest = sorted(budgets)
-        for d_th in on_trunk:
-            rest.remove(d_th)
-        order = [*on_trunk, None, *rest]
+    if opened is not None:
+        _assert_trunk_starts(opened, olp.solved, olp.at)
+    order = sorted(float(d_th) for d_th in budgets)
     for d_th in order:
-        if d_th is None:
-            trunk = None
-            continue
-        lp = olp.at(float(d_th))
-        fresh = build_occupancy_lp(cfg, disc).at(float(d_th))
+        lp = olp.at(d_th)
+        fresh = build_occupancy_lp(cfg, disc).at(d_th)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(
             (lp.c, lp.A_eq, lp.b_eq, lp.A_ub, lp.b_ub),
             (fresh.c, fresh.A_eq, fresh.b_eq, fresh.A_ub, fresh.b_ub)))
-        if trunk is None:
-            left.append(False)
-        _against_cold(lp, trunk)
-    monkeypatch.undo()
-    return left
+        _against_cold(lp, olp.solved.get(d_th))
+    return [d_th in olp.solved for d_th in order]
 
 
 def _budget_lps(lp, budgets):
     """lp at each budget, A_ub row 0's RHS: one LP per budget on lp's
-    own arrays, as a trunk opened on lp serves them."""
+    own arrays."""
     return [replace(lp, b_ub=np.array([d_th, *lp.b_ub[1:]]))
             for d_th in budgets]
 
 
-def _departure(trunk, lp):
-    """lp's solve on the trunk, which must serve it."""
-    res = trunk.solve(lp)
-    assert res is not None
-    return res
+def _finishes(lp, budgets, monkeypatch):
+    """trunk_solves(lp, budgets), which must solve every budget, and
+    where each finished, by budget: the walk's pivots and zero steps
+    before it, and its tableau there (a wrapped _phase_2)."""
+    at = {}
+    phase_2 = simplex._phase_2
+
+    def recording(lp, start, t, taken=0, taken_degenerate=0):
+        at[float(lp.b_ub[0])] = (taken, taken_degenerate, t.N.copy())
+        return phase_2(lp, start, t, taken, taken_degenerate)
+
+    with monkeypatch.context() as m:
+        m.setattr(simplex, "_phase_2", recording)
+        solved = trunk_solves(lp, budgets)
+    assert sorted(solved) == sorted({float(d_th) for d_th in budgets})
+    return solved, at
 
 
 class TestOpenRowStart:
-    """Budgets ride a Trunk, the open LP's path with the delay row's RHS
-    left open, through phase 1 and phase 2 until each leaves it; a
-    budget solved through the trunk is its cold solve bit for bit, and
-    every budget that leaves in phase 1 runs the cold solve."""
+    """Budgets ride one walk, the open LP's path with the delay row's
+    RHS left open, through phase 1 and phase 2 until each leaves it
+    (trunk_solves); a budget the walk solves gets its cold solve bit
+    for bit, and every budget that leaves in phase 1 runs the cold
+    solve."""
 
     @pytest.mark.parametrize("bins", [2, 4, 8, 16])
     def test_paper_budgets_match_cold_solves(self, paper_cfg, bins,
@@ -551,8 +570,8 @@ class TestOpenRowStart:
                                      monkeypatch)
         # d_min, the grid's first budget, ties the delay row's ratio and
         # takes its own phase 1, as does every budget below it; the
-        # others leave the trunk tightest first, each solved off it
-        assert left == [True] * 59 + [False] * 4
+        # walk solves the others
+        assert left == [False] * 4 + [True] * 59
 
     @pytest.mark.parametrize("bins", [1, 2, 4])
     def test_tiny_budgets_match_cold_solves(self, tiny_cfg, bins,
@@ -562,7 +581,7 @@ class TestOpenRowStart:
         left = _budgets_against_cold(tiny_cfg, disc,
                                      [*grid, 0.5 * grid[0], 0.0],
                                      monkeypatch)
-        assert left == [True] * 19 + [False] * 3
+        assert left == [False] * 3 + [True] * 19
 
     @pytest.mark.parametrize("bins", [5, 8])
     def test_piecewise_budgets_match_cold_solves(self, piecewise_cfg, bins,
@@ -571,7 +590,7 @@ class TestOpenRowStart:
         grid = default_budget_grid(piecewise_cfg, disc, points=20)
         left = _budgets_against_cold(piecewise_cfg, disc,
                                      [*grid, 0.9 * grid[0]], monkeypatch)
-        assert left[0] and not left[-1]
+        assert not left[0] and left[-1]
 
     def test_random_configs_match_cold_solves(self, monkeypatch):
         rng = np.random.default_rng(20261019)
@@ -592,89 +611,100 @@ class TestOpenRowStart:
         grid = default_budget_grid(paper_cfg, disc, points=12)
         budgets = [*grid, grid[5], grid[5]]
         left = _budgets_against_cold(paper_cfg, disc, budgets, monkeypatch)
-        assert left == [True] * 13 + [False]
+        assert left == [False] + [True] * 13
 
-    def test_loosest_first_falls_back_cold(self, paper_cfg, monkeypatch):
-        # the trunk walks on to where the loosest budget leaves, and
-        # every budget that left on the way is asked after its
-        # departure: it runs its own phase 1
+    def test_any_order_gives_cold_bits(self, paper_cfg, monkeypatch):
+        # one walk solves the budgets in whatever order they come:
+        # only d_min and the budgets below it run cold
         disc = discretize_channel(paper_cfg.channel, 4)
         grid = default_budget_grid(paper_cfg, disc, points=12)
-        left = _budgets_against_cold(paper_cfg, disc, grid, monkeypatch,
-                                     loosest_first=True)
-        assert left == [True] + [False] * 11
+        budgets = [*grid.tolist(), 0.9 * grid[0]]
+        rng = np.random.default_rng(4)
+        for order in (budgets[::-1], rng.permutation(budgets).tolist()):
+            left = _budgets_against_cold(paper_cfg, disc, order, monkeypatch)
+            assert left == [False] * 2 + [True] * 11
 
-    def test_serving_never_writes_the_trunks_tableau(self, paper_cfg):
-        # each budget finishes on a copy of the trunk's tableau, so the
-        # trunk's own delay row keeps the open path's RHS
+    def test_serving_never_writes_the_trunks_tableau(self, paper_cfg,
+                                                     monkeypatch):
+        # each budget finishes on a copy of the walk's tableau, so the
+        # walk's own delay row keeps the open path's RHS
         disc = discretize_channel(paper_cfg.channel, 4)
-        trunk = budget_trunk(paper_cfg, disc,
-                             default_budget_grid(paper_cfg, disc, points=12))
-        olp = occupancy_lp._lp(paper_cfg, disc)
-        for d_th in trunk.budgets[:3].tolist():
-            assert solve_simplex(olp.at(d_th), trunk).status == "optimal"
-            assert trunk._t.rhs[trunk._k] == simplex.OPEN_RHS
-        assert not trunk._pending[:3].any()
+        lp = occupancy_lp._lp(paper_cfg, disc).at(0.0)
+        grid = default_budget_grid(paper_cfg, disc, points=12)
+        walks = []
+        start_tableau = simplex._start_tableau
 
-    def test_zero_steps_are_each_budgets_own(self):
+        def recording(start, cost, shared):
+            walks.append((start, start_tableau(start, cost, shared)))
+            return walks[-1][1]
+
+        monkeypatch.setattr(simplex, "_start_tableau", recording)
+        solved, at = _finishes(lp, grid[1:], monkeypatch)
+        (start, t), = walks
+        k = np.searchsorted(start.rows, lp.A_eq.shape[0])
+        assert t.rhs[k] == simplex.OPEN_RHS
+        assert all(not np.shares_memory(tail, t.N)
+                   for _, _, tail in at.values())
+        assert all(res.status == "optimal" for res in solved.values())
+
+    def test_zero_steps_are_each_budgets_own(self, monkeypatch):
         # no phase 1; x1 enters and the open path takes row 1, a step of
         # 5, where both budgets' ratios tie or win: both leave before
         # that exchange, and their solves take the open row's slack,
         # budget 0 at a zero step and 2 at a step of 2
         lps = _budget_lps(LinearProgram.build([-1.0], A_ub=[[1.0], [1.0]],
                                               b_ub=[0.0, 5.0]), [0.0, 2.0])
-        trunk = Trunk(lps[0], [2.0, 0.0])
-        assert trunk.budgets.tolist() == [0.0, 2.0]
+        solved, _ = _finishes(lps[0], [2.0, 0.0], monkeypatch)
+        assert list(solved) == [0.0, 2.0]
         for lp in lps:
-            _assert_same(_departure(trunk, lp), solve_simplex(lp))
+            _assert_same(solved[lp.b_ub[0]], solve_simplex(lp))
         assert [solve_simplex(lp).degenerate_pivots for lp in lps] == [1, 0]
 
-    def test_budget_leaving_at_a_zero_step_counts_it_once(self):
+    def test_budget_leaving_at_a_zero_step_counts_it_once(self, monkeypatch):
         # x1 enters and the open path takes row 1 at a zero step; budget
         # 0's ratio ties it, so budget 0 leaves before that exchange and
         # its own solve takes its zero step on row 0, while budget 2
-        # stays and shares the trunk's zero step: each counts one
+        # stays and shares the walk's zero step: each counts one
         lps = _budget_lps(LinearProgram.build([-1.0], A_ub=[[1.0], [1.0]],
                                               b_ub=[0.0, 0.0]), [0.0, 2.0])
-        trunk = Trunk(lps[0], [0.0, 2.0])
-        steps = []
+        solved, at = _finishes(lps[0], [0.0, 2.0], monkeypatch)
         for lp in lps:
-            res = _departure(trunk, lp)
-            steps.append((trunk._pivots, trunk._degenerate))
+            res = solved[lp.b_ub[0]]
             _assert_same(res, solve_simplex(lp))
             assert (res.iterations, res.degenerate_pivots) == (1, 1)
-        assert steps == [(0, 0), (1, 1)]
+        assert [at[d_th][:2] for d_th in (0.0, 2.0)] == [(0, 0), (1, 1)]
 
-    def test_ratio_at_the_threshold_leaves_in_phase_2(self):
+    def test_ratio_at_the_threshold_leaves_in_phase_2(self, monkeypatch):
         # the phase-2 twin of the test below: x1 enters, row 1's ratio 5
         # sets the tie threshold, and a budget at it ties: the open row's
         # slack, the lower label, leaves in its own solve, so it leaves
-        # the trunk before the exchange; the next float up stays
+        # the walk before the exchange; the next float up stays
         tie = 5.0 + 1e-12 * (1.0 + 5.0)
         budgets = [tie, np.nextafter(tie, np.inf)]
         lps = _budget_lps(LinearProgram.build([-1.0], A_ub=[[1.0], [1.0]],
                                               b_ub=[tie, 5.0]), budgets)
-        trunk = Trunk(lps[0], budgets)
-        assert trunk.budgets.tolist() == budgets
-        steps = []
+        solved, at = _finishes(lps[0], budgets, monkeypatch)
         for lp in lps:
-            res = _departure(trunk, lp)
-            steps.append(trunk._pivots)
-            _assert_same(res, solve_simplex(lp))
-        assert steps == [0, 1]
+            _assert_same(solved[lp.b_ub[0]], solve_simplex(lp))
+        assert [at[d_th][0] for d_th in budgets] == [0, 1]
 
-    def test_drive_out_moves_the_open_row(self):
+    def test_drive_out_moves_the_open_row(self, monkeypatch):
         # phase 1 ends with row 1's artificial basic at 1e-10, and the
         # drive-out pivots x2 into row 1 on -1: the budget's RHS takes
         # that exchange's arithmetic, 1 + 1e-10
         lp = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, 0.0], [1.0, -1.0]],
                                  b_eq=[0.0, 1e-10], A_ub=[[0.0, 1.0]],
                                  b_ub=[1.0])
-        trunk = Trunk(lp, [1.0])
-        assert trunk._d.tolist() == [1.0 + 1e-10]
-        _assert_trunk_starts(trunk, lambda d_th: replace(
+        (solved, at), opened = _opened(
+            lambda: _finishes(lp, [1.0], monkeypatch), monkeypatch)
+        _assert_trunk_starts(opened, solved, lambda d_th: replace(
             lp, b_ub=np.array([d_th])))
-        _assert_same(_departure(trunk, lp), solve_simplex(lp))
+        # it finishes before the walk's first step, on its own start
+        taken, _, tail = at[1.0]
+        own = feasible_start(lp).T
+        assert taken == 0 and tail.tobytes() == own.tobytes()
+        assert own[np.searchsorted(opened[0].rows, 2), -1] == 1.0 + 1e-10
+        _assert_same(solved[1.0], solve_simplex(lp))
 
     def test_ratio_at_the_threshold_takes_its_own_phase_1(self):
         # x1 enters; row 0's ratio is 0, so the tie threshold is 1e-12
@@ -683,10 +713,10 @@ class TestOpenRowStart:
         # shared phase 1, the open row in no tie, took row 0 (a zero one)
         lp = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, -1.0]], b_eq=[0.0],
                                  A_ub=[[1.0, 0.0]], b_ub=[1e-12])
-        trunk = Trunk(lp, [1e-12, 2e-12])
-        assert trunk.budgets.tolist() == [2e-12]
-        assert trunk.solve(lp) is None
-        _against_cold(lp, trunk)
+        solved = trunk_solves(lp, [1e-12, 2e-12])
+        assert list(solved) == [2e-12]
+        _assert_same(solved[2e-12],
+                     solve_simplex(replace(lp, b_ub=np.array([2e-12]))))
 
     def test_replay_clips_at_zero_as_phase_1_does(self):
         # the open row's entry 1e-12 is below PIV_TOL, so the budget
@@ -695,57 +725,69 @@ class TestOpenRowStart:
         lp = LinearProgram.build([0.0, 0.0, -1.0],
                                  A_eq=[[1.0, 1.0, 0.0]], b_eq=[1.0],
                                  A_ub=[[1e-12, 0.0, 1.0]], b_ub=[0.0])
-        trunk = Trunk(lp, [0.0])
-        assert trunk.budgets.tolist() == [0.0]
-        _assert_same(_departure(trunk, lp), solve_simplex(lp))
+        solved = trunk_solves(lp, [0.0])
+        assert list(solved) == [0.0]
+        _assert_same(solved[0.0], solve_simplex(lp))
         assert solve_simplex(lp).degenerate_pivots == 1
 
     def test_negative_rhs_takes_its_own_phase_1(self):
         # phase 1 negates the row and gives it an artificial
         lp = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, -1.0]], b_eq=[0.0],
                                  A_ub=[[-1.0, -1.0]], b_ub=[-1.0])
-        assert Trunk(lp, [-1.0]).budgets.size == 0
+        assert trunk_solves(lp, [-1.0]) == {}
         _against_cold(lp, None)
 
-    def test_trunk_serves_only_pending_budgets(self, tiny_cfg):
+    def test_unsolved_budget_runs_its_own_phase_1(self, tiny_cfg,
+                                                  monkeypatch):
+        # a lone budget solve runs its own phase 1, one the walk solved
+        # none, and after clear_caches, which frees the walk's results
+        # with the LP, the budget runs its own again; all give one answer
         disc = discretize_channel(tiny_cfg.channel, 2)
-        grid = default_budget_grid(tiny_cfg, disc, points=5)
-        lp = build_occupancy_lp(tiny_cfg, disc).at(0.0)
-        trunk = Trunk(lp, grid[::-1])
-        assert trunk.budgets.tolist() == grid[1:].tolist()
-        at = [replace(lp, b_ub=np.array([d_th])) for d_th in grid]
-        # d_min is not on the trunk, a budget is served once, and one
-        # of another objective, or on equal rows in other arrays, is
-        # not the trunk's
-        assert trunk.solve(at[0]) is None
-        assert trunk.solve(replace(at[1], c=-lp.c)) is None
-        assert trunk.solve(replace(at[1], A_eq=lp.A_eq.copy())) is None
-        assert trunk.solve(replace(at[1], b_eq=lp.b_eq.copy())) is None
-        assert trunk.solve(at[1]) is not None
-        assert trunk.solve(at[1]) is None
-        assert trunk.solve(at[2]) is not None and trunk._pivots > 0
+        grid = default_budget_grid(tiny_cfg, disc, points=5).tolist()
+        own = []
+        make = simplex.feasible_start
+
+        def counted(lp, check=None):
+            own.append(check is None)
+            return make(lp, check)
+
+        monkeypatch.setattr(simplex, "feasible_start", counted)
+        occupancy_lp.clear_caches()
+        answers = [solve_constrained(tiny_cfg, disc, grid[2])]
+        presolve_budgets(tiny_cfg, disc, grid)
+        answers.append(solve_constrained(tiny_cfg, disc, grid[2]))
+        occupancy_lp.clear_caches()
+        assert occupancy_lp._lp(tiny_cfg, disc).solved == {}
+        answers.append(solve_constrained(tiny_cfg, disc, grid[2]))
+        assert own == [True, False, True]
+        assert len({(sol.status, sol.iterations, sol.measure.values.tobytes(),
+                     np.float64(sol.objective).tobytes(),
+                     np.float64(sol.delay_dual).tobytes())
+                    for sol in answers}) == 1
 
     def test_zero_budgets_make_no_trunk(self, tiny_cfg):
         disc = discretize_channel(tiny_cfg.channel, 2)
-        assert budget_trunk(tiny_cfg, disc, []).budgets.size == 0
+        occupancy_lp.clear_caches()
+        presolve_budgets(tiny_cfg, disc, [])
+        assert occupancy_lp._lp(tiny_cfg, disc).solved == {}
 
     def test_rows_with_no_open_phase_1(self, monkeypatch):
         infeasible = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, 1.0]],
                                          b_eq=[-1.0], A_ub=[[1.0, 0.0]],
                                          b_ub=[1.0])
-        assert Trunk(infeasible, [1.0]).budgets.size == 0
+        assert trunk_solves(infeasible, [1.0]) == {}
         # the open row's slack is the lowest basic label; at OPEN_RHS 0
         # its ratio wins and the exchange takes it, and a budget above
         # the open RHS, whose own ratio is 2, is not carried
         lp = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[1.0],
                                  A_ub=[[1.0, 0.0]], b_ub=[2.0])
-        assert Trunk(lp, [2.0]).budgets.tolist() == [2.0]
+        assert list(trunk_solves(lp, [2.0])) == [2.0]
         monkeypatch.setattr(simplex, "OPEN_RHS", 0.0)
-        assert Trunk(lp, [2.0]).budgets.size == 0
+        assert trunk_solves(lp, [2.0]) == {}
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)
         with pytest.raises(SimplexAnomaly, match="pivot limit"):
             feasible_start(lp)
-        assert Trunk(lp, [2.0]).budgets.size == 0
+        assert trunk_solves(lp, [2.0]) == {}
 
 
 class TestDuals:

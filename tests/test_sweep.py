@@ -96,8 +96,8 @@ class TestSweep:
 
         monkeypatch.setattr(simplex, "feasible_start", counted)
         curve = sweep_curve(paper_cfg, disc, grid)
-        # the shared phase 1, then d_min's own: the grid's first budget
-        # ties the delay row's ratio, and runs after the trunk's budgets
+        # the walk's phase 1, then d_min's own: the grid's first budget
+        # ties the delay row's ratio, so the walk leaves it to run cold
         assert runs == ["shared", "own"]
         monkeypatch.undo()
         cold = [solve_constrained(paper_cfg, disc, float(d_th)).objective
@@ -107,10 +107,10 @@ class TestSweep:
 
     def test_trunk_pivots_each_shared_step_once(self, paper_cfg, disc16,
                                                 monkeypatch):
-        # the 59 budgets after d_min leave one trunk, the open LP's
+        # the 59 budgets after d_min leave one walk, the open LP's
         # path: 12710 phase-2 exchanges, where a phase 2 per budget
-        # makes 27590 along the same paths; d_min's own phase 2 adds
-        # its 87
+        # makes 27590 along the same paths; d_min's own phase 2, the
+        # sweep's first solve, adds its 87
         grid = default_budget_grid(paper_cfg, disc16)
         exchanges, in_phase_1, results = [0], [False], []
         exchange = simplex._exchange
@@ -136,7 +136,7 @@ class TestSweep:
         monkeypatch.setattr(simplex, "feasible_start", phase_1)
         monkeypatch.setattr(occupancy_lp, "solve_simplex", solved)
         sweep_curve(paper_cfg, disc16, grid)
-        d_min = results[-1]
+        d_min = results[0]
         assert d_min.iterations - d_min.phase1_iterations == 87
         assert exchanges[0] == 12710 + 87
         # every budget still reports the pivots of its whole path
@@ -166,7 +166,7 @@ class TestSweep:
 
     def test_empty_grid_is_a_value_error(self, paper_cfg, monkeypatch):
         disc = discretize_channel(paper_cfg.channel, 2)
-        monkeypatch.setattr(sweep, "budget_trunk", None)  # no LP is built
+        monkeypatch.setattr(sweep, "presolve_budgets", None)  # no LP built
         with pytest.raises(ValueError, match="budget grid must be nonempty"):
             sweep_curve(paper_cfg, disc, [])
 
@@ -263,13 +263,13 @@ class TestConvergence:
         p4 = np.asarray(study.curves[1].powers)
         assert (p4 <= p2 + 1e-8).all()
 
-    def test_identical_bin_counts_have_zero_gap(self, paper_cfg):
-        budgets = np.linspace(1.0, 3.0, 5)
-        study = convergence_study(paper_cfg, (4, 4), budgets=budgets)
-        assert study.sup_gaps[0] == 0.0
+    def test_repeated_bin_counts_rejected(self, paper_cfg):
+        # a repeated count would write one curve file for two curves
+        with pytest.raises(ValueError, match="increasing"):
+            convergence_study(paper_cfg, (2, 4, 4), budgets=[2.0])
 
     def test_decreasing_bin_counts_rejected(self, paper_cfg):
-        with pytest.raises(ValueError, match="nondecreasing"):
+        with pytest.raises(ValueError, match="increasing"):
             convergence_study(paper_cfg, (4, 2), budgets=[2.0])
 
 
