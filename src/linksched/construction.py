@@ -31,7 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import SystemConfig, cell_of, drain_rate, mean_delay
+from .model import (SystemConfig, cell_of, drain_rate, mean_delay,
+                    sorted_unique)
 from .occupancy_lp import (TRANSIENT_TOL, OccupancyMeasure, _ordered_sum,
                            check_index, queue_residuals)
 from .textio import csv_text, read_rows
@@ -72,7 +73,8 @@ class PiecewiseDensity:
         return self.values @ self.widths
 
     def refine(self, edges) -> "PiecewiseDensity":
-        merged = np.unique(np.concatenate([self.grid, np.asarray(edges, float)]))
+        merged = sorted_unique(np.concatenate([self.grid,
+                                               np.asarray(edges, float)]))
         merged = merged[(merged >= self.grid[0]) & (merged <= self.grid[-1])]
         mids = 0.5 * (merged[:-1] + merged[1:])
         src = np.clip(np.searchsorted(self.grid, mids, side="right") - 1, 0,
@@ -94,7 +96,7 @@ def density_from_measure(m: OccupancyMeasure) -> PiecewiseDensity:
     """Spread each bin's mass over the bin, proportional to the channel
     density (uniform spreading when the channel is uniform)."""
     cfg, disc = m.cfg, m.disc
-    grid = np.unique(np.concatenate([disc.edges, cfg.channel.breaks]))
+    grid = sorted_unique(np.concatenate([disc.edges, cfg.channel.breaks]))
     mids = 0.5 * (grid[:-1] + grid[1:])
     bin_of = cell_of(disc.edges, mids)
     # density per unit of bin mass
@@ -316,7 +318,7 @@ def verify_feasibility(y: ConstructedSolution) -> FeasibilityReport:
     d = y.source
     live = y.hi > y.lo
     cuts = [d.grid, cfg.channel.breaks, y.lo[live], y.hi[live]]
-    hs = np.unique(np.concatenate(cuts))[1:]  # right ends of the pieces
+    hs = sorted_unique(np.concatenate(cuts))[1:]  # right ends of the pieces
     covered = np.zeros((cfg.Q + 1, hs.size), dtype=bool)
     for q, (los, his, _) in enumerate(y.intervals):
         if los.size:
@@ -433,7 +435,7 @@ class ThresholdPolicy:
         on each cell between neighbouring points.  Each state's bounds
         are among the points, so its rule is constant on a cell and is
         read at the cell's right end."""
-        points = np.unique(np.concatenate(self.bounds))
+        points = sorted_unique(np.concatenate(self.bounds))
         rates = np.stack([r[cell_of(b, points[1:])]
                           for b, r in zip(self.bounds, self.rates)], axis=1)
         rates.setflags(write=False)

@@ -145,6 +145,17 @@ def cell_of(edges, h):
                    len(edges) - 2)
 
 
+def sorted_unique(a) -> np.ndarray:
+    """The distinct values of a, ascending: np.unique's array, from a
+    sort and a neighbour comparison, as np.unique imports numpy.ma on
+    its first call."""
+    a = np.sort(np.ravel(a))
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 def step(cfg: SystemConfig, q, a, s):
     """The queue law: serve s (floored at empty), then admit a (capped at Q).
 

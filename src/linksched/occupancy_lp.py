@@ -38,7 +38,13 @@ along the path of the LP with the delay row's right-hand side left
 open (presolve_budgets, simplex.trunk_solves); the results stay on the
 cached LP (OccupancyLp.solved), where solve_constrained finds each
 budget's own, bit for bit that of the cold solve, and a budget the
-walk leaves out (d_min and below) runs its own phase 1.
+walk leaves out (d_min and below) runs its own phase 1.  A corner
+search's weighted solves are presolved a round at a time
+(presolve_lagrangians): each round is spread over helper processes
+forked from the shared start (lagrangian_helpers, simplex.Helpers), one
+per further CPU, and the results wait on the same dict, where
+solve_lagrangian takes each weight's own; a weight whose solve failed
+is left out and solved there from the shared start.
 
 State spaces are 0-based: q in {0..Q}, s in {0..S_max}.
 """
@@ -54,6 +60,7 @@ from .model import (ChannelDiscretization, SystemConfig, cell_of,
                     drain_rate, mean_arrival_rate, mean_delay, step)
 from .simplex import (
     FEAS_TOL,
+    Helpers,
     LinearProgram,
     SimplexAnomaly,
     SimplexResult,
@@ -243,8 +250,9 @@ class OccupancyLp:
         return feasible_start(self.lp)
 
     @cached_property
-    def solved(self) -> dict[float, SimplexResult]:
-        """The power solves presolve_budgets made, by budget."""
+    def solved(self) -> dict[float | tuple[str, float], SimplexResult]:
+        """The solves presolve_budgets made, by budget, and those
+        presolve_lagrangians made, by ("lam", weight), until read."""
         return {}
 
 
@@ -300,15 +308,45 @@ def presolve_budgets(cfg: SystemConfig, disc: ChannelDiscretization,
         olp.solved.update(trunk_solves(lp, budgets))
 
 
+def lagrangian_helpers(cfg: SystemConfig,
+                       disc: ChannelDiscretization) -> Helpers:
+    """simplex.Helpers for the weighted solves on the cached LP, forked
+    from its shared start, which is made first if need be."""
+    olp = _lp(cfg, disc)
+    return Helpers(olp.lp, olp.start)
+
+
+def presolve_lagrangians(cfg: SystemConfig, disc: ChannelDiscretization,
+                         lams, helpers: Helpers) -> None:
+    """Solve the weights' power + lam * delay LPs from the shared start,
+    spread over helpers (lagrangian_helpers on this LP), and keep the
+    results on the cached LP, by ("lam", weight), where solve_lagrangian
+    finds them.  A weight whose solve raised is left out, so
+    solve_lagrangian solves it itself and raises its own error."""
+    olp = _lp(cfg, disc)
+    if helpers.start is not olp.start:
+        raise ValueError("the helpers were forked for another LP")
+    lams = [float(lam) for lam in lams]
+    results = helpers.solve([olp.power + lam * olp.delay for lam in lams])
+    olp.solved.update((("lam", lam), res)
+                      for lam, res in zip(lams, results) if res is not None)
+
+
 def _solve(cfg: SystemConfig, disc: ChannelDiscretization,
-           d_th: float | None, objective):
-    """Solve the LP at budget d_th with lp.c = objective(olp), from the
-    shared start without a delay row and from the presolved result with
-    one (its own phase 1 if none); returns the SimplexResult and its
-    measure, x scattered onto the mask (None unless optimal)."""
+           d_th: float | None, objective, key=None):
+    """Solve the LP at budget d_th with lp.c = objective(olp): the
+    result presolved under key if there is one, else from the shared
+    start without a delay row and by its own phase 1 with one; returns
+    the SimplexResult and its measure, x scattered onto the mask (None
+    unless optimal).  A weight's presolved result is taken, as a corner
+    search reads each weight once; a budget's stays, as a grid may hold
+    it twice."""
     olp = _lp(cfg, disc)
     lp = olp.at(d_th)
-    start = olp.start if lp is olp.lp else olp.solved.get(d_th)
+    start = (olp.solved.pop(key, None) if isinstance(key, tuple)
+             else olp.solved.get(key))
+    if start is None and lp is olp.lp:
+        start = olp.start
     res = solve_simplex(replace(lp, c=objective(olp)), start)
     if res.status != "optimal":
         return res, None
@@ -328,7 +366,7 @@ def solve_constrained(
     """
     if d_th is not None and not np.isfinite(d_th):
         raise ValueError(f"delay budget must be finite, got {d_th!r}")
-    res, measure = _solve(cfg, disc, d_th, lambda olp: olp.power)
+    res, measure = _solve(cfg, disc, d_th, lambda olp: olp.power, d_th)
     if measure is None:
         return LpSolution(res.status, None, None, 0.0, res.iterations)
     # price of one unit of delay budget
@@ -358,7 +396,8 @@ def solve_lagrangian(
     if lam < 0:
         raise ValueError("lam must be >= 0")
     res, measure = _solve(cfg, disc, None,
-                          lambda olp: olp.power + lam * olp.delay)
+                          lambda olp: olp.power + lam * olp.delay,
+                          ("lam", lam))
     if measure is None:
         raise SimplexAnomaly(
             f"weighted solve at lam={lam!r} returned {res.status}")

@@ -8,7 +8,10 @@ a supporting line of the curve, and recursively splitting a weight
 interval at the crossing of its endpoint lines either certifies the
 segment (no deeper support exists) or discovers a new corner.  Each
 corner's optimal policy is deterministic; the enumeration rejects
-anything else as a solver fault.
+anything else as a solver fault.  The intervals are split breadth
+first, and every round of crossing weights is solved on every CPU of
+the process's affinity mask; the corners are those of a depth-first
+split on one CPU, bit for bit.
 
 A TradeoffCurve is one discretization's budget sweep: the feasible
 budgets and the minimal power at each.  Corners are a separate tuple
@@ -25,15 +28,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ChannelDiscretization, SystemConfig, discretize_channel
+from .model import (ChannelDiscretization, SystemConfig,
+                    discretize_channel, sorted_unique)
 from .occupancy_lp import (
     ONE_HOT_TOL,
     Policy,
     evaluate_measure,
     extract_policy,
+    lagrangian_helpers,
     min_delay,
     policy_to_measure,
     presolve_budgets,
+    presolve_lagrangians,
     solve_constrained,
     solve_lagrangian,
 )
@@ -106,55 +112,74 @@ def enumerate_vertices(
 
     Weights run from 0 to default_lambda_max(cfg), whose weighted solve
     must reach the minimum delay; otherwise the left end of the curve is
-    unreachable and the call fails.
+    unreachable and the call fails.  The weight intervals are split
+    breadth first: a round is the crossing weight of every open
+    interval, and each round is solved on every CPU of the process's
+    affinity mask (presolve_lagrangians, with helpers forked once per
+    search) before solve_lagrangian reads each weight's result.  The
+    candidates are recorded in the order a depth-first split records
+    them, both ends first, then the midpoints in preorder, so the
+    corners do not depend on the CPU count.
     """
     solves = 0
 
-    def solve(lam: float) -> Vertex:
-        # split passes solved endpoints down, so each weight is solved once
+    def presolve(lams: list[float]) -> None:
         nonlocal solves
-        if solves >= MAX_VERTEX_SOLVES:
+        solves += len(lams)
+        if solves > MAX_VERTEX_SOLVES:
             raise SweepError("vertex enumeration did not converge")
-        solves += 1
+        presolve_lagrangians(cfg, disc, lams, helpers)
+
+    def solve(lam: float) -> Vertex:
         measure, delay, power = solve_lagrangian(cfg, disc, lam)
         return Vertex(delay, power, lam, extract_policy(measure))
 
     d_min, _ = min_delay(cfg, disc)
-    top = solve(default_lambda_max(cfg))
-    if top.D > d_min + 1e-6 * (1.0 + d_min):
-        raise SweepError(
-            f"weight lam={top.lam!r} only reaches delay {top.D!r} "
-            f"but the minimum is {d_min!r}")
+    lam_max = default_lambda_max(cfg)
+    with lagrangian_helpers(cfg, disc) as helpers:
+        presolve([lam_max, 0.0])
+        top = solve(lam_max)  # before 0.0: a failed solve names lam_max
+        if top.D > d_min + 1e-6 * (1.0 + d_min):
+            raise SweepError(
+                f"weight lam={top.lam!r} only reaches delay {top.D!r} "
+                f"but the minimum is {d_min!r}")
+        bottom = solve(0.0)
+        # each open interval (lo, hi) keyed by its path from the root,
+        # 0 for a left and 1 for a right half: sorted, the paths of the
+        # uncertified midpoints are their depth-first preorder
+        level = [((), bottom, top)]
+        mids: dict[tuple[int, ...], Vertex] = {}
+        while level:
+            crossings = []
+            for path, lo, hi in level:
+                if (abs(lo.D - hi.D) <= VERTEX_TOL
+                        and abs(lo.P - hi.P) <= VERTEX_TOL):
+                    continue
+                if len(path) > 80:
+                    raise SweepError("vertex enumeration did not converge")
+                # endpoint supporting lines P + lam*D cross at the only
+                # weight that could expose a corner hiding between them
+                if lo.D > hi.D:
+                    lam_star = (hi.P - lo.P) / (lo.D - hi.D)
+                else:
+                    lam_star = 0.5 * (lo.lam + hi.lam)
+                if not (lo.lam < lam_star < hi.lam):
+                    lam_star = 0.5 * (lo.lam + hi.lam)
+                crossings.append((path, lo, hi, lam_star))
+            presolve([lam_star for *_, lam_star in crossings])
+            level = []
+            for path, lo, hi, lam_star in crossings:
+                mid = solve(lam_star)
+                chord = lo.P + lam_star * lo.D
+                if (mid.P + lam_star * mid.D
+                        >= chord - VERTEX_TOL * (1.0 + abs(chord))):
+                    continue  # segment certified: lo, hi adjacent corners
+                mids[path] = mid
+                level += [(path + (0,), lo, mid), (path + (1,), mid, hi)]
 
     found: dict[tuple[float, float], Vertex] = {}
-
-    def record(v: Vertex) -> None:
+    for v in [bottom, top, *(mids[path] for path in sorted(mids))]:
         found.setdefault((round(v.D, 9), round(v.P, 9)), v)
-
-    def split(lo: Vertex, hi: Vertex, depth: int) -> None:
-        record(lo)
-        record(hi)
-        if abs(lo.D - hi.D) <= VERTEX_TOL and abs(lo.P - hi.P) <= VERTEX_TOL:
-            return
-        if depth > 80:
-            raise SweepError("vertex enumeration did not converge")
-        # endpoint supporting lines P + lam*D cross at the only weight
-        # that could expose a corner hiding between these two
-        if lo.D > hi.D:
-            lam_star = (hi.P - lo.P) / (lo.D - hi.D)
-        else:
-            lam_star = 0.5 * (lo.lam + hi.lam)
-        if not (lo.lam < lam_star < hi.lam):
-            lam_star = 0.5 * (lo.lam + hi.lam)
-        mid = solve(lam_star)
-        chord = lo.P + lam_star * lo.D
-        if mid.P + lam_star * mid.D >= chord - VERTEX_TOL * (1.0 + abs(chord)):
-            return  # segment certified, endpoints are adjacent corners
-        record(mid)
-        split(lo, mid, depth + 1)
-        split(mid, hi, depth + 1)
-
-    split(solve(0.0), top, 0)
     cand = sorted(found.values(), key=lambda v: v.D)
     clusters = _cluster_corners(cand)
     vertices = [_cluster_representative(v) for v in clusters]
@@ -353,7 +378,9 @@ def convergence_study(
 
 def _power_change(a: TradeoffCurve, b: TradeoffCurve) -> np.ndarray:
     """b's power minus a's, both interpolated on the budgets they share."""
-    common = np.intersect1d(a.budgets, b.budgets)
+    common = sorted_unique(a.budgets)
+    at = np.searchsorted(b.budgets, common).clip(max=b.budgets.size - 1)
+    common = common[b.budgets[at] == common]
     return (np.interp(common, b.budgets, b.powers)
             - np.interp(common, a.budgets, a.powers))
 

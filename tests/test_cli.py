@@ -5,9 +5,12 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
 
 import pytest
 
+import linksched
 from linksched import cli, occupancy_lp
 from linksched.cli import main
 from linksched.construction import MassRangeError
@@ -367,6 +370,26 @@ class TestCaches:
         for name in ("thresholds.csv", "report.txt"):
             assert ((tmp_path / "alone" / name).read_bytes()
                     == (tmp_path / "after" / name).read_bytes()), name
+
+
+class TestImports:
+    def test_construct_and_sweep_leave_numpy_ma_out(self, tmp_path):
+        # np.unique and np.intersect1d import numpy.ma on their first call
+        code = (
+            "import sys\n"
+            "from linksched.cli import main\n"
+            f"out = {str(tmp_path)!r}\n"
+            "assert main(['construct', '--config', 'tiny', '--bins', '2',"
+            " '--dth', '1.5', '--M', '4', '--outdir', out + '/c']) == 0\n"
+            "assert main(['sweep', '--config', 'tiny', '--bins-list', '1,2',"
+            " '--outdir', out + '/s']) == 0\n"
+            "sys.exit('numpy.ma' in sys.modules and 'numpy.ma imported')\n")
+        src = os.path.dirname(os.path.dirname(linksched.__file__))
+        proc = subprocess.run([sys.executable, "-c", code],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              stdout=subprocess.DEVNULL,
+                              stderr=subprocess.PIPE, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestVerticesOutputs:

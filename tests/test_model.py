@@ -19,6 +19,7 @@ from linksched.model import (
     discretize_channel,
     load_config,
     mean_arrival_rate,
+    sorted_unique,
     validate_config,
 )
 
@@ -300,3 +301,15 @@ class TestXi:
     def test_explicit_table(self):
         cfg = config_from_dict(_base_dict(xi=[0.0, 2.0, 5.0]))
         assert cfg.xi(2) == 5.0
+
+
+class TestSortedUnique:
+    @given(st.lists(st.sampled_from([0.5, 1.0, 1.0 + 2e-16, 2.5, 3.0, 10.0])
+                    | st.floats(min_value=0.1, max_value=10.0),
+                    max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_np_unique(self, values):
+        a = np.array(values, dtype=float)
+        got = sorted_unique(a)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.unique(a).tobytes()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from linksched import occupancy_lp, simplex, sweep
 from linksched.model import discretize_channel
 from linksched.occupancy_lp import (min_delay, solve_constrained,
                                     solve_lagrangian)
+from linksched.simplex import SimplexAnomaly, SimplexResult
 from linksched.sweep import (
     SweepError,
     TradeoffCurve,
@@ -250,6 +252,133 @@ class TestEnumerationAgainstExhaustive:
         assert len(lams) == 61
         assert len(set(lams)) == 61
         assert len(verts) == 31
+
+
+def _vertex_bytes(verts):
+    """Everything a corner carries, floats as their bytes."""
+    return [(np.float64(v.D).tobytes(), np.float64(v.P).tobytes(),
+             np.float64(v.lam).tobytes(), v.policy.table.tobytes(),
+             v.policy.transient.tobytes()) for v in verts]
+
+
+def _cpus(monkeypatch, n):
+    """Pretend the affinity mask holds n CPUs, and help every start."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    monkeypatch.setattr(simplex, "HELPED_ENTRIES", 0)
+
+
+def _no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the helpers forked meanwhile, none left at the end."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    _no_children()
+    monkeypatch.setattr(os, "fork", counted)
+    yield pids
+    _no_children()
+
+
+class TestHelpers:
+    """A corner search spread over forked helpers gives the corners of a
+    search on one CPU, bit for bit, and leaves no process behind."""
+
+    def _search(self, cfg, bins):
+        occupancy_lp.clear_caches()
+        return _vertex_bytes(enumerate_vertices(
+            cfg, discretize_channel(cfg.channel, bins)))
+
+    @pytest.mark.parametrize("name,bins", [("paper", 4), ("tiny", 2)])
+    def test_bitwise_equal_on_any_cpu_count(self, request, monkeypatch,
+                                            forks, name, bins):
+        cfg = request.getfixturevalue(f"{name}_cfg")
+        _cpus(monkeypatch, 1)
+        alone = self._search(cfg, bins)
+        assert forks == []
+        for n in (2, 3):
+            _cpus(monkeypatch, n)
+            del forks[:]
+            assert self._search(cfg, bins) == alone
+            assert len(forks) == n - 1
+
+    def test_small_start_forks_none(self, tiny_cfg, monkeypatch, forks):
+        # tiny's solves take less time than a helper costs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        enumerate_vertices(tiny_cfg, discretize_channel(tiny_cfg.channel, 2))
+        assert forks == []
+
+    def test_no_helper_outlives_a_lambda_cap_error(self, tiny_cfg,
+                                                   monkeypatch, forks):
+        _cpus(monkeypatch, 3)
+        monkeypatch.setattr(sweep, "default_lambda_max", lambda cfg: 1e-6)
+        with pytest.raises(SweepError, match="only reaches delay"):
+            enumerate_vertices(tiny_cfg,
+                               discretize_channel(tiny_cfg.channel, 2))
+        assert len(forks) == 2
+
+    def test_no_helper_outlives_a_solver_anomaly(self, paper_cfg,
+                                                 monkeypatch, forks):
+        # the min-delay solve goes through, every weighted one fails
+        real = occupancy_lp.solve_simplex
+
+        def fail_weighted(lp, start=None):
+            if isinstance(start, SimplexResult):
+                return SimplexResult(status="unbounded")
+            return real(lp, start)
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(occupancy_lp, "solve_simplex", fail_weighted)
+        occupancy_lp.clear_caches()
+        with pytest.raises(SimplexAnomaly, match="weighted solve at lam="):
+            enumerate_vertices(paper_cfg,
+                               discretize_channel(paper_cfg.channel, 4))
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("fault", ["raises", "dies"])
+    def test_failed_helper_solve_is_solved_again(self, paper_cfg,
+                                                 monkeypatch, forks, fault):
+        # every solve in a helper fails; the caller solves its own share
+        # in the presolve and each helper's weight from the shared start
+        _cpus(monkeypatch, 1)
+        alone = self._search(paper_cfg, 4)
+        parent, real = os.getpid(), simplex.solve_simplex
+        real_again = occupancy_lp.solve_simplex
+        own, again = [], []
+
+        def helper_fails(lp, start=None):
+            if os.getpid() != parent:
+                if fault == "dies":
+                    os._exit(1)
+                raise SimplexAnomaly("injected")
+            own.append(lp)
+            return real(lp, start)
+
+        def solved_again(lp, start=None):
+            if isinstance(start, simplex.FeasibleStart):
+                again.append(lp)
+            return real_again(lp, start)
+
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(simplex, "solve_simplex", helper_fails)
+        monkeypatch.setattr(occupancy_lp, "solve_simplex", solved_again)
+        assert self._search(paper_cfg, 4) == alone
+        assert len(forks) == 1
+        # 61 weights, and the min-delay solve from the shared start; the
+        # helper's share is every other weight of each round, 30 in all,
+        # and a helper that dies gets no more work after its first, 0.0
+        assert len(own) + len(again) == 61 + 1
+        assert len(again) - 1 == {"raises": 30, "dies": 1}[fault]
 
 
 class TestConvergence:
