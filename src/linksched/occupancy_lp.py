@@ -40,11 +40,11 @@ cached LP (OccupancyLp.solved), where solve_constrained finds each
 budget's own, bit for bit that of the cold solve, and a budget the
 walk leaves out (d_min and below) runs its own phase 1.  A corner
 search's weighted solves are presolved a round at a time
-(presolve_lagrangians): each round is spread over helper processes
-forked from the shared start (lagrangian_helpers, simplex.Helpers), one
-per further CPU, and the results wait on the same dict, where
-solve_lagrangian takes each weight's own; a weight whose solve failed
-is left out and solved there from the shared start.
+(presolve_lagrangians): each round is spread over processes forked for
+it from the shared start (simplex.objective_solves), one per further
+CPU, and the results wait on the same dict, where solve_lagrangian
+takes each weight's own; a weight whose solve failed is left out and
+solved there from the shared start.
 
 State spaces are 0-based: q in {0..Q}, s in {0..S_max}.
 """
@@ -60,11 +60,11 @@ from .model import (ChannelDiscretization, SystemConfig, cell_of,
                     drain_rate, mean_arrival_rate, mean_delay, step)
 from .simplex import (
     FEAS_TOL,
-    Helpers,
     LinearProgram,
     SimplexAnomaly,
     SimplexResult,
     feasible_start,
+    objective_solves,
     solve_simplex,
     trunk_solves,
 )
@@ -308,26 +308,17 @@ def presolve_budgets(cfg: SystemConfig, disc: ChannelDiscretization,
         olp.solved.update(trunk_solves(lp, budgets))
 
 
-def lagrangian_helpers(cfg: SystemConfig,
-                       disc: ChannelDiscretization) -> Helpers:
-    """simplex.Helpers for the weighted solves on the cached LP, forked
-    from its shared start, which is made first if need be."""
-    olp = _lp(cfg, disc)
-    return Helpers(olp.lp, olp.start)
-
-
 def presolve_lagrangians(cfg: SystemConfig, disc: ChannelDiscretization,
-                         lams, helpers: Helpers) -> None:
+                         lams) -> None:
     """Solve the weights' power + lam * delay LPs from the shared start,
-    spread over helpers (lagrangian_helpers on this LP), and keep the
+    spread over the CPUs (simplex.objective_solves), and keep the
     results on the cached LP, by ("lam", weight), where solve_lagrangian
     finds them.  A weight whose solve raised is left out, so
     solve_lagrangian solves it itself and raises its own error."""
     olp = _lp(cfg, disc)
-    if helpers.start is not olp.start:
-        raise ValueError("the helpers were forked for another LP")
     lams = [float(lam) for lam in lams]
-    results = helpers.solve([olp.power + lam * olp.delay for lam in lams])
+    results = objective_solves(olp.lp, olp.start,
+                               [olp.power + lam * olp.delay for lam in lams])
     olp.solved.update((("lam", lam), res)
                       for lam, res in zip(lams, results) if res is not None)
 

@@ -65,9 +65,10 @@ finishes phase 2 on a copy of the walk's tableau there, its number
 written into the copy, so it pivots only the rest of its path.
 
 Objectives over one LP's rows are independent from their shared
-start, so Helpers spreads them over forked processes, one per further
-CPU, which inherit the start and send back each result: the same code
-on the same arrays, so the same bits.
+start, so objective_solves spreads a list of them over processes
+forked for the call, one per further CPU, which inherit the start and
+send back their results: the same code on the same arrays, so the
+same bits.
 
 x, the objective, the pivot counts and the dropped rows are those of
 the full-tableau method bit for bit.  The dual of each A_ub row is
@@ -118,7 +119,7 @@ DRIVE_TOL = 1e-7  # smallest pivot used when driving artificials out
 ROW_TOL = 1e-8  # largest row miss an "optimal" point may have
 MAX_PIVOTS = 200_000  # per phase; beyond this the solve is an anomaly
 OPEN_RHS = 1e200  # the open row's RHS on trunk_solves' path
-HELPED_ENTRIES = 2048  # below this many tableau entries, Helpers forks none
+FORKED_ENTRIES = 16384  # below this many entries x costs, no child is forked
 
 
 class SimplexAnomaly(RuntimeError):
@@ -619,112 +620,76 @@ def trunk_solves(lp: LinearProgram, budgets) -> dict[float, SimplexResult]:
     return solved
 
 
-class Helpers:
-    """Forked processes that solve objectives over one LP's rows from one
-    start, side by side with the process that made them.
+def objective_solves(lp: LinearProgram,
+                     start: FeasibleStart | SimplexResult,
+                     costs) -> list[SimplexResult | None]:
+    """solve_simplex(replace(lp, c=cost), start) for each cost vector,
+    in order, None where the solve raised or the process that made it
+    died, spread over the CPUs of the process's affinity mask.
 
-    One helper is forked per CPU of the process's affinity mask but the
-    caller's, none on one CPU, and none for a start of fewer than
-    HELPED_ENTRIES tableau entries: its solves take less time than a
-    helper costs to fork, warm up and reap (about 6 ms on a 2-core
-    machine, where paper_iv's corner search ran slower with helpers at
-    M = 3, 1617 entries, and faster at M = 4, 2860).  Each helper
-    inherits lp and start copy-on-write and reads lists of cost vectors
-    from a pipe, not LPs, whose pickles would carry A_eq.  solve(costs)
-    writes each helper an interleaved share of costs, solves its own
-    share meanwhile, and reads the helpers' SimplexResults back.  Each
-    result is solve_simplex(replace(lp, c=cost), start), the same code
-    on the same arrays, so it is bit for bit the caller's own.  A helper
-    exits by os._exit when its pipe reaches end of file, so it cannot
-    outlive the caller, and runs none of the caller's exit handlers or
-    stdio buffers.  close(), or leaving the with block, closes the pipes
-    and reaps the helpers.
+    The costs are dealt in interleaved shares, costs[i::share], one per
+    CPU but never more than costs.  Share i > 0 goes to a child forked
+    for it, which inherits lp, start and costs copy-on-write, so nothing
+    is sent to it; it writes its results' pickle into its own pipe and
+    leaves by os._exit, running none of the caller's exit handlers or
+    stdio buffers.  The caller solves share 0 meanwhile, and the share
+    of any child the system could not fork, then reads each pipe; its
+    finally closes them and reaps every child, so none outlives the
+    call.  Every result is the same code on the same arrays, so it is
+    bit for bit the caller's own.  No child is forked on one CPU, nor
+    when the costs' solves start from fewer than FORKED_ENTRIES tableau
+    entries in all (start.T.size per cost): they take less time than a
+    child costs to fork, warm up and reap (about 4 ms on a 2-core
+    machine, where forking paper_iv's rounds broke even between about
+    6500 and 19000 entries).
     """
-
-    def __init__(self, lp: LinearProgram,
-                 start: FeasibleStart | SimplexResult):
-        self.lp, self.start = lp, start
-        self.helpers = []  # (pid, task writer, result reader) per helper
-        helped = (isinstance(start, FeasibleStart)
-                  and start.T.size >= HELPED_ENTRIES)
-        try:
-            for _ in range(len(os.sched_getaffinity(0)) - 1 if helped else 0):
-                if not self._fork():
-                    break
-        except BaseException:
-            self.close()
-            raise
-
-    def __enter__(self) -> "Helpers":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _fork(self) -> bool:
-        """Fork one helper; False when the system has no process to
-        spare."""
-        tasks, results = os.pipe(), os.pipe()
-        try:
-            with warnings.catch_warnings():
-                # Python 3.12 warns when a process with threads forks, as
-                # one with an OpenBLAS pool does: the helper runs only
-                # numpy and its pipes, and OpenBLAS stops its pool for a
-                # fork and starts it again on the next call
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
-        except OSError:
-            for fd in (*tasks, *results):
-                os.close(fd)
-            return False
-        if pid == 0:
+    costs = list(costs)
+    if not costs:
+        return []
+    out = [None] * len(costs)
+    forked = (isinstance(start, FeasibleStart)
+              and start.T.size * len(costs) >= FORKED_ENTRIES)
+    share = min(len(os.sched_getaffinity(0)), len(costs)) if forked else 1
+    children = []  # (pid, result reader) of shares 1, 2, ...
+    try:
+        for i in range(1, share):
+            r, w = os.pipe()
             try:
-                for _, w, r in self.helpers:  # the other helpers' pipes
-                    os.close(w.fileno())
-                    os.close(r.fileno())
-                os.close(tasks[1])
-                os.close(results[0])
-                _serve(self.lp, self.start, tasks[0], results[1])
-            finally:
-                os._exit(0)
-        os.close(tasks[0])
-        os.close(results[1])
-        self.helpers.append((pid, os.fdopen(tasks[1], "wb"),
-                             os.fdopen(results[0], "rb")))
-        return True
-
-    def solve(self, costs) -> list[SimplexResult | None]:
-        """One result per cost vector, in order: None where the solve
-        raised, or where its helper died, which is then reaped and gets
-        no more work."""
-        share = len(self.helpers) + 1
-        out = [None] * len(costs)
-        sent = []
-        for i, helper in enumerate(list(self.helpers), 1):
-            if i < len(costs):  # its share, costs[i::share], is not empty
+                with warnings.catch_warnings():
+                    # Python 3.12 warns when a process with threads forks,
+                    # as one with an OpenBLAS pool does: the child runs
+                    # only numpy and its pipe, and OpenBLAS stops its pool
+                    # for a fork and starts it again on the next call
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:  # no process to spare: the caller solves it
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
                 try:
-                    pickle.dump(costs[i::share], helper[1],
-                                pickle.HIGHEST_PROTOCOL)
-                    helper[1].flush()
-                    sent.append((i, helper))
-                except OSError:
-                    self._drop(helper)
-        for j in range(0, len(costs), share):
-            out[j] = _solved(self.lp, self.start, costs[j])
-        for i, helper in sent:
+                    os.close(r)
+                    with os.fdopen(w, "wb") as f:
+                        pickle.dump([_solved(lp, start, c)
+                                     for c in costs[i::share]],
+                                    f, pickle.HIGHEST_PROTOCOL)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        for i in (0, *range(len(children) + 1, share)):  # the caller's shares
+            out[i::share] = [_solved(lp, start, c) for c in costs[i::share]]
+        for i, (_, r) in enumerate(children, 1):
             try:
-                out[i::share] = pickle.load(helper[2])
-            except Exception:  # cut short: the helper died
-                self._drop(helper)
-        return out
-
-    def _drop(self, helper) -> None:
-        self.helpers.remove(helper)
-        _reap([helper])
-
-    def close(self) -> None:
-        helpers, self.helpers = self.helpers, []
-        _reap(helpers)
+                out[i::share] = pickle.load(r)
+            except (EOFError, pickle.UnpicklingError):  # the child died
+                pass
+    finally:
+        for _, r in children:  # a child still writing gets EPIPE
+            r.close()
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+    return out
 
 
 def _solved(lp: LinearProgram, start, cost) -> SimplexResult | None:
@@ -733,29 +698,3 @@ def _solved(lp: LinearProgram, start, cost) -> SimplexResult | None:
         return solve_simplex(replace(lp, c=cost), start)
     except Exception:
         return None
-
-
-def _serve(lp: LinearProgram, start, tasks: int, results: int) -> None:
-    """A helper's loop: the results of each list of cost vectors read from
-    the pipe tasks, written to the pipe results, until tasks ends."""
-    with os.fdopen(tasks, "rb") as r, os.fdopen(results, "wb") as w:
-        while True:
-            try:
-                costs = pickle.load(r)
-            except EOFError:
-                return
-            pickle.dump([_solved(lp, start, c) for c in costs], w,
-                        pickle.HIGHEST_PROTOCOL)
-            w.flush()
-
-
-def _reap(helpers) -> None:
-    """Close the helpers' pipes, then wait for each to exit."""
-    for _, w, r in helpers:
-        for f in (w, r):
-            try:
-                f.close()
-            except OSError:  # a write the dead helper never read
-                pass
-    for pid, _, _ in helpers:
-        os.waitpid(pid, 0)

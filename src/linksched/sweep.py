@@ -35,7 +35,6 @@ from .occupancy_lp import (
     Policy,
     evaluate_measure,
     extract_policy,
-    lagrangian_helpers,
     min_delay,
     policy_to_measure,
     presolve_budgets,
@@ -115,8 +114,8 @@ def enumerate_vertices(
     unreachable and the call fails.  The weight intervals are split
     breadth first: a round is the crossing weight of every open
     interval, and each round is solved on every CPU of the process's
-    affinity mask (presolve_lagrangians, with helpers forked once per
-    search) before solve_lagrangian reads each weight's result.  The
+    affinity mask (presolve_lagrangians, by processes forked for the
+    round alone) before solve_lagrangian reads each weight's result.  The
     candidates are recorded in the order a depth-first split records
     them, both ends first, then the midpoints in preorder, so the
     corners do not depend on the CPU count.
@@ -128,7 +127,7 @@ def enumerate_vertices(
         solves += len(lams)
         if solves > MAX_VERTEX_SOLVES:
             raise SweepError("vertex enumeration did not converge")
-        presolve_lagrangians(cfg, disc, lams, helpers)
+        presolve_lagrangians(cfg, disc, lams)
 
     def solve(lam: float) -> Vertex:
         measure, delay, power = solve_lagrangian(cfg, disc, lam)
@@ -136,46 +135,45 @@ def enumerate_vertices(
 
     d_min, _ = min_delay(cfg, disc)
     lam_max = default_lambda_max(cfg)
-    with lagrangian_helpers(cfg, disc) as helpers:
-        presolve([lam_max, 0.0])
-        top = solve(lam_max)  # before 0.0: a failed solve names lam_max
-        if top.D > d_min + 1e-6 * (1.0 + d_min):
-            raise SweepError(
-                f"weight lam={top.lam!r} only reaches delay {top.D!r} "
-                f"but the minimum is {d_min!r}")
-        bottom = solve(0.0)
-        # each open interval (lo, hi) keyed by its path from the root,
-        # 0 for a left and 1 for a right half: sorted, the paths of the
-        # uncertified midpoints are their depth-first preorder
-        level = [((), bottom, top)]
-        mids: dict[tuple[int, ...], Vertex] = {}
-        while level:
-            crossings = []
-            for path, lo, hi in level:
-                if (abs(lo.D - hi.D) <= VERTEX_TOL
-                        and abs(lo.P - hi.P) <= VERTEX_TOL):
-                    continue
-                if len(path) > 80:
-                    raise SweepError("vertex enumeration did not converge")
-                # endpoint supporting lines P + lam*D cross at the only
-                # weight that could expose a corner hiding between them
-                if lo.D > hi.D:
-                    lam_star = (hi.P - lo.P) / (lo.D - hi.D)
-                else:
-                    lam_star = 0.5 * (lo.lam + hi.lam)
-                if not (lo.lam < lam_star < hi.lam):
-                    lam_star = 0.5 * (lo.lam + hi.lam)
-                crossings.append((path, lo, hi, lam_star))
-            presolve([lam_star for *_, lam_star in crossings])
-            level = []
-            for path, lo, hi, lam_star in crossings:
-                mid = solve(lam_star)
-                chord = lo.P + lam_star * lo.D
-                if (mid.P + lam_star * mid.D
-                        >= chord - VERTEX_TOL * (1.0 + abs(chord))):
-                    continue  # segment certified: lo, hi adjacent corners
-                mids[path] = mid
-                level += [(path + (0,), lo, mid), (path + (1,), mid, hi)]
+    presolve([lam_max, 0.0])
+    top = solve(lam_max)  # before 0.0: a failed solve names lam_max
+    if top.D > d_min + 1e-6 * (1.0 + d_min):
+        raise SweepError(
+            f"weight lam={top.lam!r} only reaches delay {top.D!r} "
+            f"but the minimum is {d_min!r}")
+    bottom = solve(0.0)
+    # each open interval (lo, hi) keyed by its path from the root,
+    # 0 for a left and 1 for a right half: sorted, the paths of the
+    # uncertified midpoints are their depth-first preorder
+    level = [((), bottom, top)]
+    mids: dict[tuple[int, ...], Vertex] = {}
+    while level:
+        crossings = []
+        for path, lo, hi in level:
+            if (abs(lo.D - hi.D) <= VERTEX_TOL
+                    and abs(lo.P - hi.P) <= VERTEX_TOL):
+                continue
+            if len(path) > 80:
+                raise SweepError("vertex enumeration did not converge")
+            # endpoint supporting lines P + lam*D cross at the only
+            # weight that could expose a corner hiding between them
+            if lo.D > hi.D:
+                lam_star = (hi.P - lo.P) / (lo.D - hi.D)
+            else:
+                lam_star = 0.5 * (lo.lam + hi.lam)
+            if not (lo.lam < lam_star < hi.lam):
+                lam_star = 0.5 * (lo.lam + hi.lam)
+            crossings.append((path, lo, hi, lam_star))
+        presolve([lam_star for *_, lam_star in crossings])
+        level = []
+        for path, lo, hi, lam_star in crossings:
+            mid = solve(lam_star)
+            chord = lo.P + lam_star * lo.D
+            if (mid.P + lam_star * mid.D
+                    >= chord - VERTEX_TOL * (1.0 + abs(chord))):
+                continue  # segment certified: lo, hi adjacent corners
+            mids[path] = mid
+            level += [(path + (0,), lo, mid), (path + (1,), mid, hi)]
 
     found: dict[tuple[float, float], Vertex] = {}
     for v in [bottom, top, *(mids[path] for path in sorted(mids))]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -262,9 +263,9 @@ def _vertex_bytes(verts):
 
 
 def _cpus(monkeypatch, n):
-    """Pretend the affinity mask holds n CPUs, and help every start."""
+    """Pretend the affinity mask holds n CPUs, and fork for every round."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    monkeypatch.setattr(simplex, "HELPED_ENTRIES", 0)
+    monkeypatch.setattr(simplex, "FORKED_ENTRIES", 0)
 
 
 def _no_children():
@@ -274,7 +275,7 @@ def _no_children():
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The pids of the helpers forked meanwhile, none left at the end."""
+    """The pids of the children forked meanwhile, none left at the end."""
     pids = []
     fork = os.fork
 
@@ -290,9 +291,30 @@ def forks(monkeypatch):
     _no_children()
 
 
+@pytest.fixture
+def widths(monkeypatch):
+    """The width of every round the corner search presolves."""
+    seen = []
+    real = sweep.presolve_lagrangians
+
+    def recorder(cfg, disc, lams):
+        seen.append(len(lams))
+        return real(cfg, disc, lams)
+
+    monkeypatch.setattr(sweep, "presolve_lagrangians", recorder)
+    return seen
+
+
+def _children(widths, n):
+    """The children forked for rounds of these widths on n CPUs: one per
+    CPU but the caller's, never more than a round has further weights."""
+    return sum(min(n, w) - 1 for w in widths if w)
+
+
 class TestHelpers:
-    """A corner search spread over forked helpers gives the corners of a
-    search on one CPU, bit for bit, and leaves no process behind."""
+    """A corner search whose rounds are spread over helpers, children
+    forked for each round, gives the corners of a search on one CPU,
+    bit for bit, and leaves no process behind."""
 
     def _search(self, cfg, bins):
         occupancy_lp.clear_caches()
@@ -301,31 +323,32 @@ class TestHelpers:
 
     @pytest.mark.parametrize("name,bins", [("paper", 4), ("tiny", 2)])
     def test_bitwise_equal_on_any_cpu_count(self, request, monkeypatch,
-                                            forks, name, bins):
+                                            forks, widths, name, bins):
         cfg = request.getfixturevalue(f"{name}_cfg")
         _cpus(monkeypatch, 1)
         alone = self._search(cfg, bins)
         assert forks == []
         for n in (2, 3):
             _cpus(monkeypatch, n)
-            del forks[:]
+            del forks[:], widths[:]
             assert self._search(cfg, bins) == alone
-            assert len(forks) == n - 1
+            assert len(forks) == _children(widths, n) > 0
 
     def test_small_start_forks_none(self, tiny_cfg, monkeypatch, forks):
-        # tiny's solves take less time than a helper costs
+        # tiny's solves take less time than a child costs
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         enumerate_vertices(tiny_cfg, discretize_channel(tiny_cfg.channel, 2))
         assert forks == []
 
     def test_no_helper_outlives_a_lambda_cap_error(self, tiny_cfg,
                                                    monkeypatch, forks):
+        # the first round, lam_max and 0.0, forks one child on 3 CPUs
         _cpus(monkeypatch, 3)
         monkeypatch.setattr(sweep, "default_lambda_max", lambda cfg: 1e-6)
         with pytest.raises(SweepError, match="only reaches delay"):
             enumerate_vertices(tiny_cfg,
                                discretize_channel(tiny_cfg.channel, 2))
-        assert len(forks) == 2
+        assert len(forks) == 1
 
     def test_no_helper_outlives_a_solver_anomaly(self, paper_cfg,
                                                  monkeypatch, forks):
@@ -345,18 +368,31 @@ class TestHelpers:
                                discretize_channel(paper_cfg.channel, 4))
         assert len(forks) == 1
 
+    def test_no_helper_outlives_the_solve_cap(self, paper_cfg, monkeypatch,
+                                              forks, widths):
+        # 61 weights at M=4: the cap stops the search before a round
+        _cpus(monkeypatch, 2)
+        monkeypatch.setattr(sweep, "MAX_VERTEX_SOLVES", 40)
+        occupancy_lp.clear_caches()
+        with pytest.raises(SweepError, match="did not converge"):
+            enumerate_vertices(paper_cfg,
+                               discretize_channel(paper_cfg.channel, 4))
+        assert len(forks) == _children(widths, 2) > 0
+        assert sum(widths) <= 40
+
     @pytest.mark.parametrize("fault", ["raises", "dies"])
     def test_failed_helper_solve_is_solved_again(self, paper_cfg,
-                                                 monkeypatch, forks, fault):
-        # every solve in a helper fails; the caller solves its own share
-        # in the presolve and each helper's weight from the shared start
+                                                 monkeypatch, forks, widths,
+                                                 fault):
+        # every solve in a child fails; the caller solves its own share
+        # in the presolve and each child's weight from the shared start
         _cpus(monkeypatch, 1)
         alone = self._search(paper_cfg, 4)
         parent, real = os.getpid(), simplex.solve_simplex
         real_again = occupancy_lp.solve_simplex
         own, again = [], []
 
-        def helper_fails(lp, start=None):
+        def child_fails(lp, start=None):
             if os.getpid() != parent:
                 if fault == "dies":
                     os._exit(1)
@@ -370,15 +406,70 @@ class TestHelpers:
             return real_again(lp, start)
 
         _cpus(monkeypatch, 2)
-        monkeypatch.setattr(simplex, "solve_simplex", helper_fails)
+        del widths[:]
+        monkeypatch.setattr(simplex, "solve_simplex", child_fails)
         monkeypatch.setattr(occupancy_lp, "solve_simplex", solved_again)
         assert self._search(paper_cfg, 4) == alone
-        assert len(forks) == 1
-        # 61 weights, and the min-delay solve from the shared start; the
-        # helper's share is every other weight of each round, 30 in all,
-        # and a helper that dies gets no more work after its first, 0.0
+        assert len(forks) == _children(widths, 2)
+        # 61 weights, and the min-delay solve from the shared start; a
+        # child's share is every other weight of its round, 30 in all,
+        # and a child that dies loses its own round's share alone
         assert len(own) + len(again) == 61 + 1
-        assert len(again) - 1 == {"raises": 30, "dies": 1}[fault]
+        assert len(again) - 1 == 30
+
+
+def _results_bytes(results):
+    """Everything a SimplexResult carries, arrays as their bytes."""
+    return [(r.status, r.x.tobytes(), np.float64(r.objective).tobytes(),
+             r.dropped_eq_rows, r.iterations, r.phase1_iterations,
+             r.degenerate_pivots, np.float64(r.row_gap).tobytes(),
+             r.duals_ub.tobytes()) for r in results]
+
+
+class TestObjectiveSolves:
+    """simplex.objective_solves on its own: the results of one process,
+    bit for bit, and no child left behind."""
+
+    @pytest.fixture(scope="class")
+    def m8(self, paper_cfg):
+        olp = occupancy_lp.build_occupancy_lp(
+            paper_cfg, discretize_channel(paper_cfg.channel, 8))
+        start = simplex.feasible_start(olp.lp)
+        costs = [olp.power + lam * olp.delay
+                 for lam in np.linspace(0.0, 4.0, 80)]
+        return olp.lp, start, costs
+
+    def test_share_larger_than_a_pipe_buffer(self, m8, monkeypatch, forks):
+        lp, start, costs = m8
+        _cpus(monkeypatch, 1)
+        alone = simplex.objective_solves(lp, start, costs)
+        assert forks == []
+        # the child's half cannot pass a 64 KiB pipe buffer in one write
+        assert len(pickle.dumps(alone[1::2], pickle.HIGHEST_PROTOCOL)) \
+            > 65536
+        _cpus(monkeypatch, 2)
+        spread = simplex.objective_solves(lp, start, costs)
+        assert len(forks) == 1
+        assert _results_bytes(spread) == _results_bytes(alone)
+
+    def test_caller_interrupt_reaps_every_helper(self, m8, monkeypatch,
+                                                forks):
+        class Interrupt(BaseException):
+            pass
+
+        lp, start, costs = m8
+        parent, real = os.getpid(), simplex.solve_simplex
+
+        def caller_interrupted(lp, start=None):
+            if os.getpid() == parent:
+                raise Interrupt
+            return real(lp, start)
+
+        _cpus(monkeypatch, 3)
+        monkeypatch.setattr(simplex, "solve_simplex", caller_interrupted)
+        with pytest.raises(Interrupt):
+            simplex.objective_solves(lp, start, costs)
+        assert len(forks) == 2
 
 
 class TestConvergence:
