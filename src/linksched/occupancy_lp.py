@@ -32,19 +32,15 @@ phase 2 alone, each on a copy, bit for bit as from their own start.
 The last discretization's LP stays cached, with its start once a
 delay-free solve has made it (or the "infeasible" result phase 1
 proved), until clear_caches frees it, as the CLI does when a command
-ends.  A budget's row can steer phase 1, so a single constrained
-solve runs its own.  The budgets of one sweep are solved on one walk
-along the path of the LP with the delay row's right-hand side left
-open (presolve_budgets, simplex.trunk_solves); the results stay on the
-cached LP (OccupancyLp.solved), where solve_constrained finds each
-budget's own, bit for bit that of the cold solve, and a budget the
-walk leaves out (d_min and below) runs its own phase 1.  A corner
-search's weighted solves are presolved a round at a time
-(presolve_lagrangians): each round is spread over processes forked for
-it from the shared start (simplex.objective_solves), one per further
-CPU, and the results wait on the same dict, where solve_lagrangian
-takes each weight's own; a weight whose solve failed is left out and
-solved there from the shared start.
+ends.  A budget's row can steer phase 1, so a budget's solve runs its
+own.  Solves made ahead wait on the cached LP (OccupancyLp.solved):
+a sweep's budgets, solved on one walk along the path of the LP with
+the delay row's right-hand side left open (presolve_budgets,
+simplex.trunk_solves), and a corner search's weights, solved a round
+at a time from the shared start by processes forked for the round,
+one per further CPU (presolve_lagrangians, simplex.objective_solves).
+A presolved result is taken when it is read, bit for bit the solve it
+stands for; a solve with none waiting runs as it would alone.
 
 State spaces are 0-based: q in {0..Q}, s in {0..S_max}.
 """
@@ -57,7 +53,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .model import (ChannelDiscretization, SystemConfig, cell_of,
-                    drain_rate, mean_arrival_rate, mean_delay, step)
+                    drain_rate, mean_delay, step)
 from .simplex import (
     FEAS_TOL,
     LinearProgram,
@@ -234,10 +230,9 @@ class OccupancyLp:
     delay: np.ndarray
 
     def at(self, d_th: float | None) -> LinearProgram:
-        """The LP under delay budget d_th: lp itself when there is no
-        delay row (no budget, or no arrivals), else lp with the delay
-        row, sharing lp's A_eq and b_eq."""
-        if d_th is None or not mean_arrival_rate(self.cfg.arrival) > 0:
+        """The LP under delay budget d_th: lp itself when there is none,
+        else lp with the delay row, sharing lp's A_eq and b_eq."""
+        if d_th is None:
             return self.lp
         return replace(self.lp, A_ub=self.delay[None],
                        b_ub=np.array([d_th], dtype=float))
@@ -251,8 +246,8 @@ class OccupancyLp:
 
     @cached_property
     def solved(self) -> dict[float | tuple[str, float], SimplexResult]:
-        """The solves presolve_budgets made, by budget, and those
-        presolve_lagrangians made, by ("lam", weight), until read."""
+        """The unread solves of presolve_budgets, by budget, and of
+        presolve_lagrangians, by ("lam", weight)."""
         return {}
 
 
@@ -301,11 +296,9 @@ def presolve_budgets(cfg: SystemConfig, disc: ChannelDiscretization,
                      budgets) -> None:
     """Solve the budgets' power LPs on one walk (simplex.trunk_solves)
     and keep the results on the cached LP, which frees them with
-    itself; none when the LP has no delay row (no arrivals)."""
+    itself."""
     olp = _lp(cfg, disc)
-    lp = olp.at(0.0)
-    if lp is not olp.lp:
-        olp.solved.update(trunk_solves(lp, budgets))
+    olp.solved.update(trunk_solves(olp.at(0.0), budgets))
 
 
 def presolve_lagrangians(cfg: SystemConfig, disc: ChannelDiscretization,
@@ -326,17 +319,14 @@ def presolve_lagrangians(cfg: SystemConfig, disc: ChannelDiscretization,
 def _solve(cfg: SystemConfig, disc: ChannelDiscretization,
            d_th: float | None, objective, key=None):
     """Solve the LP at budget d_th with lp.c = objective(olp): the
-    result presolved under key if there is one, else from the shared
-    start without a delay row and by its own phase 1 with one; returns
-    the SimplexResult and its measure, x scattered onto the mask (None
-    unless optimal).  A weight's presolved result is taken, as a corner
-    search reads each weight once; a budget's stays, as a grid may hold
-    it twice."""
+    result presolved under key, taken, if one waits, else from the
+    shared start without a delay row and by its own phase 1 with one;
+    returns the SimplexResult and its measure, x scattered onto the
+    mask (None unless optimal)."""
     olp = _lp(cfg, disc)
     lp = olp.at(d_th)
-    start = (olp.solved.pop(key, None) if isinstance(key, tuple)
-             else olp.solved.get(key))
-    if start is None and lp is olp.lp:
+    start = olp.solved.pop(key, None)
+    if start is None and d_th is None:
         start = olp.start
     res = solve_simplex(replace(lp, c=objective(olp)), start)
     if res.status != "optimal":
@@ -351,9 +341,9 @@ def solve_constrained(
 ) -> LpSolution:
     """Minimum average power subject to average delay <= d_th.
 
-    After presolve_budgets(cfg, disc, grid), a budget of the grid reads
-    its result off the cached LP; the solution is bit for bit the one
-    without it.
+    After presolve_budgets(cfg, disc, grid), each budget the walk
+    solved takes its result off the cached LP once; the solution is
+    bit for bit the one without it.
     """
     if d_th is not None and not np.isfinite(d_th):
         raise ValueError(f"delay budget must be finite, got {d_th!r}")

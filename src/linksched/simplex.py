@@ -119,7 +119,7 @@ DRIVE_TOL = 1e-7  # smallest pivot used when driving artificials out
 ROW_TOL = 1e-8  # largest row miss an "optimal" point may have
 MAX_PIVOTS = 200_000  # per phase; beyond this the solve is an anomaly
 OPEN_RHS = 1e200  # the open row's RHS on trunk_solves' path
-FORKED_ENTRIES = 16384  # below this many entries x costs, no child is forked
+FORKED_ENTRIES = 16384  # up to this many entries x costs, no child is forked
 
 
 class SimplexAnomaly(RuntimeError):
@@ -636,19 +636,20 @@ def objective_solves(lp: LinearProgram,
     of any child the system could not fork, then reads each pipe; its
     finally closes them and reaps every child, so none outlives the
     call.  Every result is the same code on the same arrays, so it is
-    bit for bit the caller's own.  No child is forked on one CPU, nor
-    when the costs' solves start from fewer than FORKED_ENTRIES tableau
-    entries in all (start.T.size per cost): they take less time than a
-    child costs to fork, warm up and reap (about 4 ms on a 2-core
-    machine, where forking paper_iv's rounds broke even between about
-    6500 and 19000 entries).
+    bit for bit the caller's own.  No child is forked on one CPU, on a
+    platform with no affinity mask (no os.sched_getaffinity, as on
+    macOS and Windows), nor when the costs' solves start from at most
+    FORKED_ENTRIES tableau entries in all (start.T.size per cost, so
+    none for no costs): they take less time than a child costs to
+    fork, warm up and reap (about 4 ms on a 2-core machine, where
+    forking paper_iv's rounds broke even between about 6500 and 19000
+    entries).
     """
     costs = list(costs)
-    if not costs:
-        return []
     out = [None] * len(costs)
     forked = (isinstance(start, FeasibleStart)
-              and start.T.size * len(costs) >= FORKED_ENTRIES)
+              and hasattr(os, "sched_getaffinity")
+              and start.T.size * len(costs) > FORKED_ENTRIES)
     share = min(len(os.sched_getaffinity(0)), len(costs)) if forked else 1
     children = []  # (pid, result reader) of shares 1, 2, ...
     try:

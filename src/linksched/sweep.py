@@ -274,10 +274,10 @@ def sweep_curve(
     budget rides until it leaves to finish its phase 2 on a copy of the
     walk's tableau; each result is bit for bit its own cold solve's.
     The walk's tableaus are gone when it returns, and the budgets it
-    leaves out (d_min and below) then run cold.  Infeasible budgets
-    are dropped and listed on the curve; an empty grid is a ValueError
-    and an entirely infeasible one an InfeasibleCurveError.  The curve
-    is checked to be nonincreasing.
+    leaves out (d_min and below) and a repeated budget's second solve
+    then run cold.  Infeasible budgets are dropped and listed on the
+    curve; an empty grid is a ValueError and an entirely infeasible one
+    an InfeasibleCurveError.  The curve is checked to be nonincreasing.
     """
     budgets = np.sort(np.asarray(budgets, dtype=float))
     if not budgets.size:
@@ -352,8 +352,6 @@ def convergence_study(
     m_list = list(m_list)
     if not m_list:
         raise ValueError("bin counts must be nonempty")
-    if budgets is not None and len(budgets) == 0:
-        raise ValueError("budget grid must be nonempty")
     if any(b >= a for a, b in zip(m_list[1:], m_list[:-1])):
         raise ValueError("bin counts must be increasing")
     discs = [discretize_channel(cfg.channel, m) for m in m_list]

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import linksched
-from linksched import cli, occupancy_lp
+from linksched import cli, occupancy_lp, sweep
 from linksched.cli import main
 from linksched.construction import MassRangeError
 from linksched.model import builtin_config_names, load_config
@@ -33,6 +33,11 @@ def bad_cfg(tmp_path, request):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(raw))
     return str(p)
+
+
+def _piecewise(table):
+    """A piecewise channel over paper_iv's gain range."""
+    return {"kind": "piecewise", "h_min": 0.5, "h_max": 10.0, "table": table}
 
 
 def _solve(outdir, bins=4, dth="3.0"):
@@ -61,8 +66,10 @@ class TestExitCodes:
          "--outdir", "{tmp}/file"],
         ["simulate", "--config", "tiny", "--bins", "2", "--policy", "{tmp}",
          "--outdir", "{tmp}/out"],
+        ["solve", "--config", "{tmp}/file", "--dth", "3",
+         "--outdir", "{tmp}/out"],
     ], ids=["config-is-a-directory", "outdir-is-a-file",
-            "policy-is-a-directory"])
+            "policy-is-a-directory", "config-is-not-json"])
     def test_path_of_the_wrong_kind_is_usage(self, tmp_path, capsys, argv):
         (tmp_path / "file").write_text("")
         rc = main([a.format(tmp=tmp_path) for a in argv])
@@ -84,8 +91,28 @@ class TestExitCodes:
         ((None, "xi", [0, "x", 3]), "'xi'"),
         ((None, "Q", True), "'Q'"),
         (("arrival", "alphas", [True, False]), "'arrival.alphas'"),
+        # and fields that break the model's invariants
+        (("arrival", "alphas", []), "arrival alphas are empty"),
+        (("channel", "h_max", 0.5), "h_max <= h_min"),
+        (("channel", "kind", "rayleigh"), "unknown channel kind 'rayleigh'"),
+        ((None, "channel", _piecewise([])), "empty table"),
+        ((None, "channel", _piecewise([[5.0, 0.1], [4.0, 0.1],
+                                       [10.0, 0.1]])),
+         "edges not increasing"),
+        ((None, "channel", _piecewise([[2.0, 0.1], [9.0, 0.1]])),
+         "does not end at h_max"),
+        ((None, "channel", _piecewise([[2.0, -0.1], [10.0, 0.1]])),
+         "negative channel density"),
+        ((None, "channel", _piecewise([[2.0, 0.3, 1.0], [10.0, 0.1]])),
+         "'channel.table' must be a list of (edge, value) pairs"),
+        ((None, "xi", [0, 1]), "'xi' must be a list of length S_max + 1"),
+        ((None, "xi_kind", "linear"), "missing field 'xi'"),
     ], indirect=["bad_cfg"],
-        ids=["h_min-null", "h_min-text", "xi-text", "Q-bool", "alphas-bool"])
+        ids=["h_min-null", "h_min-text", "xi-text", "Q-bool", "alphas-bool",
+             "alphas-empty", "h_max-not-above-h_min", "kind-unknown",
+             "table-empty", "table-edges-decrease", "table-ends-early",
+             "table-negative-density", "table-row-not-a-pair",
+             "xi-wrong-length", "xi-missing"])
     def test_non_number_field_is_named(self, tmp_path, bad_cfg, named,
                                        capsys):
         rc = main(["solve", "--dth", "3.0", "--config", bad_cfg,
@@ -95,6 +122,22 @@ class TestExitCodes:
 
     def test_unreachable_budget_is_infeasible(self, tmp_path):
         assert _solve(tmp_path, dth="0.01") == 2
+
+    def test_unreachable_construct_budget_writes_nothing(self, tmp_path):
+        assert main(["construct", "--dth", "0.01", "--bins", "4", "--M", "8",
+                     "--outdir", str(tmp_path)]) == 2
+        assert not any(tmp_path.iterdir())
+
+    def test_sweep_error_of_a_search_is_three(self, tmp_path, monkeypatch,
+                                              capsys):
+        # a SweepError that is not an InfeasibleCurveError: the largest
+        # weight cannot reach the minimum delay
+        monkeypatch.setattr(sweep, "default_lambda_max", lambda cfg: 1e-6)
+        rc = main(["vertices", "--config", "tiny", "--bins", "2", "--full",
+                   "--outdir", str(tmp_path)])
+        assert rc == 3
+        assert "only reaches delay" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_solver_anomaly_is_three(self, tmp_path, monkeypatch, capsys):
         # the min-delay solve behind the default budget grid fails
@@ -189,9 +232,10 @@ class TestExitCodes:
         (["solve", "--bins", "2", "--dth", "inf"], "got inf"),
         (["solve", "--bins", "2", "--dth=-inf"], "got -inf"),
         (["sweep", "--bins-list", "2", "--dgrid", "1,inf"], "got inf"),
+        (["solve", "--bins", "0", "--dth", "3"], "bins must be >= 1"),
     ], ids=["cells-0", "cells-negative", "empty-bin-list", "empty-grid",
             "nan-budget", "nan-grid", "inf-budget", "minus-inf-budget",
-            "inf-grid"])
+            "inf-grid", "bins-0"])
     def test_bad_value_is_usage(self, tmp_path, capsys, argv, named):
         rc = main([*argv, "--config", "tiny", "--outdir", str(tmp_path)])
         assert rc == 1
@@ -555,6 +599,21 @@ class TestVerifyBattery:
         assert rc == 0
         lines = (tmp_path / "verify.txt").read_text().splitlines()
         assert len(lines) >= 15
+        assert all(ln.startswith("PASS") for ln in lines)
+
+    def test_piecewise_law_skips_the_closed_form(self, tmp_path):
+        # the closed form of the bin statistics holds for a uniform law
+        cfg = tmp_path / "piecewise.json"
+        cfg.write_text(json.dumps({
+            "arrival": {"alphas": [0.4, 0.3, 0.3]},
+            "channel": _piecewise([[2.0, 0.3], [2.5, 0.0],
+                                   [10.0, 0.55 / 7.5]]),
+            "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"}))
+        rc = main(["verify", "--config", str(cfg), "--outdir", str(tmp_path)])
+        assert rc == 0
+        lines = (tmp_path / "verify.txt").read_text().splitlines()
+        assert ("PASS  bin statistics closed form  (skipped: non-uniform law)"
+                in lines)
         assert all(ln.startswith("PASS") for ln in lines)
 
     @pytest.mark.parametrize("name,line", [

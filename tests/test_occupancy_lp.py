@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linksched import occupancy_lp, sweep
+from linksched import occupancy_lp, simplex, sweep
+from linksched.cli import main
 from linksched.model import (
     config_from_dict,
     discretize_channel,
@@ -46,6 +48,13 @@ from oracles import (
     policy_delay_power,
     uniform_bin_stats,
 )
+
+
+# paper_iv with no arrivals: its delay is the mean queue
+NO_ARRIVALS = {
+    "arrival": {"alphas": [1.0]},
+    "channel": {"kind": "uniform", "h_min": 0.5, "h_max": 10.0},
+    "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"}
 
 
 def column_triples(olp):
@@ -226,10 +235,7 @@ class TestSolve:
         assert d_min == pytest.approx(d_o, abs=1e-9)
 
     def test_no_arrivals_min_delay_zero(self):
-        cfg = config_from_dict({
-            "arrival": {"alphas": [1.0]},
-            "channel": {"kind": "uniform", "h_min": 0.5, "h_max": 10.0},
-            "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"})
+        cfg = config_from_dict(NO_ARRIVALS)
         disc = discretize_channel(cfg.channel, 2)
         d_min, _ = min_delay(cfg, disc)
         assert d_min == 0.0
@@ -237,10 +243,7 @@ class TestSolve:
     def test_no_arrivals_delay_is_the_priced_delay(self):
         # with no arrivals the reported delay is the mean queue, the
         # same quantity the LP's delay cost prices
-        cfg = config_from_dict({
-            "arrival": {"alphas": [1.0]},
-            "channel": {"kind": "uniform", "h_min": 0.5, "h_max": 10.0},
-            "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"})
+        cfg = config_from_dict(NO_ARRIVALS)
         disc = discretize_channel(cfg.channel, 2)
         olp = build_occupancy_lp(cfg, disc)
         g = np.zeros((cfg.Q + 1, cfg.S_max + 1, disc.bins))
@@ -254,26 +257,49 @@ class TestSolve:
     def test_no_arrivals_lagrangian_empties_queue(self):
         # with no arrivals the delay cost is the mean queue, so any
         # positive weight drives all mass to the empty queue
-        cfg = config_from_dict({
-            "arrival": {"alphas": [1.0]},
-            "channel": {"kind": "uniform", "h_min": 0.5, "h_max": 10.0},
-            "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"})
+        cfg = config_from_dict(NO_ARRIVALS)
         disc = discretize_channel(cfg.channel, 2)
         measure, delay, power = solve_lagrangian(cfg, disc, 1.0)
         assert (delay, power) == (0.0, 0.0)
         assert measure.queue_marginal()[0] == pytest.approx(1.0,
                                                                 abs=1e-12)
 
-    def test_no_arrivals_sweep_has_no_delay_row(self):
-        cfg = config_from_dict({
-            "arrival": {"alphas": [1.0]},
-            "channel": {"kind": "uniform", "h_min": 0.5, "h_max": 10.0},
-            "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"})
+    def test_no_arrivals_negative_budget_is_infeasible(self, tmp_path):
+        # a budget is a delay row on every arrival law, and no measure
+        # has a negative mean queue
+        cfg = config_from_dict(NO_ARRIVALS)
         disc = discretize_channel(cfg.channel, 2)
-        presolve_budgets(cfg, disc, [0.5, 2.0])
-        assert occupancy_lp._lp(cfg, disc).solved == {}
-        curve = sweep.sweep_curve(cfg, disc, [0.5, 2.0])
-        assert curve.powers.tolist() == [0.0, 0.0]
+        assert solve_constrained(cfg, disc, -1.0).status == "infeasible"
+        curve = sweep.sweep_curve(cfg, disc, [-1.0, 0.5])
+        assert curve.infeasible == (-1.0,)
+        assert curve.powers.tolist() == [0.0]
+        path = tmp_path / "no_arrivals.json"
+        path.write_text(json.dumps(NO_ARRIVALS))
+        assert main(["solve", "--config", str(path), "--bins", "2",
+                     "--dth", "-1", "--outdir", str(tmp_path)]) == 2
+
+    def test_presolved_budget_is_taken_once(self, paper_cfg, monkeypatch):
+        # the walk's result goes to the budget's first solve; a second
+        # runs its own phase 1, with the same bits, and a sweep leaves
+        # no result unread
+        disc = discretize_channel(paper_cfg.channel, 4)
+        runs = []
+        feasible_start = simplex.feasible_start
+
+        def counted(lp, check=None):
+            runs.append("walk" if check is not None else "own")
+            return feasible_start(lp, check)
+
+        monkeypatch.setattr(simplex, "feasible_start", counted)
+        presolve_budgets(paper_cfg, disc, [2.0])
+        first = solve_constrained(paper_cfg, disc, 2.0)
+        assert runs == ["walk"]
+        second = solve_constrained(paper_cfg, disc, 2.0)
+        assert runs == ["walk", "own"]
+        assert _solution_bytes(second) == _solution_bytes(first)
+        curve = sweep.sweep_curve(paper_cfg, disc, [1.5, 2.0, 2.0, 3.0])
+        assert occupancy_lp._lp(paper_cfg, disc).solved == {}
+        assert curve.powers[1].tobytes() == curve.powers[2].tobytes()
 
     def test_presolved_budgets_go_with_their_lp(self, paper_cfg, disc16):
         # a walk's results live on the LP they were solved on: a solve
@@ -410,6 +436,17 @@ class TestTextFormats:
         assert np.array_equal(back.transient, pol.transient)
         assert np.array_equal(back.sigma, pol.sigma)
         assert back.kind == pol.kind
+
+    def test_policy_round_trip_keeps_transient_rows(self):
+        # with no arrivals the optimum empties the queue, and every
+        # other queue state is transient
+        cfg = config_from_dict(NO_ARRIVALS)
+        disc = discretize_channel(cfg.channel, 2)
+        pol = extract_policy(solve_constrained(cfg, disc, 2.0).measure)
+        assert pol.transient[1:].all() and not pol.transient[0].any()
+        back = policy_from_text(policy_to_text(pol), cfg, disc)
+        assert back.table.tobytes() == pol.table.tobytes()
+        assert np.array_equal(back.transient, pol.transient)
 
     def test_measure_text_full_precision(self, solution16):
         text = measure_to_text(solution16.measure)

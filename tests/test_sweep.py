@@ -334,6 +334,14 @@ class TestHelpers:
             assert self._search(cfg, bins) == alone
             assert len(forks) == _children(widths, n) > 0
 
+    def test_no_affinity_mask_forks_none(self, paper_cfg, monkeypatch, forks):
+        # macOS and Windows have no os.sched_getaffinity
+        _cpus(monkeypatch, 1)
+        alone = self._search(paper_cfg, 4)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert self._search(paper_cfg, 4) == alone
+        assert forks == []
+
     def test_small_start_forks_none(self, tiny_cfg, monkeypatch, forks):
         # tiny's solves take less time than a child costs
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
