@@ -46,7 +46,7 @@ from .construction import (
     verify_deterministic,
     verify_feasibility,
 )
-from .model import discretize_channel, load_config
+from .model import DiscretizationError, discretize_channel, load_config
 from .occupancy_lp import (
     POLICY_HEADER,
     ReducibleChainError,
@@ -276,80 +276,90 @@ def _cmd_verify(args, cfg):
 
     check("config validation", True)  # load_config validated it
 
-    disc = discretize_channel(cfg.channel, 2)
-    ch = cfg.channel
-    if ch.kind == "uniform":
+    # a discretization that fails is one failed check, and the checks
+    # on it are left out
+    discs = {}
+    for bins in (2, 16, 4):
+        try:
+            discs[bins] = discretize_channel(cfg.channel, bins)
+        except DiscretizationError as e:
+            check(f"discretization at M={bins}", False, str(e))
+
+    ch, disc = cfg.channel, discs.get(2)
+    if disc is not None and ch.kind == "uniform":
         mid = disc.edges[1]
         r0 = np.log(mid / ch.h_min) / (mid - ch.h_min)
         ok = abs(disc.inv_means[0] - r0) <= 1e-12
         check("bin statistics closed form", ok,
               f"|r0 - {fmt(r0)}| = {fmt(abs(disc.inv_means[0] - r0))}")
-    else:
+    elif disc is not None:
         check("bin statistics closed form", True, "skipped: non-uniform law")
 
-    disc16 = discretize_channel(cfg.channel, 16)
-    d_min, _ = min_delay(cfg, disc16)
-    d_th = 3.0 * d_min
-    sol = solve_constrained(cfg, disc16, d_th)
-    check("constrained solve optimal", sol.status == "optimal",
-          f"status={sol.status}")
-    m = sol.measure
-    res = max(m.bin_residual(), m.balance_residual(), m.structural_zero_mass())
-    check("measure residuals <= 1e-8", res <= 1e-8, f"max={fmt(res)}")
-    delay, power = evaluate_measure(m)
-    slack = abs(sol.delay_dual * (delay - d_th))
-    check("dual complementarity <= 1e-6", slack <= 1e-6, f"|dual*slack|={fmt(slack)}")
+    if 16 in discs:
+        disc16 = discs[16]
+        d_min, _ = min_delay(cfg, disc16)
+        d_th = 3.0 * d_min
+        sol = solve_constrained(cfg, disc16, d_th)
+        check("constrained solve optimal", sol.status == "optimal",
+              f"status={sol.status}")
+        m = sol.measure
+        res = max(m.bin_residual(), m.balance_residual(), m.structural_zero_mass())
+        check("measure residuals <= 1e-8", res <= 1e-8, f"max={fmt(res)}")
+        delay, power = evaluate_measure(m)
+        slack = abs(sol.delay_dual * (delay - d_th))
+        check("dual complementarity <= 1e-6", slack <= 1e-6, f"|dual*slack|={fmt(slack)}")
 
-    _, lam_d, lam_p = solve_lagrangian(cfg, disc16, max(sol.delay_dual, 0.0))
-    scal_gap = (lam_p + sol.delay_dual * lam_d) - (power + sol.delay_dual * delay)
-    check("scalarized value consistent <= 1e-6", abs(scal_gap) <= 1e-6,
-          f"gap={fmt(scal_gap)}")
+        _, lam_d, lam_p = solve_lagrangian(cfg, disc16, max(sol.delay_dual, 0.0))
+        scal_gap = (lam_p + sol.delay_dual * lam_d) - (power + sol.delay_dual * delay)
+        check("scalarized value consistent <= 1e-6", abs(scal_gap) <= 1e-6,
+              f"gap={fmt(scal_gap)}")
 
-    dens = density_from_measure(m)
-    prev_ratio = None
-    ratios_ok, mono_ok, resid_ok, det_ok = True, True, True, True
-    # nested refinements: each cell count divides the next, and the
-    # larger ones are multiples of the 16 bins
-    for cells in (1, 4, 64, 256):
-        _, rep, det, ratio = _construct(dens, cells)
-        resid_ok = resid_ok and rep.max_residual <= 1e-8 and rep.rate_residual <= 1e-10
-        det_ok = det_ok and det.ok
-        ratios_ok = ratios_ok and ratio.ratio <= ratio.bound + RATIO_TOL
-        if prev_ratio is not None:
-            mono_ok = mono_ok and ratio.ratio <= prev_ratio + 1e-12
-        prev_ratio = ratio.ratio
-    check("threshold feasibility residuals", resid_ok)
-    check("threshold determinism (exact intervals)", det_ok)
-    check("power ratio within bound", ratios_ok)
-    check("power ratio nonincreasing in cells", mono_ok,
-          f"last={fmt(prev_ratio)}")
+        dens = density_from_measure(m)
+        prev_ratio = None
+        ratios_ok, mono_ok, resid_ok, det_ok = True, True, True, True
+        # nested refinements: each cell count divides the next, and the
+        # larger ones are multiples of the 16 bins
+        for cells in (1, 4, 64, 256):
+            _, rep, det, ratio = _construct(dens, cells)
+            resid_ok = resid_ok and rep.max_residual <= 1e-8 and rep.rate_residual <= 1e-10
+            det_ok = det_ok and det.ok
+            ratios_ok = ratios_ok and ratio.ratio <= ratio.bound + RATIO_TOL
+            if prev_ratio is not None:
+                mono_ok = mono_ok and ratio.ratio <= prev_ratio + 1e-12
+            prev_ratio = ratio.ratio
+        check("threshold feasibility residuals", resid_ok)
+        check("threshold determinism (exact intervals)", det_ok)
+        check("power ratio within bound", ratios_ok)
+        check("power ratio nonincreasing in cells", mono_ok,
+              f"last={fmt(prev_ratio)}")
 
-    pol = extract_policy(m)
-    m2 = policy_to_measure(cfg, disc16, pol)
-    d2, p2 = evaluate_measure(m2)
-    ok = abs(d2 - delay) <= 1e-8 and abs(p2 - power) <= 1e-8
-    check("policy round trip to measure", ok,
-          f"dD={fmt(abs(d2 - delay))} dP={fmt(abs(p2 - power))}")
+        pol = extract_policy(m)
+        m2 = policy_to_measure(cfg, disc16, pol)
+        d2, p2 = evaluate_measure(m2)
+        ok = abs(d2 - delay) <= 1e-8 and abs(p2 - power) <= 1e-8
+        check("policy round trip to measure", ok,
+              f"dD={fmt(abs(d2 - delay))} dP={fmt(abs(p2 - power))}")
 
-    disc4 = discretize_channel(cfg.channel, 4)
-    grid = default_budget_grid(cfg, disc4, points=12)
-    # a SweepError from either call is the failure of its check
+    # a SweepError from either search is the failure of its check
     study = verts = None
-    try:
-        study = convergence_study(cfg, (2, 4), grid)
-    except SweepError as e:
-        check("curve refinement dominance", False, str(e))
-    else:
-        check("curve refinement dominance", True,
-              f"sup_gap={fmt(study.sup_gaps[0])}")
-    try:
-        verts = enumerate_vertices(cfg, disc4)
-    except SweepError as e:
-        check("corner policies deterministic", False, str(e))
-    else:
-        kinds_ok = all(v.policy.kind == "deterministic" for v in verts)
-        check("corner policies deterministic", kinds_ok,
-              f"corners={len(verts)}")
+    if 2 in discs and 4 in discs:
+        grid = default_budget_grid(cfg, discs[4], points=12)
+        try:
+            study = convergence_study(cfg, (2, 4), grid)
+        except SweepError as e:
+            check("curve refinement dominance", False, str(e))
+        else:
+            check("curve refinement dominance", True,
+                  f"sup_gap={fmt(study.sup_gaps[0])}")
+    if 4 in discs:
+        try:
+            verts = enumerate_vertices(cfg, discs[4])
+        except SweepError as e:
+            check("corner policies deterministic", False, str(e))
+        else:
+            kinds_ok = all(v.policy.kind == "deterministic" for v in verts)
+            check("corner policies deterministic", kinds_ok,
+                  f"corners={len(verts)}")
     if study is not None and verts is not None:
         curve4 = study.curves[1]
         gaps = np.abs(hull_gap(curve4.budgets, curve4.powers, verts))
@@ -357,20 +367,21 @@ def _cmd_verify(args, cfg):
         check("curve matches corner hull <= 1e-6", gap <= 1e-6,
               f"gap={fmt(gap)}")
 
-    rep1 = run_sim(cfg, pol, 60_000, seed=args.seed)
-    rep2 = run_sim(cfg, pol, 60_000, seed=args.seed)
-    check("simulation determinism", report_to_text(rep1) == report_to_text(rep2))
-    check("simulation clean (no drops, no overrides)",
-          rep1.drops == 0 and rep1.underflow_overrides == 0,
-          f"drops={rep1.drops} overrides={rep1.underflow_overrides}")
-    z_d = abs(rep1.delay - delay) / rep1.se_delay if rep1.se_delay else 0.0
-    z_p = abs(rep1.mean_power - power) / rep1.se_power if rep1.se_power else 0.0
-    check("simulation agreement <= 4 sigma", z_d <= 4.0 and z_p <= 4.0,
-          f"z_delay={z_d:.2f} z_power={z_p:.2f}")
-    z_w = (abs(rep1.sojourn_mean - rep1.delay) / rep1.se_delay
-           if rep1.se_delay else 0.0)
-    check("backlog and sojourn delays agree <= 4 sigma", z_w <= 4.0,
-          f"z={z_w:.2f}")
+    if 16 in discs:
+        rep1 = run_sim(cfg, pol, 60_000, seed=args.seed)
+        rep2 = run_sim(cfg, pol, 60_000, seed=args.seed)
+        check("simulation determinism", report_to_text(rep1) == report_to_text(rep2))
+        check("simulation clean (no drops, no overrides)",
+              rep1.drops == 0 and rep1.underflow_overrides == 0,
+              f"drops={rep1.drops} overrides={rep1.underflow_overrides}")
+        z_d = abs(rep1.delay - delay) / rep1.se_delay if rep1.se_delay else 0.0
+        z_p = abs(rep1.mean_power - power) / rep1.se_power if rep1.se_power else 0.0
+        check("simulation agreement <= 4 sigma", z_d <= 4.0 and z_p <= 4.0,
+              f"z_delay={z_d:.2f} z_power={z_p:.2f}")
+        z_w = (abs(rep1.sojourn_mean - rep1.delay) / rep1.se_delay
+               if rep1.se_delay else 0.0)
+        check("backlog and sojourn delays agree <= 4 sigma", z_w <= 4.0,
+              f"z={z_w:.2f}")
 
     table = "\n".join(lines) + "\n"
     print(table, end="")

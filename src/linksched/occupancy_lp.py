@@ -34,9 +34,8 @@ delay-free solve has made it (or the "infeasible" result phase 1
 proved), until clear_caches frees it, as the CLI does when a command
 ends.  A budget's row can steer phase 1, so a budget's solve runs its
 own.  Solves made ahead wait on the cached LP (OccupancyLp.solved):
-a sweep's budgets, solved on one walk along the path of the LP with
-the delay row's right-hand side left open (presolve_budgets,
-simplex.trunk_solves), and a corner search's weights, solved a round
+a sweep's budgets, solved on one walk along the path of the LP at
+the largest budget (presolve_budgets, simplex.trunk_solves), and a corner search's weights, solved a round
 at a time from the shared start by processes forked for the round,
 one per further CPU (presolve_lagrangians, simplex.objective_solves).
 A presolved result is taken when it is read, bit for bit the solve it

@@ -51,18 +51,10 @@ solve_simplex(lp, start) shares one made before and pivots a copy,
 with the same result bit for bit.
 
 LPs whose rows differ only in A_ub row 0's right-hand side (a delay
-budget) can share both phases as far as their paths agree.
-trunk_solves walks one path, that of the open LP with the row's RHS
-at OPEN_RHS, which no ratio test picks, and carries each budget as
-one number, the row's RHS in that budget's tableau.  Pricing never
-reads the RHS, so those LPs enter the column the open LP enters, and
-until their own ratio could tie the ratio test they leave its row
-too; before every exchange of phase 1, the drive-out and phase 2 one
-rule lets the budgets whose ratio could leave and moves every other
-number by the exchange's own arithmetic.  A budget that leaves in
-phase 1 is left to its own phase 1; one that leaves in phase 2
-finishes phase 2 on a copy of the walk's tableau there, its number
-written into the copy, so it pivots only the rest of its path.
+budget) can share both phases as far as their paths agree:
+trunk_solves walks the largest budget's path once and carries every
+other budget along it as one number, its RHS on that row, until the
+budget leaves to finish on a copy of the walk's tableau.
 
 Objectives over one LP's rows are independent from their shared
 start, so objective_solves spreads a list of them over processes
@@ -91,9 +83,9 @@ row by row through a one-row buffer, and shrinks it in place to them
 debugger's frame locals, still refers to it).  That array is the
 start's T, and phase 2 of solve_simplex(lp) pivots it in place, so a
 cold solve's peak is phase 1's one array.  From a shared start a
-solve holds the start and its copy.  trunk_solves pivots the open
-LP's start in place, and finishes each budget that leaves the walk on
-a copy of it, one at a time: its peak is two start-sized arrays, and
+solve holds the start and its copy.  trunk_solves pivots the largest
+budget's start in place, and finishes each budget that leaves the walk
+on a copy of it, one at a time: its peak is two start-sized arrays, and
 neither outlives the call.  Each tableau comes with three small
 buffers, allocated once: the entering column, the pivot row and the
 ratio test's ratios.
@@ -118,7 +110,6 @@ PIV_TOL = 1e-11  # smallest pivot element admitted in the ratio test
 DRIVE_TOL = 1e-7  # smallest pivot used when driving artificials out
 ROW_TOL = 1e-8  # largest row miss an "optimal" point may have
 MAX_PIVOTS = 200_000  # per phase; beyond this the solve is an anomaly
-OPEN_RHS = 1e200  # the open row's RHS on trunk_solves' path
 FORKED_ENTRIES = 16384  # up to this many entries x costs, no child is forked
 
 
@@ -159,7 +150,8 @@ class SimplexResult:
     iterations counts the pivots on the path from the artificial basis
     to the returned basis: phase-1 pivots plus phase-2 pivots, whether
     the FeasibleStart was made for this solve or shared, and whether
-    phase 2's first pivots were taken on trunk_solves' walk or not.
+    phase 2's first pivots were taken on trunk_solves' walk, the
+    largest budget's own path, or not.
     Drive-out pivots are in neither count.  phase1_iterations is the
     phase-1 part and degenerate_pivots the part whose step was zero.
     row_gap is the largest miss of x on any row of the LP (0 unless
@@ -532,55 +524,58 @@ def _phase_2(lp: LinearProgram, start: FeasibleStart, t: _Tableau,
 
 def trunk_solves(lp: LinearProgram, budgets) -> dict[float, SimplexResult]:
     """The solves of the LPs whose rows differ from lp's only in A_ub
-    row 0's RHS, their budget, walked once along the path of the open
-    LP, row 0 at OPEN_RHS: its phase 1, drive-out and phase 2, on the
-    open LP's own start, pivoted in place.  Returns each budget the
-    walk solves with its result, bit for bit its cold solve_simplex;
-    the budgets it leaves out run their own phase 1.
+    row 0's RHS, their budget, walked once along the path of the
+    largest budget's LP: its phase 1, drive-out and phase 2, on its own
+    start, pivoted in place.  Returns each budget the walk solves with
+    its result, bit for bit its cold solve_simplex; the budgets it
+    leaves out, negative and non-finite ones too, run their own phase
+    1.  No budget left, no walk.
 
     Let k be row 0's row in the tableau.  While no exchange is on row k,
-    a budget's tableau differs from the open one only in row k's RHS,
-    and pricing never reads the RHS: the budget enters the same column
-    at every step, and its ratio test picks the same row as long as its
+    a budget's tableau differs from the walk's only in row k's RHS, and
+    pricing never reads the RHS: the budget enters the same column at
+    every step, and its ratio test picks the same row as long as its
     own ratio on row k stays out of the tie.  So each pending budget is
     one number d, its RHS on row k, and one rule, check, runs before
     every exchange (r, p) of phase 1, the drive-out and phase 2: a
     budget leaves if c = N[k, p] > PIV_TOL and d / c <= tie (the ratio
     test's own tie rule; tie is -inf in the drive-out), and every other
     one takes the exchange's own arithmetic, d <- max(d - c v, 0) with
-    v = N[r, -1] / N[r, p].  An exchange on row k needs no case of its
-    own: no budget is above the open RHS, and that arithmetic keeps it
-    so, so when the open ratio ties every budget's does.  A budget that
-    leaves in phase 1 is left out, and so is every budget when the open
-    phase 1 raises SimplexAnomaly or proves the rows infeasible.  One
-    that leaves in phase 2 finishes phase 2 on a copy of the walk's
-    tableau with its d written into row k's RHS, and is left out if
-    that raises SimplexAnomaly; the walk's own row k keeps the open
-    RHS.  Budgets still pending at the path's end finish there, and the
-    walk stops before the exchange where the last one leaves.  The
-    walk's exchanges are off row k, so its zero steps are every pending
+    v = N[r, -1] / N[r, p], row k's own rounding.  An exchange on row k
+    needs no case of its own: no budget is above the walk's, that
+    arithmetic keeps it so, so when the walk's ratio ties every
+    budget's does.  A budget that leaves in phase 1 is left out, and so
+    is every budget when the walk's phase 1 raises SimplexAnomaly or
+    proves the rows infeasible.  One that leaves in phase 2 finishes
+    phase 2 on a copy of the walk's tableau with its d written into row
+    k's RHS, and is left out if that raises SimplexAnomaly.  Budgets
+    still pending at the path's end finish there, and the walk stops
+    before the exchange where the last one leaves.  The walk's
+    exchanges are off row k, so its zero steps are every pending
     budget's, and every budget's pivots, zero steps and bits are its
     own solve's.
     """
-    # each budget once; phase 1 negates a row with a negative RHS, and a
-    # budget above the open RHS could stay where the open path takes row k
+    # each budget once; phase 1 negates a row with a negative RHS
     budgets = np.array(sorted({b for b in np.ravel(budgets).astype(float)
-                               if 0.0 <= b <= OPEN_RHS}), dtype=float)
+                               if 0.0 <= b < np.inf}), dtype=float)
+    if not budgets.size:
+        return {}
     d = budgets.copy()  # each budget's RHS on row k
     pending = np.ones(budgets.size, dtype=bool)
     cost = np.concatenate([lp.c, np.zeros(lp.A_ub.shape[0])])
     k, solved = lp.A_eq.shape[0], {}
-    start = None  # the open LP's start, None while phase 1 runs
+    start = None  # the walk's start, None while phase 1 runs
     walked = zero = 0  # phase-2 exchanges so far, and their zero steps
+
+    def at(i):  # lp at budget i
+        return replace(lp, b_ub=np.array([budgets[i], *lp.b_ub[1:]]))
 
     def finish(t, i):
         tail = _Tableau(t.N.copy(), t.nb.copy(), t.basis.copy(), cost)
         tail.rhs[k] = d[i]
-        b_ub = lp.b_ub.copy()
-        b_ub[0] = budgets[i]
         try:
-            solved[float(budgets[i])] = _phase_2(replace(lp, b_ub=b_ub),
-                                                 start, tail, walked, zero)
+            solved[float(budgets[i])] = _phase_2(at(i), start, tail, walked,
+                                                 zero)
         except SimplexAnomaly:  # left out: its own solve raises it again
             pass
 
@@ -601,18 +596,16 @@ def trunk_solves(lp: LinearProgram, budgets) -> dict[float, SimplexResult]:
         np.maximum(d - c * v, 0.0, out=d)
         return False
 
-    b_ub = lp.b_ub.copy()
-    b_ub[0] = OPEN_RHS
     try:
-        start = feasible_start(replace(lp, b_ub=b_ub), check)
+        start = feasible_start(at(-1), check)
     except SimplexAnomaly:
         return solved
     if not isinstance(start, FeasibleStart) or not pending.any():
         return solved
     k = int(np.searchsorted(start.rows, k))
-    # the open LP's own start, which no one else reads: its arrays are
-    # the walk's tableau, and its row labels and phase-1 counts those
-    # of every budget's start
+    # the walk's own start, which no one else reads: its arrays are the
+    # walk's tableau, and its row labels and phase-1 counts those of
+    # every budget's start
     t = _start_tableau(start, cost, shared=False)
     _bland_iterate(t, check)
     for i in np.flatnonzero(pending):  # still on the path at its end

@@ -10,8 +10,9 @@ segment (no deeper support exists) or discovers a new corner.  Each
 corner's optimal policy is deterministic; the enumeration rejects
 anything else as a solver fault.  The intervals are split breadth
 first, and every round of crossing weights is solved on every CPU of
-the process's affinity mask; the corners are those of a depth-first
-split on one CPU, bit for bit.
+the process's affinity mask; the candidates are sorted by (D, P, lam)
+before they are clustered, so the corners are the same on any number
+of CPUs and in any order of discovery.
 
 A TradeoffCurve is one discretization's budget sweep: the feasible
 budgets and the minimal power at each.  Corners are a separate tuple
@@ -115,10 +116,9 @@ def enumerate_vertices(
     breadth first: a round is the crossing weight of every open
     interval, and each round is solved on every CPU of the process's
     affinity mask (presolve_lagrangians, by processes forked for the
-    round alone) before solve_lagrangian reads each weight's result.  The
-    candidates are recorded in the order a depth-first split records
-    them, both ends first, then the midpoints in preorder, so the
-    corners do not depend on the CPU count.
+    round alone) before solve_lagrangian reads each weight's result.
+    _corners sorts the candidates totally, so the corners do not
+    depend on the CPU count.
     """
     solves = 0
 
@@ -142,18 +142,14 @@ def enumerate_vertices(
             f"weight lam={top.lam!r} only reaches delay {top.D!r} "
             f"but the minimum is {d_min!r}")
     bottom = solve(0.0)
-    # each open interval (lo, hi) keyed by its path from the root,
-    # 0 for a left and 1 for a right half: sorted, the paths of the
-    # uncertified midpoints are their depth-first preorder
-    level = [((), bottom, top)]
-    mids: dict[tuple[int, ...], Vertex] = {}
+    cand, level, depth = [bottom, top], [(bottom, top)], 0
     while level:
         crossings = []
-        for path, lo, hi in level:
+        for lo, hi in level:
             if (abs(lo.D - hi.D) <= VERTEX_TOL
                     and abs(lo.P - hi.P) <= VERTEX_TOL):
                 continue
-            if len(path) > 80:
+            if depth > 80:
                 raise SweepError("vertex enumeration did not converge")
             # endpoint supporting lines P + lam*D cross at the only
             # weight that could expose a corner hiding between them
@@ -163,36 +159,33 @@ def enumerate_vertices(
                 lam_star = 0.5 * (lo.lam + hi.lam)
             if not (lo.lam < lam_star < hi.lam):
                 lam_star = 0.5 * (lo.lam + hi.lam)
-            crossings.append((path, lo, hi, lam_star))
+            crossings.append((lo, hi, lam_star))
         presolve([lam_star for *_, lam_star in crossings])
-        level = []
-        for path, lo, hi, lam_star in crossings:
+        level, depth = [], depth + 1
+        for lo, hi, lam_star in crossings:
             mid = solve(lam_star)
             chord = lo.P + lam_star * lo.D
             if (mid.P + lam_star * mid.D
                     >= chord - VERTEX_TOL * (1.0 + abs(chord))):
                 continue  # segment certified: lo, hi adjacent corners
-            mids[path] = mid
-            level += [(path + (0,), lo, mid), (path + (1,), mid, hi)]
-
-    found: dict[tuple[float, float], Vertex] = {}
-    for v in [bottom, top, *(mids[path] for path in sorted(mids))]:
-        found.setdefault((round(v.D, 9), round(v.P, 9)), v)
-    cand = sorted(found.values(), key=lambda v: v.D)
-    clusters = _cluster_corners(cand)
-    vertices = [_cluster_representative(v) for v in clusters]
-    return tuple(_prune_collinear(vertices))
+            cand.append(mid)
+            level += [(lo, mid), (mid, hi)]
+    return _corners(cand)
 
 
-def _cluster_corners(cand: list[Vertex]) -> list[list[Vertex]]:
-    """Group candidates closer than CLUSTER_TOL in both coordinates.
+def _corners(cand: list[Vertex]) -> tuple[Vertex, ...]:
+    """The corners among the candidates, sorted by increasing delay.
 
-    Weights that tie two bases within solver tolerance return a small
-    cloud of near-identical points around one true corner; members of a
-    cloud differ by far less than any genuine facet.
+    The candidates are sorted by (D, P, lam), a total order since the
+    search solves each weight once, so the corners do not depend on
+    the order in which they were found.  Weights that tie two bases
+    within solver tolerance return a small cloud of near-identical
+    points around one true corner, closer than CLUSTER_TOL in both
+    coordinates, far less than any genuine facet: each cloud gives one
+    corner, and points on their neighbors' chord go.
     """
     clusters: list[list[Vertex]] = []
-    for v in cand:
+    for v in sorted(cand, key=lambda v: (v.D, v.P, v.lam)):
         if clusters:
             last = clusters[-1][-1]
             if (abs(v.D - last.D) <= CLUSTER_TOL * (1.0 + abs(v.D))
@@ -200,7 +193,8 @@ def _cluster_corners(cand: list[Vertex]) -> list[list[Vertex]]:
                 clusters[-1].append(v)
                 continue
         clusters.append([v])
-    return clusters
+    return tuple(_prune_collinear([_cluster_representative(c)
+                                   for c in clusters]))
 
 
 def _cluster_representative(cluster: list[Vertex]) -> Vertex:
@@ -270,9 +264,9 @@ def sweep_curve(
 
     The solves share one LP, and one walk solves the budgets first
     (occupancy_lp.presolve_budgets): the path through both phases of
-    that LP with the delay row's right-hand side left open, which each
-    budget rides until it leaves to finish its phase 2 on a copy of the
-    walk's tableau; each result is bit for bit its own cold solve's.
+    that LP at the largest budget, which each smaller budget rides
+    until it leaves to finish its phase 2 on a copy of the walk's
+    tableau; each result is bit for bit its own cold solve's.
     The walk's tableaus are gone when it returns, and the budgets it
     leaves out (d_min and below) and a repeated budget's second solve
     then run cold.  Infeasible budgets are dropped and listed on the

@@ -19,6 +19,8 @@ from linksched.occupancy_lp import ReducibleChainError
 from linksched.simplex import SimplexResult
 from linksched.sweep import SweepError, default_lambda_max
 
+from test_golden import PIECEWISE
+
 
 @pytest.fixture()
 def bad_cfg(tmp_path, request):
@@ -615,6 +617,24 @@ class TestVerifyBattery:
         assert ("PASS  bin statistics closed form  (skipped: non-uniform law)"
                 in lines)
         assert all(ln.startswith("PASS") for ln in lines)
+
+    def test_empty_bin_fails_its_discretization(self, tmp_path):
+        # the golden piecewise law has no mass on (2, 3], a bin of its
+        # own at M = 16: that discretization is one failed check, its
+        # checks are left out, and the M = 2 and M = 4 checks still run
+        cfg = tmp_path / "piecewise.json"
+        cfg.write_text(json.dumps(PIECEWISE))
+        rc = main(["verify", "--config", str(cfg), "--outdir", str(tmp_path)])
+        assert rc == 4
+        lines = (tmp_path / "verify.txt").read_text().splitlines()
+        assert [ln.split("  ")[:2] for ln in lines] == [
+            ["PASS", "config validation"],
+            ["FAIL", "discretization at M=16"],
+            ["PASS", "bin statistics closed form"],
+            ["PASS", "curve refinement dominance"],
+            ["PASS", "corner policies deterministic"],
+            ["PASS", "curve matches corner hull <= 1e-6"]]
+        assert lines[1] == "FAIL  discretization at M=16  (empty channel bin)"
 
     @pytest.mark.parametrize("name,line", [
         ("convergence_study", "curve refinement dominance"),

@@ -232,16 +232,16 @@ class TestMemory:
 
     def test_sweep_peak_is_one_cold_solve(self, paper_cfg, disc16):
         # each run builds its LP; the budgets share it and one walk,
-        # which pivots the open LP's start in place and finishes each
-        # budget on a copy of it; both are gone before d_min, the grid's
-        # first budget, takes its own phase 1, so the sweep's peak is
+        # which pivots the largest budget's start in place and finishes
+        # each budget on a copy of it; both are gone before d_min, the
+        # grid's first budget, takes its own phase 1, so the sweep's peak is
         # the LP and two start-sized arrays, a cold solve's LP and
         # phase-1 array plus at most one start-sized array (0.86x of
         # that here, 0.85x with einsum); a third start-sized array takes
         # it to 1.04x, a second dense A_eq alive beside them to 1.21x
         grid = default_budget_grid(paper_cfg, disc16, points=12)
         kept = feasible_start(build_occupancy_lp(paper_cfg, disc16).at(
-            simplex.OPEN_RHS)).T.nbytes
+            grid[-1])).T.nbytes
         solve_constrained(paper_cfg, disc16, 3.0)  # load the BLAS binding
         peaks = []
         for run in (lambda: solve_constrained(paper_cfg, disc16, 3.0),
@@ -554,11 +554,10 @@ def _finishes(lp, budgets, monkeypatch):
 
 
 class TestOpenRowStart:
-    """Budgets ride one walk, the open LP's path with the delay row's
-    RHS left open, through phase 1 and phase 2 until each leaves it
-    (trunk_solves); a budget the walk solves gets its cold solve bit
-    for bit, and every budget that leaves in phase 1 runs the cold
-    solve."""
+    """Budgets ride one walk, the path of the largest budget's LP,
+    through phase 1 and phase 2 until each leaves it (trunk_solves); a
+    budget the walk solves gets its cold solve bit for bit, and every
+    budget that leaves in phase 1 runs the cold solve."""
 
     @pytest.mark.parametrize("bins", [2, 4, 8, 16])
     def test_paper_budgets_match_cold_solves(self, paper_cfg, bins,
@@ -627,7 +626,9 @@ class TestOpenRowStart:
     def test_serving_never_writes_the_trunks_tableau(self, paper_cfg,
                                                      monkeypatch):
         # each budget finishes on a copy of the walk's tableau, so the
-        # walk's own delay row keeps the open path's RHS
+        # walk's own delay row keeps the largest budget's RHS: the walk
+        # stops where that budget, the last to leave, finishes, on a
+        # copy that is the walk's tableau bit for bit
         disc = discretize_channel(paper_cfg.channel, 4)
         lp = occupancy_lp._lp(paper_cfg, disc).at(0.0)
         grid = default_budget_grid(paper_cfg, disc, points=12)
@@ -642,16 +643,19 @@ class TestOpenRowStart:
         solved, at = _finishes(lp, grid[1:], monkeypatch)
         (start, t), = walks
         k = np.searchsorted(start.rows, lp.A_eq.shape[0])
-        assert t.rhs[k] == simplex.OPEN_RHS
+        last = at[float(grid[-1])][2]
+        assert t.rhs[k] == last[k, -1]
+        assert t.N.tobytes() == last.tobytes()
         assert all(not np.shares_memory(tail, t.N)
                    for _, _, tail in at.values())
         assert all(res.status == "optimal" for res in solved.values())
 
     def test_zero_steps_are_each_budgets_own(self, monkeypatch):
-        # no phase 1; x1 enters and the open path takes row 1, a step of
-        # 5, where both budgets' ratios tie or win: both leave before
-        # that exchange, and their solves take the open row's slack,
-        # budget 0 at a zero step and 2 at a step of 2
+        # no phase 1; x1 enters and the walk, at budget 2, takes its own
+        # row 0, a step of 2, before row 1's 5; both budgets' ratios tie
+        # or win: both leave before that exchange, and their solves take
+        # the delay row's slack, budget 0 at a zero step and 2 at a step
+        # of 2
         lps = _budget_lps(LinearProgram.build([-1.0], A_ub=[[1.0], [1.0]],
                                               b_ub=[0.0, 5.0]), [0.0, 2.0])
         solved, _ = _finishes(lps[0], [2.0, 0.0], monkeypatch)
@@ -661,10 +665,10 @@ class TestOpenRowStart:
         assert [solve_simplex(lp).degenerate_pivots for lp in lps] == [1, 0]
 
     def test_budget_leaving_at_a_zero_step_counts_it_once(self, monkeypatch):
-        # x1 enters and the open path takes row 1 at a zero step; budget
-        # 0's ratio ties it, so budget 0 leaves before that exchange and
-        # its own solve takes its zero step on row 0, while budget 2
-        # stays and shares the walk's zero step: each counts one
+        # x1 enters and the walk, at budget 2, takes row 1 at a zero
+        # step; budget 0's ratio ties it, so budget 0 leaves before that
+        # exchange and its own solve takes its zero step on row 0, while
+        # budget 2 stays and shares the walk's zero step: each counts one
         lps = _budget_lps(LinearProgram.build([-1.0], A_ub=[[1.0], [1.0]],
                                               b_ub=[0.0, 0.0]), [0.0, 2.0])
         solved, at = _finishes(lps[0], [0.0, 2.0], monkeypatch)
@@ -676,9 +680,10 @@ class TestOpenRowStart:
 
     def test_ratio_at_the_threshold_leaves_in_phase_2(self, monkeypatch):
         # the phase-2 twin of the test below: x1 enters, row 1's ratio 5
-        # sets the tie threshold, and a budget at it ties: the open row's
-        # slack, the lower label, leaves in its own solve, so it leaves
-        # the walk before the exchange; the next float up stays
+        # sets the tie threshold, and a budget at it ties: the delay
+        # row's slack, the lower label, leaves in its own solve, so it
+        # leaves the walk before the exchange; the next float up, the
+        # walk's own budget, stays
         tie = 5.0 + 1e-12 * (1.0 + 5.0)
         budgets = [tie, np.nextafter(tie, np.inf)]
         lps = _budget_lps(LinearProgram.build([-1.0], A_ub=[[1.0], [1.0]],
@@ -708,9 +713,9 @@ class TestOpenRowStart:
 
     def test_ratio_at_the_threshold_takes_its_own_phase_1(self):
         # x1 enters; row 0's ratio is 0, so the tie threshold is 1e-12
-        # exactly, and the open row's ratio 1e-12 / 1 ties: its slack,
+        # exactly, and budget 1e-12's ratio 1e-12 / 1 ties: its slack,
         # the lowest basic label, leaves (a nonzero step), where the
-        # shared phase 1, the open row in no tie, took row 0 (a zero one)
+        # walk, at budget 2e-12 and in no tie, took row 0 (a zero one)
         lp = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, -1.0]], b_eq=[0.0],
                                  A_ub=[[1.0, 0.0]], b_ub=[1e-12])
         solved = trunk_solves(lp, [1e-12, 2e-12])
@@ -719,7 +724,7 @@ class TestOpenRowStart:
                      solve_simplex(replace(lp, b_ub=np.array([2e-12]))))
 
     def test_replay_clips_at_zero_as_phase_1_does(self):
-        # the open row's entry 1e-12 is below PIV_TOL, so the budget
+        # the delay row's entry 1e-12 is below PIV_TOL, so the budget
         # stays, and the exchange takes its RHS from 0 to -1e-12, which
         # the clip after every exchange sets back to 0
         lp = LinearProgram.build([0.0, 0.0, -1.0],
@@ -771,19 +776,56 @@ class TestOpenRowStart:
         presolve_budgets(tiny_cfg, disc, [])
         assert occupancy_lp._lp(tiny_cfg, disc).solved == {}
 
-    def test_rows_with_no_open_phase_1(self, monkeypatch):
+    def test_walk_is_the_largest_budgets_solve(self, paper_cfg,
+                                               monkeypatch):
+        # no budget it can carry, no walk and no phase 1; otherwise the
+        # walk is one phase 1, at the largest budget, whose solve it is
+        disc = discretize_channel(paper_cfg.channel, 4)
+        lp = build_occupancy_lp(paper_cfg, disc).at(0.0)
+        grid = default_budget_grid(paper_cfg, disc, points=12)
+        walks = []
+        make = simplex.feasible_start
+
+        def counted(lp, check=None):
+            walks.append(float(lp.b_ub[0]))
+            return make(lp, check)
+
+        monkeypatch.setattr(simplex, "feasible_start", counted)
+        assert trunk_solves(lp, []) == {}
+        assert trunk_solves(lp, [-1.0, np.inf, np.nan]) == {}
+        assert walks == []
+        solved = trunk_solves(lp, [np.inf, *grid, -1.0])
+        assert walks == [grid[-1]]
+        assert sorted(solved) == grid[1:].tolist()
+        monkeypatch.undo()
+        _assert_same(solved[grid[-1]], solve_simplex(
+            replace(lp, b_ub=np.array([grid[-1]]))))
+
+    def test_rows_with_no_walk(self, monkeypatch):
         infeasible = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, 1.0]],
                                          b_eq=[-1.0], A_ub=[[1.0, 0.0]],
                                          b_ub=[1.0])
         assert trunk_solves(infeasible, [1.0]) == {}
-        # the open row's slack is the lowest basic label; at OPEN_RHS 0
-        # its ratio wins and the exchange takes it, and a budget above
-        # the open RHS, whose own ratio is 2, is not carried
+        # x0 enters first; the equality row's ratio is 1 and the delay
+        # row's the budget: at 2 the walk takes the equality row and
+        # the budget rides it, at 0.5 the walk's own row wins, and 0.5
+        # and 0, whose ratios tie and win, leave in phase 1
         lp = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[1.0],
                                  A_ub=[[1.0, 0.0]], b_ub=[2.0])
         assert list(trunk_solves(lp, [2.0])) == [2.0]
-        monkeypatch.setattr(simplex, "OPEN_RHS", 0.0)
-        assert trunk_solves(lp, [2.0]) == {}
+        rows = []
+        exchange = simplex._exchange
+
+        def recording(t, r, p):
+            rows.append(int(r))
+            exchange(t, r, p)
+
+        with monkeypatch.context() as m:
+            m.setattr(simplex, "_exchange", recording)
+            assert trunk_solves(lp, [0.0, 0.5]) == {}
+        assert rows[0] == 1
+        for d_th in (0.0, 0.5):
+            _against_cold(replace(lp, b_ub=np.array([d_th])), None)
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)
         with pytest.raises(SimplexAnomaly, match="pivot limit"):
             feasible_start(lp)

@@ -110,9 +110,9 @@ class TestSweep:
 
     def test_trunk_pivots_each_shared_step_once(self, paper_cfg, disc16,
                                                 monkeypatch):
-        # the 59 budgets after d_min leave one walk, the open LP's
-        # path: 12710 phase-2 exchanges, where a phase 2 per budget
-        # makes 27590 along the same paths; d_min's own phase 2, the
+        # the 59 budgets after d_min leave one walk, the largest
+        # budget's path: 12710 phase-2 exchanges, where a phase 2 per
+        # budget makes 27590 along the same paths; d_min's own phase 2, the
         # sweep's first solve, adds its 87
         grid = default_budget_grid(paper_cfg, disc16)
         exchanges, in_phase_1, results = [0], [False], []
@@ -253,6 +253,23 @@ class TestEnumerationAgainstExhaustive:
         assert len(lams) == 61
         assert len(set(lams)) == 61
         assert len(verts) == 31
+
+    def test_corners_do_not_depend_on_the_candidates_order(self, paper_cfg):
+        # a twin of a corner, its D and P bit for bit but a larger
+        # weight and another corner's policy: sorted by (D, P, lam) the
+        # corner keeps its own policy in any order, where a sort by D
+        # alone keeps whichever of the two it was handed first
+        verts = list(enumerate_vertices(
+            paper_cfg, discretize_channel(paper_cfg.channel, 4)))
+        v, other = verts[5], verts[6]
+        twin = Vertex(v.D, v.P, 2.0 * v.lam, other.policy)
+        assert (twin.policy.kind == "deterministic" and twin.lam > v.lam
+                and twin.policy.table.tobytes() != v.policy.table.tobytes())
+        cand = [*verts, twin]
+        rng = np.random.default_rng(5)
+        for order in ([twin, *verts], cand[::-1],
+                      [cand[i] for i in rng.permutation(len(cand))]):
+            assert _vertex_bytes(sweep._corners(order)) == _vertex_bytes(verts)
 
 
 def _vertex_bytes(verts):
