@@ -34,10 +34,12 @@ delay-free solve has made it (or the "infeasible" result phase 1
 proved), until clear_caches frees it, as the CLI does when a command
 ends.  A budget's row can steer phase 1, so a budget's solve runs its
 own.  Solves made ahead wait on the cached LP (OccupancyLp.solved):
-a sweep's budgets, solved on one walk along the path of the LP at
-the largest budget (presolve_budgets, simplex.trunk_solves), and a corner search's weights, solved a round
-at a time from the shared start by processes forked for the round,
-one per further CPU (presolve_lagrangians, simplex.objective_solves).
+a sweep's budgets, solved on one walk, the largest budget's own solve,
+which the smaller budgets ride until each leaves to finish on a copy
+(presolve_budgets, simplex.trunk_solves), and a corner search's
+weights, solved a round at a time from the shared start by processes
+forked for the round, one per further CPU (presolve_lagrangians,
+simplex.objective_solves).
 A presolved result is taken when it is read, bit for bit the solve it
 stands for; a solve with none waiting runs as it would alone.
 

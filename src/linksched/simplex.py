@@ -52,9 +52,11 @@ with the same result bit for bit.
 
 LPs whose rows differ only in A_ub row 0's right-hand side (a delay
 budget) can share both phases as far as their paths agree:
-trunk_solves walks the largest budget's path once and carries every
-other budget along it as one number, its RHS on that row, until the
-budget leaves to finish on a copy of the walk's tableau.
+trunk_solves runs the largest budget's own solve and carries every
+smaller budget along its path as one number, its RHS on that row,
+until the budget leaves to finish on a copy of the walk's tableau.
+A tableau counts the pivots of the path that made it, so a copy
+starts from the walk's counts.
 
 Objectives over one LP's rows are independent from their shared
 start, so objective_solves spreads a list of them over processes
@@ -84,14 +86,14 @@ debugger's frame locals, still refers to it).  That array is the
 start's T, and phase 2 of solve_simplex(lp) pivots it in place, so a
 cold solve's peak is phase 1's one array.  From a shared start a
 solve holds the start and its copy.  trunk_solves pivots the largest
-budget's start in place, and finishes each budget that leaves the walk
-on a copy of it, one at a time: its peak is two start-sized arrays, and
-neither outlives the call.  Each tableau comes with three small
-buffers, allocated once: the entering column, the pivot row and the
-ratio test's ratios.
-The exchange writes only into them and the tableau and allocates no
-array data; pricing and the ratio test make only numpy's temporaries
-of the tableau's width or height.
+budget's start in place to its end, and finishes each smaller budget
+that leaves the walk on a copy of it, one at a time: its peak is two
+start-sized arrays, and neither outlives the call.  Each tableau
+comes with three small buffers, allocated once: the entering column,
+the pivot row and the ratio test's ratios.  The exchange writes only
+into them and the tableau and allocates no array data; pricing and
+the ratio test make only numpy's temporaries of the tableau's width
+or height.
 """
 
 from __future__ import annotations
@@ -151,7 +153,7 @@ class SimplexResult:
     to the returned basis: phase-1 pivots plus phase-2 pivots, whether
     the FeasibleStart was made for this solve or shared, and whether
     phase 2's first pivots were taken on trunk_solves' walk, the
-    largest budget's own path, or not.
+    largest budget's own solve, or not.
     Drive-out pivots are in neither count.  phase1_iterations is the
     phase-1 part and degenerate_pivots the part whose step was zero.
     row_gap is the largest miss of x on any row of the LP (0 unless
@@ -189,14 +191,17 @@ class _Tableau:
     head is the nonbasic block padded to a multiple of 4 and rhs the
     last column.  basis[i] is the basic label of row i; cost_nb and
     cost_B are cost[nb] and cost[basis], swapped by every exchange along
-    with the labels.  ratios is the ratio test's buffer.
+    with the labels.  ratios is the ratio test's buffer.  pivots and
+    degenerate count the pivots of the phase so far on the path that
+    made the tableau, and their zero steps.
     """
 
     __slots__ = ("N", "head", "rhs", "nb", "basis", "cost_nb", "cost_B",
-                 "col", "row", "ratios", "subtract")
+                 "col", "row", "ratios", "subtract", "pivots", "degenerate")
 
     def __init__(self, N, nb, basis, cost):
         self.N, self.nb, self.basis = N, nb, basis
+        self.pivots = self.degenerate = 0
         self.head, self.rhs = N[:, :-1], N[:, -1]
         self.cost_nb, self.cost_B = cost[nb], cost[basis]
         self.col, self.row = np.empty(N.shape[0]), np.empty(N.shape[1])
@@ -204,46 +209,42 @@ class _Tableau:
         self.subtract = _rank1_kernel(N, self.col, self.row)
 
 
-def _bland_iterate(t, check=None, taken=0):
-    """Run Bland pivots on the _Tableau t until optimal or a ray appears.
+def _bland_iterate(t, check=None):
+    """Run Bland pivots on the _Tableau t until optimal or a ray appears,
+    counting them and their zero steps on t.
 
-    Returns (status, pivots, degenerate pivots, reduced costs of the
-    columns at the last basis).  check(t, r, p, tie), when given, sees
-    every exchange (r, p) before it is made, with its ratio test's tie
-    threshold, and a true return stops the walk there, status
-    "stopped".  taken counts the pivots of the phase taken before t (on
-    trunk_solves' walk), which the pivot limit counts too.
+    Returns (status, reduced costs of the columns at the last basis).
+    check(t, r, p, tie), when given, sees every exchange (r, p) before
+    it is made, with its ratio test's tie threshold.
     """
     nb, basis, rhs, ratios = t.nb, t.basis, t.rhs, t.ratios
     cost_nb, cost_B, head = t.cost_nb, t.cost_B, t.head
     real = nb.size
-    limit = MAX_PIVOTS - taken
-    iters = degenerate = 0
     if not real:  # no column to enter, and no label for argmin to scan
-        return "optimal", iters, degenerate, np.zeros(0)
+        return "optimal", np.zeros(0)
     while True:
         reduced = cost_nb - (cost_B @ head)[:real]
         labels = np.where(reduced < -OPT_TOL, nb, _NO_LABEL)
         p = labels.argmin()  # Bland: the lowest label enters
         if labels[p] == _NO_LABEL:
-            return "optimal", iters, degenerate, reduced
+            return "optimal", reduced
         col = t.N[:, p]
         pos = col > PIV_TOL
         if not pos.any():
-            return "unbounded", iters, degenerate, reduced
+            return "unbounded", reduced
         ratios.fill(np.inf)
         np.divide(rhs, col, out=ratios, where=pos)
         rmin = float(ratios[ratios.argmin()])  # min() has a Python wrapper
         tie = rmin + 1e-12 * (1.0 + abs(rmin))
         ties = ratios <= tie
         r = np.where(ties, basis, _NO_LABEL).argmin()  # Bland tie-break
-        if check is not None and check(t, r, p, tie):
-            return "stopped", iters, degenerate, reduced
+        if check is not None:
+            check(t, r, p, tie)
         if rhs[r] == 0.0:
-            degenerate += 1
+            t.degenerate += 1
         _exchange(t, r, p)
-        iters += 1
-        if iters > limit:
+        t.pivots += 1
+        if t.pivots > MAX_PIVOTS:
             raise SimplexAnomaly("pivot limit exceeded")
 
 
@@ -363,7 +364,7 @@ def feasible_start(lp: LinearProgram, check=None
     "infeasible" result when phase 1 proves the rows infeasible.  check
     sees every exchange of phase 1 before it is made, as in
     _bland_iterate, and every drive-out exchange with tie -inf (it has
-    no ratio test); its return is not read.
+    no ratio test).
     """
     n = lp.c.shape[0]
     me, mu = lp.A_eq.shape[0], lp.A_ub.shape[0]
@@ -392,7 +393,8 @@ def feasible_start(lp: LinearProgram, check=None
 
     phase1_cost = (np.arange(ncols) >= n + mu).astype(float)
     t = _Tableau(T, nb, basis, phase1_cost)
-    status, it1, deg1, _ = _bland_iterate(t, check)
+    status, _ = _bland_iterate(t, check)
+    it1, deg1 = t.pivots, t.degenerate
     if status == "unbounded":
         raise SimplexAnomaly("descent ray in phase 1")
     phase1_obj = float(phase1_cost[basis] @ T[:, -1])
@@ -487,18 +489,16 @@ def _start_tableau(start: FeasibleStart, cost: np.ndarray,
     return _Tableau(T, nb, basis, cost)
 
 
-def _phase_2(lp: LinearProgram, start: FeasibleStart, t: _Tableau,
-             taken: int = 0, taken_degenerate: int = 0) -> SimplexResult:
+def _phase_2(lp: LinearProgram, start: FeasibleStart,
+             t: _Tableau) -> SimplexResult:
     """Phase 2 of lp on t, a tableau over start's rows with lp's costs,
-    and lp's result read off its end.  taken counts the phase-2 pivots
-    made before t (on trunk_solves' walk) and taken_degenerate their
-    zero steps."""
+    and lp's result read off its end.  t's counts start from the
+    phase-2 pivots on the path that made it (trunk_solves' walk)."""
     n, me, mu = lp.c.shape[0], lp.A_eq.shape[0], lp.A_ub.shape[0]
-    status, it2, deg2, reduced = _bland_iterate(t, taken=taken)
+    status, reduced = _bland_iterate(t)
     it1 = start.phase1_iterations
-    counts = dict(iterations=it1 + taken + it2, phase1_iterations=it1,
-                  degenerate_pivots=(start.phase1_degenerate
-                                     + taken_degenerate + deg2))
+    counts = dict(iterations=it1 + t.pivots, phase1_iterations=it1,
+                  degenerate_pivots=start.phase1_degenerate + t.degenerate)
     if status == "unbounded":
         return SimplexResult(status="unbounded", **counts)
 
@@ -524,92 +524,87 @@ def _phase_2(lp: LinearProgram, start: FeasibleStart, t: _Tableau,
 
 def trunk_solves(lp: LinearProgram, budgets) -> dict[float, SimplexResult]:
     """The solves of the LPs whose rows differ from lp's only in A_ub
-    row 0's RHS, their budget, walked once along the path of the
-    largest budget's LP: its phase 1, drive-out and phase 2, on its own
-    start, pivoted in place.  Returns each budget the walk solves with
-    its result, bit for bit its cold solve_simplex; the budgets it
-    leaves out, negative and non-finite ones too, run their own phase
-    1.  No budget left, no walk.
+    row 0's RHS, their budget, on one walk: the largest budget's own
+    solve, its phase 1, drive-out and phase 2 on its own start, pivoted
+    in place to the end of its path, which each smaller budget rides
+    as far as it can.  Returns each budget the walk solves with its
+    result, bit for bit its cold solve_simplex; the budgets it leaves
+    out, negative and non-finite ones too, run their own phase 1.
 
     Let k be row 0's row in the tableau.  While no exchange is on row k,
     a budget's tableau differs from the walk's only in row k's RHS, and
     pricing never reads the RHS: the budget enters the same column at
     every step, and its ratio test picks the same row as long as its
-    own ratio on row k stays out of the tie.  So each pending budget is
+    own ratio on row k stays out of the tie.  So each smaller budget is
     one number d, its RHS on row k, and one rule, check, runs before
     every exchange (r, p) of phase 1, the drive-out and phase 2: a
     budget leaves if c = N[k, p] > PIV_TOL and d / c <= tie (the ratio
     test's own tie rule; tie is -inf in the drive-out), and every other
     one takes the exchange's own arithmetic, d <- max(d - c v, 0) with
-    v = N[r, -1] / N[r, p], row k's own rounding.  An exchange on row k
-    needs no case of its own: no budget is above the walk's, that
-    arithmetic keeps it so, so when the walk's ratio ties every
-    budget's does.  A budget that leaves in phase 1 is left out, and so
-    is every budget when the walk's phase 1 raises SimplexAnomaly or
-    proves the rows infeasible.  One that leaves in phase 2 finishes
-    phase 2 on a copy of the walk's tableau with its d written into row
-    k's RHS, and is left out if that raises SimplexAnomaly.  Budgets
-    still pending at the path's end finish there, and the walk stops
-    before the exchange where the last one leaves.  The walk's
-    exchanges are off row k, so its zero steps are every pending
-    budget's, and every budget's pivots, zero steps and bits are its
-    own solve's.
+    v = N[r, -1] / N[r, p], row k's own rounding.  Both are monotone in
+    d, so the budgets that leave are always the smallest still riding.
+    An exchange on row k needs no case of its own: that arithmetic
+    keeps every d at or below the walk's RHS, so when the walk's ratio
+    ties every rider's does.  A budget that leaves in phase 1 is left
+    out.  One that leaves in phase 2 finishes phase 2 on a copy of the
+    walk's tableau, its counts included, with its d written into row
+    k's RHS, and is left out if that raises SimplexAnomaly.  Those still
+    riding at the path's end finish there, and then the walk's own
+    result is read: the largest budget's optimum, or phase 1's
+    "infeasible" result.  When the walk raises SimplexAnomaly, every
+    budget it has not finished is left out.  While budgets ride, the
+    walk's exchanges are off row k, so its zero steps are each rider's,
+    and every budget's pivots, zero steps and bits are its own solve's.
     """
     # each budget once; phase 1 negates a row with a negative RHS
     budgets = np.array(sorted({b for b in np.ravel(budgets).astype(float)
                                if 0.0 <= b < np.inf}), dtype=float)
     if not budgets.size:
         return {}
-    d = budgets.copy()  # each budget's RHS on row k
-    pending = np.ones(budgets.size, dtype=bool)
+    d = budgets[:-1].copy()  # the smaller budgets' RHS on row k, sorted
+    lo = 0  # d[lo:] ride the walk
     cost = np.concatenate([lp.c, np.zeros(lp.A_ub.shape[0])])
     k, solved = lp.A_eq.shape[0], {}
     start = None  # the walk's start, None while phase 1 runs
-    walked = zero = 0  # phase-2 exchanges so far, and their zero steps
 
     def at(i):  # lp at budget i
         return replace(lp, b_ub=np.array([budgets[i], *lp.b_ub[1:]]))
 
     def finish(t, i):
         tail = _Tableau(t.N.copy(), t.nb.copy(), t.basis.copy(), cost)
+        tail.pivots, tail.degenerate = t.pivots, t.degenerate
         tail.rhs[k] = d[i]
         try:
-            solved[float(budgets[i])] = _phase_2(at(i), start, tail, walked,
-                                                 zero)
+            solved[float(budgets[i])] = _phase_2(at(i), start, tail)
         except SimplexAnomaly:  # left out: its own solve raises it again
             pass
 
     def check(t, r, p, tie):
-        nonlocal walked, zero
+        nonlocal lo
         c = float(t.N[k, p])
-        leave = np.flatnonzero(pending & (c > PIV_TOL and d / c <= tie))
-        pending[leave] = False
-        if start is not None:  # phase 2: finish each budget that leaves
-            for i in leave:
-                finish(t, i)
-            if not pending.any():
-                return True
-            walked += 1
-            if t.rhs[r] == 0.0:
-                zero += 1
+        while lo < d.size and c > PIV_TOL and d[lo] / c <= tie:
+            if start is not None:  # phase 2: it finishes on a copy
+                finish(t, lo)
+            lo += 1
         v = t.rhs[r] / t.N[r, p]  # the pivot row's RHS after the division
         np.maximum(d - c * v, 0.0, out=d)
-        return False
 
     try:
         start = feasible_start(at(-1), check)
-    except SimplexAnomaly:
-        return solved
-    if not isinstance(start, FeasibleStart) or not pending.any():
-        return solved
-    k = int(np.searchsorted(start.rows, k))
-    # the walk's own start, which no one else reads: its arrays are the
-    # walk's tableau, and its row labels and phase-1 counts those of
-    # every budget's start
-    t = _start_tableau(start, cost, shared=False)
-    _bland_iterate(t, check)
-    for i in np.flatnonzero(pending):  # still on the path at its end
-        finish(t, i)
+        if isinstance(start, FeasibleStart):
+            k = int(np.searchsorted(start.rows, k))
+            # the walk's own start, which no one else reads: its arrays
+            # are the walk's tableau, and its row labels and phase-1
+            # counts those of every rider's start
+            t = _start_tableau(start, cost, shared=False)
+            _bland_iterate(t, check)
+            for i in range(lo, d.size):  # still riding at the path's end
+                finish(t, i)
+            solved[float(budgets[-1])] = _phase_2(at(-1), start, t)
+        else:
+            solved[float(budgets[-1])] = start
+    except SimplexAnomaly:  # the walk's unfinished budgets run their own
+        pass
     return solved
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,6 +108,14 @@ class TestConfigValidation:
     def test_xi_strictly_increasing(self):
         with pytest.raises(ConfigError, match="strictly increasing"):
             config_from_dict(_base_dict(xi=[0.0, 1.0, 1.0]))
+
+    def test_xi_table_length(self, paper_cfg):
+        # config_from_dict checks the length as it reads the table; a
+        # config built directly reaches validate_config unchecked
+        cfg = replace(paper_cfg, xi_table=(0.0, 1.0))
+        with pytest.raises(ConfigError, match=r"xi table length is not "
+                                              r"S_max \+ 1"):
+            validate_config(cfg)
 
     def test_xi_zero_nonnegative(self):
         with pytest.raises(ConfigError, match="xi\\(0\\)"):

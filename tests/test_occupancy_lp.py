@@ -218,6 +218,11 @@ class TestSolve:
         assert delay == pytest.approx(3.0, abs=1e-8)
         assert power == pytest.approx(solution16.objective, abs=1e-12)
 
+    def test_negative_weight_is_a_value_error(self, paper_cfg):
+        disc = discretize_channel(paper_cfg.channel, 2)
+        with pytest.raises(ValueError, match="lam must be >= 0"):
+            solve_lagrangian(paper_cfg, disc, -1.0)
+
     def test_infeasible_below_min_delay(self, paper_cfg, disc16):
         sol = solve_constrained(paper_cfg, disc16, 0.5)
         assert sol.status == "infeasible"

@@ -205,9 +205,9 @@ class TestMemory:
             made.append(make(lp, check))
             return made[-1]
 
-        def recording_phase_2(lp, start, t, *taken):
+        def recording_phase_2(lp, start, t):
             pivoted.append(t.N)
-            return phase_2(lp, start, t, *taken)
+            return phase_2(lp, start, t)
 
         monkeypatch.setattr(simplex, "feasible_start", recording_start)
         monkeypatch.setattr(simplex, "_phase_2", recording_phase_2)
@@ -224,21 +224,26 @@ class TestMemory:
             walks.append(start_tableau(start, cost, shared))
             return walks[-1]
 
+        # the walk's tableau is the largest budget's own start, whose
+        # result is read off it in place; a smaller budget finishes on
+        # a copy
         monkeypatch.setattr(simplex, "_start_tableau", recording_tableau)
-        assert list(trunk_solves(lp, [3.0])) == [3.0]
+        assert list(trunk_solves(lp, [2.5, 3.0])) == [2.5, 3.0]
         walk, = walks
         assert walk.N is made.pop().T
-        assert not np.shares_memory(pivoted.pop(), walk.N)
+        own, tail = pivoted.pop(), pivoted.pop()
+        assert own is walk.N and not np.shares_memory(tail, walk.N)
 
     def test_sweep_peak_is_one_cold_solve(self, paper_cfg, disc16):
         # each run builds its LP; the budgets share it and one walk,
         # which pivots the largest budget's start in place and finishes
-        # each budget on a copy of it; both are gone before d_min, the
-        # grid's first budget, takes its own phase 1, so the sweep's peak is
-        # the LP and two start-sized arrays, a cold solve's LP and
-        # phase-1 array plus at most one start-sized array (0.86x of
-        # that here, 0.85x with einsum); a third start-sized array takes
-        # it to 1.04x, a second dense A_eq alive beside them to 1.21x
+        # each smaller budget on a copy of it; both are gone before
+        # d_min, the grid's first budget, takes its own phase 1, so the
+        # sweep's peak is the LP and two start-sized arrays, a cold
+        # solve's LP and phase-1 array plus at most one start-sized
+        # array (0.86x of that here, 0.85x with einsum); a third
+        # start-sized array takes it to 1.04x, a second dense A_eq alive
+        # beside them to 1.21x
         grid = default_budget_grid(paper_cfg, disc16, points=12)
         kept = feasible_start(build_occupancy_lp(paper_cfg, disc16).at(
             grid[-1])).T.nbytes
@@ -378,6 +383,14 @@ class TestPinnedCounts:
 
 
 class TestSharedStart:
+    def test_descent_ray_in_phase_1_is_an_anomaly(self, monkeypatch):
+        # phase 1's objective is bounded below by 0, so only drift can
+        # give it a ray: here no entry passes for a pivot
+        monkeypatch.setattr(simplex, "PIV_TOL", 2.0)
+        lp = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[1.0])
+        with pytest.raises(SimplexAnomaly, match="descent ray in phase 1"):
+            feasible_start(lp)
+
     def test_infeasible_rows_have_no_start(self, monkeypatch):
         lp = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[-1.0])
         start = feasible_start(lp)
@@ -537,14 +550,15 @@ def _budget_lps(lp, budgets):
 
 def _finishes(lp, budgets, monkeypatch):
     """trunk_solves(lp, budgets), which must solve every budget, and
-    where each finished, by budget: the walk's pivots and zero steps
-    before it, and its tableau there (a wrapped _phase_2)."""
+    where each finished, by budget: the phase-2 pivots and zero steps
+    its tableau counted there, a copy of that tableau, and the tableau
+    array itself (a wrapped _phase_2)."""
     at = {}
     phase_2 = simplex._phase_2
 
-    def recording(lp, start, t, taken=0, taken_degenerate=0):
-        at[float(lp.b_ub[0])] = (taken, taken_degenerate, t.N.copy())
-        return phase_2(lp, start, t, taken, taken_degenerate)
+    def recording(lp, start, t):
+        at[float(lp.b_ub[0])] = (t.pivots, t.degenerate, t.N.copy(), t.N)
+        return phase_2(lp, start, t)
 
     with monkeypatch.context() as m:
         m.setattr(simplex, "_phase_2", recording)
@@ -554,9 +568,9 @@ def _finishes(lp, budgets, monkeypatch):
 
 
 class TestOpenRowStart:
-    """Budgets ride one walk, the path of the largest budget's LP,
-    through phase 1 and phase 2 until each leaves it (trunk_solves); a
-    budget the walk solves gets its cold solve bit for bit, and every
+    """Budgets ride one walk, the largest budget's own solve, through
+    phase 1 and phase 2 until each leaves it (trunk_solves); a budget
+    the walk solves gets its cold solve bit for bit, and every smaller
     budget that leaves in phase 1 runs the cold solve."""
 
     @pytest.mark.parametrize("bins", [2, 4, 8, 16])
@@ -625,10 +639,9 @@ class TestOpenRowStart:
 
     def test_serving_never_writes_the_trunks_tableau(self, paper_cfg,
                                                      monkeypatch):
-        # each budget finishes on a copy of the walk's tableau, so the
-        # walk's own delay row keeps the largest budget's RHS: the walk
-        # stops where that budget, the last to leave, finishes, on a
-        # copy that is the walk's tableau bit for bit
+        # each smaller budget finishes on a copy of the walk's tableau,
+        # so the walk ends on the largest budget's own cold tableau, bit
+        # for bit, its counts included, and its result is read off it
         disc = discretize_channel(paper_cfg.channel, 4)
         lp = occupancy_lp._lp(paper_cfg, disc).at(0.0)
         grid = default_budget_grid(paper_cfg, disc, points=12)
@@ -636,18 +649,21 @@ class TestOpenRowStart:
         start_tableau = simplex._start_tableau
 
         def recording(start, cost, shared):
-            walks.append((start, start_tableau(start, cost, shared)))
-            return walks[-1][1]
+            walks.append(start_tableau(start, cost, shared))
+            return walks[-1]
 
         monkeypatch.setattr(simplex, "_start_tableau", recording)
         solved, at = _finishes(lp, grid[1:], monkeypatch)
-        (start, t), = walks
-        k = np.searchsorted(start.rows, lp.A_eq.shape[0])
-        last = at[float(grid[-1])][2]
-        assert t.rhs[k] == last[k, -1]
-        assert t.N.tobytes() == last.tobytes()
-        assert all(not np.shares_memory(tail, t.N)
-                   for _, _, tail in at.values())
+        top = float(grid[-1])
+        _assert_same(solved[top], solve_simplex(replace(
+            lp, b_ub=np.array([top]))))
+        walk, cold = walks
+        assert walk.N.tobytes() == cold.N.tobytes()
+        assert (walk.pivots, walk.degenerate) == (cold.pivots,
+                                                  cold.degenerate)
+        assert at[top][3] is walk.N
+        assert all(not np.shares_memory(tail, walk.N)
+                   for d_th, (*_, tail) in at.items() if d_th != top)
         assert all(res.status == "optimal" for res in solved.values())
 
     def test_zero_steps_are_each_budgets_own(self, monkeypatch):
@@ -695,21 +711,26 @@ class TestOpenRowStart:
 
     def test_drive_out_moves_the_open_row(self, monkeypatch):
         # phase 1 ends with row 1's artificial basic at 1e-10, and the
-        # drive-out pivots x2 into row 1 on -1: the budget's RHS takes
-        # that exchange's arithmetic, 1 + 1e-10
+        # drive-out pivots x2 into row 1 on -1: budget 1, riding the
+        # walk at 2, takes that exchange's arithmetic, 1 + 1e-10
         lp = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, 0.0], [1.0, -1.0]],
                                  b_eq=[0.0, 1e-10], A_ub=[[0.0, 1.0]],
                                  b_ub=[1.0])
+
+        def lp_at(d_th):
+            return replace(lp, b_ub=np.array([d_th]))
+
         (solved, at), opened = _opened(
-            lambda: _finishes(lp, [1.0], monkeypatch), monkeypatch)
-        _assert_trunk_starts(opened, solved, lambda d_th: replace(
-            lp, b_ub=np.array([d_th])))
-        # it finishes before the walk's first step, on its own start
-        taken, _, tail = at[1.0]
+            lambda: _finishes(lp, [1.0, 2.0], monkeypatch), monkeypatch)
+        _assert_trunk_starts(opened, solved, lp_at)
+        # the walk's start is its path's end, where budget 1 finishes,
+        # on its own start
+        pivots, _, tail, _ = at[1.0]
         own = feasible_start(lp).T
-        assert taken == 0 and tail.tobytes() == own.tobytes()
+        assert pivots == 0 and tail.tobytes() == own.tobytes()
         assert own[np.searchsorted(opened[0].rows, 2), -1] == 1.0 + 1e-10
-        _assert_same(solved[1.0], solve_simplex(lp))
+        for d_th in (1.0, 2.0):
+            _assert_same(solved[d_th], solve_simplex(lp_at(d_th)))
 
     def test_ratio_at_the_threshold_takes_its_own_phase_1(self):
         # x1 enters; row 0's ratio is 0, so the tie threshold is 1e-12
@@ -801,15 +822,45 @@ class TestOpenRowStart:
         _assert_same(solved[grid[-1]], solve_simplex(
             replace(lp, b_ub=np.array([grid[-1]]))))
 
+    def test_largest_budget_leaving_in_phase_1_runs_it_once(
+            self, paper_cfg, disc16, monkeypatch):
+        # d_min is 1 + 1.8e-13: 0.5 and 0.8 leave the walk in phase 1
+        # and prove themselves infeasible in their own, while the walk's
+        # phase 1 is 1.0's own, which goes on to its optimum
+        runs, results = [], {}
+        make, solved = simplex.feasible_start, occupancy_lp.solve_simplex
+
+        def counted(lp, check=None):
+            runs.append(float(lp.b_ub[0]))
+            return make(lp, check)
+
+        def recording(lp, start=None):
+            results[float(lp.b_ub[0])] = solved(lp, start)
+            return results[float(lp.b_ub[0])]
+
+        occupancy_lp.clear_caches()
+        monkeypatch.setattr(simplex, "feasible_start", counted)
+        monkeypatch.setattr(occupancy_lp, "solve_simplex", recording)
+        curve = sweep_curve(paper_cfg, disc16, [0.5, 0.8, 1.0])
+        assert runs == [1.0, 0.5, 0.8]
+        assert curve.infeasible == (0.5, 0.8)
+        assert curve.budgets.tolist() == [1.0]
+        monkeypatch.undo()
+        _assert_same(results[1.0], solve_simplex(
+            build_occupancy_lp(paper_cfg, disc16).at(1.0)))
+
     def test_rows_with_no_walk(self, monkeypatch):
         infeasible = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, 1.0]],
                                          b_eq=[-1.0], A_ub=[[1.0, 0.0]],
                                          b_ub=[1.0])
-        assert trunk_solves(infeasible, [1.0]) == {}
+        # the walk's phase 1 is the largest budget's, and its outcome
+        # that budget's result
+        assert trunk_solves(infeasible, [1.0]) == {
+            1.0: solve_simplex(infeasible)}
         # x0 enters first; the equality row's ratio is 1 and the delay
-        # row's the budget: at 2 the walk takes the equality row and
-        # the budget rides it, at 0.5 the walk's own row wins, and 0.5
-        # and 0, whose ratios tie and win, leave in phase 1
+        # row's the budget: at 2 the walk takes the equality row, at 0.5
+        # the walk's own row wins and 0, whose ratio ties, leaves in
+        # phase 1; the walk goes on to 0.5's own optimum
         lp = LinearProgram.build([1.0, 1.0], A_eq=[[1.0, 1.0]], b_eq=[1.0],
                                  A_ub=[[1.0, 0.0]], b_ub=[2.0])
         assert list(trunk_solves(lp, [2.0])) == [2.0]
@@ -822,10 +873,12 @@ class TestOpenRowStart:
 
         with monkeypatch.context() as m:
             m.setattr(simplex, "_exchange", recording)
-            assert trunk_solves(lp, [0.0, 0.5]) == {}
-        assert rows[0] == 1
-        for d_th in (0.0, 0.5):
-            _against_cold(replace(lp, b_ub=np.array([d_th])), None)
+            solved = trunk_solves(lp, [0.0, 0.5])
+        assert rows[0] == 1 and list(solved) == [0.5]
+        half = solve_simplex(replace(lp, b_ub=np.array([0.5])))
+        _assert_same(solved[0.5], half)
+        assert half.iterations == 2 and half.x.tolist() == [0.5, 0.5]
+        _against_cold(replace(lp, b_ub=np.array([0.0])), None)
         monkeypatch.setattr(simplex, "MAX_PIVOTS", 0)
         with pytest.raises(SimplexAnomaly, match="pivot limit"):
             feasible_start(lp)
@@ -1080,6 +1133,24 @@ class TestRank1Update:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         if blas.get("name") != "scipy-openblas":
             pytest.skip(f"numpy links {blas.get('name')!r}")
+        assert simplex._blas_dgemm() is not None
+
+    def test_no_bundled_dgemm_falls_back_to_einsum(self, blas, paper_cfg,
+                                                   disc16, monkeypatch):
+        # a numpy whose extension exports no scipy_cblas_dgemm64_ binds
+        # no BLAS kernel, and a solve gives the same bits on einsum
+        import ctypes
+
+        lp = build_occupancy_lp(paper_cfg, disc16).at(3.0)
+        ref = solve_simplex(lp)
+        simplex._blas_dgemm.cache_clear()
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(ctypes, "CDLL", lambda path: object())
+                assert simplex._blas_dgemm() is None
+            _assert_same(solve_simplex(lp), ref)
+        finally:
+            simplex._blas_dgemm.cache_clear()
         assert simplex._blas_dgemm() is not None
 
     @pytest.mark.parametrize("rows, width", [(176, 257), (769, 1001)])

@@ -9,8 +9,10 @@ import pytest
 
 from linksched import occupancy_lp, simplex, sweep
 from linksched.model import discretize_channel
-from linksched.occupancy_lp import (min_delay, solve_constrained,
-                                    solve_lagrangian)
+from linksched.occupancy_lp import (LpSolution, Policy, ReducibleChainError,
+                                    evaluate_measure, extract_policy,
+                                    min_delay, policy_to_measure,
+                                    solve_constrained, solve_lagrangian)
 from linksched.simplex import SimplexAnomaly, SimplexResult
 from linksched.sweep import (
     SweepError,
@@ -177,6 +179,17 @@ class TestSweep:
         disc = discretize_channel(paper_cfg.channel, 2)
         with pytest.raises(SweepError, match="empty curve"):
             sweep_curve(paper_cfg, disc, [0.2, 0.5])
+
+    def test_rising_curve_is_an_error(self, paper_cfg, monkeypatch):
+        # a power that grows with the budget: each budget's power is
+        # the budget itself
+        disc = discretize_channel(paper_cfg.channel, 2)
+        monkeypatch.setattr(sweep, "presolve_budgets", lambda *args: None)
+        monkeypatch.setattr(sweep, "solve_constrained",
+                            lambda cfg, disc, d_th: LpSolution(
+                                "optimal", d_th, None, 0.0, 0))
+        with pytest.raises(SweepError, match="curve is not nonincreasing"):
+            sweep_curve(paper_cfg, disc, [1.0, 2.0])
 
     def test_curve_interpolates_its_own_corners(self, paper_cfg):
         disc = discretize_channel(paper_cfg.channel, 2)
@@ -443,6 +456,43 @@ class TestHelpers:
         assert len(again) - 1 == 30
 
 
+class TestClusterRepresentative:
+    """A cloud of corners with only randomized policies is repaired by
+    rounding, and a rounding that does not land on the corner is an
+    error."""
+
+    @pytest.fixture
+    def mixed(self, paper_cfg):
+        # 0.6 of the min-power corner's policy and 0.4 of a faster one:
+        # it rounds to the first
+        disc = discretize_channel(paper_cfg.channel, 2)
+        slow, fast = (extract_policy(solve_lagrangian(paper_cfg, disc,
+                                                      lam)[0])
+                      for lam in (0.0, 10.0))
+        pol = Policy(paper_cfg, disc, 0.6 * slow.table + 0.4 * fast.table,
+                     slow.transient.copy())
+        assert pol.kind == "probabilistic"
+        return pol, evaluate_measure(policy_to_measure(paper_cfg, disc, slow))
+
+    def test_rounding_elsewhere_is_an_error(self, mixed):
+        pol, (d, p) = mixed
+        with pytest.raises(SweepError, match="whose rounding lands "
+                                             "elsewhere"):
+            sweep._cluster_representative([Vertex(d + 1.0, p, 0.0, pol)])
+
+    def test_rounding_that_fails_to_evaluate_is_an_error(self, mixed,
+                                                         monkeypatch):
+        pol, (d, p) = mixed
+
+        def reducible(cfg, disc, pol):
+            raise ReducibleChainError("two closed classes")
+
+        monkeypatch.setattr(sweep, "policy_to_measure", reducible)
+        with pytest.raises(SweepError, match="rounding failed to evaluate: "
+                                             "two closed classes$"):
+            sweep._cluster_representative([Vertex(d, p, 0.0, pol)])
+
+
 def _results_bytes(results):
     """Everything a SimplexResult carries, arrays as their bytes."""
     return [(r.status, r.x.tobytes(), np.float64(r.objective).tobytes(),
@@ -507,6 +557,22 @@ class TestConvergence:
         p2 = np.asarray(study.curves[0].powers)
         p4 = np.asarray(study.curves[1].powers)
         assert (p4 <= p2 + 1e-8).all()
+
+    def test_refinement_that_raises_power_is_an_error(self, paper_cfg,
+                                                      monkeypatch):
+        # curves whose power is M at every budget, so each finer one
+        # lies above the coarser; only bin counts that nest are compared
+        def curve(cfg, disc, budgets):
+            budgets = np.asarray(budgets, dtype=float)
+            return TradeoffCurve(disc.bins, budgets,
+                                 np.full(budgets.size, float(disc.bins)), ())
+
+        monkeypatch.setattr(sweep, "sweep_curve", curve)
+        study = convergence_study(paper_cfg, (2, 3), budgets=[1.0, 2.0])
+        assert study.sup_gaps == (1.0,)
+        with pytest.raises(SweepError, match=r"^refinement M=2 -> M=4 "
+                                             r"raised power by 2\.0$"):
+            convergence_study(paper_cfg, (2, 3, 4), budgets=[1.0, 2.0])
 
     def test_repeated_bin_counts_rejected(self, paper_cfg):
         # a repeated count would write one curve file for two curves
