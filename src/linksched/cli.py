@@ -303,7 +303,7 @@ def _cmd_verify(args, cfg):
         check("constrained solve optimal", sol.status == "optimal",
               f"status={sol.status}")
         m = sol.measure
-        res = max(m.bin_residual(), m.balance_residual(), m.structural_zero_mass())
+        res = max(m.residuals())
         check("measure residuals <= 1e-8", res <= 1e-8, f"max={fmt(res)}")
         delay, power = evaluate_measure(m)
         slack = abs(sol.delay_dual * (delay - d_th))

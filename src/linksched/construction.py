@@ -113,7 +113,6 @@ class CdfEnvelope:
     value works elementwise on a scalar or an array of gains.
     """
 
-    q: int
     xs: np.ndarray
     us: np.ndarray
 
@@ -134,7 +133,7 @@ class CdfEnvelope:
 def compute_envelope(d: PiecewiseDensity, q: int) -> CdfEnvelope:
     total = d.values[q].sum(axis=0)
     us = np.concatenate([[0.0], np.cumsum(total * d.widths)])
-    return CdfEnvelope(q, d.grid.copy(), us)
+    return CdfEnvelope(d.grid.copy(), us)
 
 
 def invert_envelope(env: CdfEnvelope, v):
@@ -182,9 +181,6 @@ class ConstructedSolution:
     def cfg(self) -> SystemConfig:
         return self.source.cfg
 
-    def envelope(self, q: int) -> CdfEnvelope:
-        return compute_envelope(self.source, q)
-
     @cached_property
     def intervals(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
         """Per queue state, its nonempty intervals as arrays (lo, hi, s),
@@ -200,14 +196,10 @@ class ConstructedSolution:
         live = self.hi > self.lo
         out = []
         for q in range(self.cfg.Q + 1):
-            env = self.envelope(q)
+            env = compute_envelope(self.source, q)
             mass = env.value(self.hi[q]) - env.value(self.lo[q])
             out.append(_ordered_sum(np.where(live[q], mass, 0.0)))
         return np.array(out)
-
-    def intervals_for(self, q: int) -> list[tuple[float, float, int]]:
-        """Nonempty (lo, hi, s) for state q, sorted by lo."""
-        return list(zip(*(a.tolist() for a in self.intervals[q])))
 
     def delay_power(self) -> tuple[float, float]:
         """Exact (average delay, average power) of the threshold rule.

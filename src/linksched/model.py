@@ -132,10 +132,6 @@ class ChannelDiscretization:
     def bins(self) -> int:
         return len(self.masses)
 
-    def bin_of(self, h: float) -> int:
-        """Index of the bin containing h; h_min itself maps to bin 0."""
-        return int(cell_of(self.edges, h))
-
 
 def cell_of(edges, h):
     """The i with edges[i] < h <= edges[i+1] for ascending edges,

@@ -126,23 +126,13 @@ class OccupancyMeasure:
     def __post_init__(self):
         self.values.setflags(write=False)
 
-    def queue_marginal(self) -> np.ndarray:
-        return self.values.sum(axis=(1, 2))
-
-    def rate_marginal(self) -> np.ndarray:
-        """G(q, s): measure integrated over the channel."""
-        return self.values.sum(axis=2)
-
-    def bin_residual(self) -> float:
+    def residuals(self) -> tuple[float, float, float]:
+        """(bin, balance, structural) residuals: the worst gap between a
+        bin's mass and the channel's, then queue_residuals of the rate
+        masses G(q, s), the measure integrated over the channel."""
         sums = self.values.sum(axis=(0, 1))
-        return float(np.abs(sums - np.asarray(self.disc.masses)).max())
-
-    def balance_residual(self) -> float:
-        """Worst violation of queue balance, aggregated over bins."""
-        return queue_residuals(self.cfg, self.rate_marginal())[0]
-
-    def structural_zero_mass(self) -> float:
-        return queue_residuals(self.cfg, self.rate_marginal())[1]
+        bin_gap = float(np.abs(sums - np.asarray(self.disc.masses)).max())
+        return (bin_gap, *queue_residuals(self.cfg, self.values.sum(axis=2)))
 
 
 @dataclass(frozen=True)

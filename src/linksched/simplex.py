@@ -108,7 +108,10 @@ import numpy as np
 
 OPT_TOL = 1e-9  # reduced cost threshold for optimality
 FEAS_TOL = 1e-9  # phase-1 objective / artificial value threshold
-PIV_TOL = 1e-11  # smallest pivot element admitted in the ratio test
+# The pivot row is divided by its pivot element, so an element below the
+# feasibility scale magnifies rounding at that scale past the row
+# tolerances: a pivot on 1.2e-11 once left a point 0.73 off a bin row.
+PIV_TOL = 1e-9  # smallest pivot element admitted in the ratio test
 DRIVE_TOL = 1e-7  # smallest pivot used when driving artificials out
 ROW_TOL = 1e-8  # largest row miss an "optimal" point may have
 MAX_PIVOTS = 200_000  # per phase; beyond this the solve is an anomaly

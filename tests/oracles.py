@@ -669,7 +669,7 @@ def best_basic_solution(c, A_eq, b_eq, A_ub, b_ub, tol: float = 1e-9):
 
 DENSE_OPT_TOL = 1e-9
 DENSE_FEAS_TOL = 1e-9
-DENSE_PIV_TOL = 1e-11
+DENSE_PIV_TOL = 1e-9
 DENSE_DRIVE_TOL = 1e-7
 DENSE_MAX_PIVOTS = 200_000
 

@@ -172,9 +172,10 @@ class TestExitCodes:
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("alphas,h_min,q,s_max,argv", [
-        # HiGHS: power 0.106431; the simplex's point missed bin row 0 by 0.73
-        ([0.589, 0.266, 0.145], 0.1, 10, 4,
-         ["solve", "--bins", "2", "--dth", "3"]),
+        # random_config_dict(default_rng(0))'s draw 249. HiGHS: power
+        # 0.251248; the simplex's point misses balance row 1 by 0.61
+        ([0.13041987343184164, 0.7431219096189442, 0.12645821694921414],
+         0.1, 10, 4, ["solve", "--bins", "2", "--dth", "3"]),
         # HiGHS and the drain-fast policy: minimum delay 1.0, not 134.957
         ([0.99, 0.009, 0.001], 0.5, 8, 2, ["vertices", "--bins", "4"]),
     ], ids=["solve", "min-delay"])

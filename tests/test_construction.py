@@ -93,11 +93,10 @@ class TestThresholds:
     def test_intervals_tile_the_gain_range(self, built16, paper_cfg):
         lo, hi = paper_cfg.channel.h_min, paper_cfg.channel.h_max
         for q in range(paper_cfg.Q + 1):
-            iv = built16.intervals_for(q)
-            assert iv[0][0] == lo
-            assert iv[-1][1] == hi
-            for (_, b1, _), (a2, _, _) in zip(iv[:-1], iv[1:]):
-                assert abs(a2 - b1) <= PARTITION_TOL
+            a, b, _ = built16.intervals[q]
+            assert a[0] == lo
+            assert b[-1] == hi
+            assert np.abs(a[1:] - b[:-1]).max(initial=0.0) <= PARTITION_TOL
 
     def test_feasibility_residuals(self, built16):
         rep = verify_feasibility(built16)
@@ -234,9 +233,9 @@ class TestThresholdPolicy:
         for q in range(built16.cfg.Q + 1):
             if pol.transient[q]:
                 continue
-            iv = built16.intervals_for(q)
+            a, b, s = built16.intervals[q]
             hs = np.array([rng.uniform(0.5 + 1e-9, 10.0) for _ in range(50)])
-            want = [next(s for a, b, s in iv if a < h <= b) for h in hs]
+            want = [int(s[(a < h) & (h <= b)][0]) for h in hs]
             assert pol.decisions(hs, np.zeros(50))[:, q].tolist() == want
 
     def test_boundary_belongs_to_closing_rule(self, built16):
@@ -260,7 +259,7 @@ class TestThresholdPolicy:
         for q in range(3, 11):
             assert pol.rates[q].tolist() == [min(q, 2)]
 
-    def test_sample_rate_ignores_draw(self, built16):
+    def test_decisions_ignore_draw(self, built16):
         pol = to_threshold_policy(built16)
         rows = pol.decisions(np.full(3, 3.7), np.array([0.0, 0.99, 0.5]))
         assert (rows == rows[0]).all()
@@ -340,7 +339,8 @@ class TestLoopReference:
         assert y.delay_power() == loop_delay_power(
             grid, values, lo, hi, d.cfg.arrival.alphas, d.cfg.xi_table)
         for q in range(d.cfg.Q + 1):
-            assert y.intervals_for(q) == loop_intervals(lo, hi, q)
+            assert (list(zip(*(a.tolist() for a in y.intervals[q])))
+                    == loop_intervals(lo, hi, q))
 
     @pytest.mark.parametrize("name,bins,cells", [
         ("paper_iv", 16, 1),

@@ -179,11 +179,11 @@ class TestDiscretization:
             discretize_channel(cfg.channel, 2)
 
     def test_bin_of_boundaries(self, paper_cfg, disc16):
-        assert disc16.bin_of(paper_cfg.channel.h_min) == 0
-        assert disc16.bin_of(paper_cfg.channel.h_max) == 15
+        assert cell_of(disc16.edges, paper_cfg.channel.h_min) == 0
+        assert cell_of(disc16.edges, paper_cfg.channel.h_max) == 15
         # bins are half-open on the left: an edge belongs to the bin it closes
-        assert disc16.bin_of(disc16.edges[1]) == 0
-        assert disc16.bin_of(disc16.edges[1] + 1e-9) == 1
+        assert cell_of(disc16.edges, disc16.edges[1]) == 0
+        assert cell_of(disc16.edges, disc16.edges[1] + 1e-9) == 1
 
     @given(st.floats(min_value=0.5, max_value=10.0,
                      allow_nan=False, allow_infinity=False))
@@ -191,7 +191,7 @@ class TestDiscretization:
     def test_bin_of_consistent_with_edges(self, h):
         cfg = load_config("paper_iv")
         disc = discretize_channel(cfg.channel, 7)
-        k = disc.bin_of(h)
+        k = int(cell_of(disc.edges, h))
         assert 0 <= k < 7
         if h > disc.edges[0]:
             assert disc.edges[k] < h <= disc.edges[k + 1] or h == pytest.approx(

@@ -56,6 +56,11 @@ NO_ARRIVALS = {
     "channel": {"kind": "uniform", "h_min": 0.5, "h_max": 10.0},
     "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"}
 
+SPARSE_ARRIVALS = {
+    "arrival": {"alphas": [0.997, 0.002, 0.001]},
+    "channel": {"kind": "uniform", "h_min": 0.1, "h_max": 10.0},
+    "Q": 3, "S_max": 3, "xi_kind": "exp2minus1"}
+
 
 def column_triples(olp):
     """(q, s, k) of each LP column, read off the admissible mask."""
@@ -153,9 +158,9 @@ class TestLoopReference:
 
     def test_balance_residual(self, paper_cfg, solution16):
         m = solution16.measure
-        assert m.balance_residual() == loop_balance_residual(
+        assert m.residuals()[1] == loop_balance_residual(
             paper_cfg.Q, paper_cfg.S_max, paper_cfg.arrival.alphas,
-            m.rate_marginal())
+            m.values.sum(axis=2))
 
     @pytest.mark.parametrize("source", ["lp", "lagrangian", "random"])
     def test_extract_policy(self, paper_cfg, disc16, solution16, source):
@@ -208,10 +213,11 @@ class TestSolve:
 
     def test_measure_residual_methods(self, solution16):
         m = solution16.measure
-        assert m.bin_residual() <= 1e-8
-        assert m.balance_residual() <= 1e-8
-        assert m.structural_zero_mass() <= 1e-12
-        assert m.queue_marginal().sum() == pytest.approx(1.0, abs=1e-9)
+        bin_gap, balance, structural = m.residuals()
+        assert bin_gap <= 1e-8
+        assert balance <= 1e-8
+        assert structural <= 1e-12
+        assert m.values.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_budget_tight_at_optimum(self, solution16):
         delay, power = evaluate_measure(solution16.measure)
@@ -266,8 +272,7 @@ class TestSolve:
         disc = discretize_channel(cfg.channel, 2)
         measure, delay, power = solve_lagrangian(cfg, disc, 1.0)
         assert (delay, power) == (0.0, 0.0)
-        assert measure.queue_marginal()[0] == pytest.approx(1.0,
-                                                                abs=1e-12)
+        assert measure.values[0].sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_no_arrivals_negative_budget_is_infeasible(self, tmp_path):
         # a budget is a delay row on every arrival law, and no measure
@@ -337,20 +342,47 @@ class TestSolve:
         assert lam_p + lam * lam_d == pytest.approx(
             power + lam * delay, abs=1e-6)
 
-    @pytest.mark.xfail(strict=True, reason="Bland pivoting stops at a "
-                       "vertex that meets every row but is not optimal "
-                       "(ROADMAP item 1)")
     def test_power_only_optimum_on_a_sparse_arrival_config(self):
         # scipy.optimize.linprog(method="highs") on the same LP gives
-        # 0.0008850080862668819; the simplex returns 0.002325843520234786
-        cfg = config_from_dict({
-            "arrival": {"alphas": [0.997, 0.002, 0.001]},
-            "channel": {"kind": "uniform", "h_min": 0.1, "h_max": 10.0},
-            "Q": 3, "S_max": 3, "xi_kind": "exp2minus1"})
+        # 0.0008850080862668819; a pivot on an element below 1e-9 once
+        # stopped the simplex at 0.002325843520234786
+        cfg = config_from_dict(SPARSE_ARRIVALS)
         sol = solve_constrained(cfg, discretize_channel(cfg.channel, 2), None)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(0.0008850080862668819,
                                               rel=1e-6)
+
+    def test_corners_on_a_sparse_arrival_config(self):
+        # a pivot on an element below 1e-9 once left one corner, at
+        # power 0.0023258435202347864
+        cfg = config_from_dict(SPARSE_ARRIVALS)
+        verts = sweep.enumerate_vertices(cfg, discretize_channel(cfg.channel, 2))
+        assert len(verts) == 5
+        assert verts[-1].P == pytest.approx(0.0008850080862668819, rel=1e-9)
+
+    def test_constrained_optimum_past_a_tiny_pivot(self):
+        # HiGHS gives 0.10643141242722724; a pivot on 1.2e-11 once left
+        # the simplex's point 0.73 off bin row 0
+        cfg = config_from_dict({
+            "arrival": {"alphas": [0.589, 0.266, 0.145]},
+            "channel": {"kind": "uniform", "h_min": 0.1, "h_max": 10.0},
+            "Q": 10, "S_max": 4, "xi_kind": "exp2minus1"})
+        sol = solve_constrained(cfg, discretize_channel(cfg.channel, 2), 3.0)
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(0.10643141242722724, rel=1e-6)
+
+    @pytest.mark.xfail(strict=True, reason="Bland pivoting stops at a "
+                       "vertex that meets every row but is not optimal "
+                       "(ROADMAP item 1)")
+    def test_min_delay_on_a_near_zero_arrival_rate(self):
+        # scipy.optimize.linprog(method="highs") on the same LP gives
+        # 1.0; the simplex returns 1.0000729313881531
+        cfg = config_from_dict({
+            "arrival": {"alphas": [0.9999976, 2.4e-6]},
+            "channel": {"kind": "uniform", "h_min": 1.0, "h_max": 10.0},
+            "Q": 5, "S_max": 2, "xi_kind": "exp2minus1"})
+        d_min, _ = min_delay(cfg, discretize_channel(cfg.channel, 1))
+        assert d_min == pytest.approx(1.0, rel=1e-6)
 
     def test_lagrangian_extremes(self, paper_cfg, disc16):
         _, d_hi, p_lo = solve_lagrangian(paper_cfg, disc16, 0.0)
@@ -400,6 +432,18 @@ class TestPolicies:
         assert d2 == pytest.approx(d1, abs=1e-8)
         assert p2 == pytest.approx(p1, abs=1e-8)
 
+    def test_singular_stationary_system_falls_back_to_lstsq(
+            self, paper_cfg, disc16, solution16, monkeypatch):
+        pol = extract_policy(solution16.measure)
+        want = policy_to_measure(paper_cfg, disc16, pol).values
+
+        def singular(a, b):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(occupancy_lp.np.linalg, "solve", singular)
+        got = policy_to_measure(paper_cfg, disc16, pol).values
+        assert np.abs(got - want).max() <= 1e-12
+
     def test_reducible_chain_names_both_classes(self, tiny_cfg):
         disc = discretize_channel(tiny_cfg.channel, 1)
         # hold at q=2 forever, drain at q=1: {0,1} and {2} are both closed
@@ -411,14 +455,19 @@ class TestPolicies:
         with pytest.raises(ReducibleChainError, match="both closed"):
             policy_to_measure(tiny_cfg, disc, pol)
 
-    def test_sample_rate_deterministic_rows_ignore_draw(self, solution16):
+    def test_decisions_of_one_hot_rows_ignore_draw(self, disc16, solution16):
         pol = extract_policy(solution16.measure)
-        q, us = 2, np.array([0.0, 0.31, 0.77, 0.999])
-        rates = set(pol.decisions(np.full(4, 7.3), us)[:, q].tolist())
-        if pol.kind == "deterministic":
-            assert len(rates) == 1
+        one_hot = pol.table.max(axis=2) >= 1.0 - ONE_HOT_TOL  # (Q+1, bins)
+        assert one_hot.any()
+        edges = np.asarray(disc16.edges)
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        us = np.array([0.0, 0.31, 0.77, 0.999])
+        rates = pol.decisions(np.repeat(mids, us.size), np.tile(us, mids.size))
+        rates = rates.reshape(mids.size, us.size, -1)  # [k, draw, q]
+        same = (rates == rates[:, :1]).all(axis=1).T  # (Q+1, bins)
+        assert same[one_hot].all()
 
-    def test_sample_rate_mixes_by_conditional_mass(
+    def test_decisions_mix_by_conditional_mass(
             self, paper_cfg, disc16, solution16):
         pol = extract_policy(solution16.measure)
         mixed = np.argwhere((pol.table.max(axis=2) < 1.0 - 1e-9)
