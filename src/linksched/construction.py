@@ -21,7 +21,13 @@ a cell, and power_ratio rejects it.)
 
 All interval bookkeeping is exact, the certificates included: they
 evaluate the construction once per piece on which it is constant, and
-sample no gains.
+sample no gains.  They run one queue state at a time, so their
+temporaries are one state's, (Q+1) times smaller than all states' at
+once; each sum over states is a running one that keeps the
+left-to-right order of _ordered_sum, so the bits are those of one sum
+over all.  A construction's and a density's rate integrals and
+(delay, power) are evaluated once and kept, so the feasibility report,
+the power ratio and the threshold policy share them.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import (SystemConfig, cell_of, drain_rate, mean_delay,
-                    sorted_unique)
+                    path_dtype, sorted_unique)
 from .occupancy_lp import (TRANSIENT_TOL, OccupancyMeasure, _ordered_sum,
                            check_index, queue_residuals)
 from .textio import csv_text, read_rows
@@ -68,9 +74,12 @@ class PiecewiseDensity:
     def widths(self) -> np.ndarray:
         return np.diff(self.grid)
 
+    @cached_property
     def rate_integrals(self) -> np.ndarray:
         """Mass per (q, s)."""
-        return self.values @ self.widths
+        masses = self.values @ self.widths
+        masses.setflags(write=False)
+        return masses
 
     def refine(self, edges) -> "PiecewiseDensity":
         merged = sorted_unique(np.concatenate([self.grid,
@@ -81,9 +90,10 @@ class PiecewiseDensity:
                       len(self.grid) - 2)
         return PiecewiseDensity(self.cfg, merged, self.values[:, :, src].copy())
 
+    @cached_property
     def delay_power(self) -> tuple[float, float]:
         """Exact (average delay, average power) of the density."""
-        masses = self.rate_integrals()
+        masses = self.rate_integrals
         qs = np.arange(self.cfg.Q + 1, dtype=float)
         delay = mean_delay(self.cfg, float(qs @ masses.sum(axis=1)))
         inv_int = np.log(self.grid[1:] / self.grid[:-1])
@@ -191,6 +201,7 @@ class ConstructedSolution:
         cut = np.searchsorted(q[order], np.arange(1, self.cfg.Q + 1))
         return tuple(zip(*(np.split(a[order], cut) for a in (lo, hi, s))))
 
+    @cached_property
     def rate_integrals(self) -> np.ndarray:
         """Realized mass per (q, s), from interval endpoints."""
         live = self.hi > self.lo
@@ -199,30 +210,42 @@ class ConstructedSolution:
             env = compute_envelope(self.source, q)
             mass = env.value(self.hi[q]) - env.value(self.lo[q])
             out.append(_ordered_sum(np.where(live[q], mass, 0.0)))
-        return np.array(out)
+        masses = np.array(out)
+        masses.setflags(write=False)
+        return masses
 
+    @cached_property
     def delay_power(self) -> tuple[float, float]:
         """Exact (average delay, average power) of the threshold rule.
 
         Power integrates xi(s) * (total density) / h over every interval,
-        grid piece by grid piece from the piece holding lo.
+        grid piece by grid piece from the piece holding lo, one queue
+        state at a time.  Its terms are summed left to right in (q, cell,
+        s) order, each state's continuing the running sum.
         """
-        masses = self.rate_integrals()
+        masses = self.rate_integrals
         qs = np.arange(self.cfg.Q + 1, dtype=float)
         delay = mean_delay(self.cfg, float(qs @ masses.sum(axis=1)))
         grid, total = self.source.grid, self.source.values.sum(axis=1)
-        a, b, n = self.lo, self.hi, grid.size - 2
-        first = np.clip(np.searchsorted(grid, a, side="right") - 1, 0, n)
-        last = cell_of(grid, b)
-        q = np.arange(self.cfg.Q + 1)[:, None, None]
-        inv_int = np.zeros(a.shape)
-        for j in range(int((last - first).max()) + 1):
-            i = np.minimum(first + j, last)
-            left, right = np.maximum(grid[i], a), np.minimum(grid[i + 1], b)
-            use = (first + j <= last) & (right > left)
-            inv_int += np.where(use, total[q, i] * np.log(right / left), 0.0)
-        terms = np.where(b > a, np.asarray(self.cfg.xi_table) * inv_int, 0.0)
-        return delay, float(_ordered_sum(terms.ravel()))
+        xi, n = np.asarray(self.cfg.xi_table), grid.size - 2
+        power = None
+        for q in range(self.cfg.Q + 1):
+            a, b = self.lo[q], self.hi[q]
+            first = np.clip(np.searchsorted(grid, a, side="right") - 1, 0, n)
+            last = cell_of(grid, b)
+            inv_int = np.zeros(a.shape)
+            for j in range(int((last - first).max()) + 1):
+                i = np.minimum(first + j, last)
+                left = np.maximum(grid[i], a)
+                right = np.minimum(grid[i + 1], b)
+                use = (first + j <= last) & (right > left)
+                inv_int += np.where(use, total[q, i] * np.log(right / left),
+                                    0.0)
+            terms = np.where(b > a, xi * inv_int, 0.0).ravel()
+            if power is not None:
+                terms = np.concatenate([[power], terms])
+            power = _ordered_sum(terms)
+        return delay, float(power)
 
 
 def compute_thresholds(d: PiecewiseDensity, cells: int) -> ConstructedSolution:
@@ -311,23 +334,26 @@ def verify_feasibility(y: ConstructedSolution) -> FeasibilityReport:
     live = y.hi > y.lo
     cuts = [d.grid, cfg.channel.breaks, y.lo[live], y.hi[live]]
     hs = sorted_unique(np.concatenate(cuts))[1:]  # right ends of the pieces
-    covered = np.zeros((cfg.Q + 1, hs.size), dtype=bool)
+    piece = cell_of(d.grid, hs)
+    dens = d.values.sum(axis=1)
+    total = None
     for q, (los, his, _) in enumerate(y.intervals):
+        covered = np.zeros(hs.size, dtype=bool)
         if los.size:
             # cells of the lower ends, the last closed by its upper end:
             # a gain on a boundary counts for the interval it closes
             pos = cell_of(np.append(los, his[-1]), hs)
-            covered[q] = (hs > los[pos]) & (hs <= his[pos])
-    dens = d.values.sum(axis=1)[:, cell_of(d.grid, hs)]
-    total = _ordered_sum(np.where(covered, dens, 0.0))
+            covered = (hs > los[pos]) & (hs <= his[pos])
+        term = np.where(covered, dens[q, piece], 0.0)
+        total = term if total is None else total + term
     channel_residual = float(np.abs(total - cfg.channel.density(hs)).max())
 
-    I = y.rate_integrals()
+    I = y.rate_integrals
     balance, structural = queue_residuals(cfg, I)
     nonneg = max(0.0, -float(d.values.min()))
-    rate = float(np.abs(I - d.rate_integrals()).max())
-    delay_d, _ = d.delay_power()
-    delay_y, power_y = y.delay_power()
+    rate = float(np.abs(I - d.rate_integrals).max())
+    delay_d, _ = d.delay_power
+    delay_y, power_y = y.delay_power
     return FeasibilityReport(
         channel_residual=channel_residual,
         balance_residual=balance,
@@ -382,8 +408,8 @@ def power_ratio(y: ConstructedSolution, d: PiecewiseDensity) -> PowerRatio:
     cells = y.cells.size - 1
     ch = y.cfg.channel
     bound = 1.0 + (ch.h_max - ch.h_min) / (cells * ch.h_min)
-    _, p_src = d.delay_power()
-    _, p_y = y.delay_power()
+    _, p_src = d.delay_power
+    _, p_y = y.delay_power
     ratio = 1.0 if p_src == 0.0 else p_y / p_src
     if not (1.0 - RATIO_TOL <= ratio <= bound + RATIO_TOL):
         raise ConstructionError(
@@ -430,6 +456,7 @@ class ThresholdPolicy:
         points = sorted_unique(np.concatenate(self.bounds))
         rates = np.stack([r[cell_of(b, points[1:])]
                           for b, r in zip(self.bounds, self.rates)], axis=1)
+        rates = rates.astype(path_dtype(self.cfg))
         rates.setflags(write=False)
         return points, rates
 
@@ -438,7 +465,7 @@ def to_threshold_policy(y: ConstructedSolution) -> ThresholdPolicy:
     """Collapse a construction into lookup rules, merging neighbors that
     share a rate and dropping empty intervals."""
     cfg = y.cfg
-    masses = y.rate_integrals().sum(axis=1)
+    masses = y.rate_integrals.sum(axis=1)
     bounds_out, rates_out = [], []
     transient = np.zeros(cfg.Q + 1, dtype=bool)
     lo, hi = cfg.channel.h_min, cfg.channel.h_max

@@ -160,6 +160,12 @@ def step(cfg: SystemConfig, q, a, s):
     return np.minimum(np.maximum(q - s, 0) + a, cfg.Q)
 
 
+def path_dtype(cfg: SystemConfig) -> np.dtype:
+    """The small signed integer type of queue states, rates and arrival
+    counts, in which step is exact (q - s included)."""
+    return np.min_scalar_type(-2 * max(cfg.Q, cfg.S_max))
+
+
 def drain_rate(cfg: SystemConfig, q):
     """The rate of a queue state a policy never visits: drain as fast
     as allowed, min(q, S_max).  Elementwise in q."""

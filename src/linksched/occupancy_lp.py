@@ -54,7 +54,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .model import (ChannelDiscretization, SystemConfig, cell_of,
-                    drain_rate, mean_delay, step)
+                    drain_rate, mean_delay, path_dtype, step)
 from .simplex import (
     FEAS_TOL,
     LinearProgram,
@@ -171,14 +171,21 @@ class Policy:
         gains[t] with uniform [0, 1) draw u[t].
 
         The first rate whose cumulative probability exceeds the draw,
-        the last if rounding leaves none.  Deterministic rows ignore u,
-        so the draw stream stays aligned across policies under a shared
+        the last if rounding leaves none.  A one-hot row, whose
+        cumulative probabilities are all exactly 0 or 1, sends its one
+        rate below a draw of 1 and the last at 1; only the other,
+        mixed, rows compare draws.  So deterministic rows ignore u, and
+        the draw stream stays aligned across policies under a shared
         seed.
         """
         cells = cell_of(self.disc.edges, gains)
-        rates = np.zeros((len(cells), self.cfg.Q + 1), dtype=np.intp)
-        for cum in self._cumulative:
-            rates += u[:, None] >= cum[cells]
+        fixed, mixed = self._rates
+        rates = fixed[cells]
+        rates[u >= 1.0] = self.cfg.S_max
+        t, q = np.nonzero(mixed[cells])
+        if t.size:
+            cum = self._cumulative[:, cells[t], q]
+            rates[t, q] = (u[t] >= cum).sum(axis=0)
         return rates
 
     @cached_property
@@ -190,6 +197,17 @@ class Policy:
         cum = np.ascontiguousarray(cum)
         cum.setflags(write=False)
         return cum
+
+    @cached_property
+    def _rates(self) -> tuple[np.ndarray, np.ndarray]:
+        """(bins, Q+1) tables: the rate of each one-hot row below a draw
+        of 1 (its count of cumulative zeros), and which rows are mixed."""
+        cum = self._cumulative
+        mixed = ((cum != 0.0) & (cum != 1.0)).any(axis=0)
+        fixed = (cum == 0.0).sum(axis=0).astype(path_dtype(self.cfg))
+        for a in (fixed, mixed):
+            a.setflags(write=False)
+        return fixed, mixed
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,15 @@ followed a block at a time by a two-level scan (Blelloch 1990, prefix
 sums over an associative operator): one gather per slot carries every
 start state through each CHUNK of slots, the chunk starts are walked
 one chunk at a time, and one gather per slot fills every chunk's path.
-Every statistic comes from the queue and rate paths afterwards.  One
-decision table for the whole run would hold Q+1 rates per slot: on
-paper_iv it raised a run's traced peak from 28 to 275-459 bytes per
-slot.
+A run streams: each block draws its share of the three random streams
+(consecutive draws of a stream are the doubles one long draw gives),
+and its gains, rates, queue path, energy, trace lines and counters are
+made and used before the next block starts.  Per slot a run keeps one
+queue state, in model.path_dtype (int8 while Q and S_max are at most
+64), and one float64 energy, so the means and batch errors sum the
+same arrays in the same order as over whole-run paths: about 9 bytes
+a slot, where whole-run draws, gains and rates held 28, and one
+decision table for the whole run 275-459 (Q+1 rates a slot).
 
 A policy asking for more than the backlog is counted as an underflow
 override; the queue clip absorbs it, but energy is still charged for
@@ -33,19 +38,25 @@ sample paths.
 Two delay estimates are reported: the backlog form mean-queue / mean
 arrival rate, which is what the optimizer minimizes, and the per-packet
 FIFO sojourn in slots (arrive at the end of slot t, depart in slot t',
-wait t' - t).  Sojourns come from cumulative counts: the n-th admitted
-packet is the n-th served one.  On a stationary run the two agree
-within sampling error.
+wait t' - t).  Sojourns sum exactly, as integers, block by block: each
+measured slot adds its number once per packet served and subtracts it
+once per packet admitted.  Two edges are then mended: the packets
+queued when the warmup ends depart in the window but arrived before
+it, and those queued at the end arrived in it but never depart.  A
+FIFO queue of k packets holds the last k admitted, so both sets are
+read off the last few slots that admitted any (_last_admitted).  On a
+stationary run the two estimates agree within sampling error.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
 from .model import SystemConfig, channel_cdf_inverse, mean_arrival_rate
-from .model import mean_delay, step
+from .model import mean_delay, path_dtype, step
 from .textio import csv_lines, csv_text, kv_text
 
 BATCHES = 32
@@ -132,6 +143,20 @@ def _queue_path(cfg: SystemConfig, rates: np.ndarray, arrivals: np.ndarray,
     return path.T.ravel()[:n], q
 
 
+def _last_admitted(held: np.ndarray, start: int, admitted: np.ndarray,
+                   k) -> np.ndarray:
+    """The arrival slots of the last k packets among those `held`
+    (arrival slots, oldest first) and admitted[j] more in each slot
+    start + j: what a FIFO queue of k packets holds.  Each slot that
+    admits one adds at least one, so only the last k such slots count.
+    """
+    k = int(k)
+    at = np.flatnonzero(admitted)
+    at = at[max(at.size - k, 0):]
+    held = np.concatenate([held, np.repeat(start + at, admitted[at])])
+    return held[held.size - k:]
+
+
 def run_sim(
     cfg: SystemConfig,
     policy,
@@ -159,49 +184,51 @@ def run_sim(
         raise ValueError(
             f"measured window ({measured}) shorter than batches ({BATCHES})")
 
-    # signed, so q - s stays exact when a policy asks for more than q
-    small = np.min_scalar_type(-2 * max(cfg.Q, cfg.S_max))
+    small = path_dtype(cfg)
     streams = [np.random.default_rng(s)
                for s in np.random.SeedSequence(seed).spawn(3)]
-    arrivals = _sample_arrivals(cfg, streams[0].random(slots)).astype(small)
-    gains = channel_cdf_inverse(cfg.channel, streams[1].random(slots))
-    policy_u = streams[2].random(slots)
-
+    xi = np.asarray(cfg.xi_table)
+    offsets = np.arange(BLOCK)
     qs = np.empty(slots, dtype=small)
-    ss = np.empty(slots, dtype=small)
+    energy = np.empty(slots)
     q = 0
-    for start in range(0, slots, BLOCK):
-        block = slice(start, start + BLOCK)
-        rates = policy.decisions(gains[block], policy_u[block]).astype(small)
-        path, q = _queue_path(cfg, rates, arrivals[block], q)
-        qs[block] = path
-        ss[block] = rates[np.arange(len(path)), path]
-    del policy_u
+    held = offsets[:0]  # the arrival slots of the queued packets
+    drops = overrides = sojourn_count = sojourn_sum = 0
+    with open(trace_path, "w") if trace_path else nullcontext() as trace:
+        for start in range(0, slots, BLOCK):
+            n = min(BLOCK, slots - start)
+            arrivals = _sample_arrivals(cfg, streams[0].random(n))
+            arrivals = arrivals.astype(small)
+            gains = channel_cdf_inverse(cfg.channel, streams[1].random(n))
+            rates = policy.decisions(gains, streams[2].random(n))
+            rates = rates.astype(small, copy=False)
+            path, q = _queue_path(cfg, rates, arrivals, q)
+            ss = rates[offsets[:n], path]
+            spent = energy[start:start + n]
+            np.divide(xi[ss], gains, out=spent)
+            qs[start:start + n] = path
+            if trace_path:
+                trace.writelines(csv_lines(zip(
+                    range(start, start + n), path.tolist(), arrivals.tolist(),
+                    gains.tolist(), ss.tolist(), spent.tolist())))
 
-    # each full-length float array is freed once used: they dominate memory
-    energy = np.asarray(cfg.xi_table)[ss] / gains
-    if trace_path:
-        with open(trace_path, "w") as fh:
-            fh.writelines(csv_lines(zip(
-                range(slots), qs.tolist(), arrivals.tolist(), gains.tolist(),
-                ss.tolist(), energy.tolist())))
-    del gains
+            served = np.minimum(ss, path)
+            admitted = step(cfg, path, arrivals, ss) - (path - served)
+            m = min(max(warmup - start, 0), n)  # measured from start + m
+            if m < n:
+                drops += int(arrivals[m:].sum()) - int(admitted[m:].sum())
+                overrides += int((ss[m:] > path[m:]).sum())
+                sojourn_count += int(served[m:].sum())
+                net = (served - admitted)[m:]
+                sojourn_sum += start * int(net.sum()) + int(offsets[m:n] @ net)
+            if start <= warmup < start + n:
+                sojourn_sum -= int(_last_admitted(
+                    held, start, admitted[:m], path[m]).sum())
+            held = _last_admitted(held, start, admitted, q)
+    sojourn_sum += int(held.sum())
+
     mean_power = float(energy[warmup:].mean())
     se_power = _batch_se(energy[warmup:])
-    del energy
-
-    served = np.minimum(ss, qs)
-    admitted = step(cfg, qs, arrivals, ss) - (qs - served)
-    drops = int(arrivals[warmup:].sum()) - int(admitted[warmup:].sum())
-    # FIFO: the n-th served packet, which leaves in np.repeat(slot,
-    # served)[n], is the n-th admitted one; the departures of the measured
-    # window sum to slot @ served over it
-    slot = np.arange(slots)
-    first = int(served[:warmup].sum())
-    sojourn_count = int(served[warmup:].sum())
-    arrives = np.repeat(slot, admitted)[first:first + sojourn_count]
-    sojourn_sum = int(slot[warmup:] @ served[warmup:]) - int(arrives.sum())
-
     mean_queue = float(qs[warmup:].mean())
     se_queue = _batch_se(qs[warmup:])
     return SimReport(
@@ -221,7 +248,7 @@ def run_sim(
         arrival_rate=mean_arrival_rate(cfg.arrival),
         drops=drops,
         drop_rate=drops / measured,
-        underflow_overrides=int((ss[warmup:] > qs[warmup:]).sum()),
+        underflow_overrides=overrides,
     )
 
 

@@ -186,7 +186,7 @@ def test_6_simulation_agreement(paper_cfg, disc16, solution16, density16,
 
     y64 = compute_thresholds(density16, 64)
     thr = to_threshold_policy(y64)
-    d_y, p_y = y64.delay_power()
+    d_y, p_y = y64.delay_power
     rep2 = run_sim(paper_cfg, thr, 1_000_000, seed=0)
     z2d = abs(rep2.delay - d_y) / rep2.se_delay
     z2p = abs(rep2.mean_power - p_y) / rep2.se_power

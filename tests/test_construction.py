@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from linksched import construction
 from linksched.construction import (
     ConstructedSolution,
     ConstructionError,
@@ -141,8 +144,8 @@ class TestPowerRatio:
         lo, hi = loop_thresholds(y.source.grid, y.source.values, y.cells,
                                  list(range(y.cfg.S_max + 1)))
         ascending = ConstructedSolution(y.source, y.cells, lo, hi)
-        _, p_src = density16.delay_power()
-        _, p_up = ascending.delay_power()
+        _, p_src = density16.delay_power
+        _, p_up = ascending.delay_power
         assert p_up < p_src
         with pytest.raises(ConstructionError, match="power ratio") as err:
             power_ratio(ascending, density16)
@@ -159,6 +162,37 @@ class TestPowerRatio:
         y = compute_thresholds(d, 4)
         pr = power_ratio(y, d)
         assert pr.ratio == 1.0 and pr.power == 0.0
+
+
+class TestCertificates:
+    def test_each_evaluated_once(self, solution16, monkeypatch):
+        # the construction's rate integrals cost one envelope per queue
+        # state; feasibility, the power ratio and the policy share them
+        d = density_from_measure(solution16.measure)
+        y = compute_thresholds(d, 16)
+        calls = []
+        envelope = construction.compute_envelope
+        monkeypatch.setattr(construction, "compute_envelope",
+                            lambda d, q: calls.append(q) or envelope(d, q))
+        verify_feasibility(y)
+        verify_deterministic(y)
+        power_ratio(y, d)
+        to_threshold_policy(y)
+        assert calls == list(range(d.cfg.Q + 1))
+
+    def test_peak_at_20000_cells(self, solution16):
+        # evaluated one queue state at a time, the certificates peak at
+        # about 22 MiB here; over every state at once they took 63 MiB
+        d = density_from_measure(solution16.measure)
+        y = compute_thresholds(d, 20_000)
+        tracemalloc.start()
+        try:
+            verify_feasibility(y)
+            power_ratio(y, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
 
 
 class TestNegativeControls:
@@ -334,9 +368,9 @@ class TestLoopReference:
         lo, hi = loop_thresholds(grid, values, y.cells,
                                  list(range(d.cfg.S_max, -1, -1)))
         assert y.lo.tobytes() == lo.tobytes() and y.hi.tobytes() == hi.tobytes()
-        assert (y.rate_integrals().tobytes()
+        assert (y.rate_integrals.tobytes()
                 == loop_rate_integrals(grid, values, lo, hi).tobytes())
-        assert y.delay_power() == loop_delay_power(
+        assert y.delay_power == loop_delay_power(
             grid, values, lo, hi, d.cfg.arrival.alphas, d.cfg.xi_table)
         for q in range(d.cfg.Q + 1):
             assert (list(zip(*(a.tolist() for a in y.intervals[q])))
