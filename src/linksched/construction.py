@@ -34,14 +34,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
-from .model import (SystemConfig, cell_of, drain_rate, mean_delay,
-                    path_dtype, sorted_unique)
+from .model import (CellIndex, SystemConfig, cell_of, drain_rate,
+                    mean_delay, path_dtype, sorted_unique)
 from .occupancy_lp import (TRANSIENT_TOL, OccupancyMeasure, _ordered_sum,
-                           check_index, queue_residuals)
-from .textio import csv_text, read_rows
+                           queue_residuals)
+from .textio import line_format, read_columns
 
 PARTITION_TOL = 1e-12
 RATIO_TOL = 1e-10
@@ -444,21 +445,21 @@ class ThresholdPolicy:
     def decisions(self, gains: np.ndarray, u: np.ndarray) -> np.ndarray:
         """(n, Q+1) rates: entry [t, q] is the rule of state q at gain
         gains[t].  Threshold rules never randomize; u is ignored."""
-        points, rates = self._merged
-        return rates[cell_of(points, gains)]
+        cells, rates = self._merged
+        return rates.take(cells.of(gains), axis=0)
 
     @cached_property
-    def _merged(self) -> tuple[np.ndarray, np.ndarray]:
-        """The union of every state's bounds, and the (cells, Q+1) rates
-        on each cell between neighbouring points.  Each state's bounds
-        are among the points, so its rule is constant on a cell and is
-        read at the cell's right end."""
+    def _merged(self) -> tuple[CellIndex, np.ndarray]:
+        """The index of the cells between neighbouring points of the
+        union of every state's bounds, and the (cells, Q+1) rates on
+        each.  Each state's bounds are among the points, so its rule is
+        constant on a cell and is read at the cell's right end."""
         points = sorted_unique(np.concatenate(self.bounds))
         rates = np.stack([r[cell_of(b, points[1:])]
                           for b, r in zip(self.bounds, self.rates)], axis=1)
         rates = rates.astype(path_dtype(self.cfg))
         rates.setflags(write=False)
-        return points, rates
+        return CellIndex(points), rates
 
 
 def to_threshold_policy(y: ConstructedSolution) -> ThresholdPolicy:
@@ -486,33 +487,44 @@ THRESHOLD_HEADER = "q,h_lo,h_hi,s,transient"
 
 
 def threshold_policy_to_text(pol: ThresholdPolicy) -> str:
-    return csv_text(THRESHOLD_HEADER, (
-        (q, b[i], b[i + 1], int(r[i]), int(pol.transient[q]))
-        for q, (b, r) in enumerate(zip(pol.bounds, pol.rates))
-        for i in range(len(r))))
+    line = line_format(int, float, float, int, int).format
+    rows = []
+    for q, (b, r) in enumerate(zip(pol.bounds, pol.rates)):
+        b, n = b.tolist(), len(r)
+        rows += map(line, repeat(q, n), b[:-1], b[1:], map(int, r.tolist()),
+                    repeat(int(pol.transient[q]), n))
+    return THRESHOLD_HEADER + "\n" + "".join(rows)
 
 
 def threshold_policy_from_text(text: str, cfg: SystemConfig) -> ThresholdPolicy:
     """Read a threshold file; the rules of each listed queue state must
     tile (h_min, h_max] exactly, else ValueError naming the state."""
-    per_q: dict[int, list[tuple[float, float, int]]] = {}
-    transient = np.zeros(cfg.Q + 1, dtype=bool)
-    rows = read_rows(text, THRESHOLD_HEADER, (int, float, float, int, int))
-    for ln, (q, a, b, s, flag) in rows:
-        q = check_index(ln, "q", q, cfg.Q)
-        s = check_index(ln, "s", s, cfg.S_max)
-        per_q.setdefault(q, []).append((a, b, s))
-        transient[q] |= bool(flag)
+    qs, los, his, ss, flags = read_columns(
+        text, THRESHOLD_HEADER, (int, float, float, int, int),
+        (cfg.Q, None, None, cfg.S_max, None))
+    # the rules grouped by state, each state's in (h_lo, h_hi, s) order
+    order = np.lexsort((ss, his, los, qs))
+    qs = np.array(qs, dtype=np.intp)[order]
+    los, his = np.array(los)[order], np.array(his)[order]
+    ss = np.array(ss, dtype=np.int64)[order]
+    flagged = np.array(list(map(bool, flags)), dtype=bool)[order]
+    # an unlisted state is transient and drains on every gain
+    transient = np.ones(cfg.Q + 1, dtype=bool)
+    transient[qs] = False
+    transient[qs[flagged]] = True
+    at = np.searchsorted(qs, np.arange(cfg.Q + 2))
     h_min, h_max = cfg.channel.h_min, cfg.channel.h_max
     bounds_out, rates_out = [], []
     for q in range(cfg.Q + 1):
-        # an unlisted state is transient and drains on every gain
-        transient[q] |= q not in per_q
-        rules = sorted(per_q.get(q, [(h_min, h_max, drain_rate(cfg, q))]))
-        los, his, rates = (np.array(c) for c in zip(*rules))
-        bounds = np.append(h_min, his)
-        if not (np.array_equal(los, bounds[:-1]) and his[-1] == h_max
-                and (his > los).all()):
+        rule = slice(at[q], at[q + 1])
+        if rule.start == rule.stop:
+            lo, hi, rates = (np.array([v]) for v in
+                             (h_min, h_max, drain_rate(cfg, q)))
+        else:
+            lo, hi, rates = los[rule], his[rule], ss[rule]
+        bounds = np.append(h_min, hi)
+        if not (np.array_equal(lo, bounds[:-1]) and hi[-1] == h_max
+                and (hi > lo).all()):
             raise ValueError(f"threshold rules for q={q} do not tile "
                              f"({h_min!r}, {h_max!r}] with nonempty intervals")
         rates_out.append(rates)

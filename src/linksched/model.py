@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,6 +140,62 @@ def cell_of(edges, h):
     falls in cell 0."""
     return np.clip(np.searchsorted(edges, h, side="left") - 1, 0,
                    len(edges) - 2)
+
+
+class CellIndex:
+    """cell_of(edges, h) for many arrays of keys against one grid: a
+    table lookup and a few comparisons in place of a binary search.
+
+    The cell of h is the count of inner edges (edges[1:-1]) below h,
+    which is cell_of's clipped result.  The range [edges[0], edges[-1]]
+    is cut into BUCKETS_PER_CELL buckets per cell, and `bucket` maps
+    every key to one by the same float operations at build and at
+    lookup.  Those operations never decrease, so an inner edge in a
+    lower bucket than h lies below h and one in a higher bucket does
+    not: the count is the inner edges of all lower buckets, looked up,
+    plus those of h's own bucket below h.  The latter run is ascending,
+    so a walk that steps one edge while the next lies below h counts
+    them.  It stops, exactly, after `walk` steps, the most inner edges
+    one bucket holds: at most 1 on equal-width bins, whose buckets are
+    half a cell wide, and 3 on paper_iv's merged K=2000 threshold grid
+    (2144 points, 1006 gaps below 1e-12, the least 4.4e-16).
+
+    Edges are finite and ascending, with edges[-1] > edges[0]; keys are
+    not NaN.
+    """
+
+    BUCKETS_PER_CELL = 2
+
+    def __init__(self, edges):
+        edges = np.asarray(edges, dtype=float)
+        self.low, self.high = edges[0], edges[-1]
+        buckets = self.BUCKETS_PER_CELL * (edges.size - 1)
+        self.top = buckets - 1
+        # finite, so a key at edges[0] lands in bucket 0, not at 0 * inf
+        self.scale = min(buckets / float(self.high - self.low),
+                         sys.float_info.max)
+        inner = edges[1:-1]
+        of_inner = self.bucket(inner)
+        self.below = np.searchsorted(of_inner, np.arange(buckets))
+        self.walk = int(np.bincount(of_inner).max(initial=0))
+        # past the last inner edge, walk steps compare with +inf
+        self.inner = np.append(inner, np.full(self.walk, np.inf))
+
+    def bucket(self, h) -> np.ndarray:
+        """The bucket of each key; keys beyond the range share its end
+        buckets."""
+        b = np.clip(h, self.low, self.high)
+        b -= self.low
+        b *= self.scale
+        return np.minimum(b, self.top, out=b).astype(np.intp)
+
+    def of(self, h: np.ndarray) -> np.ndarray:
+        """cell_of(edges, h), bit for bit, for an array h."""
+        h = np.asarray(h, dtype=float)
+        cells = self.below.take(self.bucket(h))
+        for _ in range(self.walk):
+            cells += self.inner.take(cells) < h
+        return cells
 
 
 def sorted_unique(a) -> np.ndarray:

@@ -53,7 +53,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .model import (ChannelDiscretization, SystemConfig, cell_of,
+from .model import (CellIndex, ChannelDiscretization, SystemConfig,
                     drain_rate, mean_delay, path_dtype, step)
 from .simplex import (
     FEAS_TOL,
@@ -65,7 +65,7 @@ from .simplex import (
     solve_simplex,
     trunk_solves,
 )
-from .textio import csv_text, read_rows
+from .textio import csv_text, read_columns
 
 ONE_HOT_TOL = 1e-9
 TRANSIENT_TOL = 1e-12  # a state with no more mass than this is never visited
@@ -174,19 +174,25 @@ class Policy:
         the last if rounding leaves none.  A one-hot row, whose
         cumulative probabilities are all exactly 0 or 1, sends its one
         rate below a draw of 1 and the last at 1; only the other,
-        mixed, rows compare draws.  So deterministic rows ignore u, and
-        the draw stream stays aligned across policies under a shared
-        seed.
+        mixed, rows compare draws, and only slots whose bin has one
+        look for them.  So deterministic rows ignore u, and the draw
+        stream stays aligned across policies under a shared seed.
         """
-        cells = cell_of(self.disc.edges, gains)
-        fixed, mixed = self._rates
-        rates = fixed[cells]
+        cells = self._cells.of(gains)
+        fixed, mixed, some_mixed = self._rates
+        rates = fixed.take(cells, axis=0)
         rates[u >= 1.0] = self.cfg.S_max
-        t, q = np.nonzero(mixed[cells])
+        t = np.flatnonzero(some_mixed.take(cells))
         if t.size:
+            row, q = np.nonzero(mixed.take(cells[t], axis=0))
+            t = t[row]
             cum = self._cumulative[:, cells[t], q]
             rates[t, q] = (u[t] >= cum).sum(axis=0)
         return rates
+
+    @cached_property
+    def _cells(self) -> CellIndex:
+        return CellIndex(self.disc.edges)
 
     @cached_property
     def _cumulative(self) -> np.ndarray:
@@ -199,15 +205,17 @@ class Policy:
         return cum
 
     @cached_property
-    def _rates(self) -> tuple[np.ndarray, np.ndarray]:
+    def _rates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(bins, Q+1) tables: the rate of each one-hot row below a draw
-        of 1 (its count of cumulative zeros), and which rows are mixed."""
+        of 1 (its count of cumulative zeros), and which rows are mixed;
+        and (bins,) flags: which bins have a mixed row."""
         cum = self._cumulative
         mixed = ((cum != 0.0) & (cum != 1.0)).any(axis=0)
         fixed = (cum == 0.0).sum(axis=0).astype(path_dtype(self.cfg))
-        for a in (fixed, mixed):
+        some_mixed = mixed.any(axis=1)
+        for a in (fixed, mixed, some_mixed):
             a.setflags(write=False)
-        return fixed, mixed
+        return fixed, mixed, some_mixed
 
 
 @dataclass(frozen=True)
@@ -504,13 +512,6 @@ def policy_to_text(pol: Policy) -> str:
         pol.transient[q, k].astype(int).tolist()))
 
 
-def check_index(line: str, name: str, v: int, top: int) -> int:
-    """Field `name` of a policy-file line if it is in 0..top, else ValueError."""
-    if not 0 <= v <= top:
-        raise ValueError(f"policy line {line!r}: {name}={v} outside 0..{top}")
-    return v
-
-
 def policy_from_text(
     text: str, cfg: SystemConfig, disc: ChannelDiscretization
 ) -> Policy:
@@ -520,11 +521,10 @@ def policy_from_text(
     Q, S, M = cfg.Q, cfg.S_max, disc.bins
     table = np.zeros((Q + 1, M, S + 1))
     transient = np.zeros((Q + 1, M), dtype=bool)
-    rows = read_rows(text, POLICY_HEADER, (int, int, int, float, int))
-    for ln, (q, k, s, prob, flag) in rows:
-        q = check_index(ln, "q", q, Q)
-        k = check_index(ln, "k", k, M - 1)
-        table[q, k, check_index(ln, "s", s, S)] = prob
+    columns = read_columns(text, POLICY_HEADER, (int, int, int, float, int),
+                           (Q, M - 1, S, None, None))
+    for q, k, s, prob, flag in zip(*columns):
+        table[q, k, s] = prob
         if flag:
             transient[q, k] = True
     sums = table.sum(axis=2)

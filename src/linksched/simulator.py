@@ -7,22 +7,26 @@ Arrivals join after transmission, so the queue read at decision time
 never contains packets that arrived in the same slot.
 
 A policy decides BLOCK slots at a time, giving the rate each queue
-state would send in each slot; both policy kinds read those rates from
-a table built once.  With every state's rate known, a slot's queue law
-is a map from states to states, and maps compose, so the queue is
-followed a block at a time by a two-level scan (Blelloch 1990, prefix
-sums over an associative operator): one gather per slot carries every
-start state through each CHUNK of slots, the chunk starts are walked
-one chunk at a time, and one gather per slot fills every chunk's path.
-A run streams: each block draws its share of the three random streams
-(consecutive draws of a stream are the doubles one long draw gives),
-and its gains, rates, queue path, energy, trace lines and counters are
-made and used before the next block starts.  Per slot a run keeps one
-queue state, in model.path_dtype (int8 while Q and S_max are at most
-64), and one float64 energy, so the means and batch errors sum the
-same arrays in the same order as over whole-run paths: about 9 bytes
-a slot, where whole-run draws, gains and rates held 28, and one
-decision table for the whole run 275-459 (Q+1 rates a slot).
+state would send in each slot; both policy kinds find each gain's cell
+with a model.CellIndex (a bucket table and a few exact comparisons in
+place of a binary search) and gather the cell's row of rates from a
+table, both built on first use.  Arrival counts are comparisons with
+the arrival CDF, summed.  With every state's rate known, a slot's
+queue law is a map from states to states, and maps compose, so the
+queue is followed a block at a time by a two-level scan (Blelloch
+1990, prefix sums over an associative operator): one gather per slot
+carries every start state through each CHUNK of slots, the chunk
+starts are walked one chunk at a time, and one gather per slot fills
+every chunk's path.  A run streams: each block draws its share of the
+three random streams (consecutive draws of a stream are the doubles
+one long draw gives), and its gains, rates, queue path, energy, trace
+lines (one str.format call a line) and counters are made and used
+before the next block starts.  Per slot a run keeps one queue state,
+in model.path_dtype (int8 while Q and S_max are at most 64), and one
+float64 energy, so the means and batch errors sum the same arrays in
+the same order as over whole-run paths: about 9 bytes a slot, where
+whole-run draws, gains and rates held 28, and one decision table for
+the whole run 275-459 (Q+1 rates a slot).
 
 A policy asking for more than the backlog is counted as an underflow
 override; the queue clip absorbs it, but energy is still charged for
@@ -57,11 +61,13 @@ import numpy as np
 
 from .model import SystemConfig, channel_cdf_inverse, mean_arrival_rate
 from .model import mean_delay, path_dtype, step
-from .textio import csv_lines, csv_text, kv_text
+from .textio import csv_text, kv_text, line_format
 
 BATCHES = 32
 BLOCK = 4096  # slots per decisions() call
-CHUNK = 32  # slots per composed queue map in _queue_path
+CHUNK = 16  # slots per composed queue map in _queue_path
+# one trace.csv line, slot,q,a,h,s,energy: csv_lines' bytes
+TRACE_LINE = line_format(int, int, int, float, int, float).format
 
 
 @dataclass(frozen=True)
@@ -92,10 +98,16 @@ class SimReport:
     underflow_overrides: int
 
 
-def _sample_arrivals(cfg: SystemConfig, u: np.ndarray) -> np.ndarray:
+def _sample_arrivals(cfg: SystemConfig, u: np.ndarray, dtype) -> np.ndarray:
+    """The arrival count of each uniform draw: how many of P(a <= k),
+    k = 0..A (the last set to exactly 1), it reaches.  That is
+    searchsorted(..., side="right"), by A + 1 comparisons."""
     cum = np.cumsum(np.asarray(cfg.arrival.alphas))
     cum[-1] = 1.0
-    return np.searchsorted(cum, u, side="right")
+    a = np.zeros(u.size, dtype=dtype)
+    for c in cum.tolist():
+        a += u >= c
+    return a
 
 
 def _batch_se(x: np.ndarray) -> float:
@@ -197,20 +209,20 @@ def run_sim(
     with open(trace_path, "w") if trace_path else nullcontext() as trace:
         for start in range(0, slots, BLOCK):
             n = min(BLOCK, slots - start)
-            arrivals = _sample_arrivals(cfg, streams[0].random(n))
-            arrivals = arrivals.astype(small)
+            arrivals = _sample_arrivals(cfg, streams[0].random(n), small)
             gains = channel_cdf_inverse(cfg.channel, streams[1].random(n))
             rates = policy.decisions(gains, streams[2].random(n))
             rates = rates.astype(small, copy=False)
             path, q = _queue_path(cfg, rates, arrivals, q)
-            ss = rates[offsets[:n], path]
+            ss = rates.take(offsets[:n] * rates.shape[1] + path)
             spent = energy[start:start + n]
-            np.divide(xi[ss], gains, out=spent)
+            np.divide(xi.take(ss), gains, out=spent)
             qs[start:start + n] = path
             if trace_path:
-                trace.writelines(csv_lines(zip(
-                    range(start, start + n), path.tolist(), arrivals.tolist(),
-                    gains.tolist(), ss.tolist(), spent.tolist())))
+                trace.write("".join(map(
+                    TRACE_LINE, range(start, start + n), path.tolist(),
+                    arrivals.tolist(), gains.tolist(), ss.tolist(),
+                    spent.tolist())))
 
             served = np.minimum(ss, path)
             admitted = step(cfg, path, arrivals, ss) - (path - served)

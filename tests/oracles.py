@@ -454,6 +454,42 @@ def loop_decision(policy, q: int, h: float, u: float) -> int:
     return int(policy.decisions(np.array([h]), np.array([u]))[0, q])
 
 
+def block_cell_of(edges, h):
+    """cell_of by binary search: the i with edges[i] < h <= edges[i+1],
+    elementwise, clipped to the first and last cell."""
+    return np.clip(np.searchsorted(edges, h, side="left") - 1, 0,
+                   len(edges) - 2)
+
+
+def block_decisions(policy, gains, u) -> np.ndarray:
+    """decisions() as a binary search and fancy-indexed gathers, from
+    the policy's own fields: the (n, Q+1) rates, in the smallest signed
+    type holding -2 max(Q, S_max).
+
+    A bin policy (one with a `table`) sends, per row, the first rate
+    whose cumulative probability exceeds the draw, reading one-hot rows
+    (every cumulative entry 0 or 1) off a table and comparing draws
+    for the mixed rows only; a threshold policy (one with `bounds`)
+    reads the rates of every state on the cell of the merged bounds
+    that holds the gain.
+    """
+    cfg = policy.cfg
+    dtype = np.min_scalar_type(-2 * max(cfg.Q, cfg.S_max))
+    if hasattr(policy, "table"):
+        cells = block_cell_of(policy.disc.edges, gains)
+        cum = np.cumsum(policy.table, axis=2)[:, :, :-1].transpose(2, 1, 0)
+        mixed = ((cum != 0.0) & (cum != 1.0)).any(axis=0)
+        rates = (cum == 0.0).sum(axis=0).astype(dtype)[cells]
+        rates[u >= 1.0] = cfg.S_max
+        t, q = np.nonzero(mixed[cells])
+        rates[t, q] = (u[t] >= cum[:, cells[t], q]).sum(axis=0)
+        return rates
+    points = np.unique(np.concatenate(policy.bounds))
+    rates = np.stack([r[block_cell_of(b, points[1:])]
+                      for b, r in zip(policy.bounds, policy.rates)], axis=1)
+    return rates.astype(dtype)[block_cell_of(points, gains)]
+
+
 def loop_run_sim(cfg, policy, slots: int, warmup: int, seed: int):
     """The simulator with all bookkeeping inside the slot loop.
 

@@ -6,10 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from linksched.model import (
+    CellIndex,
     ChannelModel,
     ConfigError,
     DiscretizationError,
@@ -196,6 +197,60 @@ class TestDiscretization:
         if h > disc.edges[0]:
             assert disc.edges[k] < h <= disc.edges[k + 1] or h == pytest.approx(
                 disc.edges[k + 1])
+
+
+@st.composite
+def crowded_grids(draw):
+    """Strictly ascending edges: wide cells, and runs of edges one to
+    four ulps apart (4.4e-16 near 2 and 3, as in paper_iv's merged
+    K=2000 threshold grid), a run of many crowding one bucket."""
+    x = draw(st.floats(min_value=-50.0, max_value=50.0))
+    edges = [x]
+    steps = st.one_of(st.floats(min_value=1e-6, max_value=20.0),
+                      st.tuples(st.integers(1, 4), st.integers(1, 40)))
+    for gap in draw(st.lists(steps, min_size=1, max_size=12)):
+        if isinstance(gap, float):
+            edges.append(edges[-1] + gap)
+            continue
+        ulps, run = gap
+        for _ in range(run):
+            x = edges[-1]
+            for _ in range(ulps):
+                x = np.nextafter(x, np.inf)
+            edges.append(float(x))
+    edges = np.array(edges)
+    assume(len(edges) > 1 and (np.diff(edges) > 0).all())
+    return edges
+
+
+class TestCellIndex:
+    """CellIndex.of is cell_of bit for bit, and its walk is as long as
+    the fullest bucket."""
+
+    @given(crowded_grids(), st.lists(st.floats(0.0, 1.0), max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_cell_of(self, edges, fractions):
+        lo, hi = edges[0], edges[-1]
+        keys = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            lo + np.array(fractions) * (hi - lo),
+            [lo - 1.0, hi + 1.0, -1e300, 1e300, -np.inf, np.inf]])
+        index = CellIndex(edges)
+        got = index.of(keys)
+        want = cell_of(edges, keys)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        per_bucket = np.bincount(index.bucket(edges[1:-1]),
+                                 minlength=index.top + 1)
+        assert index.walk == per_bucket.max(initial=0) <= len(edges) - 2
+
+    @given(st.floats(0.01, 5.0), st.floats(0.01, 100.0),
+           st.integers(1, 3000))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_width_cells_walk_one_step(self, h_min, width, cells):
+        # buckets half a cell wide: no bucket holds two bin edges
+        ch = ChannelModel(h_min, h_min + width)
+        assert CellIndex(ch.edges(cells)).walk <= 1
 
 
 class TestLoopForms:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linksched.model import config_from_dict, discretize_channel
+from linksched.model import (channel_cdf_inverse, config_from_dict,
+                             discretize_channel)
 from linksched.occupancy_lp import (
     evaluate_measure,
     extract_policy,
@@ -22,6 +23,7 @@ from linksched.construction import (
 )
 from linksched.simulator import (
     BLOCK,
+    _sample_arrivals,
     report_to_csv,
     report_to_text,
     run_sim,
@@ -29,7 +31,8 @@ from linksched.simulator import (
 )
 from linksched.textio import csv_lines, kv_text
 
-from oracles import loop_cell_of, loop_decision, loop_run_sim
+from oracles import (block_decisions, loop_cell_of, loop_decision,
+                     loop_run_sim)
 
 NO_ARRIVALS = {
     "arrival": {"alphas": [1.0]},
@@ -69,6 +72,21 @@ class TestStep:
         assert 0 <= nxt <= paper_cfg.Q
         if s <= q and q - s + a <= paper_cfg.Q:
             assert nxt == q - s + a
+
+
+class TestArrivals:
+    @pytest.mark.parametrize("alphas", [[0.4, 0.3, 0.3], [1.0],
+                                        [0.1, 0.0, 0.2, 0.7]])
+    def test_counts_are_searchsorted_right(self, alphas):
+        cfg = config_from_dict({**NO_ARRIVALS, "S_max": 3,
+                                "arrival": {"alphas": alphas}})
+        cum = np.cumsum(alphas)
+        cum[-1] = 1.0
+        u = np.concatenate([_beside(np.append(cum, 0.0)).clip(0.0, 1.0),
+                            np.random.default_rng(0).random(1000)])
+        got = _sample_arrivals(cfg, u, np.int8)
+        assert got.dtype == np.int8
+        assert got.tolist() == np.searchsorted(cum, u, side="right").tolist()
 
 
 class TestValidation:
@@ -282,6 +300,43 @@ class TestDecisions:
                 for h, u in zip(hs, us)]
 
         check()
+
+
+class TestBlockReference:
+    """decisions() against the binary-search and fancy-indexing form of
+    tests/oracles.py, bit for bit and dtype for dtype, on whole blocks:
+    random gains and draws, every bin edge or rule bound and one ulp
+    beside it, and draws of exactly 0, 1 and every cumulative mass."""
+
+    @pytest.fixture(scope="class", params=["mixed", "one-hot", "threshold"])
+    def pol(self, request, paper_cfg, solution16, density16, drain_policy):
+        if request.param == "mixed":
+            pol = extract_policy(solution16.measure)
+            assert pol.kind == "probabilistic"
+            return pol
+        if request.param == "one-hot":
+            assert drain_policy.kind == "deterministic"
+            return drain_policy
+        return to_threshold_policy(compute_thresholds(density16, 2000))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_block_reference(self, pol, seed):
+        rng = np.random.default_rng(seed)
+        marks = (np.asarray(pol.disc.edges) if hasattr(pol, "table")
+                 else np.concatenate(pol.bounds))
+        gains = np.concatenate([
+            channel_cdf_inverse(pol.cfg.channel, rng.random(BLOCK)),
+            _beside(marks)])
+        rng.shuffle(gains)
+        u = rng.random(gains.size)
+        if hasattr(pol, "table"):
+            special = np.unique(np.append(np.cumsum(pol.table, axis=2),
+                                          [0.0, 1.0]).clip(0.0, 1.0))
+            u[::7] = rng.choice(special, u[::7].size)
+        got = pol.decisions(gains, u)
+        want = block_decisions(pol, gains, u)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestLoopReference:
