@@ -17,7 +17,8 @@ conservative layout: it can only cost more than the source
 arrangement, so the power ratio reported by power_ratio is a true
 upper bound, >= 1 for any source.  (Stacked the other way, from the
 lowest rate, the layout can undercut a source that randomizes inside
-a cell, and power_ratio rejects it.)
+a cell, and power_ratio rejects it; tests/test_construction.py keeps
+that layout as a negative control.)
 
 All interval bookkeeping is exact, the certificates included: they
 evaluate the construction once per piece on which it is constant, and
@@ -121,7 +122,8 @@ class CdfEnvelope:
     """Cumulative mass of one queue state's total density.
 
     Piecewise linear: us[i] is the mass below xs[i]; us[0] = 0.
-    value works elementwise on a scalar or an array of gains.
+    value works elementwise: a scalar gain gives a float, an array of
+    gains an array of masses.
     """
 
     xs: np.ndarray
@@ -148,7 +150,8 @@ def compute_envelope(d: PiecewiseDensity, q: int) -> CdfEnvelope:
 
 
 def invert_envelope(env: CdfEnvelope, v):
-    """Leftmost x with envelope(x) >= v - PARTITION_TOL, elementwise in v.
+    """Leftmost x with envelope(x) >= v - PARTITION_TOL, elementwise in v:
+    a scalar mass gives a float, an array of masses an array of gains.
 
     Flat stretches resolve to their left endpoint.  Raises
     MassRangeError if any v lies outside [0, total mass] beyond
@@ -394,8 +397,7 @@ def verify_deterministic(y: ConstructedSolution) -> DeterminismReport:
 
 @dataclass(frozen=True)
 class PowerRatio:
-    power: float  # of the construction
-    source_power: float
+    source_power: float  # the construction's is FeasibilityReport.power
     ratio: float
     bound: float  # 1 + (h_max - h_min) / (cells * h_min)
 
@@ -416,7 +418,7 @@ def power_ratio(y: ConstructedSolution, d: PiecewiseDensity) -> PowerRatio:
         raise ConstructionError(
             f"power ratio {ratio!r} outside [1, {bound!r}] "
             f"(construction {p_y!r}, source {p_src!r})")
-    return PowerRatio(p_y, p_src, ratio, bound)
+    return PowerRatio(p_src, ratio, bound)
 
 
 # --- threshold policies ----------------------------------------------------

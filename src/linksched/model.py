@@ -94,9 +94,6 @@ class ChannelModel:
                     inv += v * math.log(right / left)
         return mass, inv
 
-    def cdf(self, h: float) -> float:
-        return self.integral(self.h_min, h)[0]
-
 
 @dataclass(frozen=True)
 class SystemConfig:
@@ -111,9 +108,6 @@ class SystemConfig:
     Q: int
     S_max: int
     xi_table: tuple[float, ...]
-
-    def xi(self, s: int) -> float:
-        return self.xi_table[s]
 
 
 @dataclass(frozen=True)
@@ -219,8 +213,11 @@ def step(cfg: SystemConfig, q, a, s):
 
 def path_dtype(cfg: SystemConfig) -> np.dtype:
     """The small signed integer type of queue states, rates and arrival
-    counts, in which step is exact (q - s included)."""
-    return np.min_scalar_type(-2 * max(cfg.Q, cfg.S_max))
+    counts, in which step is exact: q - s reaches -S_max and q + a
+    reaches Q + A <= 2 * max(Q, S_max), which every signed type holding
+    -2 * max(Q, S_max) - 1 holds too.  That is int8 while Q and S_max
+    are at most 63."""
+    return np.min_scalar_type(-2 * max(cfg.Q, cfg.S_max) - 1)
 
 
 def drain_rate(cfg: SystemConfig, q):
@@ -313,7 +310,8 @@ def channel_cdf_inverse(ch: ChannelModel, u):
         h = ch.h_min + u * (ch.h_max - ch.h_min)
     else:
         edges, values = (np.array(x) for x in ch.pieces())
-        acc = np.array([ch.cdf(e) for e in ch.breaks])  # mass below piece i
+        # mass below piece i
+        acc = np.array([ch.integral(ch.h_min, e)[0] for e in ch.breaks])
         i = np.searchsorted(acc[1:], u, side="left")  # first acc[i+1] >= u
         j = np.minimum(i, len(values) - 1)
         with np.errstate(divide="ignore", invalid="ignore"):

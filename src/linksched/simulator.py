@@ -17,12 +17,15 @@ queue is followed a block at a time by a two-level scan (Blelloch
 1990, prefix sums over an associative operator): one gather per slot
 carries every start state through each CHUNK of slots, the chunk
 starts are walked one chunk at a time, and one gather per slot fills
-every chunk's path.  A run streams: each block draws its share of the
-three random streams (consecutive draws of a stream are the doubles
-one long draw gives), and its gains, rates, queue path, energy, trace
-lines (one str.format call a line) and counters are made and used
-before the next block starts.  Per slot a run keeps one queue state,
-in model.path_dtype (int8 while Q and S_max are at most 64), and one
+every chunk's path.  The path is integer arithmetic, so reports and
+traces are byte for byte those of a slot-by-slot loop
+(tests/oracles.py's loop_run_sim), and decisions those of a binary
+search (block_decisions there).  A run streams: each block draws its
+share of the three random streams (consecutive draws of a stream are
+the doubles one long draw gives), and its gains, rates, queue path,
+energy, trace lines (one str.format call a line) and counters are made
+and used before the next block starts.  Per slot a run keeps one queue state,
+in model.path_dtype (int8 while Q and S_max are at most 63), and one
 float64 energy, so the means and batch errors sum the same arrays in
 the same order as over whole-run paths: about 9 bytes a slot, where
 whole-run draws, gains and rates held 28, and one decision table for

@@ -101,7 +101,7 @@ def vertex_distances(vertices) -> tuple[np.ndarray, np.ndarray]:
 
 
 def default_lambda_max(cfg: SystemConfig) -> float:
-    return 1e4 * cfg.xi(cfg.S_max) / cfg.channel.h_min
+    return 1e4 * cfg.xi_table[cfg.S_max] / cfg.channel.h_min
 
 
 def enumerate_vertices(

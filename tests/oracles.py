@@ -464,7 +464,7 @@ def block_cell_of(edges, h):
 def block_decisions(policy, gains, u) -> np.ndarray:
     """decisions() as a binary search and fancy-indexed gathers, from
     the policy's own fields: the (n, Q+1) rates, in the smallest signed
-    type holding -2 max(Q, S_max).
+    type holding -2 max(Q, S_max) - 1.
 
     A bin policy (one with a `table`) sends, per row, the first rate
     whose cumulative probability exceeds the draw, reading one-hot rows
@@ -474,7 +474,7 @@ def block_decisions(policy, gains, u) -> np.ndarray:
     that holds the gain.
     """
     cfg = policy.cfg
-    dtype = np.min_scalar_type(-2 * max(cfg.Q, cfg.S_max))
+    dtype = np.min_scalar_type(-2 * max(cfg.Q, cfg.S_max) - 1)
     if hasattr(policy, "table"):
         cells = block_cell_of(policy.disc.edges, gains)
         cum = np.cumsum(policy.table, axis=2)[:, :, :-1].transpose(2, 1, 0)

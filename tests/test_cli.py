@@ -13,7 +13,7 @@ import pytest
 import linksched
 from linksched import cli, occupancy_lp, sweep
 from linksched.cli import main
-from linksched.construction import MassRangeError
+from linksched.construction import ConstructionError, MassRangeError
 from linksched.model import builtin_config_names, load_config
 from linksched.occupancy_lp import ReducibleChainError
 from linksched.simplex import SimplexResult
@@ -652,3 +652,44 @@ class TestVerifyBattery:
         lines = (tmp_path / "verify.txt").read_text().splitlines()
         assert f"FAIL  {line}  (injected)" in lines
         assert sum(ln.startswith("FAIL") for ln in lines) == 1
+
+    def test_reducible_round_trip_fails_its_check(self, tmp_path):
+        # with no arrivals and no service every queue state is closed;
+        # the chain's error is the round trip's FAIL line, not an exit
+        # that writes no report
+        cfg = tmp_path / "no_service.json"
+        cfg.write_text(json.dumps({
+            "arrival": {"alphas": [1.0]},
+            "channel": {"kind": "uniform", "h_min": 0.5, "h_max": 10.0},
+            "Q": 10, "S_max": 0, "xi_kind": "exp2minus1"}))
+        rc = main(["verify", "--config", str(cfg), "--outdir", str(tmp_path)])
+        assert rc == 4
+        lines = (tmp_path / "verify.txt").read_text().splitlines()
+        failed = [ln for ln in lines if not ln.startswith("PASS")]
+        assert failed == ["FAIL  policy round trip to measure  (reducible "
+                          "chain: states [0] and states [1] are both closed)"]
+        assert len(lines) == 18
+
+    @pytest.mark.parametrize("name,cells_of,error,line", [
+        ("power_ratio", lambda y, d: y.cells.size - 1, ConstructionError,
+         "power ratio within bound"),
+        ("compute_thresholds", lambda d, cells: cells, MassRangeError,
+         "threshold feasibility residuals"),
+    ], ids=["power_ratio", "compute_thresholds"])
+    def test_raising_certificate_fails_its_check(self, tmp_path, monkeypatch,
+                                                 name, cells_of, error, line):
+        # the other cell counts still certify, and the battery runs on
+        real = getattr(cli, name)
+
+        def fail_at_64(*args):
+            if cells_of(*args) == 64:
+                raise error("injected")
+            return real(*args)
+
+        monkeypatch.setattr(cli, name, fail_at_64)
+        rc = main(["verify", "--config", "tiny", "--outdir", str(tmp_path)])
+        assert rc == 4
+        lines = (tmp_path / "verify.txt").read_text().splitlines()
+        assert [ln for ln in lines if ln.startswith("FAIL")] == [
+            f"FAIL  {line}  (cells=64: injected)"]
+        assert len(lines) == 18

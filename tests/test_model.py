@@ -146,7 +146,7 @@ class TestConfigValidation:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(_base_dict()))
         cfg = load_config(str(path))
-        assert cfg.Q == 10 and cfg.xi(2) == 3.0
+        assert cfg.Q == 10 and cfg.xi_table[2] == 3.0
 
 
 class TestDiscretization:
@@ -272,7 +272,7 @@ class TestLoopForms:
             assert np.array(got).tobytes() == np.array(ref).tobytes()
         assert ch.edges(bins).tobytes() == np.array(disc.edges).tobytes()
         hs = _probe_gains(ch, disc.edges, u)
-        assert (np.array([ch.cdf(h) for h in hs]).tobytes()
+        assert (np.array([ch.integral(ch.h_min, h)[0] for h in hs]).tobytes()
                 == np.array([loop_cdf(ch, h) for h in hs]).tobytes())
         want = np.array([loop_density(ch, h) for h in hs])
         assert ch.density(np.array(hs)).tobytes() == want.tobytes()
@@ -355,16 +355,16 @@ class TestCdfInverse:
         ch = cfg.channel
         h = channel_cdf_inverse(ch, u)
         assert ch.h_min <= h <= ch.h_max
-        assert ch.cdf(h) == pytest.approx(u, abs=1e-12)
+        assert ch.integral(ch.h_min, h)[0] == pytest.approx(u, abs=1e-12)
 
 
 class TestXi:
     def test_exp2minus1(self, paper_cfg):
-        assert [paper_cfg.xi(s) for s in range(3)] == [0.0, 1.0, 3.0]
+        assert paper_cfg.xi_table == (0.0, 1.0, 3.0)
 
     def test_explicit_table(self):
         cfg = config_from_dict(_base_dict(xi=[0.0, 2.0, 5.0]))
-        assert cfg.xi(2) == 5.0
+        assert cfg.xi_table[2] == 5.0
 
 
 class TestSortedUnique:

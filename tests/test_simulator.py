@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linksched.model import (channel_cdf_inverse, config_from_dict,
-                             discretize_channel)
+                             discretize_channel, path_dtype)
 from linksched.occupancy_lp import (
     evaluate_measure,
     extract_policy,
@@ -40,6 +40,9 @@ NO_ARRIVALS = {
     "Q": 10, "S_max": 2, "xi_kind": "exp2minus1"}
 # no arrivals allow no service at all: S_max may be 0
 NO_SERVICE = {**NO_ARRIVALS, "S_max": 0}
+# every slot brings 64 packets, the most a Q = S_max = 64 buffer admits
+FULL_BURST_64 = {**NO_ARRIVALS, "arrival": {"alphas": [0.0] * 64 + [1.0]},
+                 "Q": 64, "S_max": 64}
 
 
 class _Always:
@@ -72,6 +75,25 @@ class TestStep:
         assert 0 <= nxt <= paper_cfg.Q
         if s <= q and q - s + a <= paper_cfg.Q:
             assert nxt == q - s + a
+
+    def test_path_dtype_holds_a_full_burst(self):
+        # q + a reaches Q + A = 128 before the buffer cap, one past int8
+        cfg = config_from_dict(FULL_BURST_64)
+        small = path_dtype(cfg)
+        q, a, s = (np.array([v], dtype=small) for v in (64, 64, 0))
+        assert step(cfg, q, a, s).tolist() == [64]
+        idle = ThresholdPolicy(
+            cfg, tuple(np.array([0.5, 10.0]) for _ in range(65)),
+            tuple(np.zeros(1, dtype=int) for _ in range(65)),
+            np.zeros(65, dtype=bool))
+        rep = run_sim(cfg, idle, 5000, seed=0)
+        assert rep.mean_queue == 64.0
+
+    @pytest.mark.parametrize("Q,dtype", [(63, np.int8), (64, np.int16)])
+    def test_path_dtype_is_int8_to_63(self, Q, dtype):
+        cfg = config_from_dict({**FULL_BURST_64, "Q": Q, "S_max": Q,
+                                "arrival": {"alphas": [1.0]}})
+        assert path_dtype(cfg) == dtype
 
 
 class TestArrivals:
