@@ -7,8 +7,8 @@ from its module.
 
 from .model import (ConfigError, DiscretizationError, discretize_channel,
                     load_config)
-from .occupancy_lp import (ReducibleChainError, evaluate_measure,
-                           extract_policy, solve_constrained)
+from .chain import ReducibleChainError
+from .occupancy_lp import evaluate_measure, extract_policy, solve_constrained
 from .construction import (ConstructionError, MassRangeError,
                            compute_thresholds, density_from_measure,
                            power_ratio, to_threshold_policy,

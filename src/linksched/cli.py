@@ -35,6 +35,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
+from .chain import ReducibleChainError
 from .construction import (
     THRESHOLD_HEADER,
     ConstructionError,
@@ -51,7 +52,6 @@ from .construction import (
 from .model import DiscretizationError, discretize_channel, load_config
 from .occupancy_lp import (
     POLICY_HEADER,
-    ReducibleChainError,
     clear_caches,
     evaluate_measure,
     extract_policy,
@@ -351,7 +351,7 @@ def _cmd_verify(args, cfg):
 
         pol = extract_policy(m)
         try:
-            d2, p2 = evaluate_measure(policy_to_measure(cfg, disc16, pol))
+            d2, p2 = evaluate_measure(policy_to_measure(pol))
         except _VERIFY_ERRORS as e:
             check("policy round trip to measure", False, str(e))
         else:

@@ -25,8 +25,8 @@ evaluate the construction once per piece on which it is constant, and
 sample no gains.  They run one queue state at a time, so their
 temporaries are one state's, (Q+1) times smaller than all states' at
 once; each sum over states is a running one that keeps the
-left-to-right order of _ordered_sum, so the bits are those of one sum
-over all.  A construction's and a density's rate integrals and
+left-to-right order of chain.ordered_sum, so the bits are those of one
+sum over all.  A construction's and a density's rate integrals and
 (delay, power) are evaluated once and kept, so the feasibility report,
 the power ratio and the threshold policy share them.
 """
@@ -39,10 +39,10 @@ from itertools import repeat
 
 import numpy as np
 
+from .chain import ordered_sum, queue_residuals
 from .model import (CellIndex, SystemConfig, cell_of, drain_rate,
                     mean_delay, path_dtype, sorted_unique)
-from .occupancy_lp import (TRANSIENT_TOL, OccupancyMeasure, _ordered_sum,
-                           queue_residuals)
+from .occupancy_lp import TRANSIENT_TOL, OccupancyMeasure
 from .textio import line_format, read_columns
 
 PARTITION_TOL = 1e-12
@@ -213,7 +213,7 @@ class ConstructedSolution:
         for q in range(self.cfg.Q + 1):
             env = compute_envelope(self.source, q)
             mass = env.value(self.hi[q]) - env.value(self.lo[q])
-            out.append(_ordered_sum(np.where(live[q], mass, 0.0)))
+            out.append(ordered_sum(np.where(live[q], mass, 0.0)))
         masses = np.array(out)
         masses.setflags(write=False)
         return masses
@@ -248,7 +248,7 @@ class ConstructedSolution:
             terms = np.where(b > a, xi * inv_int, 0.0).ravel()
             if power is not None:
                 terms = np.concatenate([[power], terms])
-            power = _ordered_sum(terms)
+            power = ordered_sum(terms)
         return delay, float(power)
 
 

@@ -352,7 +352,9 @@ def config_from_dict(raw: dict) -> SystemConfig:
     """Build and validate a SystemConfig from parsed JSON.
 
     Errors name the offending field.  Booleans are not numbers here,
-    although JSON true and false load as Python's 1 and 0.
+    although JSON true and false load as Python's 1 and 0, and neither
+    are NaN and Infinity, which Python's json loads as floats, nor
+    integers beyond the float range.
     """
 
     def get(path: str):
@@ -369,14 +371,23 @@ def config_from_dict(raw: dict) -> SystemConfig:
             raise ConfigError(f"field '{path}' must be {what}, got {value!r}")
         return value
 
+    def number(path: str, value, what: str = "a number") -> float:
+        try:
+            x = float(typed(path, value, (int, float), what))
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if not math.isfinite(x):
+            raise ConfigError(f"field '{path}' must be finite, got {value!r}")
+        return x
+
     def numbers(path: str, value) -> tuple[float, ...]:
         what = "a list of numbers"
-        return tuple(float(typed(path, x, (int, float), what))
+        return tuple(number(path, x, what)
                      for x in typed(path, value, list, what))
 
     alphas = numbers("arrival.alphas", get("arrival.alphas"))
     kind = get("channel.kind")
-    h_min, h_max = (float(typed(p, get(p), (int, float), "a number"))
+    h_min, h_max = (number(p, get(p))
                     for p in ("channel.h_min", "channel.h_max"))
     table: tuple[tuple[float, ...], ...] = ()
     if kind == "piecewise":

@@ -4,7 +4,9 @@ The long-run behavior of any stationary schedule is captured by the
 measure g[q][s][k]: the stationary probability of sitting at queue
 length q, transmitting s packets, while the channel is in bin k.
 Average delay and average power are linear in g, so the power-minimal
-schedule under a delay cap is a linear program.
+schedule under a delay cap is a linear program.  The queue chain a
+schedule induces (its law, kernel and stationary law) lives in
+chain.py; policy_to_measure reads a policy's measure off it.
 
 Feasible measures satisfy, besides nonnegativity and the structural
 zeros (a schedule may never send more than it holds, nor leave room
@@ -14,12 +16,12 @@ for an overflow), two families of equalities:
     bin probabilities;
   * balance per (queue, bin) pair: the chance of landing in queue q'
     while the fresh channel draw falls in bin k' equals p_{k'} times
-    the total inflow into q'.  The channel is drawn independently each
-    slot, so the stationary joint law of (q, bin) is a product; writing
-    balance per pair (rather than aggregated over bins) is what pins
-    that product structure inside the LP.  Aggregated balance alone
-    admits measures that correlate queue and channel, which no causal
-    schedule can realize, and prices them too cheaply.
+    the total inflow into q'.  The stationary joint law of (q, bin)
+    is a product; writing balance per pair (rather than aggregated
+    over bins) is what pins that product structure inside the LP.
+    Aggregated balance alone admits measures that correlate queue and
+    channel, which no causal schedule can realize, and prices them too
+    cheaply.
 
 One discretization has one LP: build_occupancy_lp assembles its
 equality rows once, and a delay budget is one row on them
@@ -53,8 +55,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .chain import kernel, queue_residuals, stationary, transition_table
 from .model import (CellIndex, ChannelDiscretization, SystemConfig,
-                    drain_rate, mean_delay, path_dtype, step)
+                    drain_rate, mean_delay, path_dtype)
 from .simplex import (
     FEAS_TOL,
     LinearProgram,
@@ -69,50 +72,6 @@ from .textio import csv_text, read_columns
 
 ONE_HOT_TOL = 1e-9
 TRANSIENT_TOL = 1e-12  # a state with no more mass than this is never visited
-
-
-class ReducibleChainError(ValueError):
-    """The policy-induced queue chain has several closed classes."""
-
-
-def transition_table(cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The queue law as arrays: P[q, s, q'] and the admissible (q, s) mask.
-
-    P[q, s, q'] is the probability that backlog q, serving s, moves to
-    q' = step(q, a, s) under the arrival law.  A pair is admissible when
-    neither clip of the law binds for any arrival count a = 0..A, which
-    is 0 <= q - s <= Q - A.
-    """
-    alphas = np.asarray(cfg.arrival.alphas)
-    q, s, a = np.ogrid[: cfg.Q + 1, : cfg.S_max + 1, : alphas.size]
-    nxt = step(cfg, q, a, s)
-    P = np.zeros((cfg.Q + 1, cfg.S_max + 1, cfg.Q + 1))
-    np.add.at(P, (q, s, nxt), alphas[a])
-    mask = (nxt == q - s + a).all(axis=2)
-    return P, mask
-
-
-def _ordered_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the first axis strictly left to right.
-
-    np.sum may pair terms up; a fixed order keeps residuals and kernels
-    reproducible to the last bit.
-    """
-    return np.cumsum(terms, axis=0)[-1]
-
-
-def queue_residuals(cfg: SystemConfig, G: np.ndarray) -> tuple[float, float]:
-    """(balance, structural) residuals of rate masses G[q, s].
-
-    balance is the worst gap between the inflow the admissible pairs
-    push into a queue state and the mass sitting there; structural is
-    the largest mass on an inadmissible pair.
-    """
-    P, mask = transition_table(cfg)
-    inflow = _ordered_sum(G[mask][:, None] * P[mask])
-    balance = float(np.abs(inflow - G.sum(axis=1)).max())
-    structural = float(np.abs(G[~mask]).max(initial=0.0))
-    return balance, structural
 
 
 @dataclass(frozen=True)
@@ -439,57 +398,13 @@ def extract_policy(m: OccupancyMeasure) -> Policy:
     return Policy(cfg, disc, table, transient)
 
 
-def _queue_kernel(cfg: SystemConfig, disc: ChannelDiscretization, pol: Policy):
-    """Transition matrix of the queue chain under the policy (clipped)."""
-    P, _ = transition_table(cfg)
-    n = cfg.Q + 1
-    # w[k, s, q]: chance of bin k and rate s at backlog q
-    w = np.asarray(disc.masses)[:, None, None] * pol.table.transpose(1, 2, 0)
-    terms = w[..., None] * P.transpose(1, 0, 2)[None]
-    return _ordered_sum(terms.reshape(-1, n, n))
-
-
-def _closed_classes(T: np.ndarray) -> list[list[int]]:
-    """Closed classes of the chain T, each once, by its smallest member."""
-    reach = (T > 1e-15) | np.eye(len(T), dtype=bool)
-    for _ in range(len(T).bit_length()):  # 2**k steps after k squarings
-        reach = reach @ reach
-    # i lies in a closed class iff every state it reaches reaches it
-    # back, and that class is then reach[i]
-    return [np.flatnonzero(reach[i]).tolist() for i in range(len(T))
-            if (reach[i] <= reach[:, i]).all() and reach[i].argmax() == i]
-
-
-def policy_to_measure(
-    cfg: SystemConfig, disc: ChannelDiscretization, pol: Policy
-) -> OccupancyMeasure:
-    """Stationary measure of the queue chain the policy induces.
-
-    Raises ReducibleChainError when the chain has more than one closed
-    class (the stationary law is then ambiguous); the message names two
-    of them.
-    """
-    T = _queue_kernel(cfg, disc, pol)
-    closed = _closed_classes(T)
-    if len(closed) > 1:
-        raise ReducibleChainError(
-            f"reducible chain: states {closed[0]} and states {closed[1]} "
-            "are both closed"
-        )
-    n = cfg.Q + 1
-    A = T.T - np.eye(n)
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
-    p = np.asarray(disc.masses)
+def policy_to_measure(pol: Policy) -> OccupancyMeasure:
+    """Stationary measure of the queue chain the policy induces
+    (chain.stationary, which raises ReducibleChainError)."""
+    pi = stationary(kernel(pol.cfg, pol.disc.masses, pol.table))
+    p = np.asarray(pol.disc.masses)
     g = pi[:, None, None] * pol.table.transpose(0, 2, 1) * p[None, None, :]
-    return OccupancyMeasure(cfg, disc, g)
+    return OccupancyMeasure(pol.cfg, pol.disc, g)
 
 
 # --- text dumps -----------------------------------------------------------

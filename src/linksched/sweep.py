@@ -213,8 +213,7 @@ def _cluster_representative(cluster: list[Vertex]) -> Vertex:
     rounded = Policy(pol.cfg, pol.disc, np.eye(pol.cfg.S_max + 1)[pol.sigma],
                      pol.transient.copy())
     try:
-        d, p = evaluate_measure(
-            policy_to_measure(pol.cfg, pol.disc, rounded))
+        d, p = evaluate_measure(policy_to_measure(rounded))
     except Exception as exc:
         raise SweepError(
             f"corner at (D={v.D!r}, P={v.P!r}) has a randomized policy and "

@@ -145,6 +145,25 @@ def loop_queue_kernel(Q: int, alphas, masses, table) -> np.ndarray:
     return T
 
 
+def loop_closed_classes(T, tol: float = 1e-15) -> list[list[int]]:
+    """Closed classes of the chain T, by breadth-first search: the states
+    each state reaches through entries above tol, kept when every one of
+    them reaches it back; each class once, by its smallest member."""
+    n = len(T)
+    reach = []
+    for i in range(n):
+        seen, todo = {i}, deque([i])
+        while todo:
+            q = todo.popleft()
+            for j in range(n):
+                if T[q][j] > tol and j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        reach.append(seen)
+    return [sorted(reach[i]) for i in range(n)
+            if all(i in reach[j] for j in reach[i]) and min(reach[i]) == i]
+
+
 def loop_extract_policy(values, feas_tol: float, transient_tol: float,
                         one_hot_tol: float):
     """(table, transient, sigma, kind) of the conditional rate law of a

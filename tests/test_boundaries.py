@@ -48,3 +48,17 @@ def test_boundary_resolves(module, name, span):
 def test_boundary_is_called(module, name, span):
     assert name in _called_names(module), \
         f"linksched.{module} binds {name} but never calls it"
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "linksched")
+                                        .glob("*.py")), ids=lambda p: p.stem)
+def test_no_private_name_crosses_a_module(path):
+    """A name a module keeps to itself (a leading underscore, dunders
+    aside) is not imported by another linksched module."""
+    private = [f"{node.lineno}: {alias.name}"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").startswith("linksched"))
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert not private, f"{path.name} imports private names: {private}"

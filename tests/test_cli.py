@@ -13,9 +13,9 @@ import pytest
 import linksched
 from linksched import cli, occupancy_lp, sweep
 from linksched.cli import main
+from linksched.chain import ReducibleChainError
 from linksched.construction import ConstructionError, MassRangeError
 from linksched.model import builtin_config_names, load_config
-from linksched.occupancy_lp import ReducibleChainError
 from linksched.simplex import SimplexResult
 from linksched.sweep import SweepError, default_lambda_max
 
@@ -40,6 +40,23 @@ def bad_cfg(tmp_path, request):
 def _piecewise(table):
     """A piecewise channel over paper_iv's gain range."""
     return {"kind": "piecewise", "h_min": 0.5, "h_max": 10.0, "table": table}
+
+
+# Python's json loads the first three as floats, the last as an int
+# that no float holds
+NON_FINITE = {"NaN": float("nan"), "Infinity": float("inf"),
+              "-Infinity": float("-inf"), "10**400": 10**400}
+
+
+def _number_fields(v):
+    """(bad_cfg param, quoted field name) for v in each number field."""
+    return [(("arrival", "alphas", [0.4, 0.3, v]), "'arrival.alphas'"),
+            (("channel", "h_min", v), "'channel.h_min'"),
+            (("channel", "h_max", v), "'channel.h_max'"),
+            ((None, "channel", _piecewise([[2.0, 0.3], [3.0, v],
+                                           [10.0, 0.55 / 7]])),
+             "'channel.table'"),
+            ((None, "xi", [0, 1, v]), "'xi'")]
 
 
 def _solve(outdir, bins=4, dth="3.0"):
@@ -121,6 +138,17 @@ class TestExitCodes:
                    "--outdir", str(tmp_path)])
         assert rc == 1
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad_cfg,named", [
+        pytest.param(raw, named, id=f"{named[1:-1]}-{text}")
+        for text, v in NON_FINITE.items()
+        for raw, named in _number_fields(v)], indirect=["bad_cfg"])
+    def test_non_finite_number_is_named(self, tmp_path, bad_cfg, named,
+                                        capsys):
+        rc = main(["solve", "--dth", "3.0", "--config", bad_cfg,
+                   "--outdir", str(tmp_path)])
+        assert rc == 1
+        assert f"field {named} must be finite" in capsys.readouterr().err
 
     def test_unreachable_budget_is_infeasible(self, tmp_path):
         assert _solve(tmp_path, dth="0.01") == 2

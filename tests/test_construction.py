@@ -22,13 +22,13 @@ from linksched.construction import (
     verify_deterministic,
     verify_feasibility,
 )
+from linksched.chain import transition_table
 from linksched.model import config_from_dict, discretize_channel, load_config
 from linksched.occupancy_lp import (
     Policy,
     min_delay,
     policy_to_measure,
     solve_constrained,
-    transition_table,
 )
 
 from oracles import (
@@ -325,7 +325,7 @@ def _mixed_policy_density(cfg, bins):
     w = np.where(mask[:, None, :], w + 1e-3, 0.0)
     table = w / w.sum(axis=2, keepdims=True)
     pol = Policy(cfg, disc, table, np.zeros((cfg.Q + 1, bins), dtype=bool))
-    return density_from_measure(policy_to_measure(cfg, disc, pol))
+    return density_from_measure(policy_to_measure(pol))
 
 
 def _lp_density(cfg, bins):

@@ -5,22 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from linksched import occupancy_lp, simplex, sweep
+from linksched.chain import transition_table
 from linksched.cli import main
-from linksched.model import (
-    config_from_dict,
-    discretize_channel,
-    load_config,
-    step,
-)
+from linksched.model import config_from_dict, discretize_channel, load_config
 from linksched.occupancy_lp import (
     ONE_HOT_TOL,
     TRANSIENT_TOL,
     OccupancyMeasure,
-    Policy,
-    ReducibleChainError,
     build_occupancy_lp,
     evaluate_measure,
     extract_policy,
@@ -32,8 +25,6 @@ from linksched.occupancy_lp import (
     measure_to_text,
     solve_constrained,
     solve_lagrangian,
-    transition_table,
-    _queue_kernel,
 )
 from linksched.simplex import FEAS_TOL, solve_simplex
 
@@ -43,7 +34,6 @@ from oracles import (
     loop_balance_residual,
     loop_equality_rows,
     loop_extract_policy,
-    loop_queue_kernel,
     lower_hull,
     policy_delay_power,
     uniform_bin_stats,
@@ -109,40 +99,6 @@ class TestStructure:
             assert col[4:] == pytest.approx(want.ravel(), abs=1e-15)
 
 
-@st.composite
-def queue_configs(draw):
-    """Random arrival law, buffer and rate grid on a fixed channel."""
-    weights = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4)
-                   .filter(any))
-    A = len(weights) - 1
-    return config_from_dict({
-        "arrival": {"alphas": [w / sum(weights) for w in weights]},
-        "channel": {"kind": "uniform", "h_min": 1.0, "h_max": 2.0},
-        "Q": draw(st.integers(A, A + 8)),
-        "S_max": draw(st.integers(A, A + 3)),
-        "xi_kind": "exp2minus1"})
-
-
-class TestTransitionTable:
-    @given(cfg=queue_configs())
-    @settings(max_examples=100, deadline=None)
-    def test_table_is_the_queue_law(self, cfg):
-        P, mask = transition_table(cfg)
-        Q, S, A = cfg.Q, cfg.S_max, cfg.arrival.max_arrivals
-        assert P.shape == (Q + 1, S + 1, Q + 1)
-        assert P.sum(axis=2) == pytest.approx(np.ones((Q + 1, S + 1)),
-                                              abs=1e-12)
-        for q in range(Q + 1):
-            for s in range(S + 1):
-                want = np.zeros(Q + 1)
-                for a, alpha in enumerate(cfg.arrival.alphas):
-                    want[step(cfg, q, a, s)] += alpha
-                assert P[q, s] == pytest.approx(want, abs=1e-15)
-        pairs = [(q, s) for q in range(Q + 1) for s in range(S + 1)
-                 if 0 <= q - s <= Q - A]
-        assert [tuple(qs) for qs in np.argwhere(mask)] == pairs
-
-
 class TestLoopReference:
     """The array code against its loop form: equal to the last bit."""
 
@@ -193,13 +149,6 @@ class TestLoopReference:
         assert pol.kind == kind
         if source == "random":
             assert transient[4, 3] and not transient.all()
-
-    def test_queue_kernel(self, paper_cfg, disc16, solution16):
-        pol = extract_policy(solution16.measure)
-        assert np.array_equal(
-            _queue_kernel(paper_cfg, disc16, pol),
-            loop_queue_kernel(paper_cfg.Q, paper_cfg.arrival.alphas,
-                              disc16.masses, pol.table))
 
 
 class TestSolve:
@@ -426,34 +375,11 @@ class TestPolicies:
 
     def test_policy_measure_round_trip(self, paper_cfg, disc16, solution16):
         pol = extract_policy(solution16.measure)
-        m2 = policy_to_measure(paper_cfg, disc16, pol)
+        m2 = policy_to_measure(pol)
         d1, p1 = evaluate_measure(solution16.measure)
         d2, p2 = evaluate_measure(m2)
         assert d2 == pytest.approx(d1, abs=1e-8)
         assert p2 == pytest.approx(p1, abs=1e-8)
-
-    def test_singular_stationary_system_falls_back_to_lstsq(
-            self, paper_cfg, disc16, solution16, monkeypatch):
-        pol = extract_policy(solution16.measure)
-        want = policy_to_measure(paper_cfg, disc16, pol).values
-
-        def singular(a, b):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(occupancy_lp.np.linalg, "solve", singular)
-        got = policy_to_measure(paper_cfg, disc16, pol).values
-        assert np.abs(got - want).max() <= 1e-12
-
-    def test_reducible_chain_names_both_classes(self, tiny_cfg):
-        disc = discretize_channel(tiny_cfg.channel, 1)
-        # hold at q=2 forever, drain at q=1: {0,1} and {2} are both closed
-        table = np.zeros((3, 1, 2))
-        table[0, 0, 0] = 1.0
-        table[1, 0, 1] = 1.0
-        table[2, 0, 0] = 1.0
-        pol = Policy(tiny_cfg, disc, table, np.zeros((3, 1), dtype=bool))
-        with pytest.raises(ReducibleChainError, match="both closed"):
-            policy_to_measure(tiny_cfg, disc, pol)
 
     def test_decisions_of_one_hot_rows_ignore_draw(self, disc16, solution16):
         pol = extract_policy(solution16.measure)

@@ -164,7 +164,7 @@ class TestDeterminism:
 class TestAgainstExactValues:
     def test_drain_policy_matches_stationary_law(
             self, paper_cfg, disc16, drain_policy):
-        m = policy_to_measure(paper_cfg, disc16, drain_policy)
+        m = policy_to_measure(drain_policy)
         d_exact, p_exact = evaluate_measure(m)
         rep = run_sim(paper_cfg, drain_policy, 200_000, seed=1)
         assert abs(rep.delay - d_exact) <= 3 * rep.se_delay

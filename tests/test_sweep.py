@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from linksched import occupancy_lp, simplex, sweep
+from linksched.chain import ReducibleChainError
 from linksched.model import discretize_channel
-from linksched.occupancy_lp import (LpSolution, Policy, ReducibleChainError,
-                                    evaluate_measure, extract_policy,
-                                    min_delay, policy_to_measure,
-                                    solve_constrained, solve_lagrangian)
+from linksched.occupancy_lp import (LpSolution, Policy, evaluate_measure,
+                                    extract_policy, min_delay,
+                                    policy_to_measure, solve_constrained,
+                                    solve_lagrangian)
 from linksched.simplex import SimplexAnomaly, SimplexResult
 from linksched.sweep import (
     SweepError,
@@ -472,7 +473,7 @@ class TestClusterRepresentative:
         pol = Policy(paper_cfg, disc, 0.6 * slow.table + 0.4 * fast.table,
                      slow.transient.copy())
         assert pol.kind == "probabilistic"
-        return pol, evaluate_measure(policy_to_measure(paper_cfg, disc, slow))
+        return pol, evaluate_measure(policy_to_measure(slow))
 
     def test_rounding_elsewhere_is_an_error(self, mixed):
         pol, (d, p) = mixed
@@ -484,7 +485,7 @@ class TestClusterRepresentative:
                                                          monkeypatch):
         pol, (d, p) = mixed
 
-        def reducible(cfg, disc, pol):
+        def reducible(pol):
             raise ReducibleChainError("two closed classes")
 
         monkeypatch.setattr(sweep, "policy_to_measure", reducible)
