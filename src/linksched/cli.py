@@ -142,6 +142,15 @@ def _parse_ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
+def _seed(text: str) -> int:
+    """An integer >= 0, the seeds numpy's generators take."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 0, got {text}")
+    return seed
+
+
 def _construct(dens, cells: int):
     """(thresholds, feasibility, determinism, power ratio), each step
     called by its name in this module, where perfbench/spans.py wraps it."""
@@ -435,8 +444,8 @@ def _build_parser() -> _Parser:
     common(sp)
     sp.add_argument("--bins-list", type=_parse_ints, default="2,4,8,16")
     sp.add_argument("--dgrid", type=_parse_floats, default=None,
-                    help="comma-separated budgets (default: 60 points, "
-                         "min delay to 3x)")
+                    help="comma-separated budgets (default: 60 evenly "
+                         "spaced from min delay to 3x, each listed once)")
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("vertices", help="corners of the tradeoff curve")
@@ -462,14 +471,14 @@ def _build_parser() -> _Parser:
                     help="bin count (bin-policy files only)")
     sp.add_argument("--slots", type=int, default=1_000_000)
     sp.add_argument("--warmup", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.add_argument("--trace", action="store_true",
                     help="also write a per-slot trace (large)")
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("verify", help="run the certification battery")
     common(sp)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=_seed, default=0)
     sp.set_defaults(func=_cmd_verify)
 
     return p

@@ -84,9 +84,10 @@ class TradeoffCurve:
 
 def default_budget_grid(cfg: SystemConfig, disc: ChannelDiscretization,
                         points: int = 60) -> np.ndarray:
-    """Uniform budgets from the minimum achievable delay to 3x that."""
+    """Uniform budgets from the minimum achievable delay to 3x that,
+    each listed once: a minimum delay of 0 gives the one budget 0."""
     d_min, _ = min_delay(cfg, disc)
-    return np.linspace(d_min, 3.0 * d_min, points)
+    return sorted_unique(np.linspace(d_min, 3.0 * d_min, points))
 
 
 def vertex_distances(vertices) -> tuple[np.ndarray, np.ndarray]:

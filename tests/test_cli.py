@@ -264,9 +264,13 @@ class TestExitCodes:
         (["solve", "--bins", "2", "--dth=-inf"], "got -inf"),
         (["sweep", "--bins-list", "2", "--dgrid", "1,inf"], "got inf"),
         (["solve", "--bins", "0", "--dth", "3"], "bins must be >= 1"),
+        (["simulate", "--policy", "policy.csv", "--seed", "-5"],
+         "argument --seed: must be an integer >= 0, got -5"),
+        (["verify", "--seed", "-1"],
+         "argument --seed: must be an integer >= 0, got -1"),
     ], ids=["cells-0", "cells-negative", "empty-bin-list", "empty-grid",
             "nan-budget", "nan-grid", "inf-budget", "minus-inf-budget",
-            "inf-grid", "bins-0"])
+            "inf-grid", "bins-0", "simulate-seed", "verify-seed"])
     def test_bad_value_is_usage(self, tmp_path, capsys, argv, named):
         rc = main([*argv, "--config", "tiny", "--outdir", str(tmp_path)])
         assert rc == 1
@@ -424,6 +428,9 @@ class TestSweepOutputs:
         assert "M=[4] ([3] budgets)" in capsys.readouterr().out
         rows = (tmp_path / "curve_m4.csv").read_text().splitlines()[1:]
         assert [r.split(",")[1] for r in rows] == ["1.2", "1.2", "3"]
+        # the walk's result goes to the first 1.2, and the second solves
+        # again from its own phase 1, to the same bits
+        assert rows[0] == rows[1]
         man = json.loads((tmp_path / "manifest.json").read_text())
         assert man["infeasible_budgets"] == {"4": [0.5]}
         assert man["params"]["dgrid"] == [0.5, 1.2, 1.2, 3.0]
@@ -479,12 +486,21 @@ class TestVerticesOutputs:
         for ln in vlines[1:]:
             pid = ln.split(",")[-1]
             assert (tmp_path / f"{pid}.txt").exists()
+        # a corner's policy file is a bin policy the simulator runs
+        first = vlines[1].split(",")[-1]
+        assert main(["simulate", "--policy", str(tmp_path / f"{first}.txt"),
+                     "--bins", "2", "--slots", "5000",
+                     "--outdir", str(tmp_path / "sim")]) == 0
 
 
 class TestConstructAndSimulate:
-    def test_construct_then_simulate_threshold_file(self, tmp_path):
-        rc = main(["construct", "--dth", "3.0", "--bins", "4", "--M", "8",
-                   "--outdir", str(tmp_path)])
+    @pytest.mark.parametrize("bins,cells,slots,trace", [
+        (4, 8, 20000, []), (16, 2000, 200000, ["--trace"])],
+        ids=["m4-k8", "m16-k2000-trace"])
+    def test_construct_then_simulate_threshold_file(self, tmp_path, bins,
+                                                    cells, slots, trace):
+        rc = main(["construct", "--dth", "3.0", "--bins", str(bins),
+                   "--M", str(cells), "--outdir", str(tmp_path)])
         assert rc == 0
         report = dict(ln.split("=", 1) for ln in
                       (tmp_path / "report.txt").read_text().splitlines())
@@ -493,13 +509,19 @@ class TestConstructAndSimulate:
         assert float(report["power_ratio"]) <= float(report["ratio_bound"])
         sim = tmp_path / "sim"
         rc = main(["simulate", "--policy", str(tmp_path / "thresholds.csv"),
-                   "--slots", "20000", "--seed", "3", "--outdir", str(sim)])
+                   "--slots", str(slots), "--seed", "3", *trace,
+                   "--outdir", str(sim)])
         assert rc == 0
         rep = dict(ln.split("=", 1) for ln in
                    (sim / "report.txt").read_text().splitlines())
         assert rep["drops"] == "0"
         assert rep["underflow_overrides"] == "0"
-        assert not (sim / "trace.csv").exists()
+        if trace:
+            # one line a slot, warm-up included
+            with open(sim / "trace.csv") as f:
+                assert sum(1 for _ in f) == slots
+        else:
+            assert not (sim / "trace.csv").exists()
 
     def test_simulate_bin_policy_needs_bins(self, tmp_path, capsys):
         assert _solve(tmp_path) == 0
@@ -681,21 +703,30 @@ class TestVerifyBattery:
         assert f"FAIL  {line}  (injected)" in lines
         assert sum(ln.startswith("FAIL") for ln in lines) == 1
 
-    def test_reducible_round_trip_fails_its_check(self, tmp_path):
-        # with no arrivals and no service every queue state is closed;
+    @pytest.mark.parametrize("raw,states", [
+        # with no arrivals and no service every queue state is closed
+        ({"arrival": {"alphas": [1.0]},
+          "channel": {"kind": "uniform", "h_min": 0.5, "h_max": 10.0},
+          "Q": 10, "S_max": 0, "xi_kind": "exp2minus1"}, (0, 1)),
+        # one packet in and at most one out a slot: no state q >= 1
+        # falls, and every policy the LP yields serves one a slot
+        ({"arrival": {"alphas": [0, 1]},
+          "channel": {"kind": "uniform", "h_min": 0.1, "h_max": 0.5},
+          "Q": 4, "S_max": 1, "xi_kind": "exp2minus1"}, (1, 2)),
+    ], ids=["no-service", "one-in-one-out"])
+    def test_reducible_round_trip_fails_its_check(self, tmp_path, raw,
+                                                  states):
         # the chain's error is the round trip's FAIL line, not an exit
         # that writes no report
-        cfg = tmp_path / "no_service.json"
-        cfg.write_text(json.dumps({
-            "arrival": {"alphas": [1.0]},
-            "channel": {"kind": "uniform", "h_min": 0.5, "h_max": 10.0},
-            "Q": 10, "S_max": 0, "xi_kind": "exp2minus1"}))
+        cfg = tmp_path / "reducible.json"
+        cfg.write_text(json.dumps(raw))
         rc = main(["verify", "--config", str(cfg), "--outdir", str(tmp_path)])
         assert rc == 4
         lines = (tmp_path / "verify.txt").read_text().splitlines()
         failed = [ln for ln in lines if not ln.startswith("PASS")]
         assert failed == ["FAIL  policy round trip to measure  (reducible "
-                          "chain: states [0] and states [1] are both closed)"]
+                          "chain: states [%d] and states [%d] are both "
+                          "closed)" % states]
         assert len(lines) == 18
 
     @pytest.mark.parametrize("name,cells_of,error,line", [

@@ -9,7 +9,7 @@ import pytest
 
 from linksched import occupancy_lp, simplex, sweep
 from linksched.chain import ReducibleChainError
-from linksched.model import discretize_channel
+from linksched.model import config_from_dict, discretize_channel
 from linksched.occupancy_lp import (LpSolution, Policy, evaluate_measure,
                                     extract_policy, min_delay,
                                     policy_to_measure, solve_constrained,
@@ -34,6 +34,7 @@ from linksched.sweep import (
 
 from oracles import enumerate_policies, lower_hull, policy_delay_power, \
     uniform_bin_stats
+from test_occupancy_lp import NO_ARRIVALS
 
 
 def _verts(*pts):
@@ -63,11 +64,18 @@ class TestDistances:
 
 
 class TestDefaults:
-    def test_budget_grid_spans_triple_min_delay(self, paper_cfg, disc16):
-        grid = default_budget_grid(paper_cfg, disc16)
-        assert grid.size == 60
-        assert grid[0] == pytest.approx(1.0, abs=1e-9)
-        assert grid[-1] == pytest.approx(3.0, abs=1e-9)
+    @pytest.mark.parametrize("raw,bins,size,d_min", [
+        (None, 16, 60, 1.0),
+        # no arrivals: the least delay is 0, and so is 3x that
+        (NO_ARRIVALS, 2, 1, 0.0),
+    ], ids=["paper_iv", "no-arrivals"])
+    def test_budget_grid_spans_triple_min_delay(self, paper_cfg, raw, bins,
+                                                size, d_min):
+        cfg = paper_cfg if raw is None else config_from_dict(raw)
+        grid = default_budget_grid(cfg, discretize_channel(cfg.channel, bins))
+        assert grid.size == size
+        assert grid[0] == pytest.approx(d_min, abs=1e-9)
+        assert grid[-1] == pytest.approx(3.0 * d_min, abs=1e-9)
         assert (np.diff(grid) > 0).all()
 
     def test_lambda_max_scale(self, paper_cfg):
