@@ -28,7 +28,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 from contextlib import contextmanager, nullcontext
 from datetime import datetime, timezone
 
@@ -104,23 +103,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _umask() -> int:
-    """The process umask, which can only be read by setting it."""
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 @contextmanager
 def _replacing(path: str):
-    """A temporary file beside path, moved onto path when the block ends
-    and removed if it raises, so path is never left half written."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               prefix=".tmp_")
-    os.close(fd)
+    """A fresh temporary name beside path, moved onto path when the block
+    ends and removed if it raises, so path is never left half written.
+    The block creates the file, so it gets the mode a plain open gives."""
+    tmp = os.path.join(os.path.dirname(path), f".tmp_{os.urandom(8).hex()}")
     try:
-        # mkstemp makes the file 0600; give it what a plain open would
-        os.chmod(tmp, 0o666 & ~_umask())
         yield tmp
         os.replace(tmp, path)
     except BaseException:

@@ -26,9 +26,12 @@ sample no gains.  They run one queue state at a time, so their
 temporaries are one state's, (Q+1) times smaller than all states' at
 once; each sum over states is a running one that keeps the
 left-to-right order of chain.ordered_sum, so the bits are those of one
-sum over all.  A construction's and a density's rate integrals and
-(delay, power) are evaluated once and kept, so the feasibility report,
-the power ratio and the threshold policy share them.
+sum over all.  A density keeps two tables, each evaluated once: every
+queue state's density summed over the rates (totals) and its
+cumulative mass at every grid point (cum_mass).  A construction's and
+a density's rate integrals and (delay, power) are evaluated once and
+kept too, so the construction, the feasibility report, the power ratio
+and the threshold policy share them.
 """
 
 from __future__ import annotations
@@ -61,7 +64,9 @@ class ConstructionError(RuntimeError):
 class PiecewiseDensity:
     """Per-(q, s) step densities on a shared breakpoint grid.
 
-    values[q, s, i] is the density on (grid[i], grid[i+1]].
+    values[q, s, i] is the density on (grid[i], grid[i+1]].  The grid
+    strictly increases: every grid the package builds comes from
+    model.sorted_unique, so no piece has zero width.
     """
 
     cfg: SystemConfig
@@ -75,6 +80,22 @@ class PiecewiseDensity:
     @property
     def widths(self) -> np.ndarray:
         return np.diff(self.grid)
+
+    @cached_property
+    def totals(self) -> np.ndarray:
+        """(Q+1, n): each queue state's density summed over the rates."""
+        totals = self.values.sum(axis=1)
+        totals.setflags(write=False)
+        return totals
+
+    @cached_property
+    def cum_mass(self) -> np.ndarray:
+        """(Q+1, n+1): each queue state's mass below each grid point, its
+        envelope; cum_mass[:, 0] = 0."""
+        us = np.zeros((self.cfg.Q + 1, self.grid.size))
+        np.cumsum(self.totals * self.widths, axis=1, out=us[:, 1:])
+        us.setflags(write=False)
+        return us
 
     @cached_property
     def rate_integrals(self) -> np.ndarray:
@@ -117,60 +138,35 @@ def density_from_measure(m: OccupancyMeasure) -> PiecewiseDensity:
     return PiecewiseDensity(cfg, grid, values)
 
 
-@dataclass(frozen=True)
-class CdfEnvelope:
-    """Cumulative mass of one queue state's total density.
-
-    Piecewise linear: us[i] is the mass below xs[i]; us[0] = 0.
-    value works elementwise: a scalar gain gives a float, an array of
-    gains an array of masses.
-    """
-
-    xs: np.ndarray
-    us: np.ndarray
-
-    def __post_init__(self):
-        self.xs.setflags(write=False)
-        self.us.setflags(write=False)
-
-    def value(self, x):
-        i = np.clip(np.searchsorted(self.xs, x, side="right") - 1,
-                    0, len(self.xs) - 2)
-        span = self.xs[i + 1] - self.xs[i]
-        t = (x - self.xs[i]) / np.where(span > 0.0, span, 1.0)
-        u = np.where(span > 0.0, self.us[i] + t * (self.us[i + 1] - self.us[i]),
-                     self.us[i])
-        return float(u) if u.ndim == 0 else u
+def envelope_value(grid, us, x):
+    """A state's cumulative mass at the gains x, elementwise: linear on
+    each piece of grid between its values us at the grid points."""
+    i = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
+    t = (x - grid[i]) / (grid[i + 1] - grid[i])
+    return us[i] + t * (us[i + 1] - us[i])
 
 
-def compute_envelope(d: PiecewiseDensity, q: int) -> CdfEnvelope:
-    total = d.values[q].sum(axis=0)
-    us = np.concatenate([[0.0], np.cumsum(total * d.widths)])
-    return CdfEnvelope(d.grid.copy(), us)
-
-
-def invert_envelope(env: CdfEnvelope, v):
-    """Leftmost x with envelope(x) >= v - PARTITION_TOL, elementwise in v:
-    a scalar mass gives a float, an array of masses an array of gains.
+def invert_envelope(grid, us, v):
+    """Leftmost x with envelope_value(grid, us, x) >= v - PARTITION_TOL,
+    elementwise in v.
 
     Flat stretches resolve to their left endpoint.  Raises
     MassRangeError if any v lies outside [0, total mass] beyond
     tolerance.
     """
     v = np.asarray(v, dtype=float)
-    total = float(env.us[-1])
+    total = float(us[-1])
     bad = (v < -PARTITION_TOL) | (v > total + PARTITION_TOL)
     if bad.any():
         raise MassRangeError(
             f"mass out of range: {float(v[bad][0])!r} not in [0, {total!r}]")
     vv = np.clip(v, 0.0, total)
     # for vv > 0 = us[0] this is the i with us[i-1] < vv <= us[i]
-    i = np.maximum(np.searchsorted(env.us, vv, side="left"), 1)
-    rise = env.us[i] - env.us[i - 1]
-    t = (vv - env.us[i - 1]) / np.where(rise > 0.0, rise, 1.0)
-    x = np.where(vv > 0.0, env.xs[i - 1] + t * (env.xs[i] - env.xs[i - 1]),
-                 env.xs[0])
-    return float(x) if x.ndim == 0 else x
+    i = np.maximum(np.searchsorted(us, vv, side="left"), 1)
+    rise = us[i] - us[i - 1]
+    t = (vv - us[i - 1]) / np.where(rise > 0.0, rise, 1.0)
+    return np.where(vv > 0.0, grid[i - 1] + t * (grid[i] - grid[i - 1]),
+                    grid[0])
 
 
 @dataclass(frozen=True)
@@ -209,10 +205,11 @@ class ConstructedSolution:
     def rate_integrals(self) -> np.ndarray:
         """Realized mass per (q, s), from interval endpoints."""
         live = self.hi > self.lo
+        grid, us = self.source.grid, self.source.cum_mass
         out = []
         for q in range(self.cfg.Q + 1):
-            env = compute_envelope(self.source, q)
-            mass = env.value(self.hi[q]) - env.value(self.lo[q])
+            mass = (envelope_value(grid, us[q], self.hi[q])
+                    - envelope_value(grid, us[q], self.lo[q]))
             out.append(ordered_sum(np.where(live[q], mass, 0.0)))
         masses = np.array(out)
         masses.setflags(write=False)
@@ -230,7 +227,7 @@ class ConstructedSolution:
         masses = self.rate_integrals
         qs = np.arange(self.cfg.Q + 1, dtype=float)
         delay = mean_delay(self.cfg, float(qs @ masses.sum(axis=1)))
-        grid, total = self.source.grid, self.source.values.sum(axis=1)
+        grid, total = self.source.grid, self.source.totals
         xi, n = np.asarray(self.cfg.xi_table), grid.size - 2
         power = None
         for q in range(self.cfg.Q + 1):
@@ -276,9 +273,9 @@ def compute_thresholds(d: PiecewiseDensity, cells: int) -> ConstructedSolution:
     edge_idx = np.searchsorted(dr.grid, edges)
     i0, i1 = edge_idx[:-1], edge_idx[1:]
     cell_lo, cell_hi = edges[:-1], edges[1:]
+    us = dr.cum_mass
     for q in range(Q + 1):
-        env = compute_envelope(dr, q)
-        acc = env.us[i0]
+        acc = us[q, i0]
         bound = cell_lo
         for s in range(S, -1, -1):  # the last, rate 0, ends at the cell edge
             lo[q, :, s] = bound
@@ -286,7 +283,7 @@ def compute_thresholds(d: PiecewiseDensity, cells: int) -> ConstructedSolution:
             if s == 0:
                 bound = cell_hi
             else:
-                t = invert_envelope(env, acc)
+                t = invert_envelope(dr.grid, us[q], acc)
                 bound = np.clip(t, cell_lo, cell_hi)
             hi[q, :, s] = bound
     return ConstructedSolution(dr, edges, lo, hi)
@@ -339,7 +336,7 @@ def verify_feasibility(y: ConstructedSolution) -> FeasibilityReport:
     cuts = [d.grid, cfg.channel.breaks, y.lo[live], y.hi[live]]
     hs = sorted_unique(np.concatenate(cuts))[1:]  # right ends of the pieces
     piece = cell_of(d.grid, hs)
-    dens = d.values.sum(axis=1)
+    dens = d.totals
     total = None
     for q, (los, his, _) in enumerate(y.intervals):
         covered = np.zeros(hs.size, dtype=bool)

@@ -619,6 +619,62 @@ def hull_value(hull, budget: float) -> float:
     return float(np.interp(budget, ds, ps))
 
 
+def howard_gain(Q: int, alphas, S_max: int, xi, masses, inv_means,
+                lam: float):
+    """Least average cost P + lam * D over deterministic (q, bin) -> rate
+    rules, by Howard's policy iteration on the queue chain.
+
+    Rates are the lossless ones, 0 <= q - s <= Q - A with A the largest
+    arrival count, so backlog q serving s moves to q - s + a with
+    probability alphas[a].  A slot at backlog q in bin k serving s costs
+    xi[s] * inv_means[k] plus lam times q over the mean arrival rate (q
+    itself with no arrivals).  The start is the drain rule, the largest
+    admissible rate everywhere.  Each step evaluates the rule by one
+    solve of g + h = c + T h with h(0) = 0, then switches a (q, bin)
+    cell only when its best rate beats its current one by more than
+    1e-9 * (1 + max |cost|), so near-ties cannot cycle; the first rule
+    no cell leaves is optimal.
+
+    Returns (gain, table, steps): the least average cost, the one-hot
+    table[q, k, s] of the final rule and the number of evaluations.
+    Multichain configs, where some rule leaves several closed classes,
+    are out of scope: the evaluation's system is singular there.
+    """
+    n, A, M = Q + 1, len(alphas) - 1, len(masses)
+    abar = sum(a * p for a, p in enumerate(alphas))
+    rates = [[s for s in range(S_max + 1) if 0 <= q - s <= Q - A]
+             for q in range(n)]
+    cost = {(q, k, s): xi[s] * inv_means[k] + lam * (q / abar if abar else q)
+            for q in range(n) for k in range(M) for s in rates[q]}
+    tol = 1e-9 * (1.0 + max(abs(c) for c in cost.values()))
+    rule = {(q, k): rates[q][-1] for q in range(n) for k in range(M)}
+    for steps in itertools.count(1):
+        # unknowns (g, h(1), ..., h(Q)): column 0 holds g, as h(0) = 0
+        lhs, c = np.eye(n), np.zeros(n)
+        for (q, k), s in rule.items():
+            c[q] += masses[k] * cost[q, k, s]
+            for a, pa in enumerate(alphas):
+                lhs[q, q - s + a] -= masses[k] * pa
+        lhs[:, 0] = 1.0
+        x = np.linalg.solve(lhs, c)
+        g, h = float(x[0]), np.concatenate([[0.0], x[1:]])
+        changed = False
+        for (q, k), s in rule.items():
+            value = {r: cost[q, k, r] + sum(pa * h[q - r + a]
+                                            for a, pa in enumerate(alphas))
+                     for r in rates[q]}
+            best = min(value, key=value.get)
+            if value[s] - value[best] > tol:
+                rule[q, k] = best
+                changed = True
+        if not changed:
+            break
+    table = np.zeros((n, M, S_max + 1))
+    for (q, k), s in rule.items():
+        table[q, k, s] = 1.0
+    return g, table, steps
+
+
 def random_bounded_lp(rng: np.random.Generator):
     """A feasible, bounded random LP (<= 6 vars, <= 5 rows).
 

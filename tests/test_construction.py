@@ -1,19 +1,20 @@
 from __future__ import annotations
 
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from linksched import construction
 from linksched.construction import (
     ConstructedSolution,
     ConstructionError,
     MassRangeError,
     PARTITION_TOL,
-    compute_envelope,
+    PiecewiseDensity,
     compute_thresholds,
     density_from_measure,
+    envelope_value,
     invert_envelope,
     power_ratio,
     threshold_policy_from_text,
@@ -46,50 +47,61 @@ def built16(density16):
 
 
 class TestEnvelope:
+    def test_tables_are_read_only_and_kept(self, density16):
+        for name in ("totals", "cum_mass"):
+            table = getattr(density16, name)
+            assert getattr(density16, name) is table
+            assert not table.flags.writeable
+        Q, n = density16.cfg.Q, density16.grid.size - 1
+        assert density16.totals.shape == (Q + 1, n)
+        assert density16.cum_mass.shape == (Q + 1, n + 1)
+
     def test_monotone_from_zero(self, density16, paper_cfg):
+        us = density16.cum_mass
+        assert (us[:, 0] == 0.0).all()
+        assert (np.diff(us, axis=1) >= -1e-15).all()
         for q in (0, 3, 10):
-            env = compute_envelope(density16, q)
-            assert env.us[0] == 0.0
-            assert (np.diff(env.us) >= -1e-15).all()
-            assert env.value(paper_cfg.channel.h_min) == 0.0
+            assert envelope_value(density16.grid, us[q],
+                                  paper_cfg.channel.h_min) == 0.0
+
+    def test_last_column_is_each_states_mass(self, density16):
+        assert density16.cum_mass[:, -1] == pytest.approx(
+            density16.rate_integrals.sum(axis=1), abs=1e-15)
 
     def test_inverse_hits_requested_mass(self, density16):
-        env = compute_envelope(density16, 2)
-        total = float(env.us[-1])
+        grid, us = density16.grid, density16.cum_mass[2]
         for frac in (0.0, 0.1, 0.31, 0.5, 0.77, 0.99, 1.0):
-            v = frac * total
-            x = invert_envelope(env, v)
-            assert env.value(x) == pytest.approx(v, abs=1e-12)
+            v = frac * float(us[-1])
+            x = invert_envelope(grid, us, v)
+            assert envelope_value(grid, us, x) == pytest.approx(v, abs=1e-12)
 
     def test_inverse_is_leftmost(self, density16):
         # inside a flat stretch the inverse must stop at its left end,
         # so nudging the target upward jumps past the whole stretch
-        env = compute_envelope(density16, 2)
-        x0 = invert_envelope(env, 0.0)
-        assert x0 == env.xs[0]
+        grid, us = density16.grid, density16.cum_mass[2]
+        assert invert_envelope(grid, us, 0.0) == grid[0]
 
     def test_mass_out_of_range(self, density16):
-        env = compute_envelope(density16, 2)
-        total = float(env.us[-1])
+        grid, us = density16.grid, density16.cum_mass[2]
+        total = float(us[-1])
         with pytest.raises(MassRangeError, match="mass out of range"):
-            invert_envelope(env, total + 1e-6)
+            invert_envelope(grid, us, total + 1e-6)
         with pytest.raises(MassRangeError, match="mass out of range"):
-            invert_envelope(env, -1e-6)
+            invert_envelope(grid, us, -1e-6)
         with pytest.raises(MassRangeError, match="mass out of range"):
-            invert_envelope(env, np.array([0.0, total + 1e-6]))
+            invert_envelope(grid, us, np.array([0.0, total + 1e-6]))
 
     def test_array_calls_match_scalar_calls(self, density16):
-        env = compute_envelope(density16, 2)
-        xs = np.linspace(env.xs[0], env.xs[-1], 37)
-        vs = env.value(xs)
-        assert vs.tolist() == [env.value(float(x)) for x in xs]
-        assert (invert_envelope(env, vs).tolist()
-                == [invert_envelope(env, float(v)) for v in vs])
+        grid, us = density16.grid, density16.cum_mass[2]
+        xs = np.linspace(grid[0], grid[-1], 37)
+        vs = envelope_value(grid, us, xs)
+        assert vs.tolist() == [envelope_value(grid, us, float(x)) for x in xs]
+        assert (invert_envelope(grid, us, vs).tolist()
+                == [invert_envelope(grid, us, float(v)) for v in vs])
 
     def test_tolerance_clamps_tiny_overshoot(self, density16):
-        env = compute_envelope(density16, 2)
-        total = float(env.us[-1])
-        assert invert_envelope(env, total + 1e-13) == env.xs[-1]
+        grid, us = density16.grid, density16.cum_mass[2]
+        assert invert_envelope(grid, us, float(us[-1]) + 1e-13) == grid[-1]
 
 
 class TestThresholds:
@@ -166,23 +178,30 @@ class TestPowerRatio:
 
 class TestCertificates:
     def test_each_evaluated_once(self, solution16, monkeypatch):
-        # the construction's rate integrals cost one envelope per queue
-        # state; feasibility, the power ratio and the policy share them
+        # compute_thresholds builds the refined density's two tables;
+        # feasibility, determinism, the power ratio and the policy read
+        # them and build none
         d = density_from_measure(solution16.measure)
-        y = compute_thresholds(d, 16)
         calls = []
-        envelope = construction.compute_envelope
-        monkeypatch.setattr(construction, "compute_envelope",
-                            lambda d, q: calls.append(q) or envelope(d, q))
+        for name in ("totals", "cum_mass"):
+            build = getattr(PiecewiseDensity, name).func
+            spy = cached_property(
+                lambda self, name=name, build=build:
+                calls.append((name, self)) or build(self))
+            spy.__set_name__(PiecewiseDensity, name)
+            monkeypatch.setattr(PiecewiseDensity, name, spy)
+        y = compute_thresholds(d, 16)
+        assert [name for name, _ in calls] == ["cum_mass", "totals"]
+        assert all(built is y.source for _, built in calls)
         verify_feasibility(y)
         verify_deterministic(y)
         power_ratio(y, d)
         to_threshold_policy(y)
-        assert calls == list(range(d.cfg.Q + 1))
+        assert len(calls) == 2
 
     def test_peak_at_20000_cells(self, solution16):
         # evaluated one queue state at a time, the certificates peak at
-        # about 22 MiB here; over every state at once they took 63 MiB
+        # about 21 MiB here; over every state at once they took 63 MiB
         d = density_from_measure(solution16.measure)
         y = compute_thresholds(d, 20_000)
         tracemalloc.start()

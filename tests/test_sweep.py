@@ -32,8 +32,8 @@ from linksched.sweep import (
     vertices_to_csv,
 )
 
-from oracles import enumerate_policies, lower_hull, policy_delay_power, \
-    uniform_bin_stats
+from oracles import enumerate_policies, howard_gain, lower_hull, \
+    policy_delay_power, uniform_bin_stats
 from test_occupancy_lp import NO_ARRIVALS
 
 
@@ -292,6 +292,27 @@ class TestEnumerationAgainstExhaustive:
         for order in ([twin, *verts], cand[::-1],
                       [cand[i] for i in rng.permutation(len(cand))]):
             assert _vertex_bytes(sweep._corners(order)) == _vertex_bytes(verts)
+
+
+class TestCornersAgainstHoward:
+    """Each corner is optimal at its weight: P + lam * D is the least
+    average cost that Howard's policy iteration finds there."""
+
+    @pytest.mark.parametrize("name,bins", [
+        ("paper", 4), ("paper", 8), ("paper", 16),
+        ("tiny", 1), ("tiny", 2), ("tiny", 4), ("tiny", 16),
+        ("piecewise", 5), ("piecewise", 8),
+    ])
+    def test_corner_cost_is_the_least_at_its_weight(self, request, name,
+                                                    bins):
+        cfg = request.getfixturevalue(f"{name}_cfg")
+        disc = discretize_channel(cfg.channel, bins)
+        for v in enumerate_vertices(cfg, disc):
+            g, _, steps = howard_gain(cfg.Q, cfg.arrival.alphas, cfg.S_max,
+                                      cfg.xi_table, disc.masses,
+                                      disc.inv_means, v.lam)
+            assert abs(v.P + v.lam * v.D - g) <= 1e-9 * abs(g)
+            assert steps <= 10
 
 
 def _vertex_bytes(verts):
