@@ -79,7 +79,7 @@ from .sweep import (
     vertex_distances,
     vertices_to_csv,
 )
-from .textio import csv_text, fmt, kv_text
+from .textio import csv_text, fmt, kv_text, nonblank_lines
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -246,11 +246,11 @@ def _cmd_construct(args, cfg):
 def _cmd_simulate(args, cfg):
     with open(args.policy) as f:
         text = f.read()
-    header = text.splitlines()[0] if text else ""
+    header = nonblank_lines(text)[0]
     if header == THRESHOLD_HEADER:
         pol = threshold_policy_from_text(text, cfg)
     elif header == POLICY_HEADER:
-        if not args.bins:
+        if args.bins is None:
             raise ValueError("--bins is required for bin-policy files")
         pol = policy_from_text(
             text, cfg, discretize_channel(cfg.channel, args.bins))

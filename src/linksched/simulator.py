@@ -17,8 +17,15 @@ queue is followed a block at a time by a two-level scan (Blelloch
 1990, prefix sums over an associative operator): one gather per slot
 carries every start state through each CHUNK of slots, the chunk
 starts are walked one chunk at a time, and one gather per slot fills
-every chunk's path.  The path is integer arithmetic, so reports and
-traces are byte for byte those of a slot-by-slot loop
+every chunk's path.  Each step runs on contiguous operands of one
+shape: a block's maps are one model.step call on (slots, states)
+arrays (a per-run table holding every state in each row, the arrival
+counts repeated along each row, and the rates), and the start states
+carried through the chunks are a (states, chunks) array, so each
+slot's offset is added along its long axis; numpy 2.4's int8 maximum
+and minimum ran about ten times slower against a scalar or a
+broadcast row or column.  The path is integer arithmetic, so reports
+and traces are byte for byte those of a slot-by-slot loop
 (tests/oracles.py's loop_run_sim), and decisions those of a binary
 search (block_decisions there).  A run streams: each block draws its
 share of the three random streams (consecutive draws of a stream are
@@ -29,7 +36,8 @@ in model.path_dtype (int8 while Q and S_max are at most 63), and one
 float64 energy, so the means and batch errors sum the same arrays in
 the same order as over whole-run paths: about 9 bytes a slot, where
 whole-run draws, gains and rates held 28, and one decision table for
-the whole run 275-459 (Q+1 rates a slot).
+the whole run 275-459 (Q+1 rates a slot).  The state table and each
+block's arrays grow with BLOCK, not with the run.
 
 A policy asking for more than the backlog is counted as an underflow
 override; the queue clip absorbs it, but energy is still charged for
@@ -67,7 +75,7 @@ from .model import mean_delay, path_dtype, step
 from .textio import csv_text, kv_text, line_format
 
 BATCHES = 32
-BLOCK = 4096  # slots per decisions() call
+BLOCK = 16384  # slots per decisions() call, a multiple of CHUNK
 CHUNK = 16  # slots per composed queue map in _queue_path
 # one trace.csv line, slot,q,a,h,s,energy: csv_lines' bytes
 TRACE_LINE = line_format(int, int, int, float, int, float).format
@@ -121,7 +129,7 @@ def _batch_se(x: np.ndarray) -> float:
 
 
 def _queue_path(cfg: SystemConfig, rates: np.ndarray, arrivals: np.ndarray,
-                q: int) -> tuple[np.ndarray, int]:
+                q: int, states: np.ndarray) -> tuple[np.ndarray, int]:
     """The queue state at each slot of a block entered in state q, and
     the state after it.
 
@@ -131,26 +139,30 @@ def _queue_path(cfg: SystemConfig, rates: np.ndarray, arrivals: np.ndarray,
     chunk starts are walked one chunk at a time, and one gather per slot
     fills every chunk's path at once.  A short last chunk is padded with
     identity maps.  rates and arrivals share the small signed dtype of
-    the path, in which step is exact.
+    the path, in which step is exact.  states holds every state in
+    order in each row, in that dtype, with at least n rows rounded up
+    to a whole CHUNK: it is step's state operand, and the identity map
+    of the padding.
     """
-    n, states = rates.shape
+    n, width = rates.shape
     chunks = -(-n // CHUNK)
-    grid = np.arange(states, dtype=rates.dtype)
-    maps = np.empty((chunks * CHUNK, states), dtype=rates.dtype)
-    maps[:n] = step(cfg, grid, arrivals[:, None], rates)
-    maps[n:] = grid
+    maps = np.empty((chunks * CHUNK, width), dtype=rates.dtype)
+    maps[:n] = step(cfg, states[:n], arrivals.repeat(width).reshape(n, width),
+                    rates)
+    maps[n:] = states[n:chunks * CHUNK]
     maps = maps.ravel()
     # offsets[j, c]: where the map of slot j of chunk c starts in maps
-    offsets = (np.arange(0, CHUNK * states, states)[:, None]
-               + np.arange(0, maps.size, CHUNK * states))
-    # through[c, p]: the state that p, entering chunk c, has reached
-    through = np.broadcast_to(grid, (chunks, states))
+    offsets = (np.arange(0, CHUNK * width, width)[:, None]
+               + np.arange(0, maps.size, CHUNK * width))
+    # through[p, c]: the state that p, entering chunk c, has reached
+    through = states[0, :, None]
     for at in offsets:
-        through = maps.take(at[:, None] + through)
+        through = maps.take(at + through)
     starts = []
-    for row in through.tolist():
+    flat = through.T.ravel().tolist()  # a list per chunk ran slower
+    for row in range(0, len(flat), width):
         starts.append(q)
-        q = row[q]
+        q = flat[row + q]
     path = np.empty((CHUNK, chunks), dtype=rates.dtype)
     path[0] = starts
     for j in range(1, CHUNK):
@@ -166,7 +178,7 @@ def _last_admitted(held: np.ndarray, start: int, admitted: np.ndarray,
     admits one adds at least one, so only the last k such slots count.
     """
     k = int(k)
-    at = np.flatnonzero(admitted)
+    at = np.flatnonzero(admitted != 0)  # int8's own took four times as long
     at = at[max(at.size - k, 0):]
     held = np.concatenate([held, np.repeat(start + at, admitted[at])])
     return held[held.size - k:]
@@ -204,6 +216,8 @@ def run_sim(
                for s in np.random.SeedSequence(seed).spawn(3)]
     xi = np.asarray(cfg.xi_table)
     offsets = np.arange(BLOCK)
+    # _queue_path's state table; BLOCK is a whole number of chunks
+    states = np.tile(np.arange(cfg.Q + 1, dtype=small), (BLOCK, 1))
     qs = np.empty(slots, dtype=small)
     energy = np.empty(slots)
     q = 0
@@ -216,7 +230,7 @@ def run_sim(
             gains = channel_cdf_inverse(cfg.channel, streams[1].random(n))
             rates = policy.decisions(gains, streams[2].random(n))
             rates = rates.astype(small, copy=False)
-            path, q = _queue_path(cfg, rates, arrivals, q)
+            path, q = _queue_path(cfg, rates, arrivals, q, states)
             ss = rates.take(offsets[:n] * rates.shape[1] + path)
             spent = energy[start:start + n]
             np.divide(xi.take(ss), gains, out=spent)

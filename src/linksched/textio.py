@@ -42,6 +42,12 @@ def kv_text(pairs) -> str:
 READ_LINES = 512
 
 
+def nonblank_lines(text: str) -> list[str]:
+    """The nonempty lines of text once its ends are stripped, or [""]
+    when it has none; the first is a policy file's header line."""
+    return [ln for ln in text.strip().splitlines() if ln] or [""]
+
+
 def read_columns(text: str, header: str, converters, tops):
     """The fields of the nonblank lines after the header, one list per
     field: list i holds converters[i] of field i, in line order, and,
@@ -53,7 +59,7 @@ def read_columns(text: str, header: str, converters, tops):
     Columns convert READ_LINES lines at a time; only a file with a bad
     line is read again line by line, to name it.
     """
-    lines = [ln for ln in text.strip().splitlines() if ln] or [""]
+    lines = nonblank_lines(text)
     if lines[0] != header:
         raise ValueError(f"unexpected policy header: {lines[0]!r}, "
                          f"expected {header!r}")

@@ -282,15 +282,21 @@ class TestExitCodes:
         (["solve", "--bins", "2", "--dth=-inf"], "got -inf"),
         (["sweep", "--bins-list", "2", "--dgrid", "1,inf"], "got inf"),
         (["solve", "--bins", "0", "--dth", "3"], "bins must be >= 1"),
+        (["simulate", "--policy", "{tmp}/policy.csv", "--bins", "0"],
+         "bins must be >= 1"),
         (["simulate", "--policy", "policy.csv", "--seed", "-5"],
          "argument --seed: must be an integer >= 0, got -5"),
         (["verify", "--seed", "-1"],
          "argument --seed: must be an integer >= 0, got -1"),
     ], ids=["cells-0", "cells-negative", "empty-bin-list", "empty-grid",
             "nan-budget", "nan-grid", "inf-budget", "minus-inf-budget",
-            "inf-grid", "bins-0", "simulate-seed", "verify-seed"])
+            "inf-grid", "bins-0", "simulate-bins-0", "simulate-seed",
+            "verify-seed"])
     def test_bad_value_is_usage(self, tmp_path, capsys, argv, named):
-        rc = main([*argv, "--config", "tiny", "--outdir", str(tmp_path)])
+        # a bin-policy file; its header alone decides what simulate reads
+        (tmp_path / "policy.csv").write_text("q,k,s,prob,transient\n")
+        rc = main([*(a.format(tmp=tmp_path) for a in argv),
+                   "--config", "tiny", "--outdir", str(tmp_path)])
         assert rc == 1
         assert named in capsys.readouterr().err
 
@@ -556,6 +562,19 @@ class TestConstructAndSimulate:
                    "--slots", "5000", "--outdir", str(tmp_path / "s")])
         assert rc == 1
         assert "--bins" in capsys.readouterr().err
+
+    def test_simulate_skips_leading_blank_lines(self, tmp_path):
+        # the policy reader takes the first nonblank line for the header
+        assert _solve(tmp_path) == 0
+        text = (tmp_path / "policy.csv").read_text()
+        (tmp_path / "blank.csv").write_text("\n" + text)
+        for name in ("policy", "blank"):
+            rc = main(["simulate", "--policy", str(tmp_path / f"{name}.csv"),
+                       "--bins", "4", "--slots", "5000",
+                       "--outdir", str(tmp_path / f"s_{name}")])
+            assert rc == 0
+        assert ((tmp_path / "s_blank" / "report.txt").read_bytes()
+                == (tmp_path / "s_policy" / "report.txt").read_bytes())
 
     def test_simulate_bin_policy_reruns_identically(self, tmp_path):
         assert _solve(tmp_path) == 0

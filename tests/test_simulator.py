@@ -4,11 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from linksched.model import (channel_cdf_inverse, config_from_dict,
-                             discretize_channel, path_dtype)
+from linksched.model import (DiscretizationError, channel_cdf_inverse,
+                             config_from_dict, discretize_channel,
+                             path_dtype)
 from linksched.occupancy_lp import (
+    Policy,
     evaluate_measure,
     extract_policy,
     min_delay,
@@ -378,6 +380,11 @@ class TestLoopReference:
         no_service = config_from_dict(NO_SERVICE)
         _, m0 = min_delay(no_service,
                           discretize_channel(no_service.channel, 3))
+        burst = config_from_dict(FULL_BURST_64)
+        # bursts of 64 in half the slots: the int16 path moves
+        half_burst = config_from_dict(
+            {**FULL_BURST_64, "arrival": {"alphas": [0.5] + [0.0] * 63
+                                          + [0.5]}})
         return {
             # the carry across blocks, and a last block of one slot
             "two-blocks-and-one": (paper_cfg, mixed, 2 * BLOCK + 1, None),
@@ -395,6 +402,10 @@ class TestLoopReference:
             "no-arrivals": (config_from_dict(NO_ARRIVALS), _Always(1), 3000,
                             None),
             "piecewise": (piecewise_cfg, extract_policy(m), 6000, 500),
+            # Q = S_max = 64: the path, rates and arrivals are int16
+            "full-burst-64": (burst, _idle_or_drain(burst), 6000, None),
+            "half-burst-64": (half_burst, _idle_or_drain(half_burst), 6000,
+                              None),
         }
 
     @pytest.mark.parametrize("seed", [0, 17])
@@ -402,7 +413,8 @@ class TestLoopReference:
                                       "over-send", "warmup-0", "no-arrivals",
                                       "piecewise", "two-blocks-and-one",
                                       "warmup-past-a-block", "s-max-1",
-                                      "s-max-0"])
+                                      "s-max-0", "full-burst-64",
+                                      "half-burst-64"])
     def test_matches_loop(self, cases, tmp_path, name, seed):
         cfg, pol, slots, warmup = cases[name]
         path = tmp_path / "trace.csv"
@@ -411,3 +423,70 @@ class TestLoopReference:
         fields, rows = loop_run_sim(cfg, pol, slots, rep.warmup, seed)
         assert report_to_text(rep) == kv_text(fields.items())
         assert path.read_text() == "".join(csv_lines(rows))
+
+    def test_random_configs_match_loop(self, tmp_path):
+        # over BLOCK + 1 slots, so every run carries its queue into a
+        # second block of one slot
+        path = tmp_path / "trace.csv"
+
+        @given(_random_case(), st.integers(0, 2**16))
+        @settings(max_examples=20, deadline=None)
+        def check(case, seed):
+            cfg, pol = case
+            rep = run_sim(cfg, pol, BLOCK + 1, seed=seed,
+                          trace_path=str(path))
+            fields, rows = loop_run_sim(cfg, pol, BLOCK + 1, rep.warmup, seed)
+            assert report_to_text(rep) == kv_text(fields.items())
+            assert path.read_text() == "".join(csv_lines(rows))
+
+        check()
+
+
+def _idle_or_drain(cfg) -> ThresholdPolicy:
+    """State q sends nothing at gains up to 3 and q above: idle in a
+    full buffer of Q = 64, a burst of 64 reaches 128 before the cap."""
+    ch, Q = cfg.channel, cfg.Q
+    return ThresholdPolicy(
+        cfg, tuple(np.array([ch.h_min, 3.0, ch.h_max]) for _ in range(Q + 1)),
+        tuple(np.array([0, q]) for q in range(Q + 1)),
+        np.zeros(Q + 1, dtype=bool))
+
+
+@st.composite
+def _random_case(draw):
+    """A small config (Q in 1..12, arrivals of 0..A with A in 1..3,
+    S_max in A..4, a uniform channel or a piecewise one with up to three
+    pieces, some of zero density) and a bin policy on 1..4 bins whose
+    rows are all one-hot or all random mixes of the rates."""
+    weights = draw(st.lists(st.integers(0, 3), min_size=2, max_size=4)
+                   .filter(lambda w: w[-1] > 0))
+    A = len(weights) - 1
+    h_min = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    channel = {"kind": "uniform", "h_min": h_min, "h_max": 10.0}
+    if draw(st.booleans()):
+        inner = draw(st.lists(st.sampled_from([2.0, 3.0, 5.0, 7.5]),
+                              max_size=2, unique=True))
+        edges = [h_min, *sorted(inner), 10.0]
+        mass = draw(st.lists(st.integers(0, 3), min_size=len(edges) - 1,
+                             max_size=len(edges) - 1).filter(any))
+        channel = {"kind": "piecewise", "h_min": h_min, "h_max": 10.0,
+                   "table": [[b, m / sum(mass) / (b - a)]
+                             for a, b, m in zip(edges, edges[1:], mass)]}
+    cfg = config_from_dict({
+        "arrival": {"alphas": [w / sum(weights) for w in weights]},
+        "channel": channel, "Q": draw(st.integers(A, 12)),
+        "S_max": draw(st.integers(A, 4)), "xi_kind": "exp2minus1"})
+    try:
+        disc = discretize_channel(cfg.channel, draw(st.integers(1, 4)))
+    except DiscretizationError:  # a bin inside a zero-density piece
+        assume(False)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (cfg.Q + 1, disc.bins, cfg.S_max + 1)
+    if draw(st.booleans()):
+        table = np.eye(cfg.S_max + 1)[rng.integers(0, cfg.S_max + 1,
+                                                   shape[:2])]
+    else:
+        table = rng.integers(0, 3, shape) * (rng.random(shape) < 0.5)
+        table[..., 0] += table.sum(axis=2) == 0
+        table = table / table.sum(axis=2, keepdims=True)
+    return cfg, Policy(cfg, disc, table, np.zeros(shape[:2], dtype=bool))
