@@ -6,10 +6,11 @@ summary and returns its exit code with its outputs as {file name:
 text}; `main` then writes those files atomically, plus a run manifest
 whose parameters are the parsed options, each default the command
 resolved (outdir, warmup) written back into them, beside what the run
-found that its files do not show (sweep's infeasible budgets).  Outputs
-are pure functions of the manifest's parameters (simulation included,
-via the seed), so re-running a manifest reproduces them byte for byte;
-the manifest's own timestamp is the only thing that moves.
+found that its files do not show (sweep's infeasible budgets, solve's
+pivot counts in `stats`).  Outputs are pure functions of the
+manifest's parameters (simulation included, via the seed), so
+re-running a manifest reproduces them byte for byte; the manifest's
+own timestamp is the only thing that moves.
 `simulate --trace` streams its per-slot trace, too large to return as
 text, into a temporary file that replaces trace.csv only once the
 simulation has returned.
@@ -171,9 +172,13 @@ def _cmd_solve(args, cfg):
     ]
     print(f"status=optimal power={fmt(power)} delay={fmt(delay)} "
           f"policy={pol.kind}")
+    stats = {"phase1_pivots": sol.phase1_iterations,
+             "phase2_pivots": sol.iterations - sol.phase1_iterations,
+             "degenerate_pivots": sol.degenerate_pivots,
+             "dropped_rows": sol.dropped_rows}
     return EXIT_OK, {"measure.csv": measure_to_text(sol.measure),
                      "policy.csv": policy_to_text(pol),
-                     "metrics.txt": kv_text(metrics)}, None, {}
+                     "metrics.txt": kv_text(metrics)}, None, {"stats": stats}
 
 
 def _cmd_sweep(args, cfg):

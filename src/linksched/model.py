@@ -255,9 +255,9 @@ def validate_config(cfg: SystemConfig) -> None:
         raise ConfigError(
             f"arrival alphas sum to {sum(arr.alphas)!r}, not 1")
     if ch.h_min <= 0:
-        raise ConfigError("h_min <= 0")
+        raise ConfigError(f"h_min ({ch.h_min!r}) <= 0")
     if ch.h_max <= ch.h_min:
-        raise ConfigError("h_max <= h_min")
+        raise ConfigError(f"h_max ({ch.h_max!r}) <= h_min ({ch.h_min!r})")
     if ch.kind not in ("uniform", "piecewise"):
         raise ConfigError(f"unknown channel kind '{ch.kind}'")
     if ch.kind == "piecewise":
@@ -272,12 +272,12 @@ def validate_config(cfg: SystemConfig) -> None:
             raise ConfigError("negative channel density")
     total, _ = ch.integral(ch.h_min, ch.h_max)
     if abs(total - 1.0) > PROB_TOL_CHANNEL:
-        raise ConfigError("channel density does not integrate to 1")
+        raise ConfigError(f"channel density integrates to {total!r}, not 1")
     A = arr.max_arrivals
-    if cfg.S_max < A:
-        raise ConfigError("S_max < A")
-    if cfg.Q < A:
-        raise ConfigError("Q < A")
+    for name, value in (("S_max", cfg.S_max), ("Q", cfg.Q)):
+        if value < A:
+            raise ConfigError(f"{name} ({value}) < A ({A}), the most "
+                              f"arrivals in one slot")
     if len(cfg.xi_table) != cfg.S_max + 1:
         raise ConfigError("xi table length is not S_max + 1")
     if cfg.xi_table[0] < 0:

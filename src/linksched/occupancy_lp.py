@@ -179,11 +179,19 @@ class Policy:
 
 @dataclass(frozen=True)
 class LpSolution:
+    """A constrained solve's outcome: iterations counts its pivots,
+    phase1_iterations the phase-1 part, degenerate_pivots the zero
+    steps and dropped_rows the redundant equality rows phase 1 drops
+    (SimplexResult's counts)."""
+
     status: str  # "optimal" | "infeasible" | "unbounded"
     objective: float | None
     measure: OccupancyMeasure | None
     delay_dual: float
     iterations: int
+    phase1_iterations: int = 0
+    degenerate_pivots: int = 0
+    dropped_rows: int = 0
 
 
 @dataclass(frozen=True)
@@ -324,11 +332,15 @@ def solve_constrained(
     if d_th is not None and not np.isfinite(d_th):
         raise ValueError(f"delay budget must be finite, got {d_th!r}")
     res, measure = _solve(cfg, disc, d_th, lambda olp: olp.power, d_th)
+    counts = dict(iterations=res.iterations,
+                  phase1_iterations=res.phase1_iterations,
+                  degenerate_pivots=res.degenerate_pivots,
+                  dropped_rows=len(res.dropped_eq_rows))
     if measure is None:
-        return LpSolution(res.status, None, None, 0.0, res.iterations)
+        return LpSolution(res.status, None, None, 0.0, **counts)
     # price of one unit of delay budget
     dual = -float(res.duals_ub[0]) if res.duals_ub.size else 0.0
-    return LpSolution("optimal", res.objective, measure, dual, res.iterations)
+    return LpSolution("optimal", res.objective, measure, dual, **counts)
 
 
 @lru_cache(maxsize=1)

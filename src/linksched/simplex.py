@@ -4,10 +4,10 @@ The LPs solved here are small and heavily degenerate, so Bland's rule
 is used unconditionally: the entering variable is the lowest-index
 column with reduced cost below -OPT_TOL, and the leaving row breaks
 ratio ties by the lowest basis index.  Reduced costs are recomputed
-every iteration, one gemv of the basic costs over the tableau, rather
-than updated by the pivots, trading a little speed for drift-free
-pivoting; the basic and nonbasic cost vectors, cost[basis] and
-cost[nb], are carried and swapped by each exchange with the labels.
+at every pivot, the basic costs times the whole tableau, rather than
+updated by the pivots, trading a little speed for drift-free pivoting;
+the basic and nonbasic cost vectors, cost[basis] and cost[nb], are
+carried and swapped by each exchange with the labels.
 
 Columns carry labels, their index in the full tableau: the n
 structural columns, then one slack per A_ub row, then one artificial
@@ -21,24 +21,45 @@ Phase 1 starts with the structural columns and the slacks of negated
 rows nonbasic; the slacks of the other rows and the artificials start
 basic and are never stored.
 
-A pivot on (r, p) is an exchange: column p is copied out, the leaving
-variable's unit column e_r takes its slot, row r is divided by the
-pivot and col (x) row r is subtracted from every row (col[r] = 0).
-Every stored entry thus gets, bit for bit, the arithmetic a full
-tableau would give it.  The subtraction is one in-place BLAS rank-1
-update, N <- N - col row, a K = 1 dgemm from the OpenBLAS that numpy
-bundles (through ctypes, resolved on the first solve and bound once per
-tableau; numpy's einsum where numpy links another BLAS).  With K = 1
-every entry is round(N - round(col_i * row_j)), the two roundings of an
-outer product followed by a subtraction, so both kernels give the same
-bits.  dger and daxpy would not: they contract the multiply and the
-subtraction into one fused multiply-add, which rounds once.  The
-reduced costs come from one gemv over the padded width: OpenBLAS
-computes each group of 4 output columns the same way wherever it sits
-in the matrix, but not the last width % 4, so without the padding a
-column's reduced cost would depend on where the exchanges have put it.
-(A multithreaded gemv splits its output at thread-dependent columns,
-so the bits hold single-threaded.)
+A pivot on (r, p) is an exchange: the labels and costs are swapped,
+column p is copied out, the leaving variable's unit column e_r takes
+its slot, row r is divided by the pivot and col (x) row r is
+subtracted from every row (col[r] = 0).  Every stored entry thus gets,
+bit for bit, the arithmetic a full tableau would give it.  The
+subtraction is an in-place BLAS rank-1 update, N <- N - col row, a
+K = 1 dgemm from the OpenBLAS that numpy bundles (through ctypes,
+resolved on the first solve and bound once per tableau; numpy's einsum
+where numpy links another BLAS).  With K = 1 every entry is
+round(N - round(col_i * row_j)), the two roundings of an outer product
+followed by a subtraction, so both kernels, and any split of the rows
+between calls, give the same bits.  dger and daxpy would not: they
+contract the multiply and the subtraction into one fused multiply-add,
+which rounds once.
+
+The exchange is one pass over the tableau.  It runs the update one
+row block at a time (_row_blocks), and right after each block's update,
+while the block is still in cache, adds the block's share of the next
+pricing, cost_B[block] @ head[block], to the tableau's priced buffer;
+so a pivot reads the tableau from memory once, not a second time for a
+pricing gemv.  A block holds at most BLOCK_BYTES, a constant: the
+blocks follow from it and the tableau's width, never from the host's
+cache size, so the pivots chosen are the same on every machine.  On
+paper_iv every tableau up to M = 16 is one block (the largest, the
+M = 16 budget solve's phase-1 tableau, is 0.67 MB), priced by one gemv
+as a separate pass would; at M = 64 phase 1 splits into 11 blocks and
+phase 2 into 6.  The drive-out's exchanges, which no price picks,
+price nothing.
+
+The reduced costs that choose the pivots are cost_nb minus priced:
+one gemv for a one-block tableau, else a sum of the blocks' gemvs,
+whose last bits can differ from one gemv's.  The reduced costs a solve
+returns at optimality, which the duals are read off, always come from
+one gemv of cost_B over the whole padded width.  OpenBLAS computes each
+group of 4 output columns the same way wherever it sits in the matrix,
+but not the last width % 4, so without the padding a column's reduced
+cost would depend on where the exchanges have put it.  (A
+multithreaded gemv splits its output at thread-dependent columns, so
+the bits hold single-threaded.)
 
 Equality rows that phase 1 proves redundant (their artificial stays
 basic at a value <= FEAS_TOL and cannot be pivoted out) are dropped
@@ -90,13 +111,14 @@ solve holds the start and its copy.  trunk_solves pivots the largest
 budget's start in place to its end, and finishes each smaller budget
 that leaves the walk on a copy of it, one at a time: its peak is two
 start-sized arrays, and neither outlives the call.  Each tableau
-comes with three small buffers, allocated once: the entering column,
-the pivot row and the ratio test's ratios.  The exchange writes only
-into them and the tableau and allocates no array data; pricing and
-the ratio test make only numpy's temporaries of the tableau's width
-or height.  On paper_iv a budget solve's phase-1 array is about
-0.67 MB at M = 16 and 10.7 MB at M = 64, and the shared start's T
-about 0.36 and 5.8 MB.
+comes with small buffers, allocated once: the entering column, the
+pivot row, the ratio test's ratios, the pricing product and, only for
+a tableau of several row blocks, one block's share of it.  The
+exchange writes only into them and the tableau and allocates no array
+data; pricing and the ratio test make only numpy's temporaries of the
+tableau's width or height.  On paper_iv a budget solve's phase-1 array
+is about 0.67 MB at M = 16 and 10.7 MB at M = 64, and the shared
+start's T about 0.36 and 5.8 MB.
 """
 
 from __future__ import annotations
@@ -122,6 +144,9 @@ MAX_PIVOTS = 200_000  # per phase; beyond this the solve is an anomaly
 # never fork up to M = 16, paper_iv's fork from 11 weights at M = 3
 # and from 2 at M = 8 and above
 FORKED_ENTRIES = 16384
+# most bytes of one row block of a pivot (_row_blocks); a constant, not
+# the host's cache size, so no pivot choice depends on the machine
+BLOCK_BYTES = 1 << 20
 
 
 class SimplexAnomaly(RuntimeError):
@@ -194,19 +219,24 @@ class _Tableau:
     """A condensed tableau in the middle of a solve, with what its
     pivots reuse.
 
-    N (RHS last) is pivoted in place and never reallocated, so the
-    rank-1 kernel is bound once to N and the col and row buffers, which
-    every exchange refills.  nb labels the first nb.size columns of N,
-    head is the nonbasic block padded to a multiple of 4 and rhs the
-    last column.  basis[i] is the basic label of row i; cost_nb and
-    cost_B are cost[nb] and cost[basis], swapped by every exchange along
-    with the labels.  ratios is the ratio test's buffer.  pivots and
-    degenerate count the pivots of the phase so far on the path that
-    made the tableau, and their zero steps.
+    N (RHS last) is pivoted in place and never reallocated, so each row
+    block's rank-1 kernel is bound once to its rows of N and of the col
+    buffer and to the row buffer, which every exchange refills.  nb
+    labels the first nb.size columns of N, head is the nonbasic block
+    padded to a multiple of 4 and rhs the last column.  basis[i] is the
+    basic label of row i; cost_nb and cost_B are cost[nb] and
+    cost[basis], swapped by every exchange along with the labels.
+    priced is cost_B @ head, which every exchange refreshes; blocks
+    holds each row block's kernel and its rows of cost_B and head, and
+    scratch, only when there are several, a block's share of priced.
+    ratios is the ratio test's buffer.  pivots and degenerate count the
+    pivots of the phase so far on the path that made the tableau, and
+    their zero steps.
     """
 
     __slots__ = ("N", "head", "rhs", "nb", "basis", "cost_nb", "cost_B",
-                 "col", "row", "ratios", "subtract", "pivots", "degenerate")
+                 "col", "row", "ratios", "priced", "blocks", "scratch",
+                 "pivots", "degenerate")
 
     def __init__(self, N, nb, basis, cost):
         self.N, self.nb, self.basis = N, nb, basis
@@ -215,7 +245,20 @@ class _Tableau:
         self.cost_nb, self.cost_B = cost[nb], cost[basis]
         self.col, self.row = np.empty(N.shape[0]), np.empty(N.shape[1])
         self.ratios = np.empty(N.shape[0])
-        self.subtract = _rank1_kernel(N, self.col, self.row)
+        self.priced = np.empty(N.shape[1] - 1)
+        self.blocks = [(_rank1_kernel(N[b], self.col[b], self.row),
+                        self.cost_B[b], self.head[b])
+                       for b in _row_blocks(*N.shape)]
+        several = len(self.blocks) > 1
+        self.scratch = np.empty(self.priced.size) if several else None
+
+
+def _row_blocks(rows, width):
+    """The row blocks a pivot updates and prices one after another:
+    consecutive slices of a rows x width tableau of float64, each of at
+    most BLOCK_BYTES bytes but at least one row, the last one short."""
+    step = max(1, BLOCK_BYTES // (8 * width))
+    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
 def _bland_iterate(t, check=None):
@@ -227,15 +270,18 @@ def _bland_iterate(t, check=None):
     it is made, with its ratio test's tie threshold.
     """
     nb, basis, rhs, ratios = t.nb, t.basis, t.rhs, t.ratios
-    cost_nb, cost_B, head = t.cost_nb, t.cost_B, t.head
+    cost_nb, cost_B, head, priced = t.cost_nb, t.cost_B, t.head, t.priced
     real = nb.size
     if not real:  # no column to enter, and no label for argmin to scan
         return "optimal", np.zeros(0)
+    np.matmul(cost_B, head, out=priced)  # each exchange refreshes it
     while True:
-        reduced = cost_nb - (cost_B @ head)[:real]
+        reduced = cost_nb - priced[:real]
         labels = np.where(reduced < -OPT_TOL, nb, _NO_LABEL)
         p = labels.argmin()  # Bland: the lowest label enters
         if labels[p] == _NO_LABEL:
+            if len(t.blocks) > 1:  # the duals come from one gemv
+                reduced = cost_nb - (cost_B @ head)[:real]
             return "optimal", reduced
         col = t.N[:, p]
         pos = col > PIV_TOL
@@ -260,8 +306,12 @@ def _bland_iterate(t, check=None):
 def _exchange(t, r, p):
     """Pivot the _Tableau t on (r, p) in place: column p's variable
     enters row r's basis, and the leaving variable's column takes slot
-    p."""
+    p.  Then t.priced is the new cost_B @ head, unless it is None."""
     N, col, row = t.N, t.col, t.row
+    # labels and costs first: each row block is priced by the new costs
+    nb, basis, cost_nb, cost_B = t.nb, t.basis, t.cost_nb, t.cost_B
+    nb[p], basis[r] = basis[r], nb[p]
+    cost_nb[p], cost_B[r] = cost_B[r], cost_nb[p]
     col[:] = N[:, p]
     N[:, p] = 0.0
     N[r, p] = 1.0
@@ -269,12 +319,18 @@ def _exchange(t, r, p):
     pivot_row /= col[r]
     row[:] = pivot_row
     col[r] = 0.0
-    t.subtract()
+    # one pass: each block is priced while its rows are still in cache
+    priced = t.priced
+    for i, (subtract, cost, head) in enumerate(t.blocks):
+        subtract()
+        if priced is None:  # the drive-out's exchanges
+            continue
+        if i:
+            priced += np.matmul(cost, head, out=t.scratch)
+        else:
+            np.matmul(cost, head, out=priced)
     # keep the RHS nonnegative against floating drift
     np.maximum(t.rhs, 0.0, out=t.rhs)
-    nb, basis, cost_nb, cost_B = t.nb, t.basis, t.cost_nb, t.cost_B
-    nb[p], basis[r] = basis[r], nb[p]
-    cost_nb[p], cost_B[r] = cost_B[r], cost_nb[p]
 
 
 @cache
@@ -412,7 +468,9 @@ def feasible_start(lp: LinearProgram, check=None
                              phase1_iterations=it1,
                              degenerate_pivots=deg1)
 
-    # pivot lingering artificials out, or drop their (redundant) rows
+    # pivot lingering artificials out, or drop their (redundant) rows;
+    # no price picks these pivots, so their exchanges price nothing
+    t.priced = None
     keep = np.ones(m, dtype=bool)
     for i in np.nonzero(basis >= n + mu)[0]:
         drivable = np.flatnonzero((nb < n + mu)
@@ -438,7 +496,7 @@ def feasible_start(lp: LinearProgram, check=None
         row[: cols.size] = T[i, cols]
         row[-1] = T[i, -1]
         flat[k * width:(k + 1) * width] = row
-    # the tableau's views and the rank-1 kernel's pointers go first:
+    # the tableau's views and the rank-1 kernels' pointers go first:
     # resize shrinks T in place only when nothing else refers to it
     del t, flat
     try:

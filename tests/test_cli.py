@@ -113,7 +113,10 @@ class TestExitCodes:
         (("arrival", "alphas", [True, False]), "'arrival.alphas'"),
         # and fields that break the model's invariants
         (("arrival", "alphas", []), "arrival alphas are empty"),
-        (("channel", "h_max", 0.5), "h_max <= h_min"),
+        (("channel", "h_max", 0.5), "h_max (0.5) <= h_min (0.5)"),
+        (("channel", "h_min", 0.0), "h_min (0.0) <= 0"),
+        ((None, "channel", _piecewise([[2.0, 0.1], [10.0, 0.1]])),
+         "channel density integrates to 0.9500000000000001, not 1"),
         (("channel", "kind", "rayleigh"), "unknown channel kind 'rayleigh'"),
         ((None, "channel", _piecewise([])), "empty table"),
         ((None, "channel", _piecewise([[5.0, 0.1], [4.0, 0.1],
@@ -129,7 +132,8 @@ class TestExitCodes:
         ((None, "xi_kind", "linear"), "missing field 'xi'"),
     ], indirect=["bad_cfg"],
         ids=["h_min-null", "h_min-text", "xi-text", "Q-bool", "alphas-bool",
-             "alphas-empty", "h_max-not-above-h_min", "kind-unknown",
+             "alphas-empty", "h_max-not-above-h_min", "h_min-zero",
+             "density-not-1", "kind-unknown",
              "table-empty", "table-edges-decrease", "table-ends-early",
              "table-negative-density", "table-row-not-a-pair",
              "xi-wrong-length", "xi-missing"])
@@ -398,7 +402,19 @@ class TestSolveOutputs:
         assert man["command"] == "solve"
         assert man["params"]["bins"] == 4
         assert set(man) == {"command", "config", "params", "version",
-                            "timestamp"}
+                            "timestamp", "stats"}
+
+    def test_manifest_stats(self, tmp_path):
+        # the solve's pivots per phase, zero steps and dropped rows; the
+        # two phases sum to metrics.txt's iterations
+        assert _solve(tmp_path) == 0
+        stats = json.loads((tmp_path / "manifest.json").read_text())["stats"]
+        assert stats == {"phase1_pivots": 27, "phase2_pivots": 125,
+                         "degenerate_pivots": 34, "dropped_rows": 4}
+        metrics = dict(ln.split("=", 1) for ln in
+                       (tmp_path / "metrics.txt").read_text().splitlines())
+        assert stats["phase1_pivots"] + stats["phase2_pivots"] == int(
+            metrics["iterations"])
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -94,16 +94,22 @@ class TestConfigValidation:
             config_from_dict(_base_dict(arrival={"alphas": [1.2, -0.2]}))
 
     def test_h_min_positive(self):
-        with pytest.raises(ConfigError, match="h_min"):
+        with pytest.raises(ConfigError, match=r"^h_min \(0\.0\) <= 0$"):
             config_from_dict(_base_dict(
                 channel={"kind": "uniform", "h_min": 0.0, "h_max": 10.0}))
+        with pytest.raises(ConfigError,
+                           match=r"^h_max \(0\.5\) <= h_min \(0\.5\)$"):
+            config_from_dict(_base_dict(
+                channel={"kind": "uniform", "h_min": 0.5, "h_max": 0.5}))
 
     def test_rates_cover_arrivals(self):
-        with pytest.raises(ConfigError, match="S_max < A"):
+        with pytest.raises(ConfigError, match=r"^S_max \(1\) < A \(2\), the "
+                                              r"most arrivals in one slot$"):
             config_from_dict(_base_dict(S_max=1, xi=[0.0, 1.0]))
 
     def test_buffer_holds_arrivals(self):
-        with pytest.raises(ConfigError, match="Q < A"):
+        with pytest.raises(ConfigError, match=r"^Q \(1\) < A \(2\), the "
+                                              r"most arrivals in one slot$"):
             config_from_dict(_base_dict(Q=1))
 
     def test_xi_strictly_increasing(self):
@@ -133,7 +139,8 @@ class TestConfigValidation:
 
     def test_piecewise_density_normalized(self):
         table = [[1.0, 0.1], [2.0, 0.2]]
-        with pytest.raises(ConfigError, match="integrate to 1"):
+        with pytest.raises(ConfigError, match=r"^channel density integrates "
+                                              r"to 0\.25, not 1$"):
             config_from_dict(_base_dict(
                 channel={"kind": "piecewise", "h_min": 0.5, "h_max": 2.0,
                          "table": table}))

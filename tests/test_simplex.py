@@ -979,29 +979,54 @@ def _assert_as_dense(res, ref, slack_rows_exact=False):
         assert res.duals_ub.tobytes() == ref.duals_ub.tobytes()
 
 
+def _random_lps():
+    """Random bounded LPs, each also without its bounding row and with
+    every right-hand side shifted by -5, so that phase 1 negates rows
+    and some LPs are infeasible or unbounded: (lp, A_ub, b_ub)."""
+    rng = np.random.default_rng(20261018)
+    for _ in range(300):
+        c, A_eq, b_eq, A_ub, b_ub = random_bounded_lp(rng)
+        for A, b, shift in ((A_ub, b_ub, 0.0), (A_ub[:-1], b_ub[:-1], 0.0),
+                            (A_ub, b_ub, -5.0)):
+            yield (LinearProgram.build(c, A_eq, b_eq + shift, A, b + shift),
+                   A, b + shift)
+
+
+def _small_integer_lps():
+    """LPs with integer rows, right-hand sides and costs, each also
+    with a box row: ratio ties (many at a zero RHS) and equal reduced
+    costs are exact, so only the labels pick the leaving row and the
+    entering column."""
+    rng = np.random.default_rng(5381)
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        me, mu = int(rng.integers(0, 3)), int(rng.integers(1, 4))
+        x0 = rng.integers(0, 3, n).astype(float)
+        A_eq = rng.integers(-2, 3, (me, n)).astype(float)
+        A_ub = rng.integers(-2, 3, (mu, n)).astype(float)
+        b_ub = A_ub @ x0 + rng.integers(0, 2, mu)
+        c = rng.integers(-1, 2, n).astype(float)
+        box = np.ones((1, n)), [x0.sum() + rng.integers(0, 3)]
+        for A, b in ((A_ub, b_ub), (np.vstack([A_ub, box[0]]),
+                                    np.concatenate([b_ub, box[1]]))):
+            yield LinearProgram.build(c, A_eq, A_eq @ x0, A, b)
+
+
 class TestDenseReference:
     """The condensed tableau against the full one in tests/oracles.py."""
 
     def test_random_lps(self):
-        rng = np.random.default_rng(20261018)
         statuses = set()
-        for _ in range(300):
-            c, A_eq, b_eq, A_ub, b_ub = random_bounded_lp(rng)
-            for A, b, shift in ((A_ub, b_ub, 0.0), (A_ub[:-1], b_ub[:-1], 0.0),
-                                (A_ub, b_ub, -5.0)):
-                lp = LinearProgram.build(c, A_eq, b_eq + shift, A, b + shift)
-                ref, res = dense_solve_simplex(lp), solve_simplex(lp)
-                _assert_as_dense(res, ref)
-                if res.status == "optimal":
-                    # the -5 shift makes phase 1 negate rows
-                    _assert_duals_complement(res, A, b + shift)
-                statuses.add(ref.status)
+        for lp, A, b in _random_lps():
+            ref, res = dense_solve_simplex(lp), solve_simplex(lp)
+            _assert_as_dense(res, ref)
+            if res.status == "optimal":
+                # the -5 shift makes phase 1 negate rows
+                _assert_duals_complement(res, A, b)
+            statuses.add(ref.status)
         assert statuses == {"optimal", "infeasible", "unbounded"}
 
     def test_ties_on_small_integers(self, monkeypatch):
-        # integer rows, right-hand sides and costs: ratio ties (many at
-        # a zero RHS) and equal reduced costs are exact, so only the
-        # labels pick the leaving row and the entering column
         seen = {"ratio_ties": 0, "cost_ties": 0}
         exchange = simplex._exchange
 
@@ -1018,23 +1043,11 @@ class TestDenseReference:
             exchange(t, r, p)
 
         monkeypatch.setattr(simplex, "_exchange", recording)
-        rng = np.random.default_rng(5381)
         statuses = set()
-        for _ in range(200):
-            n = int(rng.integers(2, 7))
-            me, mu = int(rng.integers(0, 3)), int(rng.integers(1, 4))
-            x0 = rng.integers(0, 3, n).astype(float)
-            A_eq = rng.integers(-2, 3, (me, n)).astype(float)
-            A_ub = rng.integers(-2, 3, (mu, n)).astype(float)
-            b_ub = A_ub @ x0 + rng.integers(0, 2, mu)
-            c = rng.integers(-1, 2, n).astype(float)
-            box = np.ones((1, n)), [x0.sum() + rng.integers(0, 3)]
-            for A, b in ((A_ub, b_ub), (np.vstack([A_ub, box[0]]),
-                                        np.concatenate([b_ub, box[1]]))):
-                lp = LinearProgram.build(c, A_eq, A_eq @ x0, A, b)
-                ref = dense_solve_simplex(lp)
-                _assert_as_dense(solve_simplex(lp), ref)
-                statuses.add(ref.status)
+        for lp in _small_integer_lps():
+            ref = dense_solve_simplex(lp)
+            _assert_as_dense(solve_simplex(lp), ref)
+            statuses.add(ref.status)
         assert statuses == {"optimal", "unbounded"}
         assert seen["ratio_ties"] > 0 and seen["cost_ties"] > 0, seen
 
@@ -1226,3 +1239,137 @@ class TestRank1Update:
         got = run()
         monkeypatch.setattr(simplex, "_blas_dgemm", lambda: None)
         assert run() == got
+
+
+def _split_and_whole(run, monkeypatch):
+    """run() with every tableau split into one-row blocks, and again
+    with every tableau one block, after checking that the split run
+    pivoted tableaus of several blocks."""
+    sizes = []
+    row_blocks = simplex._row_blocks
+
+    def recording(rows, width):
+        blocks = row_blocks(rows, width)
+        sizes.append((rows, len(blocks)))
+        return blocks
+
+    with monkeypatch.context() as m:
+        m.setattr(simplex, "BLOCK_BYTES", 1)
+        m.setattr(simplex, "_row_blocks", recording)
+        split = run()
+    assert sizes and all(blocks == rows for rows, blocks in sizes)
+    assert max(rows for rows, _ in sizes) > 1
+    with monkeypatch.context() as m:
+        m.setattr(simplex, "BLOCK_BYTES", 1 << 62)
+        whole = run()
+    return split, whole
+
+
+class TestRowBlocks:
+    """A pivot updates the tableau and prices it for the next pivot one
+    row block at a time.  The update gives every entry the same bits
+    however the rows are split, and the pricing sums the blocks, which
+    can move its last bits, but only the pivots' choice reads them: no
+    split shows in a result."""
+
+    def test_partition(self):
+        for rows, width in ((1, 5), (7, 3), (193, 433), (705, 1025),
+                            (769, 1729), (3, 10**6)):
+            blocks = simplex._row_blocks(rows, width)
+            covered = np.concatenate([np.arange(rows)[b] for b in blocks])
+            assert covered.tolist() == list(range(rows))
+            assert all(b.stop - b.start == 1
+                       or (b.stop - b.start) * width * 8 <= simplex.BLOCK_BYTES
+                       for b in blocks)
+            fits = rows * width * 8 <= simplex.BLOCK_BYTES
+            assert (len(blocks) == 1) == fits, (rows, width)
+        # paper_iv at M = 64: the budget solve's phase-1 and phase-2
+        # tableaus
+        assert len(simplex._row_blocks(769, 1729)) == 11
+        assert len(simplex._row_blocks(705, 1025)) == 6
+
+    def test_one_block_prices_as_one_gemv(self, monkeypatch):
+        # a tableau of one block is priced by the one gemv a separate
+        # pass makes; one of several blocks sums the blocks' gemvs
+        rng = np.random.default_rng(11)
+        rows, width = 193, 433
+        N, _, _ = _pivot_operands(rng, rows, width)
+        real = width - 4  # then three zero padding columns and the RHS
+        nb, basis = np.arange(real), np.arange(real, real + rows)
+        cost = rng.standard_normal(real + rows)
+        for block_bytes in (simplex.BLOCK_BYTES, 8 * width * 16):
+            monkeypatch.setattr(simplex, "BLOCK_BYTES", block_bytes)
+            t = simplex._Tableau(N.copy(), nb.copy(), basis.copy(), cost)
+            for p in (7, 0, 400):
+                simplex._exchange(t, int(np.abs(t.N[:, p]).argmax()), p)
+                whole = t.cost_B @ t.head
+                if len(t.blocks) == 1:
+                    assert t.priced.tobytes() == whole.tobytes()
+                else:
+                    np.testing.assert_allclose(t.priced, whole, rtol=1e-12,
+                                               atol=1e-12)
+        assert len(t.blocks) == 13
+
+    def test_generic_lps(self, monkeypatch):
+        lps = [lp for lp, _, _ in _random_lps()] + list(_small_integer_lps())
+        split, whole = _split_and_whole(
+            lambda: [solve_simplex(lp) for lp in lps], monkeypatch)
+        for res, ref in zip(split, whole):
+            _assert_same(res, ref)
+
+    @pytest.mark.parametrize("name, bins", [
+        ("paper_cfg", 4), ("paper_cfg", 16), ("tiny_cfg", 4),
+        ("tiny_cfg", 16), ("piecewise_cfg", 4), ("piecewise_cfg", 8)])
+    def test_occupancy_lps(self, request, name, bins, monkeypatch):
+        cfg = request.getfixturevalue(name)
+        olp = build_occupancy_lp(cfg, discretize_channel(cfg.channel, bins))
+        split, whole = _split_and_whole(
+            lambda: [_solve_or_anomaly(lp)
+                     for lp in (olp.lp, olp.at(1.5), olp.at(3.0))],
+            monkeypatch)
+        for res, ref in zip(split, whole):
+            _assert_same(res, ref)
+        assert all(res.status == "optimal" for res in whole[::2])
+
+    @pytest.mark.parametrize("bins", [4, 8])
+    def test_trunk_solves(self, paper_cfg, bins, monkeypatch):
+        disc = discretize_channel(paper_cfg.channel, bins)
+        lp = build_occupancy_lp(paper_cfg, disc).at(3.0)
+        grid = default_budget_grid(paper_cfg, disc)
+        split, whole = _split_and_whole(lambda: trunk_solves(lp, grid),
+                                        monkeypatch)
+        assert list(split) == list(whole) and len(whole) == grid.size - 1
+        for d_th in whole:
+            _assert_same(split[d_th], whole[d_th])
+
+    def test_objective_solves(self, paper_cfg, disc16, monkeypatch):
+        # from one shared start, forked over the CPUs as a corner
+        # search's rounds are
+        olp = build_occupancy_lp(paper_cfg, disc16)
+        start = feasible_start(olp.lp)
+        costs = [olp.power + w * olp.delay for w in (0.0, 0.05, 0.7, 20.0)]
+        split, whole = _split_and_whole(
+            lambda: simplex.objective_solves(olp.lp, start, costs),
+            monkeypatch)
+        assert None not in split + whole
+        for res, ref in zip(split, whole):
+            _assert_same(res, ref)
+
+    def test_tableau_past_the_constant(self, paper_cfg, monkeypatch):
+        # unpatched, paper_iv's M = 32 budget solve splits its tableaus
+        # by itself
+        lp = build_occupancy_lp(
+            paper_cfg, discretize_channel(paper_cfg.channel, 32)).at(3.0)
+        blocks = []
+        bland_iterate = simplex._bland_iterate
+
+        def recording(t, check=None):
+            blocks.append(len(t.blocks))
+            return bland_iterate(t, check)
+
+        with monkeypatch.context() as m:
+            m.setattr(simplex, "_bland_iterate", recording)
+            split = solve_simplex(lp)
+        assert min(blocks) > 1
+        monkeypatch.setattr(simplex, "BLOCK_BYTES", 1 << 62)
+        _assert_same(split, solve_simplex(lp))
