@@ -6,11 +6,12 @@ summary and returns its exit code with its outputs as {file name:
 text}; `main` then writes those files atomically, plus a run manifest
 whose parameters are the parsed options, each default the command
 resolved (outdir, warmup) written back into them, beside what the run
-found that its files do not show (sweep's infeasible budgets, solve's
-pivot counts in `stats`).  Outputs are pure functions of the
-manifest's parameters (simulation included, via the seed), so
-re-running a manifest reproduces them byte for byte; the manifest's
-own timestamp is the only thing that moves.
+found that its files do not show (sweep's infeasible budgets, the
+pivot counts of solve's and construct's LP solve in `stats`).
+Outputs are pure functions of the manifest's parameters (simulation
+included, via the seed), so re-running a manifest reproduces them
+byte for byte; the manifest's own timestamp is the only thing that
+moves.
 `simulate --trace` streams its per-slot trace, too large to return as
 text, into a temporary file that replaces trace.csv only once the
 simulation has returned.
@@ -148,6 +149,15 @@ def _construct(dens, cells: int):
     return y, verify_feasibility(y), verify_deterministic(y), power_ratio(y, dens)
 
 
+def _stats(sol) -> dict:
+    """The manifest's `stats` of an LP solve (an LpSolution): its
+    phase-1 and phase-2 pivots, zero steps and dropped rows."""
+    return {"phase1_pivots": sol.phase1_iterations,
+            "phase2_pivots": sol.iterations - sol.phase1_iterations,
+            "degenerate_pivots": sol.degenerate_pivots,
+            "dropped_rows": sol.dropped_rows}
+
+
 # --- subcommands -----------------------------------------------------------
 # Each takes (args, cfg) and returns (exit code, {file name: text}, label
 # for the "wrote" line, None meaning the file names, {manifest key: value}
@@ -172,13 +182,10 @@ def _cmd_solve(args, cfg):
     ]
     print(f"status=optimal power={fmt(power)} delay={fmt(delay)} "
           f"policy={pol.kind}")
-    stats = {"phase1_pivots": sol.phase1_iterations,
-             "phase2_pivots": sol.iterations - sol.phase1_iterations,
-             "degenerate_pivots": sol.degenerate_pivots,
-             "dropped_rows": sol.dropped_rows}
     return EXIT_OK, {"measure.csv": measure_to_text(sol.measure),
                      "policy.csv": policy_to_text(pol),
-                     "metrics.txt": kv_text(metrics)}, None, {"stats": stats}
+                     "metrics.txt": kv_text(metrics)}, None, {
+                         "stats": _stats(sol)}
 
 
 def _cmd_sweep(args, cfg):
@@ -245,7 +252,8 @@ def _cmd_construct(args, cfg):
     print(f"ratio={fmt(ratio.ratio)} (bound {fmt(ratio.bound)}) "
           f"max_residual={fmt(rep.max_residual)} deterministic={det.ok}")
     return EXIT_OK, {"thresholds.csv": threshold_policy_to_text(pol),
-                     "report.txt": kv_text(report)}, None, {}
+                     "report.txt": kv_text(report)}, None, {
+                         "stats": _stats(sol)}
 
 
 def _cmd_simulate(args, cfg):

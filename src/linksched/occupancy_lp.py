@@ -221,6 +221,17 @@ class OccupancyLp:
         return replace(self.lp, A_ub=self.delay[None],
                        b_ub=np.array([d_th], dtype=float))
 
+    def row_name(self, kind: str, i: int) -> str:
+        """This LP's name for its "equality" or "inequality" row i, as
+        a SimplexAnomaly from the row check gives them."""
+        M = self.disc.bins
+        if kind == "inequality":
+            return "delay-budget row"
+        if i < M:
+            return f"bin-mass row of bin {i}"
+        q, k = divmod(i - M, M)
+        return f"balance row of queue state {q}, bin {k}"
+
     @cached_property
     def start(self):
         """The start every solve without a delay row shares (the
@@ -306,13 +317,20 @@ def _solve(cfg: SystemConfig, disc: ChannelDiscretization,
     result presolved under key, taken, if one waits, else from the
     shared start without a delay row and by its own phase 1 with one;
     returns the SimplexResult and its measure, x scattered onto the
-    mask (None unless optimal)."""
+    mask (None unless optimal).  A point off a row of the LP raises
+    SimplexAnomaly with the row's name (OccupancyLp.row_name)."""
     olp = _lp(cfg, disc)
     lp = olp.at(d_th)
     start = olp.solved.pop(key, None)
     if start is None and d_th is None:
         start = olp.start
-    res = solve_simplex(replace(lp, c=objective(olp)), start)
+    try:
+        res = solve_simplex(replace(lp, c=objective(olp)), start)
+    except SimplexAnomaly as e:
+        if e.kind is None:
+            raise
+        raise SimplexAnomaly(f"{e}: {olp.row_name(e.kind, e.row)}",
+                             e.kind, e.row) from e
     if res.status != "optimal":
         return res, None
     g = np.zeros((cfg.Q + 1, cfg.S_max + 1, disc.bins))

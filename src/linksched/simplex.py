@@ -3,9 +3,13 @@
 The LPs solved here are small and heavily degenerate, so Bland's rule
 is used unconditionally: the entering variable is the lowest-index
 column with reduced cost below -OPT_TOL, and the leaving row breaks
-ratio ties by the lowest basis index.  Reduced costs are recomputed
-at every pivot, the basic costs times the whole tableau, rather than
-updated by the pivots, trading a little speed for drift-free pivoting;
+ratio ties by the lowest basis index.  Each choice reads only the
+entries it needs: the lowest label among the columns whose reduced
+cost qualifies, and the ratios of the rows whose entry in the entering
+column exceeds PIV_TOL, gathered and divided.  Reduced costs are
+recomputed at every pivot, the basic costs times the whole tableau,
+rather than updated by the pivots, trading a little speed for
+drift-free pivoting;
 the basic and nonbasic cost vectors, cost[basis] and cost[nb], are
 carried and swapped by each exchange with the labels.
 
@@ -28,9 +32,10 @@ subtracted from every row (col[r] = 0).  Every stored entry thus gets,
 bit for bit, the arithmetic a full tableau would give it.  The
 subtraction is an in-place BLAS rank-1 update, N <- N - col row, a
 K = 1 dgemm from the OpenBLAS that numpy bundles (through ctypes,
-resolved on the first solve and bound once per tableau; numpy's einsum
-where numpy links another BLAS).  With K = 1 every entry is
-round(N - round(col_i * row_j)), the two roundings of an outer product
+resolved on the first solve and bound once per tableau; numpy's
+einsum, one row at a time, where numpy links another BLAS).  With
+K = 1 every entry is round(N - round(col_i * row_j)), the two
+roundings of an outer product
 followed by a subtraction, so both kernels, and any split of the rows
 between calls, give the same bits.  dger and daxpy would not: they
 contract the multiply and the subtraction into one fused multiply-add,
@@ -60,6 +65,25 @@ but not the last width % 4, so without the padding a column's reduced
 cost would depend on where the exchanges have put it.  (A
 multithreaded gemv splits its output at thread-dependent columns, so
 the bits hold single-threaded.)
+
+Every tableau's rows start on 64-byte boundaries, a cache line and
+the widest vector, at a stride of the width rounded up to 8 doubles:
+_tableau_array makes each one a view of a flat buffer from its first
+64-byte boundary.  A row of paper_iv's M = 16 phase-2 tableau is 257
+doubles, so without the padding no row after the first would start on
+a line, and the dgemm and the pricing gemv would split loads and
+stores across lines.  On a 2-core x86-64 machine with one BLAS
+thread, padded and aligned, the 176 x 257 dgemm took 9.2-9.5 us
+instead of 15.2, and the gemv 4.1-5.9 us instead of 6.7-6.9; with the
+stride padded but the base 16 bytes off a line they took 11-13 and
+7-9 us, so both the stride and the base count.  The bits hold: with
+K = 1 every entry is round(N - round(col_i * row_j)) at any stride,
+and OpenBLAS computes each output column of the gemv the same way at
+any row stride and base offset.  The drop below writes the kept rows
+at their own stride into the front of phase 1's buffer and shrinks
+the buffer in place; if realloc moves it, which would leave the rows
+off their lines, or something else still refers to it, the kept rows
+go to a fresh aligned copy.
 
 Equality rows that phase 1 proves redundant (their artificial stays
 basic at a value <= FEAS_TOL and cannot be pivoted out) are dropped
@@ -101,24 +125,29 @@ method, the reference of these bits.
 Memory, in doubles: phase 1 pivots one tableau array of rows x
 (n + negated A_ub rows, padded, + 1) in place.  At the drop it
 writes the kept rows and columns, an array of kept rows x
-(n + mu - kept rows, padded, + 1), into the front of that same array,
-row by row through a one-row buffer, and shrinks it in place to them
-(ndarray.resize; a copy only when something else, such as a
-debugger's frame locals, still refers to it).  That array is the
-start's T, and phase 2 of solve_simplex(lp) pivots it in place, so a
-cold solve's peak is phase 1's one array.  From a shared start a
-solve holds the start and its copy.  trunk_solves pivots the largest
-budget's start in place to its end, and finishes each smaller budget
-that leaves the walk on a copy of it, one at a time: its peak is two
-start-sized arrays, and neither outlives the call.  Each tableau
+(n + mu - kept rows, padded, + 1), into the front of that same array's
+buffer, row by row through a one-row buffer, and shrinks the buffer in
+place to them (ndarray.resize; a copy only when something else, such
+as a debugger's frame locals, still refers to it, or the buffer
+moved).  That array is the start's T, and phase 2 of solve_simplex(lp)
+pivots it in place, so a cold solve's peak is phase 1's one array.
+Every tableau array holds at most 7 padding doubles per row, to its
+stride, plus 7 per buffer, to its first 64-byte boundary: 7 of 440
+doubles a row in the M = 16 budget solve's phase 1 (1.6%), and 7 of
+264 in its phase 2.  From a shared start a solve holds the start and
+its copy.  trunk_solves pivots the largest budget's start in place to
+its end, and finishes each smaller budget that leaves the walk on a
+copy of it, one at a time: its peak is two start-sized arrays, and
+neither outlives the call.  Each tableau
 comes with small buffers, allocated once: the entering column, the
-pivot row, the ratio test's ratios, the pricing product and, only for
-a tableau of several row blocks, one block's share of it.  The
-exchange writes only into them and the tableau and allocates no array
-data; pricing and the ratio test make only numpy's temporaries of the
-tableau's width or height.  On paper_iv a budget solve's phase-1 array
-is about 0.67 MB at M = 16 and 10.7 MB at M = 64, and the shared
-start's T about 0.36 and 5.8 MB.
+pivot row, the pricing product and, only for a tableau of several row
+blocks, one block's share of it.  The exchange writes only into them
+and the tableau and allocates no array data; pricing and the ratio
+test make only numpy's temporaries of the tableau's width or height;
+there is no ratios buffer, only the ratios of the eligible rows.  On
+paper_iv a budget solve's phase-1 array is about 0.67 MB at M = 16
+and 10.7 MB at M = 64, and the shared start's T about 0.36 and
+5.8 MB.
 """
 
 from __future__ import annotations
@@ -150,7 +179,17 @@ BLOCK_BYTES = 1 << 20
 
 
 class SimplexAnomaly(RuntimeError):
-    """Internal solver failure (e.g. a descent ray in phase 1)."""
+    """Internal solver failure (e.g. a descent ray in phase 1).
+
+    One from the row check names the row the point broke: kind, which
+    is "equality" or "inequality", and row, its index among the LP's
+    rows of that kind.  Both are None for any other failure.
+    """
+
+    def __init__(self, message: str, kind: str | None = None,
+                 row: int | None = None):
+        super().__init__(message)
+        self.kind, self.row = kind, row
 
 
 @dataclass(frozen=True)
@@ -212,7 +251,26 @@ def _padded(width: int) -> int:
     return -(-width // 4) * 4
 
 
-_NO_LABEL = np.iinfo(np.intp).max  # masks a column or row out of an argmin
+def _stride(width: int) -> int:
+    """A tableau row's stride in doubles: its width rounded up to 8."""
+    return -(-width // 8) * 8
+
+
+def _tableau_array(rows: int, width: int) -> np.ndarray:
+    """A zeroed rows x width float64 array whose rows start on 64-byte
+    boundaries: a view of a flat buffer (its base), from the buffer's
+    first 64-byte boundary, with rows _stride(width) doubles apart."""
+    stride = _stride(width)
+    buf = np.zeros(rows * stride + 7)  # 7 to spare for the alignment
+    skip = (-buf.ctypes.data // 8) % 8
+    return buf[skip:skip + rows * stride].reshape(rows, stride)[:, :width]
+
+
+def _aligned_copy(T: np.ndarray) -> np.ndarray:
+    """A copy of T with its rows on 64-byte boundaries."""
+    out = _tableau_array(*T.shape)
+    out[...] = T
+    return out
 
 
 class _Tableau:
@@ -221,21 +279,22 @@ class _Tableau:
 
     N (RHS last) is pivoted in place and never reallocated, so each row
     block's rank-1 kernel is bound once to its rows of N and of the col
-    buffer and to the row buffer, which every exchange refills.  nb
-    labels the first nb.size columns of N, head is the nonbasic block
-    padded to a multiple of 4 and rhs the last column.  basis[i] is the
+    buffer and to the row buffer, which every exchange refills.  The
+    solves hand it an N from _tableau_array, rows on 64-byte
+    boundaries; any array of C-contiguous rows works.  nb labels the
+    first nb.size columns of N, head is the nonbasic block padded to a
+    multiple of 4 and rhs the last column.  basis[i] is the
     basic label of row i; cost_nb and cost_B are cost[nb] and
     cost[basis], swapped by every exchange along with the labels.
     priced is cost_B @ head, which every exchange refreshes; blocks
     holds each row block's kernel and its rows of cost_B and head, and
     scratch, only when there are several, a block's share of priced.
-    ratios is the ratio test's buffer.  pivots and degenerate count the
-    pivots of the phase so far on the path that made the tableau, and
-    their zero steps.
+    pivots and degenerate count the pivots of the phase so far on the
+    path that made the tableau, and their zero steps.
     """
 
     __slots__ = ("N", "head", "rhs", "nb", "basis", "cost_nb", "cost_B",
-                 "col", "row", "ratios", "priced", "blocks", "scratch",
+                 "col", "row", "priced", "blocks", "scratch",
                  "pivots", "degenerate")
 
     def __init__(self, N, nb, basis, cost):
@@ -244,7 +303,6 @@ class _Tableau:
         self.head, self.rhs = N[:, :-1], N[:, -1]
         self.cost_nb, self.cost_B = cost[nb], cost[basis]
         self.col, self.row = np.empty(N.shape[0]), np.empty(N.shape[1])
-        self.ratios = np.empty(N.shape[0])
         self.priced = np.empty(N.shape[1] - 1)
         self.blocks = [(_rank1_kernel(N[b], self.col[b], self.row),
                         self.cost_B[b], self.head[b])
@@ -269,30 +327,27 @@ def _bland_iterate(t, check=None):
     check(t, r, p, tie), when given, sees every exchange (r, p) before
     it is made, with its ratio test's tie threshold.
     """
-    nb, basis, rhs, ratios = t.nb, t.basis, t.rhs, t.ratios
+    nb, basis, rhs = t.nb, t.basis, t.rhs
     cost_nb, cost_B, head, priced = t.cost_nb, t.cost_B, t.head, t.priced
     real = nb.size
-    if not real:  # no column to enter, and no label for argmin to scan
-        return "optimal", np.zeros(0)
     np.matmul(cost_B, head, out=priced)  # each exchange refreshes it
     while True:
         reduced = cost_nb - priced[:real]
-        labels = np.where(reduced < -OPT_TOL, nb, _NO_LABEL)
-        p = labels.argmin()  # Bland: the lowest label enters
-        if labels[p] == _NO_LABEL:
+        enter = (reduced < -OPT_TOL).nonzero()[0]
+        if not enter.size:
             if len(t.blocks) > 1:  # the duals come from one gemv
                 reduced = cost_nb - (cost_B @ head)[:real]
             return "optimal", reduced
+        p = enter[nb[enter].argmin()]  # Bland: the lowest label enters
         col = t.N[:, p]
-        pos = col > PIV_TOL
-        if not pos.any():
+        rows = (col > PIV_TOL).nonzero()[0]  # the eligible rows
+        if not rows.size:
             return "unbounded", reduced
-        ratios.fill(np.inf)
-        np.divide(rhs, col, out=ratios, where=pos)
+        ratios = rhs[rows] / col[rows]
         rmin = float(ratios[ratios.argmin()])  # min() has a Python wrapper
         tie = rmin + 1e-12 * (1.0 + abs(rmin))
-        ties = ratios <= tie
-        r = np.where(ties, basis, _NO_LABEL).argmin()  # Bland tie-break
+        ties = rows[ratios <= tie]
+        r = ties[basis[ties].argmin()]  # Bland tie-break
         if check is not None:
             check(t, r, p, tie)
         if rhs[r] == 0.0:
@@ -364,30 +419,37 @@ def _rank1_kernel(N, col, row):
     """A call that does N -= outer(col, row) in place, bit for bit the
     einsum form, on whatever N, col and row hold when it is called.
 
-    N is a C-contiguous float64 matrix, col and row float64 vectors of
-    its height and width that share no memory with it; they are checked
-    here, once.  The BLAS call is C = A B + C with alpha = -1, A = col
-    as a rows x 1 matrix and B = row as a 1 x width one, its arguments
+    N is a float64 matrix of C-contiguous rows (unit column stride, a
+    row stride of whole doubles, at least its width), col and row
+    C-contiguous float64 vectors of its height and width that share no
+    memory with it; they are checked here, once.  The BLAS call is
+    C = A B + C with alpha = -1, A = col as a rows x 1 matrix, B = row
+    as a 1 x width one and N's row stride as ldc, its arguments
     converted to ctypes once.  The kernel holds the three arrays'
     addresses and the arrays too, so they live as long as it does.
     """
     dgemm = _blas_dgemm()
     if dgemm is None:
         def subtract():
-            # a few rows at a time, so no tableau-sized temporary is made
-            for i in range(0, N.shape[0], 8):
-                N[i:i + 8] -= np.einsum("i,j->ij", col[i:i + 8], row)
+            # one contiguous row at a time: numpy would buffer a
+            # multi-row view of padded rows, and einsum, unlike
+            # col[i] * row, gives the dgemm's +0.0 for a -0.0 product
+            for i in range(N.shape[0]):
+                N[i:i + 1] -= np.einsum("i,j->ij", col[i:i + 1], row)
         return subtract
     m, w = N.shape
-    if not (N.flags.c_contiguous and N.dtype == col.dtype == row.dtype
-            == np.float64 and col.shape == (m,) and row.shape == (w,)
+    ldc, odd = divmod(N.strides[0], 8)
+    if not (N.dtype == col.dtype == row.dtype == np.float64
+            and N.strides[1] == 8 and not odd and ldc >= w
+            and col.shape == (m,) and row.shape == (w,)
             and col.flags.c_contiguous and row.flags.c_contiguous):
-        raise ValueError("rank-1 update needs a C-contiguous float64 "
-                         "matrix and vectors of its height and width")
+        raise ValueError("rank-1 update needs a float64 matrix of "
+                         "C-contiguous rows and C-contiguous vectors of "
+                         "its height and width")
     subtract = partial(dgemm, *[
         kind(v) for kind, v in zip(dgemm.argtypes, (
             _ROW_MAJOR, _NO_TRANS, _NO_TRANS, m, w, 1, -1.0, col.ctypes.data,
-            1, row.ctypes.data, w, 1.0, N.ctypes.data, w))])
+            1, row.ctypes.data, w, 1.0, N.ctypes.data, ldc))])
     subtract.operands = N, col, row
     return subtract
 
@@ -445,7 +507,7 @@ def feasible_start(lp: LinearProgram, check=None
 
     flipped_ub = np.flatnonzero(flip[me:])
     nb = np.concatenate([np.arange(n), n + flipped_ub])
-    T = np.zeros((m, _padded(nb.size) + 1))
+    T = _tableau_array(m, _padded(nb.size) + 1)
     T[:me, :n] = lp.A_eq
     T[me:, :n] = lp.A_ub
     T[me + flipped_ub, n + np.arange(flipped_ub.size)] = 1.0
@@ -485,24 +547,32 @@ def feasible_start(lp: LinearProgram, check=None
     dropped = tuple(int(i) for i in np.nonzero(~keep)[0] if i < me)
 
     # write the kept rows over the non-artificial columns into the front
-    # of T, as a narrower C-order array, row by row through one buffer:
-    # kept row k, taken from row i >= k, can overlap row i, never a
-    # later one
+    # of T's buffer, at the narrower stride, row by row through one
+    # buffer: kept row k, taken from row i >= k, can overlap row i,
+    # never a later one
     rows = np.flatnonzero(keep)
     cols = np.flatnonzero(nb < n + mu)
     width = _padded(cols.size) + 1
-    row, flat = np.zeros(width), T.reshape(-1)
+    stride, buf = _stride(width), T.base
+    skip = (T.ctypes.data - buf.ctypes.data) // 8  # T's aligned offset
+    end = skip + rows.size * stride
+    row = np.zeros(width)
     for k, i in enumerate(rows):
         row[: cols.size] = T[i, cols]
         row[-1] = T[i, -1]
-        flat[k * width:(k + 1) * width] = row
+        buf[skip + k * stride:skip + k * stride + width] = row
     # the tableau's views and the rank-1 kernels' pointers go first:
-    # resize shrinks T in place only when nothing else refers to it
-    del t, flat
+    # resize shrinks the buffer in place only when nothing else refers
+    # to it
+    del t, T
     try:
-        T.resize((rows.size, width))
+        buf.resize(end)
+        moved = (buf.ctypes.data + 8 * skip) % 64  # realloc moved it
     except ValueError:  # a tracer that reads frame locals (a debugger)
-        T = T.reshape(-1)[: rows.size * width].reshape(-1, width).copy()
+        moved = True
+    T = buf[skip:end].reshape(-1, stride)[:, :width]
+    if moved:
+        T = _aligned_copy(T)
     return FeasibleStart(T, nb[cols], basis[rows], rows, dropped, it1, deg1)
 
 
@@ -517,7 +587,7 @@ def _check_rows(lp: LinearProgram, x: np.ndarray) -> float:
         if not gap <= ROW_TOL:
             i = int(np.argmax(gaps))
             raise SimplexAnomaly(f"optimal point breaks {kind} row {i} "
-                                 f"by {float(gaps[i])!r}")
+                                 f"by {float(gaps[i])!r}", kind, i)
         worst = max(worst, float(gap))
     return worst
 
@@ -550,7 +620,7 @@ def _start_tableau(start: FeasibleStart, cost: np.ndarray,
     made writable again, which the tableau's pivots then overwrite."""
     T, nb, basis = start.T, start.nb, start.basis
     if shared:
-        return _Tableau(T.copy(), nb.copy(), basis.copy(), cost)
+        return _Tableau(_aligned_copy(T), nb.copy(), basis.copy(), cost)
     for a in (T, nb, basis):
         a.setflags(write=True)
     return _Tableau(T, nb, basis, cost)
@@ -638,7 +708,8 @@ def trunk_solves(lp: LinearProgram, budgets) -> dict[float, SimplexResult]:
         return replace(lp, b_ub=np.array([budgets[i], *lp.b_ub[1:]]))
 
     def finish(t, i):
-        tail = _Tableau(t.N.copy(), t.nb.copy(), t.basis.copy(), cost)
+        tail = _Tableau(_aligned_copy(t.N), t.nb.copy(), t.basis.copy(),
+                        cost)
         tail.pivots, tail.degenerate = t.pivots, t.degenerate
         tail.rhs[k] = d[i]
         try:

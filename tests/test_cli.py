@@ -206,10 +206,12 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("alphas,h_min,q,s_max,argv", [
         # random_config_dict(default_rng(0))'s draw 249. HiGHS: power
-        # 0.251248; the simplex's point misses balance row 1 by 0.61
+        # 0.251248; the simplex's point misses equality row 1, the
+        # bin-mass row of bin 1, by 0.61
         ([0.13041987343184164, 0.7431219096189442, 0.12645821694921414],
          0.1, 10, 4, ["solve", "--bins", "2", "--dth", "3"]),
-        # HiGHS and the drain-fast policy: minimum delay 1.0, not 134.957
+        # HiGHS and the drain-fast policy: minimum delay 1.0, not 134.957;
+        # the point misses the bin-mass row of bin 1 by 0.022
         ([0.99, 0.009, 0.001], 0.5, 8, 2, ["vertices", "--bins", "4"]),
     ], ids=["solve", "min-delay"])
     def test_point_off_its_rows_is_three(self, tmp_path, capsys, alphas,
@@ -223,6 +225,9 @@ class TestExitCodes:
         assert rc == 3
         err = capsys.readouterr().err
         assert re.search(r"optimal point breaks equality row \d+ by ", err)
+        # the failure names the LP's row, not only its index
+        assert re.search(r"equality row 1 by [^:]+: bin-mass row of bin 1$",
+                         err.strip())
         assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.xfail(strict=True, reason="with no arrivals the LP's "
@@ -415,6 +420,14 @@ class TestSolveOutputs:
                        (tmp_path / "metrics.txt").read_text().splitlines())
         assert stats["phase1_pivots"] + stats["phase2_pivots"] == int(
             metrics["iterations"])
+
+    def test_construct_manifest_stats(self, tmp_path):
+        # construct's LP solve is solve's, and its manifest says so
+        assert main(["construct", "--dth", "3", "--bins", "4", "--M", "8",
+                     "--outdir", str(tmp_path)]) == 0
+        stats = json.loads((tmp_path / "manifest.json").read_text())["stats"]
+        assert stats == {"phase1_pivots": 27, "phase2_pivots": 125,
+                         "degenerate_pivots": 34, "dropped_rows": 4}
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

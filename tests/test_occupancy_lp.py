@@ -98,6 +98,51 @@ class TestStructure:
             want[q, k] += 1.0
             assert col[4:] == pytest.approx(want.ravel(), abs=1e-15)
 
+    def test_row_names(self, paper_cfg):
+        # a row's name is the (queue state, bin) its columns say: a
+        # bin-mass row sums the columns of its bin, and a balance row's
+        # positive entries are the columns of its own (q, k) pair
+        disc = discretize_channel(paper_cfg.channel, 4)
+        prob = build_occupancy_lp(paper_cfg, disc)
+        triples = column_triples(prob)
+        named = set()
+        for i, row in enumerate(prob.lp.A_eq):
+            pairs = {(q, k) for j, (q, _, k) in enumerate(triples)
+                     if row[j] > 0.0}
+            name = prob.row_name("equality", i)
+            if i < 4:
+                assert name == f"bin-mass row of bin {i}"
+                assert {k for _, k in pairs} == {i}
+            else:
+                (q, k), = pairs
+                assert name == f"balance row of queue state {q}, bin {k}"
+            named.add(name)
+        assert len(named) == prob.lp.A_eq.shape[0]
+        assert prob.row_name("inequality", 0) == "delay-budget row"
+
+    def test_anomaly_names_its_row(self, paper_cfg, monkeypatch):
+        # a point off a row comes out of a solve with the row's name;
+        # any other anomaly comes out as it is
+        disc = discretize_channel(paper_cfg.channel, 2)
+        occupancy_lp.clear_caches()
+        errors = [simplex.SimplexAnomaly("off", "inequality", 0),
+                  simplex.SimplexAnomaly("off", "equality", 5),
+                  simplex.SimplexAnomaly("pivot limit exceeded")]
+
+        def fail(lp, start=None):
+            raise errors.pop(0)
+
+        monkeypatch.setattr(occupancy_lp, "solve_simplex", fail)
+        for message, kind, row in (
+                ("off: delay-budget row", "inequality", 0),
+                ("off: balance row of queue state 1, bin 1", "equality", 5),
+                ("pivot limit exceeded", None, None)):
+            with pytest.raises(simplex.SimplexAnomaly) as e:
+                solve_constrained(paper_cfg, disc, 3.0)
+            assert (str(e.value), e.value.kind, e.value.row) == (
+                message, kind, row)
+        occupancy_lp.clear_caches()
+
 
 class TestLoopReference:
     """The array code against its loop form: equal to the last bit."""

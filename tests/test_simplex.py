@@ -107,19 +107,21 @@ class TestRowCheck:
         _check_rows(lp, np.array([1.5, 0.5]))
         with pytest.raises(SimplexAnomaly,
                            match=r"^optimal point breaks inequality row 1 "
-                                 r"by 0\.5$"):
+                                 r"by 0\.5$") as e:
             _check_rows(lp, np.array([1.0, 1.0]))
+        assert (e.value.kind, e.value.row) == ("inequality", 1)
         with pytest.raises(SimplexAnomaly,
                            match=r"^optimal point breaks equality row 0 "
-                                 r"by 1\.0$"):
+                                 r"by 1\.0$") as e:
             _check_rows(lp, np.array([0.5, 0.5]))
+        assert (e.value.kind, e.value.row) == ("equality", 0)
 
 
 class TestMemory:
     def test_peak_is_about_two_tableaus(self, paper_cfg, disc16):
         # a solve holds one condensed tableau, phase 1's, whose front
         # takes the kept rows at the drop and phase 2 pivots in place
-        # (0.74x of this full-width one here, 0.76x with einsum); a copy
+        # (0.75x of this full-width one here and with einsum); a copy
         # of the kept rows (1.11x), a phase-1-sized scratch array (1.43x),
         # staging or per-phase copies push past 0.8x
         lp = build_occupancy_lp(paper_cfg, disc16).at(3.0)
@@ -137,7 +139,7 @@ class TestMemory:
 
     def test_shared_start_peak_is_about_one_tableau(self, paper_cfg, disc16):
         # with the start cached, a solve holds one copy of the start's
-        # condensed tableau, 0.41 of this full-width one; a scratch array
+        # condensed tableau, 0.43 of this full-width one; a scratch array
         # of the same shape would take it to 0.79
         solve_lagrangian(paper_cfg, disc16, 1.0)
         lp = build_occupancy_lp(paper_cfg, disc16).lp
@@ -155,8 +157,9 @@ class TestMemory:
     def test_cold_peak_in_condensed_widths(self, paper_cfg, disc16):
         # the phase-1 tableau holds only the nonbasic columns, the
         # structural ones and the slacks of negated rows, and is the
-        # solve's one tableau (1.06x here, 1.09x with einsum's few rows
-        # at a time; a copy of the kept rows takes it to 1.60x)
+        # solve's one tableau (1.08x here, rows padded to 8 doubles, and
+        # 1.08x with einsum's one row at a time; a copy of the kept rows
+        # takes it to 1.60x)
         lp = build_occupancy_lp(paper_cfg, disc16).at(3.0)
         rows = lp.A_eq.shape[0] + lp.A_ub.shape[0]
         flipped = int((lp.b_ub < 0.0).sum())
@@ -172,8 +175,8 @@ class TestMemory:
 
     def test_shared_start_peak_in_condensed_widths(self, paper_cfg, disc16):
         # from a start, the kept rows hold the nonbasic structural and
-        # slack columns; the artificial columns are gone (1.07x here,
-        # 2.06x with a scratch array)
+        # slack columns; the artificial columns are gone (1.12x here and
+        # with einsum, 2.06x with a scratch array)
         solve_lagrangian(paper_cfg, disc16, 1.0)
         olp = occupancy_lp._lp(paper_cfg, disc16)
         start = olp.start
@@ -241,7 +244,7 @@ class TestMemory:
         # d_min, the grid's first budget, takes its own phase 1, so the
         # sweep's peak is the LP and two start-sized arrays, a cold
         # solve's LP and phase-1 array plus at most one start-sized
-        # array (0.86x of that here, 0.85x with einsum); a third
+        # array (0.87x of that here, 0.86x with einsum); a third
         # start-sized array takes it to 1.04x, a second dense A_eq alive
         # beside them to 1.21x
         grid = default_budget_grid(paper_cfg, disc16, points=12)
@@ -1168,20 +1171,23 @@ class TestRank1Update:
 
     @pytest.mark.parametrize("rows, width", [(176, 257), (769, 1001)])
     def test_bitwise_equal_to_einsum(self, blas, rows, width, monkeypatch):
+        # on a C-contiguous matrix and on a solve's padded rows, 64-byte
+        # aligned at a stride of the width rounded up to 8
         rng = np.random.default_rng(rows)
         for _ in range(4):
             N, col, row = _pivot_operands(rng, rows, width)
-            got = N.copy()
-            simplex._rank1_kernel(got, col, row)()
-            with monkeypatch.context() as m:
-                m.setattr(simplex, "_blas_dgemm", lambda: None)
-                want = N.copy()
-                simplex._rank1_kernel(want, col, row)()
-            assert (got != N).any()
-            assert (np.signbit(want) & (want == 0.0)).any()
-            assert (got.view(np.int64) == want.view(np.int64)).all()
             whole = N - np.einsum("i,j->ij", col, row)
-            assert (want.view(np.int64) == whole.view(np.int64)).all()
+            for copy in (np.copy, simplex._aligned_copy):
+                got = copy(N)
+                simplex._rank1_kernel(got, col, row)()
+                with monkeypatch.context() as m:
+                    m.setattr(simplex, "_blas_dgemm", lambda: None)
+                    want = copy(N)
+                    simplex._rank1_kernel(want, col, row)()
+                assert (got != N).any()
+                assert (np.signbit(want) & (want == 0.0)).any()
+                assert (got.view(np.int64) == want.view(np.int64)).all()
+                assert (want.view(np.int64) == whole.view(np.int64)).all()
 
     def test_rejects_strided_operands(self, blas):
         N = np.zeros((3, 8))[:, ::2]
@@ -1239,6 +1245,107 @@ class TestRank1Update:
         got = run()
         monkeypatch.setattr(simplex, "_blas_dgemm", lambda: None)
         assert run() == got
+
+
+def _on_aligned_rows(N):
+    """Whether N's rows start on 64-byte boundaries, with unit column
+    stride and a row stride of its width rounded up to 8 doubles."""
+    stride = -(-N.shape[1] // 8) * 8
+    return N.ctypes.data % 64 == 0 and N.strides == (8 * stride, 8)
+
+
+class TestRowLayout:
+    """Every tableau a solve pivots has its rows on 64-byte boundaries,
+    at a stride of its width rounded up to 8 doubles, and pivots to the
+    bits of C-contiguous rows."""
+
+    @staticmethod
+    def _recording(monkeypatch):
+        """The N of every _Tableau made from now on, in order."""
+        made = []
+        tableau = simplex._Tableau
+
+        def recording(N, nb, basis, cost):
+            made.append(N)
+            return tableau(N, nb, basis, cost)
+
+        monkeypatch.setattr(simplex, "_Tableau", recording)
+        return made
+
+    def test_every_pivoted_tableau(self, paper_cfg, monkeypatch):
+        disc = discretize_channel(paper_cfg.channel, 8)
+        olp = build_occupancy_lp(paper_cfg, disc)
+        grid = default_budget_grid(paper_cfg, disc, points=12)
+        made = self._recording(monkeypatch)
+        # phase 1's array, then the start after the drop
+        assert solve_simplex(olp.at(3.0)).dropped_eq_rows
+        phase_1, dropped = made
+        assert dropped.shape[0] < phase_1.shape[0]
+        assert dropped.shape[1] < phase_1.shape[1]
+        # a shared start's copy
+        start = feasible_start(olp.lp)
+        del made[:]
+        solve_simplex(replace(olp.lp, c=olp.delay), start)
+        shared, = made
+        assert not np.shares_memory(shared, start.T)
+        # the walk's phase 1 and start, then the budgets' tail copies
+        del made[:]
+        assert len(trunk_solves(olp.at(3.0), grid)) == grid.size - 1
+        assert len(made) > 2
+        for N in (phase_1, dropped, shared, *made):
+            assert N.shape[1] % 8, N.shape  # so its rows are padded
+            assert _on_aligned_rows(N), (N.shape, N.strides)
+
+    def test_padded_gemv_is_the_contiguous_gemv(self):
+        # pricing reads the padded rows: single-threaded OpenBLAS gives
+        # each column of v @ X the same bits at any row stride and any
+        # 8-byte offset of X's base from a 64-byte boundary.  (Not at
+        # width 1, where numpy takes the product as a dot, whose
+        # contiguous and strided kernels sum in different orders; a
+        # tableau's head is a multiple of 4 wide.)
+        rng = np.random.default_rng(64)
+        for _ in range(40):
+            rows = int(rng.integers(1, 200))
+            width = int(rng.integers(2, 700))
+            X = rng.standard_normal((rows, width))
+            X[rng.random(X.shape) < 0.5] = 0.0
+            X[rng.random(X.shape) < 0.05] = -0.0
+            v = rng.standard_normal(rows)
+            v[rng.random(rows) < 0.3] = 0.0
+            want = (v @ X).tobytes()
+            stride = -(-width // 8) * 8
+            buf = np.zeros(rows * stride + 15)
+            first = (-buf.ctypes.data // 8) % 8
+            for offset in range(first, first + 8):
+                Y = buf[offset:offset + rows * stride].reshape(
+                    rows, stride)[:, :width]
+                Y[...] = X
+                assert (v @ Y).tobytes() == want, (rows, width, offset)
+
+    def test_held_buffer_is_copied(self, paper_cfg, monkeypatch):
+        # the drop shrinks phase 1's buffer in place; while something
+        # else holds it, the kept rows go to an aligned copy instead,
+        # with the same bits
+        lp = build_occupancy_lp(
+            paper_cfg, discretize_channel(paper_cfg.channel, 8)).at(3.0)
+        cold = solve_simplex(lp)
+        held = []
+        tableau_array = simplex._tableau_array
+
+        def holding(rows, width):
+            T = tableau_array(rows, width)
+            held.append(T.base)
+            return T
+
+        monkeypatch.setattr(simplex, "_tableau_array", holding)
+        made = self._recording(monkeypatch)
+        res = solve_simplex(lp)
+        _assert_same(res, cold)
+        assert res.dropped_eq_rows
+        phase_1, dropped = made
+        assert phase_1.base is held[0] and phase_1.base.size > phase_1.size
+        assert not np.shares_memory(dropped, held[0])
+        assert dropped.base is held[1] and _on_aligned_rows(dropped)
 
 
 def _split_and_whole(run, monkeypatch):
