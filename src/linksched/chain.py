@@ -95,11 +95,18 @@ def closed_classes(T: np.ndarray) -> list[list[int]]:
 
 
 def stationary(T: np.ndarray) -> np.ndarray:
-    """The stationary law of the chain T.
+    """The stationary law of the chain T, by GTH elimination.
 
     Raises ReducibleChainError when the chain has more than one closed
     class (the stationary law is then ambiguous); the message names two
-    of them.
+    of them.  Otherwise the law lives on the one closed class, with
+    exact zeros on the transient states, and comes from the
+    Grassmann-Taksar-Heyman elimination on that class (Grassmann,
+    Taksar & Heyman, Operations Research 33(5), 1985): each state is
+    censored out in turn, its exit rate taken as the sum of its row
+    towards the states left rather than 1 minus its self-loop, so no
+    step subtracts and every entry is accurate relative to itself,
+    small probabilities too.  Every sum runs through ordered_sum.
     """
     closed = closed_classes(T)
     if len(closed) > 1:
@@ -107,15 +114,14 @@ def stationary(T: np.ndarray) -> np.ndarray:
             f"reducible chain: states {closed[0]} and states {closed[1]} "
             "are both closed"
         )
-    n = len(T)
-    A = T.T - np.eye(n)
-    A[-1, :] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    try:
-        pi = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        pi, *_ = np.linalg.lstsq(A, b, rcond=None)
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
+    states = closed[0]
+    P = T[np.ix_(states, states)]
+    for k in range(len(states) - 1, 0, -1):
+        P[:k, k] /= ordered_sum(P[k, :k])
+        P[:k, :k] += P[:k, k, None] * P[k, :k]
+    x = np.ones(len(states))
+    for k in range(1, len(states)):
+        x[k] = ordered_sum(x[:k] * P[:k, k])
+    pi = np.zeros(len(T))
+    pi[states] = x / ordered_sum(x)
     return pi

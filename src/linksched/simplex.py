@@ -33,13 +33,14 @@ bit for bit, the arithmetic a full tableau would give it.  The
 subtraction is an in-place BLAS rank-1 update, N <- N - col row, a
 K = 1 dgemm from the OpenBLAS that numpy bundles (through ctypes,
 resolved on the first solve and bound once per tableau; numpy's
-einsum, one row at a time, where numpy links another BLAS).  With
-K = 1 every entry is round(N - round(col_i * row_j)), the two
-roundings of an outer product
-followed by a subtraction, so both kernels, and any split of the rows
-between calls, give the same bits.  dger and daxpy would not: they
-contract the multiply and the subtraction into one fused multiply-add,
-which rounds once.
+einsum, EINSUM_ROWS rows at a time, where numpy links another BLAS).
+With K = 1 every entry is round(N - round(col_i * row_j)), the two
+roundings of an outer product followed by a subtraction, so both
+kernels, and any split of the rows between calls, give the same bits.
+dger and daxpy would not: they contract the multiply and the
+subtraction into one fused multiply-add, which rounds once.  The
+einsum form reads its rows at their full stride, so each call
+subtracts from one contiguous block.
 
 The exchange is one pass over the tableau.  It runs the update one
 row block at a time (_row_blocks), and right after each block's update,
@@ -126,28 +127,31 @@ Memory, in doubles: phase 1 pivots one tableau array of rows x
 (n + negated A_ub rows, padded, + 1) in place.  At the drop it
 writes the kept rows and columns, an array of kept rows x
 (n + mu - kept rows, padded, + 1), into the front of that same array's
-buffer, row by row through a one-row buffer, and shrinks the buffer in
-place to them (ndarray.resize; a copy only when something else, such
-as a debugger's frame locals, still refers to it, or the buffer
-moved).  That array is the start's T, and phase 2 of solve_simplex(lp)
-pivots it in place, so a cold solve's peak is phase 1's one array.
-Every tableau array holds at most 7 padding doubles per row, to its
-stride, plus 7 per buffer, to its first 64-byte boundary: 7 of 440
-doubles a row in the M = 16 budget solve's phase 1 (1.6%), and 7 of
-264 in its phase 2.  From a shared start a solve holds the start and
-its copy.  trunk_solves pivots the largest budget's start in place to
-its end, and finishes each smaller budget that leaves the walk on a
-copy of it, one at a time: its peak is two start-sized arrays, and
-neither outlives the call.  Each tableau
-comes with small buffers, allocated once: the entering column, the
-pivot row, the pricing product and, only for a tableau of several row
-blocks, one block's share of it.  The exchange writes only into them
-and the tableau and allocates no array data; pricing and the ratio
-test make only numpy's temporaries of the tableau's width or height;
-there is no ratios buffer, only the ratios of the eligible rows.  On
-paper_iv a budget solve's phase-1 array is about 0.67 MB at M = 16
-and 10.7 MB at M = 64, and the shared start's T about 0.36 and
-5.8 MB.
+buffer, row by row through a one-row buffer that carries the zero
+padding too, and shrinks the buffer in place to them (ndarray.resize;
+a copy only when something else, such as a debugger's frame locals,
+still refers to it, or the buffer moved).  That array is the start's
+T, and phase 2 of solve_simplex(lp) pivots it in place, so a cold
+solve's peak is phase 1's one array.  Every tableau array holds at
+most 7 padding doubles per row, to its stride, plus 7 per buffer, to
+its first 64-byte boundary: 7 of 440 doubles a row in the M = 16
+budget solve's phase 1 (1.6%), and 7 of 264 in its phase 2.  From a
+shared start a solve holds the start and its copy.  trunk_solves
+pivots the largest budget's start in place to its end, and finishes
+each smaller budget that leaves the walk on a copy of it, one at a
+time: its peak is two start-sized arrays, and neither outlives the
+call.  Each tableau comes with small buffers, allocated once: the
+entering column, the pivot row, the pricing product and, only for a
+tableau of several row blocks, one block's share of it.  The exchange
+writes only into them and the tableau and allocates no array data;
+the einsum form adds one zero-padded pivot row per row block and, per
+call, a temporary of EINSUM_ROWS padded rows, about 14 KB at M = 16.
+Pricing and the ratio test make only numpy's temporaries of the
+tableau's width or height, and the reduced costs and the entering
+candidates go before the exchange; there is no ratios buffer, only
+the ratios of the eligible rows.  On paper_iv a budget solve's
+phase-1 array is about 0.67 MB at M = 16 and 10.7 MB at M = 64, and
+the shared start's T about 0.36 and 5.8 MB.
 """
 
 from __future__ import annotations
@@ -176,6 +180,10 @@ FORKED_ENTRIES = 16384
 # most bytes of one row block of a pivot (_row_blocks); a constant, not
 # the host's cache size, so no pivot choice depends on the machine
 BLOCK_BYTES = 1 << 20
+# rows per einsum call where numpy bundles no OpenBLAS (_einsum_kernel):
+# the most whose temporary keeps a cold M = 16 solve's peak within 1.1
+# phase-1 tableaus (five rows read 1.102)
+EINSUM_ROWS = 4
 
 
 class SimplexAnomaly(RuntimeError):
@@ -352,6 +360,7 @@ def _bland_iterate(t, check=None):
             check(t, r, p, tie)
         if rhs[r] == 0.0:
             t.degenerate += 1
+        del reduced, enter  # the selection's arrays go before the update
         _exchange(t, r, p)
         t.pivots += 1
         if t.pivots > MAX_PIVOTS:
@@ -428,15 +437,6 @@ def _rank1_kernel(N, col, row):
     converted to ctypes once.  The kernel holds the three arrays'
     addresses and the arrays too, so they live as long as it does.
     """
-    dgemm = _blas_dgemm()
-    if dgemm is None:
-        def subtract():
-            # one contiguous row at a time: numpy would buffer a
-            # multi-row view of padded rows, and einsum, unlike
-            # col[i] * row, gives the dgemm's +0.0 for a -0.0 product
-            for i in range(N.shape[0]):
-                N[i:i + 1] -= np.einsum("i,j->ij", col[i:i + 1], row)
-        return subtract
     m, w = N.shape
     ldc, odd = divmod(N.strides[0], 8)
     if not (N.dtype == col.dtype == row.dtype == np.float64
@@ -446,11 +446,40 @@ def _rank1_kernel(N, col, row):
         raise ValueError("rank-1 update needs a float64 matrix of "
                          "C-contiguous rows and C-contiguous vectors of "
                          "its height and width")
+    dgemm = _blas_dgemm()
+    if dgemm is None:
+        return _einsum_kernel(N, col, row, ldc)
     subtract = partial(dgemm, *[
         kind(v) for kind, v in zip(dgemm.argtypes, (
             _ROW_MAJOR, _NO_TRANS, _NO_TRANS, m, w, 1, -1.0, col.ctypes.data,
             1, row.ctypes.data, w, 1.0, N.ctypes.data, ldc))])
     subtract.operands = N, col, row
+    return subtract
+
+
+def _einsum_kernel(N, col, row, ldc):
+    """The einsum form of _rank1_kernel, EINSUM_ROWS rows per call.
+
+    Every row but the last is read at its full stride ldc, the gaps
+    between rows included, so each call subtracts from one contiguous
+    block (numpy would buffer a multi-row view of padded rows) the
+    outer product with a zero-padded copy of row: with col finite, a
+    gap double x becomes x - (+0.0), the same bits.  The last row,
+    whose gap may lie past N's memory, is subtracted at its width.
+    einsum, unlike col[i] * row, gives the dgemm's +0.0 for a -0.0
+    product.
+    """
+    m, w = N.shape
+    top = max(m - 1, 0)
+    full = np.lib.stride_tricks.as_strided(N, (top, ldc), N.strides)
+    padded = np.zeros(ldc)
+
+    def subtract():
+        padded[:w] = row
+        for i in range(0, top, EINSUM_ROWS):
+            j = min(i + EINSUM_ROWS, top)
+            full[i:j] -= np.einsum("i,j->ij", col[i:j], padded)
+        N[top:] -= np.einsum("i,j->ij", col[top:], row)
     return subtract
 
 
@@ -538,7 +567,7 @@ def feasible_start(lp: LinearProgram, check=None
         drivable = np.flatnonzero((nb < n + mu)
                                   & (np.abs(T[i, : nb.size]) > DRIVE_TOL))
         if drivable.size:
-            piv = int(drivable[np.argmin(nb[drivable])])
+            piv = int(drivable[nb[drivable].argmin()])
             if check is not None:
                 check(t, i, piv, -np.inf)
             _exchange(t, i, piv)
@@ -547,20 +576,20 @@ def feasible_start(lp: LinearProgram, check=None
     dropped = tuple(int(i) for i in np.nonzero(~keep)[0] if i < me)
 
     # write the kept rows over the non-artificial columns into the front
-    # of T's buffer, at the narrower stride, row by row through one
-    # buffer: kept row k, taken from row i >= k, can overlap row i,
-    # never a later one
+    # of T's buffer, at the narrower stride, its zero padding included,
+    # row by row through one buffer: kept row k, taken from row i >= k,
+    # can overlap row i, never a later one
     rows = np.flatnonzero(keep)
     cols = np.flatnonzero(nb < n + mu)
     width = _padded(cols.size) + 1
     stride, buf = _stride(width), T.base
     skip = (T.ctypes.data - buf.ctypes.data) // 8  # T's aligned offset
     end = skip + rows.size * stride
-    row = np.zeros(width)
+    row = np.zeros(stride)
     for k, i in enumerate(rows):
         row[: cols.size] = T[i, cols]
-        row[-1] = T[i, -1]
-        buf[skip + k * stride:skip + k * stride + width] = row
+        row[width - 1] = T[i, -1]
+        buf[skip + k * stride:skip + (k + 1) * stride] = row
     # the tableau's views and the rank-1 kernels' pointers go first:
     # resize shrinks the buffer in place only when nothing else refers
     # to it

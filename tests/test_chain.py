@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from linksched import chain
 from linksched.chain import (
     ReducibleChainError,
     closed_classes,
@@ -12,7 +11,8 @@ from linksched.chain import (
     stationary,
     transition_table,
 )
-from linksched.model import config_from_dict, discretize_channel, step
+from linksched.model import (config_from_dict, discretize_channel,
+                             drain_rate, mean_delay, step)
 from linksched.occupancy_lp import extract_policy
 
 from oracles import loop_closed_classes, loop_queue_kernel
@@ -115,18 +115,25 @@ class TestStationary:
         transient = np.setdiff1d(np.arange(len(T)), closed[0])
         assert (pi >= 0.0).all() and (pi[transient] <= 1e-12).all()
 
-    def test_singular_stationary_system_falls_back_to_lstsq(
-            self, paper_cfg, disc16, solution16, monkeypatch):
-        pol = extract_policy(solution16.measure)
-        T = kernel(paper_cfg, disc16.masses, pol.table)
-        want = stationary(T)
-
-        def singular(a, b):
-            raise np.linalg.LinAlgError("Singular matrix")
-
-        monkeypatch.setattr(chain.np.linalg, "solve", singular)
-        got = stationary(T)
-        assert np.abs(got - want).max() <= 1e-12
+    @pytest.mark.parametrize("alphas", [[0.9999976, 2.4e-6],
+                                        [1.0 - 1e-12, 1e-12]])
+    def test_drain_rule_law_is_exact(self, alphas):
+        # the drain rule on one bin serves the whole backlog, so the
+        # backlog is the last slot's arrivals: pi = alphas on {0, 1},
+        # exactly 0 on the transient states, and the delay is 1 slot;
+        # a dense solve gave 0.9999999999824966 and 0.9999778782798785
+        cfg = config_from_dict({
+            "arrival": {"alphas": alphas},
+            "channel": {"kind": "uniform", "h_min": 1.0, "h_max": 10.0},
+            "Q": 5, "S_max": 2, "xi_kind": "exp2minus1"})
+        q = np.arange(cfg.Q + 1)
+        table = np.zeros((cfg.Q + 1, 1, cfg.S_max + 1))
+        table[q, 0, drain_rate(cfg, q)] = 1.0
+        pi = stationary(kernel(cfg, [1.0], table))
+        eps = np.finfo(float).eps
+        assert np.abs(pi[:2] / alphas - 1.0).max() <= 2 * eps
+        assert (pi[2:] == 0.0).all()
+        assert abs(mean_delay(cfg, pi @ q) - 1.0) <= 2 * eps
 
     def test_reducible_chain_names_both_classes(self, tiny_cfg):
         disc = discretize_channel(tiny_cfg.channel, 1)

@@ -121,7 +121,7 @@ class TestMemory:
     def test_peak_is_about_two_tableaus(self, paper_cfg, disc16):
         # a solve holds one condensed tableau, phase 1's, whose front
         # takes the kept rows at the drop and phase 2 pivots in place
-        # (0.75x of this full-width one here and with einsum); a copy
+        # (0.75x of this full-width one here, 0.76x with einsum); a copy
         # of the kept rows (1.11x), a phase-1-sized scratch array (1.43x),
         # staging or per-phase copies push past 0.8x
         lp = build_occupancy_lp(paper_cfg, disc16).at(3.0)
@@ -158,8 +158,8 @@ class TestMemory:
         # the phase-1 tableau holds only the nonbasic columns, the
         # structural ones and the slacks of negated rows, and is the
         # solve's one tableau (1.08x here, rows padded to 8 doubles, and
-        # 1.08x with einsum's one row at a time; a copy of the kept rows
-        # takes it to 1.60x)
+        # 1.09x with einsum's four rows at a time, 1.10x with five when
+        # this test runs alone; a copy of the kept rows takes it to 1.60x)
         lp = build_occupancy_lp(paper_cfg, disc16).at(3.0)
         rows = lp.A_eq.shape[0] + lp.A_ub.shape[0]
         flipped = int((lp.b_ub < 0.0).sum())
@@ -175,8 +175,8 @@ class TestMemory:
 
     def test_shared_start_peak_in_condensed_widths(self, paper_cfg, disc16):
         # from a start, the kept rows hold the nonbasic structural and
-        # slack columns; the artificial columns are gone (1.12x here and
-        # with einsum, 2.06x with a scratch array)
+        # slack columns; the artificial columns are gone (1.12x here,
+        # 1.13x with einsum, 2.06x with a scratch array)
         solve_lagrangian(paper_cfg, disc16, 1.0)
         olp = occupancy_lp._lp(paper_cfg, disc16)
         start = olp.start
@@ -272,6 +272,31 @@ class TestMemoryEinsumFallback(TestMemory):
     @pytest.fixture(autouse=True)
     def no_blas(self, monkeypatch):
         monkeypatch.setattr(simplex, "_blas_dgemm", lambda: None)
+
+    def test_padding_stays_positive_zero(self, paper_cfg, disc16,
+                                         monkeypatch):
+        # the einsum form subtracts +0.0 from the gaps between rows:
+        # after phase 1 and the drop, and after phase 2 on a shared
+        # start's copy and in place, every padding double is +0.0
+        lp = build_occupancy_lp(paper_cfg, disc16).at(3.0)
+        start = feasible_start(lp)
+        tableaus = [start.T]
+        phase_2 = simplex._phase_2
+
+        def keeping(lp, start, t):
+            tableaus.append(t.N)
+            return phase_2(lp, start, t)
+
+        monkeypatch.setattr(simplex, "_phase_2", keeping)
+        assert solve_simplex(lp, start).status == "optimal"
+        assert solve_simplex(lp).status == "optimal"
+        for T in tableaus:
+            rows, width = T.shape
+            stride = T.strides[0] // 8
+            skip = (T.ctypes.data - T.base.ctypes.data) // 8
+            gaps = T.base[skip:skip + rows * stride].reshape(rows, stride)
+            assert stride > width
+            assert (gaps[:, width:].view(np.int64) == 0).all()
 
 
 class TestPhaseCounts:
